@@ -1,11 +1,11 @@
 //! Criterion bench: host-side cost of one simulated double-sided implicit
-//! hammer iteration (the simulator's hottest path).
+//! hammer iteration (the simulator's hottest path), replayed from a compiled
+//! trace exactly as the hammer phase runs it.
 use criterion::{criterion_group, criterion_main, Criterion};
 use pthammer::{
-    eviction::{LlcEvictionPool, TlbEvictionPool},
-    pairs::candidate_pairs,
-    spray::spray_page_tables,
-    AttackConfig, ImplicitHammer, PtHammer,
+    pairs::{candidate_pairs, conflict_threshold},
+    pipeline::prepare_attack,
+    AttackConfig, CompiledTrace, HammerMode, ImplicitHammer,
 };
 use pthammer_cache::{CacheHierarchyConfig, LlcConfig, ReplacementPolicy};
 use pthammer_dram::FlipModelProfile;
@@ -34,26 +34,36 @@ fn bench_hammer_iteration(c: &mut Criterion) {
         llc_profile_trials: 4,
         ..AttackConfig::quick_test(3, false)
     };
-    let tlb_pool = {
-        let pages = PtHammer::tlb_eviction_pages(&sys);
-        TlbEvictionPool::build(&mut sys, pid, &config, pages)
-    }
-    .unwrap();
-    let llc_pool = {
-        let lines = PtHammer::llc_eviction_lines(&sys);
-        LlcEvictionPool::build(&mut sys, pid, &config, lines)
-    }
-    .unwrap();
-    let spray = spray_page_tables(&mut sys, pid, &config).unwrap();
+    let prepared = prepare_attack(&mut sys, pid, &config).unwrap();
     let row_span = sys.machine().config().dram.geometry.row_span_bytes();
     let mut rng = StdRng::seed_from_u64(3);
-    let pair = candidate_pairs(&spray, row_span, 1, &mut rng)[0];
-    let hammer = ImplicitHammer::prepare(&mut sys, pid, pair, &tlb_pool, &llc_pool, 4).unwrap();
+    let pair = candidate_pairs(&prepared.spray, row_span, 1, &mut rng)[0];
+    // Single-sided arming: the first candidate pair, unverified, hammered
+    // with the double-sided round.
+    let strategy = HammerMode::ImplicitSingleSided.strategy();
+    let threshold = conflict_threshold(&sys);
+    let armed = strategy
+        .arm(&mut sys, pid, pair, &prepared, &config, threshold)
+        .unwrap()
+        .armed
+        .unwrap();
+    let trace = CompiledTrace::compile(&armed, strategy.round_ops(), &sys).unwrap();
+    // The component benches below time the pieces of that round on the
+    // same pair's eviction sets.
+    let hammer = ImplicitHammer::prepare(
+        &mut sys,
+        pid,
+        pair,
+        &prepared.tlb_pool,
+        &prepared.llc_pool,
+        config.llc_profile_trials,
+    )
+    .unwrap();
 
     let mut group = c.benchmark_group("hammer");
     group.sample_size(20);
     group.bench_function("implicit_double_sided_iteration", |b| {
-        b.iter(|| hammer.hammer_round(&mut sys, pid).unwrap())
+        b.iter(|| trace.replay(&mut sys, pid).unwrap())
     });
     // Component benchmarks of the same round, for hot-path attribution.
     group.bench_function("tlb_evict_one_target", |b| {

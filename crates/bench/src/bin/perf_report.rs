@@ -1,10 +1,10 @@
 //! Emits and gates the canonical `BENCH_perf.json` perf report.
 //!
-//! Runs a pinned workload set — the TestSmall hammer microbenchmark, one
-//! per-mode microbenchmark for every non-default hammer strategy, one
-//! Table I attack cell, the 30-cell golden campaign matrix, and the kernel
-//! allocator's work under every placement defense — and records
-//! every deterministic simulator counter plus host wall time per workload.
+//! Runs a pinned workload set — the TestSmall hammer microbenchmark under
+//! every hammer strategy, one Table I attack cell, the 30-cell golden
+//! campaign matrix, and the kernel allocator's work under every placement
+//! defense — and records every deterministic simulator counter plus host
+//! wall time per workload.
 //!
 //! Modes:
 //!
@@ -29,10 +29,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use pthammer::eviction::TlbEvictionPool;
-use pthammer::{HammerMode, PtHammer, TraceProfile};
-use pthammer_bench::scenarios::{
-    hammer_compiled_microbench, hammer_microbench, hammer_mode_microbench,
-};
+use pthammer::{HammerMode, PtHammer};
+use pthammer_bench::scenarios::hammer_microbench;
 use pthammer_bench::{ExperimentScale, MachineChoice};
 use pthammer_dram::FlipModelProfile;
 use pthammer_harness::{
@@ -59,36 +57,21 @@ fn baseline_path() -> PathBuf {
         .join("BENCH_perf.json")
 }
 
-/// Workload 1: the TestSmall double-sided implicit hammer loop — the
-/// simulator's hottest path, measured in isolation.
-fn hammer_loop_workload() -> WorkloadPerf {
-    let bench = hammer_microbench(
-        MachineChoice::TestSmall,
-        ExperimentScale::scaled(),
-        MICROBENCH_ROUNDS,
-        MICROBENCH_SEED,
-    );
-    let mut counters = bench.counters.named();
-    counters.insert("hammer_iterations".to_string(), bench.accounting.iterations);
-    counters.insert(
-        "cycles_per_iteration".to_string(),
-        bench.accounting.cycles_per_iteration(),
-    );
-    counters.insert("sim_cycles".to_string(), bench.accounting.sim_cycles);
-    println!(
-        "hammer_loop_test_small: {} iters, {} cyc/iter, {:.0} sim iters/s, {:.0} host iters/s",
-        bench.accounting.iterations,
-        bench.accounting.cycles_per_iteration(),
-        bench.accounting.sim_iterations_per_second(),
-        bench.accounting.host_iterations_per_second(bench.wall_ns),
-    );
-    WorkloadPerf::new("hammer_loop_test_small", counters, bench.wall_ns)
+/// The hammer-loop workload name of `mode`: `hammer_loop_test_small` for
+/// the default mode, suffixed with the mode's name for every other one.
+fn hammer_loop_name(mode: HammerMode) -> String {
+    if mode.is_default() {
+        "hammer_loop_test_small".to_string()
+    } else {
+        format!("hammer_loop_test_small_{}", mode.name().replace('-', "_"))
+    }
 }
 
-/// Per-mode variants of the measured hammer loop — the cost/behavior
-/// trajectory of the strategy layer, one workload per non-default strategy.
-fn hammer_mode_workload(mode: HammerMode) -> WorkloadPerf {
-    let bench = hammer_mode_microbench(
+/// The TestSmall hammer loop under `mode` — the simulator's hottest path,
+/// measured in isolation: the strategy arms a pair and its compiled trace
+/// is hammered exactly as the pipeline's hammer phase runs it.
+fn hammer_loop_workload(mode: HammerMode) -> WorkloadPerf {
+    let bench = hammer_microbench(
         MachineChoice::TestSmall,
         ExperimentScale::scaled(),
         mode,
@@ -102,71 +85,15 @@ fn hammer_mode_workload(mode: HammerMode) -> WorkloadPerf {
         bench.accounting.cycles_per_iteration(),
     );
     counters.insert("sim_cycles".to_string(), bench.accounting.sim_cycles);
-    let name = format!("hammer_loop_test_small_{}", mode.name().replace('-', "_"));
+    let name = hammer_loop_name(mode);
     println!(
-        "{name}: {} iters, {} cyc/iter, dram rate {:.3}",
+        "{name}: {} iters, {} cyc/iter, dram rate {:.3}, {:.0} host iters/s",
         bench.accounting.iterations,
         bench.accounting.cycles_per_iteration(),
         bench.implicit_dram_rate,
+        bench.accounting.host_iterations_per_second(bench.wall_ns),
     );
     WorkloadPerf::new(&name, counters, bench.wall_ns)
-}
-
-/// The compiled-trace hammer loop (the production `phase_hammer` path).
-///
-/// The exact profile is cross-checked on the spot against the `RoundOp`
-/// interpreter driving the identical armed attempt: iteration count, total
-/// simulated cycles and every hardware counter must match, or the workload
-/// aborts. The calibrated profile additionally pins the probed minimal LLC
-/// pass count and must land under the ROADMAP's ~2500 cycles/iteration
-/// target for the hammer loop.
-fn hammer_compiled_workload(profile: TraceProfile, name: &str) -> WorkloadPerf {
-    let (bench, llc_passes) = hammer_compiled_microbench(
-        MachineChoice::TestSmall,
-        ExperimentScale::scaled(),
-        profile,
-        MICROBENCH_ROUNDS,
-        MICROBENCH_SEED,
-    );
-    if profile == TraceProfile::Exact {
-        let interpreted = hammer_mode_microbench(
-            MachineChoice::TestSmall,
-            ExperimentScale::scaled(),
-            HammerMode::default(),
-            MICROBENCH_ROUNDS,
-            MICROBENCH_SEED,
-        );
-        assert_eq!(
-            bench.accounting, interpreted.accounting,
-            "exact-profile replay must cost exactly what the interpreter costs"
-        );
-        assert_eq!(
-            bench.counters, interpreted.counters,
-            "exact-profile replay must produce the interpreter's event stream"
-        );
-    } else {
-        assert!(
-            bench.accounting.cycles_per_iteration() <= 2_500,
-            "calibrated hammer loop must meet the ~2500 cyc/iter target, got {}",
-            bench.accounting.cycles_per_iteration()
-        );
-    }
-    let mut counters = bench.counters.named();
-    counters.insert("hammer_iterations".to_string(), bench.accounting.iterations);
-    counters.insert(
-        "cycles_per_iteration".to_string(),
-        bench.accounting.cycles_per_iteration(),
-    );
-    counters.insert("sim_cycles".to_string(), bench.accounting.sim_cycles);
-    counters.insert("llc_eviction_passes".to_string(), llc_passes as u64);
-    println!(
-        "{name}: {} iters, {} cyc/iter, {} LLC passes, dram rate {:.3}",
-        bench.accounting.iterations,
-        bench.accounting.cycles_per_iteration(),
-        llc_passes,
-        bench.implicit_dram_rate,
-    );
-    WorkloadPerf::new(name, counters, bench.wall_ns)
 }
 
 /// The synthesis configuration both pattern workloads pin: the TRR test
@@ -401,62 +328,30 @@ fn kernel_alloc_workload() -> WorkloadPerf {
 }
 
 /// One pinned workload: its name and the function that runs it.
-type WorkloadEntry = (String, fn() -> WorkloadPerf);
+type WorkloadEntry = (String, Box<dyn Fn() -> WorkloadPerf>);
 
 /// The pinned workload registry, in report order — the single list `--list`
 /// prints, `--only` filters and `main` executes, so none of them can drift.
+/// One hammer-loop workload per [`HammerMode`] comes first.
 fn workload_registry() -> Vec<WorkloadEntry> {
-    let mut registry: Vec<WorkloadEntry> = vec![(
-        "hammer_loop_test_small".to_string(),
-        hammer_loop_workload as fn() -> WorkloadPerf,
-    )];
-    for mode in HammerMode::all().into_iter().filter(|m| !m.is_default()) {
-        let name = format!("hammer_loop_test_small_{}", mode.name().replace('-', "_"));
-        registry.push((
-            name,
-            match mode {
-                HammerMode::ImplicitDoubleSided => {
-                    || hammer_mode_workload(HammerMode::ImplicitDoubleSided)
-                }
-                HammerMode::ExplicitDoubleSided => {
-                    || hammer_mode_workload(HammerMode::ExplicitDoubleSided)
-                }
-                HammerMode::ImplicitSingleSided => {
-                    || hammer_mode_workload(HammerMode::ImplicitSingleSided)
-                }
-                HammerMode::ImplicitOneLocation => {
-                    || hammer_mode_workload(HammerMode::ImplicitOneLocation)
-                }
-            },
-        ));
+    fn entry(name: impl Into<String>, run: impl Fn() -> WorkloadPerf + 'static) -> WorkloadEntry {
+        (name.into(), Box::new(run))
     }
-    registry.push(("hammer_loop_compiled_test_small".to_string(), || {
-        hammer_compiled_workload(TraceProfile::Exact, "hammer_loop_compiled_test_small")
-    }));
-    registry.push((
-        "hammer_loop_compiled_calibrated_test_small".to_string(),
-        || {
-            hammer_compiled_workload(
-                TraceProfile::Calibrated,
-                "hammer_loop_compiled_calibrated_test_small",
-            )
-        },
-    ));
-    registry.push(("table1_cell_lenovo_t420".to_string(), table1_cell_workload));
-    registry.push(("campaign_ci_matrix".to_string(), campaign_workload));
-    registry.push((
-        "campaign_resume_ci_matrix".to_string(),
-        campaign_resume_workload,
-    ));
-    registry.push((
-        "pattern_synthesis_test_small_trr".to_string(),
-        pattern_synthesis_workload,
-    ));
-    registry.push((
-        "synth_throughput_test_small_trr".to_string(),
-        synth_throughput_workload,
-    ));
-    registry.push(("kernel_alloc_test_small".to_string(), kernel_alloc_workload));
+    let mut registry: Vec<WorkloadEntry> = HammerMode::all()
+        .into_iter()
+        .map(|mode| entry(hammer_loop_name(mode), move || hammer_loop_workload(mode)))
+        .collect();
+    registry.extend([
+        entry("table1_cell_lenovo_t420", table1_cell_workload),
+        entry("campaign_ci_matrix", campaign_workload),
+        entry("campaign_resume_ci_matrix", campaign_resume_workload),
+        entry(
+            "pattern_synthesis_test_small_trr",
+            pattern_synthesis_workload,
+        ),
+        entry("synth_throughput_test_small_trr", synth_throughput_workload),
+        entry("kernel_alloc_test_small", kernel_alloc_workload),
+    ]);
     registry
 }
 

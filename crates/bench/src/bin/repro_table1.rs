@@ -65,7 +65,7 @@ fn main() {
         .map(|machine| {
             (
                 machine.name().to_string(),
-                scenarios::hammer_microbench(machine, scale, 300, 42),
+                scenarios::hammer_microbench(machine, scale, HammerMode::default(), 300, 42),
             )
         })
         .collect();
@@ -80,7 +80,7 @@ fn main() {
         .map(|mode| {
             (
                 mode.name().to_string(),
-                scenarios::hammer_mode_microbench(MachineChoice::TestSmall, scale, mode, 300, 42),
+                scenarios::hammer_microbench(MachineChoice::TestSmall, scale, mode, 300, 42),
             )
         })
         .collect();

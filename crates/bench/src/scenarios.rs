@@ -1,12 +1,11 @@
 //! Experiment implementations for every table and figure of the paper.
 
 use pthammer::{
-    eviction::{calibrate_llc_eviction, calibrate_tlb_eviction, LlcEvictionPool, TlbEvictionPool},
-    hammer::{ExplicitHammer, ExplicitHammerConfig, ExplicitMode},
-    pairs::{candidate_pairs, conflict_threshold, verify_same_bank},
-    spray::spray_page_tables,
-    AttackConfig, AttackOutcome, CompiledTrace, HammerMode, ImplicitHammer, PtHammer, RunOptions,
-    TraceProfile,
+    eviction::{calibrate_llc_eviction, calibrate_tlb_eviction},
+    hammer::{ArmedPair, ExplicitHammer, ExplicitHammerConfig, ExplicitMode},
+    pairs::{candidate_pairs, conflict_threshold},
+    pipeline::prepare_attack,
+    AttackConfig, AttackOutcome, CompiledTrace, HammerMode, HammerStrategy, PtHammer, RunOptions,
 };
 use pthammer_defenses::{AnvilDetector, AnvilMode};
 use pthammer_dram::{FlipModelProfile, TrrConfig};
@@ -14,7 +13,7 @@ use pthammer_harness::{
     run_campaign, run_cell, CampaignConfig, CampaignReport, CellCoord, ProfileChoice,
     ScenarioMatrix,
 };
-use pthammer_kernel::{DefaultPolicy, KernelConfig, PlacementPolicy, System};
+use pthammer_kernel::{DefaultPolicy, KernelConfig, Pid, PlacementPolicy, System};
 use pthammer_perf::{HammerAccounting, MachineCounters, Stopwatch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -233,14 +232,17 @@ pub fn fig5_padding_sweep(
 // Figure 6: cycles per double-sided implicit hammer iteration
 // ---------------------------------------------------------------------------
 
-/// Collects 50 per-iteration cycle samples of the implicit double-sided
-/// hammer (Figure 6a: regular pages, Figure 6b: superpages).
-pub fn fig6_hammer_samples(
+/// Boots `machine` (undefended), prepares the attack and arms the first
+/// candidate pair `mode`'s strategy accepts — the setup the hammer
+/// microbenchmark, Figure 6 and the ANVIL window share. Returns the system,
+/// the attacker's pid, the strategy and its armed pair.
+fn arm_first_pair(
     machine: MachineChoice,
-    superpages: bool,
     scale: ExperimentScale,
+    superpages: bool,
+    mode: HammerMode,
     seed: u64,
-) -> Vec<u64> {
+) -> (System, Pid, Box<dyn HammerStrategy>, ArmedPair) {
     let mut sys = boot(
         machine,
         scale,
@@ -249,34 +251,57 @@ pub fn fig6_hammer_samples(
         seed,
     );
     let pid = sys.spawn_process(1000).expect("spawn");
-    let config = scale.attack_config(seed, superpages);
-    let tlb_pool = {
-        let pages = PtHammer::tlb_eviction_pages(&sys);
-        TlbEvictionPool::build(&mut sys, pid, &config, pages)
-    }
-    .expect("TLB pool");
-    let llc_pool = {
-        let lines = PtHammer::llc_eviction_lines(&sys);
-        LlcEvictionPool::build(&mut sys, pid, &config, lines)
-    }
-    .expect("LLC pool");
-    let spray = spray_page_tables(&mut sys, pid, &config).expect("spray");
+    let mut config = scale.attack_config(seed, superpages);
+    config.hammer_mode = mode;
+    let prepared = prepare_attack(&mut sys, pid, &config).expect("prepare");
     let row_span = sys.machine().config().dram.geometry.row_span_bytes();
+    let threshold = conflict_threshold(&sys);
+    let strategy = mode.strategy();
     let mut rng = StdRng::seed_from_u64(seed);
-    let pair = candidate_pairs(&spray, row_span, 1, &mut rng)[0];
-    let hammer = ImplicitHammer::prepare(
-        &mut sys,
-        pid,
-        pair,
-        &tlb_pool,
-        &llc_pool,
-        config.llc_profile_trials,
-    )
-    .expect("prepare");
-    hammer.hammer(&mut sys, pid, 10).expect("warm up");
-    hammer
-        .round_cycle_samples(&mut sys, pid, 50)
-        .expect("samples")
+    for _ in 0..16 {
+        for pair in candidate_pairs(&prepared.spray, row_span, 4, &mut rng) {
+            let arm = strategy
+                .arm(&mut sys, pid, pair, &prepared, &config, threshold)
+                .expect("arm");
+            if let Some(armed) = arm.armed {
+                return (sys, pid, strategy, armed);
+            }
+        }
+    }
+    panic!("no armable candidate pair for {mode:?}");
+}
+
+/// Collects 50 per-iteration cycle samples of the implicit double-sided
+/// hammer (Figure 6a: regular pages, Figure 6b: superpages).
+///
+/// The figure samples the first candidate pair the spray yields, unverified,
+/// so the pair is armed by the single-sided strategy, whose round is the
+/// double-sided loop.
+pub fn fig6_hammer_samples(
+    machine: MachineChoice,
+    superpages: bool,
+    scale: ExperimentScale,
+    seed: u64,
+) -> Vec<u64> {
+    let (mut sys, pid, strategy, armed) = arm_first_pair(
+        machine,
+        scale,
+        superpages,
+        HammerMode::ImplicitSingleSided,
+        seed,
+    );
+    let ops = strategy.round_ops();
+    let mut trace = CompiledTrace::compile(&armed, ops, &sys).expect("compile");
+    trace
+        .hammer(&armed, ops, &mut sys, pid, 10, |_| {})
+        .expect("warm up");
+    let mut samples = Vec::with_capacity(50);
+    trace
+        .hammer(&armed, ops, &mut sys, pid, 50, |round| {
+            samples.push(round.cycles)
+        })
+        .expect("samples");
+    samples
 }
 
 // ---------------------------------------------------------------------------
@@ -295,15 +320,16 @@ pub struct HammerMicrobench {
     pub accounting: HammerAccounting,
     /// Simulated hardware events of the measured loop (counter deltas).
     pub counters: MachineCounters,
-    /// Fraction of iterations whose L1PTE loads reached DRAM.
+    /// Fraction of implicit touches whose L1PTE loads reached DRAM.
     pub implicit_dram_rate: f64,
     /// Host wall-clock time of the measured loop.
     pub wall_ns: u64,
 }
 
-/// Runs the pinned double-sided implicit-hammer microbenchmark: prepare the
-/// attack on the chosen machine, warm up, then hammer `rounds` iterations
-/// with perf counters bracketing the loop.
+/// Runs the pinned hammer microbenchmark for `mode`: prepares the attack,
+/// arms the first candidate pair the strategy accepts, compiles its round
+/// ops into a [`CompiledTrace`], warms up, then hammers `rounds` iterations
+/// — exactly the hammer phase's loop — with perf counters bracketing it.
 ///
 /// Superpages are used on the Table I machines so the one-off LLC pool
 /// preparation stays cheap (the measured loop is identical in both
@@ -311,115 +337,30 @@ pub struct HammerMicrobench {
 pub fn hammer_microbench(
     machine: MachineChoice,
     scale: ExperimentScale,
-    rounds: u64,
-    seed: u64,
-) -> HammerMicrobench {
-    let superpages = machine != MachineChoice::TestSmall;
-    let mut sys = boot(
-        machine,
-        scale,
-        superpages,
-        Box::new(DefaultPolicy::new()),
-        seed,
-    );
-    let clock_hz = sys.machine().clock_hz();
-    let pid = sys.spawn_process(1000).expect("spawn");
-    let config = scale.attack_config(seed, superpages);
-    let attack = PtHammer::new(config.clone()).expect("config");
-    let prepared = attack.prepare(&mut sys, pid).expect("prepare");
-    let row_span = sys.machine().config().dram.geometry.row_span_bytes();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let pair = candidate_pairs(&prepared.spray, row_span, 1, &mut rng)[0];
-    let hammer = ImplicitHammer::prepare(
-        &mut sys,
-        pid,
-        pair,
-        &prepared.tlb_pool,
-        &prepared.llc_pool,
-        config.llc_profile_trials,
-    )
-    .expect("hammer prepare");
-    hammer.hammer(&mut sys, pid, 10).expect("warm up");
-
-    let before = MachineCounters::capture(sys.machine());
-    let watch = Stopwatch::start();
-    let stats = hammer.hammer(&mut sys, pid, rounds).expect("hammer");
-    let wall_ns = watch.elapsed_ns();
-    let counters = MachineCounters::capture(sys.machine()).since(&before);
-    HammerMicrobench {
-        accounting: HammerAccounting::new(stats.rounds, stats.total_cycles, clock_hz),
-        counters,
-        implicit_dram_rate: (stats.low_dram_rate() + stats.high_dram_rate()) / 2.0,
-        wall_ns,
-    }
-}
-
-/// Runs the pinned hammer microbenchmark for an arbitrary [`HammerMode`]:
-/// prepares the attack, arms the first candidate pair the strategy accepts,
-/// then drives the strategy's exact per-round op pattern `rounds` times with
-/// perf counters bracketing the loop.
-///
-/// The default-mode variant [`hammer_microbench`] is kept separate (and
-/// byte-identical to its historical behavior) because `BENCH_perf.json`
-/// pins its counters; this function backs the per-mode perf workloads and
-/// the `repro_table1 --measured` mode table.
-pub fn hammer_mode_microbench(
-    machine: MachineChoice,
-    scale: ExperimentScale,
     mode: HammerMode,
     rounds: u64,
     seed: u64,
 ) -> HammerMicrobench {
     let superpages = machine != MachineChoice::TestSmall;
-    let mut sys = boot(
-        machine,
-        scale,
-        superpages,
-        Box::new(DefaultPolicy::new()),
-        seed,
-    );
+    let (mut sys, pid, strategy, armed) = arm_first_pair(machine, scale, superpages, mode, seed);
     let clock_hz = sys.machine().clock_hz();
-    let pid = sys.spawn_process(1000).expect("spawn");
-    let mut config = scale.attack_config(seed, superpages);
-    config.hammer_mode = mode;
-    let attack = PtHammer::new(config.clone()).expect("config");
-    let prepared = attack.prepare(&mut sys, pid).expect("prepare");
-    let row_span = sys.machine().config().dram.geometry.row_span_bytes();
-    let threshold = conflict_threshold(&sys);
-    let strategy = mode.strategy();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut armed = None;
-    'search: for _ in 0..16 {
-        for pair in candidate_pairs(&prepared.spray, row_span, 4, &mut rng) {
-            let arm = strategy
-                .arm(&mut sys, pid, pair, &prepared, &config, threshold)
-                .expect("arm");
-            if let Some(a) = arm.armed {
-                armed = Some(a);
-                break 'search;
-            }
-        }
-    }
-    let armed = armed.unwrap_or_else(|| panic!("no armable candidate pair for {mode:?}"));
     let ops = strategy.round_ops();
-    for _ in 0..10 {
-        armed.hammer_round(&mut sys, pid, ops).expect("warm up");
-    }
+    let mut trace = CompiledTrace::compile(&armed, ops, &sys).expect("compile");
+    trace
+        .hammer(&armed, ops, &mut sys, pid, 10, |_| {})
+        .expect("warm up");
 
     let before = MachineCounters::capture(sys.machine());
     let watch = Stopwatch::start();
-    let mut total_cycles = 0u64;
-    let mut dram_hits = 0u64;
-    for _ in 0..rounds {
-        let round = armed.hammer_round(&mut sys, pid, ops).expect("round");
-        total_cycles += round.cycles;
-        dram_hits += u64::from(round.low_dram) + u64::from(round.high_dram);
-    }
+    let stats = trace
+        .hammer(&armed, ops, &mut sys, pid, rounds, |_| {})
+        .expect("hammer");
     let wall_ns = watch.elapsed_ns();
     let counters = MachineCounters::capture(sys.machine()).since(&before);
     let implicit_touches = strategy.implicit_touches_per_round() * rounds;
+    let dram_hits = stats.low_dram_hits + stats.high_dram_hits + stats.aggressor_dram_hits;
     HammerMicrobench {
-        accounting: HammerAccounting::new(rounds, total_cycles, clock_hz),
+        accounting: HammerAccounting::new(stats.rounds, stats.total_cycles, clock_hz),
         counters,
         implicit_dram_rate: if implicit_touches == 0 {
             0.0
@@ -428,97 +369,6 @@ pub fn hammer_mode_microbench(
         },
         wall_ns,
     }
-}
-
-/// Runs the pinned hammer microbenchmark through the compiled-trace replay
-/// path: boots and arms exactly like [`hammer_mode_microbench`] with the
-/// default strategy, compiles the schedule into a [`CompiledTrace`] with the
-/// requested profile, then replays it `rounds` times with perf counters
-/// bracketing the loop. Returns the measurement and the LLC traversal pass
-/// count the trace was compiled to.
-///
-/// With [`TraceProfile::Exact`] this measures the production hammer path
-/// (what `phase_hammer` runs per attempt); with [`TraceProfile::Calibrated`]
-/// it additionally models the attacker minimising eviction work — the
-/// compiler probes the fewest LLC passes that keep every implicit touch
-/// DRAM-served before the measured loop starts.
-pub fn hammer_compiled_microbench(
-    machine: MachineChoice,
-    scale: ExperimentScale,
-    profile: TraceProfile,
-    rounds: u64,
-    seed: u64,
-) -> (HammerMicrobench, usize) {
-    let superpages = machine != MachineChoice::TestSmall;
-    let mut sys = boot(
-        machine,
-        scale,
-        superpages,
-        Box::new(DefaultPolicy::new()),
-        seed,
-    );
-    let clock_hz = sys.machine().clock_hz();
-    let pid = sys.spawn_process(1000).expect("spawn");
-    let config = scale.attack_config(seed, superpages);
-    let attack = PtHammer::new(config.clone()).expect("config");
-    let prepared = attack.prepare(&mut sys, pid).expect("prepare");
-    let row_span = sys.machine().config().dram.geometry.row_span_bytes();
-    let threshold = conflict_threshold(&sys);
-    let strategy = HammerMode::default().strategy();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut armed = None;
-    'search: for _ in 0..16 {
-        for pair in candidate_pairs(&prepared.spray, row_span, 4, &mut rng) {
-            let arm = strategy
-                .arm(&mut sys, pid, pair, &prepared, &config, threshold)
-                .expect("arm");
-            if let Some(a) = arm.armed {
-                armed = Some(a);
-                break 'search;
-            }
-        }
-    }
-    let armed = armed.expect("no armable candidate pair for the default mode");
-    let ops = strategy.round_ops();
-    let mut trace = match profile {
-        TraceProfile::Exact => CompiledTrace::compile(&armed, ops, &sys).expect("compile"),
-        TraceProfile::Calibrated => {
-            CompiledTrace::compile_calibrated(&armed, ops, &mut sys, pid, 10).expect("calibrate")
-        }
-    };
-    for _ in 0..10 {
-        if trace.is_stale(&sys) {
-            trace = trace.recompile(&armed, ops, &sys).expect("recompile");
-        }
-        trace.replay(&mut sys, pid).expect("warm up");
-    }
-
-    let before = MachineCounters::capture(sys.machine());
-    let watch = Stopwatch::start();
-    let mut total_cycles = 0u64;
-    let mut dram_hits = 0u64;
-    for _ in 0..rounds {
-        if trace.is_stale(&sys) {
-            trace = trace.recompile(&armed, ops, &sys).expect("recompile");
-        }
-        let round = trace.replay(&mut sys, pid).expect("round");
-        total_cycles += round.cycles;
-        dram_hits += u64::from(round.low_dram) + u64::from(round.high_dram);
-    }
-    let wall_ns = watch.elapsed_ns();
-    let counters = MachineCounters::capture(sys.machine()).since(&before);
-    let implicit_touches = strategy.implicit_touches_per_round() * rounds;
-    let bench = HammerMicrobench {
-        accounting: HammerAccounting::new(rounds, total_cycles, clock_hz),
-        counters,
-        implicit_dram_rate: if implicit_touches == 0 {
-            0.0
-        } else {
-            dram_hits as f64 / implicit_touches as f64
-        },
-        wall_ns,
-    };
-    (bench, trace.llc_eviction_passes())
 }
 
 // ---------------------------------------------------------------------------
@@ -642,29 +492,20 @@ pub fn selection_accuracy(
     let mut sys = boot(machine, scale, true, Box::new(DefaultPolicy::new()), seed);
     let pid = sys.spawn_process(1000).expect("spawn");
     let config = scale.attack_config(seed, true);
-    let tlb_pool = {
-        let pages = PtHammer::tlb_eviction_pages(&sys);
-        TlbEvictionPool::build(&mut sys, pid, &config, pages)
-    }
-    .expect("TLB pool");
-    let llc_pool = {
-        let lines = PtHammer::llc_eviction_lines(&sys);
-        LlcEvictionPool::build(&mut sys, pid, &config, lines)
-    }
-    .expect("LLC pool");
-    let spray = spray_page_tables(&mut sys, pid, &config).expect("spray");
+    let prepared = prepare_attack(&mut sys, pid, &config).expect("prepare");
     let mut rng = StdRng::seed_from_u64(seed ^ 0xC);
     let row_span = sys.machine().config().dram.geometry.row_span_bytes();
-    let pairs = candidate_pairs(&spray, row_span, samples, &mut rng);
+    let pairs = candidate_pairs(&prepared.spray, row_span, samples, &mut rng);
 
     let mut false_positives = 0usize;
     let mut total = 0usize;
     for pair in pairs.iter().take(samples) {
         for &target in &[pair.low, pair.high] {
-            let tlb_set = tlb_pool.minimal_eviction_set_for(target);
+            let tlb_set = prepared.tlb_pool.minimal_eviction_set_for(target);
             // More profiling trials than the hammer loop uses: selection is a
             // one-off per pair, so the attacker can afford the precision.
-            let selected = llc_pool
+            let selected = prepared
+                .llc_pool
                 .select_for_l1pte(
                     &mut sys,
                     pid,
@@ -712,47 +553,22 @@ pub fn pair_selection_accuracy(
     let mut sys = boot(machine, scale, true, Box::new(DefaultPolicy::new()), seed);
     let pid = sys.spawn_process(1000).expect("spawn");
     let config = scale.attack_config(seed, true);
-    let tlb_pool = {
-        let pages = PtHammer::tlb_eviction_pages(&sys);
-        TlbEvictionPool::build(&mut sys, pid, &config, pages)
-    }
-    .expect("TLB pool");
-    let llc_pool = {
-        let lines = PtHammer::llc_eviction_lines(&sys);
-        LlcEvictionPool::build(&mut sys, pid, &config, lines)
-    }
-    .expect("LLC pool");
-    let spray = spray_page_tables(&mut sys, pid, &config).expect("spray");
+    let prepared = prepare_attack(&mut sys, pid, &config).expect("prepare");
     let row_span = sys.machine().config().dram.geometry.row_span_bytes();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xD);
-    let pairs = candidate_pairs(&spray, row_span, pair_count, &mut rng);
+    let pairs = candidate_pairs(&prepared.spray, row_span, pair_count, &mut rng);
     let threshold = conflict_threshold(&sys);
+    let strategy = HammerMode::ImplicitDoubleSided.strategy();
 
     let mut flagged = 0usize;
     let mut same_bank = 0usize;
     let mut two_rows = 0usize;
     for &pair in &pairs {
-        let hammer = ImplicitHammer::prepare(
-            &mut sys,
-            pid,
-            pair,
-            &tlb_pool,
-            &llc_pool,
-            config.llc_profile_trials,
-        )
-        .expect("prepare");
-        let verification = verify_same_bank(
-            &mut sys,
-            pid,
-            pair,
-            &hammer.tlb_low,
-            &hammer.tlb_high,
-            &hammer.llc_low,
-            &hammer.llc_high,
-            threshold,
-            5,
-        )
-        .expect("verify");
+        let verification = strategy
+            .arm(&mut sys, pid, pair, &prepared, &config, threshold)
+            .expect("arm")
+            .verification
+            .expect("double-sided arming verifies the pair");
         if !verification.same_bank {
             continue;
         }
@@ -898,35 +714,15 @@ pub fn anvil_eval(machine: MachineChoice, scale: ExperimentScale, seed: u64) -> 
     // argument is independent of the page size and the eviction pools are
     // built much faster).
     let implicit_rates = {
-        let mut sys = boot(machine, scale, true, Box::new(DefaultPolicy::new()), seed);
-        let pid = sys.spawn_process(1000).expect("spawn");
-        let config = scale.attack_config(seed, true);
-        let tlb_pool = {
-            let pages = PtHammer::tlb_eviction_pages(&sys);
-            TlbEvictionPool::build(&mut sys, pid, &config, pages)
-        }
-        .expect("TLB pool");
-        let llc_pool = {
-            let lines = PtHammer::llc_eviction_lines(&sys);
-            LlcEvictionPool::build(&mut sys, pid, &config, lines)
-        }
-        .expect("LLC pool");
-        let spray = spray_page_tables(&mut sys, pid, &config).expect("spray");
-        let row_span = sys.machine().config().dram.geometry.row_span_bytes();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let pair = candidate_pairs(&spray, row_span, 1, &mut rng)[0];
-        let hammer = ImplicitHammer::prepare(
-            &mut sys,
-            pid,
-            pair,
-            &tlb_pool,
-            &llc_pool,
-            config.llc_profile_trials,
-        )
-        .expect("prepare");
+        let (mut sys, pid, strategy, armed) =
+            arm_first_pair(machine, scale, true, HammerMode::ImplicitSingleSided, seed);
+        let ops = strategy.round_ops();
+        let mut trace = CompiledTrace::compile(&armed, ops, &sys).expect("compile");
         let start_cycles = sys.rdtsc();
         let start = sys.machine().dram_stats().accesses;
-        let stats = hammer.hammer(&mut sys, pid, 2_000).expect("hammer");
+        let stats = trace
+            .hammer(&armed, ops, &mut sys, pid, 2_000, |_| {})
+            .expect("hammer");
         let window = sys.rdtsc() - start_cycles;
         let dram_accesses = sys.machine().dram_stats().accesses - start;
         // The aggressor-row activations are the implicit L1PTE loads; the
@@ -1021,6 +817,32 @@ mod tests {
         assert_eq!(MachineChoice::LenovoT420.name(), "Lenovo T420");
         let cfg = MachineChoice::DellE6420.config(FlipModelProfile::fast(), 1);
         assert_eq!(cfg.cache.llc.ways, 16);
+    }
+
+    /// Figure 6 and the ANVIL window on TestSmall, pinned to the values the
+    /// historical `ImplicitHammer` loop produced: moving them onto strategy
+    /// arming and the compiled-trace round loop must not change a sample.
+    #[test]
+    fn fig6_and_anvil_outputs_are_pinned() {
+        assert_eq!(
+            fig6_hammer_samples(
+                MachineChoice::TestSmall,
+                false,
+                ExperimentScale::scaled(),
+                42
+            ),
+            vec![4748; 50]
+        );
+        assert_eq!(
+            anvil_eval(MachineChoice::TestSmall, ExperimentScale::scaled(), 42),
+            AnvilEvaluation {
+                explicit_detected: true,
+                implicit_detected_naive: false,
+                implicit_detected_extended: true,
+                explicit_rate: 5555.771343594979,
+                implicit_rate: 604.7819504036466,
+            }
+        );
     }
 
     #[test]

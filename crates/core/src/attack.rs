@@ -10,10 +10,6 @@
 //! The returned
 //! [`AttackOutcome`] carries the per-stage timings that Table II reports —
 //! derived from the pipeline's event stream.
-//!
-//! The historical three-way entry-point sprawl (`run` / `run_observed` /
-//! `run_observed_with_strategy`) is kept as thin deprecated wrappers over
-//! `run_with`.
 
 use pthammer_kernel::{Pid, System};
 
@@ -157,56 +153,6 @@ impl PtHammer {
         }
         pipeline.run(sys, pid)
     }
-
-    /// Runs the full attack with the default options. Deprecated: call
-    /// [`Self::run_with`] with `RunOptions::new()` — this wrapper is that
-    /// call verbatim.
-    #[deprecated(since = "0.1.0", note = "use `run_with(sys, pid, RunOptions::new())`")]
-    pub fn run(&self, sys: &mut System, pid: Pid) -> Result<AttackOutcome, AttackError> {
-        self.run_with(sys, pid, RunOptions::new())
-    }
-
-    /// Runs the full attack with external event subscribers attached to the
-    /// pipeline's bus. Deprecated: call [`Self::run_with`] with
-    /// `RunOptions::new().observed_by(sink)` — sinks chain the same way and
-    /// the run is byte-identical.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `run_with(sys, pid, RunOptions::new().observed_by(sink))`"
-    )]
-    pub fn run_observed(
-        &self,
-        sys: &mut System,
-        pid: Pid,
-        sinks: &mut [&mut dyn EventSink],
-    ) -> Result<AttackOutcome, AttackError> {
-        let mut options = RunOptions::new();
-        for sink in sinks {
-            options = options.observed_by(&mut **sink);
-        }
-        self.run_with(sys, pid, options)
-    }
-
-    /// Like `run_observed`, but drives an explicitly injected
-    /// [`HammerStrategy`]. Deprecated: call [`Self::run_with`] with
-    /// `RunOptions::new().strategy(strategy).observed_by(sink)`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `run_with(sys, pid, RunOptions::new().strategy(strategy))`"
-    )]
-    pub fn run_observed_with_strategy(
-        &self,
-        sys: &mut System,
-        pid: Pid,
-        strategy: Box<dyn crate::HammerStrategy>,
-        sinks: &mut [&mut dyn EventSink],
-    ) -> Result<AttackOutcome, AttackError> {
-        let mut options = RunOptions::new().strategy(strategy);
-        for sink in sinks {
-            options = options.observed_by(&mut **sink);
-        }
-        self.run_with(sys, pid, options)
-    }
 }
 
 #[cfg(test)]
@@ -234,43 +180,6 @@ mod tests {
             ..CacheHierarchyConfig::test_small(seed)
         };
         cfg
-    }
-
-    /// Compat guarantee for the deprecated entry points: they must keep
-    /// compiling (this test is the `#[allow(deprecated)]`-scoped witness
-    /// under `clippy -D warnings`) and behave exactly like `run_with`.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_run_with() {
-        let config = AttackConfig {
-            spray_bytes: 640 << 20,
-            hammer_rounds_per_attempt: 800,
-            max_attempts: 2,
-            llc_profile_trials: 6,
-            ..AttackConfig::quick_test(11, false)
-        };
-        let attack = PtHammer::new(config.clone()).unwrap();
-
-        let mut sys = System::undefended(vulnerable_test_machine(11));
-        let pid = sys.spawn_process(1000).unwrap();
-        let via_builder = attack.run_with(&mut sys, pid, RunOptions::new()).unwrap();
-
-        let mut sys = System::undefended(vulnerable_test_machine(11));
-        let pid = sys.spawn_process(1000).unwrap();
-        let via_run = attack.run(&mut sys, pid).unwrap();
-        assert_eq!(via_builder, via_run);
-
-        let mut sys = System::undefended(vulnerable_test_machine(11));
-        let pid = sys.spawn_process(1000).unwrap();
-        let via_observed = attack.run_observed(&mut sys, pid, &mut []).unwrap();
-        assert_eq!(via_builder, via_observed);
-
-        let mut sys = System::undefended(vulnerable_test_machine(11));
-        let pid = sys.spawn_process(1000).unwrap();
-        let via_strategy = attack
-            .run_observed_with_strategy(&mut sys, pid, config.hammer_mode.strategy(), &mut [])
-            .unwrap();
-        assert_eq!(via_builder, via_strategy);
     }
 
     #[test]

@@ -61,9 +61,7 @@ impl SelectedEvictionSet {
 /// Sequential passes one LLC eviction traversal makes by default. A single
 /// pass is not reliable against the scan-resistant (SRRIP-style) replacement
 /// of the modelled LLC — repeated traversal is needed to age a recently
-/// re-referenced victim out of a 12/16-way set. The calibrated trace profile
-/// ([`crate::trace::CompiledTrace::compile_calibrated`]) probes whether a
-/// specific armed set gets away with fewer.
+/// re-referenced victim out of a 12/16-way set.
 pub const LLC_EVICTION_PASSES: usize = 3;
 
 /// Traverses an LLC eviction set with the access pattern the attack uses:

@@ -1,11 +1,14 @@
-//! The implicit-hammer primitive (Section III-B of the paper).
+//! The implicit-hammer primitive's per-pair state (Section III-B of the
+//! paper).
 //!
 //! One double-sided PThammer iteration evicts the TLB entries and the cached
 //! Level-1 PTEs of both targets and then touches the two targets. The touch
 //! triggers a page-table walk whose only uncached step is the Level-1 PTE
 //! load — an access to kernel memory that the attacker never had permission
 //! to perform, served directly from the DRAM row the attacker wants to
-//! activate.
+//! activate. [`ImplicitHammer`] holds the eviction sets that iteration
+//! needs; the strategies declare the iteration as `RoundOp`s and
+//! [`crate::trace::CompiledTrace`] runs it.
 
 use serde::{Deserialize, Serialize};
 
@@ -16,7 +19,7 @@ use crate::eviction::llc::{LlcEvictionPool, SelectedEvictionSet};
 use crate::eviction::tlb::{TlbEvictionPool, TlbEvictionSet};
 use crate::pairs::HammerPair;
 
-/// A fully prepared double-sided implicit hammer for one pair.
+/// The eviction sets of a double-sided implicit hammer for one pair.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ImplicitHammer {
     /// The pair being hammered.
@@ -31,7 +34,8 @@ pub struct ImplicitHammer {
     pub llc_high: SelectedEvictionSet,
 }
 
-/// Statistics of a hammering run.
+/// Statistics of a hammering run, accumulated by
+/// [`crate::trace::CompiledTrace::hammer`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HammerStats {
     /// Iterations performed.
@@ -114,168 +118,5 @@ impl ImplicitHammer {
     /// Total simulated cycles spent on Algorithm 2 selection for this pair.
     pub fn selection_cycles(&self) -> u64 {
         self.llc_low.selection_cycles + self.llc_high.selection_cycles
-    }
-
-    /// Performs one double-sided hammering iteration. Returns the iteration's
-    /// cycle cost and whether each target's L1PTE load reached DRAM.
-    pub fn hammer_round(
-        &self,
-        sys: &mut System,
-        pid: Pid,
-    ) -> Result<(u64, bool, bool), AttackError> {
-        let start = sys.rdtsc();
-        // Evict both targets' TLB entries and L1PTE cache lines.
-        self.tlb_low.evict(sys, pid)?;
-        self.tlb_high.evict(sys, pid)?;
-        self.llc_low.evict(sys, pid)?;
-        self.llc_high.evict(sys, pid)?;
-        // Touch the targets: the walks implicitly access the aggressor rows.
-        let low = sys.touch(pid, self.pair.low)?;
-        let high = sys.touch(pid, self.pair.high)?;
-        Ok((
-            sys.rdtsc() - start,
-            low.l1pte_from_dram,
-            high.l1pte_from_dram,
-        ))
-    }
-
-    /// Hammers for `rounds` iterations, accumulating statistics.
-    pub fn hammer(
-        &self,
-        sys: &mut System,
-        pid: Pid,
-        rounds: u64,
-    ) -> Result<HammerStats, AttackError> {
-        let mut stats = HammerStats {
-            min_round_cycles: u64::MAX,
-            ..HammerStats::default()
-        };
-        for _ in 0..rounds {
-            let (cycles, low_dram, high_dram) = self.hammer_round(sys, pid)?;
-            stats.rounds += 1;
-            stats.total_cycles += cycles;
-            stats.min_round_cycles = stats.min_round_cycles.min(cycles);
-            stats.max_round_cycles = stats.max_round_cycles.max(cycles);
-            stats.low_dram_hits += u64::from(low_dram);
-            stats.high_dram_hits += u64::from(high_dram);
-        }
-        if stats.rounds == 0 {
-            stats.min_round_cycles = 0;
-        }
-        Ok(stats)
-    }
-
-    /// Collects per-iteration cycle samples (the Figure 6 measurement).
-    pub fn round_cycle_samples(
-        &self,
-        sys: &mut System,
-        pid: Pid,
-        samples: usize,
-    ) -> Result<Vec<u64>, AttackError> {
-        (0..samples)
-            .map(|_| self.hammer_round(sys, pid).map(|(c, _, _)| c))
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::AttackConfig;
-    use crate::eviction::llc::LlcEvictionPool;
-    use crate::eviction::tlb::TlbEvictionPool;
-    use crate::pairs::{candidate_pairs, pair_stride};
-    use crate::spray::spray_page_tables;
-    use pthammer_cache::{CacheHierarchyConfig, LlcConfig, ReplacementPolicy};
-    use pthammer_dram::FlipModelProfile;
-    use pthammer_machine::MachineConfig;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    /// Small machine with a small LLC so pool construction stays fast, but a
-    /// realistic TLB and DRAM mapping.
-    fn test_system() -> (System, Pid) {
-        let mut cfg = MachineConfig::test_small(FlipModelProfile::invulnerable(), 21);
-        cfg.cache = CacheHierarchyConfig {
-            llc: LlcConfig {
-                slices: 2,
-                sets_per_slice: 256,
-                ways: 8,
-                latency: 18,
-                replacement: ReplacementPolicy::Srrip,
-                inclusive: true,
-            },
-            ..CacheHierarchyConfig::test_small(21)
-        };
-        let mut sys = System::undefended(cfg);
-        let pid = sys.spawn_process(1000).unwrap();
-        (sys, pid)
-    }
-
-    #[test]
-    fn hammer_round_reaches_dram_for_both_l1ptes() {
-        let (mut sys, pid) = test_system();
-        let config = AttackConfig {
-            spray_bytes: 512 << 20,
-            llc_profile_trials: 6,
-            ..AttackConfig::quick_test(3, false)
-        };
-        let tlb_pool = TlbEvictionPool::build(&mut sys, pid, &config, 12).unwrap();
-        let llc_pool = LlcEvictionPool::build(&mut sys, pid, &config, 9).unwrap();
-        let spray = spray_page_tables(&mut sys, pid, &config).unwrap();
-        let row_span = sys.machine().config().dram.geometry.row_span_bytes();
-        let mut rng = StdRng::seed_from_u64(3);
-        let pairs = candidate_pairs(&spray, row_span, 4, &mut rng);
-        assert!(!pairs.is_empty());
-        let hammer =
-            ImplicitHammer::prepare(&mut sys, pid, pairs[0], &tlb_pool, &llc_pool, 6).unwrap();
-
-        let stats = hammer.hammer(&mut sys, pid, 40).unwrap();
-        assert_eq!(stats.rounds, 40);
-        assert!(
-            stats.low_dram_rate() > 0.8,
-            "low L1PTE should usually come from DRAM, rate {}",
-            stats.low_dram_rate()
-        );
-        assert!(
-            stats.high_dram_rate() > 0.8,
-            "high L1PTE should usually come from DRAM, rate {}",
-            stats.high_dram_rate()
-        );
-        // Iteration cost is bounded: well below the no-flip threshold of
-        // Figure 5 (1500-1600 cycles) and above the cost of a pure cache hit.
-        let avg = stats.avg_round_cycles();
-        assert!(avg > 200.0, "avg {avg}");
-        assert!(avg < 3_500.0, "avg {avg}");
-        assert!(stats.min_round_cycles <= stats.max_round_cycles);
-        assert!(hammer.selection_cycles() > 0);
-        let _ = pair_stride(row_span);
-    }
-
-    #[test]
-    fn round_cycle_samples_have_low_variance_after_warmup() {
-        let (mut sys, pid) = test_system();
-        let config = AttackConfig {
-            spray_bytes: 512 << 20,
-            llc_profile_trials: 6,
-            ..AttackConfig::quick_test(5, false)
-        };
-        let tlb_pool = TlbEvictionPool::build(&mut sys, pid, &config, 12).unwrap();
-        let llc_pool = LlcEvictionPool::build(&mut sys, pid, &config, 9).unwrap();
-        let spray = spray_page_tables(&mut sys, pid, &config).unwrap();
-        let row_span = sys.machine().config().dram.geometry.row_span_bytes();
-        let mut rng = StdRng::seed_from_u64(5);
-        let pair = candidate_pairs(&spray, row_span, 1, &mut rng)[0];
-        let hammer = ImplicitHammer::prepare(&mut sys, pid, pair, &tlb_pool, &llc_pool, 6).unwrap();
-        // Warm up, then sample (mirrors the 50-round measurement of Fig. 6).
-        hammer.hammer(&mut sys, pid, 10).unwrap();
-        let samples = hammer.round_cycle_samples(&mut sys, pid, 50).unwrap();
-        assert_eq!(samples.len(), 50);
-        let min = *samples.iter().min().unwrap();
-        let max = *samples.iter().max().unwrap();
-        assert!(
-            max < 4 * min,
-            "cycle samples too spread: min {min}, max {max}"
-        );
     }
 }

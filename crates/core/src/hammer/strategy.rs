@@ -138,8 +138,8 @@ pub enum Target {
 }
 
 /// One operation of a hammer iteration. A strategy's per-round touch pattern
-/// is a sequence of these, executed in order by
-/// [`ArmedPair::hammer_round`] — and assertable verbatim in tests.
+/// is a sequence of these, compiled by [`crate::trace::CompiledTrace`] — and
+/// assertable verbatim in tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundOp {
     /// Evict the target's TLB entry (Algorithm 1 eviction set).
@@ -326,62 +326,6 @@ impl ArmedPair {
             },
         }
     }
-
-    /// Executes one hammer iteration: runs `ops` in order and reports the
-    /// iteration's cycle cost plus which implicit loads reached DRAM.
-    ///
-    /// For the default double-sided pattern this performs exactly the
-    /// operation sequence of [`ImplicitHammer::hammer_round`], so the
-    /// pipeline's default path simulates identically to the historical
-    /// driver. This is the *reference interpreter*: the hammer phase itself
-    /// replays a [`crate::trace::CompiledTrace`] compiled from the same ops,
-    /// which must be (and is property-tested to be) event- and
-    /// counter-identical to this method.
-    pub fn hammer_round(
-        &self,
-        sys: &mut System,
-        pid: Pid,
-        ops: &[RoundOp],
-    ) -> Result<RoundOutcome, AttackError> {
-        let start = sys.rdtsc();
-        let mut low_dram = false;
-        let mut high_dram = false;
-        let mut aggressor_dram_hits = 0u64;
-        for op in ops {
-            match op {
-                RoundOp::EvictTlb(t) => {
-                    let (tlb, _) = self.sets_for(*t)?;
-                    tlb.evict(sys, pid)?;
-                }
-                RoundOp::EvictLlc(t) => {
-                    let (_, llc) = self.sets_for(*t)?;
-                    llc.evict(sys, pid)?;
-                }
-                RoundOp::TouchImplicit(t) => {
-                    let acc = sys.touch(pid, self.addr(*t)?)?;
-                    match t {
-                        Target::Low => low_dram = acc.l1pte_from_dram,
-                        Target::High => high_dram = acc.l1pte_from_dram,
-                        Target::Aggressor(_) => {
-                            aggressor_dram_hits += u64::from(acc.l1pte_from_dram);
-                        }
-                    }
-                }
-                RoundOp::AccessData(t) => {
-                    sys.access(pid, self.addr(*t)?)?;
-                }
-                RoundOp::Clflush(t) => {
-                    sys.clflush(pid, self.addr(*t)?)?;
-                }
-            }
-        }
-        Ok(RoundOutcome {
-            cycles: sys.rdtsc() - start,
-            low_dram,
-            high_dram,
-            aggressor_dram_hits,
-        })
-    }
 }
 
 /// A hammer strategy: how one candidate pair is armed, gated and hammered.
@@ -397,15 +341,12 @@ pub trait HammerStrategy: fmt::Debug + Send {
     /// Borrowed from the strategy so synthesized (non-`'static`) patterns
     /// work like the built-in modes. The hammer phase compiles this schedule
     /// once per attempt into a [`crate::trace::CompiledTrace`] and replays
-    /// the dense trace; [`ArmedPair::hammer_round`] interprets the same ops
-    /// directly and stays as the reference semantics the compiled path is
-    /// property-tested against.
+    /// the dense trace.
     fn round_ops(&self) -> &[RoundOp];
 
     /// Number of implicit (page-walk) target touches per iteration — the
     /// denominator of the implicit DRAM rate. Counted over
-    /// [`round_ops`](Self::round_ops), so it holds for both the compiled
-    /// replay and the interpreted reference path.
+    /// [`round_ops`](Self::round_ops).
     fn implicit_touches_per_round(&self) -> u64 {
         self.round_ops()
             .iter()
@@ -444,8 +385,8 @@ fn timed_tlb_draw(
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ImplicitDoubleSided;
 
-/// Per-round pattern of the implicit double-sided strategy — the exact
-/// sequence of [`ImplicitHammer::hammer_round`].
+/// Per-round pattern of the implicit double-sided strategy: evict both
+/// targets' TLB entries, then both L1PTE lines, then touch both targets.
 const IMPLICIT_DOUBLE_SIDED_OPS: [RoundOp; 6] = [
     RoundOp::EvictTlb(Target::Low),
     RoundOp::EvictTlb(Target::High),
@@ -653,9 +594,10 @@ impl HammerStrategy for ImplicitOneLocation {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::pipeline::prepare_attack;
+    use crate::trace::CompiledTrace;
     use pthammer_cache::{CacheHierarchyConfig, LlcConfig, ReplacementPolicy};
     use pthammer_dram::FlipModelProfile;
     use pthammer_machine::MachineConfig;
@@ -663,9 +605,8 @@ mod tests {
     use rand::SeedableRng;
 
     /// Small machine with a small LLC so pool construction stays fast, but a
-    /// realistic TLB and DRAM mapping (same shape as the implicit-hammer
-    /// tests).
-    fn tiny_system(seed: u64) -> (System, Pid) {
+    /// realistic TLB and DRAM mapping.
+    pub(crate) fn tiny_system(seed: u64) -> (System, Pid) {
         let mut cfg = MachineConfig::test_small(FlipModelProfile::invulnerable(), seed);
         cfg.cache = CacheHierarchyConfig {
             llc: LlcConfig {
@@ -683,7 +624,7 @@ mod tests {
         (sys, pid)
     }
 
-    fn tiny_config(seed: u64) -> AttackConfig {
+    pub(crate) fn tiny_config(seed: u64) -> AttackConfig {
         AttackConfig {
             spray_bytes: 512 << 20,
             llc_profile_trials: 6,
@@ -691,7 +632,10 @@ mod tests {
         }
     }
 
-    fn armed_for(
+    /// Prepares the attack and arms the first candidate pair `mode`'s
+    /// strategy accepts, drawing candidates from an RNG seeded with
+    /// `config.seed`.
+    pub(crate) fn armed_for(
         mode: HammerMode,
         sys: &mut System,
         pid: Pid,
@@ -702,7 +646,7 @@ mod tests {
         let threshold = crate::pairs::conflict_threshold(sys);
         let strategy = mode.strategy();
         let mut rng = StdRng::seed_from_u64(config.seed);
-        for _ in 0..8 {
+        for _ in 0..16 {
             for pair in candidate_pairs(&prepared.spray, row_span, 4, &mut rng) {
                 let arm = strategy
                     .arm(sys, pid, pair, &prepared, config, threshold)
@@ -731,9 +675,9 @@ mod tests {
     }
 
     /// The exact per-iteration touch pattern of every strategy, asserted
-    /// verbatim. The default pattern must match
-    /// [`ImplicitHammer::hammer_round`] operation for operation — the
-    /// byte-identity of the pipeline's default path rests on it.
+    /// verbatim. The default pattern is the paper's loop operation for
+    /// operation — the byte-identity of the pipeline's default path rests on
+    /// it.
     #[test]
     fn round_op_patterns_are_exact() {
         use RoundOp::*;
@@ -773,93 +717,20 @@ mod tests {
         assert_eq!(ExplicitDoubleSided.implicit_touches_per_round(), 0);
     }
 
-    /// The strategy executor replays [`ImplicitHammer::hammer_round`]
-    /// exactly: on two identically-seeded systems, the op-interpreted rounds
-    /// and the hand-written rounds report identical cycles and DRAM flags.
-    #[test]
-    fn default_strategy_rounds_match_the_implicit_hammer_primitive() {
-        let config = tiny_config(29);
-
-        // System A: the historical path (prepare + verify + hammer_round).
-        let (mut sys_a, pid_a) = tiny_system(29);
-        let prepared = prepare_attack(&mut sys_a, pid_a, &config).unwrap();
-        let row_span = sys_a.machine().config().dram.geometry.row_span_bytes();
-        let threshold = crate::pairs::conflict_threshold(&sys_a);
-        let mut rng = StdRng::seed_from_u64(29);
-        let mut reference = None;
-        'outer: for _ in 0..8 {
-            for pair in candidate_pairs(&prepared.spray, row_span, 4, &mut rng) {
-                let start = sys_a.rdtsc();
-                let _ = prepared.tlb_pool.minimal_eviction_set_for(pair.low);
-                let _ = prepared.tlb_pool.minimal_eviction_set_for(pair.high);
-                let _ = sys_a.rdtsc() - start;
-                let hammer = ImplicitHammer::prepare(
-                    &mut sys_a,
-                    pid_a,
-                    pair,
-                    &prepared.tlb_pool,
-                    &prepared.llc_pool,
-                    config.llc_profile_trials,
-                )
-                .unwrap();
-                let verification = verify_same_bank(
-                    &mut sys_a,
-                    pid_a,
-                    pair,
-                    &hammer.tlb_low,
-                    &hammer.tlb_high,
-                    &hammer.llc_low,
-                    &hammer.llc_high,
-                    threshold,
-                    5,
-                )
-                .unwrap();
-                if verification.same_bank {
-                    reference = Some(hammer);
-                    break 'outer;
-                }
-            }
-        }
-        let hammer = reference.expect("a verified pair");
-        let rounds_a: Vec<(u64, bool, bool)> = (0..5)
-            .map(|_| hammer.hammer_round(&mut sys_a, pid_a).unwrap())
-            .collect();
-
-        // System B: the strategy path over the identical seed.
-        let (mut sys_b, pid_b) = tiny_system(29);
-        let (strategy, armed) =
-            armed_for(HammerMode::ImplicitDoubleSided, &mut sys_b, pid_b, &config);
-        let rounds_b: Vec<(u64, bool, bool)> = (0..5)
-            .map(|_| {
-                let r = armed
-                    .hammer_round(&mut sys_b, pid_b, strategy.round_ops())
-                    .unwrap();
-                (r.cycles, r.low_dram, r.high_dram)
-            })
-            .collect();
-
-        assert_eq!(armed.pair, hammer.pair, "both paths arm the same pair");
-        assert_eq!(
-            rounds_a, rounds_b,
-            "op-interpreted rounds must be identical"
-        );
-    }
-
     #[test]
     fn one_location_strategy_touches_only_the_low_target() {
         let config = tiny_config(31);
         let (mut sys, pid) = tiny_system(31);
         let (strategy, armed) = armed_for(HammerMode::ImplicitOneLocation, &mut sys, pid, &config);
-        let round = armed
-            .hammer_round(&mut sys, pid, strategy.round_ops())
+        let round = CompiledTrace::compile(&armed, strategy.round_ops(), &sys)
+            .unwrap()
+            .replay(&mut sys, pid)
             .unwrap();
         assert!(round.low_dram, "the single implicit load must reach DRAM");
         assert!(!round.high_dram, "the high target is never touched");
-        // The armed pair has no high-target sets: running the double-sided
+        // The armed pair has no high-target sets: compiling the double-sided
         // pattern against it is a usage error, not silent misbehavior.
-        assert!(armed
-            .hammer_round(&mut sys, pid, ImplicitDoubleSided.round_ops())
-            .is_err());
+        assert!(CompiledTrace::compile(&armed, ImplicitDoubleSided.round_ops(), &sys).is_err());
     }
 
     #[test]
@@ -867,15 +738,12 @@ mod tests {
         let config = tiny_config(37);
         let (mut sys, pid) = tiny_system(37);
         let (strategy, armed) = armed_for(HammerMode::ExplicitDoubleSided, &mut sys, pid, &config);
+        let trace = CompiledTrace::compile(&armed, strategy.round_ops(), &sys).unwrap();
         let walks_before = sys.machine().tlb_pmc().walks;
         // Warm the pair's translations once, then measure steady state.
-        armed
-            .hammer_round(&mut sys, pid, strategy.round_ops())
-            .unwrap();
+        trace.replay(&mut sys, pid).unwrap();
         let walks_warm = sys.machine().tlb_pmc().walks;
-        let round = armed
-            .hammer_round(&mut sys, pid, strategy.round_ops())
-            .unwrap();
+        let round = trace.replay(&mut sys, pid).unwrap();
         assert!(!round.low_dram && !round.high_dram);
         assert!(round.cycles > 0);
         assert!(walks_warm >= walks_before);

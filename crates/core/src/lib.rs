@@ -26,6 +26,8 @@
 //!   verification.
 //! * [`hammer`] — the implicit-hammer primitive, explicit baselines, and the
 //!   pluggable [`HammerStrategy`] layer selected by [`HammerMode`].
+//! * [`trace`] — [`CompiledTrace`], the one executor every hammer loop runs
+//!   through.
 //! * [`detect`] / [`exploit`] — finding corrupted mappings and the
 //!   exploitation primitives behind the victims.
 //! * [`victim`] — the victim & exploitation layer: the [`Victim`] trait's
@@ -97,5 +99,5 @@ pub use pairs::{HammerPair, PairVerification};
 pub use pipeline::{AttackCtx, AttackPipeline};
 pub use report::{AttackOutcome, PageSetting, StageTimings};
 pub use spray::{SprayRegion, SPRAY_PATTERN};
-pub use trace::{CompiledTrace, TraceProfile};
+pub use trace::CompiledTrace;
 pub use victim::{FlipProfile, FlipTarget, Victim, VictimChoice, VictimOutcome, VictimVerdict};

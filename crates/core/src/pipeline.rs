@@ -25,7 +25,6 @@ use crate::error::AttackError;
 use crate::events::{AttackEvent, AttackPhase, EventBus, EventSink, PipelineAccounting};
 use crate::eviction::llc::LlcEvictionPool;
 use crate::eviction::tlb::TlbEvictionPool;
-use crate::hammer::implicit::HammerStats;
 use crate::hammer::strategy::{ArmedPair, HammerStrategy};
 use crate::pairs::{candidate_pairs, conflict_threshold};
 use crate::report::{AttackOutcome, PageSetting};
@@ -371,14 +370,11 @@ impl<'a, 'b> AttackPipeline<'a, 'b> {
     }
 
     /// `Hammer`: the strategy's per-round op pattern compiled once into a
-    /// [`CompiledTrace`] and replayed `hammer_rounds_per_attempt` times,
-    /// plus the Figure 6 cycle samples while fewer than 50 were taken.
-    ///
-    /// The exact-profile trace replays the interpreter's operation stream
-    /// call for call, so this path simulates byte-identically to the
-    /// historical per-round interpretation. A handled demand fault (kernel
-    /// page-table allocation mid-attempt) invalidates the trace; the cheap
-    /// per-round staleness check recompiles it before the next replay.
+    /// [`CompiledTrace`] and hammered `hammer_rounds_per_attempt` times,
+    /// plus the Figure 6 cycle samples while fewer than 50 were taken — both
+    /// through the trace's round loop, which recompiles whenever a handled
+    /// demand fault (kernel page-table allocation mid-attempt) made the
+    /// trace stale.
     fn phase_hammer(
         &mut self,
         ctx: &mut AttackCtx,
@@ -386,30 +382,10 @@ impl<'a, 'b> AttackPipeline<'a, 'b> {
         armed: &ArmedPair,
     ) -> Result<(), AttackError> {
         self.enter(ctx, sys, AttackPhase::Hammer);
-        // The trace owns its resolved schedule, so (unlike the old
-        // `round_ops().to_vec()` copy) emitting events below can borrow the
-        // pipeline mutably without holding a borrow of the strategy.
-        let mut trace = CompiledTrace::compile(armed, self.strategy.round_ops(), sys)?;
-        let mut stats = HammerStats {
-            min_round_cycles: u64::MAX,
-            ..HammerStats::default()
-        };
-        for _ in 0..self.config.hammer_rounds_per_attempt {
-            if trace.is_stale(sys) {
-                trace = CompiledTrace::compile(armed, self.strategy.round_ops(), sys)?;
-            }
-            let round = trace.replay(sys, ctx.pid)?;
-            stats.rounds += 1;
-            stats.total_cycles += round.cycles;
-            stats.min_round_cycles = stats.min_round_cycles.min(round.cycles);
-            stats.max_round_cycles = stats.max_round_cycles.max(round.cycles);
-            stats.low_dram_hits += u64::from(round.low_dram);
-            stats.high_dram_hits += u64::from(round.high_dram);
-            stats.aggressor_dram_hits += round.aggressor_dram_hits;
-        }
-        if stats.rounds == 0 {
-            stats.min_round_cycles = 0;
-        }
+        let ops = self.strategy.round_ops();
+        let mut trace = CompiledTrace::compile(armed, ops, sys)?;
+        let rounds = self.config.hammer_rounds_per_attempt;
+        let stats = trace.hammer(armed, ops, sys, ctx.pid, rounds, |_| {})?;
         self.emit(
             ctx,
             AttackEvent::HammerFinished {
@@ -418,13 +394,15 @@ impl<'a, 'b> AttackPipeline<'a, 'b> {
             },
         );
         if ctx.hammer_cycle_samples.len() < 50 {
-            for _ in 0..10 {
-                if trace.is_stale(sys) {
-                    trace = CompiledTrace::compile(armed, self.strategy.round_ops(), sys)?;
-                }
-                let round = trace.replay(sys, ctx.pid)?;
-                ctx.hammer_cycle_samples.push(round.cycles);
-            }
+            let samples = &mut ctx.hammer_cycle_samples;
+            trace.hammer(
+                armed,
+                self.strategy.round_ops(),
+                sys,
+                ctx.pid,
+                10,
+                |round| samples.push(round.cycles),
+            )?;
         }
         self.exit(ctx, sys, AttackPhase::Hammer);
         Ok(())

@@ -1,15 +1,15 @@
-//! Per-attempt compiled hammer traces.
+//! Per-attempt compiled hammer traces — the one runtime hammer executor.
 //!
-//! The [`RoundOp`] interpreter ([`ArmedPair::hammer_round`]) re-resolves
-//! every operation's targets each round: a match per op, a `Result`-returning
-//! eviction-set lookup, and a virtual dispatch into the eviction-set
-//! traversal helpers. None of that resolution can change while a pair stays
+//! A strategy describes one hammer iteration as a [`RoundOp`] schedule.
+//! Nothing that schedule resolves against can change while a pair stays
 //! armed — the eviction sets and aggressor addresses are fixed for the whole
-//! attempt — so the hammer phase compiles the schedule **once per attempt**
-//! into a [`CompiledTrace`]: a flat, pre-translated address pool plus a dense
-//! step list that replays through the same lean batch paths
+//! attempt — so the schedule is compiled **once per attempt** into a
+//! [`CompiledTrace`]: a flat, pre-translated address pool plus a dense step
+//! list that replays through the lean batch paths
 //! ([`System::access_batch_passes`] / [`System::touch`]) with no per-round
-//! matching, re-lookup, or allocation.
+//! matching, re-lookup, or allocation. [`CompiledTrace::hammer`] is the one
+//! round loop every caller shares: the hammer phase (including its Figure 6
+//! samples), the figure and ANVIL scenarios and the microbenchmarks.
 //!
 //! # Compile / invalidate lifecycle
 //!
@@ -20,40 +20,25 @@
 //! changes which physical lines back the sprayed mappings. The trace
 //! therefore records the kernel's `faults_handled` counter at compile time;
 //! [`CompiledTrace::is_stale`] is a single integer compare per round, and
-//! the hammer phase recompiles only when it trips. For the
-//! [`TraceProfile::Exact`] profile recompilation is pure (it reads the armed
-//! state, never the machine), so invalidation cannot perturb the simulation.
+//! the round loop recompiles only when it trips. Compilation is pure (it
+//! reads the armed state, never the machine), so invalidation cannot perturb
+//! the simulation.
 //!
-//! # Profiles
+//! # Reference oracle
 //!
-//! * [`TraceProfile::Exact`] — the default. Each `EvictLlc` op keeps the
-//!   interpreter's [`LLC_EVICTION_PASSES`]-pass traversal, so replay is
-//!   call-for-call identical to the interpreter: same batch boundaries, same
-//!   fault handling order, same simulated cycles. The golden campaign
-//!   snapshots (which pin simulated seconds-to-first-flip) rest on this.
-//! * [`TraceProfile::Calibrated`] — an attacker-side optimisation for the
-//!   perf workloads: the compiler probes how few LLC traversal passes still
-//!   force every implicit touch's L1PTE load to DRAM and emits the minimal
-//!   trace. This models the paper's attacker minimising eviction work per
-//!   iteration; probing advances the simulation, so campaigns never use it.
+//! Test builds keep a direct `RoundOp` interpreter (`ArmedPair::hammer_round`,
+//! below) that re-resolves every op each round through the eviction-set
+//! traversal helpers. A proptest pins replay to it round for round and
+//! counter for counter, across every strategy's op vocabulary rearranged
+//! into random schedules.
 
 use pthammer_kernel::{Pid, System};
 use pthammer_types::VirtAddr;
 
 use crate::error::AttackError;
 use crate::eviction::llc::LLC_EVICTION_PASSES;
+use crate::hammer::implicit::HammerStats;
 use crate::hammer::strategy::{ArmedPair, RoundOp, RoundOutcome, Target};
-
-/// How a [`CompiledTrace`] resolves the LLC eviction traversals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceProfile {
-    /// Replay exactly the interpreter's operation stream (the default; the
-    /// golden snapshots pin this path's simulated timing).
-    Exact,
-    /// Probe the minimal LLC pass count that keeps the implicit loads
-    /// DRAM-served and emit the dense minimal trace.
-    Calibrated,
-}
 
 /// Which pair member an implicit touch reports its DRAM outcome as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,8 +53,8 @@ enum TouchKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TraceStep {
     /// A pipelined batch over `addrs[start..start + len]`, `passes` times —
-    /// one step per eviction op, preserving the interpreter's batch-call
-    /// boundaries (and therefore its fault-handling order).
+    /// one step per eviction op, preserving the op-by-op batch-call
+    /// boundaries (and therefore the fault-handling order).
     Batch { start: u32, len: u32, passes: u32 },
     /// An implicit (page-walk) touch of a pre-resolved target address.
     Touch { addr: VirtAddr, kind: TouchKind },
@@ -81,8 +66,7 @@ enum TraceStep {
 
 /// A strategy's per-round schedule with every target resolved to flat,
 /// pre-translated addresses. Built once per attempt by
-/// [`CompiledTrace::compile`] (or
-/// [`CompiledTrace::compile_calibrated`]) and replayed by the hammer phase.
+/// [`CompiledTrace::compile`] and driven by [`CompiledTrace::hammer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledTrace {
     /// Flat pool of eviction-run addresses, in op order.
@@ -91,33 +75,16 @@ pub struct CompiledTrace {
     steps: Vec<TraceStep>,
     /// Kernel `faults_handled` at compile time — the invalidation signal.
     faults_handled_at_compile: u64,
-    /// LLC traversal passes each `EvictLlc` op was compiled to.
-    llc_passes: usize,
-    /// Which profile compiled this trace.
-    profile: TraceProfile,
 }
 
 impl CompiledTrace {
-    /// Compiles `ops` against `armed` with the exact interpreter semantics
-    /// ([`TraceProfile::Exact`]). Pure with respect to the simulation: only
-    /// the armed state and the kernel's fault counter are read.
+    /// Compiles `ops` against `armed`. Pure with respect to the simulation:
+    /// only the armed state and the kernel's fault counter are read.
     ///
     /// # Errors
     ///
-    /// Fails like the interpreter would on its first round: when an op
-    /// addresses a target the strategy never armed.
+    /// Fails when an op addresses a target the strategy never armed.
     pub fn compile(armed: &ArmedPair, ops: &[RoundOp], sys: &System) -> Result<Self, AttackError> {
-        Self::compile_with_passes(armed, ops, sys.stats().faults_handled, LLC_EVICTION_PASSES)
-    }
-
-    /// Compiles `ops` with every `EvictLlc` op resolved to `llc_passes`
-    /// traversal passes.
-    fn compile_with_passes(
-        armed: &ArmedPair,
-        ops: &[RoundOp],
-        faults_handled: u64,
-        llc_passes: usize,
-    ) -> Result<Self, AttackError> {
         let mut addrs = Vec::new();
         let mut steps = Vec::with_capacity(ops.len());
         let run = |addrs: &mut Vec<VirtAddr>, lines: &[VirtAddr], passes: usize| {
@@ -137,7 +104,7 @@ impl CompiledTrace {
                 }
                 RoundOp::EvictLlc(t) => {
                     let (_, llc) = armed.sets_for(*t)?;
-                    run(&mut addrs, &llc.lines, llc_passes)
+                    run(&mut addrs, &llc.lines, LLC_EVICTION_PASSES)
                 }
                 RoundOp::TouchImplicit(t) => TraceStep::Touch {
                     addr: armed.addr(*t)?,
@@ -158,81 +125,8 @@ impl CompiledTrace {
         Ok(Self {
             addrs,
             steps,
-            faults_handled_at_compile: faults_handled,
-            llc_passes,
-            profile: TraceProfile::Exact,
+            faults_handled_at_compile: sys.stats().faults_handled,
         })
-    }
-
-    /// Compiles `ops` with the minimal LLC traversal pass count that still
-    /// forces every implicit touch's L1PTE load to DRAM
-    /// ([`TraceProfile::Calibrated`]).
-    ///
-    /// For each candidate pass count (fewest first) the compiler replays
-    /// `probe_rounds` probe iterations and accepts the first count whose
-    /// every probe keeps all implicit loads DRAM-served; if none does, it
-    /// falls back to the interpreter's [`LLC_EVICTION_PASSES`]. Probing runs
-    /// real simulated rounds — this profile is for throughput measurement,
-    /// not for golden-pinned campaigns.
-    ///
-    /// # Errors
-    ///
-    /// Fails when an op addresses a target the strategy never armed, or a
-    /// probe replay faults unrecoverably.
-    pub fn compile_calibrated(
-        armed: &ArmedPair,
-        ops: &[RoundOp],
-        sys: &mut System,
-        pid: Pid,
-        probe_rounds: u32,
-    ) -> Result<Self, AttackError> {
-        let touches = ops
-            .iter()
-            .filter(|op| matches!(op, RoundOp::TouchImplicit(_)))
-            .count();
-        let wants_low = ops.contains(&RoundOp::TouchImplicit(Target::Low));
-        let wants_high = ops.contains(&RoundOp::TouchImplicit(Target::High));
-        let aggressor_touches = (touches - usize::from(wants_low) - usize::from(wants_high)) as u64;
-        let mut chosen = None;
-        for passes in 1..LLC_EVICTION_PASSES {
-            let probe = Self::compile_with_passes(armed, ops, sys.stats().faults_handled, passes)?;
-            let mut all_dram = touches > 0;
-            for _ in 0..probe_rounds {
-                let round = probe.replay(sys, pid)?;
-                all_dram &= (!wants_low || round.low_dram)
-                    && (!wants_high || round.high_dram)
-                    && round.aggressor_dram_hits == aggressor_touches;
-            }
-            if all_dram {
-                chosen = Some(passes);
-                break;
-            }
-        }
-        let passes = chosen.unwrap_or(LLC_EVICTION_PASSES);
-        let mut trace = Self::compile_with_passes(armed, ops, sys.stats().faults_handled, passes)?;
-        trace.profile = TraceProfile::Calibrated;
-        Ok(trace)
-    }
-
-    /// Recompiles the same schedule against the kernel's current page-table
-    /// state, keeping this trace's LLC pass count and profile. This is how a
-    /// stale *calibrated* trace is refreshed without re-probing (the minimal
-    /// pass count is a property of the eviction sets, which a page-table
-    /// allocation does not change).
-    ///
-    /// # Errors
-    ///
-    /// Fails when an op addresses a target the strategy never armed.
-    pub fn recompile(
-        &self,
-        armed: &ArmedPair,
-        ops: &[RoundOp],
-        sys: &System,
-    ) -> Result<Self, AttackError> {
-        let mut trace =
-            Self::compile_with_passes(armed, ops, sys.stats().faults_handled, self.llc_passes)?;
-        trace.profile = self.profile;
-        Ok(trace)
     }
 
     /// True when the kernel's page-table state changed since compile time
@@ -240,18 +134,6 @@ impl CompiledTrace {
     /// integer compare — cheap enough for a per-round check.
     pub fn is_stale(&self, sys: &System) -> bool {
         sys.stats().faults_handled != self.faults_handled_at_compile
-    }
-
-    /// The profile this trace was compiled with.
-    pub fn profile(&self) -> TraceProfile {
-        self.profile
-    }
-
-    /// LLC traversal passes each eviction op replays (the interpreter's
-    /// [`LLC_EVICTION_PASSES`] for exact traces, possibly fewer for
-    /// calibrated ones).
-    pub fn llc_eviction_passes(&self) -> usize {
-        self.llc_passes
     }
 
     /// Replay steps per round.
@@ -264,21 +146,11 @@ impl CompiledTrace {
         self.steps.is_empty()
     }
 
-    /// Pre-resolved addresses the per-round eviction runs stream through.
-    pub fn eviction_addrs(&self) -> usize {
-        self.addrs.len()
-    }
-
-    /// Executes one hammer iteration by replaying the dense trace. For
-    /// [`TraceProfile::Exact`] traces this performs exactly the operation
-    /// sequence of [`ArmedPair::hammer_round`] — same batch calls, same
-    /// touches, same simulated cycles — without the per-op matching and
-    /// target re-resolution.
+    /// Executes one hammer iteration by replaying the dense trace.
     ///
     /// # Errors
     ///
-    /// Propagates unrecoverable faults from the underlying accesses, exactly
-    /// as the interpreter does.
+    /// Propagates unrecoverable faults from the underlying accesses.
     pub fn replay(&self, sys: &mut System, pid: Pid) -> Result<RoundOutcome, AttackError> {
         let start = sys.rdtsc();
         let mut low_dram = false;
@@ -314,5 +186,274 @@ impl CompiledTrace {
             high_dram,
             aggressor_dram_hits,
         })
+    }
+
+    /// Hammers `rounds` iterations: before each one, recompiles `ops`
+    /// against `armed` if the trace went stale, then replays it and folds
+    /// the outcome into the returned [`HammerStats`]. `on_round` sees every
+    /// iteration's outcome (the Figure 6 cycle samples).
+    ///
+    /// `armed` and `ops` must be what the trace was compiled from.
+    ///
+    /// # Errors
+    ///
+    /// Propagates recompilation and replay errors.
+    pub fn hammer(
+        &mut self,
+        armed: &ArmedPair,
+        ops: &[RoundOp],
+        sys: &mut System,
+        pid: Pid,
+        rounds: u64,
+        mut on_round: impl FnMut(RoundOutcome),
+    ) -> Result<HammerStats, AttackError> {
+        let mut stats = HammerStats {
+            min_round_cycles: u64::MAX,
+            ..HammerStats::default()
+        };
+        for _ in 0..rounds {
+            if self.is_stale(sys) {
+                *self = Self::compile(armed, ops, sys)?;
+            }
+            let round = self.replay(sys, pid)?;
+            stats.rounds += 1;
+            stats.total_cycles += round.cycles;
+            stats.min_round_cycles = stats.min_round_cycles.min(round.cycles);
+            stats.max_round_cycles = stats.max_round_cycles.max(round.cycles);
+            stats.low_dram_hits += u64::from(round.low_dram);
+            stats.high_dram_hits += u64::from(round.high_dram);
+            stats.aggressor_dram_hits += round.aggressor_dram_hits;
+            on_round(round);
+        }
+        if stats.rounds == 0 {
+            stats.min_round_cycles = 0;
+        }
+        Ok(stats)
+    }
+}
+
+#[cfg(test)]
+impl ArmedPair {
+    /// The reference `RoundOp` interpreter: runs `ops` in order, resolving
+    /// every op's target and eviction set afresh through the eviction-set
+    /// traversal helpers, and reports the iteration's cycle cost plus which
+    /// implicit loads reached DRAM. [`CompiledTrace::replay`] must match it
+    /// exactly.
+    pub(crate) fn hammer_round(
+        &self,
+        sys: &mut System,
+        pid: Pid,
+        ops: &[RoundOp],
+    ) -> Result<RoundOutcome, AttackError> {
+        let start = sys.rdtsc();
+        let mut low_dram = false;
+        let mut high_dram = false;
+        let mut aggressor_dram_hits = 0u64;
+        for op in ops {
+            match op {
+                RoundOp::EvictTlb(t) => {
+                    let (tlb, _) = self.sets_for(*t)?;
+                    tlb.evict(sys, pid)?;
+                }
+                RoundOp::EvictLlc(t) => {
+                    let (_, llc) = self.sets_for(*t)?;
+                    llc.evict(sys, pid)?;
+                }
+                RoundOp::TouchImplicit(t) => {
+                    let acc = sys.touch(pid, self.addr(*t)?)?;
+                    match t {
+                        Target::Low => low_dram = acc.l1pte_from_dram,
+                        Target::High => high_dram = acc.l1pte_from_dram,
+                        Target::Aggressor(_) => {
+                            aggressor_dram_hits += u64::from(acc.l1pte_from_dram);
+                        }
+                    }
+                }
+                RoundOp::AccessData(t) => {
+                    sys.access(pid, self.addr(*t)?)?;
+                }
+                RoundOp::Clflush(t) => {
+                    sys.clflush(pid, self.addr(*t)?)?;
+                }
+            }
+        }
+        Ok(RoundOutcome {
+            cycles: sys.rdtsc() - start,
+            low_dram,
+            high_dram,
+            aggressor_dram_hits,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::AttackConfig;
+    use crate::hammer::strategy::tests::{armed_for, tiny_config, tiny_system};
+    use crate::hammer::strategy::HammerMode;
+    use proptest::prelude::*;
+    use pthammer_dram::FlipModelProfile;
+    use pthammer_kernel::{DefaultPolicy, KernelConfig};
+    use pthammer_machine::MachineConfig;
+
+    /// Compiles `ops` for `armed` and hammers `rounds` iterations through
+    /// the shared round loop, collecting every iteration's cycle cost.
+    fn hammer(
+        armed: &ArmedPair,
+        ops: &[RoundOp],
+        sys: &mut System,
+        pid: Pid,
+        rounds: u64,
+    ) -> (HammerStats, Vec<u64>) {
+        let mut trace = CompiledTrace::compile(armed, ops, sys).unwrap();
+        let mut samples = Vec::new();
+        let stats = trace
+            .hammer(armed, ops, sys, pid, rounds, |round| {
+                samples.push(round.cycles)
+            })
+            .unwrap();
+        (stats, samples)
+    }
+
+    #[test]
+    fn compiled_rounds_reach_dram_for_both_l1ptes() {
+        let (mut sys, pid) = tiny_system(21);
+        // Single-sided arming takes the first candidate pair unverified.
+        let (strategy, armed) = armed_for(
+            HammerMode::ImplicitSingleSided,
+            &mut sys,
+            pid,
+            &tiny_config(3),
+        );
+        let (stats, samples) = hammer(&armed, strategy.round_ops(), &mut sys, pid, 40);
+        assert_eq!(stats.rounds, 40);
+        assert_eq!(samples.len(), 40);
+        assert_eq!(stats.total_cycles, samples.iter().sum::<u64>());
+        assert!(
+            stats.low_dram_rate() > 0.8,
+            "low L1PTE should usually come from DRAM, rate {}",
+            stats.low_dram_rate()
+        );
+        assert!(
+            stats.high_dram_rate() > 0.8,
+            "high L1PTE should usually come from DRAM, rate {}",
+            stats.high_dram_rate()
+        );
+        // Iteration cost is bounded: well below the no-flip threshold of
+        // Figure 5 (1500-1600 cycles) and above the cost of a pure cache hit.
+        let avg = stats.avg_round_cycles();
+        assert!(avg > 200.0, "avg {avg}");
+        assert!(avg < 3_500.0, "avg {avg}");
+        assert!(stats.min_round_cycles <= stats.max_round_cycles);
+    }
+
+    #[test]
+    fn round_cycles_have_low_variance_after_warmup() {
+        let (mut sys, pid) = tiny_system(21);
+        let (strategy, armed) = armed_for(
+            HammerMode::ImplicitSingleSided,
+            &mut sys,
+            pid,
+            &tiny_config(5),
+        );
+        // Warm up, then sample (mirrors the 50-round measurement of Fig. 6).
+        hammer(&armed, strategy.round_ops(), &mut sys, pid, 10);
+        let (_, samples) = hammer(&armed, strategy.round_ops(), &mut sys, pid, 50);
+        assert_eq!(samples.len(), 50);
+        let min = *samples.iter().min().unwrap();
+        let max = *samples.iter().max().unwrap();
+        assert!(
+            max < 4 * min,
+            "cycle samples too spread: min {min}, max {max}"
+        );
+    }
+
+    /// Boots a TestSmall system, prepares the attack and arms the first
+    /// armable candidate pair for `mode`. Fully deterministic in `(mode,
+    /// seed)`, so calling it twice yields two systems in bit-identical
+    /// states.
+    fn armed_system(mode: HammerMode, seed: u64) -> (System, Pid, ArmedPair) {
+        let mut sys = System::new(
+            MachineConfig::test_small(FlipModelProfile::ci(), seed),
+            KernelConfig::default_config(),
+            Box::new(DefaultPolicy::new()),
+        );
+        let pid = sys.spawn_process(1000).expect("spawn");
+        let config = AttackConfig {
+            spray_bytes: 512 << 20,
+            llc_profile_trials: 6,
+            ..AttackConfig::quick_test(seed, false)
+        };
+        let (_, armed) = armed_for(mode, &mut sys, pid, &config);
+        (sys, pid, armed)
+    }
+
+    /// Full machine-counter snapshot used for the final equivalence check.
+    fn counters(sys: &System) -> impl PartialEq + std::fmt::Debug {
+        (
+            sys.machine().cache_pmc(),
+            sys.machine().tlb_pmc(),
+            sys.machine().dram_stats(),
+            sys.rdtsc(),
+            sys.stats().faults_handled,
+        )
+    }
+
+    proptest! {
+        // The armed-system setup dominates a case; debug builds (overflow
+        // checks on) keep enough cases to cross every strategy while release
+        // sweeps more seeds.
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 3 } else { 10 }
+        ))]
+
+        // Replaying a compiled trace must be call-for-call identical to the
+        // interpreter on a twin system (booted and armed identically; the
+        // whole stack is deterministic in the seed): same per-round outcomes
+        // (cycles, DRAM-served flags) and the same final cache/TLB/DRAM
+        // counters, for every strategy's op vocabulary rearranged into
+        // randomized schedules.
+        #[test]
+        fn compiled_replay_matches_the_interpreter(
+            mode in prop::sample::select(HammerMode::all()),
+            seed in 0u64..6,
+            schedules in prop::collection::vec(
+                prop::collection::vec(any::<usize>(), 1..24),
+                1..4,
+            ),
+            rounds in 1u64..4,
+        ) {
+            let (mut interpreted, pid_i, armed_i) = armed_system(mode, seed);
+            let (mut compiled, pid_c, armed_c) = armed_system(mode, seed);
+            prop_assert_eq!(pid_i, pid_c);
+            prop_assert_eq!(counters(&interpreted), counters(&compiled));
+
+            let strategy = mode.strategy();
+            let vocabulary = strategy.round_ops();
+            // The strategy's own schedule first, then randomized
+            // rearrangements (with repetition) of its op vocabulary — every
+            // op stays valid for the armed state while order and intensity
+            // vary freely.
+            let mut runs: Vec<Vec<RoundOp>> = vec![vocabulary.to_vec()];
+            runs.extend(schedules.iter().map(|indices| {
+                indices.iter().map(|&i| vocabulary[i % vocabulary.len()]).collect()
+            }));
+
+            for ops in &runs {
+                let trace = CompiledTrace::compile(&armed_c, ops, &compiled)
+                    .expect("compile");
+                prop_assert_eq!(trace.len(), ops.len());
+                prop_assert!(!trace.is_stale(&compiled));
+                for _ in 0..rounds {
+                    let reference = armed_i
+                        .hammer_round(&mut interpreted, pid_i, ops)
+                        .expect("interpret");
+                    let replayed = trace.replay(&mut compiled, pid_c).expect("replay");
+                    prop_assert_eq!(replayed, reference);
+                }
+                prop_assert_eq!(counters(&interpreted), counters(&compiled));
+            }
+        }
     }
 }

@@ -269,7 +269,7 @@ mod tests {
     use super::*;
     use pthammer::pairs::{candidate_pairs, conflict_threshold};
     use pthammer::pipeline::prepare_attack;
-    use pthammer::Target;
+    use pthammer::{CompiledTrace, Target};
     use pthammer_cache::{CacheHierarchyConfig, LlcConfig, ReplacementPolicy};
     use pthammer_dram::FlipModelProfile;
     use pthammer_machine::MachineConfig;
@@ -364,8 +364,9 @@ mod tests {
             }
         }
         let armed = armed.expect("an armable 4-sided candidate");
-        let round = armed
-            .hammer_round(&mut sys, pid, strategy.round_ops())
+        let round = CompiledTrace::compile(&armed, strategy.round_ops(), &sys)
+            .unwrap()
+            .replay(&mut sys, pid)
             .unwrap();
         assert_eq!(
             round.aggressor_dram_hits, 4,

@@ -5,11 +5,10 @@
 //! Run with: `cargo run --release --example explicit_vs_implicit`
 
 use pthammer::{
-    eviction::{LlcEvictionPool, TlbEvictionPool},
     hammer::{ExplicitHammer, ExplicitHammerConfig, ExplicitMode},
-    pairs::candidate_pairs,
-    spray::spray_page_tables,
-    AttackConfig, ImplicitHammer, PtHammer,
+    pairs::{candidate_pairs, conflict_threshold},
+    pipeline::prepare_attack,
+    AttackConfig, CompiledTrace, HammerMode,
 };
 use pthammer_defenses::{AnvilDetector, AnvilMode};
 use pthammer_dram::FlipModelProfile;
@@ -47,22 +46,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = AttackConfig {
         spray_bytes: 1 << 30,
         eviction_buffer_factor: 1.25,
+        llc_profile_trials: 6,
         ..AttackConfig::quick_test(5, false)
     };
-    let tlb_pages = PtHammer::tlb_eviction_pages(&sys);
-    let llc_lines = PtHammer::llc_eviction_lines(&sys);
-    let tlb_pool = TlbEvictionPool::build(&mut sys, pid, &config, tlb_pages)?;
-    let llc_pool = LlcEvictionPool::build(&mut sys, pid, &config, llc_lines)?;
-    let spray = spray_page_tables(&mut sys, pid, &config)?;
+    let prepared = prepare_attack(&mut sys, pid, &config)?;
     let row_span = sys.machine().config().dram.geometry.row_span_bytes();
     let mut rng = StdRng::seed_from_u64(5);
-    let pair = candidate_pairs(&spray, row_span, 1, &mut rng)[0];
-    let implicit = ImplicitHammer::prepare(&mut sys, pid, pair, &tlb_pool, &llc_pool, 6)?;
-    let start_dram = sys.machine().dram_stats().accesses;
+    let pair = candidate_pairs(&prepared.spray, row_span, 1, &mut rng)[0];
+    // Single-sided arming: eviction sets for both targets, no same-bank gate.
+    let strategy = HammerMode::ImplicitSingleSided.strategy();
+    let threshold = conflict_threshold(&sys);
+    let armed = strategy
+        .arm(&mut sys, pid, pair, &prepared, &config, threshold)?
+        .armed
+        .expect("single-sided arming accepts every pair");
+    let ops = strategy.round_ops();
+    let mut trace = CompiledTrace::compile(&armed, ops, &sys)?;
     let start = sys.rdtsc();
-    let stats = implicit.hammer(&mut sys, pid, 2_000)?;
+    let stats = trace.hammer(&armed, ops, &mut sys, pid, 2_000, |_| {})?;
     let implicit_window = sys.rdtsc() - start;
-    let total_dram = sys.machine().dram_stats().accesses - start_dram;
     let implicit_blows = stats.low_dram_hits + stats.high_dram_hits;
     println!(
         "implicit PThammer: {} rounds, avg {:.0} cycles/round, {} implicit kernel-row activations",
@@ -95,6 +97,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .observe_window(implicit_window, 0, implicit_blows)
             .detected
     );
-    let _ = total_dram;
     Ok(())
 }

@@ -10,9 +10,9 @@
 
 use pthammer::{
     detect::scan_for_corrupted_mappings,
-    pairs::{candidate_pairs, conflict_threshold, verify_same_bank},
+    pairs::{candidate_pairs, conflict_threshold},
     victim::{ExploitCtx, PteTakeover},
-    AttackConfig, ImplicitHammer, PtHammer, Victim,
+    AttackConfig, CompiledTrace, HammerMode, PtHammer, Victim,
 };
 use pthammer_dram::FlipModelProfile;
 use pthammer_kernel::System;
@@ -59,37 +59,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         flip_profile.targets.len()
     );
 
+    // The paper's strategy: eviction sets for both targets, then the
+    // row-buffer-conflict timing gate.
+    let strategy = HammerMode::ImplicitDoubleSided.strategy();
+    let ops = strategy.round_ops();
     let mut rounds_hammered = 0;
     for attempt in 1..=config.max_attempts {
         let pair = candidate_pairs(&prepared.spray, row_span, 1, &mut rng)[0];
-        let hammer = ImplicitHammer::prepare(
-            &mut sys,
-            pid,
-            pair,
-            &prepared.tlb_pool,
-            &prepared.llc_pool,
-            config.llc_profile_trials,
-        )?;
-        let verification = verify_same_bank(
-            &mut sys,
-            pid,
-            pair,
-            &hammer.tlb_low,
-            &hammer.tlb_high,
-            &hammer.llc_low,
-            &hammer.llc_high,
-            threshold,
-            5,
-        )?;
-        if !verification.same_bank {
+        let arm = strategy.arm(&mut sys, pid, pair, &prepared, &config, threshold)?;
+        let Some(armed) = arm.armed else {
             println!(
                 "[{attempt:02}] pair {:#x}/{:#x}: not same-bank, skipping",
                 pair.low.as_u64(),
                 pair.high.as_u64()
             );
             continue;
-        }
-        let stats = hammer.hammer(&mut sys, pid, config.hammer_rounds_per_attempt)?;
+        };
+        let mut trace = CompiledTrace::compile(&armed, ops, &sys)?;
+        let rounds = config.hammer_rounds_per_attempt;
+        let stats = trace.hammer(&armed, ops, &mut sys, pid, rounds, |_| {})?;
         rounds_hammered += stats.rounds;
         println!(
             "[{attempt:02}] hammered {} rounds, avg {:.0} cycles/round, {:.0}% implicit DRAM hits",
