@@ -1,20 +1,16 @@
 //! A single set-associative cache structure.
 //!
-//! The tag store is a single contiguous array indexed by `(set, way)`, with
-//! each way's tag and replacement-metadata word merged into one 16-byte
-//! [`CacheSlot`] so a set probe walks exactly one run of adjacent slots —
-//! this is the hottest data structure of the whole simulator (every simulated
-//! memory access probes three cache levels).
+//! The tags and replacement metadata live in a [`SetStore`], whose
+//! set-operation kernel runs every per-way loop — this is the hottest data
+//! structure of the whole simulator (every simulated memory access probes
+//! three cache levels).
 
 use serde::{Deserialize, Serialize};
 
 use pthammer_types::PhysAddr;
 
-use crate::replacement::{ReplacementPolicy, ReplacementState, WaySlot};
-
-/// Tag value of an empty way. Physical addresses are bounded by the DRAM
-/// capacity, so no real cache line ever produces this tag.
-const INVALID_TAG: u64 = u64::MAX;
+use crate::kernel::{Probe, SetStore, EMPTY_TAG};
+use crate::replacement::ReplacementPolicy;
 
 /// Result of an access to one cache structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,38 +19,6 @@ pub struct CacheAccess {
     pub hit: bool,
     /// The set that was probed.
     pub set: u32,
-}
-
-/// One way of one set: the line tag and its replacement-metadata word,
-/// adjacent in memory so a set scan touches the minimum number of host cache
-/// lines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct CacheSlot {
-    tag: u64,
-    meta: u64,
-}
-
-impl CacheSlot {
-    const EMPTY: CacheSlot = CacheSlot {
-        tag: INVALID_TAG,
-        meta: 0,
-    };
-
-    #[inline]
-    fn is_valid(&self) -> bool {
-        self.tag != INVALID_TAG
-    }
-}
-
-impl WaySlot for CacheSlot {
-    #[inline]
-    fn meta(&self) -> u64 {
-        self.meta
-    }
-    #[inline]
-    fn set_meta(&mut self, value: u64) {
-        self.meta = value;
-    }
 }
 
 /// A physically-indexed set-associative cache (or one LLC slice).
@@ -78,14 +42,10 @@ impl WaySlot for CacheSlot {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SetAssociativeCache {
     sets: u32,
-    ways: u32,
     /// `sets - 1`; set selection is a mask because `sets` is a power of two.
     set_mask: u64,
-    policy: ReplacementPolicy,
-    /// `sets * ways` slots, way-major within each set.
-    slots: Vec<CacheSlot>,
-    /// Per-set replacement scalars (tick / clock hand / PRNG).
-    states: Vec<ReplacementState>,
+    /// Line tags (cache-line indices) and replacement state.
+    store: SetStore,
 }
 
 impl SetAssociativeCache {
@@ -93,24 +53,17 @@ impl SetAssociativeCache {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` is not a power of two or `ways` is zero.
+    /// Panics if `sets` is not a power of two, or `ways` is zero or above
+    /// [`MAX_WAYS`](crate::MAX_WAYS).
     pub fn new(sets: u32, ways: u32, replacement: ReplacementPolicy, seed: u64) -> Self {
         assert!(
             sets.is_power_of_two() && sets > 0,
             "sets must be a power of two"
         );
-        assert!(ways > 0, "ways must be non-zero");
-        let slots = vec![CacheSlot::EMPTY; sets as usize * ways as usize];
-        let states = (0..sets)
-            .map(|s| ReplacementState::new(seed ^ (u64::from(s) << 17) | 1))
-            .collect();
         Self {
             sets,
-            ways,
             set_mask: u64::from(sets) - 1,
-            policy: replacement,
-            slots,
-            states,
+            store: SetStore::new(sets, ways, replacement, |s| seed ^ (u64::from(s) << 17) | 1),
         }
     }
 
@@ -121,7 +74,7 @@ impl SetAssociativeCache {
 
     /// Associativity.
     pub fn ways(&self) -> u32 {
-        self.ways
+        self.store.ways()
     }
 
     /// Set index of a physical address.
@@ -135,62 +88,35 @@ impl SetAssociativeCache {
         paddr.cache_line_index()
     }
 
-    /// The slots of one set as a contiguous slice.
-    #[inline]
-    fn set_slots(&self, set: usize) -> &[CacheSlot] {
-        let ways = self.ways as usize;
-        &self.slots[set * ways..set * ways + ways]
-    }
-
     /// Probes for the line without updating replacement state.
     #[inline]
     pub fn contains(&self, paddr: PhysAddr) -> bool {
         let set = self.set_index(paddr) as usize;
-        let tag = Self::line_tag(paddr);
-        self.set_slots(set).iter().any(|slot| slot.tag == tag)
+        self.store.find(set, Self::line_tag(paddr)).is_some()
     }
 
     /// Looks up the line, updating replacement state on a hit.
     #[inline(always)]
     pub fn access(&mut self, paddr: PhysAddr) -> CacheAccess {
         let set = self.set_index(paddr);
-        let tag = Self::line_tag(paddr);
-        let set_idx = set as usize;
-        let ways = self.ways as usize;
-        let base = set_idx * ways;
-        let slots = &mut self.slots[base..base + ways];
-        if let Some(way) = slots.iter().position(|slot| slot.tag == tag) {
-            self.policy.on_hit(slots, &mut self.states[set_idx], way);
-            CacheAccess { hit: true, set }
-        } else {
-            CacheAccess { hit: false, set }
-        }
+        let hit = self
+            .store
+            .lookup(set as usize, Self::line_tag(paddr))
+            .is_some();
+        CacheAccess { hit, set }
     }
 
     /// Looks up the line like [`SetAssociativeCache::access`]; on a miss,
     /// additionally reports the first empty way of the probed set (if any),
     /// so a subsequent [`SetAssociativeCache::fill_absent_at`] of the same
-    /// line can skip re-scanning the set. The extra information falls out of
-    /// the probe scan for free.
+    /// line can skip re-scanning the set.
     #[inline(always)]
     pub fn access_noting_empty(&mut self, paddr: PhysAddr) -> (CacheAccess, Option<u32>) {
         let set = self.set_index(paddr);
-        let tag = Self::line_tag(paddr);
-        let set_idx = set as usize;
-        let ways = self.ways as usize;
-        let base = set_idx * ways;
-        let slots = &mut self.slots[base..base + ways];
-        let mut empty = None;
-        for (way, slot) in slots.iter().enumerate() {
-            if slot.tag == tag {
-                self.policy.on_hit(slots, &mut self.states[set_idx], way);
-                return (CacheAccess { hit: true, set }, None);
-            }
-            if empty.is_none() && !slot.is_valid() {
-                empty = Some(way as u32);
-            }
+        match self.store.probe(set as usize, Self::line_tag(paddr)) {
+            Probe::Hit(_) => (CacheAccess { hit: true, set }, None),
+            Probe::Miss(empty) => (CacheAccess { hit: false, set }, empty),
         }
-        (CacheAccess { hit: false, set }, empty)
     }
 
     /// Inserts the line, returning the physical line address it displaced (if
@@ -198,12 +124,7 @@ impl SetAssociativeCache {
     /// state.
     pub fn fill(&mut self, paddr: PhysAddr) -> Option<PhysAddr> {
         let set = self.set_index(paddr) as usize;
-        let tag = Self::line_tag(paddr);
-        let ways = self.ways as usize;
-        let base = set * ways;
-        let slots = &mut self.slots[base..base + ways];
-        if let Some(way) = slots.iter().position(|slot| slot.tag == tag) {
-            self.policy.on_hit(slots, &mut self.states[set], way);
+        if self.store.lookup(set, Self::line_tag(paddr)).is_some() {
             return None;
         }
         self.fill_absent(paddr)
@@ -217,12 +138,7 @@ impl SetAssociativeCache {
     /// debug builds assert against that.
     #[inline]
     pub fn fill_absent(&mut self, paddr: PhysAddr) -> Option<PhysAddr> {
-        let set = self.set_index(paddr) as usize;
-        let ways = self.ways as usize;
-        let empty = self.slots[set * ways..set * ways + ways]
-            .iter()
-            .position(|slot| !slot.is_valid())
-            .map(|w| w as u32);
+        let empty = self.store.first_empty(self.set_index(paddr) as usize);
         self.fill_absent_at(paddr, empty)
     }
 
@@ -232,63 +148,34 @@ impl SetAssociativeCache {
     /// been touched in between.
     #[inline(always)]
     pub fn fill_absent_at(&mut self, paddr: PhysAddr, empty_way: Option<u32>) -> Option<PhysAddr> {
-        debug_assert!(!self.contains(paddr), "fill_absent on a present line");
-        debug_assert_ne!(Self::line_tag(paddr), INVALID_TAG, "unrepresentable tag");
+        debug_assert_ne!(Self::line_tag(paddr), EMPTY_TAG, "unrepresentable tag");
         let set = self.set_index(paddr) as usize;
-        let tag = Self::line_tag(paddr);
-        let ways = self.ways as usize;
-        let base = set * ways;
-        let slots = &mut self.slots[base..base + ways];
-        let state = &mut self.states[set];
-        if let Some(way) = empty_way {
-            let way = way as usize;
-            debug_assert!(!slots[way].is_valid(), "hinted way is occupied");
-            slots[way].tag = tag;
-            self.policy.on_fill(slots, state, way);
-            return None;
-        }
-        let victim_way = self.policy.choose_victim(slots, state);
-        let victim_tag = slots[victim_way].tag;
-        slots[victim_way].tag = tag;
-        self.policy.on_fill(slots, state, victim_way);
-        Some(PhysAddr::new(victim_tag * 64))
+        let (_, displaced) = self.store.place(set, Self::line_tag(paddr), empty_way);
+        displaced.map(|tag| PhysAddr::new(tag * 64))
     }
 
     /// Invalidates the line if present; returns whether it was present.
     pub fn invalidate(&mut self, paddr: PhysAddr) -> bool {
         let set = self.set_index(paddr) as usize;
-        let tag = Self::line_tag(paddr);
-        let ways = self.ways as usize;
-        let base = set * ways;
-        let slots = &mut self.slots[base..base + ways];
-        if let Some(way) = slots.iter().position(|slot| slot.tag == tag) {
-            slots[way].tag = INVALID_TAG;
-            self.policy.on_invalidate(slots, way);
-            true
-        } else {
-            false
-        }
+        self.store.remove(set, Self::line_tag(paddr)).is_some()
     }
 
     /// Invalidates every line (e.g. `wbinvd`).
     pub fn invalidate_all(&mut self) {
-        for slot in &mut self.slots {
-            slot.tag = INVALID_TAG;
-        }
+        self.store.clear();
     }
 
     /// Number of valid lines currently held in the given set.
     pub fn occupancy(&self, set: u32) -> usize {
-        self.set_slots(set as usize)
-            .iter()
-            .filter(|s| s.is_valid())
-            .count()
+        self.store.occupancy(set as usize)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replacement::{reference, ReplacementState};
+    use proptest::prelude::*;
 
     fn addr_in_set(cache: &SetAssociativeCache, set: u32, n: u64) -> PhysAddr {
         // Distinct lines that map to the same set: step by sets*64.
@@ -404,5 +291,215 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_sets_rejected() {
         let _ = SetAssociativeCache::new(12, 4, ReplacementPolicy::Lru, 1);
+    }
+
+    /// The per-way-loop cache the kernel replaced (merged tag + metadata
+    /// slots, `position` scans), kept as the oracle of
+    /// `kernel_cache_matches_the_reference_loops`.
+    struct RefCache {
+        set_mask: u64,
+        ways: usize,
+        policy: ReplacementPolicy,
+        /// `(tag, meta)` per way, way-major within each set.
+        slots: Vec<(u64, u64)>,
+        states: Vec<ReplacementState>,
+    }
+
+    impl RefCache {
+        fn new(sets: u32, ways: u32, policy: ReplacementPolicy, seed: u64) -> Self {
+            Self {
+                set_mask: u64::from(sets) - 1,
+                ways: ways as usize,
+                policy,
+                slots: vec![(EMPTY_TAG, 0); sets as usize * ways as usize],
+                states: (0..sets)
+                    .map(|s| ReplacementState::new(seed ^ (u64::from(s) << 17) | 1))
+                    .collect(),
+            }
+        }
+
+        fn set_of(&self, paddr: PhysAddr) -> usize {
+            (paddr.cache_line_index() & self.set_mask) as usize
+        }
+
+        /// The set's tags and metadata words, split apart.
+        fn set(&self, set: usize) -> (Vec<u64>, Vec<u64>) {
+            self.slots[set * self.ways..(set + 1) * self.ways]
+                .iter()
+                .copied()
+                .unzip()
+        }
+
+        /// Runs `f` over the set's metadata words, then writes them back.
+        fn with_meta<R>(
+            &mut self,
+            set: usize,
+            f: impl FnOnce(&mut [u64], &mut ReplacementState) -> R,
+        ) -> R {
+            let (_, mut meta) = self.set(set);
+            let result = f(&mut meta, &mut self.states[set]);
+            for (slot, m) in self.slots[set * self.ways..].iter_mut().zip(meta) {
+                slot.1 = m;
+            }
+            result
+        }
+
+        fn position(&self, set: usize, tag: u64) -> Option<usize> {
+            self.slots[set * self.ways..(set + 1) * self.ways]
+                .iter()
+                .position(|slot| slot.0 == tag)
+        }
+
+        fn contains(&self, paddr: PhysAddr) -> bool {
+            self.position(self.set_of(paddr), paddr.cache_line_index())
+                .is_some()
+        }
+
+        fn access_noting_empty(&mut self, paddr: PhysAddr) -> (bool, Option<u32>) {
+            let set = self.set_of(paddr);
+            let tag = paddr.cache_line_index();
+            let mut empty = None;
+            for way in 0..self.ways {
+                let slot_tag = self.slots[set * self.ways + way].0;
+                if slot_tag == tag {
+                    let policy = self.policy;
+                    self.with_meta(set, |m, st| reference::on_hit(policy, m, st, way));
+                    return (true, None);
+                }
+                if empty.is_none() && slot_tag == EMPTY_TAG {
+                    empty = Some(way as u32);
+                }
+            }
+            (false, empty)
+        }
+
+        fn fill(&mut self, paddr: PhysAddr) -> Option<PhysAddr> {
+            let set = self.set_of(paddr);
+            if let Some(way) = self.position(set, paddr.cache_line_index()) {
+                let policy = self.policy;
+                self.with_meta(set, |m, st| reference::on_hit(policy, m, st, way));
+                return None;
+            }
+            self.fill_absent(paddr)
+        }
+
+        fn fill_absent(&mut self, paddr: PhysAddr) -> Option<PhysAddr> {
+            let set = self.set_of(paddr);
+            let empty = self.position(set, EMPTY_TAG).map(|w| w as u32);
+            self.fill_absent_at(paddr, empty)
+        }
+
+        fn fill_absent_at(&mut self, paddr: PhysAddr, empty: Option<u32>) -> Option<PhysAddr> {
+            let set = self.set_of(paddr);
+            let policy = self.policy;
+            let (way, displaced) = match empty {
+                Some(way) => (way as usize, None),
+                None => {
+                    let way = self.with_meta(set, |m, st| reference::choose_victim(policy, m, st));
+                    (
+                        way,
+                        Some(PhysAddr::new(self.slots[set * self.ways + way].0 * 64)),
+                    )
+                }
+            };
+            self.slots[set * self.ways + way].0 = paddr.cache_line_index();
+            self.with_meta(set, |m, st| reference::on_fill(policy, m, st, way));
+            displaced
+        }
+
+        fn invalidate(&mut self, paddr: PhysAddr) -> bool {
+            let set = self.set_of(paddr);
+            match self.position(set, paddr.cache_line_index()) {
+                Some(way) => {
+                    self.slots[set * self.ways + way] = (EMPTY_TAG, 0);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn invalidate_all(&mut self) {
+            for slot in &mut self.slots {
+                slot.0 = EMPTY_TAG;
+            }
+        }
+
+        fn occupancy(&self, set: usize) -> usize {
+            self.set(set).0.iter().filter(|&&t| t != EMPTY_TAG).count()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        // Twin caches — the kernel and the reference loops — driven by one
+        // random stream of access / probe+fill / fill / fill_absent /
+        // invalidate / invalidate_all report the same hits, empty ways and
+        // displaced lines, and hold the same tags, metadata words and
+        // per-set scalars after every step.
+        #[test]
+        fn kernel_cache_matches_the_reference_loops(
+            ways in prop::sample::select(reference::WAYS.to_vec()),
+            policy in prop::sample::select(reference::POLICIES.to_vec()),
+            seed in any::<u64>(),
+            ops in prop::collection::vec(any::<u64>(), 1..400),
+        ) {
+            const SETS: u32 = 4;
+            let mut cache = SetAssociativeCache::new(SETS, ways, policy, seed);
+            let mut twin = RefCache::new(SETS, ways, policy, seed);
+            // Enough distinct lines per set to overflow the widest set.
+            let lines = u64::from(SETS) * (u64::from(ways) * 2 + 1);
+            for (step, &op) in ops.iter().enumerate() {
+                let paddr = PhysAddr::new((op >> 8) % lines * 64);
+                match op & 7 {
+                    0 => {
+                        let got = cache.access(paddr);
+                        let (hit, _) = twin.access_noting_empty(paddr);
+                        prop_assert_eq!(
+                            (step, got.hit, got.set as usize),
+                            (step, hit, twin.set_of(paddr))
+                        );
+                    }
+                    1 | 2 => {
+                        // The memory subsystem's miss path: probe, then fill
+                        // at the probe's empty-way hint.
+                        let (got, empty) = cache.access_noting_empty(paddr);
+                        let want = twin.access_noting_empty(paddr);
+                        prop_assert_eq!((step, got.hit, empty), (step, want.0, want.1));
+                        if !got.hit {
+                            prop_assert_eq!(
+                                (step, cache.fill_absent_at(paddr, empty)),
+                                (step, twin.fill_absent_at(paddr, empty))
+                            );
+                        }
+                    }
+                    3 => prop_assert_eq!((step, cache.fill(paddr)), (step, twin.fill(paddr))),
+                    4 if !twin.contains(paddr) => prop_assert_eq!(
+                        (step, cache.fill_absent(paddr)),
+                        (step, twin.fill_absent(paddr))
+                    ),
+                    5 => prop_assert_eq!(
+                        (step, cache.invalidate(paddr)),
+                        (step, twin.invalidate(paddr))
+                    ),
+                    6 if (op >> 3) % 16 == 0 => {
+                        cache.invalidate_all();
+                        twin.invalidate_all();
+                    }
+                    _ => prop_assert_eq!(
+                        (step, cache.contains(paddr)),
+                        (step, twin.contains(paddr))
+                    ),
+                }
+                for set in 0..SETS as usize {
+                    let (tags, meta, state) = cache.store.set_state(set);
+                    let (want_tags, want_meta) = twin.set(set);
+                    prop_assert_eq!((step, tags), (step, &want_tags[..]));
+                    prop_assert_eq!((step, meta), (step, &want_meta[..]));
+                    prop_assert_eq!((step, state), (step, &twin.states[set]));
+                    prop_assert_eq!(cache.occupancy(set as u32), twin.occupancy(set));
+                }
+            }
+        }
     }
 }

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::kernel::MAX_WAYS;
 use crate::replacement::ReplacementPolicy;
 
 /// Configuration of a single cache level (L1D or L2).
@@ -57,6 +58,12 @@ impl CacheLevelConfig {
         }
         if self.ways == 0 {
             return Err("cache associativity must be non-zero".to_string());
+        }
+        if self.ways > MAX_WAYS {
+            return Err(format!(
+                "cache associativity must be at most {MAX_WAYS}, got {}",
+                self.ways
+            ));
         }
         Ok(())
     }
@@ -138,6 +145,12 @@ impl LlcConfig {
         }
         if self.ways == 0 {
             return Err("LLC associativity must be non-zero".to_string());
+        }
+        if self.ways > MAX_WAYS {
+            return Err(format!(
+                "LLC associativity must be at most {MAX_WAYS}, got {}",
+                self.ways
+            ));
         }
         Ok(())
     }
@@ -244,6 +257,26 @@ mod tests {
         let mut cfg = CacheHierarchyConfig::test_small(1);
         cfg.l2.ways = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn cache_level_rejects_associativity_above_the_kernel_width() {
+        let mut level = CacheLevelConfig::l2_256kib();
+        level.ways = MAX_WAYS;
+        assert!(level.validate().is_ok());
+        level.ways = MAX_WAYS + 1;
+        let err = level.validate().unwrap_err();
+        assert!(err.contains("at most 32"), "{err}");
+    }
+
+    #[test]
+    fn llc_rejects_associativity_above_the_kernel_width() {
+        let mut llc = LlcConfig::dell_4mib_16way();
+        llc.ways = MAX_WAYS;
+        assert!(llc.validate().is_ok());
+        llc.ways = MAX_WAYS + 1;
+        let err = llc.validate().unwrap_err();
+        assert!(err.contains("at most 32"), "{err}");
     }
 
     #[test]

@@ -171,7 +171,7 @@ impl CacheHierarchy {
     /// The plan is only valid while the hierarchy is untouched in between —
     /// the memory subsystem's miss path (probe → DRAM → fill) guarantees
     /// that.
-    #[inline]
+    #[inline(always)]
     pub fn access_planning_fill(&mut self, paddr: PhysAddr) -> (HierarchyAccess, FillPlan) {
         let mut plan = FillPlan::default();
         let mut latency = u64::from(self.config.l1d.latency);

@@ -1,0 +1,421 @@
+//! The set-operation kernel: every per-way loop of the cache and TLB models.
+//!
+//! A set-associative structure keeps its ways in a [`SetStore`]: parallel
+//! arrays of tags and replacement-metadata words, `ways` consecutive entries
+//! per set, plus one [`ReplacementState`] per set. Every operation that looks
+//! at more than one way of a set — the tag probe, the first-empty-way scan,
+//! the victim choice and the SRRIP/NRU metadata sweeps — is written once
+//! here, generic over the set's [`Width`], and monomorphised per
+//! associativity. For the widths the machine presets use (4, 8, 12 and 16)
+//! the way count is a compile-time constant, so a probe compiles to an
+//! unrolled, branch-free compare mask plus `trailing_zeros`; every other
+//! width runs the same body with a run-time count. [`Assoc`] picks the
+//! instance once, when a structure is built.
+
+use core::ops::Range;
+
+use serde::{Deserialize, Serialize};
+
+use crate::replacement::{ReplacementPolicy, ReplacementState};
+
+/// The widest associativity the kernel supports: a set's way masks are `u32`.
+pub const MAX_WAYS: u32 = u32::BITS;
+
+/// Tag of an empty way. Tags are cache-line or page numbers, which never
+/// reach this value.
+pub const EMPTY_TAG: u64 = u64::MAX;
+
+/// The way count of a set: a compile-time constant ([`Fixed`]) or a
+/// run-time value ([`Dynamic`]). Kernel bodies are written once against this
+/// trait.
+pub(crate) trait Width: Copy {
+    /// Number of ways, `1..=MAX_WAYS`.
+    fn ways(self) -> usize;
+
+    /// Mask with one bit per way.
+    #[inline(always)]
+    fn full(self) -> u32 {
+        u32::MAX >> (MAX_WAYS as usize - self.ways())
+    }
+
+    /// Index range of `set`'s block in a [`SetStore`]: its tags, then its
+    /// metadata words.
+    #[inline(always)]
+    fn block(self, set: usize) -> Range<usize> {
+        let len = 2 * self.ways();
+        set * len..(set + 1) * len
+    }
+}
+
+/// A way count known at compile time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fixed<const W: usize>;
+
+impl<const W: usize> Width for Fixed<W> {
+    #[inline(always)]
+    fn ways(self) -> usize {
+        W
+    }
+}
+
+/// A way count known only at run time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Dynamic(pub(crate) usize);
+
+impl Width for Dynamic {
+    #[inline(always)]
+    fn ways(self) -> usize {
+        self.0
+    }
+}
+
+/// The associativity of a structure, as the kernel instance that serves it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Assoc {
+    /// 4 ways, unrolled (the TLBs and the small L1).
+    W4,
+    /// 8 ways, unrolled (L1D, L2 and the CI-scale LLC).
+    W8,
+    /// 12 ways, unrolled (the Lenovo 3 MiB LLC).
+    W12,
+    /// 16 ways, unrolled (the Dell 4 MiB LLC).
+    W16,
+    /// Any other width: the same kernel bodies with a run-time way count.
+    Dynamic(u32),
+}
+
+impl Assoc {
+    /// The instance for `ways` ways: unrolled where one exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` is zero or above [`MAX_WAYS`].
+    pub fn new(ways: u32) -> Self {
+        match ways {
+            4 => Assoc::W4,
+            8 => Assoc::W8,
+            12 => Assoc::W12,
+            16 => Assoc::W16,
+            _ => Assoc::dynamic(ways),
+        }
+    }
+
+    /// The run-time-width instance for `ways` ways, whatever the width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` is zero or above [`MAX_WAYS`].
+    pub fn dynamic(ways: u32) -> Self {
+        assert!(
+            (1..=MAX_WAYS).contains(&ways),
+            "associativity must be 1..={MAX_WAYS}, got {ways}"
+        );
+        Assoc::Dynamic(ways)
+    }
+
+    /// Number of ways.
+    pub fn ways(self) -> u32 {
+        match self {
+            Assoc::W4 => 4,
+            Assoc::W8 => 8,
+            Assoc::W12 => 12,
+            Assoc::W16 => 16,
+            Assoc::Dynamic(ways) => ways,
+        }
+    }
+}
+
+/// Runs `$body` with `$w` bound to the [`Width`] instance of `$assoc`.
+macro_rules! with_width {
+    ($assoc:expr, |$w:ident| $body:expr) => {
+        match $assoc {
+            $crate::kernel::Assoc::W4 => {
+                let $w = $crate::kernel::Fixed::<4>;
+                $body
+            }
+            $crate::kernel::Assoc::W8 => {
+                let $w = $crate::kernel::Fixed::<8>;
+                $body
+            }
+            $crate::kernel::Assoc::W12 => {
+                let $w = $crate::kernel::Fixed::<12>;
+                $body
+            }
+            $crate::kernel::Assoc::W16 => {
+                let $w = $crate::kernel::Fixed::<16>;
+                $body
+            }
+            $crate::kernel::Assoc::Dynamic(ways) => {
+                let $w = $crate::kernel::Dynamic(ways as usize);
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_width;
+
+/// Bit `i` is set iff `words[i] == value`, over the set's ways.
+#[inline(always)]
+pub(crate) fn eq_mask(w: impl Width, words: &[u64], value: u64) -> u32 {
+    words[..w.ways()]
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (i, &word)| mask | (u32::from(word == value) << i))
+}
+
+/// The lowest set bit of `mask`, if any.
+#[inline(always)]
+fn lowest(mask: u32) -> Option<u32> {
+    (mask != 0).then(|| mask.trailing_zeros())
+}
+
+/// The first way holding the smallest word.
+#[inline(always)]
+pub(crate) fn first_min(w: impl Width, words: &[u64]) -> usize {
+    let words = &words[..w.ways()];
+    let (mut best, mut at) = (words[0], 0);
+    for (i, &word) in words.iter().enumerate().skip(1) {
+        let less = word < best;
+        best = if less { word } else { best };
+        at = if less { i } else { at };
+    }
+    at
+}
+
+/// The first way holding the largest word, and that word.
+#[inline(always)]
+pub(crate) fn first_max(w: impl Width, words: &[u64]) -> (usize, u64) {
+    let words = &words[..w.ways()];
+    let (mut best, mut at) = (words[0], 0);
+    for (i, &word) in words.iter().enumerate().skip(1) {
+        let greater = word > best;
+        best = if greater { word } else { best };
+        at = if greater { i } else { at };
+    }
+    (at, best)
+}
+
+/// Sets every way's word to `value`.
+#[inline(always)]
+pub(crate) fn fill_all(w: impl Width, words: &mut [u64], value: u64) {
+    words[..w.ways()].fill(value);
+}
+
+/// Adds `delta` to every way's word.
+#[inline(always)]
+pub(crate) fn add_all(w: impl Width, words: &mut [u64], delta: u64) {
+    for word in &mut words[..w.ways()] {
+        *word += delta;
+    }
+}
+
+/// Outcome of [`SetStore::probe`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Probe {
+    /// The tag is held in this way (its hit has been recorded).
+    Hit(u32),
+    /// The tag is absent; the set's first empty way, if any.
+    Miss(Option<u32>),
+}
+
+/// The tag and replacement store of one set-associative structure, and
+/// every operation over its ways.
+///
+/// `set` arguments must be below the set count the store was built with.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct SetStore {
+    assoc: Assoc,
+    policy: ReplacementPolicy,
+    /// One block per set: its `ways` tags ([`EMPTY_TAG`] marks an empty
+    /// way) followed by its `ways` replacement-metadata words, so a set's
+    /// probe, victim choice and update touch adjacent host cache lines.
+    blocks: Vec<u64>,
+    /// Per-set replacement scalars (tick / clock hand / PRNG).
+    states: Vec<ReplacementState>,
+}
+
+impl SetStore {
+    /// An empty store of `sets` sets of `ways` ways; set `s` seeds its
+    /// replacement PRNG with `set_seed(s)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` is zero or above [`MAX_WAYS`].
+    pub fn new(
+        sets: u32,
+        ways: u32,
+        policy: ReplacementPolicy,
+        set_seed: impl Fn(u32) -> u64,
+    ) -> Self {
+        let assoc = Assoc::new(ways);
+        let block = [vec![EMPTY_TAG; ways as usize], vec![0; ways as usize]].concat();
+        Self {
+            assoc,
+            policy,
+            blocks: block.repeat(sets as usize),
+            states: (0..sets)
+                .map(|s| ReplacementState::new(set_seed(s)))
+                .collect(),
+        }
+    }
+
+    /// Associativity.
+    pub fn ways(&self) -> u32 {
+        self.assoc.ways()
+    }
+
+    /// The way of `set` holding `tag`, without touching replacement state.
+    #[inline(always)]
+    pub fn find(&self, set: usize, tag: u64) -> Option<u32> {
+        with_width!(self.assoc, |w| lowest(eq_mask(
+            w,
+            &self.blocks[w.block(set)],
+            tag
+        )))
+    }
+
+    /// The way of `set` holding `tag`, recording a hit on it.
+    #[inline(always)]
+    pub fn lookup(&mut self, set: usize, tag: u64) -> Option<u32> {
+        with_width!(self.assoc, |w| {
+            let (tags, meta) = self.blocks[w.block(set)].split_at_mut(w.ways());
+            let way = lowest(eq_mask(w, tags, tag))?;
+            self.policy
+                .on_hit(&mut meta[way as usize], &mut self.states[set]);
+            Some(way)
+        })
+    }
+
+    /// Like [`SetStore::lookup`], but a miss also reports the set's first
+    /// empty way, so a following [`SetStore::place`] of the same tag needs
+    /// no second scan.
+    #[inline(always)]
+    pub(crate) fn probe(&mut self, set: usize, tag: u64) -> Probe {
+        with_width!(self.assoc, |w| {
+            let (tags, meta) = self.blocks[w.block(set)].split_at_mut(w.ways());
+            match lowest(eq_mask(w, tags, tag)) {
+                Some(way) => {
+                    self.policy
+                        .on_hit(&mut meta[way as usize], &mut self.states[set]);
+                    Probe::Hit(way)
+                }
+                None => Probe::Miss(lowest(eq_mask(w, tags, EMPTY_TAG))),
+            }
+        })
+    }
+
+    /// The first empty way of `set`, if any.
+    #[inline(always)]
+    pub fn first_empty(&self, set: usize) -> Option<u32> {
+        self.find(set, EMPTY_TAG)
+    }
+
+    /// Records a hit on `way` of `set`.
+    #[inline(always)]
+    pub fn touch(&mut self, set: usize, way: u32) {
+        with_width!(self.assoc, |w| {
+            let meta = w.block(set).start + w.ways() + way as usize;
+            self.policy
+                .on_hit(&mut self.blocks[meta], &mut self.states[set]);
+        })
+    }
+
+    /// Places `tag`, absent from `set`, into the set: into `empty` (the
+    /// set's first empty way, as a missed probe reported it, or
+    /// [`SetStore::first_empty`]) when given, else into the replacement
+    /// policy's victim. Returns the way written and, when a victim was
+    /// chosen, the tag it held.
+    #[inline(always)]
+    pub fn place(&mut self, set: usize, tag: u64, empty: Option<u32>) -> (u32, Option<u64>) {
+        debug_assert_ne!(tag, EMPTY_TAG, "unrepresentable tag");
+        debug_assert_eq!(self.find(set, tag), None, "placing a present tag");
+        with_width!(self.assoc, |w| {
+            let (tags, meta) = self.blocks[w.block(set)].split_at_mut(w.ways());
+            let state = &mut self.states[set];
+            let (way, displaced) = match empty {
+                Some(way) => {
+                    debug_assert_eq!(tags[way as usize], EMPTY_TAG, "hinted way is occupied");
+                    (way as usize, None)
+                }
+                None => {
+                    let way = self.policy.victim(w, meta, state);
+                    (way, Some(tags[way]))
+                }
+            };
+            tags[way] = tag;
+            self.policy.on_fill(&mut meta[way], state);
+            (way as u32, displaced)
+        })
+    }
+
+    /// Empties the way of `set` holding `tag`; returns that way.
+    #[inline]
+    pub fn remove(&mut self, set: usize, tag: u64) -> Option<u32> {
+        with_width!(self.assoc, |w| {
+            let (tags, meta) = self.blocks[w.block(set)].split_at_mut(w.ways());
+            let way = lowest(eq_mask(w, tags, tag))?;
+            tags[way as usize] = EMPTY_TAG;
+            self.policy.on_invalidate(&mut meta[way as usize]);
+            Some(way)
+        })
+    }
+
+    /// Empties every way. Replacement metadata is left as it was.
+    pub fn clear(&mut self) {
+        with_width!(self.assoc, |w| {
+            for block in self.blocks.chunks_exact_mut(2 * w.ways()) {
+                fill_all(w, block, EMPTY_TAG);
+            }
+        })
+    }
+
+    /// Number of occupied ways in `set`.
+    pub fn occupancy(&self, set: usize) -> usize {
+        with_width!(self.assoc, |w| {
+            let empty = eq_mask(w, &self.blocks[w.block(set)], EMPTY_TAG);
+            (!empty & w.full()).count_ones() as usize
+        })
+    }
+
+    /// The tags, metadata words and replacement scalars of `set`.
+    pub fn set_state(&self, set: usize) -> (&[u64], &[u64], &ReplacementState) {
+        let ways = self.assoc.ways() as usize;
+        let (tags, meta) = self.blocks[2 * ways * set..2 * ways * (set + 1)].split_at(ways);
+        (tags, meta, &self.states[set])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn presets_get_unrolled_instances() {
+        assert_eq!(Assoc::new(4), Assoc::W4);
+        assert_eq!(Assoc::new(8), Assoc::W8);
+        assert_eq!(Assoc::new(12), Assoc::W12);
+        assert_eq!(Assoc::new(16), Assoc::W16);
+        assert_eq!(Assoc::new(2), Assoc::Dynamic(2));
+        assert_eq!(Assoc::dynamic(8), Assoc::Dynamic(8));
+        for ways in 1..=MAX_WAYS {
+            assert_eq!(Assoc::new(ways).ways(), ways);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity must be")]
+    fn widths_above_the_mask_are_rejected() {
+        let _ = Assoc::new(MAX_WAYS + 1);
+    }
+
+    #[test]
+    fn masks_cover_the_full_width() {
+        let words: Vec<u64> = (0..32).map(|i| i % 3).collect();
+        let mask = eq_mask(Dynamic(32), &words, 0);
+        assert_eq!(mask.count_ones(), 11);
+        assert_eq!(Dynamic(32).full(), u32::MAX);
+        assert_eq!(Fixed::<12>.full(), 0xfff);
+        assert_eq!(first_min(Fixed::<4>, &[3, 1, 1, 2]), 1);
+        assert_eq!(first_max(Fixed::<4>, &[3, 1, 3, 2]), (0, 3));
+    }
+}

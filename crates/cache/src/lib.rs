@@ -29,6 +29,7 @@
 mod cache;
 mod config;
 mod hierarchy;
+mod kernel;
 mod pmc;
 mod replacement;
 mod slice;
@@ -36,6 +37,7 @@ mod slice;
 pub use cache::{CacheAccess, SetAssociativeCache};
 pub use config::{CacheHierarchyConfig, CacheLevelConfig, LlcConfig};
 pub use hierarchy::{CacheHierarchy, FillPlan, HierarchyAccess};
+pub use kernel::{Assoc, SetStore, EMPTY_TAG, MAX_WAYS};
 pub use pmc::CachePmc;
-pub use replacement::{ReplacementPolicy, ReplacementState, SetMeta, WaySlot};
+pub use replacement::{ReplacementPolicy, ReplacementState, SetMeta};
 pub use slice::SliceHasher;

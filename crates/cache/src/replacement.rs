@@ -7,13 +7,15 @@
 //! effects and is the default for the LLC; the other policies are provided for
 //! ablation studies.
 //!
-//! The policy logic operates on *flat* per-way metadata through the
-//! [`WaySlot`] trait so that cache and TLB structures can keep each way's tag
-//! and replacement word together in one contiguous, cache-line-friendly
-//! array (the hot-path layout) while [`SetMeta`] remains available as the
-//! boxed per-set wrapper the original API exposed.
+//! The policy logic operates on the flat per-way metadata words of a
+//! [`SetStore`](crate::SetStore); its per-way scans (victim choice, SRRIP
+//! aging, NRU clearing) run through the set-operation kernel, instantiated
+//! for the set's [`Assoc`]. [`SetMeta`] remains available as the boxed
+//! per-set wrapper the original API exposed.
 
 use serde::{Deserialize, Serialize};
+
+use crate::kernel::{self, with_width, Assoc, Width};
 
 /// Replacement policy of a set-associative structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -34,30 +36,6 @@ pub enum ReplacementPolicy {
 
 const SRRIP_MAX: u64 = 3;
 const SRRIP_INSERT: u64 = 2;
-
-/// One way of a set exposing its replacement-metadata word.
-///
-/// Implemented by the flattened cache/TLB slot types (which store the tag or
-/// entry next to the metadata word) and by bare `u64` words (the [`SetMeta`]
-/// representation).
-pub trait WaySlot {
-    /// The replacement-metadata word (age / RRPV / used-bit, meaning depends
-    /// on the policy).
-    fn meta(&self) -> u64;
-    /// Overwrites the replacement-metadata word.
-    fn set_meta(&mut self, value: u64);
-}
-
-impl WaySlot for u64 {
-    #[inline]
-    fn meta(&self) -> u64 {
-        *self
-    }
-    #[inline]
-    fn set_meta(&mut self, value: u64) {
-        *self = value;
-    }
-}
 
 /// The policy-independent per-set scalars: the LRU tick, the NRU clock hand
 /// and the deterministic PRNG state for Random / BIP decisions.
@@ -92,104 +70,102 @@ impl ReplacementState {
 }
 
 impl ReplacementPolicy {
-    /// Records a hit on `way` of a set.
+    /// Records a hit on the way whose metadata word is `meta`.
     #[inline(always)]
-    pub fn on_hit<S: WaySlot>(self, ways: &mut [S], state: &mut ReplacementState, way: usize) {
+    pub fn on_hit(self, meta: &mut u64, state: &mut ReplacementState) {
         state.tick += 1;
         match self {
-            ReplacementPolicy::Lru | ReplacementPolicy::Bip => ways[way].set_meta(state.tick),
-            ReplacementPolicy::Srrip => ways[way].set_meta(0),
-            ReplacementPolicy::Nru => ways[way].set_meta(1),
+            ReplacementPolicy::Lru | ReplacementPolicy::Bip => *meta = state.tick,
+            ReplacementPolicy::Srrip => *meta = 0,
+            ReplacementPolicy::Nru => *meta = 1,
             ReplacementPolicy::Random => {}
         }
     }
 
-    /// Records a fill into `way` of a set.
+    /// Records a fill into the way whose metadata word is `meta`.
     #[inline(always)]
-    pub fn on_fill<S: WaySlot>(self, ways: &mut [S], state: &mut ReplacementState, way: usize) {
+    pub fn on_fill(self, meta: &mut u64, state: &mut ReplacementState) {
         state.tick += 1;
         match self {
-            ReplacementPolicy::Lru => ways[way].set_meta(state.tick),
+            ReplacementPolicy::Lru => *meta = state.tick,
             ReplacementPolicy::Bip => {
                 // Mostly insert as LRU (old timestamp); occasionally as MRU.
                 if state.next_rand().is_multiple_of(32) {
-                    ways[way].set_meta(state.tick);
+                    *meta = state.tick;
                 } else {
-                    ways[way].set_meta(state.tick.saturating_sub(1_000_000));
+                    *meta = state.tick.saturating_sub(1_000_000);
                 }
             }
-            ReplacementPolicy::Srrip => ways[way].set_meta(SRRIP_INSERT),
-            ReplacementPolicy::Nru => ways[way].set_meta(1),
+            ReplacementPolicy::Srrip => *meta = SRRIP_INSERT,
+            ReplacementPolicy::Nru => *meta = 1,
             ReplacementPolicy::Random => {}
         }
     }
 
-    /// Chooses a victim way among the occupied ways (callers fill invalid
-    /// ways first, so every way is occupied when this is called).
+    /// Chooses a victim way among the occupied ways of a set whose metadata
+    /// words are `meta` (callers fill invalid ways first, so every way is
+    /// occupied when this is called). `assoc` is the kernel instance for
+    /// `meta.len()` ways.
     #[inline]
-    pub fn choose_victim<S: WaySlot>(self, ways: &mut [S], state: &mut ReplacementState) -> usize {
-        let count = ways.len();
+    pub fn choose_victim(
+        self,
+        assoc: Assoc,
+        meta: &mut [u64],
+        state: &mut ReplacementState,
+    ) -> usize {
+        debug_assert_eq!(meta.len(), assoc.ways() as usize);
+        with_width!(assoc, |w| self.victim(w, meta, state))
+    }
+
+    /// [`ReplacementPolicy::choose_victim`] for one kernel width.
+    #[inline(always)]
+    pub(crate) fn victim(
+        self,
+        w: impl Width,
+        meta: &mut [u64],
+        state: &mut ReplacementState,
+    ) -> usize {
         match self {
-            ReplacementPolicy::Lru | ReplacementPolicy::Bip => {
-                let mut victim = 0;
-                let mut best = u64::MAX;
-                for (i, slot) in ways.iter().enumerate() {
-                    let age = slot.meta();
-                    if age < best {
-                        best = age;
-                        victim = i;
-                    }
-                }
-                victim
-            }
+            ReplacementPolicy::Lru | ReplacementPolicy::Bip => kernel::first_min(w, meta),
             ReplacementPolicy::Srrip => {
                 // Age everyone until someone reaches SRRIP_MAX, then pick the
                 // first such way. Equivalent single pass: every way ages by
                 // the same deficit (SRRIP_MAX minus the current maximum RRPV,
                 // when positive), which preserves relative order, and the
                 // victim is the first way holding the maximum.
-                let mut victim = 0;
-                let mut max = 0;
-                for (i, slot) in ways.iter().enumerate() {
-                    let v = slot.meta();
-                    if v > max {
-                        max = v;
-                        victim = i;
-                    }
-                }
+                let (victim, max) = kernel::first_max(w, meta);
                 if max < SRRIP_MAX {
-                    let deficit = SRRIP_MAX - max;
-                    for slot in ways.iter_mut() {
-                        slot.set_meta(slot.meta() + deficit);
-                    }
+                    kernel::add_all(w, meta, SRRIP_MAX - max);
                 }
                 victim
             }
             ReplacementPolicy::Nru => {
-                // Rotating clock: first way (from the hand) with used bit 0;
-                // clear used bits if all are set.
-                for _ in 0..2 {
-                    for offset in 0..count {
-                        let idx = (state.hand + offset) % count;
-                        if ways[idx].meta() == 0 {
-                            state.hand = (idx + 1) % count;
-                            return idx;
-                        }
-                    }
-                    for slot in ways.iter_mut() {
-                        slot.set_meta(0);
-                    }
+                // Rotating clock: the first way at or after the hand with its
+                // used bit clear; when every used bit is set, clear them all
+                // and take the way under the hand.
+                let mut clear = kernel::eq_mask(w, meta, 0);
+                if clear == 0 {
+                    kernel::fill_all(w, meta, 0);
+                    clear = w.full();
                 }
-                state.hand
+                let from_hand = clear & (u32::MAX << state.hand);
+                let victim =
+                    if from_hand != 0 { from_hand } else { clear }.trailing_zeros() as usize;
+                state.hand = if victim + 1 == w.ways() {
+                    0
+                } else {
+                    victim + 1
+                };
+                victim
             }
-            ReplacementPolicy::Random => (state.next_rand() % count as u64) as usize,
+            ReplacementPolicy::Random => (state.next_rand() % w.ways() as u64) as usize,
         }
     }
 
-    /// Clears metadata for `way` (used when a line is invalidated).
+    /// Clears the metadata word of an invalidated way.
     #[inline]
-    pub fn on_invalidate<S: WaySlot>(self, ways: &mut [S], way: usize) {
-        ways[way].set_meta(0);
+    pub fn on_invalidate(self, meta: &mut u64) {
+        *meta = 0;
     }
 }
 
@@ -201,6 +177,8 @@ impl ReplacementPolicy {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SetMeta {
     policy: ReplacementPolicy,
+    /// The kernel instance for the set's width.
+    assoc: Assoc,
     /// Per-way age / RRPV / used-bit, meaning depends on the policy.
     meta: Vec<u64>,
     /// The per-set scalars (tick, clock hand, PRNG state).
@@ -209,9 +187,14 @@ pub struct SetMeta {
 
 impl SetMeta {
     /// Creates replacement metadata for a set with `ways` ways.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` is zero or above [`MAX_WAYS`](crate::MAX_WAYS).
     pub fn new(policy: ReplacementPolicy, ways: usize, seed: u64) -> Self {
         Self {
             policy,
+            assoc: Assoc::new(u32::try_from(ways).expect("way count fits u32")),
             meta: vec![0; ways],
             state: ReplacementState::new(seed),
         }
@@ -219,24 +202,25 @@ impl SetMeta {
 
     /// Records a hit on `way`.
     pub fn on_hit(&mut self, way: usize) {
-        self.policy.on_hit(&mut self.meta, &mut self.state, way);
+        self.policy.on_hit(&mut self.meta[way], &mut self.state);
     }
 
     /// Records a fill into `way`.
     pub fn on_fill(&mut self, way: usize) {
-        self.policy.on_fill(&mut self.meta, &mut self.state, way);
+        self.policy.on_fill(&mut self.meta[way], &mut self.state);
     }
 
     /// Chooses a victim way among the occupied ways (callers fill invalid
     /// ways first, so every way is occupied when this is called).
     pub fn choose_victim(&mut self, ways: usize) -> usize {
         debug_assert_eq!(ways, self.meta.len());
-        self.policy.choose_victim(&mut self.meta, &mut self.state)
+        self.policy
+            .choose_victim(self.assoc, &mut self.meta, &mut self.state)
     }
 
     /// Clears metadata for `way` (used when a line is invalidated).
     pub fn on_invalidate(&mut self, way: usize) {
-        self.policy.on_invalidate(&mut self.meta, way);
+        self.policy.on_invalidate(&mut self.meta[way]);
     }
 
     /// The policy of this set.
@@ -248,6 +232,7 @@ impl SetMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn lru_evicts_least_recently_used() {
@@ -336,52 +321,161 @@ mod tests {
         assert_eq!(ReplacementPolicy::default(), ReplacementPolicy::Lru);
     }
 
-    /// The flat policy engine over merged slots and the boxed [`SetMeta`]
-    /// wrapper must make identical decisions from identical seeds.
-    #[test]
-    fn flat_engine_matches_set_meta_wrapper() {
-        #[derive(Clone, Copy)]
-        struct Slot {
-            meta: u64,
-        }
-        impl WaySlot for Slot {
-            fn meta(&self) -> u64 {
-                self.meta
-            }
-            fn set_meta(&mut self, value: u64) {
-                self.meta = value;
-            }
-        }
-        for policy in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Srrip,
-            ReplacementPolicy::Nru,
-            ReplacementPolicy::Random,
-            ReplacementPolicy::Bip,
-        ] {
-            let seed = 0xA5A5;
-            let mut wrapper = SetMeta::new(policy, 8, seed);
-            let mut slots = vec![Slot { meta: 0 }; 8];
-            let mut state = ReplacementState::new(seed);
-            for step in 0..200usize {
-                match step % 3 {
-                    0 => {
-                        let way = step % 8;
-                        wrapper.on_fill(way);
-                        policy.on_fill(&mut slots, &mut state, way);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Every kernel instance (unrolled and run-time width) makes the
+        // reference loop's victim choices and leaves the same metadata
+        // words and per-set scalars, step by step.
+        #[test]
+        fn kernel_victims_match_the_reference_loops(
+            ways in prop::sample::select(reference::WAYS.to_vec()),
+            policy in prop::sample::select(reference::POLICIES.to_vec()),
+            seed in any::<u64>(),
+            ops in prop::collection::vec(any::<u64>(), 1..300),
+        ) {
+            for assoc in [Assoc::new(ways), Assoc::dynamic(ways)] {
+                let n = ways as usize;
+                let (mut meta, mut expect) = (vec![0u64; n], vec![0u64; n]);
+                let mut state = ReplacementState::new(seed);
+                let mut expect_state = state;
+                for (step, &op) in ops.iter().enumerate() {
+                    let way = (op >> 2) as usize % n;
+                    match op & 3 {
+                        0 => {
+                            policy.on_fill(&mut meta[way], &mut state);
+                            reference::on_fill(policy, &mut expect, &mut expect_state, way);
+                        }
+                        1 => {
+                            policy.on_hit(&mut meta[way], &mut state);
+                            reference::on_hit(policy, &mut expect, &mut expect_state, way);
+                        }
+                        2 => {
+                            policy.on_invalidate(&mut meta[way]);
+                            expect[way] = 0;
+                        }
+                        _ => {
+                            let got = policy.choose_victim(assoc, &mut meta, &mut state);
+                            let want = reference::choose_victim(policy, &mut expect, &mut expect_state);
+                            prop_assert_eq!((step, got), (step, want));
+                        }
                     }
-                    1 => {
-                        let way = (step * 5) % 8;
-                        wrapper.on_hit(way);
-                        policy.on_hit(&mut slots, &mut state, way);
-                    }
-                    _ => {
-                        let a = wrapper.choose_victim(8);
-                        let b = policy.choose_victim(&mut slots, &mut state);
-                        assert_eq!(a, b, "{policy:?} diverged at step {step}");
-                    }
+                    prop_assert_eq!(&meta, &expect);
+                    prop_assert_eq!(state, expect_state);
                 }
             }
+        }
+    }
+}
+
+/// The hand-written per-way policy loops the kernel replaced, kept as the
+/// oracle of the equivalence proptests (here, in `cache.rs`) — never run
+/// outside tests.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// The widths the equivalence proptests cover: every unrolled instance
+    /// plus run-time widths on either side of them.
+    pub(crate) const WAYS: [u32; 8] = [1, 2, 3, 4, 5, 8, 12, 16];
+
+    /// Every policy.
+    pub(crate) const POLICIES: [ReplacementPolicy; 5] = [
+        ReplacementPolicy::Lru,
+        ReplacementPolicy::Srrip,
+        ReplacementPolicy::Nru,
+        ReplacementPolicy::Random,
+        ReplacementPolicy::Bip,
+    ];
+
+    pub(crate) fn on_hit(
+        policy: ReplacementPolicy,
+        ways: &mut [u64],
+        state: &mut ReplacementState,
+        way: usize,
+    ) {
+        state.tick += 1;
+        match policy {
+            ReplacementPolicy::Lru | ReplacementPolicy::Bip => ways[way] = state.tick,
+            ReplacementPolicy::Srrip => ways[way] = 0,
+            ReplacementPolicy::Nru => ways[way] = 1,
+            ReplacementPolicy::Random => {}
+        }
+    }
+
+    pub(crate) fn on_fill(
+        policy: ReplacementPolicy,
+        ways: &mut [u64],
+        state: &mut ReplacementState,
+        way: usize,
+    ) {
+        state.tick += 1;
+        match policy {
+            ReplacementPolicy::Lru => ways[way] = state.tick,
+            ReplacementPolicy::Bip => {
+                if state.next_rand().is_multiple_of(32) {
+                    ways[way] = state.tick;
+                } else {
+                    ways[way] = state.tick.saturating_sub(1_000_000);
+                }
+            }
+            ReplacementPolicy::Srrip => ways[way] = SRRIP_INSERT,
+            ReplacementPolicy::Nru => ways[way] = 1,
+            ReplacementPolicy::Random => {}
+        }
+    }
+
+    pub(crate) fn choose_victim(
+        policy: ReplacementPolicy,
+        ways: &mut [u64],
+        state: &mut ReplacementState,
+    ) -> usize {
+        let count = ways.len();
+        match policy {
+            ReplacementPolicy::Lru | ReplacementPolicy::Bip => {
+                let mut victim = 0;
+                let mut best = u64::MAX;
+                for (i, &age) in ways.iter().enumerate() {
+                    if age < best {
+                        best = age;
+                        victim = i;
+                    }
+                }
+                victim
+            }
+            ReplacementPolicy::Srrip => {
+                let mut victim = 0;
+                let mut max = 0;
+                for (i, &v) in ways.iter().enumerate() {
+                    if v > max {
+                        max = v;
+                        victim = i;
+                    }
+                }
+                if max < SRRIP_MAX {
+                    let deficit = SRRIP_MAX - max;
+                    for v in ways.iter_mut() {
+                        *v += deficit;
+                    }
+                }
+                victim
+            }
+            ReplacementPolicy::Nru => {
+                for _ in 0..2 {
+                    for offset in 0..count {
+                        let idx = (state.hand + offset) % count;
+                        if ways[idx] == 0 {
+                            state.hand = (idx + 1) % count;
+                            return idx;
+                        }
+                    }
+                    for v in ways.iter_mut() {
+                        *v = 0;
+                    }
+                }
+                state.hand
+            }
+            ReplacementPolicy::Random => (state.next_rand() % count as u64) as usize,
         }
     }
 }

@@ -571,9 +571,11 @@ impl System {
 
     /// Raw value of the leaf (Level-1 or huge PDE) entry currently installed
     /// for `vaddr`, if the walk reaches it; `None` when an intermediate level
-    /// is missing.
+    /// is missing. An intermediate entry whose table lies past installed
+    /// DRAM is corrupted and is returned in place of the leaf.
     fn leaf_entry_raw(&self, pid: Pid, vaddr: VirtAddr) -> Option<u64> {
         let proc = self.processes.get(&pid)?;
+        let capacity = self.machine.config().dram.geometry.capacity_bytes();
         let mut table = proc.cr3;
         for level in (1..=4u8).rev() {
             let entry_paddr = table + vaddr.pt_index(level) * 8;
@@ -586,6 +588,9 @@ impl System {
                 return None;
             }
             table = entry.frame();
+            if table.as_u64() + PAGE_SIZE > capacity {
+                return Some(raw);
+            }
         }
         None
     }
@@ -803,6 +808,29 @@ mod tests {
         let pid = sys.spawn_process(1000).unwrap();
         let err = sys.read_u64(pid, VirtAddr::new(0x7777_0000)).unwrap_err();
         assert!(matches!(err, KernelError::BadAddress(_)));
+    }
+
+    #[test]
+    fn table_pointer_beyond_dram_is_bad_address() {
+        let mut sys = system();
+        let pid = sys.spawn_process(1000).unwrap();
+        let va = sys.mmap(pid, PAGE_SIZE, MmapOptions::default()).unwrap();
+        sys.read_u64(pid, va).unwrap();
+        // Point the PDE mapping `va` past installed DRAM, as a flipped high
+        // frame bit would.
+        let mut table = sys.cr3_of(pid).unwrap();
+        for level in [4u8, 3] {
+            let raw = sys.machine.phys_read_u64(table + va.pt_index(level) * 8);
+            table = Pte::from_raw(raw).frame();
+        }
+        let capacity = sys.machine.config().dram.geometry.capacity_bytes();
+        let beyond = Pte::table(PhysAddr::new(capacity + 0x1000));
+        sys.machine
+            .phys_write_u64(table + va.pt_index(2) * 8, beyond.raw());
+        sys.machine.flush_translation_caches();
+        assert_eq!(sys.read_u64(pid, va), Err(KernelError::BadAddress(va)));
+        assert_eq!(sys.touch(pid, va).unwrap_err(), KernelError::BadAddress(va));
+        assert_eq!(sys.oracle_translate(pid, va), None);
     }
 
     #[test]

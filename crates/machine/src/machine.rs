@@ -523,4 +523,45 @@ mod tests {
         assert_eq!(Some(sw.paddr), hw.paddr);
         assert_eq!(sw.level, 1);
     }
+
+    /// A PDE whose table pointer lies past installed DRAM makes the walk
+    /// fault at the unreachable level — on the single-access, batch and
+    /// lean paths alike — instead of reaching the DRAM model with an
+    /// out-of-range address.
+    #[test]
+    fn table_pointer_beyond_dram_faults_the_walk() {
+        let va = VirtAddr::new(0x7000_0000);
+        let (mut m, cr3) = machine_with_mapping(va.as_u64(), 0x9000);
+        let capacity = m.config().dram.geometry.capacity_bytes();
+        let pd = PhysAddr::new(0x40_2000);
+        m.phys_write_u64(
+            pd + va.pt_index(2) * 8,
+            Pte::table(PhysAddr::new(capacity + 0x1000)).raw(),
+        );
+        let acc = m.read_u64(cr3, va);
+        assert_eq!(
+            acc.fault,
+            Some(PageFault {
+                vaddr: va,
+                level: 1
+            })
+        );
+        assert_eq!(acc.paddr, None);
+        let (_, faults) = m.access_batch(cr3, &[va]);
+        assert_eq!(
+            faults,
+            vec![PageFault {
+                vaddr: va,
+                level: 1
+            }]
+        );
+        assert_eq!(
+            m.touch_lean(cr3, va).fault,
+            Some(PageFault {
+                vaddr: va,
+                level: 1
+            })
+        );
+        assert_eq!(software_walk(&m, cr3, va), None);
+    }
 }

@@ -152,6 +152,11 @@ impl PhysicalMemoryAccess for MemorySubsystem {
         self.phys.write_u64(aligned, value);
         outcome
     }
+
+    #[inline]
+    fn is_installed(&self, paddr: PhysAddr) -> bool {
+        paddr.as_u64() + 8 <= self.phys.capacity_bytes()
+    }
 }
 
 #[cfg(test)]

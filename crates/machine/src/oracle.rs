@@ -30,11 +30,16 @@ pub struct SoftwareWalk {
 }
 
 /// Walks the page tables in software (no caches, no timing, no TLB effects).
-/// Returns `None` if any level is non-present.
+/// Returns `None` if any level is non-present or its table lies past
+/// installed DRAM.
 pub fn software_walk(machine: &Machine, cr3: PhysAddr, vaddr: VirtAddr) -> Option<SoftwareWalk> {
+    let capacity = machine.config().dram.geometry.capacity_bytes();
     let mut table = cr3;
     for level in (1..=4u8).rev() {
         let entry_paddr = table + vaddr.pt_index(level) * PTE_SIZE;
+        if entry_paddr.as_u64() + PTE_SIZE > capacity {
+            return None;
+        }
         let entry = Pte::from_raw(machine.phys_read_u64(entry_paddr));
         if !entry.present() {
             return None;

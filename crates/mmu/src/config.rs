@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use pthammer_cache::ReplacementPolicy;
+use pthammer_cache::{ReplacementPolicy, MAX_WAYS};
 
 /// How virtual page numbers map to TLB sets.
 ///
@@ -104,6 +104,12 @@ impl TlbConfig {
         }
         if self.ways == 0 {
             return Err("TLB associativity must be non-zero".to_string());
+        }
+        if self.ways > MAX_WAYS {
+            return Err(format!(
+                "TLB associativity must be at most {MAX_WAYS}, got {}",
+                self.ways
+            ));
         }
         Ok(())
     }
@@ -209,6 +215,16 @@ mod tests {
         let mut cfg = MmuConfig::sandy_bridge(1);
         cfg.paging_caches.pde_entries = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_associativity_above_the_kernel_width() {
+        let mut cfg = TlbConfig::l2_stlb_512();
+        cfg.ways = MAX_WAYS;
+        assert!(cfg.validate().is_ok());
+        cfg.ways = MAX_WAYS + 1;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("at most 32"), "{err}");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use core::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use pthammer_cache::{ReplacementState, WaySlot};
+use pthammer_cache::{SetStore, EMPTY_TAG};
 use pthammer_types::{PageSize, PhysAddr, VirtAddr, HUGE_PAGE_SIZE, PAGE_SIZE};
 
 use crate::config::{MmuConfig, TlbConfig};
@@ -81,52 +81,33 @@ impl fmt::Display for TlbPmc {
     }
 }
 
-/// One way of one TLB set: the cached entry and its replacement-metadata
-/// word, adjacent in memory so a set probe scans one contiguous run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-struct TlbSlot {
-    entry: Option<TlbEntry>,
-    meta: u64,
-}
-
-impl TlbSlot {
-    const EMPTY: TlbSlot = TlbSlot {
-        entry: None,
-        meta: 0,
-    };
-
-    #[inline]
-    fn holds(&self, vpn: u64) -> bool {
-        matches!(self.entry, Some(e) if e.vpn == vpn)
-    }
-}
-
-impl WaySlot for TlbSlot {
-    #[inline]
-    fn meta(&self) -> u64 {
-        self.meta
-    }
-    #[inline]
-    fn set_meta(&mut self, value: u64) {
-        self.meta = value;
-    }
-}
-
 /// One set-associative TLB level.
 ///
-/// Like the flattened caches, the entry store is a single contiguous array
-/// indexed by `(set, way)` — TLB lookups run on every simulated access, so
-/// this layout is on the simulator's hottest path.
+/// The vpn tags and replacement state live in a [`SetStore`], whose
+/// set-operation kernel runs every per-way loop; the cached entries sit in
+/// a parallel array, read only on a hit — TLB lookups run on every
+/// simulated access, so this layout is on the simulator's hottest path.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Tlb {
     config: TlbConfig,
-    /// `sets * ways` slots, way-major within each set.
-    slots: Vec<TlbSlot>,
-    /// Per-set replacement scalars.
-    states: Vec<ReplacementState>,
+    /// Vpn tags and replacement state.
+    store: SetStore,
+    /// The entry of each way, way-major within each set; meaningful only
+    /// where the way's tag is valid.
+    entries: Vec<TlbEntry>,
+    /// Number of valid entries.
+    len: usize,
 }
 
 impl Tlb {
+    /// Placeholder in the entry slot of an empty way.
+    const NO_ENTRY: TlbEntry = TlbEntry {
+        vpn: EMPTY_TAG,
+        frame: PhysAddr::new(0),
+        pte: Pte::empty(),
+        page_size: PageSize::Base4K,
+    };
+
     /// Creates a TLB from its configuration.
     ///
     /// # Panics
@@ -134,14 +115,13 @@ impl Tlb {
     /// Panics if the configuration is invalid.
     pub fn new(config: TlbConfig, seed: u64) -> Self {
         config.validate().expect("invalid TLB configuration");
-        let slots = vec![TlbSlot::EMPTY; config.sets as usize * config.ways as usize];
-        let states = (0..config.sets)
-            .map(|s| ReplacementState::new(seed ^ (u64::from(s) << 13) | 1))
-            .collect();
         Self {
             config,
-            slots,
-            states,
+            store: SetStore::new(config.sets, config.ways, config.replacement, |s| {
+                seed ^ (u64::from(s) << 13) | 1
+            }),
+            entries: vec![Self::NO_ENTRY; config.entries() as usize],
+            len: 0,
         }
     }
 
@@ -150,36 +130,41 @@ impl Tlb {
         &self.config
     }
 
+    /// Number of valid entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the TLB holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
     /// Set index of a virtual page number (the reverse-engineered mapping the
     /// attack relies on to build congruent page sets).
+    #[inline]
     pub fn set_index(&self, vpn: u64) -> u32 {
         self.config.indexing.set_index(vpn, self.config.sets)
     }
 
-    /// The slots of one set as a contiguous slice.
+    /// Index of `way` of `set` in `entries`.
     #[inline]
-    fn set_slots(&self, set: usize) -> &[TlbSlot] {
-        let ways = self.config.ways as usize;
-        &self.slots[set * ways..set * ways + ways]
+    fn slot(&self, set: usize, way: u32) -> usize {
+        set * self.config.ways as usize + way as usize
     }
 
     /// Looks up `vpn`, refreshing replacement state on a hit.
     #[inline(always)]
     pub fn lookup(&mut self, vpn: u64) -> Option<TlbEntry> {
         let set = self.set_index(vpn) as usize;
-        let ways = self.config.ways as usize;
-        let slots = &mut self.slots[set * ways..set * ways + ways];
-        let way = slots.iter().position(|slot| slot.holds(vpn))?;
-        self.config
-            .replacement
-            .on_hit(slots, &mut self.states[set], way);
-        slots[way].entry
+        let way = self.store.lookup(set, vpn)?;
+        Some(self.entries[self.slot(set, way)])
     }
 
     /// Probes for `vpn` without touching replacement state.
     pub fn contains(&self, vpn: u64) -> bool {
         let set = self.set_index(vpn) as usize;
-        self.set_slots(set).iter().any(|slot| slot.holds(vpn))
+        self.store.find(set, vpn).is_some()
     }
 
     /// Inserts a translation, evicting a victim if the set is full. Returns
@@ -187,80 +172,53 @@ impl Tlb {
     #[inline]
     pub fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
         let set = self.set_index(entry.vpn) as usize;
-        let ways = self.config.ways as usize;
-        let slots = &mut self.slots[set * ways..set * ways + ways];
-        let state = &mut self.states[set];
-        if let Some(way) = slots.iter().position(|slot| slot.holds(entry.vpn)) {
-            slots[way].entry = Some(entry);
-            self.config.replacement.on_hit(slots, state, way);
+        if let Some(way) = self.store.find(set, entry.vpn) {
+            let slot = self.slot(set, way);
+            self.entries[slot] = entry;
+            self.store.touch(set, way);
             return None;
         }
-        if let Some(way) = slots.iter().position(|slot| slot.entry.is_none()) {
-            slots[way].entry = Some(entry);
-            self.config.replacement.on_fill(slots, state, way);
-            return None;
-        }
-        let victim_way = self.config.replacement.choose_victim(slots, state);
-        let victim = slots[victim_way].entry;
-        slots[victim_way].entry = Some(entry);
-        self.config.replacement.on_fill(slots, state, victim_way);
-        victim
+        self.insert_after_miss(entry)
     }
 
     /// Inserts a translation that a lookup just missed in this TLB, skipping
     /// the presence scan of [`Tlb::insert`]. Inserting a vpn that *is*
     /// present would duplicate it; callers must only use this right after a
     /// miss (the walker's refill path).
-    #[inline]
+    #[inline(always)]
     pub fn insert_after_miss(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
-        debug_assert!(
-            !self.contains(entry.vpn),
-            "insert_after_miss on present vpn"
-        );
         let set = self.set_index(entry.vpn) as usize;
-        let ways = self.config.ways as usize;
-        let slots = &mut self.slots[set * ways..set * ways + ways];
-        let state = &mut self.states[set];
-        if let Some(way) = slots.iter().position(|slot| slot.entry.is_none()) {
-            slots[way].entry = Some(entry);
-            self.config.replacement.on_fill(slots, state, way);
-            return None;
+        let empty = self.store.first_empty(set);
+        let (way, displaced) = self.store.place(set, entry.vpn, empty);
+        let slot = self.slot(set, way);
+        let victim = core::mem::replace(&mut self.entries[slot], entry);
+        match displaced {
+            Some(_) => Some(victim),
+            None => {
+                self.len += 1;
+                None
+            }
         }
-        let victim_way = self.config.replacement.choose_victim(slots, state);
-        let victim = slots[victim_way].entry;
-        slots[victim_way].entry = Some(entry);
-        self.config.replacement.on_fill(slots, state, victim_way);
-        victim
     }
 
     /// Removes the translation for `vpn` (models `invlpg`). Returns whether
     /// an entry was removed.
     pub fn invalidate(&mut self, vpn: u64) -> bool {
         let set = self.set_index(vpn) as usize;
-        let ways = self.config.ways as usize;
-        let slots = &mut self.slots[set * ways..set * ways + ways];
-        if let Some(way) = slots.iter().position(|slot| slot.holds(vpn)) {
-            slots[way].entry = None;
-            self.config.replacement.on_invalidate(slots, way);
-            true
-        } else {
-            false
-        }
+        let removed = self.store.remove(set, vpn).is_some();
+        self.len -= usize::from(removed);
+        removed
     }
 
     /// Removes every translation (models a CR3 write without PCID).
     pub fn flush_all(&mut self) {
-        for slot in &mut self.slots {
-            slot.entry = None;
-        }
+        self.store.clear();
+        self.len = 0;
     }
 
     /// Number of valid entries currently held in `set`.
     pub fn occupancy(&self, set: u32) -> usize {
-        self.set_slots(set as usize)
-            .iter()
-            .filter(|s| s.entry.is_some())
-            .count()
+        self.store.occupancy(set as usize)
     }
 }
 
@@ -321,8 +279,12 @@ impl TlbHierarchy {
         if let Some(entry) = self.l1d.lookup(vpn4k) {
             return Some((TlbLevel::L1, entry));
         }
-        if let Some(entry) = self.l1d_huge.lookup(vpn_huge) {
-            return Some((TlbLevel::L1, entry));
+        // The 2 MiB dTLB stays empty unless superpages are mapped; a miss
+        // there has no side effects, so an empty one is not probed.
+        if !self.l1d_huge.is_empty() {
+            if let Some(entry) = self.l1d_huge.lookup(vpn_huge) {
+                return Some((TlbLevel::L1, entry));
+            }
         }
         self.pmc.l1_misses += 1;
 
@@ -381,7 +343,10 @@ impl TlbHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TlbIndexing;
     use crate::pte::PteFlags;
+    use proptest::prelude::*;
+    use pthammer_cache::{Assoc, ReplacementPolicy, ReplacementState};
 
     fn entry(vpn: u64) -> TlbEntry {
         let frame = PhysAddr::new((vpn % 1024) * PAGE_SIZE + 0x10_0000);
@@ -579,5 +544,255 @@ mod tests {
             "8 congruent inserts should almost always evict, got {at_8}"
         );
         assert!(at_assoc <= at_8);
+    }
+
+    /// The per-way-loop TLB the kernel replaced (merged entry + metadata
+    /// slots, `position` scans), kept as the oracle of
+    /// `kernel_tlbs_match_the_reference_loops`. Its victim choice runs the
+    /// run-time-width kernel instance, whose equivalence with the reference
+    /// policy loops `pthammer-cache` proves separately.
+    struct RefTlb {
+        config: TlbConfig,
+        /// `(entry, meta)` per way, way-major within each set.
+        slots: Vec<(Option<TlbEntry>, u64)>,
+        states: Vec<ReplacementState>,
+    }
+
+    impl RefTlb {
+        fn new(config: TlbConfig, seed: u64) -> Self {
+            Self {
+                config,
+                slots: vec![(None, 0); config.entries() as usize],
+                states: (0..config.sets)
+                    .map(|s| ReplacementState::new(seed ^ (u64::from(s) << 13) | 1))
+                    .collect(),
+            }
+        }
+
+        fn span(&self, vpn: u64) -> (usize, core::ops::Range<usize>) {
+            let set = self.config.indexing.set_index(vpn, self.config.sets) as usize;
+            let ways = self.config.ways as usize;
+            (set, set * ways..(set + 1) * ways)
+        }
+
+        fn position(&self, vpn: u64, pred: impl Fn(&Option<TlbEntry>) -> bool) -> Option<usize> {
+            let (_, span) = self.span(vpn);
+            self.slots[span].iter().position(|(entry, _)| pred(entry))
+        }
+
+        fn holds(vpn: u64) -> impl Fn(&Option<TlbEntry>) -> bool {
+            move |entry| matches!(entry, Some(e) if e.vpn == vpn)
+        }
+
+        fn lookup(&mut self, vpn: u64) -> Option<TlbEntry> {
+            let way = self.position(vpn, Self::holds(vpn))?;
+            let (set, span) = self.span(vpn);
+            let slot = &mut self.slots[span.start + way];
+            self.config
+                .replacement
+                .on_hit(&mut slot.1, &mut self.states[set]);
+            slot.0
+        }
+
+        fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
+            let (set, span) = self.span(entry.vpn);
+            if let Some(way) = self.position(entry.vpn, Self::holds(entry.vpn)) {
+                let slot = &mut self.slots[span.start + way];
+                slot.0 = Some(entry);
+                self.config
+                    .replacement
+                    .on_hit(&mut slot.1, &mut self.states[set]);
+                return None;
+            }
+            let (way, victim) = match self.position(entry.vpn, Option::is_none) {
+                Some(way) => (way, None),
+                None => {
+                    let mut meta: Vec<u64> = self.slots[span.clone()].iter().map(|s| s.1).collect();
+                    let way = self.config.replacement.choose_victim(
+                        Assoc::dynamic(self.config.ways),
+                        &mut meta,
+                        &mut self.states[set],
+                    );
+                    for (slot, m) in self.slots[span.clone()].iter_mut().zip(meta) {
+                        slot.1 = m;
+                    }
+                    (way, self.slots[span.start + way].0)
+                }
+            };
+            let slot = &mut self.slots[span.start + way];
+            slot.0 = Some(entry);
+            self.config
+                .replacement
+                .on_fill(&mut slot.1, &mut self.states[set]);
+            victim
+        }
+
+        fn invalidate(&mut self, vpn: u64) -> bool {
+            let Some(way) = self.position(vpn, Self::holds(vpn)) else {
+                return false;
+            };
+            let (_, span) = self.span(vpn);
+            self.slots[span.start + way] = (None, 0);
+            true
+        }
+
+        fn flush_all(&mut self) {
+            for slot in &mut self.slots {
+                slot.0 = None;
+            }
+        }
+
+        /// Asserts that `tlb` holds the same entries, metadata words and
+        /// per-set scalars.
+        fn assert_matches(&self, tlb: &Tlb) -> Result<(), TestCaseError> {
+            let ways = self.config.ways as usize;
+            let mut len = 0;
+            for set in 0..self.config.sets as usize {
+                let (tags, meta, state) = tlb.store.set_state(set);
+                let want = &self.slots[set * ways..(set + 1) * ways];
+                let got: Vec<Option<TlbEntry>> = tags
+                    .iter()
+                    .enumerate()
+                    .map(|(way, &tag)| (tag != EMPTY_TAG).then(|| tlb.entries[set * ways + way]))
+                    .collect();
+                let want_entries: Vec<Option<TlbEntry>> = want.iter().map(|s| s.0).collect();
+                let want_meta: Vec<u64> = want.iter().map(|s| s.1).collect();
+                prop_assert_eq!(got, want_entries);
+                prop_assert_eq!(meta, &want_meta[..]);
+                prop_assert_eq!(state, &self.states[set]);
+                let occupied = want.iter().filter(|s| s.0.is_some()).count();
+                prop_assert_eq!(tlb.occupancy(set as u32), occupied);
+                len += occupied;
+            }
+            prop_assert_eq!(tlb.len(), len);
+            Ok(())
+        }
+    }
+
+    /// [`TlbHierarchy::lookup`] as it was: every level probed in turn.
+    fn reference_lookup(
+        l1d: &mut RefTlb,
+        l1d_huge: &mut RefTlb,
+        l2s: &mut RefTlb,
+        vaddr: VirtAddr,
+    ) -> Option<(TlbLevel, TlbEntry)> {
+        let vpn4k = vaddr.as_u64() / PAGE_SIZE;
+        if let Some(entry) = l1d.lookup(vpn4k) {
+            return Some((TlbLevel::L1, entry));
+        }
+        if let Some(entry) = l1d_huge.lookup(vaddr.as_u64() / HUGE_PAGE_SIZE) {
+            return Some((TlbLevel::L1, entry));
+        }
+        let entry = l2s.lookup(vpn4k)?;
+        l1d.insert(entry);
+        Some((TlbLevel::L2, entry))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        // A TLB hierarchy and a twin of reference-loop TLBs, driven by one
+        // random stream of lookups (with a 4 KiB or 2 MiB walk refill after
+        // each miss), speculative per-level inserts, invlpg and flushes,
+        // return the same translations and evicted entries and hold the same
+        // entries, metadata words and per-set scalars after every step.
+        #[test]
+        fn kernel_tlbs_match_the_reference_loops(
+            ways in prop::sample::select(vec![1u32, 2, 3, 4, 5, 8, 12, 16]),
+            policy in prop::sample::select(vec![
+                ReplacementPolicy::Lru,
+                ReplacementPolicy::Srrip,
+                ReplacementPolicy::Nru,
+                ReplacementPolicy::Random,
+                ReplacementPolicy::Bip,
+            ]),
+            xor_fold in any::<bool>(),
+            seed in any::<u64>(),
+            ops in prop::collection::vec(any::<u64>(), 1..300),
+        ) {
+            let level = |sets| TlbConfig {
+                sets,
+                ways,
+                indexing: if xor_fold { TlbIndexing::XorFold } else { TlbIndexing::Linear },
+                replacement: policy,
+            };
+            let config = MmuConfig {
+                l1_dtlb: level(4),
+                l2_stlb: level(8),
+                l1_dtlb_huge: level(2),
+                ..MmuConfig::sandy_bridge(seed)
+            };
+            let mut tlbs = TlbHierarchy::new(&config);
+            let mut l1d = RefTlb::new(config.l1_dtlb, config.seed ^ 0xA1);
+            let mut l1d_huge = RefTlb::new(config.l1_dtlb_huge, config.seed ^ 0xB2);
+            let mut l2s = RefTlb::new(config.l2_stlb, config.seed ^ 0xC3);
+            // Enough 4 KiB pages and 2 MiB regions to overflow every level.
+            let span = u64::from(ways) * 2 + 3;
+            for (step, &op) in ops.iter().enumerate() {
+                let vaddr = VirtAddr::new(
+                    (op >> 8) % span * HUGE_PAGE_SIZE + (op >> 24) % (span * 4) * PAGE_SIZE,
+                );
+                let frame = PhysAddr::new((op >> 40) * HUGE_PAGE_SIZE);
+                let walked = |page_size: PageSize| TlbEntry {
+                    vpn: vaddr.as_u64() / page_size.bytes(),
+                    frame,
+                    pte: Pte::page(frame, PteFlags::user_rw()),
+                    page_size,
+                };
+                match op & 7 {
+                    0..=3 => {
+                        let got = tlbs.lookup(vaddr);
+                        let want = reference_lookup(&mut l1d, &mut l1d_huge, &mut l2s, vaddr);
+                        prop_assert_eq!((step, got), (step, want));
+                        if got.is_none() {
+                            let entry = walked(if op & 1 == 0 { PageSize::Base4K } else { PageSize::Huge2M });
+                            tlbs.insert(entry);
+                            match entry.page_size {
+                                PageSize::Base4K => {
+                                    l1d.insert(entry);
+                                    l2s.insert(entry);
+                                }
+                                PageSize::Huge2M => {
+                                    l1d_huge.insert(entry);
+                                }
+                            }
+                        }
+                    }
+                    4 => {
+                        let entry = walked(PageSize::Base4K);
+                        prop_assert_eq!((step, tlbs.l1d.insert(entry)), (step, l1d.insert(entry)));
+                    }
+                    5 => {
+                        let entry = walked(PageSize::Huge2M);
+                        prop_assert_eq!(
+                            (step, tlbs.l1d_huge.insert(entry)),
+                            (step, l1d_huge.insert(entry))
+                        );
+                    }
+                    6 => {
+                        tlbs.invalidate(vaddr);
+                        l1d.invalidate(vaddr.as_u64() / PAGE_SIZE);
+                        l2s.invalidate(vaddr.as_u64() / PAGE_SIZE);
+                        l1d_huge.invalidate(vaddr.as_u64() / HUGE_PAGE_SIZE);
+                    }
+                    _ if (op >> 3) % 8 == 0 => {
+                        tlbs.flush_all();
+                        l1d.flush_all();
+                        l2s.flush_all();
+                        l1d_huge.flush_all();
+                    }
+                    _ => {
+                        let vpn = vaddr.as_u64() / PAGE_SIZE;
+                        prop_assert_eq!(
+                            (step, tlbs.l2s.invalidate(vpn)),
+                            (step, l2s.invalidate(vpn))
+                        );
+                    }
+                }
+                l1d.assert_matches(&tlbs.l1d)?;
+                l1d_huge.assert_matches(&tlbs.l1d_huge)?;
+                l2s.assert_matches(&tlbs.l2s)?;
+            }
+        }
     }
 }

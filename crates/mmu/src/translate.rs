@@ -286,6 +286,20 @@ impl Mmu {
         let mut l1pte_from_dram = false;
         loop {
             let entry_paddr = table_base + vaddr.pt_index(level) * PTE_SIZE;
+            if !mem.is_installed(entry_paddr) {
+                // A table pointer past installed DRAM (e.g. a flipped frame
+                // bit in an upper-level entry) faults, as a leaf pointing
+                // there does on the data path.
+                return CoreTranslation {
+                    paddr: None,
+                    fault: Some(PageFault { vaddr, level }),
+                    page_size: PageSize::Base4K,
+                    latency,
+                    tlb_hit: None,
+                    psc_hit,
+                    l1pte_from_dram,
+                };
+            }
             let (raw, outcome) = mem.load_qword(entry_paddr);
             let value = Pte::from_raw(raw);
             latency += outcome.latency;

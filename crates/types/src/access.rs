@@ -103,6 +103,14 @@ pub trait PhysicalMemoryAccess {
     /// Stores the naturally-aligned 64-bit word at `paddr` through the memory
     /// hierarchy, returning the access outcome.
     fn store_qword(&mut self, paddr: PhysAddr, value: u64) -> MemAccessOutcome;
+
+    /// Whether the 64-bit word at `paddr` lies in installed memory. The
+    /// walker faults instead of loading a table entry outside it. The
+    /// default treats every address as installed.
+    fn is_installed(&self, paddr: PhysAddr) -> bool {
+        let _ = paddr;
+        true
+    }
 }
 
 #[cfg(test)]
