@@ -360,23 +360,16 @@ fn workload_names() -> Vec<String> {
     workload_registry().into_iter().map(|(n, _)| n).collect()
 }
 
+/// Decodes a committed `BENCH_perf.json` text.
+fn parse_baseline(committed: &str) -> Result<PerfReport, String> {
+    serde_json::from_str(committed)
+        .and_then(serde_json::from_value)
+        .map_err(|e| format!("committed baseline is not a perf report: {e}"))
+}
+
 /// The workload names of a committed `BENCH_perf.json` text.
 fn baseline_workload_names(committed: &str) -> Result<Vec<String>, String> {
-    let value = serde_json::from_str(committed)
-        .map_err(|e| format!("committed baseline is not JSON: {e}"))?;
-    let workloads = value
-        .get("workloads")
-        .and_then(|w| w.as_array())
-        .ok_or_else(|| "committed baseline has no `workloads` array".to_string())?;
-    workloads
-        .iter()
-        .map(|w| {
-            w.get("name")
-                .and_then(|n| n.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| "committed baseline workload without a `name`".to_string())
-        })
-        .collect()
+    Ok(parse_baseline(committed)?.workload_names())
 }
 
 /// Asserts the two-way invariant between the committed baseline and the
@@ -510,30 +503,15 @@ fn main() -> ExitCode {
 /// Compares a subset report's counters against the matching workloads of the
 /// committed baseline.
 fn check_subset_against(report: &PerfReport, committed: &str) -> Result<(), String> {
-    let value = serde_json::from_str(committed)
-        .map_err(|e| format!("committed baseline is not JSON: {e}"))?;
-    let entries = value
-        .get("workloads")
-        .and_then(|w| w.as_array())
-        .ok_or_else(|| "committed baseline has no `workloads` array".to_string())?;
+    let baseline = parse_baseline(committed)?;
     for workload in &report.workloads {
-        let baseline = entries
+        let baseline_counters = &baseline
+            .workloads
             .iter()
-            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some(workload.name.as_str()))
-            .ok_or_else(|| format!("baseline has no workload `{}`", workload.name))?;
-        let counters = baseline
-            .get("counters")
-            .and_then(|c| c.as_object())
-            .ok_or_else(|| format!("baseline workload `{}` has no counters", workload.name))?;
-        let baseline_counters: BTreeMap<String, u64> = counters
-            .iter()
-            .map(|(k, v)| {
-                v.as_u64()
-                    .map(|v| (k.clone(), v))
-                    .ok_or_else(|| format!("baseline counter `{k}` is not a u64"))
-            })
-            .collect::<Result<_, _>>()?;
-        if baseline_counters != workload.counters {
+            .find(|w| w.name == workload.name)
+            .ok_or_else(|| format!("baseline has no workload `{}`", workload.name))?
+            .counters;
+        if *baseline_counters != workload.counters {
             let diverging: Vec<String> = workload
                 .counters
                 .iter()

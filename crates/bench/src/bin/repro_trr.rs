@@ -13,8 +13,8 @@
 //! Runs TestSmall-sized cells (the host is expected to be small); the
 //! machine axis contrasts `Test Small` (no TRR, DDR3-era) against
 //! `Test Small TRR` (capacity-bounded sampler). With `--synth-cache DIR`
-//! the synthesizer preview goes through the content-addressed
-//! [`SynthesisCache`]: the first invocation searches and writes through,
+//! the synthesizer preview goes through a content-addressed
+//! [`ArtifactCache`]: the first invocation searches and writes through,
 //! repeat invocations get the identical bytes back from disk.
 
 use std::process::ExitCode;
@@ -22,9 +22,9 @@ use std::process::ExitCode;
 use pthammer::HammerMode;
 use pthammer_bench::MachineChoice;
 use pthammer_harness::{
-    run_cell, CampaignConfig, CellCoord, CellReport, DefenseChoice, ProfileChoice,
+    run_cell, ArtifactCache, CampaignConfig, CellCoord, CellReport, DefenseChoice, ProfileChoice,
 };
-use pthammer_patterns::{synthesize, PatternChoice, SynthesisCache, SynthesisResult};
+use pthammer_patterns::{synthesize, PatternChoice, Synthesis, SynthesisResult};
 
 fn flag_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -78,9 +78,9 @@ fn main() -> ExitCode {
     let synth_cfg = config.synthesis_config(&machine_cfg);
     let synth: SynthesisResult = match flag_value("--synth-cache") {
         Some(dir) => {
-            let cache = SynthesisCache::open(&dir).expect("open synthesis cache");
+            let cache = ArtifactCache::<Synthesis>::open(&dir).expect("open synthesis cache");
             let (result, source) = cache
-                .synthesize_cached(&synth_cfg, base_seed)
+                .get_or_compute(&(synth_cfg, base_seed))
                 .expect("cached synthesis");
             println!("synthesis cache at {dir}: {source:?}");
             result

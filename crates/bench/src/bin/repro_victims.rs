@@ -9,8 +9,8 @@
 //! repro_victims [--seed N] [--reps N] [--profile-cache DIR]
 //! ```
 //!
-//! With `--profile-cache DIR` the key-recovery flip profile goes through the
-//! content-addressed [`VictimProfileCache`]: the first invocation templates
+//! With `--profile-cache DIR` the key-recovery flip profile goes through a
+//! content-addressed [`ArtifactCache`]: the first invocation templates
 //! the machine's weak-cell map and writes through, repeat invocations get
 //! the identical bytes back from disk.
 
@@ -19,8 +19,8 @@ use std::process::ExitCode;
 use pthammer::HammerMode;
 use pthammer_bench::MachineChoice;
 use pthammer_harness::{
-    run_cell, CampaignConfig, CellCoord, CellReport, DefenseChoice, ProfileChoice, VictimChoice,
-    VictimProfileCache,
+    run_cell, ArtifactCache, CampaignConfig, CellCoord, CellReport, DefenseChoice,
+    KeyRecoveryProfile, ProfileChoice, VictimChoice,
 };
 
 fn flag_value(name: &str) -> Option<String> {
@@ -57,12 +57,12 @@ fn run(
 
 fn describe(label: &str, cell: &CellReport) {
     let time = cell
-        .time_to_exploit
+        .time_to_exploit()
         .map_or_else(|| "-".to_string(), |t| t.to_string());
     println!(
         "  {label:<34} flips={:<3} exploit_succeeded={:<5} time_to_exploit={time:<7} route={:?}",
         cell.flips_observed,
-        cell.exploit_succeeded == Some(true),
+        cell.exploit_succeeded(),
         cell.route
     );
 }
@@ -79,9 +79,10 @@ fn main() -> ExitCode {
     let machine_cfg = MachineChoice::TestSmall.config(ProfileChoice::Ci.profile(), base_seed);
     match flag_value("--profile-cache") {
         Some(dir) => {
-            let cache = VictimProfileCache::open(&dir).expect("open victim profile cache");
+            let cache =
+                ArtifactCache::<KeyRecoveryProfile>::open(&dir).expect("open victim profile cache");
             let (profile, source) = cache
-                .template_cached(&machine_cfg)
+                .get_or_compute(&machine_cfg)
                 .expect("cached flip profile");
             println!(
                 "profile cache at {dir}: {source:?} ({} templated targets on {})",
@@ -105,7 +106,7 @@ fn main() -> ExitCode {
         println!("rep {rep} (base seed {base_seed:#x}):");
         for &victim in &VictimChoice::all() {
             let open = run(DefenseChoice::None, victim, rep, &config);
-            undefended_successes += usize::from(open.exploit_succeeded == Some(true));
+            undefended_successes += usize::from(open.exploit_succeeded());
             describe(&format!("undefended, {}:", victim.name()), &open);
             let defended = run(DefenseChoice::Cta, victim, rep, &config);
             describe(&format!("cta-defended, {}:", victim.name()), &defended);

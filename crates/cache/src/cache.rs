@@ -5,7 +5,7 @@
 //! structure of the whole simulator (every simulated memory access probes
 //! three cache levels).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_types::PhysAddr;
 
@@ -39,7 +39,7 @@ pub struct CacheAccess {
 /// cache.fill(addr);
 /// assert!(cache.access(addr).hit);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SetAssociativeCache {
     sets: u32,
     /// `sets - 1`; set selection is a mask because `sets` is a power of two.

@@ -1,12 +1,12 @@
 //! Cache hierarchy configuration and Table I presets.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::kernel::MAX_WAYS;
 use crate::replacement::ReplacementPolicy;
 
 /// Configuration of a single cache level (L1D or L2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CacheLevelConfig {
     /// Number of sets.
     pub sets: u32,
@@ -70,7 +70,7 @@ impl CacheLevelConfig {
 }
 
 /// Configuration of the sliced last-level cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LlcConfig {
     /// Number of slices (must be 1, 2 or 4 for the Intel-like hash).
     pub slices: u32,
@@ -157,7 +157,7 @@ impl LlcConfig {
 }
 
 /// Configuration of the full three-level hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CacheHierarchyConfig {
     /// L1 data cache.
     pub l1d: CacheLevelConfig,

@@ -1,6 +1,6 @@
 //! The three-level cache hierarchy (L1D, L2, sliced inclusive LLC).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_types::{Cycles, MemoryLevel, PhysAddr};
 
@@ -44,7 +44,7 @@ pub struct HierarchyAccess {
 /// Sandy/Ivy Bridge), evicting a line from the LLC back-invalidates it from
 /// L1 and L2 — the property that lets an unprivileged attacker evict *kernel*
 /// page-table entries from the whole hierarchy by contention on the LLC only.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CacheHierarchy {
     config: CacheHierarchyConfig,
     l1d: SetAssociativeCache,

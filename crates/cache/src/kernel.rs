@@ -14,7 +14,7 @@
 
 use core::ops::Range;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::replacement::{ReplacementPolicy, ReplacementState};
 
@@ -70,7 +70,7 @@ impl Width for Dynamic {
 }
 
 /// The associativity of a structure, as the kernel instance that serves it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Assoc {
     /// 4 ways, unrolled (the TLBs and the small L1).
     W4,
@@ -222,7 +222,7 @@ pub(crate) enum Probe {
 /// every operation over its ways.
 ///
 /// `set` arguments must be below the set count the store was built with.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SetStore {
     assoc: Assoc,
     policy: ReplacementPolicy,

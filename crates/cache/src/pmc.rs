@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Cache-related performance counters.
 ///
@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// reads: `longest_lat_cache.miss` corresponds to [`CachePmc::llc_misses`].
 /// The simulated attacker only reads them through the privileged oracle
 /// interface during offline calibration, exactly as in the paper.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CachePmc {
     /// L1D lookups.
     pub l1_accesses: u64,

@@ -13,12 +13,12 @@
 //! for the set's [`Assoc`]. [`SetMeta`] remains available as the boxed
 //! per-set wrapper the original API exposed.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::kernel::{self, with_width, Assoc, Width};
 
 /// Replacement policy of a set-associative structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Default)]
 pub enum ReplacementPolicy {
     /// True least-recently-used.
     #[default]
@@ -39,7 +39,7 @@ const SRRIP_INSERT: u64 = 2;
 
 /// The policy-independent per-set scalars: the LRU tick, the NRU clock hand
 /// and the deterministic PRNG state for Random / BIP decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ReplacementState {
     tick: u64,
     hand: usize,
@@ -174,7 +174,7 @@ impl ReplacementPolicy {
 /// The flattened cache and TLB structures keep their metadata inline in their
 /// way arrays; `SetMeta` remains for callers that want one self-contained
 /// per-set object, delegating to the same policy engine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SetMeta {
     policy: ReplacementPolicy,
     /// The kernel instance for the set's width.

@@ -1,6 +1,6 @@
 //! Intel-style complex slice addressing for the last-level cache.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_types::PhysAddr;
 
@@ -22,7 +22,7 @@ use pthammer_types::PhysAddr;
 /// let slice = hasher.slice_of(PhysAddr::new(0x1234_5678));
 /// assert!(slice < 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SliceHasher {
     slices: u32,
     masks: Vec<u64>,

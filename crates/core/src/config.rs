@@ -1,6 +1,6 @@
 //! Attack configuration.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::hammer::strategy::HammerMode;
 
@@ -9,7 +9,7 @@ use crate::hammer::strategy::HammerMode;
 /// The defaults follow the paper's setup scaled to the simulated machines;
 /// [`AttackConfig::quick_test`] shrinks everything so integration tests and
 /// examples finish in seconds of host time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AttackConfig {
     /// Seed for the attacker's own pseudo-random choices.
     pub seed: u64,

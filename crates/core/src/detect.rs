@@ -9,7 +9,7 @@
 //! (the Figure 7 jackpot); a page containing `struct cred` magic values is a
 //! credential slab (the CTA bypass route); anything else is unexploitable.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_kernel::{KernelError, Pid, System, CRED_MAGIC, CRED_SIZE};
 use pthammer_types::{VirtAddr, PAGE_SIZE};
@@ -19,7 +19,7 @@ use crate::pairs::HammerPair;
 use crate::spray::SprayRegion;
 
 /// What kind of physical frame a corrupted mapping now points at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CapturedPageKind {
     /// The frame looks like a sprayed Level-1 page table: repeated identical
     /// present PTEs. Write access to it yields arbitrary physical memory
@@ -38,7 +38,7 @@ pub enum CapturedPageKind {
 }
 
 /// One corrupted sprayed mapping discovered by the post-hammer scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FlipFinding {
     /// Sprayed virtual address whose mapping changed.
     pub vaddr: VirtAddr,

@@ -8,7 +8,7 @@
 //! whose first lines are congruent are congruent at every page offset
 //! (Oren et al.).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_kernel::{MmapOptions, Pid, System, VmaBacking};
 use pthammer_types::{PageSize, VirtAddr, CACHE_LINE_SIZE, PAGE_SIZE, PTE_SIZE};
@@ -21,14 +21,14 @@ use crate::eviction::tlb::TlbEvictionSet;
 /// high bits and same slice). Accessing the first `minimal_lines` pages at
 /// any given page offset evicts every line at that offset that is congruent
 /// with the group.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct LlcPageGroup {
     /// Page-aligned virtual addresses of the group members.
     pub pages: Vec<VirtAddr>,
 }
 
 /// The complete pool of LLC eviction sets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LlcEvictionPool {
     groups: Vec<LlcPageGroup>,
     minimal_lines: usize,
@@ -37,7 +37,7 @@ pub struct LlcEvictionPool {
 }
 
 /// The eviction set Algorithm 2 selected for a concrete Level-1 PTE.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SelectedEvictionSet {
     /// Cache-line addresses to access in order to evict the target L1PTE.
     pub lines: Vec<VirtAddr>,
@@ -425,7 +425,7 @@ fn reduce_to_minimal(
 
 /// Result of the offline minimal-eviction-set-size calibration for the LLC
 /// (the Figure 4 sweep).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LlcCalibration {
     /// Chosen eviction-set size (one above the associativity, as in the paper).
     pub minimal_size: usize,

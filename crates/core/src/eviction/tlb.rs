@@ -8,7 +8,7 @@
 //! empirically with the help of the (offline, privileged) TLB-miss
 //! performance counter.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_kernel::{MmapOptions, Pid, System, VmaBacking};
 use pthammer_types::{VirtAddr, PAGE_SIZE};
@@ -18,7 +18,7 @@ use crate::error::AttackError;
 
 /// Attacker-side knowledge of the TLB set mappings (public microarchitectural
 /// information reverse engineered by Gras et al.).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TlbMapping {
     /// Number of L1 dTLB sets.
     pub l1_sets: u32,
@@ -57,7 +57,7 @@ impl TlbMapping {
 }
 
 /// A concrete TLB eviction set for one target address.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TlbEvictionSet {
     pages: Vec<VirtAddr>,
 }
@@ -87,7 +87,7 @@ impl TlbEvictionSet {
 
 /// A pool of pages bucketed by TLB set, from which eviction sets for any
 /// target address can be drawn.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TlbEvictionPool {
     mapping: TlbMapping,
     by_l1_set: Vec<Vec<VirtAddr>>,
@@ -193,7 +193,7 @@ impl TlbEvictionPool {
 }
 
 /// Result of the offline Algorithm 1 calibration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TlbCalibration {
     /// Minimal eviction-set size that keeps the miss rate at the threshold.
     pub minimal_size: usize,

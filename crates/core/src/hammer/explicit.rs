@@ -11,7 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_kernel::{MmapOptions, Pid, System, VmaBacking};
 use pthammer_types::{VirtAddr, PAGE_SIZE};
@@ -19,7 +19,7 @@ use pthammer_types::{VirtAddr, PAGE_SIZE};
 use crate::error::AttackError;
 
 /// The hammering technique used by the baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ExplicitMode {
     /// Two aggressor rows around a victim, flushed with `clflush`.
     ClflushDoubleSided,
@@ -34,7 +34,7 @@ pub enum ExplicitMode {
 }
 
 /// Configuration of one explicit-hammer run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ExplicitHammerConfig {
     /// Hammering technique.
     pub mode: ExplicitMode,
@@ -50,7 +50,7 @@ pub struct ExplicitHammerConfig {
 }
 
 /// Result of hammering until the first flip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FirstFlip {
     /// Simulated cycles from the start of the run until the flip was found.
     pub cycles_until_flip: u64,
@@ -62,7 +62,7 @@ pub struct FirstFlip {
 
 /// An explicit-hammer workspace: a large buffer owned by the attacker, filled
 /// with a known pattern so flips are visible by scanning.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ExplicitHammer {
     buffer: VirtAddr,
     buffer_len: u64,

@@ -10,7 +10,7 @@
 //! needs; the strategies declare the iteration as `RoundOp`s and
 //! [`crate::trace::CompiledTrace`] runs it.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_kernel::{Pid, System};
 
@@ -20,7 +20,7 @@ use crate::eviction::tlb::{TlbEvictionPool, TlbEvictionSet};
 use crate::pairs::HammerPair;
 
 /// The eviction sets of a double-sided implicit hammer for one pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ImplicitHammer {
     /// The pair being hammered.
     pub pair: HammerPair,
@@ -36,7 +36,7 @@ pub struct ImplicitHammer {
 
 /// Statistics of a hammering run, accumulated by
 /// [`crate::trace::CompiledTrace::hammer`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct HammerStats {
     /// Iterations performed.
     pub rounds: u64,

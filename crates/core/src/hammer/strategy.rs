@@ -27,9 +27,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::ser::JsonWriter;
-use serde::{Deserialize, Serialize};
-
 use pthammer_kernel::{Pid, System};
 use pthammer_types::VirtAddr;
 
@@ -113,16 +110,10 @@ impl FromStr for HammerMode {
     }
 }
 
-// Hand-written so every serialization site — the campaign matrix axis,
-// cell/summary rows, attack configs and outcomes — emits the one canonical
-// kebab-case spelling that `FromStr` accepts and the `--mode` CLI uses.
-impl Serialize for HammerMode {
-    fn serialize(&self, w: &mut JsonWriter) {
-        w.string(self.name());
-    }
-}
-
-impl Deserialize for HammerMode {}
+// Every serialization site — the campaign matrix axis, cell/summary rows,
+// attack configs and outcomes — uses the one kebab-case spelling that
+// `FromStr` accepts and the `--mode` CLI uses.
+serde::string_enum!(HammerMode);
 
 /// One member of a hammer pair — or, for many-sided patterns, an indexed
 /// aggressor of the armed aggressor set.

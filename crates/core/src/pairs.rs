@@ -13,7 +13,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_kernel::{Pid, System};
 use pthammer_types::{VirtAddr, HUGE_PAGE_SIZE, PAGE_SIZE, PTES_PER_TABLE};
@@ -24,7 +24,7 @@ use crate::eviction::tlb::TlbEvictionSet;
 use crate::spray::SprayRegion;
 
 /// A candidate double-sided hammer pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct HammerPair {
     /// Lower virtual address (its L1PTE is the aggressor row below the victim).
     pub low: VirtAddr,
@@ -88,7 +88,7 @@ pub fn candidate_pairs(
 }
 
 /// Result of the timing-based same-bank verification of one pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PairVerification {
     /// The pair that was probed.
     pub pair: HammerPair,

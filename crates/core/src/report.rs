@@ -3,8 +3,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::ser::JsonWriter;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_kernel::DefenseKind;
 
@@ -58,19 +57,11 @@ impl FromStr for PageSetting {
     }
 }
 
-// Hand-written: the offline serde stub has no `rename` support and reports
-// pin the historical lowercase strings.
-impl Serialize for PageSetting {
-    fn serialize(&self, w: &mut JsonWriter) {
-        w.string(self.name());
-    }
-}
-
-impl Deserialize for PageSetting {}
+serde::string_enum!(PageSetting);
 
 /// Simulated-cycle timings of the attack stages, mirroring the columns of
 /// Table II in the paper.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct StageTimings {
     /// One-off TLB eviction-pool preparation.
     pub tlb_pool_prep_cycles: u64,
@@ -99,7 +90,7 @@ impl StageTimings {
 }
 
 /// Complete outcome of one PThammer run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AttackOutcome {
     /// Machine the attack ran on.
     pub machine: String,
@@ -236,7 +227,7 @@ mod tests {
             assert_eq!(s.to_string(), s.name());
         }
         assert!("huge".parse::<PageSetting>().is_err());
-        let mut w = JsonWriter::new(false);
+        let mut w = serde::ser::JsonWriter::new(false);
         PageSetting::Superpage.serialize(&mut w);
         assert_eq!(w.into_string(), "\"superpage\"");
     }

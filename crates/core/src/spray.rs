@@ -8,7 +8,7 @@
 //! DRAM into Level-1 page tables — and a random bit flip has a non-negligible
 //! chance of landing in (and redirecting) one of their entries.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_kernel::{MmapOptions, Pid, System, VmaBacking};
 use pthammer_types::{VirtAddr, HUGE_PAGE_SIZE, PAGE_SIZE};
@@ -22,7 +22,7 @@ use crate::error::AttackError;
 pub const SPRAY_PATTERN: u64 = 0x5054_4841_4d5f_5350; // "PTHAM_SP"
 
 /// A populated page-table spray region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SprayRegion {
     /// First sprayed virtual address (2 MiB aligned).
     pub base: VirtAddr,

@@ -40,7 +40,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::ser::JsonWriter;
 use serde::{Deserialize, Serialize};
 
 use pthammer_dram::FlipModel;
@@ -102,13 +101,6 @@ impl FlipProfile {
     pub fn is_empty(&self) -> bool {
         self.targets.is_empty()
     }
-
-    /// Canonical compact JSON form (the store-cacheable representation).
-    pub fn to_canonical_json(&self) -> String {
-        let mut w = JsonWriter::new(false);
-        self.serialize(&mut w);
-        w.into_string()
-    }
 }
 
 /// The `evaluate` stage's decision about one flip finding.
@@ -132,7 +124,7 @@ impl VictimVerdict {
 /// This replaces the closed `EscalationRoute` enum: victims are open-ended,
 /// so the outcome identifies the victim and mechanism by canonical name
 /// instead of enumerating every possible compromise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct VictimOutcome {
     /// Canonical name of the victim that ran.
     pub victim: &'static str,
@@ -635,15 +627,7 @@ impl FromStr for VictimChoice {
     }
 }
 
-// Hand-written: the offline serde stub has no `rename` support and reports
-// pin the kebab-case names.
-impl Serialize for VictimChoice {
-    fn serialize(&self, w: &mut JsonWriter) {
-        w.string(self.name());
-    }
-}
-
-impl Deserialize for VictimChoice {}
+serde::string_enum!(VictimChoice);
 
 #[cfg(test)]
 mod tests {
@@ -765,7 +749,6 @@ mod tests {
         let b = KeyRecovery::template_profile(&config);
         assert_eq!(a, b);
         assert!(!a.is_empty(), "ci profile must template targets");
-        assert_eq!(a.to_canonical_json(), b.to_canonical_json());
         let other =
             KeyRecovery::template_profile(&MachineConfig::test_small(FlipModelProfile::ci(), 24));
         assert_ne!(a, other, "profile must depend on the DRAM seed");
@@ -824,7 +807,7 @@ mod tests {
             assert_eq!(choice.build().name(), choice.name());
         }
         assert!("swage".parse::<VictimChoice>().is_err());
-        let mut w = JsonWriter::new(false);
+        let mut w = serde::ser::JsonWriter::new(false);
         VictimChoice::KeyRecovery.serialize(&mut w);
         assert_eq!(w.into_string(), "\"key-recovery\"");
     }

@@ -1,7 +1,7 @@
 //! ANVIL-style performance-counter rowhammer detection (Aweke et al.,
 //! ASPLOS 2016).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What the detector is allowed to observe.
 ///
@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// page-table walker, not from attacker loads, so an unmodified ANVIL never
 /// sees the hammering addresses. The extended mode models the fix the paper
 /// suggests: also attributing walker-issued (implicit) DRAM accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum AnvilMode {
     /// Only explicit (attacker-issued load/store) DRAM accesses are visible.
     ExplicitLoadsOnly,
@@ -20,7 +20,7 @@ pub enum AnvilMode {
 }
 
 /// Verdict for one observation window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AnvilVerdict {
     /// Whether the window was flagged as a rowhammer attempt.
     pub detected: bool,
@@ -30,7 +30,7 @@ pub struct AnvilVerdict {
 }
 
 /// A sampling detector in the spirit of ANVIL.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AnvilDetector {
     mode: AnvilMode,
     /// Activations per million cycles above which a window is flagged.

@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_types::PhysAddr;
 
@@ -12,7 +12,7 @@ use crate::geometry::DramGeometry;
 ///
 /// `col` is the byte offset within the (bank, row) — i.e. within one 8 KiB
 /// bank-row for the default geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct DramAddress {
     /// Channel index.
     pub channel: u32,
@@ -65,7 +65,7 @@ impl fmt::Display for DramAddress {
 ///   row bits, mimicking the DRAMA-style bank hash of real memory
 ///   controllers. Used for ablation: it lowers the success rate of naive
 ///   stride-based pair selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub enum MappingKind {
     /// Plain bit-field decomposition.
     #[default]
@@ -87,7 +87,7 @@ pub enum MappingKind {
 /// let loc = mapping.to_dram(pa);
 /// assert_eq!(mapping.to_phys(loc), pa);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct AddressMapping {
     geometry: DramGeometry,
     kind: MappingKind,

@@ -1,7 +1,7 @@
 //! Per-bank DRAM state: row buffer, activation bookkeeping and disturbance
 //! accumulation within refresh windows.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_types::{Cycles, DetHashSet};
 
@@ -33,7 +33,7 @@ pub struct BankAccessResult {
 /// and how much *disturbance* (adjacent-row activations) each potential victim
 /// row has accumulated. When a weak cell's threshold is crossed, the bank
 /// reports a flip.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Bank {
     unit_id: u32,
     rows: u32,

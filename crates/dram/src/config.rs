@@ -1,6 +1,6 @@
 //! Top-level DRAM module configuration.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{
     address::MappingKind, geometry::DramGeometry, row_buffer::RowBufferPolicy, timing::DramTimings,
@@ -16,7 +16,7 @@ use crate::{
 /// let cfg = DramConfig::ddr3_8gib(FlipModelProfile::paper(), 0xA5A5);
 /// assert!(cfg.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DramConfig {
     /// Physical organisation.
     pub geometry: DramGeometry,

@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_types::{CellOrientation, FlipDirection, PhysAddr};
 
@@ -15,7 +15,7 @@ use crate::address::DramAddress;
 /// layer applies the event to its physical-memory contents (a flip whose
 /// direction does not match the currently stored bit is a no-op, exactly as
 /// in real hardware where a discharged cell cannot discharge further).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct FlipEvent {
     /// Physical address of the byte containing the flipped cell.
     pub paddr: PhysAddr,

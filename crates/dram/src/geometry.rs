@@ -1,6 +1,6 @@
 //! DRAM geometry: channels, ranks, banks, rows, and row size.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The physical organisation of the simulated DRAM.
 ///
@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(g.row_span_bytes(), 256 * 1024);
 /// assert_eq!(g.total_banks(), 32);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct DramGeometry {
     /// Number of memory channels.
     pub channels: u32,

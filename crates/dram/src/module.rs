@@ -1,6 +1,6 @@
 //! The complete DRAM module: banks, mapping and statistics.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_types::{Cycles, PhysAddr};
 
@@ -42,7 +42,7 @@ pub struct DramAccessOutcome {
 /// assert_eq!(second.row_buffer, RowBufferOutcome::Hit);
 /// assert!(second.latency < first.latency);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DramModule {
     config: DramConfig,
     mapping: AddressMapping,

@@ -1,11 +1,11 @@
 //! Per-bank row-buffer state and close policies.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_types::Cycles;
 
 /// Outcome of an access with respect to the bank's row buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum RowBufferOutcome {
     /// The requested row was already open.
     Hit,
@@ -25,7 +25,7 @@ impl RowBufferOutcome {
 }
 
 /// Row-buffer management policy of the memory controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Default)]
 pub enum RowBufferPolicy {
     /// Keep the row open until a conflicting access closes it (open-page).
     #[default]
@@ -40,7 +40,7 @@ pub enum RowBufferPolicy {
 }
 
 /// Row-buffer state of a single bank.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct RowBuffer {
     open_row: Option<u32>,
     last_access: Cycles,

@@ -8,11 +8,11 @@
 //! each contiguous and indexed by row — instead of an array of per-row
 //! structs, so a sweep over one counter kind streams one array.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-row refresh-window bookkeeping in structure-of-arrays layout: three
 /// dense `u32` arrays, each indexed by row number.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RowStateSoA {
     /// Activation count per row within the current refresh window.
     activations: Vec<u32>,

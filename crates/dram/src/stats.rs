@@ -2,10 +2,10 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Counters accumulated over the lifetime of a [`DramModule`](crate::DramModule).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DramStats {
     /// Total accesses served.
     pub accesses: u64,

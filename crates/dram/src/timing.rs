@@ -1,6 +1,6 @@
 //! DRAM timing parameters expressed in CPU cycles.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_types::Cycles;
 
@@ -19,7 +19,7 @@ use pthammer_types::Cycles;
 /// let t = DramTimings::ddr3_default();
 /// assert!(t.row_conflict_latency() > t.row_hit_latency());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DramTimings {
     /// Column access latency (CAS + bus transfer), charged on every access.
     pub cas: u32,

@@ -1,6 +1,6 @@
 //! Target Row Refresh (TRR) mitigation model.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of the in-DRAM Target Row Refresh mitigation.
 ///
@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(trr.enabled);
 /// assert_eq!(TrrConfig::disabled().enabled, false);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TrrConfig {
     /// Whether TRR is active. The DDR3 machines of the paper have no TRR.
     pub enabled: bool,
@@ -68,7 +68,7 @@ impl Default for TrrConfig {
 /// than the sampler has slots** and every activation evicts the
 /// least-recently-activated entry before its counter can reach the
 /// threshold, so no targeted refresh ever fires.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub(crate) struct TrrSampler {
     /// Tracked (row, activation count) pairs in recency order; bounded by
     /// `sampler_capacity`.

@@ -8,15 +8,15 @@ use pthammer_patterns::{PatternHammer, SynthesisConfig};
 use pthammer_perf::{HammerEventTally, MachineCounters};
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::matrix::{CellCoord, ScenarioMatrix};
-use crate::report::{CampaignReport, CellReport, REPORT_SCHEMA_VERSION};
+use crate::report::{CampaignReport, CellReport, ExploitOutcome, REPORT_SCHEMA_VERSION};
 use crate::seeding::cell_seed;
 
 /// Campaign-wide knobs: base seed, parallelism, and the attack scale applied
 /// to every cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CampaignConfig {
     /// Base seed every cell seed is derived from.
     pub base_seed: u64,
@@ -187,7 +187,7 @@ impl CampaignConfig {
 /// hammer loop's own tally — so every consumer (perf reports, repro
 /// binaries, this harness) reports the same number instead of re-deriving
 /// it from configuration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct CellPerf {
     /// Simulated hardware counters accumulated by the cell's machine.
     pub counters: MachineCounters,
@@ -240,8 +240,7 @@ pub fn run_cell_instrumented(coord: &CellCoord, config: &CampaignConfig) -> (Cel
         implicit_dram_rate: 0.0,
         seconds_to_first_flip: None,
         seconds_to_escalation: None,
-        exploit_succeeded: None,
-        time_to_exploit: None,
+        exploit: coord.victim.map(|_| ExploitOutcome::default()),
         route: None,
         error: None,
     };
@@ -303,9 +302,9 @@ pub fn run_cell_instrumented(coord: &CellCoord, config: &CampaignConfig) -> (Cel
             report.seconds_to_first_flip = outcome.seconds_to_first_flip();
             report.seconds_to_escalation = outcome.seconds_to_escalation();
             report.route = outcome.victim_outcome.map(|v| v.route_label());
-            if coord.victim.is_some() {
-                report.exploit_succeeded = Some(outcome.victim_outcome.is_some_and(|v| v.success));
-                report.time_to_exploit = outcome
+            if let Some(exploit) = &mut report.exploit {
+                exploit.exploit_succeeded = Some(outcome.victim_outcome.is_some_and(|v| v.success));
+                exploit.time_to_exploit = outcome
                     .victim_outcome
                     .and_then(|v| v.time_to_exploit_iterations);
             }

@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 mod campaign;
-mod decode;
 mod matrix;
 mod report;
 pub mod resume;
@@ -62,20 +61,20 @@ pub use campaign::{
     run_campaign, run_campaign_instrumented, run_cell, run_cell_instrumented, CampaignConfig,
     CellPerf,
 };
-pub use decode::cell_report_from_json;
 pub use matrix::{CellCoord, ProfileChoice, ScenarioMatrix};
-pub use report::{CampaignReport, CellReport, DefenseSummary};
+pub use report::{CampaignReport, CellReport, DefenseSummary, ExploitOutcome, ExploitSummary};
 pub use resume::{
     cell_store_key, merge_stores, run_campaign_resumable, run_campaign_resumable_instrumented,
     run_campaign_shard, store_manifest, MergeStats, ResumeStats,
 };
 pub use seeding::{cell_seed, CELL_SEED_SCHEMA_VERSION};
-pub use victim_cache::{
-    flip_profile_from_json, ProfileSource, VictimProfileCache, VICTIM_PROFILE_SCHEMA_VERSION,
-};
+pub use victim_cache::{KeyRecoveryProfile, VICTIM_PROFILE_SCHEMA_VERSION};
 
 pub use pthammer::{HammerMode, VictimChoice};
 pub use pthammer_defenses::DefenseChoice;
 pub use pthammer_kernel::DefenseKind;
 pub use pthammer_machine::MachineChoice;
-pub use pthammer_store::{CellKey, CellLookup, CellStore, ShardSpec, StoreError, StoreManifest};
+pub use pthammer_store::{
+    ArtifactCache, ArtifactSource, CellKey, CellLookup, CellStore, ShardSpec, StoreError,
+    StoreManifest,
+};

@@ -1,11 +1,12 @@
 //! The declarative scenario matrix: which cells a campaign runs.
 
+use std::fmt;
+
 use pthammer::{HammerMode, VictimChoice};
 use pthammer_defenses::DefenseChoice;
 use pthammer_dram::FlipModelProfile;
 use pthammer_machine::MachineChoice;
 use pthammer_patterns::PatternChoice;
-use serde::ser::JsonWriter;
 use serde::{Deserialize, Serialize};
 
 /// Named weak-cell profile, the third axis of the matrix.
@@ -57,7 +58,7 @@ impl ProfileChoice {
 }
 
 /// Coordinates of one campaign cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct CellCoord {
     /// Machine model under attack.
     pub machine: MachineChoice,
@@ -80,8 +81,41 @@ pub struct CellCoord {
     pub repetition: u32,
 }
 
+/// The value of an axis a campaign does not sweep: its default alone.
+fn unswept<T: Default>() -> Vec<T> {
+    vec![T::default()]
+}
+
+/// Whether `axis` is unswept — the case whose serialization (and golden
+/// snapshot) predates the axis, so its key is left out.
+fn is_unswept<T: Default + PartialEq>(axis: &[T]) -> bool {
+    axis.len() == 1 && axis[0] == T::default()
+}
+
+/// Every coordinate, e.g. `machine=Test Small defense=undefended profile=ci
+/// mode=implicit-double-sided pattern=none victim=key-recovery rep=1`.
+impl fmt::Display for CellCoord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "machine={} defense={} profile={} mode={} pattern={} victim={} rep={}",
+            self.machine.name(),
+            self.defense.kind().name(),
+            self.profile.name(),
+            self.hammer_mode.name(),
+            self.pattern.map_or("none", |p| p.name()),
+            self.victim.map_or("none", |v| v.name()),
+            self.repetition,
+        )
+    }
+}
+
 /// Declarative cross product of campaign axes.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+///
+/// The `hammer_modes`, `patterns` and `victims` keys are serialized only for
+/// campaigns that sweep them, so a matrix without those axes serializes
+/// exactly as it did before they existed.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioMatrix {
     /// Machines axis.
     pub machines: Vec<MachineChoice>,
@@ -91,51 +125,22 @@ pub struct ScenarioMatrix {
     pub profiles: Vec<ProfileChoice>,
     /// Hammer-strategy axis (defaults to the paper's implicit double-sided
     /// mode only).
+    #[serde(default = "unswept", skip_serializing_if = "is_unswept")]
     pub hammer_modes: Vec<HammerMode>,
     /// Pattern axis (defaults to `[None]`: no many-sided patterns). `Some`
     /// entries run a synthesized/preset pattern through `PatternHammer`
     /// instead of the cell's hammer mode.
+    #[serde(default = "unswept", skip_serializing_if = "is_unswept")]
     pub patterns: Vec<Option<PatternChoice>>,
     /// Victim axis (defaults to `[None]`: the default PTE-takeover victim,
     /// serialized as before the axis existed). `Some` entries inject the
     /// chosen victim into the `Exploit` phase and make cells report
     /// `exploit_succeeded` / `time_to_exploit`.
+    #[serde(default = "unswept", skip_serializing_if = "is_unswept")]
     pub victims: Vec<Option<VictimChoice>>,
     /// Seed repetitions per (machine, defense, profile, mode, pattern,
     /// victim) combination.
     pub repetitions: u32,
-}
-
-// Hand-written so a default-mode-only, pattern-free, victim-free matrix
-// serializes exactly as it did before those axes existed: the
-// `hammer_modes`, `patterns` and `victims` keys are emitted only for
-// campaigns that actually sweep them, keeping the golden snapshot
-// byte-identical.
-impl Serialize for ScenarioMatrix {
-    fn serialize(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.key("machines");
-        self.machines.serialize(w);
-        w.key("defenses");
-        self.defenses.serialize(w);
-        w.key("profiles");
-        self.profiles.serialize(w);
-        if !self.is_default_mode_only() {
-            w.key("hammer_modes");
-            self.hammer_modes.serialize(w);
-        }
-        if !self.is_pattern_free() {
-            w.key("patterns");
-            self.patterns.serialize(w);
-        }
-        if !self.is_victim_free() {
-            w.key("victims");
-            self.victims.serialize(w);
-        }
-        w.key("repetitions");
-        self.repetitions.serialize(w);
-        w.end_object();
-    }
 }
 
 impl ScenarioMatrix {
@@ -151,9 +156,9 @@ impl ScenarioMatrix {
             machines,
             defenses,
             profiles,
-            hammer_modes: vec![HammerMode::default()],
-            patterns: vec![None],
-            victims: vec![None],
+            hammer_modes: unswept(),
+            patterns: unswept(),
+            victims: unswept(),
             repetitions,
         }
     }
@@ -177,24 +182,6 @@ impl ScenarioMatrix {
     pub fn with_victims(mut self, victims: Vec<Option<VictimChoice>>) -> Self {
         self.victims = victims;
         self
-    }
-
-    /// True when the hammer-mode axis is exactly the paper default — the
-    /// case whose serialization (and golden snapshot) predates the axis.
-    pub fn is_default_mode_only(&self) -> bool {
-        self.hammer_modes.len() == 1 && self.hammer_modes[0].is_default()
-    }
-
-    /// True when the pattern axis is exactly `[None]` — the case whose
-    /// serialization (and golden snapshot) predates the axis.
-    pub fn is_pattern_free(&self) -> bool {
-        self.patterns == [None]
-    }
-
-    /// True when the victim axis is exactly `[None]` — the case whose
-    /// serialization (and golden snapshot) predates the axis.
-    pub fn is_victim_free(&self) -> bool {
-        self.victims == [None]
     }
 
     /// The pinned victim-sweep regression matrix: the small test machine,
@@ -324,13 +311,32 @@ impl ScenarioMatrix {
 mod tests {
     use super::*;
 
+    fn compact(matrix: &ScenarioMatrix) -> String {
+        serde_json::to_string(matrix).unwrap()
+    }
+
+    #[test]
+    fn swept_axes_round_trip_and_unswept_ones_decode_to_their_default() {
+        for matrix in [
+            ScenarioMatrix::ci_default(),
+            ScenarioMatrix::ci_default().with_hammer_modes(HammerMode::all()),
+            ScenarioMatrix::trr_pattern_ci(),
+            ScenarioMatrix::victim_sweep_ci(),
+        ] {
+            let json = compact(&matrix);
+            let decoded: ScenarioMatrix =
+                serde_json::from_value(serde_json::from_str(&json).unwrap()).unwrap();
+            assert_eq!(decoded, matrix);
+        }
+    }
+
     #[test]
     fn ci_default_has_at_least_24_cells() {
         let m = ScenarioMatrix::ci_default();
         assert!(m.len() >= 24, "CI matrix too small: {}", m.len());
         assert_eq!(m.cells().len(), m.len());
         assert!(m.validate().is_ok());
-        assert!(m.is_default_mode_only());
+        assert!(is_unswept(&m.hammer_modes));
     }
 
     #[test]
@@ -376,7 +382,7 @@ mod tests {
     fn pattern_axis_extends_the_cross_product() {
         let m = ScenarioMatrix::trr_pattern_ci();
         assert_eq!(m.len(), 24, "2 machines × 2 profiles × 3 patterns × 2");
-        assert!(!m.is_pattern_free());
+        assert!(!is_unswept(&m.patterns));
         assert!(m.validate().is_ok());
         let cells = m.cells();
         assert_eq!(cells.len(), m.len());
@@ -385,7 +391,7 @@ mod tests {
             .iter()
             .any(|c| c.pattern == Some(PatternChoice::Synthesized)));
         let m = ScenarioMatrix::ci_default();
-        assert!(m.is_pattern_free());
+        assert!(is_unswept(&m.patterns));
         assert!(m.cells().iter().all(|c| c.pattern.is_none()));
         let m = ScenarioMatrix::ci_default().with_patterns(vec![]);
         assert!(m.validate().is_err());
@@ -395,7 +401,7 @@ mod tests {
     fn victim_axis_extends_the_cross_product() {
         let m = ScenarioMatrix::victim_sweep_ci();
         assert_eq!(m.len(), 24, "2 defenses × 2 profiles × 3 victims × 2");
-        assert!(!m.is_victim_free());
+        assert!(!is_unswept(&m.victims));
         assert!(m.validate().is_ok());
         let cells = m.cells();
         assert_eq!(cells.len(), m.len());
@@ -403,7 +409,7 @@ mod tests {
             .iter()
             .any(|c| c.victim == Some(VictimChoice::KeyRecovery)));
         let m = ScenarioMatrix::ci_default();
-        assert!(m.is_victim_free());
+        assert!(is_unswept(&m.victims));
         assert!(m.cells().iter().all(|c| c.victim.is_none()));
         let m = ScenarioMatrix::ci_default().with_victims(vec![]);
         assert!(m.validate().is_err());
@@ -411,13 +417,8 @@ mod tests {
 
     #[test]
     fn victim_free_matrix_serializes_without_the_axis() {
-        let mut w = JsonWriter::new(false);
-        ScenarioMatrix::ci_default().serialize(&mut w);
-        assert!(!w.into_string().contains("victims"));
-
-        let mut w = JsonWriter::new(false);
-        ScenarioMatrix::victim_sweep_ci().serialize(&mut w);
-        let json = w.into_string();
+        assert!(!compact(&ScenarioMatrix::ci_default()).contains("victims"));
+        let json = compact(&ScenarioMatrix::victim_sweep_ci());
         assert!(
             json.contains("\"victims\":[\"pte-takeover\",\"cred-corruption\",\"key-recovery\"]"),
             "{json}"
@@ -430,13 +431,8 @@ mod tests {
 
     #[test]
     fn pattern_free_matrix_serializes_without_the_axis() {
-        let mut w = JsonWriter::new(false);
-        ScenarioMatrix::ci_default().serialize(&mut w);
-        assert!(!w.into_string().contains("patterns"));
-
-        let mut w = JsonWriter::new(false);
-        ScenarioMatrix::trr_pattern_ci().serialize(&mut w);
-        let json = w.into_string();
+        assert!(!compact(&ScenarioMatrix::ci_default()).contains("patterns"));
+        let json = compact(&ScenarioMatrix::trr_pattern_ci());
         assert!(
             json.contains("\"patterns\":[null,\"synthesized\",\"uniform-4-sided\"]"),
             "{json}"
@@ -449,19 +445,13 @@ mod tests {
 
     #[test]
     fn default_mode_matrix_serializes_without_the_axis() {
-        let mut w = JsonWriter::new(false);
-        ScenarioMatrix::ci_default().serialize(&mut w);
-        let json = w.into_string();
+        let json = compact(&ScenarioMatrix::ci_default());
         assert!(
             !json.contains("hammer_modes"),
             "default-mode matrix must serialize as before the axis existed: {json}"
         );
 
-        let mut w = JsonWriter::new(false);
-        ScenarioMatrix::ci_default()
-            .with_hammer_modes(HammerMode::all())
-            .serialize(&mut w);
-        let json = w.into_string();
+        let json = compact(&ScenarioMatrix::ci_default().with_hammer_modes(HammerMode::all()));
         // The axis uses the same canonical kebab-case spelling as cell rows
         // and the `--mode` CLI.
         assert!(json.contains("\"hammer_modes\":[\"implicit-double-sided\""));

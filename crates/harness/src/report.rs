@@ -1,9 +1,12 @@
 //! Campaign results: per-cell rows, per-defense summaries, canonical JSON.
+//!
+//! Keys of axes added after the first golden snapshot are written only when
+//! they differ from the pre-axis value, so older snapshots stay
+//! byte-identical; the derived `Deserialize` reads store cells back exactly.
 
 use pthammer::{HammerMode, VictimChoice};
 use pthammer_kernel::DefenseKind;
 use pthammer_patterns::PatternChoice;
-use serde::ser::JsonWriter;
 use serde::{Deserialize, Serialize};
 
 use crate::matrix::ScenarioMatrix;
@@ -12,8 +15,12 @@ use crate::matrix::ScenarioMatrix;
 /// golden snapshots fail loudly instead of mysteriously.
 pub const REPORT_SCHEMA_VERSION: u32 = 1;
 
+fn is_zero(n: &u64) -> bool {
+    *n == 0
+}
+
 /// Outcome of one campaign cell (one attack run).
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellReport {
     /// Machine name (coordinate).
     pub machine: String,
@@ -22,16 +29,16 @@ pub struct CellReport {
     /// Weak-cell profile name (coordinate).
     pub profile: String,
     /// Hammer strategy the cell ran (coordinate). Serialized only for
-    /// non-default modes, so pre-axis snapshots stay byte-identical.
+    /// non-default modes.
+    #[serde(default, skip_serializing_if = "HammerMode::is_default")]
     pub hammer_mode: HammerMode,
     /// Many-sided pattern source the cell ran, if any (coordinate).
-    /// Serialized only when present (pre-axis snapshots stay
-    /// byte-identical).
+    /// Serialized only when present.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub pattern: Option<PatternChoice>,
     /// Victim the cell's `Exploit` phase drove, if explicitly swept
-    /// (coordinate). Serialized only when present (pre-axis snapshots stay
-    /// byte-identical); presence also gates the `exploit_succeeded` /
-    /// `time_to_exploit` keys below.
+    /// (coordinate). Serialized only when present.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub victim: Option<VictimChoice>,
     /// Repetition index (coordinate).
     pub repetition: u32,
@@ -47,8 +54,8 @@ pub struct CellReport {
     /// Exploitable flips (captured an L1PT or cred page).
     pub exploitable_flips: usize,
     /// Targeted refreshes the machine's TRR mitigation issued during the
-    /// cell (0 on TRR-free machines). Serialized only when non-zero, so
-    /// pre-TRR snapshots stay byte-identical.
+    /// cell (0 on TRR-free machines). Serialized only when non-zero.
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub trr_refreshes: u64,
     /// Fraction of hammer iterations whose L1PTE loads reached DRAM.
     pub implicit_dram_rate: f64,
@@ -56,13 +63,10 @@ pub struct CellReport {
     pub seconds_to_first_flip: Option<f64>,
     /// Simulated seconds until escalation, if it happened.
     pub seconds_to_escalation: Option<f64>,
-    /// Whether the cell's victim attack succeeded. Populated (and
-    /// serialized) only for explicit-victim cells.
-    pub exploit_succeeded: Option<bool>,
-    /// Double-sided hammer iterations performed before the victim attack
-    /// succeeded. Populated (and serialized) only for explicit-victim cells;
-    /// `null` there when the exploit never succeeded.
-    pub time_to_exploit: Option<u64>,
+    /// The victim attack's outcome: `Some` exactly for explicit-victim
+    /// cells, whose rows carry its keys in place of this field.
+    #[serde(flatten)]
+    pub exploit: Option<ExploitOutcome>,
     /// Escalation route (the victim outcome's route label), if the exploit
     /// escalated or recovered key material.
     pub route: Option<String>,
@@ -70,66 +74,28 @@ pub struct CellReport {
     pub error: Option<String>,
 }
 
-// Hand-written: `defense` serializes as its display name; `hammer_mode` is
-// emitted only when it is not the paper default, `pattern` and `victim`
-// (with its `exploit_succeeded` / `time_to_exploit` outcome keys) only when
-// present, and `trr_refreshes` only when non-zero — the golden snapshot
-// predates those axes and must stay byte-identical.
-impl Serialize for CellReport {
-    fn serialize(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.key("machine");
-        self.machine.serialize(w);
-        w.key("defense");
-        self.defense.serialize(w);
-        w.key("profile");
-        self.profile.serialize(w);
-        if !self.hammer_mode.is_default() {
-            w.key("hammer_mode");
-            w.string(self.hammer_mode.name());
-        }
-        if let Some(pattern) = self.pattern {
-            w.key("pattern");
-            w.string(pattern.name());
-        }
-        if let Some(victim) = self.victim {
-            w.key("victim");
-            w.string(victim.name());
-        }
-        w.key("repetition");
-        self.repetition.serialize(w);
-        w.key("cell_seed");
-        self.cell_seed.serialize(w);
-        w.key("escalated");
-        self.escalated.serialize(w);
-        w.key("attempts");
-        self.attempts.serialize(w);
-        w.key("flips_observed");
-        self.flips_observed.serialize(w);
-        w.key("exploitable_flips");
-        self.exploitable_flips.serialize(w);
-        if self.trr_refreshes != 0 {
-            w.key("trr_refreshes");
-            self.trr_refreshes.serialize(w);
-        }
-        w.key("implicit_dram_rate");
-        self.implicit_dram_rate.serialize(w);
-        w.key("seconds_to_first_flip");
-        self.seconds_to_first_flip.serialize(w);
-        w.key("seconds_to_escalation");
-        self.seconds_to_escalation.serialize(w);
-        if self.victim.is_some() {
-            w.key("exploit_succeeded");
-            self.exploit_succeeded.serialize(w);
-            w.key("time_to_exploit");
-            self.time_to_exploit.serialize(w);
-        }
-        w.key("route");
-        self.route.serialize(w);
-        w.key("error");
-        self.error.serialize(w);
-        w.end_object();
+impl CellReport {
+    /// Whether the cell's victim attack succeeded (false for cells that
+    /// swept no victim).
+    pub fn exploit_succeeded(&self) -> bool {
+        self.exploit
+            .is_some_and(|e| e.exploit_succeeded == Some(true))
     }
+
+    /// Hammer iterations to the successful victim attack, if there was one.
+    pub fn time_to_exploit(&self) -> Option<u64> {
+        self.exploit?.time_to_exploit
+    }
+}
+
+/// The exploit outcome of an explicit-victim cell.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ExploitOutcome {
+    /// Whether the victim attack succeeded (`None` when the cell aborted).
+    pub exploit_succeeded: Option<bool>,
+    /// Double-sided hammer iterations performed before the victim attack
+    /// succeeded; `None` when it never did.
+    pub time_to_exploit: Option<u64>,
 }
 
 /// Aggregates over all cells sharing one (defense, profile, hammer-mode)
@@ -138,21 +104,22 @@ impl Serialize for CellReport {
 /// Summaries are split by weak-cell profile so control groups (e.g. the
 /// `invulnerable` profile) can never dilute a defense's headline escalation
 /// rate, and by hammer mode so strategy sweeps stay comparable.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DefenseSummary {
     /// Defense, typed; serializes as its display name.
     pub defense: DefenseKind,
     /// Weak-cell profile name the cells ran with.
     pub profile: String,
     /// Hammer strategy the cells ran. Serialized only for non-default
-    /// modes (golden-snapshot compatibility).
+    /// modes.
+    #[serde(default, skip_serializing_if = "HammerMode::is_default")]
     pub hammer_mode: HammerMode,
-    /// Pattern source the cells ran, if any. Serialized only when present
-    /// (golden-snapshot compatibility).
+    /// Pattern source the cells ran, if any. Serialized only when present.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub pattern: Option<PatternChoice>,
     /// Victim the cells drove, if explicitly swept. Serialized only when
-    /// present (golden-snapshot compatibility); presence also gates the
-    /// `exploit_successes` / `mean_time_to_exploit` keys below.
+    /// present.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub victim: Option<VictimChoice>,
     /// Number of cells aggregated (including errored ones).
     pub cells: usize,
@@ -173,66 +140,24 @@ pub struct DefenseSummary {
     pub mean_implicit_dram_rate: f64,
     /// Mean simulated seconds to first flip over cells that flipped.
     pub mean_seconds_to_first_flip: Option<f64>,
-    /// Completed cells whose victim attack succeeded. Populated (and
-    /// serialized) only for explicit-victim rows.
-    pub exploit_successes: Option<usize>,
-    /// Mean hammer iterations to a successful exploit over cells that
-    /// succeeded. Populated (and serialized) only for explicit-victim rows;
-    /// `null` there when no cell succeeded.
-    pub mean_time_to_exploit: Option<f64>,
+    /// Exploit aggregates: `Some` exactly for explicit-victim rows, whose
+    /// summaries carry its keys in place of this field.
+    #[serde(flatten)]
+    pub exploit: Option<ExploitSummary>,
     /// Escalation-rate delta against the undefended baseline on the same
     /// profile and mode (`None` when the campaign has no undefended cells
     /// for it).
     pub escalation_rate_delta_vs_undefended: Option<f64>,
 }
 
-impl Serialize for DefenseSummary {
-    fn serialize(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.key("defense");
-        self.defense.serialize(w);
-        w.key("profile");
-        self.profile.serialize(w);
-        if !self.hammer_mode.is_default() {
-            w.key("hammer_mode");
-            w.string(self.hammer_mode.name());
-        }
-        if let Some(pattern) = self.pattern {
-            w.key("pattern");
-            w.string(pattern.name());
-        }
-        if let Some(victim) = self.victim {
-            w.key("victim");
-            w.string(victim.name());
-        }
-        w.key("cells");
-        self.cells.serialize(w);
-        w.key("errored_cells");
-        self.errored_cells.serialize(w);
-        w.key("escalations");
-        self.escalations.serialize(w);
-        w.key("escalation_rate");
-        self.escalation_rate.serialize(w);
-        w.key("flip_cells");
-        self.flip_cells.serialize(w);
-        w.key("mean_flips");
-        self.mean_flips.serialize(w);
-        w.key("mean_exploitable_flips");
-        self.mean_exploitable_flips.serialize(w);
-        w.key("mean_implicit_dram_rate");
-        self.mean_implicit_dram_rate.serialize(w);
-        w.key("mean_seconds_to_first_flip");
-        self.mean_seconds_to_first_flip.serialize(w);
-        if self.victim.is_some() {
-            w.key("exploit_successes");
-            self.exploit_successes.serialize(w);
-            w.key("mean_time_to_exploit");
-            self.mean_time_to_exploit.serialize(w);
-        }
-        w.key("escalation_rate_delta_vs_undefended");
-        self.escalation_rate_delta_vs_undefended.serialize(w);
-        w.end_object();
-    }
+/// Exploit aggregates of an explicit-victim summary row.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct ExploitSummary {
+    /// Completed cells whose victim attack succeeded.
+    pub exploit_successes: usize,
+    /// Mean hammer iterations to a successful exploit over cells that
+    /// succeeded; `None` when no cell succeeded.
+    pub mean_time_to_exploit: Option<f64>,
 }
 
 /// Complete campaign result: inputs, per-cell rows, per-defense summaries.
@@ -308,7 +233,7 @@ impl CampaignReport {
                                 .collect();
                             let exploit_times: Vec<f64> = completed
                                 .iter()
-                                .filter_map(|c| c.time_to_exploit)
+                                .filter_map(|c| c.time_to_exploit())
                                 .map(|t| t as f64)
                                 .collect();
                             let baseline_rate = {
@@ -351,20 +276,20 @@ impl CampaignReport {
                                 } else {
                                     Some(first_flip.iter().sum::<f64>() / first_flip.len() as f64)
                                 },
-                                exploit_successes: vic.map(|_| {
-                                    completed
+                                exploit: vic.map(|_| ExploitSummary {
+                                    exploit_successes: completed
                                         .iter()
-                                        .filter(|c| c.exploit_succeeded == Some(true))
-                                        .count()
+                                        .filter(|c| c.exploit_succeeded())
+                                        .count(),
+                                    mean_time_to_exploit: if exploit_times.is_empty() {
+                                        None
+                                    } else {
+                                        Some(
+                                            exploit_times.iter().sum::<f64>()
+                                                / exploit_times.len() as f64,
+                                        )
+                                    },
                                 }),
-                                mean_time_to_exploit: if vic.is_none() || exploit_times.is_empty() {
-                                    None
-                                } else {
-                                    Some(
-                                        exploit_times.iter().sum::<f64>()
-                                            / exploit_times.len() as f64,
-                                    )
-                                },
                                 escalation_rate_delta_vs_undefended: baseline_rate
                                     .map(|base| escalation_rate - base),
                             });
@@ -402,11 +327,14 @@ mod tests {
             implicit_dram_rate: 0.9,
             seconds_to_first_flip: if flips > 0 { Some(1.5) } else { None },
             seconds_to_escalation: None,
-            exploit_succeeded: None,
-            time_to_exploit: None,
+            exploit: None,
             route: None,
             error: None,
         }
+    }
+
+    fn compact<T: Serialize>(value: &T) -> String {
+        serde_json::to_string(value).unwrap()
     }
 
     fn matrix() -> ScenarioMatrix {
@@ -553,9 +481,7 @@ mod tests {
         let mut row = cell(DefenseChoice::None, false, 0);
         row.pattern = Some(PatternChoice::Synthesized);
         row.trr_refreshes = 17;
-        let mut w = JsonWriter::new(false);
-        row.serialize(&mut w);
-        let json = w.into_string();
+        let json = compact(&row);
         assert!(json.contains("\"pattern\":\"synthesized\""));
         assert!(json.contains("\"trr_refreshes\":17"));
         assert!(json.find("\"pattern\"").unwrap() < json.find("\"repetition\"").unwrap());
@@ -591,20 +517,18 @@ mod tests {
             Some(0.0),
             "pattern rows compare against the pattern undefended baseline"
         );
-        let mut w = JsonWriter::new(false);
-        summaries[1].serialize(&mut w);
-        assert!(w.into_string().contains("\"pattern\":\"synthesized\""));
+        assert!(compact(&summaries[1]).contains("\"pattern\":\"synthesized\""));
     }
 
     #[test]
     fn victim_rows_and_summaries_carry_the_exploit_keys() {
         let mut row = cell(DefenseChoice::None, true, 2);
         row.victim = Some(VictimChoice::KeyRecovery);
-        row.exploit_succeeded = Some(true);
-        row.time_to_exploit = Some(4_800);
-        let mut w = JsonWriter::new(false);
-        row.serialize(&mut w);
-        let json = w.into_string();
+        row.exploit = Some(ExploitOutcome {
+            exploit_succeeded: Some(true),
+            time_to_exploit: Some(4_800),
+        });
+        let json = compact(&row);
         assert!(json.contains("\"victim\":\"key-recovery\""));
         assert!(json.contains("\"exploit_succeeded\":true"));
         assert!(json.contains("\"time_to_exploit\":4800"));
@@ -618,9 +542,7 @@ mod tests {
         assert!(json.find("\"time_to_exploit\"").unwrap() < json.find("\"route\"").unwrap());
 
         // Default-victim rows carry none of the keys.
-        let mut w = JsonWriter::new(false);
-        cell(DefenseChoice::None, true, 2).serialize(&mut w);
-        let json = w.into_string();
+        let json = compact(&cell(DefenseChoice::None, true, 2));
         assert!(!json.contains("victim"));
         assert!(!json.contains("exploit_succeeded"));
         assert!(!json.contains("time_to_exploit"));
@@ -640,28 +562,41 @@ mod tests {
             {
                 let mut c = cell(DefenseChoice::None, true, 2);
                 c.victim = Some(VictimChoice::PteTakeover);
-                c.exploit_succeeded = Some(true);
-                c.time_to_exploit = Some(1_000);
+                c.exploit = Some(ExploitOutcome {
+                    exploit_succeeded: Some(true),
+                    time_to_exploit: Some(1_000),
+                });
                 c
             },
             {
                 let mut c = cell(DefenseChoice::None, false, 2);
                 c.victim = Some(VictimChoice::KeyRecovery);
-                c.exploit_succeeded = Some(false);
+                c.exploit = Some(ExploitOutcome {
+                    exploit_succeeded: Some(false),
+                    time_to_exploit: None,
+                });
                 c
             },
         ];
         let summaries = CampaignReport::summarize(&m, &cells);
         assert_eq!(summaries.len(), 2);
         assert_eq!(summaries[0].victim, Some(VictimChoice::PteTakeover));
-        assert_eq!(summaries[0].exploit_successes, Some(1));
-        assert_eq!(summaries[0].mean_time_to_exploit, Some(1_000.0));
+        assert_eq!(
+            summaries[0].exploit,
+            Some(ExploitSummary {
+                exploit_successes: 1,
+                mean_time_to_exploit: Some(1_000.0)
+            })
+        );
         assert_eq!(summaries[1].victim, Some(VictimChoice::KeyRecovery));
-        assert_eq!(summaries[1].exploit_successes, Some(0));
-        assert_eq!(summaries[1].mean_time_to_exploit, None);
-        let mut w = JsonWriter::new(false);
-        summaries[0].serialize(&mut w);
-        let json = w.into_string();
+        assert_eq!(
+            summaries[1].exploit,
+            Some(ExploitSummary {
+                exploit_successes: 0,
+                mean_time_to_exploit: None
+            })
+        );
+        let json = compact(&summaries[0]);
         assert!(json.contains("\"victim\":\"pte-takeover\""));
         assert!(json.contains("\"exploit_successes\":1"));
         assert!(json.contains("\"mean_time_to_exploit\":1000.0"));
@@ -671,12 +606,110 @@ mod tests {
     fn non_default_mode_rows_carry_the_mode_key() {
         let mut row = cell(DefenseChoice::None, false, 0);
         row.hammer_mode = HammerMode::ImplicitOneLocation;
-        let mut w = JsonWriter::new(false);
-        row.serialize(&mut w);
-        let json = w.into_string();
+        let json = compact(&row);
         assert!(json.contains("\"hammer_mode\":\"implicit-one-location\""));
         // The mode key sits between the profile and repetition coordinates.
         assert!(json.find("\"profile\"").unwrap() < json.find("\"hammer_mode\"").unwrap());
         assert!(json.find("\"hammer_mode\"").unwrap() < json.find("\"repetition\"").unwrap());
+    }
+
+    fn decode(body: &str) -> Result<CellReport, String> {
+        serde_json::from_str(body)
+            .and_then(serde_json::from_value)
+            .map_err(|e| e.to_string())
+    }
+
+    fn tricky_report() -> CellReport {
+        CellReport {
+            machine: "Test Small".into(),
+            defense: DefenseKind::RipRh,
+            profile: "ci".into(),
+            hammer_mode: HammerMode::ImplicitOneLocation,
+            pattern: Some(PatternChoice::Synthesized),
+            victim: Some(VictimChoice::KeyRecovery),
+            repetition: 2,
+            cell_seed: u64::MAX - 1,
+            escalated: true,
+            attempts: 3,
+            flips_observed: 7,
+            exploitable_flips: 1,
+            trr_refreshes: u64::MAX - 3,
+            implicit_dram_rate: 0.1 + 0.2, // not exactly representable
+            seconds_to_first_flip: Some(1.0e-7),
+            seconds_to_escalation: None,
+            exploit: Some(ExploitOutcome {
+                exploit_succeeded: Some(true),
+                time_to_exploit: Some(u64::MAX - 7),
+            }),
+            route: Some("PageTable { pte: 0x1000 }".into()),
+            error: Some("line1\nline2 \"quoted\"".into()),
+        }
+    }
+
+    #[test]
+    fn decoded_report_round_trips_exactly() {
+        let bare = CellReport {
+            hammer_mode: HammerMode::default(),
+            pattern: None,
+            victim: None,
+            trr_refreshes: 0,
+            exploit: None,
+            route: None,
+            error: None,
+            ..tricky_report()
+        };
+        // An unsuccessful explicit-victim row keeps its null outcome keys.
+        let failed_exploit = CellReport {
+            exploit: Some(ExploitOutcome::default()),
+            ..tricky_report()
+        };
+        for report in [tricky_report(), bare.clone(), failed_exploit.clone()] {
+            let body = compact(&report);
+            let decoded = decode(&body).unwrap();
+            assert_eq!(decoded, report);
+            // Bit-exact floats, not just PartialEq-equal.
+            assert_eq!(
+                decoded.implicit_dram_rate.to_bits(),
+                report.implicit_dram_rate.to_bits()
+            );
+            // Byte-exact re-serialization — what merge actually emits.
+            assert_eq!(compact(&decoded), body);
+        }
+        // Absent axis keys decode to their defaults.
+        let body = compact(&bare);
+        for key in [
+            "hammer_mode",
+            "pattern",
+            "victim",
+            "trr_",
+            "exploit_",
+            "_exploit",
+        ] {
+            assert!(!body.contains(key), "{key} in {body}");
+        }
+        let body = compact(&failed_exploit);
+        assert!(body.contains("\"exploit_succeeded\":null,\"time_to_exploit\":null"));
+    }
+
+    #[test]
+    fn schema_drift_is_a_described_error() {
+        let body = compact(&tricky_report());
+        let err = decode(&body.replace("\"attempts\"", "\"tries\"")).unwrap_err();
+        assert!(err.contains("attempts"), "{err}");
+        let err = decode("][").unwrap_err();
+        assert!(err.contains("byte"), "{err}");
+        let err = decode("{\"machine\":3}").unwrap_err();
+        assert!(err.contains("machine"), "{err}");
+        let err = decode(&body.replace("\"RIP-RH\"", "\"RIP\"")).unwrap_err();
+        assert!(err.contains("defense"), "{err}");
+    }
+
+    #[test]
+    fn narrow_fields_reject_out_of_range_values() {
+        let body = compact(&tricky_report());
+        let overflow = body.replace("\"repetition\":2", "\"repetition\":4294967296");
+        assert!(decode(&overflow).unwrap_err().contains("repetition"));
+        assert!(decode(&body.replace("\"attempts\":3", "\"attempts\":-3")).is_err());
+        assert!(decode(&body.replace("\"attempts\":3", "\"attempts\":3.0")).is_err());
     }
 }

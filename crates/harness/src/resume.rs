@@ -27,14 +27,13 @@
 
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_store::{
     fnv1a_128, CellKey, CellLookup, CellStore, ShardSpec, StoreManifest, STORE_SCHEMA_VERSION,
 };
 
 use crate::campaign::{assemble_report, run_cell_instrumented, CampaignConfig, CellPerf};
-use crate::decode::cell_report_from_json;
 use crate::matrix::{CellCoord, ScenarioMatrix};
 use crate::report::{CampaignReport, CellReport};
 use crate::seeding::CELL_SEED_SCHEMA_VERSION;
@@ -96,7 +95,7 @@ pub fn store_manifest(config: &CampaignConfig) -> StoreManifest {
 /// Accounting of one store-backed invocation: how each matrix cell was
 /// satisfied. `pthammer-perf` reports these as the store's cache-hit
 /// counters, and the CI resume/shard jobs assert on them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ResumeStats {
     /// Cells in the matrix.
     pub cells_total: usize,
@@ -122,7 +121,7 @@ impl ResumeStats {
 }
 
 /// Accounting of a [`merge_stores`] call.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct MergeStats {
     /// Cells in the merged report.
     pub cells: usize,
@@ -171,17 +170,14 @@ fn run_store_backed(
             sources.push(CellSource::SkippedShard);
             continue;
         }
-        let corrupt = match store.get(&key) {
-            // A verified body that no longer decodes predates a report-schema
-            // change; recompute it like a corrupt entry.
-            CellLookup::Hit(body) => match cell_report_from_json(&body) {
-                Ok(report) => {
-                    stats.cache_hits += 1;
-                    sources.push(CellSource::Cached(Box::new(report)));
-                    continue;
-                }
-                Err(_) => true,
-            },
+        // A verified body that no longer decodes predates a report-schema
+        // change; the typed lookup reports it as corrupt, and it recomputes.
+        let corrupt = match store.lookup(&key) {
+            CellLookup::Hit(report) => {
+                stats.cache_hits += 1;
+                sources.push(CellSource::Cached(Box::new(report)));
+                continue;
+            }
             CellLookup::Corrupt => true,
             CellLookup::Miss => false,
         };
@@ -359,27 +355,18 @@ pub fn merge_stores(
     'cells: for coord in &cells {
         let key = cell_store_key(coord);
         for (i, store) in stores.iter().enumerate() {
-            match store.get(&key) {
-                CellLookup::Hit(body) => match cell_report_from_json(&body) {
-                    Ok(report) => {
-                        stats.per_store[i] += 1;
-                        rows.push(report);
-                        continue 'cells;
-                    }
-                    Err(_) => stats.corrupt_skipped += 1,
-                },
+            match store.lookup(&key) {
+                CellLookup::Hit(report) => {
+                    stats.per_store[i] += 1;
+                    rows.push(report);
+                    continue 'cells;
+                }
                 CellLookup::Corrupt => stats.corrupt_skipped += 1,
                 CellLookup::Miss => {}
             }
         }
         return Err(format!(
-            "no store holds cell machine={} defense={} profile={} mode={} rep={} \
-             (key {}); the campaign or a shard is incomplete",
-            coord.machine.name(),
-            coord.defense.kind().name(),
-            coord.profile.name(),
-            coord.hammer_mode.name(),
-            coord.repetition,
+            "no store holds cell {coord} (key {}); the campaign or a shard is incomplete",
             key.hex(),
         ));
     }
@@ -522,5 +509,79 @@ mod tests {
         assert!(err.contains("no store holds cell"), "{err}");
         assert!(err.contains("machine=Test Small"), "{err}");
         CellStore::wipe(&root).unwrap();
+    }
+
+    #[test]
+    fn hash_valid_but_deeply_nested_body_is_recomputed() {
+        let matrix = small_matrix();
+        let config = small_config();
+        let (store, root) = temp_store(&config, "nested");
+        let (cold, _) = run_campaign_resumable(&matrix, &config, &store).unwrap();
+
+        // The header hash is valid, but the body nests far past anything a
+        // cell decodes: the lookup must report it corrupt, not overflow the
+        // stack.
+        let key = cell_store_key(&matrix.cells()[1]);
+        store.put(&key, &"[".repeat(200_000)).unwrap();
+        assert!(store.contains(&key), "the entry itself verifies");
+
+        let (warm, stats) = run_campaign_resumable(&matrix, &config, &store).unwrap();
+        assert_eq!(stats.corrupt_recomputed, 1);
+        assert_eq!(stats.computed, 1);
+        assert_eq!(stats.cache_hits, matrix.len() - 1);
+        assert_eq!(warm.to_canonical_json(), cold.to_canonical_json());
+        CellStore::wipe(&root).unwrap();
+    }
+
+    #[test]
+    fn merge_names_every_coordinate_of_a_missing_victim_cell() {
+        // A complete victim-sweep store, minus one cell. Merge decodes each
+        // entry but never checks it against its key, so one synthetic row
+        // stands in for every cell.
+        let matrix = ScenarioMatrix::victim_sweep_ci();
+        let config = small_config();
+        let cells = matrix.cells();
+        let row = r#"{"machine":"m","defense":"CTA","profile":"ci","repetition":0,"cell_seed":0,
+            "escalated":false,"attempts":0,"flips_observed":0,"exploitable_flips":0,
+            "implicit_dram_rate":0.0}"#;
+        let missing_message = |missing: usize| {
+            let (store, root) = temp_store(&config, "victim-missing");
+            for (i, coord) in cells.iter().enumerate() {
+                if i != missing {
+                    store.put(&cell_store_key(coord), row).unwrap();
+                }
+            }
+            let err = merge_stores(&matrix, &config, &[&store]).unwrap_err();
+            CellStore::wipe(&root).unwrap();
+            err
+        };
+        // Two cells that differ only in their victim.
+        let a = cells.len() - 1;
+        let b = cells
+            .iter()
+            .position(|c| {
+                c.victim != cells[a].victim
+                    && CellCoord {
+                        victim: cells[a].victim,
+                        ..*c
+                    } == cells[a]
+            })
+            .unwrap();
+        let (err_a, err_b) = (missing_message(a), missing_message(b));
+        for (err, coord) in [(&err_a, &cells[a]), (&err_b, &cells[b])] {
+            assert!(
+                err.contains(&format!("no store holds cell {coord} ")),
+                "{err}"
+            );
+            let victim = coord.victim.unwrap().name();
+            assert!(
+                err.contains(&format!("pattern=none victim={victim}")),
+                "{err}"
+            );
+        }
+        assert_ne!(
+            err_a, err_b,
+            "distinct missing cells print distinct coordinates"
+        );
     }
 }

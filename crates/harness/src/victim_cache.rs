@@ -2,22 +2,16 @@
 //!
 //! The [`KeyRecovery`] victim's `profile` stage is a pure function of the
 //! machine *configuration* (weak-cell model, DRAM seed, geometry) — never of
-//! simulated memory state — so its [`FlipProfile`] is perfect cache fodder:
-//! the key hashes everything the template depends on, and the value is the
-//! profile's canonical JSON. The cache reuses the [`CellStore`] machinery of
-//! `pthammer-store` (atomic write-through, content-hash-verified reads,
-//! manifest-guarded opens), and a hit hands back exactly the profile a fresh
-//! templating pass would produce. `repro_victims --profile-cache DIR`
-//! consults it so repeat sweeps of the same machine skip re-templating.
-
-use std::path::{Path, PathBuf};
+//! simulated memory state — so [`KeyRecoveryProfile`] is an [`Artifact`]
+//! whose key hashes everything the template depends on.
+//! `repro_victims --profile-cache DIR` goes through an
+//! `ArtifactCache<KeyRecoveryProfile>`, so repeat sweeps of the same machine
+//! skip re-templating.
 
 use pthammer::victim::KeyRecovery;
-use pthammer::{FlipProfile, FlipTarget};
+use pthammer::FlipProfile;
 use pthammer_machine::MachineConfig;
-use pthammer_store::{
-    fnv1a_128, CellKey, CellLookup, CellStore, StoreError, StoreManifest, STORE_SCHEMA_VERSION,
-};
+use pthammer_store::Artifact;
 
 /// Version of the flip-profile templating scheme (the weak-cell walk in
 /// [`KeyRecovery::template_profile`] and the profile encoding). Bump on any
@@ -25,76 +19,27 @@ use pthammer_store::{
 /// resurrected.
 pub const VICTIM_PROFILE_SCHEMA_VERSION: u32 = 1;
 
-/// How a cached flip-profile request was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProfileSource {
-    /// Served from the store (hash-verified, byte-identical to a fresh
-    /// templating pass).
-    Cached,
-    /// Templated by this invocation and written through.
-    Computed,
-    /// Templated because a store entry existed but failed verification or
-    /// decoding.
-    Recomputed,
-}
-
-/// A content-addressed, on-disk flip-profile cache.
+/// The key-recovery victim's flip-profile templating as a cacheable
+/// artifact: the input is a machine configuration, the output its
+/// [`FlipProfile`].
 #[derive(Debug)]
-pub struct VictimProfileCache {
-    store: CellStore,
-}
+pub struct KeyRecoveryProfile;
 
-impl VictimProfileCache {
-    /// The manifest binding a cache directory to the templating schema.
-    ///
-    /// Per-request variability (machine, flip model, seed) lives entirely in
-    /// the keys, so one cache serves every machine and seed; the manifest
-    /// only refuses directories written by an incompatible store or
-    /// templating schema.
-    pub fn manifest() -> StoreManifest {
-        StoreManifest {
-            store_schema: STORE_SCHEMA_VERSION,
-            seed_schema: VICTIM_PROFILE_SCHEMA_VERSION,
-            base_seed: 0,
-            superpages: false,
-            config_fingerprint: format!(
-                "{:032x}",
-                fnv1a_128(b"pthammer-harness victim profile cache")
-            ),
-        }
-    }
+impl Artifact for KeyRecoveryProfile {
+    type Input = MachineConfig;
+    type Output = FlipProfile;
 
-    /// Opens (or initializes) the cache at `root`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CellStore::open`] errors, including a manifest mismatch
-    /// for directories created under another schema.
-    pub fn open(root: impl Into<PathBuf>) -> Result<Self, StoreError> {
-        Ok(Self {
-            store: CellStore::open(root, &Self::manifest())?,
-        })
-    }
+    const NAME: &'static str = "pthammer-victim-profile";
+    const LABEL: &'static str = "pthammer-harness victim profile cache";
+    const SCHEMA: u32 = VICTIM_PROFILE_SCHEMA_VERSION;
 
-    /// Deletes a cache directory (missing is fine).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors other than "not found".
-    pub fn wipe(root: impl AsRef<Path>) -> std::io::Result<()> {
-        CellStore::wipe(root)
-    }
-
-    /// The content-address of one machine's key-recovery flip profile.
-    ///
     /// Covers every input of [`KeyRecovery::template_profile`]: the flip
     /// model parameters and seed, and the geometry the weak-cell walk spans.
-    pub fn key(config: &MachineConfig) -> CellKey {
+    fn canonical_input(config: &MachineConfig) -> String {
         let flip = &config.dram.flip_profile;
-        CellKey::from_canonical(&format!(
-            "pthammer-victim-profile|s{}|victim={}|machine={}|flip_seed={}|density={}|\
-             max_cells={}|threshold={}..{}|true_fraction={}|row_bytes={}|banks={}",
-            VICTIM_PROFILE_SCHEMA_VERSION,
+        format!(
+            "victim={}|machine={}|flip_seed={}|density={}|max_cells={}|threshold={}..{}|\
+             true_fraction={}|row_bytes={}|banks={}",
             KeyRecovery::NAME,
             config.name,
             config.dram.flip_seed,
@@ -105,179 +50,70 @@ impl VictimProfileCache {
             flip.true_cell_fraction,
             config.dram.geometry.row_bytes,
             config.dram.geometry.total_banks(),
-        ))
+        )
     }
 
-    /// Returns the cached profile for `config`, if present and valid.
-    pub fn get(&self, config: &MachineConfig) -> Option<FlipProfile> {
-        match self.store.get(&Self::key(config)) {
-            CellLookup::Hit(body) => flip_profile_from_json(&body).ok(),
-            CellLookup::Miss | CellLookup::Corrupt => None,
-        }
+    fn compute(config: &MachineConfig) -> FlipProfile {
+        KeyRecovery::template_profile(config)
     }
-
-    /// Templates through the cache: a verified hit is returned as-is
-    /// (byte-identical to a fresh pass, by determinism plus the canonical
-    /// JSON round trip); a miss or corrupt entry triggers the templating
-    /// walk and an atomic write-through.
-    ///
-    /// # Errors
-    ///
-    /// Returns store errors from the write-through; lookups never fail
-    /// (corruption means recompute).
-    pub fn template_cached(
-        &self,
-        config: &MachineConfig,
-    ) -> Result<(FlipProfile, ProfileSource), StoreError> {
-        let key = Self::key(config);
-        let corrupt = match self.store.get(&key) {
-            CellLookup::Hit(body) => match flip_profile_from_json(&body) {
-                Ok(profile) => return Ok((profile, ProfileSource::Cached)),
-                Err(_) => true,
-            },
-            CellLookup::Corrupt => true,
-            CellLookup::Miss => false,
-        };
-        let profile = KeyRecovery::template_profile(config);
-        self.store.put(&key, &profile.to_canonical_json())?;
-        Ok((
-            profile,
-            if corrupt {
-                ProfileSource::Recomputed
-            } else {
-                ProfileSource::Computed
-            },
-        ))
-    }
-}
-
-/// Parses a stored cache body (canonical compact [`FlipProfile`] JSON) back
-/// into the profile — the hand-written inverse of the profile's `Serialize`,
-/// in the same style as [`cell_report_from_json`](crate::cell_report_from_json).
-///
-/// # Errors
-///
-/// Describes the first missing or mistyped field; callers treat a decode
-/// error like a corrupt entry (recompute).
-pub fn flip_profile_from_json(body: &str) -> Result<FlipProfile, String> {
-    let value = serde_json::from_str(body).map_err(|e| format!("profile body is not JSON: {e}"))?;
-    let string = |name: &str| {
-        value
-            .get(name)
-            .ok_or_else(|| format!("profile body is missing `{name}`"))?
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| format!("profile field `{name}` is not a string"))
-    };
-    let targets = value
-        .get("targets")
-        .ok_or_else(|| "profile body is missing `targets`".to_string())?
-        .as_array()
-        .ok_or_else(|| "profile field `targets` is not an array".to_string())?
-        .iter()
-        .map(|entry| {
-            let u64_of = |name: &str| {
-                entry
-                    .get(name)
-                    .ok_or_else(|| format!("flip target is missing `{name}`"))?
-                    .as_u64()
-                    .ok_or_else(|| format!("flip target field `{name}` is not an unsigned integer"))
-            };
-            Ok(FlipTarget {
-                bank_unit: u32::try_from(u64_of("bank_unit")?)
-                    .map_err(|_| "flip target `bank_unit` overflows u32".to_string())?,
-                row: u32::try_from(u64_of("row")?)
-                    .map_err(|_| "flip target `row` overflows u32".to_string())?,
-                byte_in_row: u32::try_from(u64_of("byte_in_row")?)
-                    .map_err(|_| "flip target `byte_in_row` overflows u32".to_string())?,
-                bit: u8::try_from(u64_of("bit")?)
-                    .map_err(|_| "flip target `bit` overflows u8".to_string())?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(FlipProfile {
-        victim: string("victim")?,
-        machine: string("machine")?,
-        dram_seed: value
-            .get("dram_seed")
-            .ok_or_else(|| "profile body is missing `dram_seed`".to_string())?
-            .as_u64()
-            .ok_or_else(|| "profile field `dram_seed` is not an unsigned integer".to_string())?,
-        targets,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pthammer_dram::FlipModelProfile;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use pthammer_store::{ArtifactCache, ArtifactSource, CellKey, CellStore};
 
-    static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-    fn temp_cache() -> (VictimProfileCache, std::path::PathBuf) {
-        let root = std::env::temp_dir().join(format!(
-            "pthammer-victim-cache-{}-{}",
-            std::process::id(),
-            DIR_SEQ.fetch_add(1, Ordering::Relaxed),
-        ));
-        let _ = VictimProfileCache::wipe(&root);
-        (VictimProfileCache::open(&root).unwrap(), root)
-    }
+    type ProfileCache = ArtifactCache<KeyRecoveryProfile>;
 
     fn machine(seed: u64) -> MachineConfig {
         MachineConfig::test_small(FlipModelProfile::ci(), seed)
     }
 
+    fn key(config: &MachineConfig) -> CellKey {
+        ProfileCache::key(config)
+    }
+
     #[test]
     fn keys_separate_machine_seed_and_flip_model() {
-        let a = VictimProfileCache::key(&machine(1));
-        assert_eq!(a, VictimProfileCache::key(&machine(1)));
-        assert_ne!(a, VictimProfileCache::key(&machine(2)));
+        let a = key(&machine(1));
+        assert_eq!(a, key(&machine(1)));
+        assert_ne!(a, key(&machine(2)));
         let invulnerable = MachineConfig::test_small(FlipModelProfile::invulnerable(), 1);
-        assert_ne!(a, VictimProfileCache::key(&invulnerable));
+        assert_ne!(a, key(&invulnerable));
     }
 
     #[test]
-    fn profile_round_trips_through_canonical_json() {
-        let fresh = KeyRecovery::template_profile(&machine(23));
-        assert!(!fresh.is_empty(), "ci profile must template targets");
-        let decoded = flip_profile_from_json(&fresh.to_canonical_json()).unwrap();
-        assert_eq!(decoded, fresh);
-        assert_eq!(decoded.to_canonical_json(), fresh.to_canonical_json());
-    }
-
-    #[test]
-    fn cold_then_warm_requests_are_byte_identical() {
-        let (cache, root) = temp_cache();
-        let cfg = machine(11);
-        let (cold, source) = cache.template_cached(&cfg).unwrap();
-        assert_eq!(source, ProfileSource::Computed);
-        let (warm, source) = cache.template_cached(&cfg).unwrap();
-        assert_eq!(source, ProfileSource::Cached);
-        assert_eq!(cold, warm);
+    fn keys_and_manifest_match_caches_written_by_earlier_releases() {
+        // Pinned from the dedicated profile cache this artifact replaced:
+        // directories it wrote must keep hitting.
+        assert_eq!(key(&machine(11)).hex(), "37bd7f200e08d7c0672e596a4e0821b2");
         assert_eq!(
-            cold.to_canonical_json(),
-            warm.to_canonical_json(),
-            "a cache hit must reproduce the fresh templating pass byte for byte"
+            ProfileCache::manifest().canonical_json(),
+            "{\n  \"store_schema\": 1,\n  \"seed_schema\": 1,\n  \"base_seed\": 0,\n  \
+             \"superpages\": false,\n  \"config_fingerprint\": \
+             \"e5c757e6574017ca7e0fb9f55e3db74d\"\n}\n"
         );
-        assert_eq!(cache.get(&cfg), Some(cold));
-        assert_eq!(cache.get(&machine(12)), None);
-        VictimProfileCache::wipe(&root).unwrap();
     }
 
     #[test]
-    fn corrupt_entries_are_recomputed_not_trusted() {
-        let (cache, root) = temp_cache();
-        let cfg = machine(3);
-        let (fresh, _) = cache.template_cached(&cfg).unwrap();
-        let key = VictimProfileCache::key(&cfg);
-        let path = root.join("cells").join(format!("{}.json", key.hex()));
-        assert!(path.exists(), "cache entry should exist at {path:?}");
-        std::fs::write(&path, "garbage").unwrap();
-        let (recovered, source) = cache.template_cached(&cfg).unwrap();
-        assert_eq!(source, ProfileSource::Recomputed);
-        assert_eq!(recovered, fresh);
-        VictimProfileCache::wipe(&root).unwrap();
+    fn computes_through_the_cache_then_hits() {
+        let root =
+            std::env::temp_dir().join(format!("pthammer-victim-cache-{}", std::process::id()));
+        let _ = CellStore::wipe(&root);
+        let cache = ProfileCache::open(&root).unwrap();
+        let cfg = machine(11);
+        let (cold, source) = cache.get_or_compute(&cfg).unwrap();
+        assert!(!cold.is_empty(), "ci profile must template targets");
+        assert_eq!(
+            (&cold, source),
+            (
+                &KeyRecovery::template_profile(&cfg),
+                ArtifactSource::Computed
+            )
+        );
+        let (warm, source) = cache.get_or_compute(&cfg).unwrap();
+        assert_eq!((warm, source), (cold, ArtifactSource::Cached));
+        CellStore::wipe(&root).unwrap();
     }
 }

@@ -1,0 +1,150 @@
+//! The derived codec of the persisted shapes against old data (the committed
+//! goldens) and hostile input (truncated and byte-mutated bodies).
+
+use std::collections::BTreeSet;
+
+use proptest::prelude::*;
+use pthammer::{FlipProfile, FlipTarget};
+use pthammer_harness::{CampaignReport, CellReport};
+use pthammer_patterns::{HammerPattern, PatternScore, SynthesisResult};
+use serde::{Deserialize, Serialize};
+
+const GOLDENS: [(&str, &str); 3] = [
+    (
+        "campaign_ci_matrix",
+        include_str!("../../../tests/golden/campaign_ci_matrix.json"),
+    ),
+    (
+        "campaign_trr_matrix",
+        include_str!("../../../tests/golden/campaign_trr_matrix.json"),
+    ),
+    (
+        "campaign_victim_matrix",
+        include_str!("../../../tests/golden/campaign_victim_matrix.json"),
+    ),
+];
+
+fn decode<T: Deserialize>(text: &str) -> Result<T, serde_json::Error> {
+    serde_json::from_str(text).and_then(serde_json::from_value)
+}
+
+#[test]
+fn golden_reports_decode_and_reencode_byte_identically() {
+    let mut keys = BTreeSet::new();
+    for (name, golden) in GOLDENS {
+        let report: CampaignReport =
+            decode(golden).unwrap_or_else(|e| panic!("{name} does not decode: {e}"));
+        assert_eq!(report.to_canonical_json(), golden, "{name} re-encodes");
+
+        // Row by row, as a store serves them.
+        let value = serde_json::from_str(golden).unwrap();
+        let rows = value.get("cells").and_then(|c| c.as_array()).unwrap();
+        assert_eq!(rows.len(), report.cells.len());
+        for (row, cell) in rows.iter().zip(&report.cells) {
+            let decoded: CellReport = serde_json::from_value(row.clone()).unwrap();
+            assert_eq!(&decoded, cell, "{name}");
+            let body = serde_json::to_string(&decoded).unwrap();
+            assert_eq!(decode::<CellReport>(&body).unwrap(), decoded);
+            keys.extend(row.as_object().unwrap().iter().map(|(k, _)| k.clone()));
+        }
+    }
+    // Together the goldens exercise every conditional row key but the
+    // hammer mode (covered by the report unit tests).
+    for key in [
+        "pattern",
+        "victim",
+        "trr_refreshes",
+        "exploit_succeeded",
+        "time_to_exploit",
+    ] {
+        assert!(keys.contains(key), "no golden row carries `{key}`");
+    }
+}
+
+fn canonical_bodies() -> [String; 3] {
+    let (_, victim_golden) = GOLDENS[2];
+    let report: CampaignReport = decode(victim_golden).unwrap();
+    let profile = FlipProfile {
+        victim: "key-recovery".into(),
+        machine: "Test Small".into(),
+        dram_seed: u64::MAX - 5,
+        targets: (0..3)
+            .map(|i| FlipTarget {
+                bank_unit: i,
+                row: 1_000 + i,
+                byte_in_row: 17 * i,
+                bit: 7 - i as u8,
+            })
+            .collect(),
+    };
+    let synthesis = SynthesisResult {
+        best: HammerPattern {
+            offsets: vec![0, 1, -1, 2],
+            schedule: vec![2, 0, 3, 1],
+        },
+        score: PatternScore {
+            peak_victim_disturbance: 410,
+            expected_disturbance: 205,
+            trr_fired: 3,
+            touches_per_round: 4,
+        },
+        evaluations: 12,
+        generations: 4,
+    };
+    [
+        serde_json::to_string(&report.cells[1]).unwrap(),
+        serde_json::to_string(&profile).unwrap(),
+        serde_json::to_string(&synthesis).unwrap(),
+    ]
+}
+
+/// Decodes `text` as a `T`; if that succeeds, re-encoding must decode back
+/// to the same value.
+fn decodes_stably<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(
+    text: &str,
+) -> Result<(), TestCaseError> {
+    if let Ok(value) = decode::<T>(text) {
+        let again = decode::<T>(&serde_json::to_string(&value).unwrap());
+        prop_assert!(
+            again.as_ref().ok() == Some(&value),
+            "{value:?} re-decodes as {again:?}"
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+    #[test]
+    fn mutated_bodies_decode_or_fail_without_panicking(
+        which in 0usize..3,
+        mode in 0u8..3,
+        cut in 0usize..2048,
+        pos in 0usize..2048,
+        byte in any::<u8>(),
+    ) {
+        let mut bytes = canonical_bodies()[which].clone().into_bytes();
+        if mode != 0 {
+            let at = pos % bytes.len();
+            bytes[at] = byte;
+        }
+        if mode != 1 {
+            bytes.truncate(cut % bytes.len());
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        match which {
+            0 => decodes_stably::<CellReport>(&text)?,
+            1 => decodes_stably::<FlipProfile>(&text)?,
+            _ => decodes_stably::<SynthesisResult>(&text)?,
+        }
+    }
+}
+
+#[test]
+fn flip_target_bits_reject_out_of_range_values_instead_of_truncating() {
+    let [_, profile, _] = canonical_bodies();
+    let bad_bit = profile.replacen("\"bit\":7", "\"bit\":263", 1);
+    assert_ne!(bad_bit, profile);
+    let err = decode::<FlipProfile>(&bad_bit).unwrap_err().to_string();
+    assert!(err.contains("bit"), "{err}");
+}

@@ -17,7 +17,7 @@
 use std::collections::BTreeSet;
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Maximum block order (2^10 frames = 4 MiB blocks).
 pub const MAX_ORDER: u32 = 10;
@@ -154,7 +154,7 @@ impl<'a> FrameConstraint<'a> {
 /// buddy.free_frame(a);
 /// buddy.free_frame(b);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BuddyAllocator {
     /// Free blocks per order, keyed by their first frame number.
     free_lists: Vec<BTreeSet<u64>>,

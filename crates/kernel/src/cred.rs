@@ -7,7 +7,7 @@
 //! the attacker then recognises its own uid/gid in the page and overwrites
 //! them with zero.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_types::PhysAddr;
 
@@ -19,7 +19,7 @@ pub const CRED_SIZE: u64 = 64;
 pub const CREDS_PER_FRAME: u64 = 4096 / CRED_SIZE;
 
 /// A process credential.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Cred {
     /// Real user id.
     pub uid: u32,
@@ -94,7 +94,7 @@ impl Cred {
 }
 
 /// Physical location of a credential slot within the cred arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CredSlot {
     /// Physical address of the serialized credential.
     pub paddr: PhysAddr,

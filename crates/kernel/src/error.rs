@@ -2,12 +2,12 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_types::VirtAddr;
 
 /// Errors returned by the kernel substrate's system-call surface.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum KernelError {
     /// Physical memory is exhausted (or the placement policy refused).
     OutOfMemory,

@@ -8,8 +8,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::ser::JsonWriter;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::buddy::BuddyAllocator;
 
@@ -76,19 +75,10 @@ impl FromStr for DefenseKind {
     }
 }
 
-// Canonical JSON form is the display name; hand-written because the offline
-// serde stub has no `rename` support and the golden snapshots pin these
-// exact strings.
-impl Serialize for DefenseKind {
-    fn serialize(&self, w: &mut JsonWriter) {
-        w.string(self.name());
-    }
-}
-
-impl Deserialize for DefenseKind {}
+serde::string_enum!(DefenseKind);
 
 /// Why the kernel is allocating a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum FramePurpose {
     /// A page-table node at the given level (4 = PML4 … 1 = L1 page table).
     PageTable {
@@ -147,7 +137,7 @@ pub trait PlacementPolicy: fmt::Debug + Send {
 /// regardless of purpose — page tables, user data and kernel data freely
 /// intermingle in DRAM, exactly the situation PThammer exploits on a stock
 /// kernel.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct DefaultPolicy;
 
 impl DefaultPolicy {

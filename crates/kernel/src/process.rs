@@ -1,6 +1,6 @@
 //! Simulated processes.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_types::{PhysAddr, VirtAddr};
 
@@ -10,7 +10,7 @@ use crate::vma::Vma;
 pub type Pid = u32;
 
 /// A simulated process: an address space root, credentials and mappings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Process {
     /// Process id.
     pub pid: Pid,

@@ -1,11 +1,11 @@
 //! Virtual memory areas (simplified `vm_area_struct`).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_types::{PageSize, VirtAddr};
 
 /// What backs a virtual memory area.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum VmaBacking {
     /// Anonymous memory; freshly populated pages are filled with the given
     /// repeated 64-bit pattern (so the attacker can later recognise them).
@@ -23,7 +23,7 @@ pub enum VmaBacking {
 }
 
 /// A contiguous virtual mapping of one process.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Vma {
     /// First virtual address of the area (page aligned).
     pub start: VirtAddr,

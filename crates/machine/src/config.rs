@@ -1,6 +1,6 @@
 //! Machine configurations, including the Table I presets.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_cache::CacheHierarchyConfig;
 use pthammer_dram::{DramConfig, DramGeometry, DramTimings, FlipModelProfile};
@@ -15,7 +15,7 @@ use pthammer_mmu::MmuConfig;
 /// | Lenovo T420  | Sandy Bridge i5   | 4-way L1d/L2s    | 12-way, 3 MiB  | 8 GiB DDR3 |
 /// | Lenovo X230  | Ivy Bridge i5     | 4-way L1d/L2s    | 12-way, 3 MiB  | 8 GiB DDR3 |
 /// | Dell E6420   | Sandy Bridge i7   | 4-way L1d/L2s    | 16-way, 4 MiB  | 8 GiB DDR3 |
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MachineConfig {
     /// Human-readable machine name (used in experiment reports).
     pub name: String,

@@ -1,6 +1,6 @@
 //! The simulated machine: MMU + memory subsystem + cycle clock.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_cache::{CacheHierarchy, CachePmc};
 use pthammer_dram::{DramModule, DramStats};
@@ -58,7 +58,7 @@ pub struct TouchAccess {
 ///   accesses, `clflush`, `rdtsc`) that behave exactly like the corresponding
 ///   instructions, including every microarchitectural side effect the attack
 ///   depends on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Machine {
     config: MachineConfig,
     mmu: Mmu,

@@ -1,6 +1,6 @@
 //! The memory subsystem: cache hierarchy + DRAM + physical contents.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_cache::CacheHierarchy;
 use pthammer_dram::DramModule;
@@ -15,7 +15,7 @@ use crate::phys_mem::{AppliedFlip, PhysicalMemory};
 /// physical contents immediately) and fills the caches. The subsystem
 /// implements [`PhysicalMemoryAccess`], so the MMU's page-table walker issues
 /// its implicit PTE loads through exactly the same path as ordinary data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MemorySubsystem {
     caches: CacheHierarchy,
     dram: DramModule,

@@ -7,7 +7,7 @@
 //! these functions while attacking** — they are used by the evaluation
 //! harness and tests only.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_dram::DramAddress;
 use pthammer_mmu::Pte;
@@ -16,7 +16,7 @@ use pthammer_types::{PhysAddr, VirtAddr, PTE_SIZE};
 use crate::machine::Machine;
 
 /// Result of a software page-table walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SoftwareWalk {
     /// Final translated physical address.
     pub paddr: PhysAddr,

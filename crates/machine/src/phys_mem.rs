@@ -1,6 +1,6 @@
 //! Sparse physical-memory contents.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_dram::FlipEvent;
 use pthammer_types::{DetHashMap, FlipDirection, PhysAddr, PAGE_SIZE};
@@ -11,7 +11,7 @@ use pthammer_types::{DetHashMap, FlipDirection, PhysAddr, PAGE_SIZE};
 /// Level-1 page tables) are stored as a single value; they are upgraded to a
 /// full byte array on the first non-uniform write. This keeps multi-gigabyte
 /// page-table sprays cheap in host memory.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 enum FrameContents {
     /// Every aligned 64-bit word of the frame holds this value.
     Uniform(u64),
@@ -36,7 +36,7 @@ impl FrameContents {
 }
 
 /// A bit flip that was actually applied to physical memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct AppliedFlip {
     /// Physical address of the affected byte.
     pub paddr: PhysAddr,
@@ -57,7 +57,7 @@ pub struct AppliedFlip {
 /// it), so it uses the deterministic fast hasher; hash order is never
 /// observable — the map is only ever probed by key, and serialization sorts
 /// entries.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct PhysicalMemory {
     frames: DetHashMap<u64, FrameContents>,
     capacity_bytes: u64,

@@ -1,6 +1,6 @@
 //! MMU configuration: TLB organisations and paging-structure cache sizes.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_cache::{ReplacementPolicy, MAX_WAYS};
 
@@ -13,7 +13,7 @@ use pthammer_cache::{ReplacementPolicy, MAX_WAYS};
 /// that ablation). Because an eviction set must displace the target from both
 /// levels, its minimal size exceeds a single level's associativity
 /// (Figure 3 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum TlbIndexing {
     /// `set = vpn mod sets`.
     Linear,
@@ -41,7 +41,7 @@ impl TlbIndexing {
 }
 
 /// Configuration of one TLB level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TlbConfig {
     /// Number of sets.
     pub sets: u32,
@@ -116,7 +116,7 @@ impl TlbConfig {
 }
 
 /// Sizes of the paging-structure caches (fully associative, LRU).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct PagingCacheConfig {
     /// PDE-cache entries (each covers 2 MiB of VA and skips to the L1 PT).
     pub pde_entries: u32,
@@ -138,7 +138,7 @@ impl PagingCacheConfig {
 }
 
 /// Complete MMU configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MmuConfig {
     /// L1 dTLB for 4 KiB pages.
     pub l1_dtlb: TlbConfig,

@@ -7,12 +7,12 @@
 //! translation so that a hammering iteration performs exactly one memory
 //! load — the Level-1 PTE (the red path in Figure 2 of the paper).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_types::{PhysAddr, VirtAddr};
 
 /// The paging-structure-cache level, named after the entry kind it caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum PscLevel {
     /// Caches PDE entries: tag = VA bits 47..21, payload = L1 page-table base.
     Pde,
@@ -53,7 +53,7 @@ impl PscLevel {
 /// Tags live in their own dense array so the per-translation scan touches
 /// the minimum number of host cache lines; payloads (next-table base, LRU
 /// stamp) are looked up by index only on a hit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PagingStructureCache {
     level: PscLevel,
     capacity: usize,

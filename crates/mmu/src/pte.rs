@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_types::PhysAddr;
 
@@ -11,7 +11,7 @@ use pthammer_types::PhysAddr;
 /// Only the bits relevant to the reproduction are modelled: present,
 /// writable, user-accessible, the page-size bit (for 2 MiB mappings at the
 /// PDE level), and no-execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct PteFlags {
     /// Entry is present.
     pub present: bool,
@@ -85,7 +85,7 @@ const FRAME_MASK: u64 = 0x0000_FFFF_FFFF_F000;
 /// bits of these words in DRAM, and the attack succeeds precisely when a flip
 /// inside the frame field redirects a Level-1 PTE to a different frame
 /// (Figure 7 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub struct Pte(u64);
 
 impl Pte {

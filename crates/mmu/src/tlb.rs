@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_cache::{SetStore, EMPTY_TAG};
 use pthammer_types::{PageSize, PhysAddr, VirtAddr, HUGE_PAGE_SIZE, PAGE_SIZE};
@@ -11,7 +11,7 @@ use crate::config::{MmuConfig, TlbConfig};
 use crate::pte::Pte;
 
 /// A cached virtual-to-physical translation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TlbEntry {
     /// Virtual page number (of the 4 KiB page or the 2 MiB superpage).
     pub vpn: u64,
@@ -35,7 +35,7 @@ impl TlbEntry {
 }
 
 /// Which TLB level served a lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum TlbLevel {
     /// L1 dTLB (4 KiB or 2 MiB).
     L1,
@@ -45,7 +45,7 @@ pub enum TlbLevel {
 
 /// TLB-related performance counters (the `dtlb_load_misses.miss_causes_a_walk`
 /// event the paper's kernel module reads during Algorithm 1).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct TlbPmc {
     /// Translations attempted.
     pub lookups: u64,
@@ -87,7 +87,7 @@ impl fmt::Display for TlbPmc {
 /// set-operation kernel runs every per-way loop; the cached entries sit in
 /// a parallel array, read only on a hit — TLB lookups run on every
 /// simulated access, so this layout is on the simulator's hottest path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Tlb {
     config: TlbConfig,
     /// Vpn tags and replacement state.
@@ -224,7 +224,7 @@ impl Tlb {
 
 /// The full TLB hierarchy of one core: L1 dTLB (4 KiB), L1 dTLB (2 MiB) and a
 /// unified L2 sTLB for 4 KiB pages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TlbHierarchy {
     l1d: Tlb,
     l1d_huge: Tlb,

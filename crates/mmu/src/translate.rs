@@ -1,7 +1,7 @@
 //! The MMU proper: TLB lookup, paging-structure-cache consultation and the
 //! hardware page-table walk (Figure 2 of the paper).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_types::{
     Cycles, MemAccessOutcome, MemoryLevel, PageSize, PhysAddr, PhysicalMemoryAccess, VirtAddr,
@@ -20,7 +20,7 @@ use crate::{
 /// These are the *implicit accesses* PThammer turns into hammer blows: when
 /// the Level-1 PTE load is served by DRAM (`outcome.served_by == Dram`), the
 /// DRAM row holding the victim process's page table is activated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct WalkLoad {
     /// Page-table level of the entry (4 = PML4E … 1 = PTE).
     pub level: u8,
@@ -33,7 +33,7 @@ pub struct WalkLoad {
 }
 
 /// A translation fault (non-present entry encountered during the walk).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct PageFault {
     /// Faulting virtual address.
     pub vaddr: VirtAddr,
@@ -133,7 +133,7 @@ impl TranslationResult {
 }
 
 /// The memory-management unit of one core.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Mmu {
     config: MmuConfig,
     tlbs: TlbHierarchy,

@@ -1,136 +1,40 @@
 //! Content-addressed caching of synthesis results.
 //!
-//! Synthesis is deterministic, so its results are perfect cache fodder: the
-//! key hashes everything the result depends on — the synthesis schema
-//! version, the full [`SynthesisConfig`] fingerprint and the seed — and the
-//! value is the canonical [`SynthesisResult`] JSON. The cache reuses the
-//! [`CellStore`] machinery of `pthammer-store` (atomic write-through,
-//! content-hash-verified reads, manifest-guarded opens), and a hit hands
-//! back exactly the bytes a fresh search would produce. Tools that
-//! re-search the same machine (e.g. `repro_trr --synth-cache`) consult it;
-//! store-backed campaigns cache whole pattern cells instead, so resumed
-//! campaigns never re-search either way.
+//! Synthesis is deterministic, so [`Synthesis`] is an [`Artifact`] whose key
+//! hashes the synthesis schema version, the full [`SynthesisConfig`]
+//! fingerprint and the seed. Tools that re-search the same machine (e.g.
+//! `repro_trr --synth-cache`) go through an
+//! `ArtifactCache<Synthesis>`; store-backed campaigns cache whole pattern
+//! cells instead, so resumed campaigns never re-search either way.
 
-use std::path::{Path, PathBuf};
+use pthammer_store::Artifact;
 
-use pthammer_store::{
-    fnv1a_128, CellKey, CellLookup, CellStore, StoreError, StoreManifest, STORE_SCHEMA_VERSION,
-};
-
-use crate::synth::{synthesis_result_from_json, synthesize, SynthesisConfig, SynthesisResult};
+use crate::synth::{synthesize, SynthesisConfig, SynthesisResult};
 
 /// Version of the synthesis scheme (the evaluator, the search loop, and the
 /// result encoding). Bump on any behavioral change so stale cached patterns
 /// are invalidated instead of resurrected.
 pub const SYNTH_SCHEMA_VERSION: u32 = 1;
 
-/// How a cached synthesis request was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SynthesisSource {
-    /// Served from the store (hash-verified, byte-identical to a fresh run).
-    Cached,
-    /// Computed by this invocation and written through.
-    Computed,
-    /// Computed because a store entry existed but failed verification or
-    /// decoding.
-    Recomputed,
-}
-
-/// A content-addressed, on-disk synthesis cache.
+/// Pattern synthesis as a cacheable artifact: the input is a
+/// (configuration, seed) request, the output its [`SynthesisResult`].
 #[derive(Debug)]
-pub struct SynthesisCache {
-    store: CellStore,
-}
+pub struct Synthesis;
 
-impl SynthesisCache {
-    /// The manifest binding a cache directory to the synthesis schema.
-    ///
-    /// Per-request variability (config, seed) lives entirely in the keys, so
-    /// one cache serves every machine and seed; the manifest only refuses
-    /// directories written by an incompatible store or synthesis schema.
-    pub fn manifest() -> StoreManifest {
-        StoreManifest {
-            store_schema: STORE_SCHEMA_VERSION,
-            seed_schema: SYNTH_SCHEMA_VERSION,
-            base_seed: 0,
-            superpages: false,
-            config_fingerprint: format!("{:032x}", fnv1a_128(b"pthammer-patterns synthesis cache")),
-        }
+impl Artifact for Synthesis {
+    type Input = (SynthesisConfig, u64);
+    type Output = SynthesisResult;
+
+    const NAME: &'static str = "pthammer-synth";
+    const LABEL: &'static str = "pthammer-patterns synthesis cache";
+    const SCHEMA: u32 = SYNTH_SCHEMA_VERSION;
+
+    fn canonical_input((config, seed): &(SynthesisConfig, u64)) -> String {
+        format!("{}|seed={seed}", config.canonical_string())
     }
 
-    /// Opens (or initializes) the cache at `root`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CellStore::open`] errors, including a manifest mismatch
-    /// for directories created under another schema.
-    pub fn open(root: impl Into<PathBuf>) -> Result<Self, StoreError> {
-        Ok(Self {
-            store: CellStore::open(root, &Self::manifest())?,
-        })
-    }
-
-    /// Deletes a cache directory (missing is fine).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors other than "not found".
-    pub fn wipe(root: impl AsRef<Path>) -> std::io::Result<()> {
-        CellStore::wipe(root)
-    }
-
-    /// The content-address of one synthesis request.
-    pub fn key(config: &SynthesisConfig, seed: u64) -> CellKey {
-        CellKey::from_canonical(&format!(
-            "pthammer-synth|s{}|{}|seed={}",
-            SYNTH_SCHEMA_VERSION,
-            config.canonical_string(),
-            seed,
-        ))
-    }
-
-    /// Returns the cached result for `(config, seed)`, if present and valid.
-    pub fn get(&self, config: &SynthesisConfig, seed: u64) -> Option<SynthesisResult> {
-        match self.store.get(&Self::key(config, seed)) {
-            CellLookup::Hit(body) => synthesis_result_from_json(&body).ok(),
-            CellLookup::Miss | CellLookup::Corrupt => None,
-        }
-    }
-
-    /// Synthesizes through the cache: a verified hit is returned as-is
-    /// (byte-identical to a fresh search, by determinism plus the canonical
-    /// JSON round trip); a miss or corrupt entry triggers the search and an
-    /// atomic write-through.
-    ///
-    /// # Errors
-    ///
-    /// Returns store errors from the write-through; lookups never fail
-    /// (corruption means recompute).
-    pub fn synthesize_cached(
-        &self,
-        config: &SynthesisConfig,
-        seed: u64,
-    ) -> Result<(SynthesisResult, SynthesisSource), StoreError> {
-        let key = Self::key(config, seed);
-        let corrupt = match self.store.get(&key) {
-            CellLookup::Hit(body) => match synthesis_result_from_json(&body) {
-                Ok(result) => return Ok((result, SynthesisSource::Cached)),
-                Err(_) => true,
-            },
-            CellLookup::Corrupt => true,
-            CellLookup::Miss => false,
-        };
-        let result = synthesize(config, seed);
-        let body = serde_json::to_string(&result).expect("synthesis result serializes");
-        self.store.put(&key, &body)?;
-        Ok((
-            result,
-            if corrupt {
-                SynthesisSource::Recomputed
-            } else {
-                SynthesisSource::Computed
-            },
-        ))
+    fn compute((config, seed): &(SynthesisConfig, u64)) -> SynthesisResult {
+        synthesize(config, *seed)
     }
 }
 
@@ -138,19 +42,7 @@ impl SynthesisCache {
 mod tests {
     use super::*;
     use pthammer_dram::{DramTimings, TrrConfig};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-    fn temp_cache() -> (SynthesisCache, std::path::PathBuf) {
-        let root = std::env::temp_dir().join(format!(
-            "pthammer-synth-cache-{}-{}",
-            std::process::id(),
-            DIR_SEQ.fetch_add(1, Ordering::Relaxed),
-        ));
-        let _ = SynthesisCache::wipe(&root);
-        (SynthesisCache::open(&root).unwrap(), root)
-    }
+    use pthammer_store::{ArtifactCache, ArtifactSource, CellStore};
 
     fn config() -> SynthesisConfig {
         SynthesisConfig {
@@ -166,48 +58,61 @@ mod tests {
         }
     }
 
+    fn key(config: SynthesisConfig, seed: u64) -> pthammer_store::CellKey {
+        ArtifactCache::<Synthesis>::key(&(config, seed))
+    }
+
     #[test]
     fn keys_separate_config_and_seed() {
-        let a = SynthesisCache::key(&config(), 1);
-        assert_eq!(a, SynthesisCache::key(&config(), 1));
-        assert_ne!(a, SynthesisCache::key(&config(), 2));
+        let a = key(config(), 1);
+        assert_eq!(a, key(config(), 1));
+        assert_ne!(a, key(config(), 2));
         let mut other = config();
         other.trr.sampler_capacity += 1;
-        assert_ne!(a, SynthesisCache::key(&other, 1));
+        assert_ne!(a, key(other, 1));
     }
 
     #[test]
-    fn cold_then_warm_requests_are_byte_identical() {
-        let (cache, root) = temp_cache();
-        let cfg = config();
-        let (cold, source) = cache.synthesize_cached(&cfg, 11).unwrap();
-        assert_eq!(source, SynthesisSource::Computed);
-        let (warm, source) = cache.synthesize_cached(&cfg, 11).unwrap();
-        assert_eq!(source, SynthesisSource::Cached);
-        assert_eq!(cold, warm);
+    fn keys_and_manifest_match_caches_written_by_earlier_releases() {
+        // Pinned from the dedicated synthesis cache this artifact replaced:
+        // directories it wrote must keep hitting.
+        assert_eq!(key(config(), 11).hex(), "61fa16fc030aa6c41dadc20b736794ba");
         assert_eq!(
-            serde_json::to_string(&cold).unwrap(),
-            serde_json::to_string(&warm).unwrap(),
-            "a cache hit must reproduce the fresh search byte for byte"
+            ArtifactCache::<Synthesis>::manifest().canonical_json(),
+            "{\n  \"store_schema\": 1,\n  \"seed_schema\": 1,\n  \"base_seed\": 0,\n  \
+             \"superpages\": false,\n  \"config_fingerprint\": \
+             \"8aee9f231f7a87c91ad17e9e77b325a5\"\n}\n"
         );
-        assert_eq!(cache.get(&cfg, 11), Some(cold));
-        assert_eq!(cache.get(&cfg, 12), None);
-        SynthesisCache::wipe(&root).unwrap();
     }
 
     #[test]
-    fn corrupt_entries_are_recomputed_not_trusted() {
-        let (cache, root) = temp_cache();
-        let cfg = config();
-        let (fresh, _) = cache.synthesize_cached(&cfg, 3).unwrap();
-        // Corrupt the stored body on disk.
-        let key = SynthesisCache::key(&cfg, 3);
-        let path = root.join("cells").join(format!("{}.json", key.hex()));
-        assert!(path.exists(), "cache entry should exist at {path:?}");
-        std::fs::write(&path, "garbage").unwrap();
-        let (recovered, source) = cache.synthesize_cached(&cfg, 3).unwrap();
-        assert_eq!(source, SynthesisSource::Recomputed);
-        assert_eq!(recovered, fresh);
-        SynthesisCache::wipe(&root).unwrap();
+    fn computes_through_the_cache_and_refuses_invalid_patterns() {
+        let root =
+            std::env::temp_dir().join(format!("pthammer-synth-cache-{}", std::process::id()));
+        let _ = CellStore::wipe(&root);
+        let cache = ArtifactCache::<Synthesis>::open(&root).unwrap();
+        let request = (config(), 3);
+        let (fresh, source) = cache.get_or_compute(&request).unwrap();
+        assert_eq!(
+            (&fresh, source),
+            (&synthesize(&config(), 3), ArtifactSource::Computed)
+        );
+        let cached = (fresh.clone(), ArtifactSource::Cached);
+        assert_eq!(cache.get_or_compute(&request).unwrap(), cached);
+
+        // A hash-valid entry whose pattern breaks the invariants is refused:
+        // decoding re-validates every pattern.
+        let invalid = serde_json::to_string(&fresh).unwrap().replacen(
+            "\"offsets\":[0,1",
+            "\"offsets\":[1,0",
+            1,
+        );
+        CellStore::open(&root, &ArtifactCache::<Synthesis>::manifest())
+            .unwrap()
+            .put(&key(config(), 3), &invalid)
+            .unwrap();
+        let (recovered, source) = cache.get_or_compute(&request).unwrap();
+        assert_eq!((recovered, source), (fresh, ArtifactSource::Recomputed));
+        CellStore::wipe(&root).unwrap();
     }
 }

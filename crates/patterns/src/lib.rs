@@ -17,10 +17,11 @@
 //! * [`PatternHammer`] — a [`pthammer::HammerStrategy`] executing a pattern
 //!   through the attack pipeline with the same `RoundOp`/event-bus
 //!   telemetry as the built-in modes.
-//! * [`SynthesisCache`] — content-addressed caching of synthesis results in
-//!   a `pthammer-store` for tools that re-search the same machine (e.g.
-//!   `repro_trr --synth-cache`); store-backed campaigns already cache whole
-//!   pattern cells, so resumed campaigns never re-search either way.
+//! * [`Synthesis`] — synthesis as a `pthammer-store` artifact, so an
+//!   `ArtifactCache<Synthesis>` caches results content-addressed for tools
+//!   that re-search the same machine (e.g. `repro_trr --synth-cache`);
+//!   store-backed campaigns already cache whole pattern cells, so resumed
+//!   campaigns never re-search either way.
 //! * [`PatternChoice`] — the campaign-harness axis value naming how a cell
 //!   obtains its pattern.
 
@@ -30,21 +31,17 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::ser::JsonWriter;
-use serde::{Deserialize, Serialize};
-
 pub mod cache;
 pub mod pattern;
 pub mod strategy;
 pub mod synth;
 
-pub use cache::{SynthesisCache, SynthesisSource, SYNTH_SCHEMA_VERSION};
-pub use pattern::{pattern_from_json, HammerPattern, MAX_OFFSET, MAX_SCHEDULE, MAX_SIDES};
+pub use cache::{Synthesis, SYNTH_SCHEMA_VERSION};
+pub use pattern::{HammerPattern, MAX_OFFSET, MAX_SCHEDULE, MAX_SIDES};
 pub use strategy::PatternHammer;
 pub use synth::{
-    evaluate, evaluate_incremental, synthesis_result_from_json, synthesize,
-    synthesize_with_telemetry, PatternScore, SchedulePrefixTrace, SynthTelemetry, SynthesisConfig,
-    SynthesisResult,
+    evaluate, evaluate_incremental, synthesize, synthesize_with_telemetry, PatternScore,
+    SchedulePrefixTrace, SynthTelemetry, SynthesisConfig, SynthesisResult,
 };
 
 /// How a campaign cell obtains its hammer pattern — the pattern axis of the
@@ -102,14 +99,7 @@ impl FromStr for PatternChoice {
     }
 }
 
-// Hand-written: the canonical kebab-case spelling `FromStr` accepts.
-impl Serialize for PatternChoice {
-    fn serialize(&self, w: &mut JsonWriter) {
-        w.string(self.name());
-    }
-}
-
-impl Deserialize for PatternChoice {}
+serde::string_enum!(PatternChoice);
 
 #[cfg(test)]
 mod tests {
@@ -122,9 +112,10 @@ mod tests {
             assert_eq!(choice.to_string(), choice.name());
         }
         assert!("nine-sided".parse::<PatternChoice>().is_err());
-        let mut w = JsonWriter::new(false);
-        PatternChoice::Synthesized.serialize(&mut w);
-        assert_eq!(w.into_string(), "\"synthesized\"");
+        let json = serde_json::to_string(&PatternChoice::Synthesized).unwrap();
+        assert_eq!(json, "\"synthesized\"");
+        let decoded = serde_json::from_value(serde_json::from_str(&json).unwrap());
+        assert_eq!(decoded.ok(), Some(PatternChoice::Synthesized));
     }
 
     #[test]

@@ -19,8 +19,8 @@
 
 use std::fmt;
 
-use serde::ser::JsonWriter;
-use serde::{Deserialize, Serialize};
+use serde::de::{self, Deserialize, Value};
+use serde::Serialize;
 
 use pthammer::{RoundOp, Target};
 
@@ -45,7 +45,7 @@ pub const MAX_OFFSET: i32 = 7;
 /// assert!(ds.validate().is_ok());
 /// assert_eq!(ds.round_ops().len(), 6, "two touches, each with two evictions");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct HammerPattern {
     /// Aggressor positions in pair strides relative to the base low target.
     /// `offsets[0]` must be 0 (the base low) and `offsets[1]` must be 1 (the
@@ -226,55 +226,18 @@ impl fmt::Display for HammerPattern {
     }
 }
 
-// Hand-written canonical JSON (the offline serde stub has no derive-based
-// deserializer); `pattern_from_json` below is the exact inverse.
-impl Serialize for HammerPattern {
-    fn serialize(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.key("offsets");
-        self.offsets.serialize(w);
-        w.key("schedule");
-        self.schedule.serialize(w);
-        w.end_object();
+// Not derived: a pattern read back from disk must pass the same
+// invariants as one built in code, so decoding re-validates.
+impl Deserialize for HammerPattern {
+    fn deserialize(value: &Value) -> Result<Self, de::Error> {
+        let value = de::object(value, "HammerPattern")?;
+        let pattern = Self {
+            offsets: de::field(value, "offsets")?,
+            schedule: de::field(value, "schedule")?,
+        };
+        pattern.validate().map_err(de::Error::custom)?;
+        Ok(pattern)
     }
-}
-
-impl Deserialize for HammerPattern {}
-
-/// Parses the canonical JSON form written by [`HammerPattern`]'s
-/// `Serialize` impl.
-///
-/// # Errors
-///
-/// Describes the first missing or mistyped field; the decoded pattern is
-/// re-validated so a cache can never hand out a structurally invalid
-/// pattern.
-pub fn pattern_from_json(value: &serde_json::Value) -> Result<HammerPattern, String> {
-    let array = |name: &str| -> Result<&[serde_json::Value], String> {
-        value
-            .get(name)
-            .and_then(|v| v.as_array())
-            .ok_or_else(|| format!("pattern field `{name}` is not an array"))
-    };
-    let offsets = array("offsets")?
-        .iter()
-        .map(|v| {
-            v.as_i64()
-                .and_then(|i| i32::try_from(i).ok())
-                .ok_or_else(|| "pattern offset is not an i32".to_string())
-        })
-        .collect::<Result<Vec<i32>, String>>()?;
-    let schedule = array("schedule")?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .and_then(|i| u8::try_from(i).ok())
-                .ok_or_else(|| "pattern schedule entry is not a u8".to_string())
-        })
-        .collect::<Result<Vec<u8>, String>>()?;
-    let pattern = HammerPattern { offsets, schedule };
-    pattern.validate()?;
-    Ok(pattern)
 }
 
 #[cfg(test)]
@@ -353,17 +316,25 @@ mod tests {
         assert_eq!(p.canonical_name(), "4s[0,1,-1,-2]@[2,0,3,1]");
         assert_eq!(p.to_string(), p.canonical_name());
         let json = serde_json::to_string(&p).unwrap();
-        let value = serde_json::from_str(&json).unwrap();
-        let decoded = pattern_from_json(&value).unwrap();
+        assert_eq!(json, r#"{"offsets":[0,1,-1,-2],"schedule":[2,0,3,1]}"#);
+        let decoded = decode(&json).unwrap();
         assert_eq!(decoded, p);
         assert_eq!(serde_json::to_string(&decoded).unwrap(), json);
     }
 
+    fn decode(json: &str) -> Result<HammerPattern, String> {
+        serde_json::from_str(json)
+            .and_then(serde_json::from_value)
+            .map_err(|e| e.to_string())
+    }
+
     #[test]
     fn decoding_rejects_invalid_patterns() {
-        let value = serde_json::from_str(r#"{"offsets":[0,1,1],"schedule":[0,1,2]}"#).unwrap();
-        assert!(pattern_from_json(&value).unwrap_err().contains("duplicate"));
-        let value = serde_json::from_str(r#"{"offsets":[0,1]}"#).unwrap();
-        assert!(pattern_from_json(&value).is_err());
+        let err = decode(r#"{"offsets":[0,1,1],"schedule":[0,1,2]}"#).unwrap_err();
+        assert!(err.contains("duplicate"), "{err}");
+        assert!(decode(r#"{"offsets":[0,1]}"#).is_err());
+        // Out-of-range numbers are rejected, never truncated into range.
+        assert!(decode(r#"{"offsets":[0,1,4294967298],"schedule":[0,1,2]}"#).is_err());
+        assert!(decode(r#"{"offsets":[0,1],"schedule":[0,257]}"#).is_err());
     }
 }

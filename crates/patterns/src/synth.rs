@@ -14,7 +14,7 @@
 //! Everything is a pure function of the [`SynthesisConfig`] and the seed:
 //! same inputs, same best pattern, bit for bit — which is what lets campaign
 //! cells synthesize on the fly at any thread count and lets the
-//! content-addressed cache ([`crate::SynthesisCache`]) resume searches
+//! content-addressed cache ([`crate::Synthesis`]) resume searches
 //! byte-identically.
 //!
 //! # Incremental scoring
@@ -40,7 +40,6 @@ use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::ser::JsonWriter;
 use serde::{Deserialize, Serialize};
 
 use pthammer_dram::{
@@ -49,7 +48,7 @@ use pthammer_dram::{
 use pthammer_machine::MachineConfig;
 use pthammer_types::Cycles;
 
-use crate::pattern::{pattern_from_json, HammerPattern, MAX_OFFSET, MAX_SCHEDULE, MAX_SIDES};
+use crate::pattern::{HammerPattern, MAX_OFFSET, MAX_SCHEDULE, MAX_SIDES};
 
 /// Domain-separation salt folded into every synthesis RNG seed.
 const SYNTH_SEED_SALT: u64 = 0x5452_5265_7370_6173; // "TRRespas"
@@ -617,7 +616,7 @@ pub fn evaluate_incremental(
 }
 
 /// Result of one synthesis run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SynthesisResult {
     /// The best pattern found.
     pub best: HammerPattern,
@@ -628,61 +627,6 @@ pub struct SynthesisResult {
     pub evaluations: u32,
     /// Generations run.
     pub generations: u32,
-}
-
-// Hand-written canonical JSON; `synthesis_result_from_json` is the exact
-// inverse (the cache's byte-identity rests on the round trip).
-impl Serialize for SynthesisResult {
-    fn serialize(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.key("best");
-        self.best.serialize(w);
-        w.key("score");
-        self.score.serialize(w);
-        w.key("evaluations");
-        self.evaluations.serialize(w);
-        w.key("generations");
-        self.generations.serialize(w);
-        w.end_object();
-    }
-}
-
-impl Deserialize for SynthesisResult {}
-
-/// Parses the canonical JSON form written by [`SynthesisResult`]'s
-/// `Serialize` impl.
-///
-/// # Errors
-///
-/// Describes the first missing or mistyped field.
-pub fn synthesis_result_from_json(body: &str) -> Result<SynthesisResult, String> {
-    let value =
-        serde_json::from_str(body).map_err(|e| format!("synthesis body is not JSON: {e}"))?;
-    let u32_of = |v: &serde_json::Value, name: &str| -> Result<u32, String> {
-        v.get(name)
-            .and_then(|f| f.as_u64())
-            .and_then(|f| u32::try_from(f).ok())
-            .ok_or_else(|| format!("synthesis field `{name}` is not a u32"))
-    };
-    let best = pattern_from_json(
-        value
-            .get("best")
-            .ok_or_else(|| "synthesis body is missing `best`".to_string())?,
-    )?;
-    let score = value
-        .get("score")
-        .ok_or_else(|| "synthesis body is missing `score`".to_string())?;
-    Ok(SynthesisResult {
-        best,
-        score: PatternScore {
-            peak_victim_disturbance: u32_of(score, "peak_victim_disturbance")?,
-            expected_disturbance: u32_of(score, "expected_disturbance")?,
-            trr_fired: u32_of(score, "trr_fired")?,
-            touches_per_round: u32_of(score, "touches_per_round")?,
-        },
-        evaluations: u32_of(&value, "evaluations")?,
-        generations: u32_of(&value, "generations")?,
-    })
 }
 
 /// Runs the deterministic synthesis loop. Identical to
@@ -958,11 +902,14 @@ mod tests {
     fn synthesis_result_json_round_trips() {
         let result = synthesize(&trr_config(), 7);
         let json = serde_json::to_string(&result).unwrap();
-        let decoded = synthesis_result_from_json(&json).unwrap();
+        let decode = |text: &str| {
+            serde_json::from_str(text).and_then(serde_json::from_value::<SynthesisResult>)
+        };
+        let decoded = decode(&json).unwrap();
         assert_eq!(decoded, result);
         assert_eq!(serde_json::to_string(&decoded).unwrap(), json);
-        assert!(synthesis_result_from_json("][").is_err());
-        assert!(synthesis_result_from_json("{}").is_err());
+        assert!(decode("][").is_err());
+        assert!(decode("{}").is_err());
     }
 
     #[test]

@@ -6,12 +6,12 @@ use pthammer_cache::CachePmc;
 use pthammer_dram::DramStats;
 use pthammer_machine::Machine;
 use pthammer_mmu::TlbPmc;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One snapshot of every deterministic hardware counter the simulator
 /// maintains. Snapshots are cheap (`Copy`) and subtractable, so workloads
 /// bracket their hot region with two captures and report the delta.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct MachineCounters {
     /// Cache-hierarchy performance counters.
     pub cache: CachePmc,
@@ -110,7 +110,7 @@ impl MachineCounters {
 /// Hammer-throughput accounting — the single place iteration counts and
 /// per-iteration costs are derived from, so `repro_*` binaries, the campaign
 /// harness and `perf_report` can never disagree on what an "iteration" is.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct HammerAccounting {
     /// Double-sided hammer iterations actually performed (measured, not
     /// derived from configuration).

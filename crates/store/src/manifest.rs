@@ -1,6 +1,6 @@
 //! The manifest binding a store to one campaign shape.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Version of the store's on-disk layout (manifest shape, cell-file header,
 /// directory structure). Bump when the layout changes so old stores are
@@ -17,7 +17,7 @@ pub const STORE_SCHEMA_VERSION: u32 = 1;
 /// stored manifest against the expected one **byte-for-byte** (canonical
 /// JSON), so any drift — a seed-schema bump after a behavior change, a
 /// different base seed, a retuned config — invalidates the store loudly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct StoreManifest {
     /// On-disk layout version ([`STORE_SCHEMA_VERSION`]).
     pub store_schema: u32,

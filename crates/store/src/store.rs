@@ -62,22 +62,24 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// Result of probing the store for a cell.
+/// Result of probing the store for a cell: the verified body from
+/// [`CellStore::get`], or the decoded value from [`CellStore::lookup`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CellLookup {
-    /// The cell is cached; the body is the exact canonical JSON that was
-    /// stored (hash-verified on read).
-    Hit(String),
+pub enum CellLookup<T = String> {
+    /// The cell is cached: the exact canonical JSON that was stored
+    /// (hash-verified on read), or its decoded value.
+    Hit(T),
     /// The cell has not been computed.
     Miss,
     /// A file exists for the cell but is truncated or corrupted (header
-    /// unparseable, wrong key, length or content hash mismatch). The caller
-    /// should recompute and overwrite.
+    /// unparseable, wrong key, length or content hash mismatch), or, for a
+    /// typed lookup, its verified body does not decode. The caller should
+    /// recompute and overwrite.
     Corrupt,
 }
 
 /// Counts from a full verification walk of the store.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct StoreStatus {
     /// Valid, hash-verified cell entries.
     pub entries: usize,
@@ -201,9 +203,27 @@ impl CellStore {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return CellLookup::Miss,
             Err(_) => return CellLookup::Corrupt,
         };
-        match decode_cell_file(&text, Some(key)) {
+        match decode_cell_file(&text, key) {
             Some(body) => CellLookup::Hit(body),
             None => CellLookup::Corrupt,
+        }
+    }
+
+    /// Looks the cell up and decodes its verified body as a `T`.
+    ///
+    /// A body that passes the hash check but does not decode — it predates
+    /// a schema change, or is valid JSON of the wrong shape — is
+    /// [`CellLookup::Corrupt`], like a failed hash: the caller recomputes.
+    pub fn lookup<T: Deserialize>(&self, key: &CellKey) -> CellLookup<T> {
+        match self.get(key) {
+            CellLookup::Hit(body) => {
+                match serde_json::from_str(&body).and_then(serde_json::from_value) {
+                    Ok(value) => CellLookup::Hit(value),
+                    Err(_) => CellLookup::Corrupt,
+                }
+            }
+            CellLookup::Miss => CellLookup::Miss,
+            CellLookup::Corrupt => CellLookup::Corrupt,
         }
     }
 
@@ -292,27 +312,19 @@ impl CellStore {
     }
 }
 
-/// Validates a cell file's header against its body (and, when given, the
-/// key it is filed under), returning the verified body.
-fn decode_cell_file(text: &str, expect_key: Option<&CellKey>) -> Option<String> {
+/// Validates a cell file's header against its body and the key it is filed
+/// under, returning the verified body.
+fn decode_cell_file(text: &str, expect_key: &CellKey) -> Option<String> {
     let (header_line, body) = text.split_once('\n')?;
-    let header = serde_json::from_str(header_line).ok()?;
-    let schema = header.get("store_schema")?.as_u64()?;
-    if schema != u64::from(STORE_SCHEMA_VERSION) {
-        return None;
-    }
-    let key = CellKey::from_hex(header.get("key")?.as_str()?)?;
-    if expect_key.is_some_and(|expected| *expected != key) {
-        return None;
-    }
-    if header.get("bytes")?.as_u64()? != body.len() as u64 {
-        return None;
-    }
-    let fnv = format!("{:032x}", fnv1a_128(body.as_bytes()));
-    if header.get("content_fnv")?.as_str()? != fnv {
-        return None;
-    }
-    Some(body.to_string())
+    let header: CellHeader = serde_json::from_str(header_line)
+        .and_then(serde_json::from_value)
+        .ok()?;
+    let key = CellKey::from_hex(&header.key)?;
+    let valid = header.store_schema == STORE_SCHEMA_VERSION
+        && key == *expect_key
+        && header.bytes == body.len()
+        && header.content_fnv == format!("{:032x}", fnv1a_128(body.as_bytes()));
+    valid.then(|| body.to_string())
 }
 
 /// Writes `bytes` to `path` atomically: temp file in `<store root>/tmp` (or

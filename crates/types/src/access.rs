@@ -3,12 +3,12 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{Cycles, PhysAddr};
 
 /// Whether a memory access reads or writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum AccessKind {
     /// A load.
     Read,
@@ -33,7 +33,7 @@ impl fmt::Display for AccessKind {
 }
 
 /// The level of the memory hierarchy that served an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum MemoryLevel {
     /// Level-1 data cache.
     L1,
@@ -64,7 +64,7 @@ impl fmt::Display for MemoryLevel {
 }
 
 /// The outcome of a single physical memory access through the cache hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MemAccessOutcome {
     /// Physical address that was accessed (cache-line granularity semantics).
     pub paddr: PhysAddr,

@@ -3,7 +3,7 @@
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{CACHE_LINE_SIZE, HUGE_PAGE_SIZE, PAGE_SIZE, PTE_SIZE};
 
@@ -23,9 +23,7 @@ use crate::{CACHE_LINE_SIZE, HUGE_PAGE_SIZE, PAGE_SIZE, PTE_SIZE};
 /// assert_eq!(a.page_offset(), 0x40);
 /// assert_eq!(a.cache_line_offset(), 0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct PhysAddr(u64);
 
 impl PhysAddr {
@@ -154,9 +152,7 @@ impl Sub<PhysAddr> for PhysAddr {
 /// assert_eq!(v.pt_index(4), (0x7fff_8000_1000u64 >> 39) & 0x1ff);
 /// assert_eq!(v.pt_index(1), (0x7fff_8000_1000u64 >> 12) & 0x1ff);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct VirtAddr(u64);
 
 impl VirtAddr {

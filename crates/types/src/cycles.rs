@@ -4,7 +4,7 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A count of simulated processor cycles.
 ///
@@ -24,9 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!((a - b).as_u64(), 300);
 /// assert!((Cycles::new(2_600_000).as_seconds(2.6e9) - 0.001).abs() < 1e-12);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct Cycles(u64);
 
 impl Cycles {

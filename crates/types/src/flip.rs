@@ -3,7 +3,7 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The electrical orientation of a DRAM cell.
 ///
@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// (Wu et al., ASPLOS 2019) relies on placing Level-1 page tables exclusively
 /// in rows of true cells so that a flip can only lower the physical address a
 /// PTE points to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CellOrientation {
     /// A flip in this cell changes a stored `1` to `0`.
     TrueCell,
@@ -41,7 +41,7 @@ impl fmt::Display for CellOrientation {
 }
 
 /// The direction of an observable rowhammer bit flip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum FlipDirection {
     /// A stored `1` became `0`.
     OneToZero,

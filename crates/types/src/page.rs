@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{HUGE_PAGE_SIZE, PAGE_SIZE};
 
@@ -21,7 +21,7 @@ use crate::{HUGE_PAGE_SIZE, PAGE_SIZE};
 /// assert_eq!(PageSize::Huge2M.bytes(), 2 * 1024 * 1024);
 /// assert_eq!(PageSize::Huge2M.known_physical_bits(), 21);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub enum PageSize {
     /// Regular 4 KiB page.
     #[default]

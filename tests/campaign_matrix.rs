@@ -16,22 +16,16 @@
 //! then commit the updated `tests/golden/*.json` and explain the drift in
 //! the PR description.
 
-use std::path::PathBuf;
-
 mod common;
-use common::first_diff;
+use common::compare_with_golden;
 
 use pthammer_harness::{run_campaign, CampaignConfig, ScenarioMatrix};
 
+/// The committed snapshot this tier pins.
+const GOLDEN: &str = "campaign_ci_matrix.json";
+
 /// Base seed of the pinned campaign; changing it invalidates the snapshot.
 const GOLDEN_BASE_SEED: u64 = 0x7453_4861_4d21;
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("campaign_ci_matrix.json")
-}
 
 fn golden_matrix() -> ScenarioMatrix {
     ScenarioMatrix::ci_default()
@@ -61,7 +55,7 @@ fn matrix_is_ci_scale_but_meaningful() {
 #[test]
 fn two_thread_campaign_matches_golden_snapshot() {
     let json = run_campaign(&golden_matrix(), &golden_config(2)).to_canonical_json();
-    compare_with_golden(&json);
+    compare_with_golden(GOLDEN, &json);
 }
 
 #[test]
@@ -102,35 +96,5 @@ fn eight_thread_campaign_matches_golden_snapshot() {
         assert!(!cell.escalated);
     }
 
-    compare_with_golden(&json);
-}
-
-/// Compares canonical campaign JSON against the committed snapshot, or
-/// rewrites the snapshot when `PTHAMMER_UPDATE_GOLDEN=1`.
-fn compare_with_golden(json: &str) {
-    let path = golden_path();
-    if std::env::var("PTHAMMER_UPDATE_GOLDEN")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-        std::fs::write(&path, json).expect("write golden snapshot");
-        eprintln!("updated golden snapshot at {}", path.display());
-        return;
-    }
-
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); run with PTHAMMER_UPDATE_GOLDEN=1 to create it",
-            path.display()
-        )
-    });
-    assert!(
-        golden == json,
-        "campaign report drifted from the golden snapshot {}.\n\
-         If the change is intentional, refresh with PTHAMMER_UPDATE_GOLDEN=1 and commit.\n\
-         First diverging line: {}",
-        path.display(),
-        first_diff(&golden, json)
-    );
+    compare_with_golden(GOLDEN, &json);
 }

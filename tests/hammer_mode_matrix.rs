@@ -45,7 +45,6 @@ fn mode_matrix_covers_thirty_plus_cells() {
         matrix.len()
     );
     assert_eq!(matrix.hammer_modes.len(), 4);
-    assert!(!matrix.is_default_mode_only());
     assert!(matrix.validate().is_ok());
 }
 

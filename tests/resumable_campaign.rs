@@ -24,7 +24,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 mod common;
-use common::first_diff;
+use common::{first_diff, golden_snapshot};
 
 use pthammer_harness::{
     cell_store_key, merge_stores, run_campaign, run_campaign_resumable, run_campaign_shard,
@@ -49,15 +49,6 @@ fn golden_config() -> CampaignConfig {
         threads: 2,
         ..CampaignConfig::ci(GOLDEN_BASE_SEED)
     }
-}
-
-fn golden_snapshot() -> String {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("campaign_ci_matrix.json");
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden snapshot {} ({e})", path.display()))
 }
 
 /// A fresh, empty store for the golden campaign under a unique temp root.
@@ -122,7 +113,7 @@ fn fixture() -> &'static Fixture {
             .collect();
         CellStore::wipe(&root).expect("clean fixture store");
         Fixture {
-            golden: golden_snapshot(),
+            golden: golden_snapshot("campaign_ci_matrix.json"),
             resumed_json: report.to_canonical_json(),
             kill_stats,
             resume_stats,

@@ -14,17 +14,19 @@
 //! Refresh after an intentional behaviour change with
 //! `PTHAMMER_UPDATE_GOLDEN=1 cargo test --release --test trr_pattern_matrix`.
 
-use std::path::PathBuf;
 use std::sync::OnceLock;
 
 mod common;
-use common::first_diff;
+use common::compare_with_golden;
 
 use pthammer_harness::{
     run_campaign, run_campaign_resumable, store_manifest, CampaignConfig, CampaignReport,
     CellStore, ScenarioMatrix,
 };
 use pthammer_patterns::PatternChoice;
+
+/// The committed snapshot this tier pins.
+const GOLDEN: &str = "campaign_trr_matrix.json";
 
 /// Base seed of the pinned TRR campaign; changing it invalidates the
 /// snapshot.
@@ -38,13 +40,6 @@ use pthammer_patterns::PatternChoice;
 /// re-tune this seed (any value satisfying
 /// [`trr_kills_double_sided_but_synthesized_patterns_still_flip`] works).
 const TRR_BASE_SEED: u64 = 0x5452_5265_7263; // "TRRerc"
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("campaign_trr_matrix.json")
-}
 
 fn trr_matrix() -> ScenarioMatrix {
     ScenarioMatrix::trr_pattern_ci()
@@ -104,7 +99,7 @@ fn matrix_shape_covers_the_trr_axes() {
 
 #[test]
 fn two_thread_trr_campaign_matches_golden_snapshot() {
-    compare_with_golden(&fixture().1);
+    compare_with_golden(GOLDEN, &fixture().1);
 }
 
 #[test]
@@ -115,7 +110,7 @@ fn eight_thread_trr_campaign_matches_golden_snapshot() {
         fixture().1,
         "thread count leaked into the TRR campaign"
     );
-    compare_with_golden(&json);
+    compare_with_golden(GOLDEN, &json);
 }
 
 #[test]
@@ -176,34 +171,4 @@ fn trr_kills_double_sided_but_synthesized_patterns_still_flip() {
 
     // Per-(machine-implied) summaries exist for every pattern-axis value.
     assert_eq!(report.summaries.len(), 2 * 3);
-}
-
-/// Compares canonical campaign JSON against the committed snapshot, or
-/// rewrites the snapshot when `PTHAMMER_UPDATE_GOLDEN=1`.
-fn compare_with_golden(json: &str) {
-    let path = golden_path();
-    if std::env::var("PTHAMMER_UPDATE_GOLDEN")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-        std::fs::write(&path, json).expect("write golden snapshot");
-        eprintln!("updated golden snapshot at {}", path.display());
-        return;
-    }
-
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); run with PTHAMMER_UPDATE_GOLDEN=1 to create it",
-            path.display()
-        )
-    });
-    assert!(
-        golden == json,
-        "TRR campaign report drifted from the golden snapshot {}.\n\
-         If the change is intentional, refresh with PTHAMMER_UPDATE_GOLDEN=1 and commit.\n\
-         First diverging line: {}",
-        path.display(),
-        first_diff(&golden, json)
-    );
 }

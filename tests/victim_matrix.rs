@@ -19,24 +19,19 @@
 //! the PR description.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 
 mod common;
-use common::first_diff;
+use common::compare_with_golden;
 
 use pthammer_harness::{run_campaign, CampaignConfig, ScenarioMatrix, VictimChoice};
+
+/// The committed snapshot this tier pins.
+const GOLDEN: &str = "campaign_victim_matrix.json";
 
 /// Base seed of the pinned sweep; deliberately the same seed as the
 /// victim-free `campaign_matrix` golden so the two tiers hammer identical
 /// weak-cell maps and differ only in the exploitation layer.
 const GOLDEN_BASE_SEED: u64 = 0x7453_4861_4d21;
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("campaign_victim_matrix.json")
-}
 
 fn golden_matrix() -> ScenarioMatrix {
     ScenarioMatrix::victim_sweep_ci()
@@ -72,7 +67,7 @@ fn matrix_sweeps_every_victim() {
 #[test]
 fn two_thread_victim_sweep_matches_golden_snapshot() {
     let json = run_campaign(&golden_matrix(), &golden_config(2)).to_canonical_json();
-    compare_with_golden(&json);
+    compare_with_golden(GOLDEN, &json);
 }
 
 #[test]
@@ -90,20 +85,23 @@ fn eight_thread_victim_sweep_matches_golden_snapshot() {
     let mut succeeded: BTreeSet<&str> = BTreeSet::new();
     for cell in &report.cells {
         let victim = cell.victim.expect("sweep cells carry explicit victims");
+        let exploit = cell
+            .exploit
+            .unwrap_or_else(|| panic!("explicit-victim cells carry an exploit outcome: {cell:?}"));
         assert!(
-            cell.exploit_succeeded.is_some(),
+            exploit.exploit_succeeded.is_some(),
             "explicit-victim cells must report exploit_succeeded: {cell:?}"
         );
-        if cell.exploit_succeeded == Some(true) {
+        if exploit.exploit_succeeded == Some(true) {
             succeeded.insert(victim.name());
             assert!(
-                cell.time_to_exploit.is_some(),
+                exploit.time_to_exploit.is_some(),
                 "successful exploits must report time-to-exploit: {cell:?}"
             );
         }
         if cell.profile == "invulnerable" {
             assert_eq!(
-                cell.exploit_succeeded,
+                exploit.exploit_succeeded,
                 Some(false),
                 "invulnerable DRAM cannot be exploited: {cell:?}"
             );
@@ -115,40 +113,10 @@ fn eight_thread_victim_sweep_matches_golden_snapshot() {
     );
     for summary in report.summaries.iter().filter(|s| s.victim.is_some()) {
         assert!(
-            summary.exploit_successes.is_some(),
+            summary.exploit.is_some(),
             "victim summaries must aggregate exploit successes: {summary:?}"
         );
     }
 
-    compare_with_golden(&json);
-}
-
-/// Compares canonical campaign JSON against the committed snapshot, or
-/// rewrites the snapshot when `PTHAMMER_UPDATE_GOLDEN=1`.
-fn compare_with_golden(json: &str) {
-    let path = golden_path();
-    if std::env::var("PTHAMMER_UPDATE_GOLDEN")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-        std::fs::write(&path, json).expect("write golden snapshot");
-        eprintln!("updated golden snapshot at {}", path.display());
-        return;
-    }
-
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); run with PTHAMMER_UPDATE_GOLDEN=1 to create it",
-            path.display()
-        )
-    });
-    assert!(
-        golden == json,
-        "victim sweep drifted from the golden snapshot {}.\n\
-         If the change is intentional, refresh with PTHAMMER_UPDATE_GOLDEN=1 and commit.\n\
-         First diverging line: {}",
-        path.display(),
-        first_diff(&golden, json)
-    );
+    compare_with_golden(GOLDEN, &json);
 }
