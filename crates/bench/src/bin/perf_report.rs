@@ -187,15 +187,12 @@ fn cell_counters(perf: &CellPerf) -> BTreeMap<String, u64> {
 /// Workload 2: one Table I attack cell (Lenovo T420, undefended, fast
 /// profile) at CI scale, via the campaign harness.
 fn table1_cell_workload() -> WorkloadPerf {
-    let coord = CellCoord {
-        machine: MachineChoice::LenovoT420,
-        defense: DefenseChoice::None,
-        profile: ProfileChoice::Fast,
-        hammer_mode: HammerMode::default(),
-        pattern: None,
-        victim: None,
-        repetition: 0,
-    };
+    let coord = CellCoord::new(
+        MachineChoice::LenovoT420,
+        DefenseChoice::None,
+        ProfileChoice::Fast,
+        0,
+    );
     let config = CampaignConfig::ci(GOLDEN_BASE_SEED);
     let watch = Stopwatch::start();
     let (report, perf) = run_cell_instrumented(&coord, &config);

@@ -38,7 +38,7 @@ fn main() {
     for cell in &report.cells {
         table::row(
             &[
-                cell.defense.to_string(),
+                cell.coord.defense.name().to_string(),
                 cell.escalated.to_string(),
                 cell.flips_observed.to_string(),
                 cell.exploitable_flips.to_string(),
@@ -60,7 +60,7 @@ fn main() {
     for summary in &report.summaries {
         table::row(
             &[
-                summary.defense.to_string(),
+                summary.group.defense.name().to_string(),
                 format!("{:.2}", summary.escalation_rate),
                 summary
                     .escalation_rate_delta_vs_undefended

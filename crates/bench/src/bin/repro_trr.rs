@@ -19,7 +19,6 @@
 
 use std::process::ExitCode;
 
-use pthammer::HammerMode;
 use pthammer_bench::MachineChoice;
 use pthammer_harness::{
     run_cell, ArtifactCache, CampaignConfig, CellCoord, CellReport, DefenseChoice, ProfileChoice,
@@ -46,13 +45,8 @@ fn run(
 ) -> CellReport {
     run_cell(
         &CellCoord {
-            machine,
-            defense: DefenseChoice::None,
-            profile: ProfileChoice::Ci,
-            hammer_mode: HammerMode::default(),
             pattern,
-            victim: None,
-            repetition: rep,
+            ..CellCoord::new(machine, DefenseChoice::None, ProfileChoice::Ci, rep)
         },
         config,
     )

@@ -16,7 +16,6 @@
 
 use std::process::ExitCode;
 
-use pthammer::HammerMode;
 use pthammer_bench::MachineChoice;
 use pthammer_harness::{
     run_cell, ArtifactCache, CampaignConfig, CellCoord, CellReport, DefenseChoice,
@@ -43,13 +42,8 @@ fn run(
 ) -> CellReport {
     run_cell(
         &CellCoord {
-            machine: MachineChoice::TestSmall,
-            defense,
-            profile: ProfileChoice::Ci,
-            hammer_mode: HammerMode::default(),
-            pattern: None,
             victim: Some(victim),
-            repetition: rep,
+            ..CellCoord::new(MachineChoice::TestSmall, defense, ProfileChoice::Ci, rep)
         },
         config,
     )

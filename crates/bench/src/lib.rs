@@ -2,8 +2,7 @@
 //!
 //! The experiment logic lives in [`scenarios`]; each `repro_*` binary is a
 //! thin wrapper that runs one scenario and prints the corresponding table or
-//! figure series. Criterion benches (under `benches/`) measure the simulator
-//! hot paths themselves.
+//! figure series.
 //!
 //! Scale knobs: by default the scenarios run in a *scaled* mode (the Table I
 //! machine models with the `fast` weak-cell profile and a reduced spray) so a

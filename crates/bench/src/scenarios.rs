@@ -622,18 +622,10 @@ pub fn defense_eval(
     seed: u64,
 ) -> DefenseResult {
     let config = scale.campaign_config(seed);
-    let coord = CellCoord {
-        machine,
-        defense,
-        profile: scale.profile_choice(),
-        hammer_mode: HammerMode::default(),
-        pattern: None,
-        victim: None,
-        repetition: 0,
-    };
+    let coord = CellCoord::new(machine, defense, scale.profile_choice(), 0);
     let cell = run_cell(&coord, &config);
     DefenseResult {
-        defense: cell.defense.name().to_string(),
+        defense: cell.coord.defense.name().to_string(),
         escalated: cell.escalated,
         flips_observed: cell.flips_observed,
         exploitable_flips: cell.exploitable_flips,

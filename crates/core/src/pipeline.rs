@@ -76,8 +76,10 @@ pub fn prepare_attack(
 /// The shared, typed context every pipeline phase operates on.
 ///
 /// Everything the old driver kept in loop-local variables lives here: the
-/// attacker's RNG stream, the prepared pools, machine-derived constants, the
-/// accounting subscriber and the attempt-spanning result state.
+/// attacker's RNG stream, machine-derived constants, the accounting
+/// subscriber and the attempt-spanning result state. What `Prepare` builds
+/// (the pools, the spray and the victim's flip profile) is returned by that
+/// phase and borrowed by the attempt loop instead.
 #[derive(Debug)]
 pub struct AttackCtx {
     /// The process running the attack.
@@ -92,8 +94,6 @@ pub struct AttackCtx {
     pub conflict_threshold: u64,
     /// The attacker's pseudo-random stream (pair selection).
     pub rng: StdRng,
-    /// One-off prepared state (pools + spray); set by the `Prepare` phase.
-    pub prepared: Option<PreparedAttack>,
     /// Event-derived timing and count accounting.
     pub accounting: PipelineAccounting,
     /// Per-iteration cycle samples (the Figure 6 measurement).
@@ -101,8 +101,6 @@ pub struct AttackCtx {
     /// The victim the `Exploit` phase dispatches through (`profile →
     /// evaluate → attack`); [`PteTakeover`] unless one was injected.
     pub victim: Box<dyn Victim>,
-    /// The victim's flip profile; set by the `Prepare` phase.
-    pub flip_profile: Option<FlipProfile>,
     /// The successful victim outcome, once the `Exploit` phase produced one.
     pub victory: Option<VictimOutcome>,
     /// Effective uid of the escalated process (== `uid_before` until then).
@@ -215,17 +213,15 @@ impl<'a, 'b> AttackPipeline<'a, 'b> {
             row_span: sys.machine().config().dram.geometry.row_span_bytes(),
             conflict_threshold: conflict_threshold(sys),
             rng: StdRng::seed_from_u64(self.config.seed),
-            prepared: None,
             accounting: PipelineAccounting::new(attack_start),
             hammer_cycle_samples: Vec::new(),
             victim: std::mem::replace(&mut self.victim, Box::new(PteTakeover)),
-            flip_profile: None,
             victory: None,
             escalated_uid: uid_before,
         };
 
-        self.phase_prepare(&mut ctx, sys)?;
-        self.drive_attempts(&mut ctx, sys)?;
+        let (prepared, profile) = self.phase_prepare(&mut ctx, sys)?;
+        self.drive_attempts(&mut ctx, sys, &prepared, &profile)?;
 
         let timings = ctx.accounting.stage_timings();
         Ok(AttackOutcome {
@@ -251,7 +247,11 @@ impl<'a, 'b> AttackPipeline<'a, 'b> {
 
     /// `Prepare`: builds the TLB/LLC eviction pools and the page-table
     /// spray, once, then runs the victim's `profile` stage.
-    fn phase_prepare(&mut self, ctx: &mut AttackCtx, sys: &mut System) -> Result<(), AttackError> {
+    fn phase_prepare(
+        &mut self,
+        ctx: &mut AttackCtx,
+        sys: &mut System,
+    ) -> Result<(PreparedAttack, FlipProfile), AttackError> {
         self.enter(ctx, sys, AttackPhase::Prepare);
         let prepared = prepare_attack(sys, ctx.pid, self.config)?;
         self.emit(
@@ -262,7 +262,6 @@ impl<'a, 'b> AttackPipeline<'a, 'b> {
                 l1pt_count: prepared.spray.l1pt_count(),
             },
         );
-        ctx.prepared = Some(prepared);
         // Victim profiling takes `&System`: it cannot perform simulated
         // memory operations, so the phases downstream stay byte-identical
         // regardless of which victim is attached.
@@ -275,26 +274,28 @@ impl<'a, 'b> AttackPipeline<'a, 'b> {
                 at_cycles: sys.rdtsc(),
             },
         );
-        ctx.flip_profile = Some(profile);
         self.exit(ctx, sys, AttackPhase::Prepare);
-        Ok(())
+        Ok((prepared, profile))
     }
 
     /// The attempt loop: candidate batches from the RNG, then the
     /// `PairSelect → Hammer → Detect → Exploit` phases per candidate.
-    fn drive_attempts(&mut self, ctx: &mut AttackCtx, sys: &mut System) -> Result<(), AttackError> {
+    fn drive_attempts(
+        &mut self,
+        ctx: &mut AttackCtx,
+        sys: &mut System,
+        prepared: &PreparedAttack,
+        profile: &FlipProfile,
+    ) -> Result<(), AttackError> {
         while ctx.accounting.attempts < self.config.max_attempts
             && ctx.accounting.flips_observed < self.config.max_flips
         {
-            let pairs = {
-                let spray = &ctx.prepared.as_ref().expect("prepare phase ran").spray;
-                candidate_pairs(
-                    spray,
-                    ctx.row_span,
-                    self.config.pair_candidates_per_round,
-                    &mut ctx.rng,
-                )
-            };
+            let pairs = candidate_pairs(
+                &prepared.spray,
+                ctx.row_span,
+                self.config.pair_candidates_per_round,
+                &mut ctx.rng,
+            );
             if pairs.is_empty() {
                 return Err(AttackError::NoHammerPairs);
             }
@@ -310,7 +311,7 @@ impl<'a, 'b> AttackPipeline<'a, 'b> {
                         at_cycles: sys.rdtsc(),
                     },
                 );
-                match self.run_attempt(ctx, sys, pair)? {
+                match self.run_attempt(ctx, sys, prepared, profile, pair)? {
                     Flow::NextPair => {}
                     Flow::Finish => return Ok(()),
                 }
@@ -324,14 +325,16 @@ impl<'a, 'b> AttackPipeline<'a, 'b> {
         &mut self,
         ctx: &mut AttackCtx,
         sys: &mut System,
+        prepared: &PreparedAttack,
+        profile: &FlipProfile,
         pair: crate::pairs::HammerPair,
     ) -> Result<Flow, AttackError> {
-        let Some(armed) = self.phase_pair_select(ctx, sys, pair)? else {
+        let Some(armed) = self.phase_pair_select(ctx, sys, prepared, pair)? else {
             return Ok(Flow::NextPair);
         };
         self.phase_hammer(ctx, sys, &armed)?;
-        let findings = self.phase_detect(ctx, sys, &armed)?;
-        self.phase_exploit(ctx, sys, &findings)
+        let findings = self.phase_detect(ctx, sys, prepared, &armed)?;
+        self.phase_exploit(ctx, sys, prepared, profile, &findings)
     }
 
     /// `PairSelect`: eviction-set selection plus the strategy's acceptance
@@ -340,6 +343,7 @@ impl<'a, 'b> AttackPipeline<'a, 'b> {
         &mut self,
         ctx: &mut AttackCtx,
         sys: &mut System,
+        prepared: &PreparedAttack,
         pair: crate::pairs::HammerPair,
     ) -> Result<Option<ArmedPair>, AttackError> {
         self.enter(ctx, sys, AttackPhase::PairSelect);
@@ -347,7 +351,7 @@ impl<'a, 'b> AttackPipeline<'a, 'b> {
             sys,
             ctx.pid,
             pair,
-            ctx.prepared.as_ref().expect("prepare phase ran"),
+            prepared,
             self.config,
             ctx.conflict_threshold,
         )?;
@@ -414,16 +418,12 @@ impl<'a, 'b> AttackPipeline<'a, 'b> {
         &mut self,
         ctx: &mut AttackCtx,
         sys: &mut System,
+        prepared: &PreparedAttack,
         armed: &ArmedPair,
     ) -> Result<Vec<crate::detect::FlipFinding>, AttackError> {
         self.enter(ctx, sys, AttackPhase::Detect);
-        let (findings, check_cycles) = scan_for_corrupted_mappings(
-            sys,
-            ctx.pid,
-            &ctx.prepared.as_ref().expect("prepare phase ran").spray,
-            &armed.pair,
-            ctx.row_span,
-        )?;
+        let (findings, check_cycles) =
+            scan_for_corrupted_mappings(sys, ctx.pid, &prepared.spray, &armed.pair, ctx.row_span)?;
         let at_cycles = sys.rdtsc();
         for finding in &findings {
             self.emit(
@@ -454,27 +454,22 @@ impl<'a, 'b> AttackPipeline<'a, 'b> {
         &mut self,
         ctx: &mut AttackCtx,
         sys: &mut System,
+        prepared: &PreparedAttack,
+        profile: &FlipProfile,
         findings: &[crate::detect::FlipFinding],
     ) -> Result<Flow, AttackError> {
         self.enter(ctx, sys, AttackPhase::Exploit);
         for finding in findings {
-            let usable = {
-                let profile = ctx.flip_profile.as_ref().expect("prepare phase ran");
-                ctx.victim.evaluate(profile, finding).is_usable()
-            };
-            if !usable {
+            if !ctx.victim.evaluate(profile, finding).is_usable() {
                 continue;
             }
-            let mut outcome = {
-                let prepared = ctx.prepared.as_ref().expect("prepare phase ran");
-                let exploit = ExploitCtx {
-                    tlb_pool: &prepared.tlb_pool,
-                    spray: &prepared.spray,
-                    attacker_uid: ctx.uid_before,
-                    hammer_iterations: ctx.accounting.hammer_iterations,
-                };
-                ctx.victim.attack(sys, ctx.pid, &exploit, finding)?
+            let exploit = ExploitCtx {
+                tlb_pool: &prepared.tlb_pool,
+                spray: &prepared.spray,
+                attacker_uid: ctx.uid_before,
+                hammer_iterations: ctx.accounting.hammer_iterations,
             };
+            let mut outcome = ctx.victim.attack(sys, ctx.pid, &exploit, finding)?;
             if outcome.success {
                 outcome.time_to_exploit_iterations = Some(ctx.accounting.hammer_iterations);
             }

@@ -224,13 +224,7 @@ pub fn run_cell(coord: &CellCoord, config: &CampaignConfig) -> CellReport {
 pub fn run_cell_instrumented(coord: &CellCoord, config: &CampaignConfig) -> (CellReport, CellPerf) {
     let seed = cell_seed(config.base_seed, coord);
     let mut report = CellReport {
-        machine: coord.machine.name().to_string(),
-        defense: coord.defense.kind(),
-        profile: coord.profile.name().to_string(),
-        hammer_mode: coord.hammer_mode,
-        pattern: coord.pattern,
-        victim: coord.victim,
-        repetition: coord.repetition,
+        coord: *coord,
         cell_seed: seed,
         escalated: false,
         attempts: 0,
@@ -417,20 +411,14 @@ mod tests {
     #[test]
     fn single_cell_runs_and_reports_coordinates() {
         let config = CampaignConfig::ci(11);
-        let coord = CellCoord {
-            machine: MachineChoice::TestSmall,
-            defense: DefenseChoice::None,
-            profile: ProfileChoice::Invulnerable,
-            hammer_mode: HammerMode::default(),
-            pattern: None,
-            victim: None,
-            repetition: 0,
-        };
+        let coord = CellCoord::new(
+            MachineChoice::TestSmall,
+            DefenseChoice::None,
+            ProfileChoice::Invulnerable,
+            0,
+        );
         let row = run_cell(&coord, &config);
-        assert_eq!(row.machine, "Test Small");
-        assert_eq!(row.defense, pthammer_kernel::DefenseKind::Undefended);
-        assert_eq!(row.profile, "invulnerable");
-        assert_eq!(row.hammer_mode, HammerMode::ImplicitDoubleSided);
+        assert_eq!(row.coord, coord);
         assert_eq!(row.flips_observed, 0, "invulnerable DRAM cannot flip");
         assert!(!row.escalated);
         assert!(row.error.is_none(), "{:?}", row.error);

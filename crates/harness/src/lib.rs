@@ -6,7 +6,10 @@
 //!
 //! * [`ScenarioMatrix`] — the cross product of [`MachineChoice`],
 //!   [`DefenseChoice`], [`ProfileChoice`], optional pattern and
-//!   [`VictimChoice`] axes, and per-cell seed repetitions.
+//!   [`VictimChoice`] axes, and per-cell seed repetitions. A cell's typed
+//!   coordinates are one [`CellCoord`]; a summary row's are one
+//!   [`SummaryGroup`]. One axis table in `matrix.rs` drives every encoding
+//!   of them: report rows, store keys, labels and seeds.
 //! * [`CampaignConfig`] — attack scale, worker count, and the campaign base
 //!   seed.
 //! * [`run_campaign`] — fans the cells out across worker threads and
@@ -61,7 +64,7 @@ pub use campaign::{
     run_campaign, run_campaign_instrumented, run_cell, run_cell_instrumented, CampaignConfig,
     CellPerf,
 };
-pub use matrix::{CellCoord, ProfileChoice, ScenarioMatrix};
+pub use matrix::{CellCoord, ProfileChoice, ScenarioMatrix, SummaryGroup};
 pub use report::{CampaignReport, CellReport, DefenseSummary, ExploitOutcome, ExploitSummary};
 pub use resume::{
     cell_store_key, merge_stores, run_campaign_resumable, run_campaign_resumable_instrumented,

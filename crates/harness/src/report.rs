@@ -1,15 +1,12 @@
 //! Campaign results: per-cell rows, per-defense summaries, canonical JSON.
 //!
-//! Keys of axes added after the first golden snapshot are written only when
-//! they differ from the pre-axis value, so older snapshots stay
-//! byte-identical; the derived `Deserialize` reads store cells back exactly.
+//! Rows and summaries carry their coordinates flattened, spelled by the
+//! axis table in `matrix.rs`; the derived `Deserialize` reads store cells
+//! back exactly.
 
-use pthammer::{HammerMode, VictimChoice};
-use pthammer_kernel::DefenseKind;
-use pthammer_patterns::PatternChoice;
 use serde::{Deserialize, Serialize};
 
-use crate::matrix::ScenarioMatrix;
+use crate::matrix::{CellCoord, ScenarioMatrix, SummaryGroup};
 
 /// Version stamp of the report schema; bump when the JSON layout changes so
 /// golden snapshots fail loudly instead of mysteriously.
@@ -22,26 +19,9 @@ fn is_zero(n: &u64) -> bool {
 /// Outcome of one campaign cell (one attack run).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellReport {
-    /// Machine name (coordinate).
-    pub machine: String,
-    /// Defense (coordinate), typed; serializes as its display name.
-    pub defense: DefenseKind,
-    /// Weak-cell profile name (coordinate).
-    pub profile: String,
-    /// Hammer strategy the cell ran (coordinate). Serialized only for
-    /// non-default modes.
-    #[serde(default, skip_serializing_if = "HammerMode::is_default")]
-    pub hammer_mode: HammerMode,
-    /// Many-sided pattern source the cell ran, if any (coordinate).
-    /// Serialized only when present.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub pattern: Option<PatternChoice>,
-    /// Victim the cell's `Exploit` phase drove, if explicitly swept
-    /// (coordinate). Serialized only when present.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub victim: Option<VictimChoice>,
-    /// Repetition index (coordinate).
-    pub repetition: u32,
+    /// The cell's coordinates.
+    #[serde(flatten)]
+    pub coord: CellCoord,
     /// The seed derived from the coordinates (for reproducing this cell in
     /// isolation).
     pub cell_seed: u64,
@@ -98,29 +78,17 @@ pub struct ExploitOutcome {
     pub time_to_exploit: Option<u64>,
 }
 
-/// Aggregates over all cells sharing one (defense, profile, hammer-mode)
-/// combination.
+/// Aggregates over all cells of one [`SummaryGroup`].
 ///
 /// Summaries are split by weak-cell profile so control groups (e.g. the
 /// `invulnerable` profile) can never dilute a defense's headline escalation
-/// rate, and by hammer mode so strategy sweeps stay comparable.
+/// rate, and by every other swept axis but the machine and repetition so
+/// strategy, pattern and victim sweeps stay comparable.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DefenseSummary {
-    /// Defense, typed; serializes as its display name.
-    pub defense: DefenseKind,
-    /// Weak-cell profile name the cells ran with.
-    pub profile: String,
-    /// Hammer strategy the cells ran. Serialized only for non-default
-    /// modes.
-    #[serde(default, skip_serializing_if = "HammerMode::is_default")]
-    pub hammer_mode: HammerMode,
-    /// Pattern source the cells ran, if any. Serialized only when present.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub pattern: Option<PatternChoice>,
-    /// Victim the cells drove, if explicitly swept. Serialized only when
-    /// present.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub victim: Option<VictimChoice>,
+    /// The coordinates the summarized cells share.
+    #[serde(flatten)]
+    pub group: SummaryGroup,
     /// Number of cells aggregated (including errored ones).
     pub cells: usize,
     /// Cells that aborted with an error; excluded from every rate and mean
@@ -144,9 +112,8 @@ pub struct DefenseSummary {
     /// summaries carry its keys in place of this field.
     #[serde(flatten)]
     pub exploit: Option<ExploitSummary>,
-    /// Escalation-rate delta against the undefended baseline on the same
-    /// profile and mode (`None` when the campaign has no undefended cells
-    /// for it).
+    /// Escalation-rate delta against the undefended baseline of the same
+    /// group (`None` when the campaign has no undefended cells for it).
     pub escalation_rate_delta_vs_undefended: Option<f64>,
 }
 
@@ -173,8 +140,7 @@ pub struct CampaignReport {
     pub superpages: bool,
     /// One row per cell, in canonical matrix order.
     pub cells: Vec<CellReport>,
-    /// One summary per (defense, profile, mode) combination, in matrix axis
-    /// order.
+    /// One summary per [`SummaryGroup`], in matrix axis order.
     pub summaries: Vec<DefenseSummary>,
 }
 
@@ -188,136 +154,82 @@ impl CampaignReport {
         json
     }
 
-    /// Builds one summary per (defense, profile, hammer-mode) axis
-    /// combination, aggregating cells in row order. Errored cells are
-    /// counted in [`DefenseSummary::errored_cells`] and excluded from every
-    /// rate and mean. Exposed for the campaign runner and tests.
+    /// Builds one summary per [`ScenarioMatrix::groups`] entry, aggregating
+    /// cells in row order. Errored cells are counted in
+    /// [`DefenseSummary::errored_cells`] and excluded from every rate and
+    /// mean. Exposed for the campaign runner and tests.
     pub fn summarize(matrix: &ScenarioMatrix, cells: &[CellReport]) -> Vec<DefenseSummary> {
-        let mut summaries = Vec::new();
-        for d in &matrix.defenses {
-            for p in &matrix.profiles {
-                for &m in &matrix.hammer_modes {
-                    for &pat in &matrix.patterns {
-                        for &vic in &matrix.victims {
-                            let rows: Vec<&CellReport> = cells
-                                .iter()
-                                .filter(|c| {
-                                    c.defense == d.kind()
-                                        && c.profile == p.name()
-                                        && c.hammer_mode == m
-                                        && c.pattern == pat
-                                        && c.victim == vic
-                                })
-                                .collect();
-                            let completed: Vec<&CellReport> =
-                                rows.iter().filter(|c| c.error.is_none()).copied().collect();
-                            let n = completed.len();
-                            let escalations = completed.iter().filter(|c| c.escalated).count();
-                            let flip_cells =
-                                completed.iter().filter(|c| c.flips_observed > 0).count();
-                            let escalation_rate = if n == 0 {
-                                0.0
-                            } else {
-                                escalations as f64 / n as f64
-                            };
-                            let mean = |f: &dyn Fn(&CellReport) -> f64| {
-                                if n == 0 {
-                                    0.0
-                                } else {
-                                    completed.iter().map(|c| f(c)).sum::<f64>() / n as f64
-                                }
-                            };
-                            let first_flip: Vec<f64> = completed
-                                .iter()
-                                .filter_map(|c| c.seconds_to_first_flip)
-                                .collect();
-                            let exploit_times: Vec<f64> = completed
+        // A group's row count and its completed rows.
+        let rows_of = |group: SummaryGroup| {
+            let rows: Vec<&CellReport> =
+                cells.iter().filter(|c| c.coord.group() == group).collect();
+            let total = rows.len();
+            let completed: Vec<&CellReport> =
+                rows.into_iter().filter(|c| c.error.is_none()).collect();
+            (total, completed)
+        };
+        let escalation_rate =
+            |rows: &[&CellReport]| mean(rows.iter().map(|c| if c.escalated { 1.0 } else { 0.0 }));
+        matrix
+            .groups()
+            .into_iter()
+            .map(|group| {
+                let (total, completed) = rows_of(group);
+                let (_, baseline) = rows_of(group.baseline());
+                let mean_of =
+                    |f: fn(&CellReport) -> f64| mean(completed.iter().map(|c| f(c))).unwrap_or(0.0);
+                let rate = escalation_rate(&completed).unwrap_or(0.0);
+                DefenseSummary {
+                    group,
+                    cells: total,
+                    errored_cells: total - completed.len(),
+                    escalations: completed.iter().filter(|c| c.escalated).count(),
+                    escalation_rate: rate,
+                    flip_cells: completed.iter().filter(|c| c.flips_observed > 0).count(),
+                    mean_flips: mean_of(|c| c.flips_observed as f64),
+                    mean_exploitable_flips: mean_of(|c| c.exploitable_flips as f64),
+                    mean_implicit_dram_rate: mean_of(|c| c.implicit_dram_rate),
+                    mean_seconds_to_first_flip: mean(
+                        completed.iter().filter_map(|c| c.seconds_to_first_flip),
+                    ),
+                    exploit: group.reports_exploits().then(|| ExploitSummary {
+                        exploit_successes: completed
+                            .iter()
+                            .filter(|c| c.exploit_succeeded())
+                            .count(),
+                        mean_time_to_exploit: mean(
+                            completed
                                 .iter()
                                 .filter_map(|c| c.time_to_exploit())
-                                .map(|t| t as f64)
-                                .collect();
-                            let baseline_rate = {
-                                let base: Vec<&CellReport> = cells
-                                    .iter()
-                                    .filter(|c| {
-                                        c.defense == DefenseKind::Undefended
-                                            && c.profile == p.name()
-                                            && c.hammer_mode == m
-                                            && c.pattern == pat
-                                            && c.victim == vic
-                                            && c.error.is_none()
-                                    })
-                                    .collect();
-                                if base.is_empty() {
-                                    None
-                                } else {
-                                    Some(
-                                        base.iter().filter(|c| c.escalated).count() as f64
-                                            / base.len() as f64,
-                                    )
-                                }
-                            };
-                            summaries.push(DefenseSummary {
-                                defense: d.kind(),
-                                profile: p.name().to_string(),
-                                hammer_mode: m,
-                                pattern: pat,
-                                victim: vic,
-                                cells: rows.len(),
-                                errored_cells: rows.len() - n,
-                                escalations,
-                                escalation_rate,
-                                flip_cells,
-                                mean_flips: mean(&|c| c.flips_observed as f64),
-                                mean_exploitable_flips: mean(&|c| c.exploitable_flips as f64),
-                                mean_implicit_dram_rate: mean(&|c| c.implicit_dram_rate),
-                                mean_seconds_to_first_flip: if first_flip.is_empty() {
-                                    None
-                                } else {
-                                    Some(first_flip.iter().sum::<f64>() / first_flip.len() as f64)
-                                },
-                                exploit: vic.map(|_| ExploitSummary {
-                                    exploit_successes: completed
-                                        .iter()
-                                        .filter(|c| c.exploit_succeeded())
-                                        .count(),
-                                    mean_time_to_exploit: if exploit_times.is_empty() {
-                                        None
-                                    } else {
-                                        Some(
-                                            exploit_times.iter().sum::<f64>()
-                                                / exploit_times.len() as f64,
-                                        )
-                                    },
-                                }),
-                                escalation_rate_delta_vs_undefended: baseline_rate
-                                    .map(|base| escalation_rate - base),
-                            });
-                        }
-                    }
+                                .map(|t| t as f64),
+                        ),
+                    }),
+                    escalation_rate_delta_vs_undefended: escalation_rate(&baseline)
+                        .map(|base| rate - base),
                 }
-            }
-        }
-        summaries
+            })
+            .collect()
     }
+}
+
+/// The mean of `values`, or `None` when there are none.
+fn mean(values: impl Iterator<Item = f64>) -> Option<f64> {
+    let values: Vec<f64> = values.collect();
+    (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::{ProfileChoice, ScenarioMatrix};
+    use crate::matrix::ProfileChoice;
+    use pthammer::{HammerMode, VictimChoice};
     use pthammer_defenses::DefenseChoice;
     use pthammer_machine::MachineChoice;
+    use pthammer_patterns::PatternChoice;
 
     fn cell(defense: DefenseChoice, escalated: bool, flips: usize) -> CellReport {
         CellReport {
-            machine: "Test Small".into(),
-            defense: defense.kind(),
-            profile: "ci".into(),
-            hammer_mode: HammerMode::default(),
-            pattern: None,
-            victim: None,
-            repetition: 0,
+            coord: CellCoord::new(MachineChoice::TestSmall, defense, ProfileChoice::Ci, 0),
             cell_seed: 1,
             escalated,
             attempts: 2,
@@ -357,8 +269,8 @@ mod tests {
         let summaries = CampaignReport::summarize(&matrix(), &cells);
         assert_eq!(summaries.len(), 2);
         let none = &summaries[0];
-        assert_eq!(none.defense, DefenseKind::Undefended);
-        assert_eq!(none.profile, "ci");
+        assert_eq!(none.group.defense, DefenseChoice::None);
+        assert_eq!(none.group.profile, ProfileChoice::Ci);
         assert_eq!(none.escalations, 2);
         assert!((none.escalation_rate - 1.0).abs() < 1e-12);
         assert!((none.mean_flips - 2.0).abs() < 1e-12);
@@ -381,13 +293,13 @@ mod tests {
             1,
         );
         let mut control = cell(DefenseChoice::None, false, 0);
-        control.profile = "invulnerable".into();
+        control.coord.profile = ProfileChoice::Invulnerable;
         let cells = vec![cell(DefenseChoice::None, true, 2), control];
         let summaries = CampaignReport::summarize(&m, &cells);
         assert_eq!(summaries.len(), 2);
-        assert_eq!(summaries[0].profile, "ci");
+        assert_eq!(summaries[0].group.profile, ProfileChoice::Ci);
         assert!((summaries[0].escalation_rate - 1.0).abs() < 1e-12);
-        assert_eq!(summaries[1].profile, "invulnerable");
+        assert_eq!(summaries[1].group.profile, ProfileChoice::Invulnerable);
         assert!((summaries[1].escalation_rate - 0.0).abs() < 1e-12);
     }
 
@@ -407,13 +319,19 @@ mod tests {
             HammerMode::ExplicitDoubleSided,
         ]);
         let mut explicit = cell(DefenseChoice::None, false, 0);
-        explicit.hammer_mode = HammerMode::ExplicitDoubleSided;
+        explicit.coord.hammer_mode = HammerMode::ExplicitDoubleSided;
         let cells = vec![cell(DefenseChoice::None, true, 2), explicit];
         let summaries = CampaignReport::summarize(&m, &cells);
         assert_eq!(summaries.len(), 2);
-        assert_eq!(summaries[0].hammer_mode, HammerMode::ImplicitDoubleSided);
+        assert_eq!(
+            summaries[0].group.hammer_mode,
+            HammerMode::ImplicitDoubleSided
+        );
         assert!((summaries[0].escalation_rate - 1.0).abs() < 1e-12);
-        assert_eq!(summaries[1].hammer_mode, HammerMode::ExplicitDoubleSided);
+        assert_eq!(
+            summaries[1].group.hammer_mode,
+            HammerMode::ExplicitDoubleSided
+        );
         assert!((summaries[1].escalation_rate - 0.0).abs() < 1e-12);
         assert_eq!(
             summaries[1].escalation_rate_delta_vs_undefended,
@@ -477,53 +395,9 @@ mod tests {
     }
 
     #[test]
-    fn pattern_rows_and_summaries_carry_the_pattern_key() {
-        let mut row = cell(DefenseChoice::None, false, 0);
-        row.pattern = Some(PatternChoice::Synthesized);
-        row.trr_refreshes = 17;
-        let json = compact(&row);
-        assert!(json.contains("\"pattern\":\"synthesized\""));
-        assert!(json.contains("\"trr_refreshes\":17"));
-        assert!(json.find("\"pattern\"").unwrap() < json.find("\"repetition\"").unwrap());
-        assert!(
-            json.find("\"exploitable_flips\"").unwrap() < json.find("\"trr_refreshes\"").unwrap()
-        );
-        assert!(
-            json.find("\"trr_refreshes\"").unwrap() < json.find("\"implicit_dram_rate\"").unwrap()
-        );
-
-        // Pattern summaries split from the mode rows and use per-pattern
-        // undefended baselines.
-        let m = ScenarioMatrix::new(
-            vec![MachineChoice::TestSmall],
-            vec![DefenseChoice::None],
-            vec![ProfileChoice::Ci],
-            1,
-        )
-        .with_patterns(vec![None, Some(PatternChoice::Synthesized)]);
-        let cells = vec![cell(DefenseChoice::None, false, 0), {
-            let mut c = cell(DefenseChoice::None, true, 2);
-            c.pattern = Some(PatternChoice::Synthesized);
-            c
-        }];
-        let summaries = CampaignReport::summarize(&m, &cells);
-        assert_eq!(summaries.len(), 2);
-        assert_eq!(summaries[0].pattern, None);
-        assert!((summaries[0].escalation_rate - 0.0).abs() < 1e-12);
-        assert_eq!(summaries[1].pattern, Some(PatternChoice::Synthesized));
-        assert!((summaries[1].escalation_rate - 1.0).abs() < 1e-12);
-        assert_eq!(
-            summaries[1].escalation_rate_delta_vs_undefended,
-            Some(0.0),
-            "pattern rows compare against the pattern undefended baseline"
-        );
-        assert!(compact(&summaries[1]).contains("\"pattern\":\"synthesized\""));
-    }
-
-    #[test]
     fn victim_rows_and_summaries_carry_the_exploit_keys() {
         let mut row = cell(DefenseChoice::None, true, 2);
-        row.victim = Some(VictimChoice::KeyRecovery);
+        row.coord.victim = Some(VictimChoice::KeyRecovery);
         row.exploit = Some(ExploitOutcome {
             exploit_succeeded: Some(true),
             time_to_exploit: Some(4_800),
@@ -532,14 +406,11 @@ mod tests {
         assert!(json.contains("\"victim\":\"key-recovery\""));
         assert!(json.contains("\"exploit_succeeded\":true"));
         assert!(json.contains("\"time_to_exploit\":4800"));
-        // The victim coordinate sits between pattern/profile and repetition;
-        // the outcome keys sit between seconds_to_escalation and route.
-        assert!(json.find("\"victim\"").unwrap() < json.find("\"repetition\"").unwrap());
+        // The outcome keys sit between seconds_to_escalation and route.
         assert!(
             json.find("\"seconds_to_escalation\"").unwrap()
                 < json.find("\"exploit_succeeded\"").unwrap()
         );
-        assert!(json.find("\"time_to_exploit\"").unwrap() < json.find("\"route\"").unwrap());
 
         // Default-victim rows carry none of the keys.
         let json = compact(&cell(DefenseChoice::None, true, 2));
@@ -561,7 +432,7 @@ mod tests {
         let cells = vec![
             {
                 let mut c = cell(DefenseChoice::None, true, 2);
-                c.victim = Some(VictimChoice::PteTakeover);
+                c.coord.victim = Some(VictimChoice::PteTakeover);
                 c.exploit = Some(ExploitOutcome {
                     exploit_succeeded: Some(true),
                     time_to_exploit: Some(1_000),
@@ -570,7 +441,7 @@ mod tests {
             },
             {
                 let mut c = cell(DefenseChoice::None, false, 2);
-                c.victim = Some(VictimChoice::KeyRecovery);
+                c.coord.victim = Some(VictimChoice::KeyRecovery);
                 c.exploit = Some(ExploitOutcome {
                     exploit_succeeded: Some(false),
                     time_to_exploit: None,
@@ -580,7 +451,7 @@ mod tests {
         ];
         let summaries = CampaignReport::summarize(&m, &cells);
         assert_eq!(summaries.len(), 2);
-        assert_eq!(summaries[0].victim, Some(VictimChoice::PteTakeover));
+        assert_eq!(summaries[0].group.victim, Some(VictimChoice::PteTakeover));
         assert_eq!(
             summaries[0].exploit,
             Some(ExploitSummary {
@@ -588,7 +459,7 @@ mod tests {
                 mean_time_to_exploit: Some(1_000.0)
             })
         );
-        assert_eq!(summaries[1].victim, Some(VictimChoice::KeyRecovery));
+        assert_eq!(summaries[1].group.victim, Some(VictimChoice::KeyRecovery));
         assert_eq!(
             summaries[1].exploit,
             Some(ExploitSummary {
@@ -602,17 +473,6 @@ mod tests {
         assert!(json.contains("\"mean_time_to_exploit\":1000.0"));
     }
 
-    #[test]
-    fn non_default_mode_rows_carry_the_mode_key() {
-        let mut row = cell(DefenseChoice::None, false, 0);
-        row.hammer_mode = HammerMode::ImplicitOneLocation;
-        let json = compact(&row);
-        assert!(json.contains("\"hammer_mode\":\"implicit-one-location\""));
-        // The mode key sits between the profile and repetition coordinates.
-        assert!(json.find("\"profile\"").unwrap() < json.find("\"hammer_mode\"").unwrap());
-        assert!(json.find("\"hammer_mode\"").unwrap() < json.find("\"repetition\"").unwrap());
-    }
-
     fn decode(body: &str) -> Result<CellReport, String> {
         serde_json::from_str(body)
             .and_then(serde_json::from_value)
@@ -621,13 +481,17 @@ mod tests {
 
     fn tricky_report() -> CellReport {
         CellReport {
-            machine: "Test Small".into(),
-            defense: DefenseKind::RipRh,
-            profile: "ci".into(),
-            hammer_mode: HammerMode::ImplicitOneLocation,
-            pattern: Some(PatternChoice::Synthesized),
-            victim: Some(VictimChoice::KeyRecovery),
-            repetition: 2,
+            coord: CellCoord {
+                hammer_mode: HammerMode::ImplicitOneLocation,
+                pattern: Some(PatternChoice::Synthesized),
+                victim: Some(VictimChoice::KeyRecovery),
+                ..CellCoord::new(
+                    MachineChoice::TestSmall,
+                    DefenseChoice::RipRh,
+                    ProfileChoice::Ci,
+                    2,
+                )
+            },
             cell_seed: u64::MAX - 1,
             escalated: true,
             attempts: 3,
@@ -649,9 +513,12 @@ mod tests {
     #[test]
     fn decoded_report_round_trips_exactly() {
         let bare = CellReport {
-            hammer_mode: HammerMode::default(),
-            pattern: None,
-            victim: None,
+            coord: CellCoord::new(
+                MachineChoice::TestSmall,
+                DefenseChoice::RipRh,
+                ProfileChoice::Ci,
+                2,
+            ),
             trr_refreshes: 0,
             exploit: None,
             route: None,

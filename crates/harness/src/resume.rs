@@ -40,35 +40,16 @@ use crate::seeding::CELL_SEED_SCHEMA_VERSION;
 
 /// Derives the content-address key for one campaign cell.
 ///
-/// The canonical coordinate string mirrors the seeding rule: coordinate
-/// *values* only, never matrix positions — plus the seed-schema version, so
-/// behavior changes (which bump [`CELL_SEED_SCHEMA_VERSION`]) move every
-/// cell to a fresh key instead of resurrecting stale cached results. Unlike
-/// the seed itself, the key *does* include the defense and hammer mode:
-/// those cells share attacker randomness but have distinct results, and each
-/// gets its own store entry.
+/// The canonical string mirrors the seeding rule: coordinate *values* only,
+/// never matrix positions — plus the seed-schema version, so behavior
+/// changes (which bump [`CELL_SEED_SCHEMA_VERSION`]) move every cell to a
+/// fresh key instead of resurrecting stale cached results. Unlike the seed,
+/// the key includes every axis: cells that share attacker randomness still
+/// have distinct results, and each gets its own store entry.
 pub fn cell_store_key(coord: &CellCoord) -> CellKey {
-    // The pattern and victim coordinates are appended only for cells that
-    // set them, so every pre-axis cell key (and any store computed before
-    // the axes existed) stays exactly as it was.
-    let pattern = match coord.pattern {
-        Some(p) => format!("|pattern={}", p.name()),
-        None => String::new(),
-    };
-    let victim = match coord.victim {
-        Some(v) => format!("|victim={}", v.name()),
-        None => String::new(),
-    };
     CellKey::from_canonical(&format!(
-        "pthammer-cell|s{}|machine={}|defense={}|profile={}|mode={}|rep={}{}{}",
-        CELL_SEED_SCHEMA_VERSION,
-        coord.machine.name(),
-        coord.defense.kind().name(),
-        coord.profile.name(),
-        coord.hammer_mode.name(),
-        coord.repetition,
-        pattern,
-        victim,
+        "pthammer-cell|s{CELL_SEED_SCHEMA_VERSION}|{}",
+        coord.store_label()
     ))
 }
 
@@ -414,34 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn store_keys_separate_defense_and_mode_but_not_position() {
-        let coord = CellCoord {
-            machine: MachineChoice::TestSmall,
-            defense: DefenseChoice::None,
-            profile: ProfileChoice::Ci,
-            hammer_mode: pthammer::HammerMode::default(),
-            pattern: None,
-            victim: None,
-            repetition: 0,
-        };
-        assert_eq!(cell_store_key(&coord), cell_store_key(&coord.clone()));
-        let mut defended = coord;
-        defended.defense = DefenseChoice::Catt;
-        assert_ne!(cell_store_key(&coord), cell_store_key(&defended));
-        let mut moded = coord;
-        moded.hammer_mode = pthammer::HammerMode::ImplicitOneLocation;
-        assert_ne!(cell_store_key(&coord), cell_store_key(&moded));
-        let mut rep = coord;
-        rep.repetition = 1;
-        assert_ne!(cell_store_key(&coord), cell_store_key(&rep));
-        // The victim coordinate splits keys only when set, so victim-free
-        // stores keep their pre-axis keys.
-        let mut victim = coord;
-        victim.victim = Some(pthammer::VictimChoice::CredCorruption);
-        assert_ne!(cell_store_key(&coord), cell_store_key(&victim));
-    }
-
-    #[test]
     fn manifest_ignores_threads_but_not_scale() {
         let config = small_config();
         let mut other_threads = config.clone();
@@ -541,7 +494,7 @@ mod tests {
         let matrix = ScenarioMatrix::victim_sweep_ci();
         let config = small_config();
         let cells = matrix.cells();
-        let row = r#"{"machine":"m","defense":"CTA","profile":"ci","repetition":0,"cell_seed":0,
+        let row = r#"{"machine":"Test Small","defense":"CTA","profile":"ci","repetition":0,"cell_seed":0,
             "escalated":false,"attempts":0,"flips_observed":0,"exploitable_flips":0,
             "implicit_dram_rate":0.0}"#;
         let missing_message = |missing: usize| {

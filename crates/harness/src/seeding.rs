@@ -38,102 +38,12 @@ fn mix(mut z: u64) -> u64 {
 
 /// Derives the deterministic seed for one campaign cell.
 ///
-/// The hash input is `(base_seed, machine name, profile name, repetition)` —
-/// deliberately **not** the defense, **not** the hammer mode, **not** the
-/// pattern coordinate, and **not** the victim: cells that differ only in
-/// those axes share a seed, so they attack the *same* DRAM weak-cell map
-/// with the same attacker randomness (and pattern cells synthesize from the
-/// same seed, and victim sweeps evaluate the same flips), and the
-/// per-defense / per-strategy / per-pattern / per-victim deltas isolate the
-/// axis itself (the paper's Section IV-G methodology, extended to strategy,
-/// pattern and victim sweeps). Identical coordinates always map to an
-/// identical seed regardless of matrix position.
+/// The hash input is the base seed and the values of the seeded axes (see
+/// the axis table in `matrix.rs`): cells that differ only on the other axes
+/// share a seed, so they attack the *same* DRAM weak-cell map with the same
+/// attacker randomness, and the deltas between them isolate those axes (the
+/// paper's Section IV-G methodology). Identical coordinates always map to
+/// an identical seed regardless of matrix position.
 pub fn cell_seed(base_seed: u64, coord: &CellCoord) -> u64 {
-    let label = format!(
-        "{}|{}|{}",
-        coord.machine.name(),
-        coord.profile.name(),
-        coord.repetition
-    );
-    mix(base_seed ^ fnv1a(label.as_bytes()))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::matrix::ProfileChoice;
-    use pthammer_defenses::DefenseChoice;
-    use pthammer_machine::MachineChoice;
-
-    fn coord(rep: u32) -> CellCoord {
-        CellCoord {
-            machine: MachineChoice::TestSmall,
-            defense: DefenseChoice::None,
-            profile: ProfileChoice::Ci,
-            hammer_mode: pthammer::HammerMode::default(),
-            pattern: None,
-            victim: None,
-            repetition: rep,
-        }
-    }
-
-    #[test]
-    fn seed_is_stable_and_coordinate_sensitive() {
-        assert_eq!(cell_seed(1, &coord(0)), cell_seed(1, &coord(0)));
-        assert_ne!(cell_seed(1, &coord(0)), cell_seed(2, &coord(0)));
-        assert_ne!(cell_seed(1, &coord(0)), cell_seed(1, &coord(1)));
-        let mut other = coord(0);
-        other.profile = ProfileChoice::Invulnerable;
-        assert_ne!(cell_seed(1, &coord(0)), cell_seed(1, &other));
-    }
-
-    #[test]
-    fn defense_axis_shares_the_seed_for_controlled_comparison() {
-        // Section IV-G methodology: rows differing only in the defense must
-        // attack the same weak-cell map, so the defense is the only variable.
-        let mut defended = coord(0);
-        defended.defense = DefenseChoice::Zebram;
-        assert_eq!(cell_seed(1, &coord(0)), cell_seed(1, &defended));
-    }
-
-    #[test]
-    fn hammer_mode_axis_shares_the_seed_for_controlled_comparison() {
-        // Strategy sweeps follow the defense-axis rule: rows differing only
-        // in the hammer mode attack the same weak-cell map, so flip-rate
-        // deltas isolate the strategy itself.
-        let mut one_location = coord(0);
-        one_location.hammer_mode = pthammer::HammerMode::ImplicitOneLocation;
-        assert_eq!(cell_seed(1, &coord(0)), cell_seed(1, &one_location));
-    }
-
-    #[test]
-    fn pattern_axis_shares_the_seed_for_controlled_comparison() {
-        // Pattern sweeps follow the defense/mode-axis rule: rows differing
-        // only in the pattern coordinate attack the same weak-cell map (and
-        // synthesize from the same seed), so stock-vs-pattern flip deltas
-        // isolate the pattern itself.
-        let mut synthesized = coord(0);
-        synthesized.pattern = Some(pthammer_patterns::PatternChoice::Synthesized);
-        assert_eq!(cell_seed(1, &coord(0)), cell_seed(1, &synthesized));
-    }
-
-    #[test]
-    fn victim_axis_shares_the_seed_for_controlled_comparison() {
-        // Victim sweeps follow the same rule: rows differing only in the
-        // victim hammer the same weak-cell map and see the same flips, so
-        // per-victim exploit-outcome deltas isolate the victim itself.
-        let mut key_recovery = coord(0);
-        key_recovery.victim = Some(pthammer::VictimChoice::KeyRecovery);
-        assert_eq!(cell_seed(1, &coord(0)), cell_seed(1, &key_recovery));
-    }
-
-    #[test]
-    fn seed_depends_on_values_not_matrix_position() {
-        // The same coordinates must hash identically no matter which matrix
-        // they appear in; nothing positional enters the hash.
-        let c = coord(3);
-        let direct = cell_seed(99, &c);
-        let in_other_context = cell_seed(99, &c.clone());
-        assert_eq!(direct, in_other_context);
-    }
+    mix(base_seed ^ fnv1a(coord.seed_label().as_bytes()))
 }

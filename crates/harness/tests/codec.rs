@@ -5,8 +5,12 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use pthammer::{FlipProfile, FlipTarget};
-use pthammer_harness::{CampaignReport, CellReport};
-use pthammer_patterns::{HammerPattern, PatternScore, SynthesisResult};
+use pthammer_harness::{
+    cell_seed, cell_store_key, store_manifest, CampaignConfig, CampaignReport, CellKey, CellLookup,
+    CellReport, CellStore, DefenseChoice, HammerMode, MachineChoice, ProfileChoice, ScenarioMatrix,
+    VictimChoice,
+};
+use pthammer_patterns::{HammerPattern, PatternChoice, PatternScore, SynthesisResult};
 use serde::{Deserialize, Serialize};
 
 const GOLDENS: [(&str, &str); 3] = [
@@ -138,6 +142,86 @@ proptest! {
             _ => decodes_stably::<SynthesisResult>(&text)?,
         }
     }
+}
+
+/// The encodings a cell's coordinates take outside the report: its store
+/// key, its `Display` label and its seed. Stores, logs and goldens written
+/// by any earlier build depend on these exact strings and numbers.
+#[test]
+fn cell_keys_labels_and_seeds_are_pinned() {
+    let default_cell = ScenarioMatrix::ci_default().cells()[0];
+    let swept_cell = ScenarioMatrix::new(
+        vec![MachineChoice::TestSmall],
+        vec![DefenseChoice::Catt],
+        vec![ProfileChoice::Ci],
+        2,
+    )
+    .with_hammer_modes(vec![HammerMode::ImplicitOneLocation])
+    .with_patterns(vec![Some(PatternChoice::Synthesized)])
+    .with_victims(vec![Some(VictimChoice::KeyRecovery)])
+    .cells()[1];
+    let pinned = [
+        (
+            default_cell,
+            "pthammer-cell|s1|machine=Test Small|defense=undefended|profile=ci\
+             |mode=implicit-double-sided|rep=0",
+            "machine=Test Small defense=undefended profile=ci \
+             mode=implicit-double-sided pattern=none victim=none rep=0",
+            6_256_652_296_684_258_328,
+        ),
+        (
+            swept_cell,
+            "pthammer-cell|s1|machine=Test Small|defense=CATT|profile=ci\
+             |mode=implicit-one-location|rep=1|pattern=synthesized|victim=key-recovery",
+            "machine=Test Small defense=CATT profile=ci mode=implicit-one-location \
+             pattern=synthesized victim=key-recovery rep=1",
+            3_285_547_425_079_459_018,
+        ),
+    ];
+    for (coord, key, label, seed) in pinned {
+        assert_eq!(
+            cell_store_key(&coord),
+            CellKey::from_canonical(key),
+            "{coord}"
+        );
+        assert_eq!(coord.to_string(), label);
+        assert_eq!(cell_seed(2026, &coord), seed, "{coord}");
+    }
+}
+
+/// A stored row naming a machine, defense or profile this build does not
+/// know, or missing one, fails to decode, with the field in the error, and
+/// the store serves it as corrupt, so a resumed campaign recomputes the
+/// cell.
+#[test]
+fn unknown_coordinate_names_fail_to_decode_and_read_as_corrupt() {
+    let [row, _, _] = canonical_bodies();
+    let coord = decode::<CellReport>(&row).unwrap().coord;
+    let root = std::env::temp_dir().join(format!("pthammer-codec-names-{}", std::process::id()));
+    let _ = CellStore::wipe(&root);
+    let store = CellStore::open(&root, &store_manifest(&CampaignConfig::ci(0))).unwrap();
+    let key = cell_store_key(&coord);
+    for (from, to, field) in [
+        ("Test Small", "Test Tiny", "machine"),
+        ("undefended", "unguarded", "defense"),
+        ("\"ci\"", "\"weak\"", "profile"),
+        ("\"profile\":\"ci\",", "", "profile"),
+    ] {
+        let bad = row.replacen(from, to, 1);
+        assert_ne!(bad, row, "{from} not in {row}");
+        let err = decode::<CellReport>(&bad).unwrap_err().to_string();
+        assert!(err.contains(&format!("`{field}`")), "{err}");
+
+        store.put(&key, &bad).unwrap();
+        assert!(store.contains(&key), "the entry itself verifies");
+        assert!(matches!(
+            store.lookup::<CellReport>(&key),
+            CellLookup::Corrupt
+        ));
+    }
+    store.put(&key, &row).unwrap();
+    assert!(matches!(store.lookup::<CellReport>(&key), CellLookup::Hit(r) if r.coord == coord));
+    CellStore::wipe(&root).unwrap();
 }
 
 #[test]

@@ -39,6 +39,18 @@ impl MachineChoice {
         ]
     }
 
+    /// Every machine model, Table I first.
+    pub fn every() -> [MachineChoice; 6] {
+        [
+            MachineChoice::LenovoT420,
+            MachineChoice::LenovoX230,
+            MachineChoice::DellE6420,
+            MachineChoice::TestSmall,
+            MachineChoice::TestSmallTrr,
+            MachineChoice::Ddr4Trr,
+        ]
+    }
+
     /// The machines to run given the `PTHAMMER_ALL_MACHINES` environment
     /// variable (default: only the T420, to keep host time reasonable).
     pub fn selected() -> Vec<MachineChoice> {
@@ -98,6 +110,8 @@ mod tests {
         assert!(!MachineChoice::all().contains(&MachineChoice::TestSmall));
         assert!(!MachineChoice::selected().is_empty());
         assert_eq!(MachineChoice::LenovoT420.name(), "Lenovo T420");
+        let names: std::collections::HashSet<_> = MachineChoice::every().map(|m| m.name()).into();
+        assert_eq!(names.len(), MachineChoice::every().len());
         let cfg = MachineChoice::DellE6420.config(FlipModelProfile::fast(), 1);
         assert_eq!(cfg.cache.llc.ways, 16);
     }

@@ -45,7 +45,7 @@ fn main() {
     for s in &report.summaries {
         println!(
             "{:<12} {:>6} {:>12.2} {:>12} {:>12.2} {:>10}",
-            s.defense,
+            s.group.defense.name(),
             s.cells,
             s.escalation_rate,
             s.flip_cells,
@@ -83,7 +83,7 @@ fn main() {
     for s in &mode_report.summaries {
         println!(
             "{:<24} {:>6} {:>12.2} {:>12} {:>12.2} {:>10.3}",
-            s.hammer_mode.name(),
+            s.group.hammer_mode.name(),
             s.cells,
             s.escalation_rate,
             s.flip_cells,

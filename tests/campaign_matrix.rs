@@ -19,7 +19,9 @@
 mod common;
 use common::compare_with_golden;
 
-use pthammer_harness::{run_campaign, CampaignConfig, ScenarioMatrix};
+use pthammer_harness::{
+    run_campaign, CampaignConfig, DefenseChoice, ProfileChoice, ScenarioMatrix,
+};
 
 /// The committed snapshot this tier pins.
 const GOLDEN: &str = "campaign_ci_matrix.json";
@@ -69,7 +71,7 @@ fn eight_thread_campaign_matches_golden_snapshot() {
         report
             .summaries
             .iter()
-            .find(|s| s.defense.name() == name)
+            .find(|s| s.group.defense.name() == name)
             .unwrap_or_else(|| panic!("missing summary for {name}"))
     };
     assert!(
@@ -81,14 +83,22 @@ fn eight_thread_campaign_matches_golden_snapshot() {
         golden_matrix().len(),
         "one row per cell"
     );
-    for cell in report.cells.iter().filter(|c| c.profile == "invulnerable") {
+    for cell in report
+        .cells
+        .iter()
+        .filter(|c| c.coord.profile == ProfileChoice::Invulnerable)
+    {
         assert_eq!(
             cell.flips_observed, 0,
             "invulnerable DRAM flipped: {cell:?}"
         );
         assert!(!cell.escalated);
     }
-    for cell in report.cells.iter().filter(|c| c.defense.name() == "ZebRAM") {
+    for cell in report
+        .cells
+        .iter()
+        .filter(|c| c.coord.defense == DefenseChoice::Zebram)
+    {
         assert_eq!(
             cell.exploitable_flips, 0,
             "ZebRAM must prevent exploitable corruption: {cell:?}"

@@ -67,7 +67,7 @@ fn strategies_behave_as_expected_on_test_small() {
     let non_default_flips: usize = report
         .cells
         .iter()
-        .filter(|c| !c.hammer_mode.is_default() && c.profile == "ci")
+        .filter(|c| !c.coord.hammer_mode.is_default() && c.coord.profile == ProfileChoice::Ci)
         .map(|c| c.flips_observed)
         .sum();
     assert!(
@@ -79,14 +79,14 @@ fn strategies_behave_as_expected_on_test_small() {
     for cell in &report.cells {
         assert!(cell.error.is_none(), "cell aborted: {cell:?}");
         // Control group: invulnerable DRAM never flips, in any mode.
-        if cell.profile == "invulnerable" {
+        if cell.coord.profile == ProfileChoice::Invulnerable {
             assert_eq!(
                 cell.flips_observed, 0,
                 "invulnerable DRAM flipped: {cell:?}"
             );
             assert!(!cell.escalated);
         }
-        match cell.hammer_mode {
+        match cell.coord.hammer_mode {
             // The explicit baseline performs no implicit loads and can never
             // corrupt page tables: its flips land (if anywhere) in the
             // attacker's own aliased data frame, which the spray scan cannot

@@ -18,22 +18,19 @@ use pthammer::{AttackEvent, EventSink, HammerMode, PtHammer, RunOptions};
 use pthammer_harness::{
     cell_seed, run_cell, CampaignConfig, CellCoord, DefenseChoice, ProfileChoice,
 };
-use pthammer_kernel::{DefenseKind, System};
+use pthammer_kernel::System;
 use pthammer_machine::MachineChoice;
 
 /// Base seed of the pinned golden campaign (`tests/campaign_matrix.rs`).
 const GOLDEN_BASE_SEED: u64 = 0x7453_4861_4d21;
 
 fn golden_cell_coord() -> CellCoord {
-    CellCoord {
-        machine: MachineChoice::TestSmall,
-        defense: DefenseChoice::None,
-        profile: ProfileChoice::Ci,
-        hammer_mode: HammerMode::ImplicitDoubleSided,
-        pattern: None,
-        victim: None,
-        repetition: 0,
-    }
+    CellCoord::new(
+        MachineChoice::TestSmall,
+        DefenseChoice::None,
+        ProfileChoice::Ci,
+        0,
+    )
 }
 
 /// The first golden row (undefended / ci / repetition 0), as the
@@ -49,8 +46,7 @@ fn default_mode_cell_matches_the_pre_refactor_golden_row() {
         "seed derivation drifted"
     );
     assert_eq!(row.cell_seed, cell_seed(GOLDEN_BASE_SEED, &coord));
-    assert_eq!(row.defense, DefenseKind::Undefended);
-    assert_eq!(row.hammer_mode, HammerMode::ImplicitDoubleSided);
+    assert_eq!(row.coord, coord);
     assert_eq!(row.attempts, 4);
     assert_eq!(row.flips_observed, 1);
     assert_eq!(row.exploitable_flips, 0);

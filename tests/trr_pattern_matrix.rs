@@ -21,7 +21,7 @@ use common::compare_with_golden;
 
 use pthammer_harness::{
     run_campaign, run_campaign_resumable, store_manifest, CampaignConfig, CampaignReport,
-    CellStore, ScenarioMatrix,
+    CellStore, MachineChoice, ProfileChoice, ScenarioMatrix,
 };
 use pthammer_patterns::PatternChoice;
 
@@ -118,7 +118,7 @@ fn trr_kills_double_sided_but_synthesized_patterns_still_flip() {
     let report = &fixture().0;
     for cell in &report.cells {
         assert!(cell.error.is_none(), "cell aborted: {cell:?}");
-        let trr_machine = cell.machine == "Test Small TRR";
+        let trr_machine = cell.coord.machine == MachineChoice::TestSmallTrr;
 
         // Mitigation interventions are reported exactly where they exist.
         if trr_machine {
@@ -128,13 +128,13 @@ fn trr_kills_double_sided_but_synthesized_patterns_still_flip() {
         }
 
         // Control group: invulnerable DRAM never flips, pattern or not.
-        if cell.profile == "invulnerable" {
+        if cell.coord.profile == ProfileChoice::Invulnerable {
             assert_eq!(cell.flips_observed, 0, "invulnerable flipped: {cell:?}");
             assert!(!cell.escalated);
             continue;
         }
 
-        match (trr_machine, cell.pattern) {
+        match (trr_machine, cell.coord.pattern) {
             // The headline contrast, cell for cell: stock double-sided dies
             // under TRR…
             (true, None) => {

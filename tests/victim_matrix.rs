@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 mod common;
 use common::compare_with_golden;
 
-use pthammer_harness::{run_campaign, CampaignConfig, ScenarioMatrix, VictimChoice};
+use pthammer_harness::{run_campaign, CampaignConfig, ProfileChoice, ScenarioMatrix, VictimChoice};
 
 /// The committed snapshot this tier pins.
 const GOLDEN: &str = "campaign_victim_matrix.json";
@@ -84,7 +84,10 @@ fn eight_thread_victim_sweep_matches_golden_snapshot() {
     );
     let mut succeeded: BTreeSet<&str> = BTreeSet::new();
     for cell in &report.cells {
-        let victim = cell.victim.expect("sweep cells carry explicit victims");
+        let victim = cell
+            .coord
+            .victim
+            .expect("sweep cells carry explicit victims");
         let exploit = cell
             .exploit
             .unwrap_or_else(|| panic!("explicit-victim cells carry an exploit outcome: {cell:?}"));
@@ -99,7 +102,7 @@ fn eight_thread_victim_sweep_matches_golden_snapshot() {
                 "successful exploits must report time-to-exploit: {cell:?}"
             );
         }
-        if cell.profile == "invulnerable" {
+        if cell.coord.profile == ProfileChoice::Invulnerable {
             assert_eq!(
                 exploit.exploit_succeeded,
                 Some(false),
@@ -111,7 +114,7 @@ fn eight_thread_victim_sweep_matches_golden_snapshot() {
         succeeded.contains(VictimChoice::PteTakeover.name()),
         "the paper's PTE takeover must succeed on the undefended CI machine: {json}"
     );
-    for summary in report.summaries.iter().filter(|s| s.victim.is_some()) {
+    for summary in report.summaries.iter().filter(|s| s.group.victim.is_some()) {
         assert!(
             summary.exploit.is_some(),
             "victim summaries must aggregate exploit successes: {summary:?}"
