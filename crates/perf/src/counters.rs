@@ -98,6 +98,12 @@ impl MachineCounters {
         map.insert("dram_accesses".to_string(), self.dram.accesses);
         map.insert("dram_activations".to_string(), self.dram.activations);
         map.insert("dram_row_hits".to_string(), self.dram.row_hits);
+        map.insert("dram_row_misses".to_string(), self.dram.row_misses);
+        map.insert("dram_row_conflicts".to_string(), self.dram.row_conflicts);
+        map.insert(
+            "dram_refresh_windows".to_string(),
+            self.dram.refresh_windows,
+        );
         map.insert("dram_flips".to_string(), self.dram.flips);
         map.insert("trr_refreshes".to_string(), self.dram.trr_refreshes);
         map.insert("tlb_lookups".to_string(), self.tlb.lookups);
@@ -184,10 +190,17 @@ mod tests {
             },
             dram: DramStats {
                 accesses: 10,
+                row_hits: 4,
+                row_misses: 2,
+                row_conflicts: 4,
+                refresh_windows: 1,
                 ..DramStats::default()
             },
         };
         let named = snap.named();
+        assert_eq!(named["dram_row_misses"], 2);
+        assert_eq!(named["dram_row_conflicts"], 4);
+        assert_eq!(named["dram_refresh_windows"], 1);
         assert_eq!(named["l1_hits"], 60);
         assert_eq!(named["l2_hits"], 15);
         assert_eq!(named["llc_hits"], 15);
