@@ -85,12 +85,22 @@ fn hammer_loop_workload(mode: HammerMode) -> WorkloadPerf {
         bench.accounting.cycles_per_iteration(),
     );
     counters.insert("sim_cycles".to_string(), bench.accounting.sim_cycles);
+    counters.insert(
+        "fast_forwarded_rounds".to_string(),
+        bench.fast_forwarded_rounds,
+    );
+    counters.insert(
+        "fast_forward_entries".to_string(),
+        bench.fast_forward_entries,
+    );
     let name = hammer_loop_name(mode);
     println!(
-        "{name}: {} iters, {} cyc/iter, dram rate {:.3}, {:.0} host iters/s",
+        "{name}: {} iters, {} cyc/iter, dram rate {:.3}, fast share {:.3} over {} runs, {:.0} host iters/s",
         bench.accounting.iterations,
         bench.accounting.cycles_per_iteration(),
         bench.implicit_dram_rate,
+        bench.fast_forwarded_rounds as f64 / bench.accounting.iterations.max(1) as f64,
+        bench.fast_forward_entries,
         bench.accounting.host_iterations_per_second(bench.wall_ns),
     );
     WorkloadPerf::new(&name, counters, bench.wall_ns)

@@ -291,7 +291,7 @@ pub fn fig6_hammer_samples(
         seed,
     );
     let ops = strategy.round_ops();
-    let mut trace = CompiledTrace::compile(&armed, ops, &sys).expect("compile");
+    let mut trace = CompiledTrace::compile(&armed, ops, &sys, pid).expect("compile");
     trace
         .hammer(&armed, ops, &mut sys, pid, 10, |_| {})
         .expect("warm up");
@@ -324,6 +324,11 @@ pub struct HammerMicrobench {
     pub implicit_dram_rate: f64,
     /// Host wall-clock time of the measured loop.
     pub wall_ns: u64,
+    /// Iterations of the measured loop that ran as fast rounds (host
+    /// telemetry; the simulated work does not depend on it).
+    pub fast_forwarded_rounds: u64,
+    /// Runs of fast rounds the measured loop entered.
+    pub fast_forward_entries: u64,
 }
 
 /// Runs the pinned hammer microbenchmark for `mode`: prepares the attack,
@@ -345,7 +350,7 @@ pub fn hammer_microbench(
     let (mut sys, pid, strategy, armed) = arm_first_pair(machine, scale, superpages, mode, seed);
     let clock_hz = sys.machine().clock_hz();
     let ops = strategy.round_ops();
-    let mut trace = CompiledTrace::compile(&armed, ops, &sys).expect("compile");
+    let mut trace = CompiledTrace::compile(&armed, ops, &sys, pid).expect("compile");
     trace
         .hammer(&armed, ops, &mut sys, pid, 10, |_| {})
         .expect("warm up");
@@ -368,6 +373,8 @@ pub fn hammer_microbench(
             dram_hits as f64 / implicit_touches as f64
         },
         wall_ns,
+        fast_forwarded_rounds: stats.fast_forwarded_rounds,
+        fast_forward_entries: stats.fast_forward_entries,
     }
 }
 
@@ -709,7 +716,7 @@ pub fn anvil_eval(machine: MachineChoice, scale: ExperimentScale, seed: u64) -> 
         let (mut sys, pid, strategy, armed) =
             arm_first_pair(machine, scale, true, HammerMode::ImplicitSingleSided, seed);
         let ops = strategy.round_ops();
-        let mut trace = CompiledTrace::compile(&armed, ops, &sys).expect("compile");
+        let mut trace = CompiledTrace::compile(&armed, ops, &sys, pid).expect("compile");
         let start_cycles = sys.rdtsc();
         let start = sys.machine().dram_stats().accesses;
         let stats = trace

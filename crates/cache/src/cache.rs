@@ -7,7 +7,7 @@
 
 use serde::Serialize;
 
-use pthammer_types::PhysAddr;
+use pthammer_types::{LaneAdvance, LaneSink, PhysAddr};
 
 use crate::kernel::{Probe, SetStore, EMPTY_TAG};
 use crate::replacement::ReplacementPolicy;
@@ -39,7 +39,7 @@ pub struct CacheAccess {
 /// cache.fill(addr);
 /// assert!(cache.access(addr).hit);
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SetAssociativeCache {
     sets: u32,
     /// `sets - 1`; set selection is a mask because `sets` is a power of two.
@@ -168,6 +168,16 @@ impl SetAssociativeCache {
     /// Number of valid lines currently held in the given set.
     pub fn occupancy(&self, set: u32) -> usize {
         self.store.occupancy(set as usize)
+    }
+
+    /// Records `set` as [`LaneSink`] (see [`SetStore::read_set`]).
+    pub fn read_set(&self, set: u32, lanes: &mut impl LaneSink) {
+        self.store.read_set(set as usize, lanes);
+    }
+
+    /// Advances `set`'s counter lanes (see [`SetStore::advance_set`]).
+    pub fn advance_set(&mut self, set: u32, advance: &mut LaneAdvance) {
+        self.store.advance_set(set as usize, advance);
     }
 }
 

@@ -2,7 +2,7 @@
 
 use serde::Serialize;
 
-use pthammer_types::{Cycles, MemoryLevel, PhysAddr};
+use pthammer_types::{Cycles, LaneAdvance, LaneSink, MemoryLevel, PhysAddr};
 
 use crate::{
     cache::SetAssociativeCache, config::CacheHierarchyConfig, pmc::CachePmc, slice::SliceHasher,
@@ -25,6 +25,23 @@ pub struct FillPlan {
     pub llc_empty: Option<u32>,
 }
 
+/// The sets of every level that a group of physical lines maps to: the
+/// part of the hierarchy an access stream over those lines can change.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CacheFootprint {
+    l1: Vec<u32>,
+    l2: Vec<u32>,
+    /// `(slice, set)` pairs.
+    llc: Vec<(u32, u32)>,
+}
+
+impl CacheFootprint {
+    /// Number of sets covered, over every level.
+    pub fn sets(&self) -> usize {
+        self.l1.len() + self.l2.len() + self.llc.len()
+    }
+}
+
 /// Result of a lookup through the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyAccess {
@@ -44,7 +61,7 @@ pub struct HierarchyAccess {
 /// Sandy/Ivy Bridge), evicting a line from the LLC back-invalidates it from
 /// L1 and L2 — the property that lets an unprivileged attacker evict *kernel*
 /// page-table entries from the whole hierarchy by contention on the LLC only.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CacheHierarchy {
     config: CacheHierarchyConfig,
     l1d: SetAssociativeCache,
@@ -340,6 +357,48 @@ impl CacheHierarchy {
         for slice in &mut self.llc {
             slice.invalidate_all();
         }
+    }
+
+    /// The sets `lines` map to at every level, each listed once.
+    pub fn footprint(&self, lines: impl IntoIterator<Item = PhysAddr>) -> CacheFootprint {
+        let mut fp = CacheFootprint::default();
+        for line in lines {
+            fp.l1.push(self.l1d.set_index(line));
+            fp.l2.push(self.l2.set_index(line));
+            fp.llc.push(self.llc_slice_and_set(line));
+        }
+        for sets in [&mut fp.l1, &mut fp.l2] {
+            sets.sort_unstable();
+            sets.dedup();
+        }
+        fp.llc.sort_unstable();
+        fp.llc.dedup();
+        fp
+    }
+
+    /// Records the footprint's sets, level by level, and the performance
+    /// counters as [`LaneSink`].
+    pub fn read_footprint(&self, fp: &CacheFootprint, lanes: &mut impl LaneSink) {
+        fp.l1.iter().for_each(|&set| self.l1d.read_set(set, lanes));
+        fp.l2.iter().for_each(|&set| self.l2.read_set(set, lanes));
+        for &(slice, set) in &fp.llc {
+            self.llc[slice as usize].read_set(set, lanes);
+        }
+        self.pmc.read_lanes(lanes);
+    }
+
+    /// Advances the counter lanes of [`CacheHierarchy::read_footprint`].
+    pub fn advance_footprint(&mut self, fp: &CacheFootprint, advance: &mut LaneAdvance) {
+        fp.l1
+            .iter()
+            .for_each(|&set| self.l1d.advance_set(set, advance));
+        fp.l2
+            .iter()
+            .for_each(|&set| self.l2.advance_set(set, advance));
+        for &(slice, set) in &fp.llc {
+            self.llc[slice as usize].advance_set(set, advance);
+        }
+        self.pmc.advance_lanes(advance);
     }
 
     /// Lookup latency charged when an access misses every level (the cost of

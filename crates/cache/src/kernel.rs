@@ -16,6 +16,8 @@ use core::ops::Range;
 
 use serde::Serialize;
 
+use pthammer_types::{LaneAdvance, LaneSink};
+
 use crate::replacement::{ReplacementPolicy, ReplacementState};
 
 /// The widest associativity the kernel supports: a set's way masks are `u32`.
@@ -222,7 +224,7 @@ pub(crate) enum Probe {
 /// every operation over its ways.
 ///
 /// `set` arguments must be below the set count the store was built with.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SetStore {
     assoc: Assoc,
     policy: ReplacementPolicy,
@@ -382,6 +384,34 @@ impl SetStore {
         let ways = self.assoc.ways() as usize;
         let (tags, meta) = self.blocks[2 * ways * set..2 * ways * (set + 1)].split_at(ways);
         (tags, meta, &self.states[set])
+    }
+
+    /// Records `set` as [`LaneSink`]: its tags, clock hand and PRNG state as
+    /// discrete lanes, its tick as a counter lane, and its metadata words
+    /// as stamps of that tick under the stamp policies (LRU, BIP) or as
+    /// discrete lanes under the others (SRRIP RRPVs, NRU bits).
+    pub fn read_set(&self, set: usize, lanes: &mut impl LaneSink) {
+        let (tags, meta, state) = self.set_state(set);
+        tags.iter().for_each(|&tag| lanes.discrete(tag));
+        state.read_discrete(lanes);
+        if self.policy.stamps() {
+            lanes.stamped(state.tick(), meta.iter().copied());
+        } else {
+            meta.iter().for_each(|&word| lanes.discrete(word));
+            lanes.counter(state.tick());
+        }
+    }
+
+    /// Advances `set`'s counter lanes, mirroring [`SetStore::read_set`].
+    pub fn advance_set(&mut self, set: usize, advance: &mut LaneAdvance) {
+        let ways = self.assoc.ways() as usize;
+        let meta = &mut self.blocks[2 * ways * set + ways..2 * ways * (set + 1)];
+        let tick = self.states[set].tick_mut();
+        if self.policy.stamps() {
+            advance.stamped(tick, meta);
+        } else {
+            advance.counter(tick);
+        }
     }
 }
 

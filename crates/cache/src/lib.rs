@@ -36,7 +36,7 @@ mod slice;
 
 pub use cache::{CacheAccess, SetAssociativeCache};
 pub use config::{CacheHierarchyConfig, CacheLevelConfig, LlcConfig};
-pub use hierarchy::{CacheHierarchy, FillPlan, HierarchyAccess};
+pub use hierarchy::{CacheFootprint, CacheHierarchy, FillPlan, HierarchyAccess};
 pub use kernel::{Assoc, SetStore, EMPTY_TAG, MAX_WAYS};
 pub use pmc::CachePmc;
 pub use replacement::{ReplacementPolicy, ReplacementState, SetMeta};

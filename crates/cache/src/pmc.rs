@@ -4,6 +4,8 @@ use core::fmt;
 
 use serde::Serialize;
 
+use pthammer_types::{LaneAdvance, LaneSink};
+
 /// Cache-related performance counters.
 ///
 /// These mirror the hardware events the paper's evaluation kernel module
@@ -36,6 +38,32 @@ impl CachePmc {
             0.0
         } else {
             self.llc_misses as f64 / self.llc_accesses as f64
+        }
+    }
+
+    /// Records every counter as a counter lane.
+    pub(crate) fn read_lanes(&self, lanes: &mut impl LaneSink) {
+        for value in [
+            self.l1_accesses,
+            self.l1_misses,
+            self.l2_misses,
+            self.llc_accesses,
+            self.llc_misses,
+        ] {
+            lanes.counter(value);
+        }
+    }
+
+    /// Advances every counter, mirroring [`CachePmc::read_lanes`].
+    pub(crate) fn advance_lanes(&mut self, advance: &mut LaneAdvance) {
+        for lane in [
+            &mut self.l1_accesses,
+            &mut self.l1_misses,
+            &mut self.l2_misses,
+            &mut self.llc_accesses,
+            &mut self.llc_misses,
+        ] {
+            advance.counter(lane);
         }
     }
 

@@ -15,6 +15,8 @@
 
 use serde::Serialize;
 
+use pthammer_types::LaneSink;
+
 use crate::kernel::{self, with_width, Assoc, Width};
 
 /// Replacement policy of a set-associative structure.
@@ -57,6 +59,22 @@ impl ReplacementState {
         }
     }
 
+    /// The LRU tick.
+    pub(crate) fn tick(&self) -> u64 {
+        self.tick
+    }
+
+    /// Mutable access to the LRU tick, for lane advances.
+    pub(crate) fn tick_mut(&mut self) -> &mut u64 {
+        &mut self.tick
+    }
+
+    /// Records the clock hand and the PRNG state as discrete lanes.
+    pub(crate) fn read_discrete(&self, lanes: &mut impl LaneSink) {
+        lanes.discrete(self.hand as u64);
+        lanes.discrete(self.rng_state);
+    }
+
     #[inline]
     fn next_rand(&mut self) -> u64 {
         // xorshift64*
@@ -70,6 +88,12 @@ impl ReplacementState {
 }
 
 impl ReplacementPolicy {
+    /// True when the policy's metadata words are tick stamps (LRU, BIP), which
+    /// grow with the tick; the other policies keep small per-way states.
+    pub fn stamps(self) -> bool {
+        matches!(self, ReplacementPolicy::Lru | ReplacementPolicy::Bip)
+    }
+
     /// Records a hit on the way whose metadata word is `meta`.
     #[inline(always)]
     pub fn on_hit(self, meta: &mut u64, state: &mut ReplacementState) {

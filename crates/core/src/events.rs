@@ -422,6 +422,7 @@ mod tests {
                     low_dram_hits: 9,
                     high_dram_hits: 8,
                     aggressor_dram_hits: 0,
+                    ..HammerStats::default()
                 },
                 implicit_touches_per_round: 2,
             });

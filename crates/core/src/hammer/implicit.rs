@@ -17,6 +17,7 @@ use pthammer_kernel::{Pid, System};
 use crate::error::AttackError;
 use crate::eviction::llc::{LlcEvictionPool, SelectedEvictionSet};
 use crate::eviction::tlb::{TlbEvictionPool, TlbEvictionSet};
+use crate::hammer::strategy::RoundOutcome;
 use crate::pairs::HammerPair;
 
 /// The eviction sets of a double-sided implicit hammer for one pair.
@@ -54,9 +55,37 @@ pub struct HammerStats {
     /// DRAM-served implicit touches of indexed pattern aggressors
     /// (always 0 for the pair-addressed strategies).
     pub aggressor_dram_hits: u64,
+    /// Host telemetry: iterations run as fast rounds, which replay only a
+    /// steady round's DRAM accesses. Simulated work is the same either way;
+    /// never serialized.
+    #[serde(skip)]
+    pub fast_forwarded_rounds: u64,
+    /// Host telemetry: runs of fast rounds entered. Never serialized.
+    #[serde(skip)]
+    pub fast_forward_entries: u64,
 }
 
 impl HammerStats {
+    /// Folds one iteration's outcome into the totals.
+    pub(crate) fn record(&mut self, round: RoundOutcome) {
+        self.rounds += 1;
+        self.total_cycles += round.cycles;
+        self.min_round_cycles = self.min_round_cycles.min(round.cycles);
+        self.max_round_cycles = self.max_round_cycles.max(round.cycles);
+        self.low_dram_hits += u64::from(round.low_dram);
+        self.high_dram_hits += u64::from(round.high_dram);
+        self.aggressor_dram_hits += round.aggressor_dram_hits;
+    }
+
+    /// Share of iterations that ran as fast rounds (0 when none ran).
+    pub fn fast_share(&self) -> f64 {
+        if self.rounds == 0 {
+            0.0
+        } else {
+            self.fast_forwarded_rounds as f64 / self.rounds as f64
+        }
+    }
+
     /// Average cycles per iteration.
     pub fn avg_round_cycles(&self) -> f64 {
         if self.rounds == 0 {

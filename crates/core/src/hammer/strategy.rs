@@ -196,7 +196,7 @@ pub struct ArmResult {
 }
 
 /// Outcome of executing one hammer iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RoundOutcome {
     /// Simulated cycles the iteration took.
     pub cycles: u64,
@@ -713,7 +713,7 @@ pub(crate) mod tests {
         let config = tiny_config(31);
         let (mut sys, pid) = tiny_system(31);
         let (strategy, armed) = armed_for(HammerMode::ImplicitOneLocation, &mut sys, pid, &config);
-        let round = CompiledTrace::compile(&armed, strategy.round_ops(), &sys)
+        let round = CompiledTrace::compile(&armed, strategy.round_ops(), &sys, pid)
             .unwrap()
             .replay(&mut sys, pid)
             .unwrap();
@@ -721,7 +721,9 @@ pub(crate) mod tests {
         assert!(!round.high_dram, "the high target is never touched");
         // The armed pair has no high-target sets: compiling the double-sided
         // pattern against it is a usage error, not silent misbehavior.
-        assert!(CompiledTrace::compile(&armed, ImplicitDoubleSided.round_ops(), &sys).is_err());
+        assert!(
+            CompiledTrace::compile(&armed, ImplicitDoubleSided.round_ops(), &sys, pid).is_err()
+        );
     }
 
     #[test]
@@ -729,7 +731,7 @@ pub(crate) mod tests {
         let config = tiny_config(37);
         let (mut sys, pid) = tiny_system(37);
         let (strategy, armed) = armed_for(HammerMode::ExplicitDoubleSided, &mut sys, pid, &config);
-        let trace = CompiledTrace::compile(&armed, strategy.round_ops(), &sys).unwrap();
+        let trace = CompiledTrace::compile(&armed, strategy.round_ops(), &sys, pid).unwrap();
         let walks_before = sys.machine().tlb_pmc().walks;
         // Warm the pair's translations once, then measure steady state.
         trace.replay(&mut sys, pid).unwrap();

@@ -387,7 +387,7 @@ impl<'a, 'b> AttackPipeline<'a, 'b> {
     ) -> Result<(), AttackError> {
         self.enter(ctx, sys, AttackPhase::Hammer);
         let ops = self.strategy.round_ops();
-        let mut trace = CompiledTrace::compile(armed, ops, sys)?;
+        let mut trace = CompiledTrace::compile(armed, ops, sys, ctx.pid)?;
         let rounds = self.config.hammer_rounds_per_attempt;
         let stats = trace.hammer(armed, ops, sys, ctx.pid, rounds, |_| {})?;
         self.emit(

@@ -11,29 +11,73 @@
 //! round loop every caller shares: the hammer phase (including its Figure 6
 //! samples), the figure and ANVIL scenarios and the microbenchmarks.
 //!
-//! # Compile / invalidate lifecycle
+//! # Lifecycle: compile → step → fast rounds → step
 //!
 //! A trace is compiled from an [`ArmedPair`] and its strategy's
-//! [`RoundOp`] schedule right after pair selection. The only simulated state
-//! a compiled trace can go stale against is the kernel's page-table
-//! population: a demand fault handled mid-attempt allocates page tables and
-//! changes which physical lines back the sprayed mappings. The trace
-//! therefore records the kernel's `faults_handled` counter at compile time;
-//! [`CompiledTrace::is_stale`] is a single integer compare per round, and
-//! the round loop recompiles only when it trips. Compilation is pure (it
-//! reads the armed state, never the machine), so invalidation cannot perturb
-//! the simulation.
+//! [`RoundOp`] schedule right after pair selection. Compilation is pure (it
+//! reads the armed state and the page tables, never the timed machine), so
+//! it cannot perturb the simulation. Besides the replay program it derives
+//! the trace's [`Footprint`]: every cache, TLB and paging-structure-cache
+//! set its addresses and their page walks map to, the page-table entries
+//! those walks read, and the DRAM banks and rows of all those lines.
 //!
-//! # Reference oracle
+//! The only simulated state a compiled trace can go stale against is the
+//! kernel's page-table population: a demand fault handled mid-attempt
+//! allocates page tables and changes which physical lines back the sprayed
+//! mappings. The trace records the kernel's `faults_handled` counter at
+//! compile time; [`CompiledTrace::is_stale`] is a single integer compare
+//! per round, and the round loop recompiles only when it trips.
+//!
+//! [`CompiledTrace::hammer`] *steps* rounds — runs them in full through
+//! the TLBs, walker, caches and DRAM — while recording each round's DRAM
+//! accesses. Once a round repeats the previous one (same DRAM accesses at
+//! the same cycle offsets with the same row-buffer outcomes, same
+//! [`RoundOutcome`]), the loop snapshots the footprint at each round
+//! boundary. When two consecutive repeated rounds leave every discrete lane
+//! of the footprint (tags, valid bits, SRRIP/NRU state, open rows,
+//! page-table entries) unchanged and grow every counter lane (ticks, LRU
+//! stamps, performance counters, the clock) by the same amount, the loop is
+//! in a steady state of period 1, and every further round runs as a *fast
+//! round*: only its recorded DRAM accesses are replayed, through the
+//! unchanged bank model, so row buffers, row counters, TRR, flips and
+//! `DramStats` evolve exactly as stepped rounds would drive them.
+//! Everything above DRAM is extrapolated once, when the run of fast rounds
+//! ends, by adding the measured per-round growth for every fast round.
+//!
+//! A fast round is stepped instead when
+//!
+//! * the round budget is spent,
+//! * its last DRAM access would reach a refresh-window boundary of a bank
+//!   it accesses (a rollover closes row buffers),
+//! * the trace went stale, or
+//! * a row whose page-table entries the round reads could flip during it
+//!   (its disturbance plus the round's activations of its neighbours
+//!   reaches its lowest unflipped weak-cell threshold).
+//!
+//! The loop never rolls back: it stops before each of these boundaries and
+//! steps across it, then detects the steady state again. A fast round whose
+//! replayed DRAM access disagrees with the recorded one is a bug and
+//! panics. `on_round` still sees every round's outcome, so [`HammerStats`]
+//! and the Figure 6 samples do not depend on which rounds ran fast.
+//!
+//! # Reference oracles
 //!
 //! Test builds keep a direct `RoundOp` interpreter (`ArmedPair::hammer_round`,
 //! below) that re-resolves every op each round through the eviction-set
 //! traversal helpers. A proptest pins replay to it round for round and
 //! counter for counter, across every strategy's op vocabulary rearranged
-//! into random schedules.
+//! into random schedules. Test builds also keep a round loop that never
+//! fast-forwards (`CompiledTrace::hammer_stepped`); twin tests pin the
+//! fast-forwarding loop to it, state for state.
 
-use pthammer_kernel::{Pid, System};
-use pthammer_types::VirtAddr;
+use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
+use std::rc::Rc;
+
+use pthammer_dram::RowBufferPolicy;
+use pthammer_kernel::{KernelError, Pid, System};
+use pthammer_machine::{DramRecord, Footprint, Machine};
+use pthammer_types::{DetHasher, Lanes, VirtAddr};
 
 use crate::error::AttackError;
 use crate::eviction::llc::LLC_EVICTION_PASSES;
@@ -75,16 +119,25 @@ pub struct CompiledTrace {
     steps: Vec<TraceStep>,
     /// Kernel `faults_handled` at compile time — the invalidation signal.
     faults_handled_at_compile: u64,
+    /// The state a round of this trace can reach.
+    footprint: Footprint,
 }
 
 impl CompiledTrace {
-    /// Compiles `ops` against `armed`. Pure with respect to the simulation:
-    /// only the armed state and the kernel's fault counter are read.
+    /// Compiles `ops` against `armed` for process `pid`. Pure with respect
+    /// to the simulation: only the armed state, the kernel's fault counter
+    /// and (for the footprint) the process's page tables are read.
     ///
     /// # Errors
     ///
-    /// Fails when an op addresses a target the strategy never armed.
-    pub fn compile(armed: &ArmedPair, ops: &[RoundOp], sys: &System) -> Result<Self, AttackError> {
+    /// Fails when an op addresses a target the strategy never armed, or
+    /// `pid` names no process.
+    pub fn compile(
+        armed: &ArmedPair,
+        ops: &[RoundOp],
+        sys: &System,
+        pid: Pid,
+    ) -> Result<Self, AttackError> {
         let mut addrs = Vec::new();
         let mut steps = Vec::with_capacity(ops.len());
         let run = |addrs: &mut Vec<VirtAddr>, lines: &[VirtAddr], passes: usize| {
@@ -122,11 +175,28 @@ impl CompiledTrace {
                 },
             });
         }
-        Ok(Self {
+        let mut trace = Self {
             addrs,
             steps,
             faults_handled_at_compile: sys.stats().faults_handled,
-        })
+            footprint: Footprint::default(),
+        };
+        trace.footprint = trace.derive_footprint(sys, pid)?;
+        Ok(trace)
+    }
+
+    /// The footprint of every address the trace touches, from the current
+    /// page tables of `pid`.
+    fn derive_footprint(&self, sys: &System, pid: Pid) -> Result<Footprint, AttackError> {
+        let cr3 = sys.process(pid).ok_or(KernelError::NoSuchProcess(pid))?.cr3;
+        let mut vaddrs = self.addrs.clone();
+        vaddrs.extend(self.steps.iter().filter_map(|step| match *step {
+            TraceStep::Batch { .. } => None,
+            TraceStep::Touch { addr, .. }
+            | TraceStep::Access { addr }
+            | TraceStep::Clflush { addr } => Some(addr),
+        }));
+        Ok(sys.machine().footprint(cr3, &vaddrs))
     }
 
     /// True when the kernel's page-table state changed since compile time
@@ -188,17 +258,144 @@ impl CompiledTrace {
         })
     }
 
-    /// Hammers `rounds` iterations: before each one, recompiles `ops`
-    /// against `armed` if the trace went stale, then replays it and folds
-    /// the outcome into the returned [`HammerStats`]. `on_round` sees every
-    /// iteration's outcome (the Figure 6 cycle samples).
+    /// Hammers `rounds` iterations and folds their outcomes into the
+    /// returned [`HammerStats`]; `on_round` sees every iteration's outcome
+    /// (the Figure 6 cycle samples). Before each iteration the trace is
+    /// recompiled if it went stale. Iterations are stepped until the loop
+    /// reaches a steady state and then run as fast rounds until a stop rule
+    /// holds (see the module documentation); the simulated state and every
+    /// outcome are the same as stepping every iteration.
     ///
     /// `armed` and `ops` must be what the trace was compiled from.
     ///
     /// # Errors
     ///
     /// Propagates recompilation and replay errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fast round's DRAM access disagrees with the recorded
+    /// round it replays, or an extrapolated counter overflows `u64`.
     pub fn hammer(
+        &mut self,
+        armed: &ArmedPair,
+        ops: &[RoundOp],
+        sys: &mut System,
+        pid: Pid,
+        rounds: u64,
+        mut on_round: impl FnMut(RoundOutcome),
+    ) -> Result<HammerStats, AttackError> {
+        self.hammer_observed(armed, ops, sys, pid, rounds, |round, _| on_round(round))
+    }
+
+    /// [`CompiledTrace::hammer`], also telling `on_round` whether each
+    /// round ran fast.
+    fn hammer_observed(
+        &mut self,
+        armed: &ArmedPair,
+        ops: &[RoundOp],
+        sys: &mut System,
+        pid: Pid,
+        rounds: u64,
+        mut on_round: impl FnMut(RoundOutcome, bool),
+    ) -> Result<HammerStats, AttackError> {
+        let mut stats = HammerStats {
+            min_round_cycles: u64::MAX,
+            ..HammerStats::default()
+        };
+        // Replayed DRAM accesses only reproduce their row-buffer outcomes
+        // when those depend on the access order alone, not on idle time.
+        let detect = sys.machine().config().dram.row_buffer_policy == RowBufferPolicy::OpenPage;
+        let mut steady = SteadyState::default();
+        while stats.rounds < rounds {
+            if self.is_stale(sys) {
+                *self = Self::compile(armed, ops, sys, pid)?;
+                steady = SteadyState::default();
+            }
+            if let Some(period) = steady.ready() {
+                if !self.footprint.is_current(sys.machine()) {
+                    // A flip rewrote a page-table entry the walks read: the
+                    // footprint may have moved with it.
+                    self.footprint = self.derive_footprint(sys, pid)?;
+                    steady = SteadyState::default();
+                    continue;
+                }
+                let fast = self.fast_forward(sys, period, rounds - stats.rounds, |round| {
+                    stats.record(round);
+                    on_round(round, true);
+                });
+                if fast > 0 {
+                    stats.fast_forwarded_rounds += fast;
+                    stats.fast_forward_entries += 1;
+                    continue;
+                }
+            }
+            let start = sys.rdtsc();
+            let windows = sys.machine().dram_stats().refresh_windows;
+            sys.machine_mut().record_dram();
+            let round = self.replay(sys, pid);
+            let dram = sys.machine_mut().take_dram_record(start);
+            let round = round?;
+            stats.record(round);
+            on_round(round, false);
+            if detect {
+                let rolled = sys.machine().dram_stats().refresh_windows != windows;
+                steady.observe(dram, round, rolled, sys.machine(), &self.footprint);
+            }
+        }
+        if stats.rounds == 0 {
+            stats.min_round_cycles = 0;
+        }
+        Ok(stats)
+    }
+
+    /// Runs whole periods of fast rounds, from the period's current phase,
+    /// until at most `budget` rounds are spent or a stop rule holds, handing
+    /// each round's outcome to `each`. Then extrapolates the footprint's
+    /// counters and the clock over the periods run. Returns how many rounds
+    /// ran.
+    fn fast_forward(
+        &self,
+        sys: &mut System,
+        period: &Period,
+        budget: u64,
+        mut each: impl FnMut(RoundOutcome),
+    ) -> u64 {
+        let length = period.rounds.len() as u64;
+        if budget < length {
+            return 0;
+        }
+        let (dram, outcomes) = period.rotated();
+        let guard = sys.machine().fast_round_guard(&self.footprint, &dram);
+        let start = sys.rdtsc();
+        let mut done = 0u64;
+        while (done + 1) * length <= budget && !self.is_stale(sys) {
+            let period_start = done
+                .checked_mul(period.cycles)
+                .and_then(|elapsed| start.checked_add(elapsed))
+                .expect("fast-round clock overflows u64");
+            if !guard.admits(sys.machine().dram(), period_start) {
+                break;
+            }
+            sys.machine_mut().replay_dram_round(&dram, period_start);
+            outcomes.iter().copied().for_each(&mut each);
+            done += 1;
+        }
+        if done > 0 {
+            sys.machine_mut()
+                .advance_footprint(&self.footprint, &period.delta, done);
+            sys.advance_cycles(
+                done.checked_mul(period.cycles)
+                    .expect("fast-round clock overflows u64"),
+            );
+        }
+        done * length
+    }
+
+    /// The original round loop, stepping every iteration in full: the
+    /// oracle the fast-forwarding [`CompiledTrace::hammer`] is pinned to.
+    #[cfg(test)]
+    pub(crate) fn hammer_stepped(
         &mut self,
         armed: &ArmedPair,
         ops: &[RoundOp],
@@ -213,22 +410,282 @@ impl CompiledTrace {
         };
         for _ in 0..rounds {
             if self.is_stale(sys) {
-                *self = Self::compile(armed, ops, sys)?;
+                *self = Self::compile(armed, ops, sys, pid)?;
             }
             let round = self.replay(sys, pid)?;
-            stats.rounds += 1;
-            stats.total_cycles += round.cycles;
-            stats.min_round_cycles = stats.min_round_cycles.min(round.cycles);
-            stats.max_round_cycles = stats.max_round_cycles.max(round.cycles);
-            stats.low_dram_hits += u64::from(round.low_dram);
-            stats.high_dram_hits += u64::from(round.high_dram);
-            stats.aggressor_dram_hits += round.aggressor_dram_hits;
+            stats.record(round);
             on_round(round);
         }
         if stats.rounds == 0 {
             stats.min_round_cycles = 0;
         }
         Ok(stats)
+    }
+}
+
+/// The longest period, in rounds, the steady-state detector looks for.
+/// Rounds repeat their DRAM accesses and outcomes long before the footprint
+/// does: an eviction run over an NRU TLB set or an LRU cache set rotates
+/// the ways it fills, so the footprint repeats only once every rotation in
+/// every set completes (every 24 rounds for the TestSmall double-sided
+/// trace, up to a few hundred for many-sided patterns).
+const MAX_PERIOD: usize = 512;
+
+/// A stepped round, as the detector remembers it.
+#[derive(Debug, Clone)]
+struct Stepped {
+    /// A hash of `dram` and `outcome`, compared before them.
+    key: u64,
+    /// The round's DRAM accesses, timed from its start; repeats share one
+    /// copy.
+    dram: Rc<[DramRecord]>,
+    outcome: RoundOutcome,
+    /// Whether a bank rolled into a new refresh window during the round:
+    /// the rollover closed its open row, so the round's row-buffer outcomes
+    /// and timing are not the steady ones, while the caches stay on course.
+    rolled: bool,
+}
+
+impl Stepped {
+    fn new(
+        dram: Vec<DramRecord>,
+        outcome: RoundOutcome,
+        rolled: bool,
+        last: Option<&Stepped>,
+    ) -> Self {
+        let mut hasher = DetHasher::default();
+        outcome.hash(&mut hasher);
+        dram.hash(&mut hasher);
+        let key = hasher.finish();
+        let dram = match last {
+            Some(last) if last.key == key && *last.dram == *dram => Rc::clone(&last.dram),
+            _ => dram.into(),
+        };
+        Self {
+            key,
+            dram,
+            outcome,
+            rolled,
+        }
+    }
+
+    /// True when `self` repeats `other` exactly.
+    fn repeats(&self, other: &Stepped) -> bool {
+        self.key == other.key && self.outcome == other.outcome && self.dram == other.dram
+    }
+
+    /// True when `self` repeats `other` up to the row-buffer outcomes and
+    /// timing a refresh rollover in either round changed.
+    fn matches(&self, other: &Stepped) -> bool {
+        if !self.rolled && !other.rolled {
+            return self.repeats(other);
+        }
+        let flags = |r: &RoundOutcome| (r.low_dram, r.high_dram, r.aggressor_dram_hits);
+        flags(&self.outcome) == flags(&other.outcome)
+            && self.dram.len() == other.dram.len()
+            && self
+                .dram
+                .iter()
+                .zip(other.dram.iter())
+                .all(|(a, b)| a.addr == b.addr)
+    }
+}
+
+/// A candidate period: the rounds stepped since the footprint snapshot
+/// `start`, while waiting for the footprint to come back to it and then
+/// for a second period to repeat the first.
+#[derive(Debug)]
+struct Candidate {
+    start: Lanes,
+    start_print: u64,
+    /// Rounds of the first period, in order.
+    rounds: Vec<Stepped>,
+    /// Once the footprint came back to `start`'s discrete lanes: the
+    /// snapshot there, the counter growth over the first period, and the
+    /// fingerprints at the end of each round of the second period so far.
+    first: Option<(Lanes, Vec<u64>, Vec<u64>)>,
+}
+
+/// What a candidate does with a stepped round.
+enum Verdict {
+    /// Keep stepping.
+    Pending,
+    /// Two periods repeated: lock this one.
+    Locked(Period),
+    /// The candidate failed: start over from the footprint now.
+    Restart,
+}
+
+impl Candidate {
+    fn new(start: Lanes) -> Self {
+        Self {
+            start_print: start.fingerprint(),
+            start,
+            rounds: Vec::new(),
+            first: None,
+        }
+    }
+
+    /// Takes in the next stepped round and the footprint's fingerprint
+    /// after it; `read` reads the whole footprint when a comparison needs
+    /// more than the fingerprint.
+    fn step(&mut self, round: Stepped, print: u64, read: impl FnOnce() -> Lanes) -> Verdict {
+        let Some((first_end, delta, prints)) = &mut self.first else {
+            self.rounds.push(round);
+            if print == self.start_print {
+                let lanes = read();
+                if let Some(delta) = lanes.delta_since(&self.start) {
+                    self.first = Some((lanes, delta, Vec::new()));
+                    return Verdict::Pending;
+                }
+            }
+            return if self.rounds.len() < MAX_PERIOD {
+                Verdict::Pending
+            } else {
+                Verdict::Restart
+            };
+        };
+        let earlier = &mut self.rounds[prints.len()];
+        if !round.matches(earlier) || (round.rolled && earlier.rolled) {
+            return Verdict::Restart;
+        }
+        if earlier.rolled {
+            // Keep the steady version of the round for replay.
+            *earlier = round;
+        }
+        prints.push(print);
+        if prints.len() < self.rounds.len() {
+            return Verdict::Pending;
+        }
+        if read().delta_since(first_end).as_ref() != Some(&*delta) {
+            return Verdict::Restart;
+        }
+        // The last fingerprint closes the period: it is phase 0's.
+        prints.rotate_right(1);
+        Verdict::Locked(Period {
+            cycles: self.rounds.iter().map(|r| r.outcome.cycles).sum(),
+            rounds: std::mem::take(&mut self.rounds),
+            prints: std::mem::take(prints),
+            delta: std::mem::take(delta),
+            phase: 0,
+        })
+    }
+}
+
+/// A steady period: the rounds every run of fast rounds replays, whole
+/// periods at a time, starting from the phase the loop stands at.
+#[derive(Debug)]
+struct Period {
+    /// The period's rounds, in order.
+    rounds: Vec<Stepped>,
+    /// The footprint's fingerprint at each phase: `prints[j]` before round
+    /// `j`.
+    prints: Vec<u64>,
+    /// Simulated cycles of one period.
+    cycles: u64,
+    /// The footprint's counter growth over one period.
+    delta: Vec<u64>,
+    /// The round the loop stands before.
+    phase: usize,
+}
+
+impl Period {
+    /// The period's DRAM accesses, timed from its start, and its outcomes,
+    /// rotated to start at the current phase.
+    fn rotated(&self) -> (Vec<DramRecord>, Vec<RoundOutcome>) {
+        let mut dram = Vec::new();
+        let mut outcomes = Vec::with_capacity(self.rounds.len());
+        let mut offset = 0;
+        let (tail, head) = self.rounds.split_at(self.phase);
+        for round in head.iter().chain(tail) {
+            dram.extend(round.dram.iter().map(|record| DramRecord {
+                offset: offset + record.offset,
+                ..*record
+            }));
+            outcomes.push(round.outcome);
+            offset += round.outcome.cycles;
+        }
+        (dram, outcomes)
+    }
+}
+
+/// Steady-state detection over stepped rounds.
+///
+/// Rounds are stepped until one repeats a round among the last
+/// [`MAX_PERIOD`], the cheap sign that the loop is settling. The detector
+/// then snapshots the footprint and keeps stepping, fingerprinting the
+/// footprint after each round, until it comes back to the snapshot's
+/// discrete lanes after `p` rounds. The next `p` rounds must repeat the
+/// first `p`, and leave the same discrete lanes and the same counter growth
+/// again: then the period is locked. Rounds that crossed a refresh
+/// rollover only need to repeat up to their row-buffer outcomes and timing,
+/// and the period keeps the other period's copy. At most three snapshots
+/// are held at a time.
+///
+/// Once locked, the loop runs whole periods fast from whichever phase it
+/// stands at. A round stepped in between (across a stop rule) that does not
+/// repeat its phase's round exactly must bring the footprint to its phase's
+/// fingerprint, or detection starts over.
+#[derive(Debug, Default)]
+struct SteadyState {
+    /// Keys of the last [`MAX_PERIOD`] stepped rounds, while no candidate
+    /// runs.
+    recent: VecDeque<u64>,
+    /// The last stepped round, whose DRAM record a repeat shares.
+    last: Option<Stepped>,
+    candidate: Option<Candidate>,
+    locked: Option<Period>,
+}
+
+impl SteadyState {
+    /// Takes in a stepped round; `machine` and `fp` read the footprint
+    /// after it.
+    fn observe(
+        &mut self,
+        dram: Vec<DramRecord>,
+        outcome: RoundOutcome,
+        rolled: bool,
+        machine: &Machine,
+        fp: &Footprint,
+    ) {
+        let round = Stepped::new(dram, outcome, rolled, self.last.as_ref());
+        self.last = Some(round.clone());
+        if let Some(period) = &mut self.locked {
+            // A round that repeats its phase's round exactly leaves the
+            // footprint where the period does; any other must be checked.
+            let repeated = round.repeats(&period.rounds[period.phase]);
+            period.phase = (period.phase + 1) % period.rounds.len();
+            if !repeated && machine.footprint_fingerprint(fp) != period.prints[period.phase] {
+                *self = Self::default();
+            }
+            return;
+        }
+        let Some(candidate) = &mut self.candidate else {
+            if self.recent.contains(&round.key) {
+                self.candidate = Some(Candidate::new(machine.read_footprint(fp)));
+                self.recent.clear();
+            } else {
+                self.recent.push_back(round.key);
+                if self.recent.len() > MAX_PERIOD {
+                    self.recent.pop_front();
+                }
+            }
+            return;
+        };
+        let print = machine.footprint_fingerprint(fp);
+        match candidate.step(round, print, || machine.read_footprint(fp)) {
+            Verdict::Pending => {}
+            Verdict::Locked(period) => {
+                self.locked = Some(period);
+                self.candidate = None;
+            }
+            Verdict::Restart => self.candidate = Some(Candidate::new(machine.read_footprint(fp))),
+        }
+    }
+
+    /// The locked period.
+    fn ready(&self) -> Option<&Period> {
+        self.locked.as_ref()
     }
 }
 
@@ -306,7 +763,7 @@ mod tests {
         pid: Pid,
         rounds: u64,
     ) -> (HammerStats, Vec<u64>) {
-        let mut trace = CompiledTrace::compile(armed, ops, sys).unwrap();
+        let mut trace = CompiledTrace::compile(armed, ops, sys, pid).unwrap();
         let mut samples = Vec::new();
         let stats = trace
             .hammer(armed, ops, sys, pid, rounds, |round| {
@@ -441,7 +898,7 @@ mod tests {
             }));
 
             for ops in &runs {
-                let trace = CompiledTrace::compile(&armed_c, ops, &compiled)
+                let trace = CompiledTrace::compile(&armed_c, ops, &compiled, pid_c)
                     .expect("compile");
                 prop_assert_eq!(trace.len(), ops.len());
                 prop_assert!(!trace.is_stale(&compiled));
@@ -455,5 +912,505 @@ mod tests {
                 prop_assert_eq!(counters(&interpreted), counters(&compiled));
             }
         }
+    }
+}
+
+/// Twin tests of the fast-forwarding round loop: every test boots two
+/// identical systems, hammers one with [`CompiledTrace::hammer`] and the
+/// other with the step-only oracle [`CompiledTrace::hammer_stepped`], and
+/// compares every round's outcome and the whole simulated state.
+#[cfg(test)]
+mod fast_forward_tests {
+    use super::*;
+    use crate::config::AttackConfig;
+    use crate::hammer::strategy::tests::armed_for;
+    use crate::hammer::strategy::{HammerMode, HammerStrategy};
+    use proptest::prelude::*;
+    use pthammer_dram::FlipModelProfile;
+    use pthammer_kernel::{DefaultPolicy, KernelConfig, MmapOptions};
+    use pthammer_machine::MachineConfig;
+
+    /// The CI-scale machines the twins run on.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Board {
+        CiSmall,
+        CiSmallTrr,
+    }
+
+    impl Board {
+        fn config(self, seed: u64) -> MachineConfig {
+            match self {
+                Board::CiSmall => MachineConfig::ci_small(FlipModelProfile::ci(), seed),
+                Board::CiSmallTrr => MachineConfig::ci_small_trr(FlipModelProfile::ci(), seed),
+            }
+        }
+    }
+
+    fn attack_config(seed: u64) -> AttackConfig {
+        AttackConfig {
+            spray_bytes: 512 << 20,
+            llc_profile_trials: 6,
+            ..AttackConfig::quick_test(seed, false)
+        }
+    }
+
+    fn boot(board: Board, seed: u64) -> (System, Pid) {
+        let mut sys = System::new(
+            board.config(seed),
+            KernelConfig::default_config(),
+            Box::new(DefaultPolicy::new()),
+        );
+        let pid = sys.spawn_process(1000).expect("spawn");
+        (sys, pid)
+    }
+
+    /// One of two identically booted and armed systems.
+    struct Twin {
+        sys: System,
+        pid: Pid,
+        strategy: Box<dyn HammerStrategy>,
+        armed: ArmedPair,
+        trace: CompiledTrace,
+    }
+
+    impl Twin {
+        fn new(board: Board, mode: HammerMode, seed: u64) -> Self {
+            let (mut sys, pid) = boot(board, seed);
+            let (strategy, armed) = armed_for(mode, &mut sys, pid, &attack_config(seed));
+            Self::armed(sys, pid, strategy, armed)
+        }
+
+        fn armed(
+            sys: System,
+            pid: Pid,
+            strategy: Box<dyn HammerStrategy>,
+            armed: ArmedPair,
+        ) -> Self {
+            let trace =
+                CompiledTrace::compile(&armed, strategy.round_ops(), &sys, pid).expect("compile");
+            Self {
+                sys,
+                pid,
+                strategy,
+                armed,
+                trace,
+            }
+        }
+
+        /// Hammers `rounds` rounds, fast-forwarding or stepping only, and
+        /// returns every round's outcome and whether it ran fast.
+        #[allow(clippy::type_complexity)]
+        fn hammer(
+            &mut self,
+            rounds: u64,
+            fast: bool,
+        ) -> Result<(HammerStats, Vec<(RoundOutcome, bool)>), AttackError> {
+            let mut outcomes = Vec::new();
+            let ops = self.strategy.round_ops();
+            let (armed, sys, pid) = (&self.armed, &mut self.sys, self.pid);
+            let stats = if fast {
+                self.trace
+                    .hammer_observed(armed, ops, sys, pid, rounds, |round, fast| {
+                        outcomes.push((round, fast))
+                    })
+            } else {
+                self.trace
+                    .hammer_stepped(armed, ops, sys, pid, rounds, |round| {
+                        outcomes.push((round, false))
+                    })
+            }?;
+            Ok((stats, outcomes))
+        }
+
+        fn dram(&self) -> pthammer_dram::DramStats {
+            self.sys.machine().dram_stats()
+        }
+    }
+
+    /// A pair of twins: `fast` fast-forwards, `stepped` is the oracle.
+    struct Twins {
+        fast: Twin,
+        stepped: Twin,
+    }
+
+    impl Twins {
+        fn new(board: Board, mode: HammerMode, seed: u64) -> Self {
+            let twins = Self {
+                fast: Twin::new(board, mode, seed),
+                stepped: Twin::new(board, mode, seed),
+            };
+            twins.assert_same_state();
+            twins
+        }
+
+        /// Hammers both twins for `rounds` rounds and checks that they
+        /// agree on every outcome, the statistics and the whole state.
+        /// Returns the fast twin's statistics.
+        fn hammer(&mut self, rounds: u64) -> HammerStats {
+            self.hammer_observed(rounds).0
+        }
+
+        /// [`Twins::hammer`], also returning which rounds ran fast.
+        fn hammer_observed(&mut self, rounds: u64) -> (HammerStats, Vec<bool>) {
+            let fast = self.fast.hammer(rounds, true);
+            let stepped = self.stepped.hammer(rounds, false);
+            let without_telemetry = |stats: &HammerStats| HammerStats {
+                fast_forwarded_rounds: 0,
+                fast_forward_entries: 0,
+                ..*stats
+            };
+            let observed = match (&fast, &stepped) {
+                (Ok((fast_stats, fast_rounds)), Ok((stepped_stats, stepped_rounds))) => {
+                    let outcomes = |rounds: &[(RoundOutcome, bool)]| {
+                        rounds.iter().map(|&(round, _)| round).collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        outcomes(fast_rounds),
+                        outcomes(stepped_rounds),
+                        "round outcomes differ"
+                    );
+                    assert_eq!(
+                        without_telemetry(fast_stats),
+                        without_telemetry(stepped_stats)
+                    );
+                    let ran_fast: Vec<bool> = fast_rounds.iter().map(|&(_, fast)| fast).collect();
+                    assert_eq!(
+                        ran_fast.iter().filter(|&&fast| fast).count() as u64,
+                        fast_stats.fast_forwarded_rounds
+                    );
+                    (*fast_stats, ran_fast)
+                }
+                _ => {
+                    assert_eq!(fast.as_ref().err(), stepped.as_ref().err());
+                    (HammerStats::default(), Vec::new())
+                }
+            };
+            self.assert_same_state();
+            observed
+        }
+
+        fn assert_same_state(&self) {
+            let (a, b) = (self.fast.sys.machine(), self.stepped.sys.machine());
+            assert_eq!(a.cache_pmc(), b.cache_pmc());
+            assert_eq!(a.tlb_pmc(), b.tlb_pmc());
+            assert_eq!(a.dram_stats(), b.dram_stats());
+            assert_eq!(a.rdtsc(), b.rdtsc());
+            assert_eq!(
+                self.fast.sys.stats().faults_handled,
+                self.stepped.sys.stats().faults_handled
+            );
+            assert_eq!(a.applied_flips(), b.applied_flips());
+            for (x, y) in a.dram().banks().iter().zip(b.dram().banks()) {
+                assert!(
+                    x.checkpoint() == y.checkpoint(),
+                    "bank {} differs",
+                    x.unit_id()
+                );
+            }
+            assert!(a.caches() == b.caches(), "cache sets differ");
+            assert!(
+                a.mmu() == b.mmu(),
+                "TLB or paging-structure cache sets differ"
+            );
+        }
+    }
+
+    /// Rounds that span at least one refresh window of the CI machines for
+    /// `mode` (an explicit round is about a tenth of an implicit one).
+    fn rounds_spanning_a_window(mode: HammerMode, base: u64) -> u64 {
+        if mode == HammerMode::ExplicitDoubleSided {
+            8 * base
+        } else {
+            base
+        }
+    }
+
+    proptest! {
+        // Arming two systems dominates a case; debug builds (overflow
+        // checks on) run fewer cases than release.
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 3 } else { 10 }
+        ))]
+
+        // Fast-forwarding is invisible: on twin systems, the fast loop and
+        // the step-only oracle report the same outcome for every round and
+        // leave the same counters, clock, flips, banks and cache, TLB and
+        // paging-structure-cache sets, across every mode, both CI machines
+        // and round counts that cross refresh-window rollovers.
+        #[test]
+        fn fast_forwarding_matches_stepping(
+            mode in prop::sample::select(HammerMode::all()),
+            board in prop::sample::select(vec![Board::CiSmall, Board::CiSmallTrr]),
+            seed in 0u64..6,
+            base in 1_000u64..1_600,
+        ) {
+            let mut twins = Twins::new(board, mode, seed);
+            let windows = twins.fast.dram().refresh_windows;
+            let stats = twins.hammer(rounds_spanning_a_window(mode, base));
+            prop_assert!(twins.fast.dram().refresh_windows > windows);
+            prop_assert!(stats.fast_forwarded_rounds > 0, "no fast rounds ran: {stats:?}");
+        }
+    }
+
+    /// Every mode on both CI machines at one seed, so each combination is
+    /// covered whatever the proptest draws.
+    #[test]
+    fn every_mode_fast_forwards_exactly_on_both_machines() {
+        for board in [Board::CiSmall, Board::CiSmallTrr] {
+            for mode in HammerMode::all() {
+                let mut twins = Twins::new(board, mode, 3);
+                let stats = twins.hammer(rounds_spanning_a_window(mode, 1_200));
+                assert!(
+                    stats.fast_forwarded_rounds > 0,
+                    "{board:?} {mode:?}: {stats:?}"
+                );
+            }
+        }
+    }
+
+    /// The budget runs out while the loop is fast-forwarding: the fast twin
+    /// stops exactly at the budget, mid-run, and the next call picks up
+    /// from a state identical to the oracle's.
+    #[test]
+    fn a_budget_ending_mid_run_stops_exactly() {
+        let mut twins = Twins::new(Board::CiSmall, HammerMode::ImplicitDoubleSided, 1);
+        for rounds in [277, 1, 95] {
+            let stats = twins.hammer(rounds);
+            assert_eq!(stats.rounds, rounds);
+        }
+        let stats = twins.hammer(333);
+        assert!(stats.fast_forwarded_rounds > 0);
+        assert!(stats.fast_forwarded_rounds < 333);
+    }
+
+    /// A run long enough to cross several refresh-window boundaries: fast
+    /// runs stop before each, the crossing is stepped, and fast rounds
+    /// resume after it.
+    #[test]
+    fn runs_stop_before_refresh_boundaries_and_resume_after() {
+        let mut twins = Twins::new(Board::CiSmall, HammerMode::ImplicitDoubleSided, 2);
+        let windows = twins.fast.dram().refresh_windows;
+        let stats = twins.hammer(3_000);
+        assert!(twins.fast.dram().refresh_windows >= windows + 3);
+        assert!(stats.fast_forward_entries >= 3, "{stats:?}");
+        assert!(stats.fast_share() > 0.5, "{stats:?}");
+    }
+
+    /// Rounds of the oracle in which `counter` moved, stepping one round at
+    /// a time.
+    fn rounds_moving(twin: &mut Twin, rounds: u64, counter: impl Fn(&System) -> u64) -> Vec<u64> {
+        let mut moved = Vec::new();
+        for round in 0..rounds {
+            let before = counter(&twin.sys);
+            twin.hammer(1, false).expect("hammer");
+            if counter(&twin.sys) != before {
+                moved.push(round);
+            }
+        }
+        moved
+    }
+
+    /// How many of the rounds in `rounds` ran fast.
+    fn fast_among(ran_fast: &[bool], rounds: &[u64]) -> usize {
+        rounds
+            .iter()
+            .filter(|&&round| ran_fast[round as usize])
+            .count()
+    }
+
+    /// On the TRR machine, targeted refreshes fire inside fast rounds.
+    #[test]
+    fn trr_refreshes_fire_inside_fast_rounds() {
+        let (board, mode, seed, rounds) =
+            (Board::CiSmallTrr, HammerMode::ImplicitDoubleSided, 4, 1_500);
+        let mut twins = Twins::new(board, mode, seed);
+        let (_, ran_fast) = twins.hammer_observed(rounds);
+        let mut oracle = Twin::new(board, mode, seed);
+        let firing = rounds_moving(&mut oracle, rounds, |sys| {
+            sys.machine().dram_stats().trr_refreshes
+        });
+        assert!(!firing.is_empty());
+        assert!(
+            fast_among(&ran_fast, &firing) > 0,
+            "TRR fired only in stepped rounds"
+        );
+    }
+
+    /// With the `ci` profile, victims flip inside fast rounds, and the
+    /// flips are applied in the order stepping applies them (the twins'
+    /// `applied_flips` are compared entry for entry).
+    #[test]
+    fn flips_inside_fast_rounds_apply_in_stepped_order() {
+        let (board, mode, seed, rounds) =
+            (Board::CiSmall, HammerMode::ImplicitDoubleSided, 5, 2_000);
+        let mut twins = Twins::new(board, mode, seed);
+        let (_, ran_fast) = twins.hammer_observed(rounds);
+        let mut oracle = Twin::new(board, mode, seed);
+        let flipping = rounds_moving(&mut oracle, rounds, |sys| {
+            sys.machine().applied_flips().len() as u64
+        });
+        assert!(!flipping.is_empty());
+        assert!(
+            fast_among(&ran_fast, &flipping) > 0,
+            "flips came only in stepped rounds"
+        );
+    }
+
+    /// A demand fault between two hammer calls makes the trace stale: the
+    /// second call recompiles it (and its footprint) before hammering, and
+    /// fast-forwards again.
+    #[test]
+    fn a_demand_fault_makes_the_trace_stale() {
+        let mut twins = Twins::new(Board::CiSmallTrr, HammerMode::ImplicitOneLocation, 2);
+        twins.hammer(500);
+        for twin in [&mut twins.fast, &mut twins.stepped] {
+            let region = twin
+                .sys
+                .mmap(twin.pid, 1 << 21, MmapOptions::default())
+                .expect("mmap");
+            twin.sys.access(twin.pid, region).expect("demand fault");
+            assert!(twin.trace.is_stale(&twin.sys));
+        }
+        twins.assert_same_state();
+        let stats = twins.hammer(500);
+        assert!(!twins.fast.trace.is_stale(&twins.fast.sys));
+        assert!(stats.fast_forwarded_rounds > 0);
+    }
+
+    /// Boots `board`, prepares the attack and arms single-sided a pair
+    /// whose Level-1 page tables sit in adjacent rows of one bank (half the
+    /// double-sided stride), so each target's row disturbs the other's
+    /// every round, choosing the low target so its own Level-1 PTE holds a
+    /// weak cell. Returns the armed twin and that PTE's address.
+    fn read_entry_at_risk(board: Board, seed: u64) -> Option<(Twin, pthammer_types::PhysAddr)> {
+        use crate::hammer::strategy::ImplicitSingleSided;
+        use crate::pairs::{conflict_threshold, pair_stride, HammerPair};
+        use pthammer_types::{CellOrientation, PhysAddr, HUGE_PAGE_SIZE, PAGE_SIZE};
+
+        let (mut sys, pid) = boot(board, seed);
+        let config = attack_config(seed);
+        let prepared = crate::pipeline::prepare_attack(&mut sys, pid, &config).expect("prepare");
+        let row_span = sys.machine().config().dram.geometry.row_span_bytes();
+        let half_stride = pair_stride(row_span) / 2;
+        let dram = sys.machine().dram();
+        let cell_of = |paddr: PhysAddr| {
+            let location = dram.locate(paddr);
+            (dram.bank_unit(&location), location.row, location.col)
+        };
+        let (low, entry) = prepared.spray.chunk_bases().find_map(|chunk| {
+            let high = chunk + half_stride + PAGE_SIZE;
+            if !prepared.spray.contains(high + HUGE_PAGE_SIZE) {
+                return None;
+            }
+            let table = PhysAddr::new(sys.oracle_l1pte_paddr(pid, chunk + PAGE_SIZE)?.as_u64() - 8);
+            let (unit, row, _) = cell_of(table);
+            let (high_unit, high_row, _) = cell_of(sys.oracle_l1pte_paddr(pid, high)?);
+            if (high_unit, high_row.abs_diff(row)) != (unit, 1) {
+                return None;
+            }
+            let cells = dram.flip_model().weak_cells(unit, row);
+            (1..512u64).find_map(|index| {
+                let entry = table + index * 8;
+                // A weak cell of the entry that can flip its stored bit.
+                let weak = (0..8).any(|byte| {
+                    let (u, r, col) = cell_of(entry + byte);
+                    let value = sys.machine().phys_read_bytes(entry + byte, 1)[0];
+                    (u, r) == (unit, row)
+                        && cells.iter().any(|cell| {
+                            let set = value >> cell.bit & 1 == 1;
+                            cell.byte_in_row == col
+                                && set == (cell.orientation == CellOrientation::TrueCell)
+                        })
+                });
+                weak.then_some((chunk + index * PAGE_SIZE, entry))
+            })
+        })?;
+        let pair = HammerPair {
+            low,
+            high: low + half_stride,
+        };
+        let threshold = conflict_threshold(&sys);
+        let armed = ImplicitSingleSided
+            .arm(&mut sys, pid, pair, &prepared, &config, threshold)
+            .expect("arm")
+            .armed
+            .expect("single-sided arming accepts every pair");
+        Some((
+            Twin::armed(sys, pid, Box::new(ImplicitSingleSided), armed),
+            entry,
+        ))
+    }
+
+    /// A weak cell in a page-table entry the walks read reaches its
+    /// threshold: the round that can flip it is stepped, never fast, even
+    /// though fast rounds ran before it, and the twins agree after the flip
+    /// rewrote the walk.
+    #[test]
+    fn a_possible_flip_in_a_read_entry_forces_stepped_rounds() {
+        let (board, seed) = (Board::CiSmall, 11);
+        let (mut oracle, entry) = read_entry_at_risk(board, seed).expect("a pair at risk");
+        let in_entry = |sys: &System| {
+            sys.machine()
+                .applied_flips()
+                .iter()
+                .filter(|flip| (entry..entry + 8).contains(&flip.paddr))
+                .count() as u64
+        };
+        let mut flip_round = None;
+        for round in 0..2_000u64 {
+            let before = in_entry(&oracle.sys);
+            if oracle.hammer(1, false).is_err() {
+                break;
+            }
+            if in_entry(&oracle.sys) != before {
+                flip_round = Some(round);
+                break;
+            }
+        }
+        let flip_round = flip_round.expect("the read entry flips");
+        let (fast, _) = read_entry_at_risk(board, seed).expect("a pair at risk");
+        let (stepped, _) = read_entry_at_risk(board, seed).expect("a pair at risk");
+        let mut twins = Twins { fast, stepped };
+        twins.assert_same_state();
+        let (_, ran_fast) = twins.hammer_observed(flip_round + 1);
+        assert!(
+            !ran_fast[flip_round as usize],
+            "the flipping round ran fast"
+        );
+        assert!(
+            ran_fast[..flip_round as usize].iter().any(|&fast| fast),
+            "no fast rounds ran before the flip"
+        );
+        assert_eq!(in_entry(&twins.fast.sys), 1);
+    }
+
+    /// A paper-scale attempt — `AttackConfig::paper`'s 120 000 rounds on one
+    /// pair of the CI machine — in a build with overflow checks on (the
+    /// debug tier): the `u32` row and TRR counters, the fast-forward
+    /// extrapolation and the clock survive the horizon, and the DRAM
+    /// counters stay consistent with each other.
+    #[test]
+    fn a_paper_scale_attempt_survives_overflow_checks() {
+        let rounds = AttackConfig::paper(9, false).hammer_rounds_per_attempt;
+        assert_eq!(rounds, 120_000);
+        let mut twin = Twin::new(Board::CiSmall, HammerMode::ImplicitDoubleSided, 9);
+        let (clock, dram) = (twin.sys.rdtsc(), twin.dram());
+        let (stats, outcomes) = twin.hammer(rounds, true).expect("hammer");
+        assert_eq!(stats.rounds, rounds);
+        assert_eq!(outcomes.len() as u64, rounds);
+        assert_eq!(twin.sys.rdtsc() - clock, stats.total_cycles);
+        assert!(stats.fast_share() > 0.9, "{stats:?}");
+        let now = twin.dram();
+        assert_eq!(
+            now.accesses - dram.accesses,
+            (now.row_hits + now.row_misses + now.row_conflicts)
+                - (dram.row_hits + dram.row_misses + dram.row_conflicts)
+        );
+        assert_eq!(
+            now.activations - dram.activations,
+            (now.row_misses + now.row_conflicts) - (dram.row_misses + dram.row_conflicts)
+        );
+        assert!(now.refresh_windows - dram.refresh_windows > 100);
+        assert!(now.flips > dram.flips);
     }
 }

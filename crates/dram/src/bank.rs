@@ -3,7 +3,7 @@
 
 use serde::Serialize;
 
-use pthammer_types::{Cycles, DetHashSet};
+use pthammer_types::{Cycles, DetHashMap, DetHashSet};
 
 use crate::{
     row_buffer::{RowBuffer, RowBufferOutcome, RowBufferPolicy},
@@ -51,6 +51,13 @@ pub struct Bank {
     emitted: DetHashSet<(u32, u32)>,
     #[serde(skip)]
     trr_sampler: TrrSampler,
+    /// Memo of the lowest threshold among each disturbed row's weak cells
+    /// not yet emitted this window (`u32::MAX` when none is left): a
+    /// victim whose disturbance stays below it cannot flip, so its weak
+    /// cells are not derived again. Derived from `emitted` and the flip
+    /// model; cleared with the window.
+    #[serde(skip)]
+    next_flip: DetHashMap<u32, u32>,
 }
 
 /// A restorable snapshot of a bank's hammer-relevant state: row buffer,
@@ -78,6 +85,7 @@ impl Bank {
             row_state: RowStateSoA::new(rows),
             emitted: DetHashSet::default(),
             trr_sampler: TrrSampler::default(),
+            next_flip: DetHashMap::default(),
         }
     }
 
@@ -100,6 +108,45 @@ impl Bank {
     /// refresh window, or `None` when the row has not been activated yet.
     pub fn last_activation_of(&self, row: u32) -> Option<u32> {
         self.row_state.last_activation_of(row)
+    }
+
+    /// Start of the current refresh window: the bank rolls into the next
+    /// window on its first access at or after `window_start + refresh_window`.
+    pub fn window_start(&self) -> Cycles {
+        self.window_start
+    }
+
+    /// The lowest threshold among the weak cells of `row` that have not
+    /// flipped yet in this refresh window and sit at a byte `in_scope`
+    /// accepts (by byte offset in the row), or `None` when none is left: the
+    /// disturbance at which one of those bytes flips next.
+    pub fn next_flip_threshold(
+        &self,
+        row: u32,
+        flip_model: &FlipModel,
+        in_scope: impl Fn(u32) -> bool,
+    ) -> Option<u32> {
+        Self::lowest_pending(&self.emitted, self.unit_id, row, flip_model, in_scope)
+    }
+
+    /// The lowest threshold among `row`'s weak cells accepted by `in_scope`
+    /// and absent from `emitted`.
+    fn lowest_pending(
+        emitted: &DetHashSet<(u32, u32)>,
+        unit_id: u32,
+        row: u32,
+        flip_model: &FlipModel,
+        in_scope: impl Fn(u32) -> bool,
+    ) -> Option<u32> {
+        flip_model
+            .weak_cells(unit_id, row)
+            .iter()
+            .enumerate()
+            .filter(|(idx, cell)| {
+                in_scope(cell.byte_in_row) && !emitted.contains(&(row, *idx as u32))
+            })
+            .map(|(_, cell)| cell.threshold)
+            .min()
     }
 
     /// The currently open row of this bank's row buffer, if any.
@@ -137,6 +184,7 @@ impl Bank {
         self.row_state = checkpoint.row_state.clone();
         self.emitted = checkpoint.emitted.clone();
         self.trr_sampler = checkpoint.trr_sampler.clone();
+        self.next_flip.clear();
     }
 
     /// Handles a refresh-window rollover if `now` is past the window end.
@@ -151,6 +199,7 @@ impl Bank {
         self.window_start = Cycles::new(self.window_start.as_u64() + windows * window);
         self.row_state.clear();
         self.emitted.clear();
+        self.next_flip.clear();
         self.trr_sampler.reset();
         // A refresh closes any open row.
         self.row_buffer.close();
@@ -198,6 +247,14 @@ impl Bank {
                 if disturbance < flip_model.profile().min_threshold {
                     continue;
                 }
+                let (emitted, unit_id) = (&self.emitted, self.unit_id);
+                let next_flip = self.next_flip.entry(victim).or_insert_with(|| {
+                    Self::lowest_pending(emitted, unit_id, victim, flip_model, |_| true)
+                        .unwrap_or(u32::MAX)
+                });
+                if disturbance < *next_flip {
+                    continue;
+                }
                 for (idx, cell) in flip_model
                     .weak_cells(self.unit_id, victim)
                     .iter()
@@ -207,6 +264,9 @@ impl Bank {
                         flips.push((victim, *cell, disturbance));
                     }
                 }
+                let pending =
+                    Self::lowest_pending(&self.emitted, self.unit_id, victim, flip_model, |_| true);
+                self.next_flip.insert(victim, pending.unwrap_or(u32::MAX));
             }
         }
 

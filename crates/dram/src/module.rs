@@ -175,6 +175,34 @@ impl DramModule {
         }
     }
 
+    /// Every bank, indexed by flat (channel, rank, bank) unit.
+    pub fn banks(&self) -> &[Bank] {
+        &self.banks
+    }
+
+    /// The flat bank unit of a location (the index into [`DramModule::banks`]).
+    pub fn bank_unit(&self, location: &DramAddress) -> u32 {
+        location.bank_unit(&self.config.geometry)
+    }
+
+    /// The cycle at which bank `unit` rolls into its next refresh window:
+    /// an access before it cannot roll the window.
+    pub fn window_end(&self, unit: u32) -> Cycles {
+        self.banks[unit as usize].window_start() + Cycles::new(self.config.timings.refresh_window)
+    }
+
+    /// The disturbance at which a byte of `row` of bank `unit` that
+    /// `in_scope` accepts (by byte offset in the row) flips next, if one
+    /// of its weak cells is left to flip in this refresh window.
+    pub fn next_flip_threshold(
+        &self,
+        unit: u32,
+        row: u32,
+        in_scope: impl Fn(u32) -> bool,
+    ) -> Option<u32> {
+        self.banks[unit as usize].next_flip_threshold(row, &self.flip_model, in_scope)
+    }
+
     /// Decodes a physical address without performing an access.
     pub fn locate(&self, paddr: PhysAddr) -> DramAddress {
         self.mapping.to_dram(paddr)

@@ -12,6 +12,12 @@ use serde::Serialize;
 
 /// Per-row refresh-window bookkeeping in structure-of-arrays layout: three
 /// dense `u32` arrays, each indexed by row number.
+///
+/// Activation counts and disturbance saturate at `u32::MAX` instead of
+/// wrapping. A refresh window bounds both far below that: the longest
+/// window of any preset is 179.2 M cycles, and even a paper-scale attempt
+/// (120 000 rounds of a few thousand cycles) activates a row fewer than a
+/// million times per window.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RowStateSoA {
     /// Activation count per row within the current refresh window.
@@ -51,7 +57,8 @@ impl RowStateSoA {
     /// `window_cycle`.
     #[inline]
     pub fn record_activation(&mut self, row: u32, window_cycle: u64) {
-        self.activations[row as usize] += 1;
+        let count = &mut self.activations[row as usize];
+        *count = count.saturating_add(1);
         self.last_activation[row as usize] = window_cycle.min(u64::from(u32::MAX)) as u32;
     }
 
@@ -59,7 +66,7 @@ impl RowStateSoA {
     #[inline]
     pub fn add_disturbance(&mut self, row: u32) -> u32 {
         let d = &mut self.disturbance[row as usize];
-        *d += 1;
+        *d = d.saturating_add(1);
         *d
     }
 
@@ -125,6 +132,17 @@ mod tests {
         s.clear_disturbance(1);
         assert_eq!(s.disturbance_of(1), 0);
         assert_eq!(s.disturbance_of(2), 1);
+    }
+
+    #[test]
+    fn counters_saturate_instead_of_wrapping() {
+        let mut s = RowStateSoA::new(2);
+        s.disturbance[1] = u32::MAX - 1;
+        s.activations[0] = u32::MAX;
+        assert_eq!(s.add_disturbance(1), u32::MAX);
+        assert_eq!(s.add_disturbance(1), u32::MAX);
+        s.record_activation(0, 5);
+        assert_eq!(s.activations_of(0), u32::MAX);
     }
 
     #[test]

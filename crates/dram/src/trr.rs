@@ -91,6 +91,8 @@ impl TrrSampler {
             // Re-activation: bump the counter and move the row to the hot
             // end, firing (and restarting the count) at the threshold.
             let (_, count) = self.tracked.remove(pos);
+            // A tracked count restarts at the threshold, so it stays below
+            // `activation_threshold <= u32::MAX` and this cannot overflow.
             let count = count + 1;
             let fired = count >= config.activation_threshold;
             self.tracked.push((row, if fired { 0 } else { count }));

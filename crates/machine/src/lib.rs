@@ -25,6 +25,7 @@
 
 mod choice;
 mod config;
+mod footprint;
 mod machine;
 mod memory;
 pub mod oracle;
@@ -32,6 +33,7 @@ mod phys_mem;
 
 pub use choice::MachineChoice;
 pub use config::MachineConfig;
+pub use footprint::{DramRecord, FastRoundGuard, Footprint};
 pub use machine::{Machine, TouchAccess, VirtualAccess};
 pub use memory::MemorySubsystem;
 pub use oracle::{

@@ -5,9 +5,12 @@ use serde::Serialize;
 use pthammer_cache::{CacheHierarchy, CachePmc};
 use pthammer_dram::{DramModule, DramStats};
 use pthammer_mmu::{Mmu, PageFault, PscLevel, TlbLevel, TlbPmc};
-use pthammer_types::{AccessKind, Cycles, MemoryLevel, PhysAddr, VirtAddr};
+use pthammer_types::{
+    AccessKind, Cycles, Fingerprint, LaneAdvance, LaneSink, Lanes, MemoryLevel, PhysAddr, VirtAddr,
+};
 
 use crate::config::MachineConfig;
+use crate::footprint::{self, DramRecord, FastRoundGuard, Footprint};
 use crate::memory::MemorySubsystem;
 use crate::phys_mem::{AppliedFlip, PhysicalMemory};
 
@@ -336,6 +339,140 @@ impl Machine {
             self.clock += flush_cost;
         }
         acc
+    }
+
+    // ------------------------------------------------------------------
+    // Steady-state replay: footprints, DRAM records and fast rounds.
+    // ------------------------------------------------------------------
+
+    /// The footprint of an access stream over `vaddrs` in the address
+    /// space rooted at `cr3`: every cache, TLB and paging-structure-cache
+    /// set the addresses and their page walks map to, the page-table
+    /// entries the walks read, and the DRAM banks and rows of those lines.
+    /// Reads the page tables without timing side effects.
+    pub fn footprint(&self, cr3: PhysAddr, vaddrs: &[VirtAddr]) -> Footprint {
+        let mut walk_entries = Vec::new();
+        let mut lines = Vec::new();
+        let mut complete = true;
+        for &vaddr in vaddrs {
+            match footprint::walk(self, cr3, vaddr, &mut walk_entries) {
+                Some(paddr) => lines.push(paddr),
+                None => complete = false,
+            }
+        }
+        walk_entries.sort_unstable();
+        walk_entries.dedup();
+        lines.extend(walk_entries.iter().map(|&(entry, _)| entry));
+        let dram = self.mem.dram();
+        let row_of = |paddr: PhysAddr| {
+            let location = dram.locate(paddr);
+            (dram.bank_unit(&location), location.row)
+        };
+        let mut banks: Vec<u32> = lines.iter().map(|&line| row_of(line).0).collect();
+        banks.sort_unstable();
+        banks.dedup();
+        let mut read_bytes: Vec<(u32, u32, u32)> = walk_entries
+            .iter()
+            .flat_map(|&(entry, _)| (0..8).map(move |byte| entry + byte))
+            .map(|byte| {
+                let location = dram.locate(byte);
+                (dram.bank_unit(&location), location.row, location.col)
+            })
+            .collect();
+        read_bytes.sort_unstable();
+        read_bytes.dedup();
+        Footprint {
+            caches: self.mem.caches().footprint(lines),
+            tlbs: self.mmu.footprint(vaddrs),
+            walk_entries,
+            banks,
+            read_bytes,
+            complete,
+        }
+    }
+
+    /// Reads the footprint's state as [`Lanes`]: its TLB, paging-structure
+    /// and cache sets with their performance counters, then the page-table
+    /// entries its walks read and its banks' open rows as discrete lanes.
+    /// The clock is not a lane: only DRAM reads it, and DRAM is replayed,
+    /// not extrapolated.
+    pub fn read_footprint(&self, fp: &Footprint) -> Lanes {
+        let mut lanes = Lanes::new();
+        self.read_footprint_into(fp, &mut lanes);
+        lanes
+    }
+
+    /// The [`Fingerprint`] of [`Machine::read_footprint`]'s discrete lanes,
+    /// read without storing them.
+    pub fn footprint_fingerprint(&self, fp: &Footprint) -> u64 {
+        let mut print = Fingerprint::default();
+        self.read_footprint_into(fp, &mut print);
+        print.finish()
+    }
+
+    fn read_footprint_into(&self, fp: &Footprint, lanes: &mut impl LaneSink) {
+        self.mmu.read_footprint(&fp.tlbs, lanes);
+        self.mem.caches().read_footprint(&fp.caches, lanes);
+        for &(entry, _) in &fp.walk_entries {
+            lanes.discrete(self.phys_read_u64(entry));
+        }
+        let banks = self.mem.dram().banks();
+        for &unit in &fp.banks {
+            lanes.discrete(banks[unit as usize].open_row().map_or(u64::MAX, u64::from));
+        }
+    }
+
+    /// Adds `rounds` copies of `delta` — the per-round growth of the
+    /// counter lanes of [`Machine::read_footprint`] — to the footprint's
+    /// state: replacement ticks, LRU stamps and performance counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a counter would overflow `u64`, or `delta` does not match
+    /// the footprint's counter lanes.
+    pub fn advance_footprint(&mut self, fp: &Footprint, delta: &[u64], rounds: u64) {
+        let mut advance = LaneAdvance::new(delta, rounds);
+        self.mmu.advance_footprint(&fp.tlbs, &mut advance);
+        self.mem
+            .caches_mut()
+            .advance_footprint(&fp.caches, &mut advance);
+        advance.finish();
+    }
+
+    /// Starts recording every DRAM access (see [`Machine::take_dram_record`]).
+    pub fn record_dram(&mut self) {
+        self.mem.record_dram();
+    }
+
+    /// Stops recording and returns the DRAM accesses made since
+    /// [`Machine::record_dram`], timed from cycle `start`.
+    pub fn take_dram_record(&mut self, start: u64) -> Vec<DramRecord> {
+        self.mem.take_dram_record(Cycles::new(start))
+    }
+
+    /// The stop conditions for fast rounds replaying `round`, a recorded
+    /// round over `fp`, from the current DRAM state.
+    pub fn fast_round_guard(&self, fp: &Footprint, round: &[DramRecord]) -> FastRoundGuard {
+        FastRoundGuard::new(self.mem.dram(), fp, round)
+    }
+
+    /// Replays `round`'s DRAM accesses for a round starting at cycle
+    /// `start`, through the same DRAM path a full cache miss takes. Nothing
+    /// above DRAM moves, the clock included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an access's row-buffer outcome differs from the recorded
+    /// one: the caller replayed a round that was not in a steady state.
+    pub fn replay_dram_round(&mut self, round: &[DramRecord], start: u64) {
+        for record in round {
+            let now = Cycles::new(start + record.offset);
+            let outcome = self.mem.replay_dram(record.addr, now);
+            assert_eq!(
+                outcome, record.outcome,
+                "fast round diverged from its recorded DRAM access {record:?}"
+            );
+        }
     }
 
     // ------------------------------------------------------------------

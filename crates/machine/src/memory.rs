@@ -3,9 +3,10 @@
 use serde::Serialize;
 
 use pthammer_cache::CacheHierarchy;
-use pthammer_dram::DramModule;
+use pthammer_dram::{DramAccessOutcome, DramModule, RowBufferOutcome};
 use pthammer_types::{Cycles, MemAccessOutcome, MemoryLevel, PhysAddr, PhysicalMemoryAccess};
 
+use crate::footprint::DramRecord;
 use crate::phys_mem::{AppliedFlip, PhysicalMemory};
 
 /// Caches, DRAM and physical contents glued together.
@@ -26,6 +27,10 @@ pub struct MemorySubsystem {
     batch_mode: bool,
     dram_overlap_latency: Cycles,
     applied_flips: Vec<AppliedFlip>,
+    /// DRAM accesses `(address, time, outcome)` recorded since
+    /// [`MemorySubsystem::record_dram`], if recording.
+    #[serde(skip)]
+    dram_log: Option<Vec<(PhysAddr, Cycles, RowBufferOutcome)>>,
 }
 
 impl MemorySubsystem {
@@ -44,6 +49,7 @@ impl MemorySubsystem {
             batch_mode: false,
             dram_overlap_latency: Cycles::new(u64::from(dram_overlap_latency)),
             applied_flips: Vec::new(),
+            dram_log: None,
         }
     }
 
@@ -110,12 +116,7 @@ impl MemorySubsystem {
                 row_buffer_hit: false,
             };
         }
-        let dram_access = self.dram.access(paddr, self.now);
-        for flip in &dram_access.flips {
-            if let Some(applied) = self.phys.apply_flip(flip) {
-                self.applied_flips.push(applied);
-            }
-        }
+        let dram_access = self.dram_access(paddr, self.now);
         // The lookup above just missed every level and captured where the
         // fill should land, so no way re-scan runs here. (The DRAM access in
         // between never touches the caches, keeping the plan valid.)
@@ -131,6 +132,60 @@ impl MemorySubsystem {
             latency: lookup.latency + dram_latency,
             row_buffer_hit: dram_access.row_buffer == pthammer_dram::RowBufferOutcome::Hit,
         }
+    }
+
+    /// The DRAM half of a line access: the DRAM access at `now`, then the
+    /// flips it emitted, applied to the physical contents in emission
+    /// order (and the access recorded, while recording). Both
+    /// [`MemorySubsystem::access_line`] and [`MemorySubsystem::replay_dram`]
+    /// run through it, so a replayed access drives DRAM exactly as the
+    /// original did.
+    #[inline]
+    fn dram_access(&mut self, paddr: PhysAddr, now: Cycles) -> DramAccessOutcome {
+        let dram_access = self.dram.access(paddr, now);
+        for flip in &dram_access.flips {
+            if let Some(applied) = self.phys.apply_flip(flip) {
+                self.applied_flips.push(applied);
+            }
+        }
+        if let Some(log) = &mut self.dram_log {
+            log.push((paddr, now, dram_access.row_buffer));
+        }
+        dram_access
+    }
+
+    /// Replays one DRAM access at `now`, bypassing the caches: the DRAM
+    /// access and its flips exactly as [`MemorySubsystem::access_line`]
+    /// performs them on a full miss. Returns the row-buffer outcome.
+    pub fn replay_dram(&mut self, paddr: PhysAddr, now: Cycles) -> RowBufferOutcome {
+        self.dram_access(paddr, now).row_buffer
+    }
+
+    /// Starts recording every DRAM access, discarding any earlier record.
+    pub fn record_dram(&mut self) {
+        self.dram_log = Some(Vec::new());
+    }
+
+    /// Stops recording and returns the accesses recorded since
+    /// [`MemorySubsystem::record_dram`], timed from `start`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an access was recorded before `start`.
+    pub fn take_dram_record(&mut self, start: Cycles) -> Vec<DramRecord> {
+        self.dram_log
+            .take()
+            .unwrap_or_default()
+            .into_iter()
+            .map(|(addr, at, outcome)| DramRecord {
+                addr,
+                offset: at
+                    .as_u64()
+                    .checked_sub(start.as_u64())
+                    .expect("DRAM access recorded before the round started"),
+                outcome,
+            })
+            .collect()
     }
 
     /// Flushes the line containing `paddr` from every cache level.

@@ -58,5 +58,5 @@ mod translate;
 pub use config::{MmuConfig, PagingCacheConfig, TlbConfig, TlbIndexing};
 pub use paging_cache::{PagingStructureCache, PscLevel};
 pub use pte::{Pte, PteFlags};
-pub use tlb::{Tlb, TlbEntry, TlbHierarchy, TlbLevel, TlbPmc};
+pub use tlb::{Tlb, TlbEntry, TlbFootprint, TlbHierarchy, TlbLevel, TlbPmc};
 pub use translate::{Mmu, PageFault, TouchTranslation, TranslationResult, WalkLoad, WalkLoads};

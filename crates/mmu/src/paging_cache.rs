@@ -9,7 +9,7 @@
 
 use serde::Serialize;
 
-use pthammer_types::{PhysAddr, VirtAddr};
+use pthammer_types::{LaneAdvance, LaneSink, PhysAddr, VirtAddr};
 
 /// The paging-structure-cache level, named after the entry kind it caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
@@ -53,7 +53,7 @@ impl PscLevel {
 /// Tags live in their own dense array so the per-translation scan touches
 /// the minimum number of host cache lines; payloads (next-table base, LRU
 /// stamp) are looked up by index only on a hit.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PagingStructureCache {
     level: PscLevel,
     capacity: usize,
@@ -154,6 +154,26 @@ impl PagingStructureCache {
     pub fn flush_all(&mut self) {
         self.tags.clear();
         self.payloads.clear();
+    }
+
+    /// Records the whole cache as [`LaneSink`]: its entry count, tags and
+    /// next-table bases as discrete lanes, its tick and LRU stamps as
+    /// counter lanes.
+    pub fn read_lanes(&self, lanes: &mut impl LaneSink) {
+        lanes.discrete(self.tags.len() as u64);
+        for (&tag, (next_table, _)) in self.tags.iter().zip(&self.payloads) {
+            lanes.discrete(tag);
+            lanes.discrete(next_table.as_u64());
+        }
+        lanes.stamped(self.tick, self.payloads.iter().map(|&(_, stamp)| stamp));
+    }
+
+    /// Advances the counter lanes of [`PagingStructureCache::read_lanes`].
+    pub fn advance_lanes(&mut self, advance: &mut LaneAdvance) {
+        advance.stamped(
+            &mut self.tick,
+            self.payloads.iter_mut().map(|(_, stamp)| stamp),
+        );
     }
 }
 

@@ -5,7 +5,9 @@ use core::fmt;
 use serde::Serialize;
 
 use pthammer_cache::{SetStore, EMPTY_TAG};
-use pthammer_types::{PageSize, PhysAddr, VirtAddr, HUGE_PAGE_SIZE, PAGE_SIZE};
+use pthammer_types::{
+    LaneAdvance, LaneSink, PageSize, PhysAddr, VirtAddr, HUGE_PAGE_SIZE, PAGE_SIZE,
+};
 
 use crate::config::{MmuConfig, TlbConfig};
 use crate::pte::Pte;
@@ -87,7 +89,7 @@ impl fmt::Display for TlbPmc {
 /// set-operation kernel runs every per-way loop; the cached entries sit in
 /// a parallel array, read only on a hit — TLB lookups run on every
 /// simulated access, so this layout is on the simulator's hottest path.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Tlb {
     config: TlbConfig,
     /// Vpn tags and replacement state.
@@ -220,11 +222,45 @@ impl Tlb {
     pub fn occupancy(&self, set: u32) -> usize {
         self.store.occupancy(set as usize)
     }
+
+    /// Records `set` as [`LaneSink`]: its tags and replacement state (see
+    /// [`SetStore::read_set`]) and every way's cached entry as discrete
+    /// lanes.
+    pub fn read_set(&self, set: u32, lanes: &mut impl LaneSink) {
+        self.store.read_set(set as usize, lanes);
+        let ways = self.config.ways as usize;
+        for entry in &self.entries[set as usize * ways..(set as usize + 1) * ways] {
+            lanes.discrete(entry.vpn);
+            lanes.discrete(entry.frame.as_u64());
+            lanes.discrete(entry.pte.raw());
+            lanes.discrete(u64::from(entry.page_size == PageSize::Huge2M));
+        }
+    }
+
+    /// Advances `set`'s counter lanes, mirroring [`Tlb::read_set`].
+    pub fn advance_set(&mut self, set: u32, advance: &mut LaneAdvance) {
+        self.store.advance_set(set as usize, advance);
+    }
+}
+
+/// The TLB sets a group of virtual addresses maps to, per TLB.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TlbFootprint {
+    l1d: Vec<u32>,
+    l1d_huge: Vec<u32>,
+    l2s: Vec<u32>,
+}
+
+impl TlbFootprint {
+    /// Number of sets covered, over every TLB.
+    pub fn sets(&self) -> usize {
+        self.l1d.len() + self.l1d_huge.len() + self.l2s.len()
+    }
 }
 
 /// The full TLB hierarchy of one core: L1 dTLB (4 KiB), L1 dTLB (2 MiB) and a
 /// unified L2 sTLB for 4 KiB pages.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TlbHierarchy {
     l1d: Tlb,
     l1d_huge: Tlb,
@@ -329,6 +365,63 @@ impl TlbHierarchy {
         self.l1d.flush_all();
         self.l2s.flush_all();
         self.l1d_huge.flush_all();
+    }
+
+    /// The sets `vaddrs` map to in every TLB, each listed once.
+    pub fn footprint(&self, vaddrs: &[VirtAddr]) -> TlbFootprint {
+        let sets = |tlb: &Tlb, page: u64| {
+            let mut sets: Vec<u32> = vaddrs
+                .iter()
+                .map(|v| tlb.set_index(v.as_u64() / page))
+                .collect();
+            sets.sort_unstable();
+            sets.dedup();
+            sets
+        };
+        TlbFootprint {
+            l1d: sets(&self.l1d, PAGE_SIZE),
+            l1d_huge: sets(&self.l1d_huge, HUGE_PAGE_SIZE),
+            l2s: sets(&self.l2s, PAGE_SIZE),
+        }
+    }
+
+    /// Records the footprint's sets, each TLB's entry count and the
+    /// performance counters as [`LaneSink`].
+    pub fn read_footprint(&self, fp: &TlbFootprint, lanes: &mut impl LaneSink) {
+        for (tlb, sets) in self.levels(fp) {
+            sets.iter().for_each(|&set| tlb.read_set(set, lanes));
+            lanes.discrete(tlb.len() as u64);
+        }
+        for value in [self.pmc.lookups, self.pmc.l1_misses, self.pmc.walks] {
+            lanes.counter(value);
+        }
+    }
+
+    /// Advances the counter lanes of [`TlbHierarchy::read_footprint`].
+    pub fn advance_footprint(&mut self, fp: &TlbFootprint, advance: &mut LaneAdvance) {
+        for (tlb, sets) in [
+            (&mut self.l1d, &fp.l1d),
+            (&mut self.l1d_huge, &fp.l1d_huge),
+            (&mut self.l2s, &fp.l2s),
+        ] {
+            sets.iter().for_each(|&set| tlb.advance_set(set, advance));
+        }
+        for lane in [
+            &mut self.pmc.lookups,
+            &mut self.pmc.l1_misses,
+            &mut self.pmc.walks,
+        ] {
+            advance.counter(lane);
+        }
+    }
+
+    /// Each TLB with its footprint sets, in lane order.
+    fn levels<'a>(&'a self, fp: &'a TlbFootprint) -> [(&'a Tlb, &'a [u32]); 3] {
+        [
+            (&self.l1d, &fp.l1d),
+            (&self.l1d_huge, &fp.l1d_huge),
+            (&self.l2s, &fp.l2s),
+        ]
     }
 
     /// Probes whether any level holds a translation for `vaddr` without

@@ -4,15 +4,15 @@
 use serde::Serialize;
 
 use pthammer_types::{
-    Cycles, MemAccessOutcome, MemoryLevel, PageSize, PhysAddr, PhysicalMemoryAccess, VirtAddr,
-    PTE_SIZE,
+    Cycles, LaneAdvance, LaneSink, MemAccessOutcome, MemoryLevel, PageSize, PhysAddr,
+    PhysicalMemoryAccess, VirtAddr, PTE_SIZE,
 };
 
 use crate::{
     config::MmuConfig,
     paging_cache::{PagingStructureCache, PscLevel},
     pte::Pte,
-    tlb::{TlbEntry, TlbHierarchy, TlbLevel},
+    tlb::{TlbEntry, TlbFootprint, TlbHierarchy, TlbLevel},
 };
 
 /// One page-table-entry load issued by the hardware walker.
@@ -133,7 +133,7 @@ impl TranslationResult {
 }
 
 /// The memory-management unit of one core.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Mmu {
     config: MmuConfig,
     tlbs: TlbHierarchy,
@@ -199,6 +199,33 @@ impl Mmu {
         self.pde_cache.flush_all();
         self.pdpte_cache.flush_all();
         self.pml4e_cache.flush_all();
+    }
+
+    /// The TLB sets `vaddrs` map to (the paging-structure caches are small
+    /// and fully associative, so they are always read whole).
+    pub fn footprint(&self, vaddrs: &[VirtAddr]) -> TlbFootprint {
+        self.tlbs.footprint(vaddrs)
+    }
+
+    /// Records the footprint's TLB sets, the TLB counters and the three
+    /// paging-structure caches as [`LaneSink`].
+    pub fn read_footprint(&self, fp: &TlbFootprint, lanes: &mut impl LaneSink) {
+        self.tlbs.read_footprint(fp, lanes);
+        for psc in [&self.pde_cache, &self.pdpte_cache, &self.pml4e_cache] {
+            psc.read_lanes(lanes);
+        }
+    }
+
+    /// Advances the counter lanes of [`Mmu::read_footprint`].
+    pub fn advance_footprint(&mut self, fp: &TlbFootprint, advance: &mut LaneAdvance) {
+        self.tlbs.advance_footprint(fp, advance);
+        for psc in [
+            &mut self.pde_cache,
+            &mut self.pdpte_cache,
+            &mut self.pml4e_cache,
+        ] {
+            psc.advance_lanes(advance);
+        }
     }
 
     /// Translates `vaddr` under the address space rooted at `cr3`, issuing

@@ -364,7 +364,7 @@ mod tests {
             }
         }
         let armed = armed.expect("an armable 4-sided candidate");
-        let round = CompiledTrace::compile(&armed, strategy.round_ops(), &sys)
+        let round = CompiledTrace::compile(&armed, strategy.round_ops(), &sys, pid)
             .unwrap()
             .replay(&mut sys, pid)
             .unwrap();

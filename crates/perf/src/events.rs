@@ -89,6 +89,7 @@ mod tests {
                     low_dram_hits: 99,
                     high_dram_hits: 98,
                     aggressor_dram_hits: 0,
+                    ..HammerStats::default()
                 },
                 implicit_touches_per_round: 2,
             });

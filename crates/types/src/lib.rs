@@ -29,6 +29,7 @@ mod addr;
 mod cycles;
 mod flip;
 mod hash;
+mod lanes;
 mod page;
 
 pub use access::{AccessKind, MemAccessOutcome, MemoryLevel, PhysicalMemoryAccess};
@@ -36,6 +37,7 @@ pub use addr::{PhysAddr, VirtAddr};
 pub use cycles::Cycles;
 pub use flip::{CellOrientation, FlipDirection};
 pub use hash::{DetHashBuilder, DetHashMap, DetHashSet, DetHasher};
+pub use lanes::{Fingerprint, LaneAdvance, LaneSink, Lanes};
 pub use page::PageSize;
 
 /// Size of a base (4 KiB) page in bytes.

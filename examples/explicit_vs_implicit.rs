@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .armed
         .expect("single-sided arming accepts every pair");
     let ops = strategy.round_ops();
-    let mut trace = CompiledTrace::compile(&armed, ops, &sys)?;
+    let mut trace = CompiledTrace::compile(&armed, ops, &sys, pid)?;
     let start = sys.rdtsc();
     let stats = trace.hammer(&armed, ops, &mut sys, pid, 2_000, |_| {})?;
     let implicit_window = sys.rdtsc() - start;

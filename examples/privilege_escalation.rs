@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
             continue;
         };
-        let mut trace = CompiledTrace::compile(&armed, ops, &sys)?;
+        let mut trace = CompiledTrace::compile(&armed, ops, &sys, pid)?;
         let rounds = config.hammer_rounds_per_attempt;
         let stats = trace.hammer(&armed, ops, &mut sys, pid, rounds, |_| {})?;
         rounds_hammered += stats.rounds;
