@@ -7,7 +7,7 @@
 
 use serde::Serialize;
 
-use pthammer_types::{LaneAdvance, LaneSink, PhysAddr};
+use pthammer_types::{LaneSink, LaneSource, PhysAddr};
 
 use crate::kernel::{Probe, SetStore, EMPTY_TAG};
 use crate::replacement::ReplacementPolicy;
@@ -175,9 +175,9 @@ impl SetAssociativeCache {
         self.store.read_set(set as usize, lanes);
     }
 
-    /// Advances `set`'s counter lanes (see [`SetStore::advance_set`]).
-    pub fn advance_set(&mut self, set: u32, advance: &mut LaneAdvance) {
-        self.store.advance_set(set as usize, advance);
+    /// Writes `set` back from its lanes (see [`SetStore::write_set`]).
+    pub fn write_set(&mut self, set: u32, source: &mut LaneSource) {
+        self.store.write_set(set as usize, source);
     }
 }
 

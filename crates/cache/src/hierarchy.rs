@@ -2,7 +2,7 @@
 
 use serde::Serialize;
 
-use pthammer_types::{Cycles, LaneAdvance, LaneSink, MemoryLevel, PhysAddr};
+use pthammer_types::{Cycles, LaneSink, LaneSource, MemoryLevel, PhysAddr};
 
 use crate::{
     cache::SetAssociativeCache, config::CacheHierarchyConfig, pmc::CachePmc, slice::SliceHasher,
@@ -387,18 +387,16 @@ impl CacheHierarchy {
         self.pmc.read_lanes(lanes);
     }
 
-    /// Advances the counter lanes of [`CacheHierarchy::read_footprint`].
-    pub fn advance_footprint(&mut self, fp: &CacheFootprint, advance: &mut LaneAdvance) {
+    /// Writes back the lanes of [`CacheHierarchy::read_footprint`].
+    pub fn write_footprint(&mut self, fp: &CacheFootprint, source: &mut LaneSource) {
         fp.l1
             .iter()
-            .for_each(|&set| self.l1d.advance_set(set, advance));
-        fp.l2
-            .iter()
-            .for_each(|&set| self.l2.advance_set(set, advance));
+            .for_each(|&set| self.l1d.write_set(set, source));
+        fp.l2.iter().for_each(|&set| self.l2.write_set(set, source));
         for &(slice, set) in &fp.llc {
-            self.llc[slice as usize].advance_set(set, advance);
+            self.llc[slice as usize].write_set(set, source);
         }
-        self.pmc.advance_lanes(advance);
+        self.pmc.write_lanes(source);
     }
 
     /// Lookup latency charged when an access misses every level (the cost of

@@ -16,7 +16,7 @@ use core::ops::Range;
 
 use serde::Serialize;
 
-use pthammer_types::{LaneAdvance, LaneSink};
+use pthammer_types::{LaneSink, LaneSource};
 
 use crate::replacement::{ReplacementPolicy, ReplacementState};
 
@@ -402,15 +402,19 @@ impl SetStore {
         }
     }
 
-    /// Advances `set`'s counter lanes, mirroring [`SetStore::read_set`].
-    pub fn advance_set(&mut self, set: usize, advance: &mut LaneAdvance) {
+    /// Writes `set` back from lanes recorded by [`SetStore::read_set`].
+    pub fn write_set(&mut self, set: usize, source: &mut LaneSource) {
         let ways = self.assoc.ways() as usize;
-        let meta = &mut self.blocks[2 * ways * set + ways..2 * ways * (set + 1)];
-        let tick = self.states[set].tick_mut();
+        let (tags, meta) = self.blocks[2 * ways * set..2 * ways * (set + 1)].split_at_mut(ways);
+        tags.iter_mut().for_each(|tag| *tag = source.discrete());
+        let state = &mut self.states[set];
+        state.write_discrete(source);
         if self.policy.stamps() {
-            advance.stamped(tick, meta);
+            state.set_tick(source.counter());
+            meta.iter_mut().for_each(|word| *word = source.counter());
         } else {
-            advance.counter(tick);
+            meta.iter_mut().for_each(|word| *word = source.discrete());
+            state.set_tick(source.counter());
         }
     }
 }

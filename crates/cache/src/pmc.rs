@@ -4,7 +4,7 @@ use core::fmt;
 
 use serde::Serialize;
 
-use pthammer_types::{LaneAdvance, LaneSink};
+use pthammer_types::{LaneSink, LaneSource};
 
 /// Cache-related performance counters.
 ///
@@ -54,8 +54,8 @@ impl CachePmc {
         }
     }
 
-    /// Advances every counter, mirroring [`CachePmc::read_lanes`].
-    pub(crate) fn advance_lanes(&mut self, advance: &mut LaneAdvance) {
+    /// Writes back the lanes of [`CachePmc::read_lanes`].
+    pub(crate) fn write_lanes(&mut self, source: &mut LaneSource) {
         for lane in [
             &mut self.l1_accesses,
             &mut self.l1_misses,
@@ -63,7 +63,7 @@ impl CachePmc {
             &mut self.llc_accesses,
             &mut self.llc_misses,
         ] {
-            advance.counter(lane);
+            *lane = source.counter();
         }
     }
 

@@ -15,7 +15,7 @@
 
 use serde::Serialize;
 
-use pthammer_types::LaneSink;
+use pthammer_types::{LaneSink, LaneSource};
 
 use crate::kernel::{self, with_width, Assoc, Width};
 
@@ -64,15 +64,21 @@ impl ReplacementState {
         self.tick
     }
 
-    /// Mutable access to the LRU tick, for lane advances.
-    pub(crate) fn tick_mut(&mut self) -> &mut u64 {
-        &mut self.tick
+    /// Sets the LRU tick.
+    pub(crate) fn set_tick(&mut self, tick: u64) {
+        self.tick = tick;
     }
 
     /// Records the clock hand and the PRNG state as discrete lanes.
     pub(crate) fn read_discrete(&self, lanes: &mut impl LaneSink) {
         lanes.discrete(self.hand as u64);
         lanes.discrete(self.rng_state);
+    }
+
+    /// Writes back the lanes of [`ReplacementState::read_discrete`].
+    pub(crate) fn write_discrete(&mut self, source: &mut LaneSource) {
+        self.hand = usize::try_from(source.discrete()).expect("clock hand fits usize");
+        self.rng_state = source.discrete();
     }
 
     #[inline]

@@ -77,7 +77,7 @@ use std::rc::Rc;
 use pthammer_dram::RowBufferPolicy;
 use pthammer_kernel::{KernelError, Pid, System};
 use pthammer_machine::{DramRecord, Footprint, Machine};
-use pthammer_types::{DetHasher, Lanes, VirtAddr};
+use pthammer_types::{DetHasher, Lanes, LanesDiff, VirtAddr};
 
 use crate::error::AttackError;
 use crate::eviction::llc::LLC_EVICTION_PASSES;
@@ -121,6 +121,9 @@ pub struct CompiledTrace {
     faults_handled_at_compile: u64,
     /// The state a round of this trace can reach.
     footprint: Footprint,
+    /// Steady-state detection, carried from one [`CompiledTrace::hammer`]
+    /// call to the next while its period stays locked.
+    steady: SteadyState,
 }
 
 impl CompiledTrace {
@@ -180,6 +183,7 @@ impl CompiledTrace {
             steps,
             faults_handled_at_compile: sys.stats().faults_handled,
             footprint: Footprint::default(),
+            steady: SteadyState::default(),
         };
         trace.footprint = trace.derive_footprint(sys, pid)?;
         Ok(trace)
@@ -306,7 +310,7 @@ impl CompiledTrace {
         // Replayed DRAM accesses only reproduce their row-buffer outcomes
         // when those depend on the access order alone, not on idle time.
         let detect = sys.machine().config().dram.row_buffer_policy == RowBufferPolicy::OpenPage;
-        let mut steady = SteadyState::default();
+        let mut steady = std::mem::take(&mut self.steady).resumed(sys.machine(), &self.footprint);
         while stats.rounds < rounds {
             if self.is_stale(sys) {
                 *self = Self::compile(armed, ops, sys, pid)?;
@@ -346,50 +350,76 @@ impl CompiledTrace {
         if stats.rounds == 0 {
             stats.min_round_cycles = 0;
         }
+        self.steady = steady;
         Ok(stats)
     }
 
-    /// Runs whole periods of fast rounds, from the period's current phase,
-    /// until at most `budget` rounds are spent or a stop rule holds, handing
-    /// each round's outcome to `each`. Then extrapolates the footprint's
-    /// counters and the clock over the periods run. Returns how many rounds
-    /// ran.
+    /// Runs fast rounds of `period` from its current phase until at most
+    /// `budget` rounds are spent or a stop rule holds, handing each round's
+    /// outcome to `each`, then writes the footprint the rounds reached and
+    /// advances the clock. A period that keeps its phases may stop after
+    /// any round, one that does not after whole periods only. Returns how
+    /// many rounds ran.
     fn fast_forward(
         &self,
         sys: &mut System,
-        period: &Period,
+        period: &mut Period,
         budget: u64,
         mut each: impl FnMut(RoundOutcome),
     ) -> u64 {
-        let length = period.rounds.len() as u64;
-        if budget < length {
-            return 0;
-        }
-        let (dram, outcomes) = period.rotated();
-        let guard = sys.machine().fast_round_guard(&self.footprint, &dram);
+        let length = period.rounds.len();
+        let unit = if period.phases.is_some() { 1 } else { length };
+        let guard = sys.machine().fast_round_guard(
+            &self.footprint,
+            period.rounds.iter().flat_map(|round| round.dram.iter()),
+        );
+        // Without phases the run ends where it starts, whole periods on.
+        let start_lanes = period
+            .phases
+            .is_none()
+            .then(|| sys.machine().read_footprint(&self.footprint));
         let start = sys.rdtsc();
-        let mut done = 0u64;
-        while (done + 1) * length <= budget && !self.is_stale(sys) {
-            let period_start = done
-                .checked_mul(period.cycles)
-                .and_then(|elapsed| start.checked_add(elapsed))
-                .expect("fast-round clock overflows u64");
-            if !guard.admits(sys.machine().dram(), period_start) {
-                break;
+        let (mut clock, mut ran, mut periods) = (start, 0u64, 0u64);
+        'run: while ran + unit as u64 <= budget && !self.is_stale(sys) {
+            let mut at = clock;
+            for i in 0..unit {
+                let round = &period.rounds[(period.phase + i) % length];
+                let last = round.dram.last().map_or(0, |record| record.offset);
+                let last = at
+                    .checked_add(last)
+                    .expect("fast-round clock overflows u64");
+                if !guard.admits(sys.machine().dram(), last) {
+                    break 'run;
+                }
+                at += round.outcome.cycles;
             }
-            sys.machine_mut().replay_dram_round(&dram, period_start);
-            outcomes.iter().copied().for_each(&mut each);
-            done += 1;
+            for _ in 0..unit {
+                let round = &period.rounds[period.phase];
+                sys.machine_mut().replay_dram_round(&round.dram, clock);
+                each(round.outcome);
+                clock = clock
+                    .checked_add(round.outcome.cycles)
+                    .expect("fast-round clock overflows u64");
+                let before = period.periods;
+                period.advance();
+                periods += period.periods - before;
+            }
+            ran += unit as u64;
         }
-        if done > 0 {
-            sys.machine_mut()
-                .advance_footprint(&self.footprint, &period.delta, done);
-            sys.advance_cycles(
-                done.checked_mul(period.cycles)
-                    .expect("fast-round clock overflows u64"),
-            );
+        if ran > 0 {
+            let machine = sys.machine_mut();
+            match (start_lanes, period.footprint_at_phase()) {
+                (Some(lanes), _) => {
+                    machine.write_footprint(&self.footprint, &lanes, &period.delta, periods)
+                }
+                (None, Some(lanes)) => {
+                    machine.write_footprint(&self.footprint, &lanes, &period.delta, period.periods)
+                }
+                (None, None) => unreachable!("a period keeps its phases or runs whole"),
+            }
+            sys.advance_cycles(clock - start);
         }
-        done * length
+        ran
     }
 
     /// The original round loop, stepping every iteration in full: the
@@ -432,7 +462,7 @@ impl CompiledTrace {
 const MAX_PERIOD: usize = 512;
 
 /// A stepped round, as the detector remembers it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Stepped {
     /// A hash of `dram` and `outcome`, compared before them.
     key: u64,
@@ -491,19 +521,38 @@ impl Stepped {
     }
 }
 
+/// The most lanes a locked period keeps to rebuild the footprint at every
+/// phase (about a hundred per round on the CI machines); a longer period
+/// runs fast in whole periods only.
+const MAX_PHASE_LANES: usize = 24_576;
+
 /// A candidate period: the rounds stepped since the footprint snapshot
 /// `start`, while waiting for the footprint to come back to it and then
 /// for a second period to repeat the first.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Candidate {
     start: Lanes,
     start_print: u64,
     /// Rounds of the first period, in order.
     rounds: Vec<Stepped>,
-    /// Once the footprint came back to `start`'s discrete lanes: the
-    /// snapshot there, the counter growth over the first period, and the
-    /// fingerprints at the end of each round of the second period so far.
-    first: Option<(Lanes, Vec<u64>, Vec<u64>)>,
+    /// The second period, once the footprint came back to `start`.
+    second: Option<Second>,
+}
+
+/// The second period of a candidate, verified round by round.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Second {
+    /// The footprint where the first period ended: phase 0.
+    anchor: Lanes,
+    /// The counter growth over the first period.
+    delta: Vec<u64>,
+    /// The footprint after the last verified round.
+    last: Lanes,
+    /// The footprint's fingerprint at each phase reached so far.
+    prints: Vec<u64>,
+    /// Diffs turning the footprint at phase `j` into phase `j + 1`, while
+    /// they fit in [`MAX_PHASE_LANES`].
+    steps: Option<Vec<LanesDiff>>,
 }
 
 /// What a candidate does with a stepped round.
@@ -522,20 +571,26 @@ impl Candidate {
             start_print: start.fingerprint(),
             start,
             rounds: Vec::new(),
-            first: None,
+            second: None,
         }
     }
 
-    /// Takes in the next stepped round and the footprint's fingerprint
-    /// after it; `read` reads the whole footprint when a comparison needs
-    /// more than the fingerprint.
-    fn step(&mut self, round: Stepped, print: u64, read: impl FnOnce() -> Lanes) -> Verdict {
-        let Some((first_end, delta, prints)) = &mut self.first else {
+    /// Takes in the next stepped round; `machine` and `fp` read the
+    /// footprint after it (its fingerprint during the first period, all of
+    /// it during the second).
+    fn step(&mut self, round: Stepped, machine: &Machine, fp: &Footprint) -> Verdict {
+        let Some(second) = &mut self.second else {
             self.rounds.push(round);
-            if print == self.start_print {
-                let lanes = read();
+            if machine.footprint_fingerprint(fp) == self.start_print {
+                let lanes = machine.read_footprint(fp);
                 if let Some(delta) = lanes.delta_since(&self.start) {
-                    self.first = Some((lanes, delta, Vec::new()));
+                    self.second = Some(Second {
+                        anchor: lanes.clone(),
+                        delta,
+                        last: lanes,
+                        prints: vec![self.start_print],
+                        steps: Some(Vec::new()),
+                    });
                     return Verdict::Pending;
                 }
             }
@@ -545,7 +600,8 @@ impl Candidate {
                 Verdict::Restart
             };
         };
-        let earlier = &mut self.rounds[prints.len()];
+        let phase = second.prints.len() - 1;
+        let earlier = &mut self.rounds[phase];
         if !round.matches(earlier) || (round.rolled && earlier.rolled) {
             return Verdict::Restart;
         }
@@ -553,59 +609,73 @@ impl Candidate {
             // Keep the steady version of the round for replay.
             *earlier = round;
         }
-        prints.push(print);
-        if prints.len() < self.rounds.len() {
+        let lanes = machine.read_footprint(fp);
+        let step = lanes.diff_from(&second.last);
+        second.steps = second.steps.take().and_then(|mut steps| {
+            steps.push(step?);
+            (steps.iter().map(LanesDiff::len).sum::<usize>() <= MAX_PHASE_LANES).then_some(steps)
+        });
+        second.last = lanes;
+        if phase + 1 < self.rounds.len() {
+            second.prints.push(second.last.fingerprint());
             return Verdict::Pending;
         }
-        if read().delta_since(first_end).as_ref() != Some(&*delta) {
+        if second.last.delta_since(&second.anchor).as_ref() != Some(&second.delta) {
             return Verdict::Restart;
         }
-        // The last fingerprint closes the period: it is phase 0's.
-        prints.rotate_right(1);
+        let second = self.second.take().expect("verified second period");
         Verdict::Locked(Period {
-            cycles: self.rounds.iter().map(|r| r.outcome.cycles).sum(),
             rounds: std::mem::take(&mut self.rounds),
-            prints: std::mem::take(prints),
-            delta: std::mem::take(delta),
+            prints: second.prints,
+            delta: second.delta,
+            phases: second.steps.map(|steps| (second.anchor, steps)),
             phase: 0,
+            periods: 1,
         })
     }
 }
 
-/// A steady period: the rounds every run of fast rounds replays, whole
-/// periods at a time, starting from the phase the loop stands at.
-#[derive(Debug)]
+/// A steady period: the rounds every run of fast rounds replays, from the
+/// phase the loop stands at.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Period {
     /// The period's rounds, in order.
     rounds: Vec<Stepped>,
     /// The footprint's fingerprint at each phase: `prints[j]` before round
     /// `j`.
     prints: Vec<u64>,
-    /// Simulated cycles of one period.
-    cycles: u64,
     /// The footprint's counter growth over one period.
     delta: Vec<u64>,
+    /// The footprint at phase 0 of the verified period and the diffs that
+    /// rebuild it at every later phase, when they fit: with them a run of
+    /// fast rounds may stop at any phase, without them only after whole
+    /// periods.
+    phases: Option<(Lanes, Vec<LanesDiff>)>,
     /// The round the loop stands before.
     phase: usize,
+    /// Whole periods the loop stands past the verified one.
+    periods: u64,
 }
 
 impl Period {
-    /// The period's DRAM accesses, timed from its start, and its outcomes,
-    /// rotated to start at the current phase.
-    fn rotated(&self) -> (Vec<DramRecord>, Vec<RoundOutcome>) {
-        let mut dram = Vec::new();
-        let mut outcomes = Vec::with_capacity(self.rounds.len());
-        let mut offset = 0;
-        let (tail, head) = self.rounds.split_at(self.phase);
-        for round in head.iter().chain(tail) {
-            dram.extend(round.dram.iter().map(|record| DramRecord {
-                offset: offset + record.offset,
-                ..*record
-            }));
-            outcomes.push(round.outcome);
-            offset += round.outcome.cycles;
+    /// Moves the loop one round on.
+    fn advance(&mut self) {
+        self.phase += 1;
+        if self.phase == self.rounds.len() {
+            self.phase = 0;
+            self.periods += 1;
         }
-        (dram, outcomes)
+    }
+
+    /// The footprint at the current phase of the verified period, when the
+    /// period keeps its phases.
+    fn footprint_at_phase(&self) -> Option<Lanes> {
+        let (anchor, steps) = self.phases.as_ref()?;
+        let mut lanes = anchor.clone();
+        steps[..self.phase]
+            .iter()
+            .for_each(|step| lanes.apply(step));
+        Some(lanes)
     }
 }
 
@@ -626,7 +696,7 @@ impl Period {
 /// stands at. A round stepped in between (across a stop rule) that does not
 /// repeat its phase's round exactly must bring the footprint to its phase's
 /// fingerprint, or detection starts over.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct SteadyState {
     /// Keys of the last [`MAX_PERIOD`] stepped rounds, while no candidate
     /// runs.
@@ -654,7 +724,7 @@ impl SteadyState {
             // A round that repeats its phase's round exactly leaves the
             // footprint where the period does; any other must be checked.
             let repeated = round.repeats(&period.rounds[period.phase]);
-            period.phase = (period.phase + 1) % period.rounds.len();
+            period.advance();
             if !repeated && machine.footprint_fingerprint(fp) != period.prints[period.phase] {
                 *self = Self::default();
             }
@@ -672,8 +742,7 @@ impl SteadyState {
             }
             return;
         };
-        let print = machine.footprint_fingerprint(fp);
-        match candidate.step(round, print, || machine.read_footprint(fp)) {
+        match candidate.step(round, machine, fp) {
             Verdict::Pending => {}
             Verdict::Locked(period) => {
                 self.locked = Some(period);
@@ -684,8 +753,30 @@ impl SteadyState {
     }
 
     /// The locked period.
-    fn ready(&self) -> Option<&Period> {
-        self.locked.as_ref()
+    fn ready(&mut self) -> Option<&mut Period> {
+        self.locked.as_mut()
+    }
+
+    /// The detector for a new hammer call on the same trace: only a locked
+    /// period carries over, and only if the footprint still stands exactly
+    /// where the period left it (the caller may have run anything since).
+    fn resumed(self, machine: &Machine, fp: &Footprint) -> Self {
+        let Some(period) = self.locked else {
+            return Self::default();
+        };
+        let stands = period.footprint_at_phase().is_some_and(|expected| {
+            let grown = machine.read_footprint(fp).delta_since(&expected);
+            grown.is_some_and(|grown| {
+                grown
+                    .iter()
+                    .zip(&period.delta)
+                    .all(|(&grown, &delta)| delta.checked_mul(period.periods) == Some(grown))
+            })
+        });
+        Self {
+            locked: stands.then_some(period),
+            ..Self::default()
+        }
     }
 }
 
@@ -1169,18 +1260,28 @@ mod fast_forward_tests {
     }
 
     /// The budget runs out while the loop is fast-forwarding: the fast twin
-    /// stops exactly at the budget, mid-run, and the next call picks up
-    /// from a state identical to the oracle's.
+    /// stops exactly at the budget, mid-run, and the next call on the trace
+    /// carries on fast from a state identical to the oracle's — unless the
+    /// caller touched the footprint in between.
     #[test]
     fn a_budget_ending_mid_run_stops_exactly() {
         let mut twins = Twins::new(Board::CiSmall, HammerMode::ImplicitDoubleSided, 1);
-        for rounds in [277, 1, 95] {
+        let stats = twins.hammer(277);
+        assert!(stats.fast_forwarded_rounds > 0);
+        for rounds in [1, 10, 95] {
             let stats = twins.hammer(rounds);
-            assert_eq!(stats.rounds, rounds);
+            assert_eq!(stats.fast_forwarded_rounds, rounds, "the lock carried over");
+        }
+        for twin in [&mut twins.fast, &mut twins.stepped] {
+            let low = twin.armed.pair.low;
+            twin.sys.access(twin.pid, low).expect("touch");
         }
         let stats = twins.hammer(333);
         assert!(stats.fast_forwarded_rounds > 0);
-        assert!(stats.fast_forwarded_rounds < 333);
+        assert!(
+            stats.fast_forwarded_rounds < 333,
+            "the touch unlocked the period"
+        );
     }
 
     /// A run long enough to cross several refresh-window boundaries: fast

@@ -3,7 +3,7 @@
 
 use serde::Serialize;
 
-use pthammer_types::{Cycles, DetHashMap, DetHashSet};
+use pthammer_types::{Cycles, DetHashSet};
 
 use crate::{
     row_buffer::{RowBuffer, RowBufferOutcome, RowBufferPolicy},
@@ -51,13 +51,50 @@ pub struct Bank {
     emitted: DetHashSet<(u32, u32)>,
     #[serde(skip)]
     trr_sampler: TrrSampler,
-    /// Memo of the lowest threshold among each disturbed row's weak cells
-    /// not yet emitted this window (`u32::MAX` when none is left): a
-    /// victim whose disturbance stays below it cannot flip, so its weak
-    /// cells are not derived again. Derived from `emitted` and the flip
-    /// model; cleared with the window.
+    /// Memo of the disturbance at which recently disturbed rows flip next,
+    /// derived from `emitted` and the flip model; cleared with the window.
     #[serde(skip)]
-    next_flip: DetHashMap<u32, u32>,
+    next_flip: FlipMemo,
+}
+
+/// A direct-mapped memo of victim rows' next flip thresholds: the lowest
+/// threshold among a row's weak cells not yet emitted this window
+/// (`u32::MAX` when none is left). A victim whose disturbance stays below it
+/// cannot flip, so its weak cells need not be derived again on every
+/// activation next to it.
+#[derive(Debug, Clone)]
+struct FlipMemo {
+    /// `(row, threshold)` in slot `row % FlipMemo::SLOTS`; `EMPTY` rows
+    /// mark free slots.
+    slots: Box<[(u32, u32)]>,
+}
+
+impl FlipMemo {
+    const SLOTS: usize = 256;
+    const EMPTY: (u32, u32) = (u32::MAX, 0);
+
+    #[inline]
+    fn get(&self, row: u32) -> Option<u32> {
+        let (memo_row, threshold) = self.slots[row as usize % Self::SLOTS];
+        (memo_row == row).then_some(threshold)
+    }
+
+    #[inline]
+    fn set(&mut self, row: u32, threshold: u32) {
+        self.slots[row as usize % Self::SLOTS] = (row, threshold);
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(Self::EMPTY);
+    }
+}
+
+impl Default for FlipMemo {
+    fn default() -> Self {
+        Self {
+            slots: vec![Self::EMPTY; Self::SLOTS].into_boxed_slice(),
+        }
+    }
 }
 
 /// A restorable snapshot of a bank's hammer-relevant state: row buffer,
@@ -85,7 +122,7 @@ impl Bank {
             row_state: RowStateSoA::new(rows),
             emitted: DetHashSet::default(),
             trr_sampler: TrrSampler::default(),
-            next_flip: DetHashMap::default(),
+            next_flip: FlipMemo::default(),
         }
     }
 
@@ -247,12 +284,19 @@ impl Bank {
                 if disturbance < flip_model.profile().min_threshold {
                     continue;
                 }
-                let (emitted, unit_id) = (&self.emitted, self.unit_id);
-                let next_flip = self.next_flip.entry(victim).or_insert_with(|| {
-                    Self::lowest_pending(emitted, unit_id, victim, flip_model, |_| true)
-                        .unwrap_or(u32::MAX)
+                let next_flip = self.next_flip.get(victim).unwrap_or_else(|| {
+                    let next = Self::lowest_pending(
+                        &self.emitted,
+                        self.unit_id,
+                        victim,
+                        flip_model,
+                        |_| true,
+                    )
+                    .unwrap_or(u32::MAX);
+                    self.next_flip.set(victim, next);
+                    next
                 });
-                if disturbance < *next_flip {
+                if disturbance < next_flip {
                     continue;
                 }
                 for (idx, cell) in flip_model
@@ -266,7 +310,7 @@ impl Bank {
                 }
                 let pending =
                     Self::lowest_pending(&self.emitted, self.unit_id, victim, flip_model, |_| true);
-                self.next_flip.insert(victim, pending.unwrap_or(u32::MAX));
+                self.next_flip.set(victim, pending.unwrap_or(u32::MAX));
             }
         }
 

@@ -7,8 +7,9 @@
 //! paging-structure cache the addresses and their page-walk loads map to,
 //! the page-table entries those walks read, and the DRAM banks and rows
 //! all of those lines sit in. [`Machine::read_footprint`] reads that state
-//! as [`Lanes`](pthammer_types::Lanes); [`Machine::advance_footprint`] adds whole rounds of a
-//! measured per-round delta back onto it.
+//! as [`Lanes`](pthammer_types::Lanes), and [`Machine::write_footprint`]
+//! writes such a snapshot back, grown by whole periods of a measured
+//! per-period delta.
 //!
 //! A fast round replays only a recorded round's DRAM accesses
 //! ([`DramRecord`]) through the unchanged bank model. A
@@ -108,36 +109,38 @@ pub(crate) fn walk(
     unreachable!("the walk ends at level 1")
 }
 
-/// The limits one fast round of a recorded round must stay within. Built
-/// by [`Machine::fast_round_guard`] when a run of fast rounds starts.
+/// The limits fast rounds replaying recorded rounds must stay within.
+/// Built by [`Machine::fast_round_guard`] when a run of fast rounds starts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FastRoundGuard {
-    /// The earliest refresh-window end among the banks the round accesses.
+    /// The earliest refresh-window end among the banks the rounds access.
     deadline: u64,
-    /// Offset of the round's last DRAM access.
-    last_offset: u64,
-    /// Rows the round's activations disturb that hold a byte the round
-    /// reads with a weak cell left to flip.
+    /// Rows the rounds' activations disturb that hold a byte the rounds
+    /// read with a weak cell left to flip.
     watch: Vec<RowWatch>,
 }
 
-/// A row holding bytes the round reads, which the round disturbs.
+/// A row holding bytes the rounds read, which the rounds disturb.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RowWatch {
     unit: u32,
     row: u32,
-    /// Activations of the row's neighbours per round: the most its
-    /// disturbance can grow in one round.
+    /// Activations of the row's neighbours over all the rounds: at least
+    /// the most its disturbance can grow in one of them.
     adjacent_activations: u32,
-    /// The disturbance at which a byte the round reads flips next.
+    /// The disturbance at which a byte the rounds read flips next.
     threshold: u32,
 }
 
 impl FastRoundGuard {
-    pub(crate) fn new(dram: &DramModule, footprint: &Footprint, round: &[DramRecord]) -> Self {
+    pub(crate) fn new<'a>(
+        dram: &DramModule,
+        footprint: &Footprint,
+        records: impl IntoIterator<Item = &'a DramRecord>,
+    ) -> Self {
         let mut deadline = u64::MAX;
         let mut activated = Vec::new();
-        for record in round {
+        for record in records {
             let location = dram.locate(record.addr);
             let unit = dram.bank_unit(&location);
             deadline = deadline.min(dram.window_end(unit).as_u64());
@@ -168,21 +171,15 @@ impl FastRoundGuard {
                 });
             }
         }
-        Self {
-            deadline,
-            last_offset: round.iter().map(|r| r.offset).max().unwrap_or(0),
-            watch,
-        }
+        Self { deadline, watch }
     }
 
-    /// True when a fast round starting at cycle `round_start` is exact: its
-    /// last DRAM access comes before every accessed bank's refresh-window
-    /// end, and no read row can reach its next flip threshold during it.
-    pub fn admits(&self, dram: &DramModule, round_start: u64) -> bool {
-        let before_refresh = round_start
-            .checked_add(self.last_offset)
-            .is_some_and(|last| last < self.deadline);
-        before_refresh
+    /// True when a fast round whose last DRAM access comes at cycle
+    /// `last_access` is exact: that access comes before every accessed
+    /// bank's refresh-window end, and no byte the round reads can flip
+    /// during it.
+    pub fn admits(&self, dram: &DramModule, last_access: u64) -> bool {
+        last_access < self.deadline
             && self.watch.iter().all(|w| {
                 dram.banks()[w.unit as usize]
                     .disturbance_of(w.row)

@@ -6,7 +6,7 @@ use pthammer_cache::{CacheHierarchy, CachePmc};
 use pthammer_dram::{DramModule, DramStats};
 use pthammer_mmu::{Mmu, PageFault, PscLevel, TlbLevel, TlbPmc};
 use pthammer_types::{
-    AccessKind, Cycles, Fingerprint, LaneAdvance, LaneSink, Lanes, MemoryLevel, PhysAddr, VirtAddr,
+    AccessKind, Cycles, Fingerprint, LaneSink, LaneSource, Lanes, MemoryLevel, PhysAddr, VirtAddr,
 };
 
 use crate::config::MachineConfig;
@@ -422,21 +422,34 @@ impl Machine {
         }
     }
 
-    /// Adds `rounds` copies of `delta` — the per-round growth of the
-    /// counter lanes of [`Machine::read_footprint`] — to the footprint's
-    /// state: replacement ticks, LRU stamps and performance counters.
+    /// Writes `lanes`, a [`Machine::read_footprint`] snapshot of `fp`,
+    /// back into the footprint's TLB, paging-structure and cache sets and
+    /// performance counters, each counter grown by `periods` copies of its
+    /// `delta`. The page-table entries and open rows the snapshot also
+    /// holds are left as they are: the entries must not have changed, and
+    /// DRAM is never written back.
     ///
     /// # Panics
     ///
-    /// Panics if a counter would overflow `u64`, or `delta` does not match
-    /// the footprint's counter lanes.
-    pub fn advance_footprint(&mut self, fp: &Footprint, delta: &[u64], rounds: u64) {
-        let mut advance = LaneAdvance::new(delta, rounds);
-        self.mmu.advance_footprint(&fp.tlbs, &mut advance);
+    /// Panics if `lanes` or `delta` does not match the footprint's layout,
+    /// a page-table entry changed, or a counter would overflow `u64`.
+    pub fn write_footprint(&mut self, fp: &Footprint, lanes: &Lanes, delta: &[u64], periods: u64) {
+        let mut source = LaneSource::new(lanes, delta, periods);
+        self.mmu.write_footprint(&fp.tlbs, &mut source);
         self.mem
             .caches_mut()
-            .advance_footprint(&fp.caches, &mut advance);
-        advance.finish();
+            .write_footprint(&fp.caches, &mut source);
+        for &(entry, _) in &fp.walk_entries {
+            assert_eq!(
+                source.discrete(),
+                self.phys_read_u64(entry),
+                "a page-table entry of the footprint changed"
+            );
+        }
+        for _ in &fp.banks {
+            source.discrete();
+        }
+        source.finish();
     }
 
     /// Starts recording every DRAM access (see [`Machine::take_dram_record`]).
@@ -450,10 +463,14 @@ impl Machine {
         self.mem.take_dram_record(Cycles::new(start))
     }
 
-    /// The stop conditions for fast rounds replaying `round`, a recorded
-    /// round over `fp`, from the current DRAM state.
-    pub fn fast_round_guard(&self, fp: &Footprint, round: &[DramRecord]) -> FastRoundGuard {
-        FastRoundGuard::new(self.mem.dram(), fp, round)
+    /// The stop conditions for fast rounds replaying `records`, the DRAM
+    /// accesses of recorded rounds over `fp`, from the current DRAM state.
+    pub fn fast_round_guard<'a>(
+        &self,
+        fp: &Footprint,
+        records: impl IntoIterator<Item = &'a DramRecord>,
+    ) -> FastRoundGuard {
+        FastRoundGuard::new(self.mem.dram(), fp, records)
     }
 
     /// Replays `round`'s DRAM accesses for a round starting at cycle

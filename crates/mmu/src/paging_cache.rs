@@ -9,7 +9,7 @@
 
 use serde::Serialize;
 
-use pthammer_types::{LaneAdvance, LaneSink, PhysAddr, VirtAddr};
+use pthammer_types::{LaneSink, LaneSource, PhysAddr, VirtAddr};
 
 /// The paging-structure-cache level, named after the entry kind it caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
@@ -168,12 +168,20 @@ impl PagingStructureCache {
         lanes.stamped(self.tick, self.payloads.iter().map(|&(_, stamp)| stamp));
     }
 
-    /// Advances the counter lanes of [`PagingStructureCache::read_lanes`].
-    pub fn advance_lanes(&mut self, advance: &mut LaneAdvance) {
-        advance.stamped(
-            &mut self.tick,
-            self.payloads.iter_mut().map(|(_, stamp)| stamp),
-        );
+    /// Writes the whole cache back from lanes recorded by
+    /// [`PagingStructureCache::read_lanes`].
+    pub fn write_lanes(&mut self, source: &mut LaneSource) {
+        let len = usize::try_from(source.discrete()).expect("entry count fits usize");
+        self.tags.clear();
+        self.payloads.clear();
+        for _ in 0..len {
+            self.tags.push(source.discrete());
+            self.payloads.push((PhysAddr::new(source.discrete()), 0));
+        }
+        self.tick = source.counter();
+        for (_, stamp) in &mut self.payloads {
+            *stamp = source.counter();
+        }
     }
 }
 

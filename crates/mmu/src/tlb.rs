@@ -6,7 +6,7 @@ use serde::Serialize;
 
 use pthammer_cache::{SetStore, EMPTY_TAG};
 use pthammer_types::{
-    LaneAdvance, LaneSink, PageSize, PhysAddr, VirtAddr, HUGE_PAGE_SIZE, PAGE_SIZE,
+    LaneSink, LaneSource, PageSize, PhysAddr, VirtAddr, HUGE_PAGE_SIZE, PAGE_SIZE,
 };
 
 use crate::config::{MmuConfig, TlbConfig};
@@ -237,9 +237,20 @@ impl Tlb {
         }
     }
 
-    /// Advances `set`'s counter lanes, mirroring [`Tlb::read_set`].
-    pub fn advance_set(&mut self, set: u32, advance: &mut LaneAdvance) {
-        self.store.advance_set(set as usize, advance);
+    /// Writes `set` back from lanes recorded by [`Tlb::read_set`].
+    pub fn write_set(&mut self, set: u32, source: &mut LaneSource) {
+        self.store.write_set(set as usize, source);
+        let ways = self.config.ways as usize;
+        for entry in &mut self.entries[set as usize * ways..(set as usize + 1) * ways] {
+            entry.vpn = source.discrete();
+            entry.frame = PhysAddr::new(source.discrete());
+            entry.pte = Pte::from_raw(source.discrete());
+            entry.page_size = if source.discrete() == 1 {
+                PageSize::Huge2M
+            } else {
+                PageSize::Base4K
+            };
+        }
     }
 }
 
@@ -397,21 +408,22 @@ impl TlbHierarchy {
         }
     }
 
-    /// Advances the counter lanes of [`TlbHierarchy::read_footprint`].
-    pub fn advance_footprint(&mut self, fp: &TlbFootprint, advance: &mut LaneAdvance) {
+    /// Writes back the lanes of [`TlbHierarchy::read_footprint`].
+    pub fn write_footprint(&mut self, fp: &TlbFootprint, source: &mut LaneSource) {
         for (tlb, sets) in [
             (&mut self.l1d, &fp.l1d),
             (&mut self.l1d_huge, &fp.l1d_huge),
             (&mut self.l2s, &fp.l2s),
         ] {
-            sets.iter().for_each(|&set| tlb.advance_set(set, advance));
+            sets.iter().for_each(|&set| tlb.write_set(set, source));
+            tlb.len = usize::try_from(source.discrete()).expect("entry count fits usize");
         }
         for lane in [
             &mut self.pmc.lookups,
             &mut self.pmc.l1_misses,
             &mut self.pmc.walks,
         ] {
-            advance.counter(lane);
+            *lane = source.counter();
         }
     }
 

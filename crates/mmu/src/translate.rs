@@ -4,7 +4,7 @@
 use serde::Serialize;
 
 use pthammer_types::{
-    Cycles, LaneAdvance, LaneSink, MemAccessOutcome, MemoryLevel, PageSize, PhysAddr,
+    Cycles, LaneSink, LaneSource, MemAccessOutcome, MemoryLevel, PageSize, PhysAddr,
     PhysicalMemoryAccess, VirtAddr, PTE_SIZE,
 };
 
@@ -216,15 +216,15 @@ impl Mmu {
         }
     }
 
-    /// Advances the counter lanes of [`Mmu::read_footprint`].
-    pub fn advance_footprint(&mut self, fp: &TlbFootprint, advance: &mut LaneAdvance) {
-        self.tlbs.advance_footprint(fp, advance);
+    /// Writes back the lanes of [`Mmu::read_footprint`].
+    pub fn write_footprint(&mut self, fp: &TlbFootprint, source: &mut LaneSource) {
+        self.tlbs.write_footprint(fp, source);
         for psc in [
             &mut self.pde_cache,
             &mut self.pdpte_cache,
             &mut self.pml4e_cache,
         ] {
-            psc.advance_lanes(advance);
+            psc.write_lanes(source);
         }
     }
 

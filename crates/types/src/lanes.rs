@@ -1,16 +1,18 @@
 //! Flat lane snapshots of simulated state, for detecting a steady state
 //! and extrapolating through it.
 //!
-//! A [`Lanes`] snapshot reads a piece of simulated state as two kinds of
-//! lane. *Discrete* lanes (tags, valid bits, policy bits, table contents,
-//! open rows) must repeat exactly. *Counter* lanes (replacement ticks, LRU
-//! stamps, performance counters, the clock) may grow. Two snapshots taken
-//! one round apart give a per-counter delta ([`Lanes::delta_since`]), and a
-//! [`LaneAdvance`] adds a whole number of such deltas back onto the live
-//! state, visiting the counters in the order the snapshot recorded them.
+//! State is read through a [`LaneSink`] as two kinds of lane. *Discrete*
+//! lanes (tags, valid bits, policy bits, table contents, open rows) must
+//! repeat exactly. *Counter* lanes (replacement ticks, LRU stamps,
+//! performance counters) may grow. A [`Lanes`] snapshot keeps both kinds;
+//! a [`Fingerprint`] hashes the discrete ones. Two snapshots taken a period
+//! apart give a per-counter delta ([`Lanes::delta_since`]), and a
+//! [`LaneSource`] hands a snapshot back, grown by whole periods of that
+//! delta, to the code that writes it into the live state in the order it
+//! was read. A [`LanesDiff`] keeps a run of nearby snapshots compactly.
 //!
 //! LRU stamps are recorded as a group with the tick that issues them
-//! ([`Lanes::stamped`]). A delta is only accepted when each stamp of a
+//! ([`LaneSink::stamped`]). A delta is only accepted when each stamp of a
 //! group either stayed put or advanced by exactly its tick's delta: then
 //! the stamps written during the round all exceed the ones left alone, in
 //! both snapshots, and the stamps' order — all an LRU victim choice reads —
@@ -132,56 +134,131 @@ impl LaneSink for Fingerprint {
     fn stamped(&mut self, _: u64, _: impl IntoIterator<Item = u64>) {}
 }
 
-/// Adds `rounds` copies of a per-round counter delta onto live state, one
-/// counter lane at a time, in the order a [`Lanes`] snapshot recorded them.
+/// The lanes of a [`Lanes`] snapshot, handed back one at a time in the
+/// order they were recorded, each counter grown by `periods` copies of a
+/// per-period delta: the state to write back, lane by lane, by the same
+/// code path that read it.
 #[derive(Debug)]
-pub struct LaneAdvance<'a> {
-    deltas: core::slice::Iter<'a, u64>,
-    rounds: u64,
+pub struct LaneSource<'a> {
+    discrete: core::slice::Iter<'a, u64>,
+    counters: core::iter::Zip<core::slice::Iter<'a, u64>, core::slice::Iter<'a, u64>>,
+    periods: u64,
 }
 
-impl<'a> LaneAdvance<'a> {
-    /// Prepares to add `rounds × deltas[i]` to the `i`-th counter lane.
-    pub fn new(deltas: &'a [u64], rounds: u64) -> Self {
-        Self {
-            deltas: deltas.iter(),
-            rounds,
-        }
-    }
-
-    /// Advances the next counter lane.
+impl<'a> LaneSource<'a> {
+    /// Hands back `lanes`, adding `periods × delta[i]` to counter `i`.
     ///
     /// # Panics
     ///
-    /// Panics when the lane would overflow `u64`, or when more lanes are
-    /// visited than the snapshot recorded.
+    /// Panics if `delta` does not have one entry per counter lane.
+    pub fn new(lanes: &'a Lanes, delta: &'a [u64], periods: u64) -> Self {
+        assert_eq!(
+            lanes.counters.len(),
+            delta.len(),
+            "one delta per counter lane"
+        );
+        Self {
+            discrete: lanes.discrete.iter(),
+            counters: lanes.counters.iter().zip(delta),
+            periods,
+        }
+    }
+
+    /// The next discrete lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics when more discrete lanes are taken than were recorded.
     #[inline]
-    pub fn counter(&mut self, lane: &mut u64) {
-        let delta = self
-            .deltas
+    pub fn discrete(&mut self) -> u64 {
+        *self
+            .discrete
+            .next()
+            .expect("more discrete lanes than recorded")
+    }
+
+    /// The next counter lane, grown by its delta times the periods.
+    ///
+    /// # Panics
+    ///
+    /// Panics when more counter lanes are taken than were recorded, or the
+    /// grown value overflows `u64`.
+    #[inline]
+    pub fn counter(&mut self) -> u64 {
+        let (&value, &delta) = self
+            .counters
             .next()
             .expect("more counter lanes than recorded");
-        *lane = delta
-            .checked_mul(self.rounds)
-            .and_then(|growth| lane.checked_add(growth))
-            .expect("counter lane overflows u64");
+        delta
+            .checked_mul(self.periods)
+            .and_then(|growth| value.checked_add(growth))
+            .expect("counter lane overflows u64")
     }
 
-    /// Advances an LRU tick and its stamps, mirroring [`Lanes::stamped`].
-    pub fn stamped<'s>(&mut self, tick: &mut u64, stamps: impl IntoIterator<Item = &'s mut u64>) {
-        self.counter(tick);
-        for stamp in stamps {
-            self.counter(stamp);
-        }
-    }
-
-    /// Checks that every recorded counter lane was visited.
+    /// Checks that every recorded lane was taken.
     ///
     /// # Panics
     ///
-    /// Panics when fewer lanes were visited than the snapshot recorded.
-    pub fn finish(self) {
-        assert_eq!(self.deltas.len(), 0, "counter lanes left unvisited");
+    /// Panics when lanes are left.
+    pub fn finish(mut self) {
+        assert!(
+            self.discrete.next().is_none() && self.counters.next().is_none(),
+            "lanes left unwritten"
+        );
+    }
+}
+
+/// The lanes in which one snapshot differs from an earlier one of the same
+/// layout, as `(index, value)` pairs: a compact way to keep a sequence of
+/// nearby snapshots.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LanesDiff {
+    discrete: Vec<(u32, u64)>,
+    counters: Vec<(u32, u64)>,
+}
+
+impl LanesDiff {
+    /// Number of lanes that differ.
+    pub fn len(&self) -> usize {
+        self.discrete.len() + self.counters.len()
+    }
+
+    /// True when the snapshots are equal.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl Lanes {
+    /// The lanes in which `self` differs from `earlier`, or `None` when
+    /// the two were recorded with different layouts.
+    pub fn diff_from(&self, earlier: &Lanes) -> Option<LanesDiff> {
+        let changed = |now: &[u64], then: &[u64]| {
+            now.iter()
+                .zip(then)
+                .enumerate()
+                .filter(|(_, (a, b))| a != b)
+                .map(|(i, (&a, _))| (i as u32, a))
+                .collect()
+        };
+        (self.discrete.len() == earlier.discrete.len()
+            && self.counters.len() == earlier.counters.len()
+            && self.groups == earlier.groups)
+            .then(|| LanesDiff {
+                discrete: changed(&self.discrete, &earlier.discrete),
+                counters: changed(&self.counters, &earlier.counters),
+            })
+    }
+
+    /// Applies a diff taken by [`Lanes::diff_from`] against a snapshot
+    /// equal to `self`.
+    pub fn apply(&mut self, diff: &LanesDiff) {
+        for &(i, value) in &diff.discrete {
+            self.discrete[i as usize] = value;
+        }
+        for &(i, value) in &diff.counters {
+            self.counters[i as usize] = value;
+        }
     }
 }
 
@@ -221,29 +298,46 @@ mod tests {
     }
 
     #[test]
-    fn advance_adds_whole_rounds_in_recorded_order() {
+    fn sources_hand_back_lanes_grown_by_whole_periods() {
+        let lanes = snapshot([1, 2], 13, [4, 12, 13], 150);
         let delta = [3, 0, 3, 3, 50];
-        let mut state = (13u64, [4u64, 12, 13], 150u64);
-        let mut advance = LaneAdvance::new(&delta, 4);
-        advance.stamped(&mut state.0, &mut state.1);
-        advance.counter(&mut state.2);
-        advance.finish();
-        assert_eq!(state, (25, [4, 24, 25], 350));
+        let mut source = LaneSource::new(&lanes, &delta, 4);
+        assert_eq!((source.discrete(), source.discrete()), (1, 2));
+        let counters: Vec<u64> = (0..5).map(|_| source.counter()).collect();
+        source.finish();
+        assert_eq!(counters, [25, 4, 24, 25, 350]);
     }
 
     #[test]
     #[should_panic(expected = "overflows u64")]
-    fn advance_is_checked() {
-        let mut lane = u64::MAX - 1;
-        LaneAdvance::new(&[1], 2).counter(&mut lane);
+    fn sources_are_checked() {
+        let mut lanes = Lanes::new();
+        lanes.counter(u64::MAX - 1);
+        LaneSource::new(&lanes, &[1], 2).counter();
     }
 
     #[test]
-    #[should_panic(expected = "left unvisited")]
-    fn advance_must_visit_every_lane() {
-        let mut lane = 0;
-        let mut advance = LaneAdvance::new(&[1, 1], 1);
-        advance.counter(&mut lane);
-        advance.finish();
+    #[should_panic(expected = "left unwritten")]
+    fn sources_must_be_drained() {
+        let mut lanes = Lanes::new();
+        lanes.counter(1);
+        lanes.counter(2);
+        let mut source = LaneSource::new(&lanes, &[0, 0], 1);
+        source.counter();
+        source.finish();
+    }
+
+    #[test]
+    fn diffs_rebuild_later_snapshots() {
+        let a = snapshot([1, 2], 10, [4, 9, 10], 100);
+        let b = snapshot([1, 5], 13, [4, 12, 13], 150);
+        let diff = b.diff_from(&a).expect("same layout");
+        assert_eq!(diff.len(), 5);
+        let mut rebuilt = a.clone();
+        rebuilt.apply(&diff);
+        assert_eq!(rebuilt, b);
+        let mut other = Lanes::new();
+        other.discrete(1);
+        assert_eq!(other.diff_from(&a), None);
     }
 }
