@@ -461,6 +461,9 @@ impl CompiledTrace {
 /// trace, up to a few hundred for many-sided patterns).
 const MAX_PERIOD: usize = 512;
 
+/// The most distinct DRAM records the detector shares between rounds.
+const MAX_RECORDS: usize = 64;
+
 /// A stepped round, as the detector remembers it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Stepped {
@@ -477,19 +480,28 @@ struct Stepped {
 }
 
 impl Stepped {
+    /// The round, its DRAM accesses shared with an equal record in
+    /// `records` (which keeps every distinct record seen, up to
+    /// [`MAX_RECORDS`]).
     fn new(
         dram: Vec<DramRecord>,
         outcome: RoundOutcome,
         rolled: bool,
-        last: Option<&Stepped>,
+        records: &mut Vec<Rc<[DramRecord]>>,
     ) -> Self {
         let mut hasher = DetHasher::default();
         outcome.hash(&mut hasher);
         dram.hash(&mut hasher);
         let key = hasher.finish();
-        let dram = match last {
-            Some(last) if last.key == key && *last.dram == *dram => Rc::clone(&last.dram),
-            _ => dram.into(),
+        let dram = match records.iter().find(|record| ***record == *dram) {
+            Some(record) => Rc::clone(record),
+            None => {
+                let record: Rc<[DramRecord]> = dram.into();
+                if records.len() < MAX_RECORDS {
+                    records.push(Rc::clone(&record));
+                }
+                record
+            }
         };
         Self {
             key,
@@ -524,7 +536,7 @@ impl Stepped {
 /// The most lanes a locked period keeps to rebuild the footprint at every
 /// phase (about a hundred per round on the CI machines); a longer period
 /// runs fast in whole periods only.
-const MAX_PHASE_LANES: usize = 24_576;
+const MAX_PHASE_LANES: usize = 8_192;
 
 /// A candidate period: the rounds stepped since the footprint snapshot
 /// `start`, while waiting for the footprint to come back to it and then
@@ -546,8 +558,8 @@ struct Second {
     anchor: Lanes,
     /// The counter growth over the first period.
     delta: Vec<u64>,
-    /// The footprint after the last verified round.
-    last: Lanes,
+    /// The footprint after the last verified round, once one was.
+    last: Option<Lanes>,
     /// The footprint's fingerprint at each phase reached so far.
     prints: Vec<u64>,
     /// Diffs turning the footprint at phase `j` into phase `j + 1`, while
@@ -584,10 +596,11 @@ impl Candidate {
             if machine.footprint_fingerprint(fp) == self.start_print {
                 let lanes = machine.read_footprint(fp);
                 if let Some(delta) = lanes.delta_since(&self.start) {
+                    self.start = Lanes::new();
                     self.second = Some(Second {
-                        anchor: lanes.clone(),
+                        anchor: lanes,
                         delta,
-                        last: lanes,
+                        last: None,
                         prints: vec![self.start_print],
                         steps: Some(Vec::new()),
                     });
@@ -610,17 +623,17 @@ impl Candidate {
             *earlier = round;
         }
         let lanes = machine.read_footprint(fp);
-        let step = lanes.diff_from(&second.last);
+        let step = lanes.diff_from(second.last.as_ref().unwrap_or(&second.anchor));
         second.steps = second.steps.take().and_then(|mut steps| {
             steps.push(step?);
             (steps.iter().map(LanesDiff::len).sum::<usize>() <= MAX_PHASE_LANES).then_some(steps)
         });
-        second.last = lanes;
         if phase + 1 < self.rounds.len() {
-            second.prints.push(second.last.fingerprint());
+            second.prints.push(lanes.fingerprint());
+            second.last = Some(lanes);
             return Verdict::Pending;
         }
-        if second.last.delta_since(&second.anchor).as_ref() != Some(&second.delta) {
+        if lanes.delta_since(&second.anchor).as_ref() != Some(&second.delta) {
             return Verdict::Restart;
         }
         let second = self.second.take().expect("verified second period");
@@ -701,8 +714,8 @@ struct SteadyState {
     /// Keys of the last [`MAX_PERIOD`] stepped rounds, while no candidate
     /// runs.
     recent: VecDeque<u64>,
-    /// The last stepped round, whose DRAM record a repeat shares.
-    last: Option<Stepped>,
+    /// The distinct DRAM records of the stepped rounds, which repeats share.
+    records: Vec<Rc<[DramRecord]>>,
     candidate: Option<Candidate>,
     locked: Option<Period>,
 }
@@ -718,8 +731,7 @@ impl SteadyState {
         machine: &Machine,
         fp: &Footprint,
     ) {
-        let round = Stepped::new(dram, outcome, rolled, self.last.as_ref());
-        self.last = Some(round.clone());
+        let round = Stepped::new(dram, outcome, rolled, &mut self.records);
         if let Some(period) = &mut self.locked {
             // A round that repeats its phase's round exactly leaves the
             // footprint where the period does; any other must be checked.

@@ -70,7 +70,7 @@ struct FlipMemo {
 }
 
 impl FlipMemo {
-    const SLOTS: usize = 256;
+    const SLOTS: usize = 64;
     const EMPTY: (u32, u32) = (u32::MAX, 0);
 
     #[inline]

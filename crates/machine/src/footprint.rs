@@ -47,9 +47,10 @@ pub struct Footprint {
     pub(crate) walk_entries: Vec<(PhysAddr, u64)>,
     /// Bank units of every line in the footprint; their open rows are lanes.
     pub(crate) banks: Vec<u32>,
-    /// `(bank unit, row, column)` of every byte of every walk entry: the
-    /// DRAM cells whose contents the stream reads.
-    pub(crate) read_bytes: Vec<(u32, u32, u32)>,
+    /// `(bank unit, row, column)` of every walk entry: its eight bytes sit
+    /// in that row from that column on (the column is the address's low
+    /// bits), and are the DRAM cells whose contents the stream reads.
+    pub(crate) read_entries: Vec<(u32, u32, u32)>,
     /// False when an address did not translate to installed DRAM, so its
     /// walk, and the footprint, are not fully known.
     pub(crate) complete: bool,
@@ -150,7 +151,7 @@ impl FastRoundGuard {
         }
         let mut watch = Vec::new();
         for read in footprint
-            .read_bytes
+            .read_entries
             .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
         {
             let (unit, row, _) = read[0];
@@ -161,7 +162,7 @@ impl FastRoundGuard {
             if adjacent_activations == 0 {
                 continue;
             }
-            let read_cell = |col: u32| read.iter().any(|&(_, _, c)| c == col);
+            let read_cell = |col: u32| read.iter().any(|&(_, _, c)| (c..c + 8).contains(&col));
             if let Some(threshold) = dram.next_flip_threshold(unit, row, read_cell) {
                 watch.push(RowWatch {
                     unit,

@@ -371,22 +371,21 @@ impl Machine {
         let mut banks: Vec<u32> = lines.iter().map(|&line| row_of(line).0).collect();
         banks.sort_unstable();
         banks.dedup();
-        let mut read_bytes: Vec<(u32, u32, u32)> = walk_entries
+        let mut read_entries: Vec<(u32, u32, u32)> = walk_entries
             .iter()
-            .flat_map(|&(entry, _)| (0..8).map(move |byte| entry + byte))
-            .map(|byte| {
-                let location = dram.locate(byte);
+            .map(|&(entry, _)| {
+                let location = dram.locate(entry);
+                debug_assert_eq!(dram.locate(entry + 7).col, location.col + 7);
                 (dram.bank_unit(&location), location.row, location.col)
             })
             .collect();
-        read_bytes.sort_unstable();
-        read_bytes.dedup();
+        read_entries.sort_unstable();
         Footprint {
             caches: self.mem.caches().footprint(lines),
             tlbs: self.mmu.footprint(vaddrs),
             walk_entries,
             banks,
-            read_bytes,
+            read_entries,
             complete,
         }
     }
@@ -399,6 +398,7 @@ impl Machine {
     pub fn read_footprint(&self, fp: &Footprint) -> Lanes {
         let mut lanes = Lanes::new();
         self.read_footprint_into(fp, &mut lanes);
+        lanes.shrink_to_fit();
         lanes
     }
 

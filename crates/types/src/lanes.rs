@@ -53,6 +53,13 @@ impl Lanes {
         Self::default()
     }
 
+    /// Frees the spare capacity left by recording.
+    pub fn shrink_to_fit(&mut self) {
+        self.discrete.shrink_to_fit();
+        self.counters.shrink_to_fit();
+        self.groups.shrink_to_fit();
+    }
+
     /// Number of counter lanes.
     pub fn counters(&self) -> usize {
         self.counters.len()
@@ -213,14 +220,40 @@ impl<'a> LaneSource<'a> {
 /// nearby snapshots.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LanesDiff {
-    discrete: Vec<(u32, u64)>,
-    counters: Vec<(u32, u64)>,
+    discrete: Changed,
+    counters: Changed,
+}
+
+/// The changed lanes of one kind: their indices and new values.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Changed {
+    at: Vec<u32>,
+    values: Vec<u64>,
+}
+
+impl Changed {
+    fn between(now: &[u64], then: &[u64]) -> Self {
+        let (at, values) = now
+            .iter()
+            .zip(then)
+            .enumerate()
+            .filter(|(_, (a, b))| a != b)
+            .map(|(i, (&a, _))| (i as u32, a))
+            .unzip();
+        Self { at, values }
+    }
+
+    fn apply(&self, lanes: &mut [u64]) {
+        for (&i, &value) in self.at.iter().zip(&self.values) {
+            lanes[i as usize] = value;
+        }
+    }
 }
 
 impl LanesDiff {
     /// Number of lanes that differ.
     pub fn len(&self) -> usize {
-        self.discrete.len() + self.counters.len()
+        self.discrete.at.len() + self.counters.at.len()
     }
 
     /// True when the snapshots are equal.
@@ -233,32 +266,20 @@ impl Lanes {
     /// The lanes in which `self` differs from `earlier`, or `None` when
     /// the two were recorded with different layouts.
     pub fn diff_from(&self, earlier: &Lanes) -> Option<LanesDiff> {
-        let changed = |now: &[u64], then: &[u64]| {
-            now.iter()
-                .zip(then)
-                .enumerate()
-                .filter(|(_, (a, b))| a != b)
-                .map(|(i, (&a, _))| (i as u32, a))
-                .collect()
-        };
         (self.discrete.len() == earlier.discrete.len()
             && self.counters.len() == earlier.counters.len()
             && self.groups == earlier.groups)
             .then(|| LanesDiff {
-                discrete: changed(&self.discrete, &earlier.discrete),
-                counters: changed(&self.counters, &earlier.counters),
+                discrete: Changed::between(&self.discrete, &earlier.discrete),
+                counters: Changed::between(&self.counters, &earlier.counters),
             })
     }
 
     /// Applies a diff taken by [`Lanes::diff_from`] against a snapshot
     /// equal to `self`.
     pub fn apply(&mut self, diff: &LanesDiff) {
-        for &(i, value) in &diff.discrete {
-            self.discrete[i as usize] = value;
-        }
-        for &(i, value) in &diff.counters {
-            self.counters[i as usize] = value;
-        }
+        diff.discrete.apply(&mut self.discrete);
+        diff.counters.apply(&mut self.counters);
     }
 }
 
