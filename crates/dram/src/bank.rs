@@ -141,12 +141,6 @@ impl Bank {
         self.row_state.activations_of(row)
     }
 
-    /// Window-relative cycle of `row`'s most recent activation in this
-    /// refresh window, or `None` when the row has not been activated yet.
-    pub fn last_activation_of(&self, row: u32) -> Option<u32> {
-        self.row_state.last_activation_of(row)
-    }
-
     /// Start of the current refresh window: the bank rolls into the next
     /// window on its first access at or after `window_start + refresh_window`.
     pub fn window_start(&self) -> Cycles {
@@ -261,8 +255,7 @@ impl Bank {
         let mut trr_fired = false;
 
         if outcome.activated() {
-            self.row_state
-                .record_activation(row, now.saturating_sub(self.window_start).as_u64());
+            self.row_state.record_activation(row);
 
             if let Some(aggressor) = self.trr_sampler.record(row, trr) {
                 trr_fired = true;

@@ -4,13 +4,13 @@
 //! (aggressor bookkeeping plus both neighbours), and the pattern
 //! synthesizer's scoring loop replays thousands of activations per
 //! candidate. Both want the per-row counters laid out as separate dense
-//! `u32` arrays — activation counts, last-activation times and disturbance
-//! each contiguous and indexed by row — instead of an array of per-row
-//! structs, so a sweep over one counter kind streams one array.
+//! `u32` arrays — activation counts and disturbance each contiguous and
+//! indexed by row — instead of an array of per-row structs, so a sweep over
+//! one counter kind streams one array.
 
 use serde::Serialize;
 
-/// Per-row refresh-window bookkeeping in structure-of-arrays layout: three
+/// Per-row refresh-window bookkeeping in structure-of-arrays layout: two
 /// dense `u32` arrays, each indexed by row number.
 ///
 /// Activation counts and disturbance saturate at `u32::MAX` instead of
@@ -22,10 +22,6 @@ use serde::Serialize;
 pub struct RowStateSoA {
     /// Activation count per row within the current refresh window.
     activations: Vec<u32>,
-    /// Window-relative cycle of each row's most recent activation
-    /// (saturated to `u32`; meaningful only while the row's activation
-    /// count is non-zero).
-    last_activation: Vec<u32>,
     /// Accumulated disturbance (adjacent-row activations) per row within
     /// the window.
     disturbance: Vec<u32>,
@@ -36,7 +32,6 @@ impl RowStateSoA {
     pub fn new(rows: u32) -> Self {
         Self {
             activations: vec![0; rows as usize],
-            last_activation: vec![0; rows as usize],
             disturbance: vec![0; rows as usize],
         }
     }
@@ -49,17 +44,14 @@ impl RowStateSoA {
     /// Resets every counter (refresh-window rollover).
     pub fn clear(&mut self) {
         self.activations.fill(0);
-        self.last_activation.fill(0);
         self.disturbance.fill(0);
     }
 
-    /// Records an activation of `row` at window-relative cycle
-    /// `window_cycle`.
+    /// Records an activation of `row`.
     #[inline]
-    pub fn record_activation(&mut self, row: u32, window_cycle: u64) {
+    pub fn record_activation(&mut self, row: u32) {
         let count = &mut self.activations[row as usize];
         *count = count.saturating_add(1);
-        self.last_activation[row as usize] = window_cycle.min(u64::from(u32::MAX)) as u32;
     }
 
     /// Adds one unit of disturbance to `row` and returns the new total.
@@ -81,12 +73,6 @@ impl RowStateSoA {
         self.activations.get(row as usize).copied().unwrap_or(0)
     }
 
-    /// Window-relative cycle of `row`'s most recent activation this window,
-    /// or `None` while the row has not been activated (or is out of range).
-    pub fn last_activation_of(&self, row: u32) -> Option<u32> {
-        (self.activations_of(row) > 0).then(|| self.last_activation[row as usize])
-    }
-
     /// Accumulated disturbance of `row` this window (0 for out-of-range
     /// rows).
     pub fn disturbance_of(&self, row: u32) -> u32 {
@@ -104,16 +90,13 @@ mod tests {
         assert_eq!(s.rows(), 8);
         assert_eq!(s.activations_of(3), 0);
         assert_eq!(s.disturbance_of(3), 0);
-        assert_eq!(s.last_activation_of(3), None);
-        s.record_activation(3, 700);
+        s.record_activation(3);
         assert_eq!(s.add_disturbance(4), 1);
         assert_eq!(s.add_disturbance(4), 2);
         assert_eq!(s.activations_of(3), 1);
-        assert_eq!(s.last_activation_of(3), Some(700));
         s.clear();
         assert_eq!(s.activations_of(3), 0);
         assert_eq!(s.disturbance_of(4), 0);
-        assert_eq!(s.last_activation_of(3), None);
     }
 
     #[test]
@@ -121,7 +104,6 @@ mod tests {
         let s = RowStateSoA::new(4);
         assert_eq!(s.activations_of(99), 0);
         assert_eq!(s.disturbance_of(99), 0);
-        assert_eq!(s.last_activation_of(99), None);
     }
 
     #[test]
@@ -141,14 +123,7 @@ mod tests {
         s.activations[0] = u32::MAX;
         assert_eq!(s.add_disturbance(1), u32::MAX);
         assert_eq!(s.add_disturbance(1), u32::MAX);
-        s.record_activation(0, 5);
+        s.record_activation(0);
         assert_eq!(s.activations_of(0), u32::MAX);
-    }
-
-    #[test]
-    fn last_activation_saturates_past_u32() {
-        let mut s = RowStateSoA::new(2);
-        s.record_activation(0, u64::from(u32::MAX) + 17);
-        assert_eq!(s.last_activation_of(0), Some(u32::MAX));
     }
 }

@@ -6,7 +6,8 @@ use pthammer_cache::{CacheHierarchy, CachePmc};
 use pthammer_dram::{DramModule, DramStats};
 use pthammer_mmu::{Mmu, PageFault, PscLevel, TlbLevel, TlbPmc};
 use pthammer_types::{
-    AccessKind, Cycles, Fingerprint, LaneSink, LaneSource, Lanes, MemoryLevel, PhysAddr, VirtAddr,
+    AccessKind, Cycles, Fingerprint, LaneCount, LaneSink, LaneSource, Lanes, MemoryLevel, PhysAddr,
+    VirtAddr,
 };
 
 use crate::config::MachineConfig;
@@ -396,9 +397,10 @@ impl Machine {
     /// The clock is not a lane: only DRAM reads it, and DRAM is replayed,
     /// not extrapolated.
     pub fn read_footprint(&self, fp: &Footprint) -> Lanes {
-        let mut lanes = Lanes::new();
+        let mut count = LaneCount::default();
+        self.read_footprint_into(fp, &mut count);
+        let mut lanes = Lanes::with_capacity(&count);
         self.read_footprint_into(fp, &mut lanes);
-        lanes.shrink_to_fit();
         lanes
     }
 

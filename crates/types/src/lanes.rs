@@ -53,11 +53,14 @@ impl Lanes {
         Self::default()
     }
 
-    /// Frees the spare capacity left by recording.
-    pub fn shrink_to_fit(&mut self) {
-        self.discrete.shrink_to_fit();
-        self.counters.shrink_to_fit();
-        self.groups.shrink_to_fit();
+    /// An empty snapshot with room for the lanes `count` counted, so
+    /// recording them allocates once.
+    pub fn with_capacity(count: &LaneCount) -> Self {
+        Self {
+            discrete: Vec::with_capacity(count.discrete),
+            counters: Vec::with_capacity(count.counters),
+            groups: Vec::with_capacity(count.groups),
+        }
     }
 
     /// Number of counter lanes.
@@ -115,6 +118,31 @@ impl LaneSink for Lanes {
         self.counters.push(tick);
         self.counters.extend(stamps);
         self.groups.push((at, self.counters.len() - at - 1));
+    }
+}
+
+/// The number of lanes of each kind a state reads as.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LaneCount {
+    discrete: usize,
+    counters: usize,
+    groups: usize,
+}
+
+impl LaneSink for LaneCount {
+    #[inline]
+    fn discrete(&mut self, _: u64) {
+        self.discrete += 1;
+    }
+
+    #[inline]
+    fn counter(&mut self, _: u64) {
+        self.counters += 1;
+    }
+
+    fn stamped(&mut self, _: u64, stamps: impl IntoIterator<Item = u64>) {
+        self.counters += 1 + stamps.into_iter().count();
+        self.groups += 1;
     }
 }
 

@@ -37,7 +37,7 @@ pub use addr::{PhysAddr, VirtAddr};
 pub use cycles::Cycles;
 pub use flip::{CellOrientation, FlipDirection};
 pub use hash::{DetHashBuilder, DetHashMap, DetHashSet, DetHasher};
-pub use lanes::{Fingerprint, LaneSink, LaneSource, Lanes, LanesDiff};
+pub use lanes::{Fingerprint, LaneCount, LaneSink, LaneSource, Lanes, LanesDiff};
 pub use page::PageSize;
 
 /// Size of a base (4 KiB) page in bytes.
