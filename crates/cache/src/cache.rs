@@ -171,12 +171,12 @@ impl SetAssociativeCache {
     }
 
     /// Records `set` as [`LaneSink`] (see [`SetStore::read_set`]).
-    pub fn read_set(&self, set: u32, lanes: &mut impl LaneSink) {
+    pub(crate) fn read_set(&self, set: u32, lanes: &mut impl LaneSink) {
         self.store.read_set(set as usize, lanes);
     }
 
     /// Writes `set` back from its lanes (see [`SetStore::write_set`]).
-    pub fn write_set(&mut self, set: u32, source: &mut LaneSource) {
+    pub(crate) fn write_set(&mut self, set: u32, source: &mut LaneSource) {
         self.store.write_set(set as usize, source);
     }
 }

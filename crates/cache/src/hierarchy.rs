@@ -35,13 +35,6 @@ pub struct CacheFootprint {
     llc: Vec<(u32, u32)>,
 }
 
-impl CacheFootprint {
-    /// Number of sets covered, over every level.
-    pub fn sets(&self) -> usize {
-        self.l1.len() + self.l2.len() + self.llc.len()
-    }
-}
-
 /// Result of a lookup through the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyAccess {

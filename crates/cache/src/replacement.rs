@@ -96,7 +96,7 @@ impl ReplacementState {
 impl ReplacementPolicy {
     /// True when the policy's metadata words are tick stamps (LRU, BIP), which
     /// grow with the tick; the other policies keep small per-way states.
-    pub fn stamps(self) -> bool {
+    pub(crate) fn stamps(self) -> bool {
         matches!(self, ReplacementPolicy::Lru | ReplacementPolicy::Bip)
     }
 

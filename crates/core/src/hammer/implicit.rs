@@ -77,15 +77,6 @@ impl HammerStats {
         self.aggressor_dram_hits += round.aggressor_dram_hits;
     }
 
-    /// Share of iterations that ran as fast rounds (0 when none ran).
-    pub fn fast_share(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.fast_forwarded_rounds as f64 / self.rounds as f64
-        }
-    }
-
     /// Average cycles per iteration.
     pub fn avg_round_cycles(&self) -> f64 {
         if self.rounds == 0 {

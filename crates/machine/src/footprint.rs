@@ -68,11 +68,6 @@ impl Footprint {
                 .iter()
                 .all(|&(entry, value)| machine.phys_read_u64(entry) == value)
     }
-
-    /// Number of cache and TLB sets covered.
-    pub fn sets(&self) -> usize {
-        self.caches.sets() + self.tlbs.sets()
-    }
 }
 
 /// Follows `vaddr`'s page walk from `cr3` in software, appending every

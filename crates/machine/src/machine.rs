@@ -365,11 +365,10 @@ impl Machine {
         walk_entries.dedup();
         lines.extend(walk_entries.iter().map(|&(entry, _)| entry));
         let dram = self.mem.dram();
-        let row_of = |paddr: PhysAddr| {
-            let location = dram.locate(paddr);
-            (dram.bank_unit(&location), location.row)
-        };
-        let mut banks: Vec<u32> = lines.iter().map(|&line| row_of(line).0).collect();
+        let mut banks: Vec<u32> = lines
+            .iter()
+            .map(|&line| dram.bank_unit(&dram.locate(line)))
+            .collect();
         banks.sort_unstable();
         banks.dedup();
         let mut read_entries: Vec<(u32, u32, u32)> = walk_entries

@@ -157,12 +157,12 @@ impl MemorySubsystem {
     /// Replays one DRAM access at `now`, bypassing the caches: the DRAM
     /// access and its flips exactly as [`MemorySubsystem::access_line`]
     /// performs them on a full miss. Returns the row-buffer outcome.
-    pub fn replay_dram(&mut self, paddr: PhysAddr, now: Cycles) -> RowBufferOutcome {
+    pub(crate) fn replay_dram(&mut self, paddr: PhysAddr, now: Cycles) -> RowBufferOutcome {
         self.dram_access(paddr, now).row_buffer
     }
 
     /// Starts recording every DRAM access, discarding any earlier record.
-    pub fn record_dram(&mut self) {
+    pub(crate) fn record_dram(&mut self) {
         self.dram_log = Some(Vec::new());
     }
 
@@ -172,7 +172,7 @@ impl MemorySubsystem {
     /// # Panics
     ///
     /// Panics if an access was recorded before `start`.
-    pub fn take_dram_record(&mut self, start: Cycles) -> Vec<DramRecord> {
+    pub(crate) fn take_dram_record(&mut self, start: Cycles) -> Vec<DramRecord> {
         self.dram_log
             .take()
             .unwrap_or_default()

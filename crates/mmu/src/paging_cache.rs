@@ -159,7 +159,7 @@ impl PagingStructureCache {
     /// Records the whole cache as [`LaneSink`]: its entry count, tags and
     /// next-table bases as discrete lanes, its tick and LRU stamps as
     /// counter lanes.
-    pub fn read_lanes(&self, lanes: &mut impl LaneSink) {
+    pub(crate) fn read_lanes(&self, lanes: &mut impl LaneSink) {
         lanes.discrete(self.tags.len() as u64);
         for (&tag, (next_table, _)) in self.tags.iter().zip(&self.payloads) {
             lanes.discrete(tag);
@@ -170,7 +170,7 @@ impl PagingStructureCache {
 
     /// Writes the whole cache back from lanes recorded by
     /// [`PagingStructureCache::read_lanes`].
-    pub fn write_lanes(&mut self, source: &mut LaneSource) {
+    pub(crate) fn write_lanes(&mut self, source: &mut LaneSource) {
         let len = usize::try_from(source.discrete()).expect("entry count fits usize");
         self.tags.clear();
         self.payloads.clear();

@@ -226,7 +226,7 @@ impl Tlb {
     /// Records `set` as [`LaneSink`]: its tags and replacement state (see
     /// [`SetStore::read_set`]) and every way's cached entry as discrete
     /// lanes.
-    pub fn read_set(&self, set: u32, lanes: &mut impl LaneSink) {
+    pub(crate) fn read_set(&self, set: u32, lanes: &mut impl LaneSink) {
         self.store.read_set(set as usize, lanes);
         let ways = self.config.ways as usize;
         for entry in &self.entries[set as usize * ways..(set as usize + 1) * ways] {
@@ -238,7 +238,7 @@ impl Tlb {
     }
 
     /// Writes `set` back from lanes recorded by [`Tlb::read_set`].
-    pub fn write_set(&mut self, set: u32, source: &mut LaneSource) {
+    pub(crate) fn write_set(&mut self, set: u32, source: &mut LaneSource) {
         self.store.write_set(set as usize, source);
         let ways = self.config.ways as usize;
         for entry in &mut self.entries[set as usize * ways..(set as usize + 1) * ways] {
@@ -260,13 +260,6 @@ pub struct TlbFootprint {
     l1d: Vec<u32>,
     l1d_huge: Vec<u32>,
     l2s: Vec<u32>,
-}
-
-impl TlbFootprint {
-    /// Number of sets covered, over every TLB.
-    pub fn sets(&self) -> usize {
-        self.l1d.len() + self.l1d_huge.len() + self.l2s.len()
-    }
 }
 
 /// The full TLB hierarchy of one core: L1 dTLB (4 KiB), L1 dTLB (2 MiB) and a
@@ -379,7 +372,7 @@ impl TlbHierarchy {
     }
 
     /// The sets `vaddrs` map to in every TLB, each listed once.
-    pub fn footprint(&self, vaddrs: &[VirtAddr]) -> TlbFootprint {
+    pub(crate) fn footprint(&self, vaddrs: &[VirtAddr]) -> TlbFootprint {
         let sets = |tlb: &Tlb, page: u64| {
             let mut sets: Vec<u32> = vaddrs
                 .iter()
@@ -398,7 +391,7 @@ impl TlbHierarchy {
 
     /// Records the footprint's sets, each TLB's entry count and the
     /// performance counters as [`LaneSink`].
-    pub fn read_footprint(&self, fp: &TlbFootprint, lanes: &mut impl LaneSink) {
+    pub(crate) fn read_footprint(&self, fp: &TlbFootprint, lanes: &mut impl LaneSink) {
         for (tlb, sets) in self.levels(fp) {
             sets.iter().for_each(|&set| tlb.read_set(set, lanes));
             lanes.discrete(tlb.len() as u64);
@@ -409,7 +402,7 @@ impl TlbHierarchy {
     }
 
     /// Writes back the lanes of [`TlbHierarchy::read_footprint`].
-    pub fn write_footprint(&mut self, fp: &TlbFootprint, source: &mut LaneSource) {
+    pub(crate) fn write_footprint(&mut self, fp: &TlbFootprint, source: &mut LaneSource) {
         for (tlb, sets) in [
             (&mut self.l1d, &fp.l1d),
             (&mut self.l1d_huge, &fp.l1d_huge),

@@ -63,11 +63,6 @@ impl Lanes {
         }
     }
 
-    /// Number of counter lanes.
-    pub fn counters(&self) -> usize {
-        self.counters.len()
-    }
-
     /// The snapshot's [`Fingerprint`]: snapshots with different
     /// fingerprints differ in a discrete lane, so no delta exists between
     /// them.
@@ -330,7 +325,6 @@ mod tests {
         let a = snapshot([1, 2], 10, [4, 9, 10], 100);
         let b = snapshot([1, 2], 13, [4, 12, 13], 150);
         assert_eq!(b.delta_since(&a), Some(vec![3, 0, 3, 3, 50]));
-        assert_eq!(b.counters(), 5);
         let moved = snapshot([1, 3], 13, [4, 12, 13], 150);
         assert_eq!(moved.delta_since(&a), None, "a tag changed");
         let back = snapshot([1, 2], 13, [4, 12, 13], 90);
