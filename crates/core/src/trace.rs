@@ -364,10 +364,8 @@ impl CompiledTrace {
 
     /// Runs fast rounds of `period` from its current phase until at most
     /// `budget` rounds are spent or a stop rule holds, handing each round's
-    /// outcome to `each`, then writes the footprint the rounds reached and
-    /// advances the clock. A period that keeps its phases may stop after
-    /// any round, one that does not after whole periods only. Returns how
-    /// many rounds ran.
+    /// outcome to `each`, then writes the footprint at the phase the rounds
+    /// reached and advances the clock. Returns how many rounds ran.
     fn fast_forward(
         &self,
         sys: &mut System,
@@ -375,57 +373,36 @@ impl CompiledTrace {
         budget: u64,
         mut each: impl FnMut(RoundOutcome),
     ) -> u64 {
-        let length = period.rounds.len();
-        let unit = if period.phases.is_some() { 1 } else { length };
         let guard = sys.machine().fast_round_guard(
             &self.footprint,
             period.rounds.iter().flat_map(|round| round.dram.iter()),
         );
-        // Without phases the run ends where it starts, whole periods on.
-        let start_lanes = period
-            .phases
-            .is_none()
-            .then(|| sys.machine().read_footprint(&self.footprint));
         let start = sys.rdtsc();
-        let (mut clock, mut ran, mut crossed) = (start, 0u64, 0u64);
-        'run: while ran + unit as u64 <= budget && !self.is_stale(sys) {
-            let mut at = clock;
-            for i in 0..unit {
-                let round = &period.rounds[(period.phase + i) % length];
-                let last = round.dram.last().map_or(0, |record| record.offset);
-                let last = at
-                    .checked_add(last)
-                    .expect("fast-round clock overflows u64");
-                if !guard.admits(sys.machine().dram(), last) {
-                    break 'run;
-                }
-                at += round.outcome.cycles;
+        let (mut clock, mut ran) = (start, 0u64);
+        while ran < budget && !self.is_stale(sys) {
+            let round = &period.rounds[period.phase];
+            let last = round.dram.last().map_or(0, |record| record.offset);
+            let last = clock
+                .checked_add(last)
+                .expect("fast-round clock overflows u64");
+            if !guard.admits(sys.machine().dram(), last) {
+                break;
             }
-            for _ in 0..unit {
-                let round = &period.rounds[period.phase];
-                sys.machine_mut().replay_dram_round(&round.dram, clock);
-                each(round.outcome);
-                clock = clock
-                    .checked_add(round.outcome.cycles)
-                    .expect("fast-round clock overflows u64");
-                let before = period.periods;
-                period.advance();
-                crossed += period.periods - before;
-            }
-            ran += unit as u64;
+            sys.machine_mut().replay_dram_round(&round.dram, clock);
+            each(round.outcome);
+            clock = clock
+                .checked_add(round.outcome.cycles)
+                .expect("fast-round clock overflows u64");
+            period.advance();
+            ran += 1;
         }
         if ran > 0 {
-            let (lanes, periods) = match start_lanes {
-                Some(lanes) => (lanes, crossed),
-                None => (
-                    period
-                        .footprint_at_phase()
-                        .expect("a period that stops mid-way keeps its phases"),
-                    period.periods,
-                ),
-            };
-            sys.machine_mut()
-                .write_footprint(&self.footprint, &lanes, &period.delta, periods);
+            sys.machine_mut().write_footprint(
+                &self.footprint,
+                &period.footprint_at_phase(),
+                &period.delta,
+                period.periods,
+            );
             sys.advance_cycles(clock - start);
         }
         ran
@@ -542,11 +519,6 @@ impl Stepped {
     }
 }
 
-/// The most lanes a locked period keeps to rebuild the footprint at every
-/// phase (about a hundred per round on the CI machines); a longer period
-/// runs fast in whole periods only.
-const MAX_PHASE_LANES: usize = 8_192;
-
 /// A candidate period: the rounds stepped since the footprint snapshot
 /// `start`, while waiting for the footprint to come back to it and then
 /// for a second period to repeat the first.
@@ -571,9 +543,8 @@ struct Second {
     last: Option<Lanes>,
     /// The footprint's fingerprint at each phase reached so far.
     prints: Vec<u64>,
-    /// Diffs turning the footprint at phase `j` into phase `j + 1`, while
-    /// they fit in [`MAX_PHASE_LANES`].
-    steps: Option<Vec<LanesDiff>>,
+    /// Diffs turning the footprint at phase `j` into phase `j + 1`.
+    steps: Vec<LanesDiff>,
 }
 
 /// What a candidate does with a stepped round.
@@ -611,7 +582,7 @@ impl Candidate {
                         delta,
                         last: None,
                         prints: vec![self.start_print],
-                        steps: Some(Vec::new()),
+                        steps: Vec::new(),
                     });
                     return Verdict::Pending;
                 }
@@ -632,11 +603,10 @@ impl Candidate {
             *earlier = round;
         }
         let lanes = machine.read_footprint(fp);
-        let step = lanes.diff_from(second.last.as_ref().unwrap_or(&second.anchor));
-        second.steps = second.steps.take().and_then(|mut steps| {
-            steps.push(step?);
-            (steps.iter().map(LanesDiff::len).sum::<usize>() <= MAX_PHASE_LANES).then_some(steps)
-        });
+        let Some(step) = lanes.diff_from(second.last.as_ref().unwrap_or(&second.anchor)) else {
+            return Verdict::Restart;
+        };
+        second.steps.push(step);
         if phase + 1 < self.rounds.len() {
             second.prints.push(lanes.fingerprint());
             second.last = Some(lanes);
@@ -650,7 +620,8 @@ impl Candidate {
             rounds: std::mem::take(&mut self.rounds),
             prints: second.prints,
             delta: second.delta,
-            phases: second.steps.map(|steps| (second.anchor, steps)),
+            anchor: second.anchor,
+            steps: second.steps,
             phase: 0,
             periods: 1,
         })
@@ -668,11 +639,11 @@ struct Period {
     prints: Vec<u64>,
     /// The footprint's counter growth over one period.
     delta: Vec<u64>,
-    /// The footprint at phase 0 of the verified period and the diffs that
-    /// rebuild it at every later phase, when they fit: with them a run of
-    /// fast rounds may stop at any phase, without them only after whole
-    /// periods.
-    phases: Option<(Lanes, Vec<LanesDiff>)>,
+    /// The footprint at phase 0 of the verified period.
+    anchor: Lanes,
+    /// Diffs turning the verified period's footprint at phase `j` into
+    /// phase `j + 1`, so a run of fast rounds may stop at any phase.
+    steps: Vec<LanesDiff>,
     /// The round the loop stands before.
     phase: usize,
     /// Whole periods the loop stands past the verified one.
@@ -689,15 +660,13 @@ impl Period {
         }
     }
 
-    /// The footprint at the current phase of the verified period, when the
-    /// period keeps its phases.
-    fn footprint_at_phase(&self) -> Option<Lanes> {
-        let (anchor, steps) = self.phases.as_ref()?;
-        let mut lanes = anchor.clone();
-        steps[..self.phase]
+    /// The footprint at the current phase of the verified period.
+    fn footprint_at_phase(&self) -> Lanes {
+        let mut lanes = self.anchor.clone();
+        self.steps[..self.phase]
             .iter()
             .for_each(|step| lanes.apply(step));
-        Some(lanes)
+        lanes
     }
 }
 
@@ -714,8 +683,8 @@ impl Period {
 /// and the period keeps the other period's copy. At most three snapshots
 /// are held at a time.
 ///
-/// Once locked, the loop runs whole periods fast from whichever phase it
-/// stands at. A round stepped in between (across a stop rule) that does not
+/// Once locked, the loop runs fast rounds from whichever phase it stands
+/// at, and may stop after any of them. A round stepped in between (across a stop rule) that does not
 /// repeat its phase's round exactly must bring the footprint to its phase's
 /// fingerprint, or detection starts over.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -785,14 +754,14 @@ impl SteadyState {
         let Some(period) = self.locked else {
             return Self::default();
         };
-        let stands = period.footprint_at_phase().is_some_and(|expected| {
-            let grown = machine.read_footprint(fp).delta_since(&expected);
-            grown.is_some_and(|grown| {
-                grown
-                    .iter()
-                    .zip(&period.delta)
-                    .all(|(&grown, &delta)| delta.checked_mul(period.periods) == Some(grown))
-            })
+        let grown = machine
+            .read_footprint(fp)
+            .delta_since(&period.footprint_at_phase());
+        let stands = grown.is_some_and(|grown| {
+            grown
+                .iter()
+                .zip(&period.delta)
+                .all(|(&grown, &delta)| delta.checked_mul(period.periods) == Some(grown))
         });
         Self {
             locked: stands.then_some(period),

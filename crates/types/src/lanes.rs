@@ -255,14 +255,22 @@ struct Changed {
 }
 
 impl Changed {
+    /// The lanes of `now` that differ from `then`, held at their exact size
+    /// (a locked period keeps one diff per round).
     fn between(now: &[u64], then: &[u64]) -> Self {
-        let (at, values) = now
-            .iter()
-            .zip(then)
-            .enumerate()
-            .filter(|(_, (a, b))| a != b)
-            .map(|(i, (&a, _))| (i as u32, a))
-            .unzip();
+        let changed = || {
+            now.iter()
+                .zip(then)
+                .enumerate()
+                .filter(|(_, (a, b))| a != b)
+        };
+        let count = changed().count();
+        let mut at = Vec::with_capacity(count);
+        let mut values = Vec::with_capacity(count);
+        for (i, (&a, _)) in changed() {
+            at.push(i as u32);
+            values.push(a);
+        }
         Self { at, values }
     }
 
