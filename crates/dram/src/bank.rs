@@ -51,50 +51,6 @@ pub struct Bank {
     emitted: DetHashSet<(u32, u32)>,
     #[serde(skip)]
     trr_sampler: TrrSampler,
-    /// Memo of the disturbance at which recently disturbed rows flip next,
-    /// derived from `emitted` and the flip model; cleared with the window.
-    #[serde(skip)]
-    next_flip: FlipMemo,
-}
-
-/// A direct-mapped memo of victim rows' next flip thresholds: the lowest
-/// threshold among a row's weak cells not yet emitted this window
-/// (`u32::MAX` when none is left). A victim whose disturbance stays below it
-/// cannot flip, so its weak cells need not be derived again on every
-/// activation next to it.
-#[derive(Debug, Clone)]
-struct FlipMemo {
-    /// `(row, threshold)` in slot `row % FlipMemo::SLOTS`; `EMPTY` rows
-    /// mark free slots.
-    slots: Box<[(u32, u32)]>,
-}
-
-impl FlipMemo {
-    const SLOTS: usize = 64;
-    const EMPTY: (u32, u32) = (u32::MAX, 0);
-
-    #[inline]
-    fn get(&self, row: u32) -> Option<u32> {
-        let (memo_row, threshold) = self.slots[row as usize % Self::SLOTS];
-        (memo_row == row).then_some(threshold)
-    }
-
-    #[inline]
-    fn set(&mut self, row: u32, threshold: u32) {
-        self.slots[row as usize % Self::SLOTS] = (row, threshold);
-    }
-
-    fn clear(&mut self) {
-        self.slots.fill(Self::EMPTY);
-    }
-}
-
-impl Default for FlipMemo {
-    fn default() -> Self {
-        Self {
-            slots: vec![Self::EMPTY; Self::SLOTS].into_boxed_slice(),
-        }
-    }
 }
 
 /// A restorable snapshot of a bank's hammer-relevant state: row buffer,
@@ -122,7 +78,6 @@ impl Bank {
             row_state: RowStateSoA::new(rows),
             emitted: DetHashSet::default(),
             trr_sampler: TrrSampler::default(),
-            next_flip: FlipMemo::default(),
         }
     }
 
@@ -157,24 +112,12 @@ impl Bank {
         flip_model: &FlipModel,
         in_scope: impl Fn(u32) -> bool,
     ) -> Option<u32> {
-        Self::lowest_pending(&self.emitted, self.unit_id, row, flip_model, in_scope)
-    }
-
-    /// The lowest threshold among `row`'s weak cells accepted by `in_scope`
-    /// and absent from `emitted`.
-    fn lowest_pending(
-        emitted: &DetHashSet<(u32, u32)>,
-        unit_id: u32,
-        row: u32,
-        flip_model: &FlipModel,
-        in_scope: impl Fn(u32) -> bool,
-    ) -> Option<u32> {
         flip_model
-            .weak_cells(unit_id, row)
+            .weak_cells(self.unit_id, row)
             .iter()
             .enumerate()
             .filter(|(idx, cell)| {
-                in_scope(cell.byte_in_row) && !emitted.contains(&(row, *idx as u32))
+                in_scope(cell.byte_in_row) && !self.emitted.contains(&(row, *idx as u32))
             })
             .map(|(_, cell)| cell.threshold)
             .min()
@@ -215,7 +158,6 @@ impl Bank {
         self.row_state = checkpoint.row_state.clone();
         self.emitted = checkpoint.emitted.clone();
         self.trr_sampler = checkpoint.trr_sampler.clone();
-        self.next_flip.clear();
     }
 
     /// Handles a refresh-window rollover if `now` is past the window end.
@@ -230,7 +172,6 @@ impl Bank {
         self.window_start = Cycles::new(self.window_start.as_u64() + windows * window);
         self.row_state.clear();
         self.emitted.clear();
-        self.next_flip.clear();
         self.trr_sampler.reset();
         // A refresh closes any open row.
         self.row_buffer.close();
@@ -277,21 +218,6 @@ impl Bank {
                 if disturbance < flip_model.profile().min_threshold {
                     continue;
                 }
-                let next_flip = self.next_flip.get(victim).unwrap_or_else(|| {
-                    let next = Self::lowest_pending(
-                        &self.emitted,
-                        self.unit_id,
-                        victim,
-                        flip_model,
-                        |_| true,
-                    )
-                    .unwrap_or(u32::MAX);
-                    self.next_flip.set(victim, next);
-                    next
-                });
-                if disturbance < next_flip {
-                    continue;
-                }
                 for (idx, cell) in flip_model
                     .weak_cells(self.unit_id, victim)
                     .iter()
@@ -301,9 +227,6 @@ impl Bank {
                         flips.push((victim, *cell, disturbance));
                     }
                 }
-                let pending =
-                    Self::lowest_pending(&self.emitted, self.unit_id, victim, flip_model, |_| true);
-                self.next_flip.set(victim, pending.unwrap_or(u32::MAX));
             }
         }
 
