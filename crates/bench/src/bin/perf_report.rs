@@ -2,8 +2,8 @@
 //!
 //! Runs a pinned workload set — the TestSmall hammer microbenchmark under
 //! every hammer strategy, one Table I attack cell, the 30-cell golden
-//! campaign matrix, and the kernel allocator's work under every placement
-//! defense — and records every deterministic simulator counter plus host
+//! campaign matrix, the kernel allocator's work under every placement
+//! defense and Detect's scan — and records every deterministic simulator counter plus host
 //! wall time per workload.
 //!
 //! Modes:
@@ -30,7 +30,7 @@ use std::process::ExitCode;
 
 use pthammer::eviction::TlbEvictionPool;
 use pthammer::{HammerMode, PtHammer};
-use pthammer_bench::scenarios::hammer_microbench;
+use pthammer_bench::scenarios::{detect_scan_microbench, hammer_microbench};
 use pthammer_bench::{ExperimentScale, MachineChoice};
 use pthammer_dram::FlipModelProfile;
 use pthammer_harness::{
@@ -104,6 +104,37 @@ fn hammer_loop_workload(mode: HammerMode) -> WorkloadPerf {
         bench.accounting.host_iterations_per_second(bench.wall_ns),
     );
     WorkloadPerf::new(&name, counters, bench.wall_ns)
+}
+
+/// Scans of the detect-scan workload.
+const DETECT_SCANS: u64 = 4;
+
+/// Workload: Detect's scan of the victim range of `DETECT_SCANS` pairs on
+/// the TestSmall machine, with a corrupted mapping and an unmapped page in
+/// each. Pins the scan's simulated work and `scan_batched_pages`, the pages
+/// the page runs served without a walker call.
+fn detect_scan_workload() -> WorkloadPerf {
+    let bench = detect_scan_microbench(
+        MachineChoice::TestSmall,
+        ExperimentScale::scaled(),
+        DETECT_SCANS,
+        MICROBENCH_SEED,
+    );
+    let mut counters = bench.counters.named();
+    counters.insert("sim_cycles".to_string(), bench.sim_cycles);
+    counters.insert("scans".to_string(), bench.scans);
+    counters.insert("scan_pages".to_string(), bench.pages);
+    counters.insert("scan_findings".to_string(), bench.findings);
+    counters.insert("scan_batched_pages".to_string(), bench.batched_pages);
+    println!(
+        "detect_scan_test_small: {} scans of {} pages, {} findings, batched share {:.3}, {:.1} host ns/page",
+        bench.scans,
+        bench.pages,
+        bench.findings,
+        bench.batched_pages as f64 / bench.pages.max(1) as f64,
+        bench.wall_ns as f64 / bench.pages.max(1) as f64,
+    );
+    WorkloadPerf::new("detect_scan_test_small", counters, bench.wall_ns)
 }
 
 /// The synthesis configuration both pattern workloads pin: the TRR test
@@ -358,6 +389,7 @@ fn workload_registry() -> Vec<WorkloadEntry> {
         ),
         entry("synth_throughput_test_small_trr", synth_throughput_workload),
         entry("kernel_alloc_test_small", kernel_alloc_workload),
+        entry("detect_scan_test_small", detect_scan_workload),
     ]);
     registry
 }

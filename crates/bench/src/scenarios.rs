@@ -1,11 +1,14 @@
 //! Experiment implementations for every table and figure of the paper.
 
 use pthammer::{
+    detect::scan_for_corrupted_mappings,
     eviction::{calibrate_llc_eviction, calibrate_tlb_eviction},
     hammer::{ArmedPair, ExplicitHammer, ExplicitHammerConfig, ExplicitMode},
-    pairs::{candidate_pairs, conflict_threshold},
+    pairs::{candidate_pairs, conflict_threshold, pair_stride},
     pipeline::prepare_attack,
-    AttackConfig, AttackOutcome, CompiledTrace, HammerMode, HammerStrategy, PtHammer, RunOptions,
+    spray::spray_page_tables,
+    AttackConfig, AttackOutcome, CompiledTrace, HammerMode, HammerPair, HammerStrategy, PtHammer,
+    RunOptions,
 };
 use pthammer_defenses::{AnvilDetector, AnvilMode};
 use pthammer_dram::{FlipModelProfile, TrrConfig};
@@ -14,7 +17,9 @@ use pthammer_harness::{
     ScenarioMatrix,
 };
 use pthammer_kernel::{DefaultPolicy, KernelConfig, Pid, PlacementPolicy, System};
+use pthammer_mmu::Pte;
 use pthammer_perf::{HammerAccounting, MachineCounters, Stopwatch};
+use pthammer_types::{PhysAddr, HUGE_PAGE_SIZE, PAGE_SIZE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -375,6 +380,98 @@ pub fn hammer_microbench(
         wall_ns,
         fast_forwarded_rounds: stats.fast_forwarded_rounds,
         fast_forward_entries: stats.fast_forward_entries,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Detect-scan microbenchmark (perf-counter routed)
+// ---------------------------------------------------------------------------
+
+/// Measured result of the pinned detect-scan microbenchmark.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DetectScanMicrobench {
+    /// Simulated hardware events of the measured scans (counter deltas).
+    pub counters: MachineCounters,
+    /// Simulated cycles of the measured scans.
+    pub sim_cycles: u64,
+    /// Scans run.
+    pub scans: u64,
+    /// Pages the scans read.
+    pub pages: u64,
+    /// Corrupted mappings the scans found.
+    pub findings: u64,
+    /// Pages served without a walker call (host telemetry; the simulated
+    /// work does not depend on it).
+    pub batched_pages: u64,
+    /// Host wall-clock time of the measured scans.
+    pub wall_ns: u64,
+}
+
+/// Runs the pinned detect-scan microbenchmark: sprays `machine`'s page
+/// tables (undefended, regular pages), then for each of `scans` pairs 128
+/// MiB of VA apart redirects one sprayed L1PTE of its victim range at
+/// another Level-1 page table, clears the present bit of another, touches
+/// the pair's low address (so a TLB holds it, as after hammering) and runs
+/// Detect's scan of the pair — the pipeline's check step, with perf
+/// counters bracketing the scans.
+pub fn detect_scan_microbench(
+    machine: MachineChoice,
+    scale: ExperimentScale,
+    scans: u64,
+    seed: u64,
+) -> DetectScanMicrobench {
+    let mut sys = boot(machine, scale, false, Box::new(DefaultPolicy::new()), seed);
+    let pid = sys.spawn_process(1000).expect("spawn");
+    let config = scale.attack_config(seed, false);
+    let spray = spray_page_tables(&mut sys, pid, &config).expect("spray");
+    let row_span = sys.machine().config().dram.geometry.row_span_bytes();
+    let pairs: Vec<HammerPair> = (0..scans)
+        .map(|k| {
+            let low = spray.base + k * (128 << 20) + 5 * PAGE_SIZE;
+            HammerPair {
+                low,
+                high: low + pair_stride(row_span),
+            }
+        })
+        .collect();
+    for (k, pair) in pairs.iter().enumerate() {
+        let (victims, _) = pair.victim_va_range(row_span);
+        let redirected = victims + (1000 + 37 * k as u64) * PAGE_SIZE;
+        let captured = victims + 3 * HUGE_PAGE_SIZE;
+        let table = sys.oracle_l1pte_paddr(pid, captured).expect("sprayed");
+        let entry = sys.oracle_l1pte_paddr(pid, redirected).expect("sprayed");
+        let raw = sys.machine().phys_read_u64(entry);
+        let flags = Pte::from_raw(raw).flags();
+        let pte = Pte::page(PhysAddr::new(table.as_u64() & !(PAGE_SIZE - 1)), flags);
+        sys.machine_mut().phys_write_u64(entry, pte.raw());
+        let unmapped = victims + (5000 + 11 * k as u64) * PAGE_SIZE;
+        let entry = sys.oracle_l1pte_paddr(pid, unmapped).expect("sprayed");
+        let raw = sys.machine().phys_read_u64(entry);
+        sys.machine_mut().phys_write_u64(entry, raw & !1);
+    }
+
+    let before = MachineCounters::capture(sys.machine());
+    let batched_before = sys.machine().batched_run_pages();
+    let (mut sim_cycles, mut pages, mut findings) = (0, 0, 0);
+    let watch = Stopwatch::start();
+    for pair in &pairs {
+        sys.read_u64(pid, pair.low).expect("touch the pair");
+        let (found, cycles) =
+            scan_for_corrupted_mappings(&mut sys, pid, &spray, pair, row_span).expect("scan");
+        sim_cycles += cycles;
+        findings += found.len() as u64;
+        let (start, end) = pair.victim_va_range(row_span);
+        pages += (end.as_u64().min(spray.end().as_u64()) - start.as_u64()) / PAGE_SIZE;
+    }
+    let wall_ns = watch.elapsed_ns();
+    DetectScanMicrobench {
+        counters: MachineCounters::capture(sys.machine()).since(&before),
+        sim_cycles,
+        scans,
+        pages,
+        findings,
+        batched_pages: sys.machine().batched_run_pages() - batched_before,
+        wall_ns,
     }
 }
 

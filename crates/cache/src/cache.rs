@@ -154,6 +154,39 @@ impl SetAssociativeCache {
         displaced.map(|tag| PhysAddr::new(tag * 64))
     }
 
+    /// Records `rounds` rounds of hits on `lines`, every one present and at
+    /// most eight of them, each round hitting them in order: the same end
+    /// state as [`SetAssociativeCache::access`] of each line, round after
+    /// round, as one [`SetStore::touch_run`] per set that replays the last
+    /// round.
+    pub fn hit_run(&mut self, lines: &[PhysAddr], rounds: u64) {
+        const MAX_LINES: usize = 8;
+        assert!(
+            lines.len() <= MAX_LINES,
+            "at most {MAX_LINES} lines per hit run"
+        );
+        if rounds == 0 {
+            return;
+        }
+        for (first, &line) in lines.iter().enumerate() {
+            let set = self.set_index(line);
+            if lines[..first].iter().any(|&l| self.set_index(l) == set) {
+                continue;
+            }
+            // The set's ways in the order one round hits them.
+            let (mut ways, mut len) = ([0u32; MAX_LINES], 0);
+            for &other in lines[first..].iter().filter(|&&l| self.set_index(l) == set) {
+                ways[len] = self
+                    .store
+                    .find(set as usize, Self::line_tag(other))
+                    .expect("a hit run's lines are present");
+                len += 1;
+            }
+            self.store
+                .touch_run(set as usize, &ways[..len], len as u64 * rounds);
+        }
+    }
+
     /// Invalidates the line if present; returns whether it was present.
     pub fn invalidate(&mut self, paddr: PhysAddr) -> bool {
         let set = self.set_index(paddr) as usize;

@@ -272,6 +272,15 @@ impl CacheHierarchy {
         None
     }
 
+    /// Records `rounds` rounds of L1D hits on `lines`, every one held by
+    /// the L1D and at most eight of them, each round accessing them in
+    /// order: the same end state and counters as [`CacheHierarchy::access`]
+    /// of each line, round after round.
+    pub fn l1_hit_run(&mut self, lines: &[PhysAddr], rounds: u64) {
+        self.pmc.l1_accesses += rounds * lines.len() as u64;
+        self.l1d.hit_run(lines, rounds);
+    }
+
     /// Inserts the line into every level after it was fetched from DRAM.
     /// Inclusive LLC evictions back-invalidate the inner levels.
     pub fn fill(&mut self, paddr: PhysAddr) {

@@ -350,6 +350,88 @@ impl SetStore {
         })
     }
 
+    /// Mask of the empty ways of `set`.
+    #[inline]
+    pub fn empty_ways(&self, set: usize) -> u32 {
+        with_width!(self.assoc, |w| eq_mask(
+            w,
+            &self.blocks[w.block(set)],
+            EMPTY_TAG
+        ))
+    }
+
+    /// Chooses the way of each placement of a run, in order: `sets` names
+    /// the set of each placement, `empty` masks each set's empty ways and
+    /// `placed(index, set, way)` receives the placement's index in the run,
+    /// set and way. A placement takes the lowest way of its set's `empty`
+    /// mask, which it clears, else the replacement policy's victim, and
+    /// records the fill in the replacement state; it writes no tag
+    /// ([`SetStore::set_tag`] does). A victim choice reads only metadata
+    /// words and per-set scalars, never tags, so a run can write only the
+    /// tags that survive it: [`SetStore::empty_ways`] of each set, then
+    /// `place_run`, then `set_tag` of each way's last tag, leaves every set
+    /// exactly as [`SetStore::first_empty`] and [`SetStore::place`] of each
+    /// tag in turn.
+    #[inline]
+    pub fn place_run(
+        &mut self,
+        sets: impl Iterator<Item = usize>,
+        empty: &mut [u32],
+        mut placed: impl FnMut(usize, usize, u32),
+    ) {
+        with_width!(self.assoc, |w| {
+            for (index, set) in sets.enumerate() {
+                let meta = &mut self.blocks[w.block(set)][w.ways()..];
+                let state = &mut self.states[set];
+                let free = &mut empty[set];
+                let way = match lowest(*free) {
+                    Some(way) => {
+                        *free &= *free - 1;
+                        way as usize
+                    }
+                    None => self.policy.victim(w, meta, state),
+                };
+                self.policy.on_fill(&mut meta[way], state);
+                placed(index, set, way as u32);
+            }
+        })
+    }
+
+    /// Writes `tag` into `way` of `set` (see [`SetStore::place_run`]).
+    #[inline]
+    pub fn set_tag(&mut self, set: usize, way: u32, tag: u64) {
+        debug_assert_ne!(tag, EMPTY_TAG, "unrepresentable tag");
+        let ways = self.assoc.ways() as usize;
+        self.blocks[2 * ways * set + way as usize] = tag;
+    }
+
+    /// Records `hits` hits on `set` whose last `ways.len()` hits land on
+    /// `ways`, in that order, and whose earlier hits all land on ways
+    /// listed in `ways`: the same end state as [`SetStore::touch`] once per
+    /// hit. A hit writes only the per-set tick and the hit way's metadata
+    /// word, from the tick alone, so the last hits overwrite every earlier
+    /// one: the run advances the tick past the earlier hits and replays the
+    /// last ones.
+    pub fn touch_run(&mut self, set: usize, ways: &[u32], hits: u64) {
+        let last = ways.len() as u64;
+        debug_assert!(last <= hits, "more last hits than hits");
+        let state = &mut self.states[set];
+        state.set_tick(state.tick() + (hits - last));
+        for &way in ways {
+            self.touch(set, way);
+        }
+    }
+
+    /// Every tag held in the store, in no particular order.
+    pub fn tags(&self) -> impl Iterator<Item = u64> + '_ {
+        let ways = self.assoc.ways() as usize;
+        self.blocks
+            .chunks_exact(2 * ways)
+            .flat_map(move |block| &block[..ways])
+            .copied()
+            .filter(|&tag| tag != EMPTY_TAG)
+    }
+
     /// Empties the way of `set` holding `tag`; returns that way.
     #[inline]
     pub fn remove(&mut self, set: usize, tag: u64) -> Option<u32> {
@@ -422,6 +504,121 @@ impl SetStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replacement::reference::{POLICIES, WAYS};
+    use proptest::prelude::*;
+
+    /// A 4-set store whose set 1 holds `prefill` tags (placed one at a
+    /// time, then with a few ways emptied by `holes`) and a history of
+    /// `touches`, so runs start from varied metadata.
+    fn seeded_store(
+        ways: u32,
+        policy: ReplacementPolicy,
+        seed: u64,
+        prefill: &[u64],
+        holes: &[u32],
+        touches: &[u32],
+    ) -> SetStore {
+        let mut store = SetStore::new(4, ways, policy, |s| seed ^ u64::from(s));
+        for &tag in prefill {
+            if store.find(1, tag).is_none() {
+                let empty = store.first_empty(1);
+                store.place(1, tag, empty);
+            }
+        }
+        for &way in touches {
+            if store.set_state(1).0[(way % ways) as usize] != EMPTY_TAG {
+                store.touch(1, way % ways);
+            }
+        }
+        for &hole in holes {
+            let tag = store.set_state(1).0[(hole % ways) as usize];
+            if tag != EMPTY_TAG {
+                store.remove(1, tag);
+            }
+        }
+        store
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        // A refill run (placements chosen from metadata alone, then only
+        // the surviving tags written) leaves the store exactly as placing
+        // its tags one at a time: first empty way, else the policy's victim.
+        #[test]
+        fn a_refill_run_matches_placing_one_at_a_time(
+            ways in prop::sample::select(WAYS.to_vec()),
+            policy in prop::sample::select(POLICIES.to_vec()),
+            seed in any::<u64>(),
+            prefill in prop::collection::vec(0u64..64, 0..40),
+            holes in prop::collection::vec(any::<u32>(), 0..4),
+            touches in prop::collection::vec(any::<u32>(), 0..20),
+            run in 0usize..80,
+        ) {
+            let mut one_by_one = seeded_store(ways, policy, seed, &prefill, &holes, &touches);
+            let mut batched = one_by_one.clone();
+            let tags: Vec<u64> = (0..run as u64).map(|i| 1000 + i).collect();
+            for &tag in &tags {
+                let empty = one_by_one.first_empty(1);
+                one_by_one.place(1, tag, empty);
+            }
+            let mut empty = vec![0, batched.empty_ways(1), 0, 0];
+            let mut holds = vec![None; ways as usize];
+            batched.place_run(tags.iter().map(|_| 1), &mut empty, |index, set, way| {
+                assert_eq!(set, 1);
+                holds[way as usize] = Some(tags[index]);
+            });
+            for (way, tag) in holds.into_iter().enumerate() {
+                if let Some(tag) = tag {
+                    batched.set_tag(1, way as u32, tag);
+                }
+            }
+            prop_assert_eq!(empty[1], batched.empty_ways(1));
+            prop_assert_eq!(batched, one_by_one);
+        }
+
+        // A hit batch (the tick advanced past the earlier hits, then the
+        // last hits replayed in order) leaves the store exactly as
+        // touching once per hit, when every earlier hit lands on a way the
+        // last hits touch again.
+        #[test]
+        fn a_hit_batch_matches_touching_one_at_a_time(
+            ways in prop::sample::select(WAYS.to_vec()),
+            policy in prop::sample::select(POLICIES.to_vec()),
+            seed in any::<u64>(),
+            prefill in prop::collection::vec(0u64..64, 1..40),
+            touches in prop::collection::vec(any::<u32>(), 0..20),
+            last in prop::collection::vec(any::<u32>(), 1..6),
+            earlier in prop::collection::vec(any::<usize>(), 0..60),
+        ) {
+            let mut one_by_one = seeded_store(ways, policy, seed, &prefill, &[], &touches);
+            let mut batched = one_by_one.clone();
+            let occupied = one_by_one.occupancy(1) as u32;
+            let last: Vec<u32> = last.iter().map(|&way| way % occupied).collect();
+            let hits: Vec<u32> = earlier
+                .iter()
+                .map(|&i| last[i % last.len()])
+                .chain(last.iter().copied())
+                .collect();
+            for &way in &hits {
+                one_by_one.touch(1, way);
+            }
+            batched.touch_run(1, &last, hits.len() as u64);
+            prop_assert_eq!(batched, one_by_one);
+        }
+    }
+
+    #[test]
+    fn tags_lists_every_held_tag() {
+        let mut store = SetStore::new(2, 3, ReplacementPolicy::Lru, u64::from);
+        for (set, tag) in [(0, 7), (1, 9), (0, 4)] {
+            let empty = store.first_empty(set);
+            store.place(set, tag, empty);
+        }
+        let mut tags: Vec<u64> = store.tags().collect();
+        tags.sort_unstable();
+        assert_eq!(tags, vec![4, 7, 9]);
+    }
 
     #[test]
     fn presets_get_unrolled_instances() {

@@ -9,7 +9,7 @@ use pthammer_cache::{
     CacheHierarchy, CacheHierarchyConfig, HierarchyAccess, LlcConfig, ReplacementPolicy,
     SetAssociativeCache,
 };
-use pthammer_types::PhysAddr;
+use pthammer_types::{MemoryLevel, PhysAddr};
 
 /// A small hierarchy with heavy set contention so random traces exercise
 /// evictions, promotions and inclusive back-invalidation.
@@ -140,5 +140,39 @@ proptest! {
             prop_assert!(via_fill.occupancy(set) <= 2);
             prop_assert_eq!(via_fill.occupancy(set), via_absent.occupancy(set));
         }
+    }
+
+    // An L1 hit run (the page-run batch of a walker's PTE line and a data
+    // line) leaves the hierarchy exactly as accessing its lines round
+    // after round: same counters and replacement state at every level,
+    // whether the lines share an L1 set or not.
+    #[test]
+    fn an_l1_hit_run_matches_accessing_round_by_round(
+        raws in prop::collection::vec(any::<u64>(), 1..60),
+        picks in prop::collection::vec(any::<u64>(), 1..4),
+        rounds in 0u64..12,
+        policy in prop::sample::select(POLICIES.to_vec()),
+        seed in 0u64..64,
+    ) {
+        let mut per_access = contended_hierarchy(policy, seed);
+        for &r in &raws {
+            let a = addr(r);
+            if per_access.access(a).hit_level.is_none() {
+                per_access.fill(a);
+            }
+        }
+        let held: Vec<PhysAddr> = (0..256u64)
+            .map(addr)
+            .filter(|&a| per_access.contains(a) == Some(MemoryLevel::L1))
+            .collect();
+        let lines: Vec<PhysAddr> = picks.iter().map(|&p| held[(p % held.len() as u64) as usize]).collect();
+        let mut batched = per_access.clone();
+        for _ in 0..rounds {
+            for &line in &lines {
+                prop_assert_eq!(per_access.access(line).hit_level, Some(MemoryLevel::L1));
+            }
+        }
+        batched.l1_hit_run(&lines, rounds);
+        prop_assert_eq!(batched, per_access);
     }
 }

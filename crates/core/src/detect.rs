@@ -108,6 +108,11 @@ pub fn classify_captured_page(
 /// Scans the victim virtual-address range of a hammered pair for mappings
 /// that no longer read the spray pattern. Returns the simulated cycles spent
 /// scanning together with the findings (the Table II "Check Time").
+///
+/// The range is read as page runs ([`System::read_run`]): each run stops at
+/// the next page that reads something other than the pattern, which is
+/// classified, and the next run starts after it. The state it leaves is
+/// that of one [`System::read_u64`] per page.
 pub fn scan_for_corrupted_mappings(
     sys: &mut System,
     pid: Pid,
@@ -116,36 +121,50 @@ pub fn scan_for_corrupted_mappings(
     row_span_bytes: u64,
 ) -> Result<(Vec<FlipFinding>, u64), AttackError> {
     let start_cycles = sys.rdtsc();
-    let (scan_start, scan_end) = pair.victim_va_range(row_span_bytes);
-    let scan_start = scan_start.as_u64().max(spray.base.as_u64());
-    let scan_end = scan_end.as_u64().min(spray.end().as_u64());
-
-    let mut findings = Vec::new();
-    let mut va = scan_start;
-    while va < scan_end {
-        let addr = VirtAddr::new(va);
-        match sys.read_u64(pid, addr) {
-            Ok(acc) if acc.value == spray.pattern => {}
-            Ok(acc) => {
-                let kind = classify_captured_page(sys, pid, addr)?;
-                findings.push(FlipFinding {
-                    vaddr: addr,
-                    observed: acc.value,
-                    kind,
-                });
-            }
-            Err(KernelError::BadAddress(_)) => {
-                findings.push(FlipFinding {
-                    vaddr: addr,
-                    observed: 0,
-                    kind: CapturedPageKind::Unmapped,
-                });
-            }
-            Err(e) => return Err(e.into()),
-        }
-        va += PAGE_SIZE;
-    }
+    let (start, end) = scan_range(spray, pair, row_span_bytes);
+    let findings = scan_pages(sys, pid, start, end, spray.pattern)?;
     Ok((findings, sys.rdtsc() - start_cycles))
+}
+
+/// Reads one qword of every page from `start` up to `end` and reports each
+/// page that faults or reads something other than `pattern`.
+fn scan_pages(
+    sys: &mut System,
+    pid: Pid,
+    start: VirtAddr,
+    end: VirtAddr,
+    pattern: u64,
+) -> Result<Vec<FlipFinding>, AttackError> {
+    let mut findings = Vec::new();
+    let mut va = start;
+    while va < end {
+        let finding = match sys.read_run(pid, va, end, pattern) {
+            Ok(None) => break,
+            Ok(Some(acc)) => FlipFinding {
+                vaddr: acc.vaddr,
+                observed: acc.value,
+                kind: classify_captured_page(sys, pid, acc.vaddr)?,
+            },
+            Err(KernelError::BadAddress(vaddr)) => FlipFinding {
+                vaddr,
+                observed: 0,
+                kind: CapturedPageKind::Unmapped,
+            },
+            Err(e) => return Err(e.into()),
+        };
+        findings.push(finding);
+        va = finding.vaddr + PAGE_SIZE;
+    }
+    Ok(findings)
+}
+
+/// The part of the pair's victim range inside the spray, `[start, end)`.
+fn scan_range(spray: &SprayRegion, pair: &HammerPair, row_span_bytes: u64) -> (VirtAddr, VirtAddr) {
+    let (scan_start, scan_end) = pair.victim_va_range(row_span_bytes);
+    (
+        VirtAddr::new(scan_start.as_u64().max(spray.base.as_u64())),
+        VirtAddr::new(scan_end.as_u64().min(spray.end().as_u64())),
+    )
 }
 
 #[cfg(test)]
@@ -283,5 +302,380 @@ mod tests {
             0,
             "spray pattern must not look like a present PTE"
         );
+    }
+}
+
+/// The page-run scan against the per-page scan it replaced, on twin
+/// systems.
+#[cfg(test)]
+mod page_run_tests {
+    use super::*;
+    use crate::config::AttackConfig;
+    use crate::spray::spray_page_tables;
+    use proptest::prelude::*;
+    use pthammer_dram::FlipModelProfile;
+    use pthammer_kernel::{DefaultPolicy, KernelConfig, MmapOptions, VmaBacking};
+    use pthammer_machine::MachineConfig;
+    use pthammer_mmu::{Pte, PteFlags};
+    use pthammer_types::{PageSize, PhysAddr, HUGE_PAGE_SIZE};
+
+    /// The per-page scan [`scan_pages`] replaced: one [`System::read_u64`]
+    /// per page, the oracle of the twin tests.
+    fn reference_scan_pages(
+        sys: &mut System,
+        pid: Pid,
+        start: VirtAddr,
+        end: VirtAddr,
+        pattern: u64,
+    ) -> Result<Vec<FlipFinding>, AttackError> {
+        let mut findings = Vec::new();
+        let mut va = start.as_u64();
+        while va < end.as_u64() {
+            let addr = VirtAddr::new(va);
+            match sys.read_u64(pid, addr) {
+                Ok(acc) if acc.value == pattern => {}
+                Ok(acc) => {
+                    let kind = classify_captured_page(sys, pid, addr)?;
+                    findings.push(FlipFinding {
+                        vaddr: addr,
+                        observed: acc.value,
+                        kind,
+                    });
+                }
+                Err(KernelError::BadAddress(_)) => {
+                    findings.push(FlipFinding {
+                        vaddr: addr,
+                        observed: 0,
+                        kind: CapturedPageKind::Unmapped,
+                    });
+                }
+                Err(e) => return Err(e.into()),
+            }
+            va += PAGE_SIZE;
+        }
+        Ok(findings)
+    }
+
+    /// The machines the twins run on: both CI machines and a Table I one
+    /// (NRU TLBs, SRRIP LLC).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Board {
+        CiSmall,
+        CiSmallTrr,
+        LenovoT420,
+    }
+
+    impl Board {
+        fn config(self, seed: u64) -> MachineConfig {
+            let profile = FlipModelProfile::invulnerable();
+            match self {
+                Board::CiSmall => MachineConfig::ci_small(profile, seed),
+                Board::CiSmallTrr => MachineConfig::ci_small_trr(profile, seed),
+                Board::LenovoT420 => MachineConfig::lenovo_t420(profile, seed),
+            }
+        }
+    }
+
+    /// One way to corrupt a sprayed page's L1PTE (or, for `HugeLeaf`, its
+    /// region's PDE), as a rowhammer flip or a defense might.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Corruption {
+        /// Clears the present bit.
+        NotPresent,
+        /// Points the PTE at another sprayed Level-1 page table.
+        OtherL1pt,
+        /// Points the PTE at the attacker's cred page.
+        CredPage,
+        /// Points the PTE past installed DRAM.
+        PastDram,
+        /// Flips a flag bit: the PTE still maps the same frame, but its
+        /// page table is no longer uniform.
+        FlagBit,
+        /// Makes the region's PDE a 2 MiB leaf over a frame range that
+        /// reads the pattern, and drops the region's cached translations.
+        HugeLeaf,
+    }
+
+    const CORRUPTIONS: [Corruption; 6] = [
+        Corruption::NotPresent,
+        Corruption::OtherL1pt,
+        Corruption::CredPage,
+        Corruption::PastDram,
+        Corruption::FlagBit,
+        Corruption::HugeLeaf,
+    ];
+
+    /// One of two identically booted, sprayed and corrupted systems.
+    struct Twin {
+        sys: System,
+        pid: Pid,
+        spray: SprayRegion,
+        /// A 2 MiB frame range of the attacker's that reads the pattern.
+        huge_frame: PhysAddr,
+    }
+
+    impl Twin {
+        fn new(board: Board, seed: u64) -> Self {
+            let mut sys = System::new(
+                board.config(seed),
+                KernelConfig::with_superpages(),
+                Box::new(DefaultPolicy::new()),
+            );
+            let pid = sys.spawn_process(1000).expect("spawn");
+            let config = AttackConfig {
+                spray_bytes: 64 << 20,
+                ..AttackConfig::quick_test(seed, false)
+            };
+            let spray = spray_page_tables(&mut sys, pid, &config).expect("spray");
+            let huge_page = sys
+                .mmap(
+                    pid,
+                    HUGE_PAGE_SIZE,
+                    MmapOptions {
+                        page_size: PageSize::Huge2M,
+                        populate: true,
+                        backing: VmaBacking::Anonymous {
+                            fill_pattern: spray.pattern,
+                        },
+                    },
+                )
+                .expect("huge page");
+            let huge_frame = sys.oracle_translate(pid, huge_page).expect("populated");
+            Self {
+                sys,
+                pid,
+                spray,
+                huge_frame,
+            }
+        }
+
+        fn page(&self, index: u64) -> VirtAddr {
+            self.spray.base + index % (self.spray.len / PAGE_SIZE) * PAGE_SIZE
+        }
+
+        /// Reads `pages` so that they (or the last of them) sit in the
+        /// L1 dTLB or only the sTLB when the scan starts.
+        fn warm(&mut self, pages: &[u64]) {
+            for &page in pages {
+                let _ = self.sys.read_u64(self.pid, self.page(page));
+            }
+        }
+
+        fn corrupt(&mut self, corruption: Corruption, page: u64) {
+            let va = self.page(page);
+            let capacity = self.sys.machine().config().dram.geometry.capacity_bytes();
+            let pte_paddr = self.sys.oracle_l1pte_paddr(self.pid, va).expect("sprayed");
+            let original = Pte::from_raw(self.sys.machine().phys_read_u64(pte_paddr));
+            let redirect = |frame: PhysAddr| Pte::page(frame, original.flags()).raw();
+            let (paddr, raw) = match corruption {
+                Corruption::NotPresent => (pte_paddr, original.raw() & !1),
+                Corruption::OtherL1pt => {
+                    let other = va + 5 * HUGE_PAGE_SIZE;
+                    let other = self.spray.base + (other - self.spray.base) % self.spray.len;
+                    let table = self
+                        .sys
+                        .oracle_l1pte_paddr(self.pid, other)
+                        .expect("sprayed");
+                    (
+                        pte_paddr,
+                        redirect(PhysAddr::new(table.as_u64() & !(PAGE_SIZE - 1))),
+                    )
+                }
+                Corruption::CredPage => {
+                    let cred = self.sys.process(self.pid).expect("attacker").cred_paddr;
+                    (
+                        pte_paddr,
+                        redirect(PhysAddr::new(cred.as_u64() & !(PAGE_SIZE - 1))),
+                    )
+                }
+                Corruption::PastDram => (pte_paddr, redirect(PhysAddr::new(capacity + 0x5000))),
+                Corruption::FlagBit => (pte_paddr, original.raw() ^ (1 << 9)),
+                Corruption::HugeLeaf => {
+                    self.sys.machine_mut().invalidate_page(va);
+                    let leaf = Pte::page(self.huge_frame, PteFlags::user_rw_huge());
+                    (self.pde_paddr(va), leaf.raw())
+                }
+            };
+            self.sys.machine_mut().phys_write_u64(paddr, raw);
+        }
+
+        /// Applies `corruptions`, then reads the `warm` pages.
+        fn prepare(&mut self, corruptions: &[(Corruption, u64)], warm: &[u64]) {
+            for &(corruption, page) in corruptions {
+                self.corrupt(corruption, page);
+            }
+            self.warm(warm);
+        }
+
+        /// The physical address of the PDE mapping `va`'s region.
+        fn pde_paddr(&self, va: VirtAddr) -> PhysAddr {
+            let mut table = self.sys.process(self.pid).expect("attacker").cr3;
+            for level in [4u8, 3] {
+                let entry = table + va.pt_index(level) * 8;
+                table = Pte::from_raw(self.sys.machine().phys_read_u64(entry)).frame();
+            }
+            table + va.pt_index(2) * 8
+        }
+    }
+
+    /// Asserts that the twins hold the same clock, counters, flips, banks,
+    /// cache sets and MMU.
+    fn assert_same_state(a: &System, b: &System) {
+        assert_eq!(a.stats().faults_handled, b.stats().faults_handled);
+        let (a, b) = (a.machine(), b.machine());
+        assert_eq!(a.rdtsc(), b.rdtsc());
+        assert_eq!(a.tlb_pmc(), b.tlb_pmc());
+        assert_eq!(a.cache_pmc(), b.cache_pmc());
+        assert_eq!(a.dram_stats(), b.dram_stats());
+        assert_eq!(a.applied_flips(), b.applied_flips());
+        for (x, y) in a.dram().banks().iter().zip(b.dram().banks()) {
+            assert!(
+                x.checkpoint() == y.checkpoint(),
+                "bank {} differs",
+                x.unit_id()
+            );
+        }
+        assert!(a.caches() == b.caches(), "cache sets differ");
+        assert!(
+            a.mmu() == b.mmu(),
+            "TLB or paging-structure cache sets differ"
+        );
+    }
+
+    /// Prepares identical twins the same way, scans `pages` pages from
+    /// `first` on both (page runs on one, per-page reads on the other),
+    /// checks that they agree on the findings and the whole state, and
+    /// returns the findings and the pages served without a walker call.
+    fn scan_twins(
+        board: Board,
+        seed: u64,
+        prepare: impl Fn(&mut Twin),
+        first: u64,
+        pages: u64,
+    ) -> (Vec<FlipFinding>, u64) {
+        let mut runs = Twin::new(board, seed);
+        let mut oracle = Twin::new(board, seed);
+        prepare(&mut runs);
+        prepare(&mut oracle);
+        assert_same_state(&runs.sys, &oracle.sys);
+        let start = runs.page(first);
+        let end = VirtAddr::new(
+            (start + pages * PAGE_SIZE)
+                .as_u64()
+                .min(runs.spray.end().as_u64()),
+        );
+        let pattern = runs.spray.pattern;
+        let batched = runs.sys.machine().batched_run_pages();
+        let got = scan_pages(&mut runs.sys, runs.pid, start, end, pattern);
+        let want = reference_scan_pages(&mut oracle.sys, oracle.pid, start, end, pattern);
+        assert_eq!(got, want);
+        assert_same_state(&runs.sys, &oracle.sys);
+        let findings = got.expect("the scan reads only the attacker's pages");
+        (findings, runs.sys.machine().batched_run_pages() - batched)
+    }
+
+    proptest! {
+        // Booting and spraying two systems dominates a case; debug builds
+        // (overflow checks on) run fewer cases than release.
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 4 } else { 16 }
+        ))]
+
+        // The page-run scan is invisible: over a range that may start
+        // mid-line and cross 2 MiB regions, with pages held by the TLBs at
+        // the start and corrupted PTEs and PDEs of every kind, it finds
+        // what the per-page scan finds and leaves the same clock, counters,
+        // banks and cache, TLB and paging-structure-cache sets.
+        #[test]
+        fn page_runs_match_per_page_reads(
+            board in prop::sample::select(vec![Board::CiSmall, Board::CiSmallTrr, Board::LenovoT420]),
+            seed in 0u64..8,
+            kinds in prop::collection::vec(prop::sample::select(CORRUPTIONS.to_vec()), 0..4),
+            at in prop::collection::vec(0u64..3000, 4..5),
+            warm in prop::collection::vec(0u64..3000, 0..100),
+            first in 0u64..600,
+            pages in 0u64..2600,
+        ) {
+            let corruptions: Vec<(Corruption, u64)> = kinds.into_iter().zip(at).collect();
+            scan_twins(board, seed, |twin| twin.prepare(&corruptions, &warm), first, pages);
+        }
+    }
+
+    /// Every corruption kind on each machine, at pages inside one scanned
+    /// range that starts mid-line, with the first pages of the range held
+    /// by the L1 dTLB and sTLB: the findings are the ones each corruption
+    /// makes, and most pages are batched.
+    #[test]
+    fn every_corruption_matches_on_every_machine() {
+        for board in [Board::CiSmall, Board::CiSmallTrr, Board::LenovoT420] {
+            let corruptions: Vec<(Corruption, u64)> = CORRUPTIONS
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| (c, 3 + 700 * i as u64))
+                .collect();
+            let warm: Vec<u64> = (0..700).step_by(3).collect();
+            let prepare = |twin: &mut Twin| twin.prepare(&corruptions, &warm);
+            let (findings, batched) = scan_twins(board, 1, prepare, 3, 4500);
+            let kinds: Vec<CapturedPageKind> = findings.iter().map(|f| f.kind).collect();
+            assert!(
+                kinds.contains(&CapturedPageKind::Unmapped),
+                "{board:?}: {kinds:?}"
+            );
+            assert!(
+                kinds.contains(&CapturedPageKind::CredPage),
+                "{board:?}: {kinds:?}"
+            );
+            assert!(
+                kinds
+                    .iter()
+                    .any(|k| matches!(k, CapturedPageKind::L1PageTable { .. })),
+                "{board:?}: {kinds:?}"
+            );
+            assert!(batched > 3000, "{board:?}: only {batched} pages batched");
+        }
+    }
+
+    /// A page some TLB held at the run's start, evicted by the run's
+    /// refills before the run reaches it, walks to a 2 MiB leaf (its 4 KiB
+    /// entry went stale when the PDE changed): the new entry holds the rest
+    /// of the region, so the run restarts there, as page-by-page reads
+    /// hit it.
+    #[test]
+    fn a_held_page_walking_to_a_huge_leaf_restarts_the_run() {
+        let region = 1536;
+        let prepare = |twin: &mut Twin| {
+            twin.warm(&[region]);
+            twin.corrupt(Corruption::HugeLeaf, region + 5);
+        };
+        let (findings, _) = scan_twins(Board::CiSmall, 4, prepare, region - 1200, 1800);
+        assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    /// A whole pair's scan through [`scan_for_corrupted_mappings`] agrees
+    /// with the per-page scan, cycles included.
+    #[test]
+    fn a_pair_scan_matches_the_per_page_scan() {
+        let mut runs = Twin::new(Board::CiSmall, 2);
+        let mut oracle = Twin::new(Board::CiSmall, 2);
+        for twin in [&mut runs, &mut oracle] {
+            twin.corrupt(Corruption::OtherL1pt, 40);
+            twin.corrupt(Corruption::NotPresent, 41);
+        }
+        let row_span = runs.sys.machine().config().dram.geometry.row_span_bytes();
+        let low = runs.spray.base + 3 * PAGE_SIZE;
+        let pair = HammerPair {
+            low,
+            high: low + crate::pairs::pair_stride(row_span),
+        };
+        let got =
+            scan_for_corrupted_mappings(&mut runs.sys, runs.pid, &runs.spray, &pair, row_span)
+                .unwrap();
+        let start_cycles = oracle.sys.rdtsc();
+        let (start, end) = scan_range(&oracle.spray, &pair, row_span);
+        let pattern = oracle.spray.pattern;
+        let want = reference_scan_pages(&mut oracle.sys, oracle.pid, start, end, pattern).unwrap();
+        assert_eq!(got, (want, oracle.sys.rdtsc() - start_cycles));
+        assert_eq!(got.0.len(), 2);
+        assert_same_state(&runs.sys, &oracle.sys);
     }
 }

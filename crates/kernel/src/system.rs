@@ -616,20 +616,32 @@ impl System {
     // User-level memory operations (with demand paging).
     // ------------------------------------------------------------------
 
-    fn with_fault_retry<F>(
-        &mut self,
-        pid: Pid,
-        vaddr: VirtAddr,
-        mut op: F,
-    ) -> Result<VirtualAccess, KernelError>
+    fn with_fault_retry<F>(&mut self, pid: Pid, mut op: F) -> Result<VirtualAccess, KernelError>
     where
         F: FnMut(&mut Machine, PhysAddr) -> VirtualAccess,
     {
         let cr3 = self.cr3_of(pid)?;
         let acc = op(&mut self.machine, cr3);
+        self.retry_fault(pid, cr3, acc, op)
+    }
+
+    /// The fault handling of [`System::with_fault_retry`] for `acc`, the
+    /// first result of `op` at `acc.vaddr`: a faulting access is handled
+    /// (demand paging) and `op` retried once.
+    fn retry_fault<F>(
+        &mut self,
+        pid: Pid,
+        cr3: PhysAddr,
+        acc: VirtualAccess,
+        mut op: F,
+    ) -> Result<VirtualAccess, KernelError>
+    where
+        F: FnMut(&mut Machine, PhysAddr) -> VirtualAccess,
+    {
         if acc.fault.is_none() {
             return Ok(acc);
         }
+        let vaddr = acc.vaddr;
         self.handle_fault(pid, vaddr)?;
         let acc = op(&mut self.machine, cr3);
         if acc.fault.is_some() {
@@ -640,7 +652,48 @@ impl System {
 
     /// Reads the u64 at `vaddr` in the process's address space.
     pub fn read_u64(&mut self, pid: Pid, vaddr: VirtAddr) -> Result<VirtualAccess, KernelError> {
-        self.with_fault_retry(pid, vaddr, |m, cr3| m.read_u64(cr3, vaddr))
+        self.with_fault_retry(pid, |m, cr3| m.read_u64(cr3, vaddr))
+    }
+
+    /// Reads the u64 at `start` and at every following page below `end`,
+    /// and returns the first access that reads something other than
+    /// `expected`; `Ok(None)` when every page reads `expected`. The result
+    /// and the state it leaves are exactly those of [`System::read_u64`]
+    /// of each page in turn, stopping at that page: a page that faults is
+    /// handled and retried as there, and is an error if the retry faults.
+    ///
+    /// The pages run through [`Machine::read_run`].
+    ///
+    /// # Errors
+    ///
+    /// Fails for an unknown process, and with [`KernelError::BadAddress`]
+    /// of the page when a fault on it cannot be handled.
+    pub fn read_run(
+        &mut self,
+        pid: Pid,
+        start: VirtAddr,
+        end: VirtAddr,
+        expected: u64,
+    ) -> Result<Option<VirtualAccess>, KernelError> {
+        let cr3 = self.cr3_of(pid)?;
+        let mut from = start;
+        while from < end {
+            let Some(acc) = self.machine.read_run(cr3, from, end, expected) else {
+                return Ok(None);
+            };
+            let vaddr = acc.vaddr;
+            let acc = self
+                .retry_fault(pid, cr3, acc, |m, cr3| m.read_u64(cr3, vaddr))
+                .map_err(|e| match e {
+                    KernelError::BadAddress(_) => KernelError::BadAddress(vaddr),
+                    e => e,
+                })?;
+            if acc.value != expected {
+                return Ok(Some(acc));
+            }
+            from = vaddr + PAGE_SIZE;
+        }
+        Ok(None)
     }
 
     /// Writes the u64 at `vaddr` in the process's address space.
@@ -650,7 +703,7 @@ impl System {
         vaddr: VirtAddr,
         value: u64,
     ) -> Result<VirtualAccess, KernelError> {
-        self.with_fault_retry(pid, vaddr, |m, cr3| m.write_u64(cr3, vaddr, value))
+        self.with_fault_retry(pid, |m, cr3| m.write_u64(cr3, vaddr, value))
     }
 
     /// Touches `vaddr` (timed read whose value is ignored).
@@ -714,7 +767,7 @@ impl System {
 
     /// Flushes the cache line containing `vaddr` (`clflush`).
     pub fn clflush(&mut self, pid: Pid, vaddr: VirtAddr) -> Result<VirtualAccess, KernelError> {
-        self.with_fault_retry(pid, vaddr, |m, cr3| m.clflush(cr3, vaddr))
+        self.with_fault_retry(pid, |m, cr3| m.clflush(cr3, vaddr))
     }
 
     /// Reads the time-stamp counter.

@@ -4,10 +4,10 @@ use serde::Serialize;
 
 use pthammer_cache::{CacheHierarchy, CachePmc};
 use pthammer_dram::{DramModule, DramStats};
-use pthammer_mmu::{Mmu, PageFault, PscLevel, TlbLevel, TlbPmc};
+use pthammer_mmu::{Mmu, PageFault, PscLevel, Pte, TlbEntry, TlbLevel, TlbPmc, TouchTranslation};
 use pthammer_types::{
-    AccessKind, Cycles, Fingerprint, LaneCount, LaneSink, LaneSource, Lanes, MemoryLevel, PhysAddr,
-    VirtAddr,
+    AccessKind, Cycles, Fingerprint, LaneCount, LaneSink, LaneSource, Lanes, MemoryLevel, PageSize,
+    PhysAddr, VirtAddr, PAGE_SIZE,
 };
 
 use crate::config::MachineConfig;
@@ -52,6 +52,80 @@ pub struct TouchAccess {
     pub l1pte_from_dram: bool,
 }
 
+/// One access through [`Machine::access_core`].
+#[derive(Debug, Clone, Copy)]
+struct CoreAccess {
+    translation: TouchTranslation,
+    /// The translated address, if it lies in installed DRAM.
+    paddr: Option<PhysAddr>,
+    fault: Option<PageFault>,
+    latency: Cycles,
+    /// Level that served the data access (None on fault).
+    data_level: Option<MemoryLevel>,
+}
+
+impl CoreAccess {
+    fn into_access(self, vaddr: VirtAddr, value: u64) -> VirtualAccess {
+        VirtualAccess {
+            vaddr,
+            paddr: self.paddr,
+            fault: self.fault,
+            latency: self.latency,
+            tlb_hit: self.translation.tlb_hit,
+            psc_hit: self.translation.psc_hit,
+            l1pte_from_dram: self.translation.l1pte_from_dram,
+            data_level: self.data_level,
+            value,
+        }
+    }
+}
+
+/// The qword-aligned address containing `paddr`.
+fn aligned(paddr: PhysAddr) -> PhysAddr {
+    PhysAddr::new(paddr.as_u64() & !7)
+}
+
+/// Page-run pages that follow a stepped page and share its L1PTE line,
+/// served without a walker call (see [`Machine::read_run`]): their PDE-cache
+/// and L1 hits are counted here and applied in one go.
+#[derive(Debug, Clone, Copy)]
+struct HitBatch {
+    /// The stepped page.
+    stepped: VirtAddr,
+    /// The Level-1 PTEs of the stepped page's PTE line.
+    ptes: [u64; PTES_PER_LINE],
+    /// The frame the stepped page maps.
+    frame: PhysAddr,
+    /// The PTE line, then the data line: one batched page's L1 hits.
+    lines: [PhysAddr; 2],
+    /// The latency of one batched page.
+    latency: Cycles,
+    /// Batched pages so far.
+    pages: u64,
+}
+
+/// Level-1 PTEs per 64-byte line.
+const PTES_PER_LINE: usize = 8;
+
+impl HitBatch {
+    /// The TLB refill of `vaddr`, if the batch serves it: it shares the
+    /// stepped page's PTE line and its PTE is present and maps the same
+    /// frame.
+    fn serves(&self, vaddr: VirtAddr) -> Option<TlbEntry> {
+        let line_pages = (PTES_PER_LINE as u64) * PAGE_SIZE;
+        if vaddr.as_u64() / line_pages != self.stepped.as_u64() / line_pages {
+            return None;
+        }
+        let pte = Pte::from_raw(self.ptes[vaddr.pt_index(1) as usize % PTES_PER_LINE]);
+        (pte.present() && pte.frame() == self.frame).then(|| TlbEntry {
+            vpn: vaddr.page_number(),
+            frame: self.frame,
+            pte,
+            page_size: PageSize::Base4K,
+        })
+    }
+}
+
 /// A complete simulated machine.
 ///
 /// The machine exposes two API surfaces:
@@ -68,6 +142,12 @@ pub struct Machine {
     mmu: Mmu,
     mem: MemorySubsystem,
     clock: Cycles,
+    /// Pages [`Machine::read_run`] served without a walker call.
+    #[serde(skip)]
+    batched_pages: u64,
+    /// The pages a TLB held when the current page run started.
+    #[serde(skip)]
+    held: Vec<u64>,
 }
 
 impl Machine {
@@ -88,6 +168,8 @@ impl Machine {
             mmu,
             mem,
             clock: Cycles::ZERO,
+            batched_pages: 0,
+            held: Vec::new(),
         }
     }
 
@@ -166,78 +248,73 @@ impl Machine {
     // User-level operations.
     // ------------------------------------------------------------------
 
+    /// The walk-and-access body every timed user-level access runs: the
+    /// translation (a deferred one with `DEFER`, see
+    /// [`Mmu::translate_deferred`]), then the data line's access, charged
+    /// to the clock. A translation past installed DRAM (e.g. a rowhammer
+    /// flip set a high frame bit of a PTE) faults as on real hardware,
+    /// where the access would hit unpopulated physical address space.
+    #[inline(always)]
+    fn access_core<const DEFER: bool>(&mut self, cr3: PhysAddr, vaddr: VirtAddr) -> CoreAccess {
+        let overhead = Cycles::new(u64::from(self.config.access_overhead));
+        let capacity = self.config.dram.geometry.capacity_bytes();
+        self.mem.set_now(self.clock);
+        let translation = if DEFER {
+            self.mmu.translate_deferred(cr3, vaddr, &mut self.mem)
+        } else {
+            self.mmu.translate_touch(cr3, vaddr, &mut self.mem)
+        };
+        let mut latency = translation.latency + overhead;
+        let paddr = translation.paddr.filter(|p| p.as_u64() + 8 <= capacity);
+        let (fault, data_level) = if let Some(paddr) = paddr {
+            let outcome = self.mem.access_line(paddr);
+            latency += outcome.latency;
+            (None, Some(outcome.served_by))
+        } else if translation.paddr.is_some() {
+            (Some(PageFault { vaddr, level: 0 }), None)
+        } else {
+            (translation.fault, None)
+        };
+        self.clock += latency;
+        CoreAccess {
+            translation,
+            paddr,
+            fault,
+            latency,
+            data_level,
+        }
+    }
+
+    /// A serial [`Machine::access_core`] that reads or writes the qword at
+    /// `vaddr`.
     fn do_access(
         &mut self,
         cr3: PhysAddr,
         vaddr: VirtAddr,
         kind: AccessKind,
         write_value: u64,
-        batch: bool,
     ) -> VirtualAccess {
-        self.mem.set_now(self.clock);
-        self.mem.set_batch_mode(batch);
-        let translation = self.mmu.translate(cr3, vaddr, &mut self.mem);
-        let mut latency = translation.latency + Cycles::new(u64::from(self.config.access_overhead));
-        let l1pte_from_dram = translation
-            .l1pte_load()
-            .map(|l| l.outcome.served_by == MemoryLevel::Dram)
-            .unwrap_or(false);
-
-        // A translation that points beyond the installed DRAM (e.g. because a
-        // rowhammer flip set a high bit of a PTE's frame field) behaves like a
-        // fault: on real hardware the access would hit unpopulated physical
-        // address space and the process would be killed by the kernel.
-        let capacity = self.config.dram.geometry.capacity_bytes();
-        let translation_paddr = translation.paddr.filter(|p| p.as_u64() + 8 <= capacity);
-        let fault = if translation.paddr.is_some() && translation_paddr.is_none() {
-            Some(PageFault { vaddr, level: 0 })
-        } else {
-            translation.fault
-        };
-
-        let (paddr, data_level, value) = match translation_paddr {
-            None => (None, None, 0),
-            Some(paddr) => {
-                let outcome = self.mem.access_line(paddr);
-                latency += outcome.latency;
-                let value = match kind {
-                    AccessKind::Read => {
-                        let aligned = PhysAddr::new(paddr.as_u64() & !7);
-                        self.mem.phys().read_u64(aligned)
-                    }
-                    AccessKind::Write => {
-                        let aligned = PhysAddr::new(paddr.as_u64() & !7);
-                        self.mem.phys_mut().write_u64(aligned, write_value);
-                        0
-                    }
-                };
-                (Some(paddr), Some(outcome.served_by), value)
+        self.mem.set_batch_mode(false);
+        let core = self.access_core::<false>(cr3, vaddr);
+        let value = match (core.paddr, kind) {
+            (None, _) => 0,
+            (Some(paddr), AccessKind::Read) => self.mem.phys().read_u64(aligned(paddr)),
+            (Some(paddr), AccessKind::Write) => {
+                self.mem.phys_mut().write_u64(aligned(paddr), write_value);
+                0
             }
         };
-        self.mem.set_batch_mode(false);
-        self.clock += latency;
-
-        VirtualAccess {
-            vaddr,
-            paddr,
-            fault,
-            latency,
-            tlb_hit: translation.tlb_hit,
-            psc_hit: translation.psc_hit,
-            l1pte_from_dram,
-            data_level,
-            value,
-        }
+        core.into_access(vaddr, value)
     }
 
     /// Performs a timed user-level read of the u64 at `vaddr`.
     pub fn read_u64(&mut self, cr3: PhysAddr, vaddr: VirtAddr) -> VirtualAccess {
-        self.do_access(cr3, vaddr, AccessKind::Read, 0, false)
+        self.do_access(cr3, vaddr, AccessKind::Read, 0)
     }
 
     /// Performs a timed user-level write of the u64 at `vaddr`.
     pub fn write_u64(&mut self, cr3: PhysAddr, vaddr: VirtAddr, value: u64) -> VirtualAccess {
-        self.do_access(cr3, vaddr, AccessKind::Write, value, false)
+        self.do_access(cr3, vaddr, AccessKind::Write, value)
     }
 
     /// Touches `vaddr` (read, value ignored). Equivalent to the paper's
@@ -273,26 +350,12 @@ impl Machine {
     ) -> (Cycles, Vec<PageFault>) {
         let mut total = Cycles::ZERO;
         let mut faults = Vec::new();
-        let overhead = Cycles::new(u64::from(self.config.access_overhead));
-        let capacity = self.config.dram.geometry.capacity_bytes();
         self.mem.set_batch_mode(true);
         for _ in 0..passes {
             for &vaddr in vaddrs {
-                self.mem.set_now(self.clock);
-                let translation = self.mmu.translate_touch(cr3, vaddr, &mut self.mem);
-                let mut latency = translation.latency + overhead;
-                // Same out-of-range-translation handling as the single-access
-                // path: a PTE pointing beyond installed DRAM faults.
-                let translation_paddr = translation.paddr.filter(|p| p.as_u64() + 8 <= capacity);
-                if let Some(paddr) = translation_paddr {
-                    latency += self.mem.access_line(paddr).latency;
-                } else if translation.paddr.is_some() {
-                    faults.push(PageFault { vaddr, level: 0 });
-                } else if let Some(fault) = translation.fault {
-                    faults.push(fault);
-                }
-                self.clock += latency;
-                total += latency;
+                let core = self.access_core::<false>(cr3, vaddr);
+                faults.extend(core.fault);
+                total += core.latency;
             }
         }
         self.mem.set_batch_mode(false);
@@ -305,26 +368,12 @@ impl Machine {
     /// batch charging). This is what the hammer loop uses for its two target
     /// accesses per iteration.
     pub fn touch_lean(&mut self, cr3: PhysAddr, vaddr: VirtAddr) -> TouchAccess {
-        let overhead = Cycles::new(u64::from(self.config.access_overhead));
-        let capacity = self.config.dram.geometry.capacity_bytes();
         self.mem.set_batch_mode(false);
-        self.mem.set_now(self.clock);
-        let translation = self.mmu.translate_touch(cr3, vaddr, &mut self.mem);
-        let mut latency = translation.latency + overhead;
-        let translation_paddr = translation.paddr.filter(|p| p.as_u64() + 8 <= capacity);
-        let fault = if let Some(paddr) = translation_paddr {
-            latency += self.mem.access_line(paddr).latency;
-            None
-        } else if translation.paddr.is_some() {
-            Some(PageFault { vaddr, level: 0 })
-        } else {
-            translation.fault
-        };
-        self.clock += latency;
+        let core = self.access_core::<false>(cr3, vaddr);
         TouchAccess {
-            latency,
-            fault,
-            l1pte_from_dram: translation.l1pte_from_dram,
+            latency: core.latency,
+            fault: core.fault,
+            l1pte_from_dram: core.translation.l1pte_from_dram,
         }
     }
 
@@ -332,7 +381,7 @@ impl Machine {
     /// address (a TLB-filling operation, as on real hardware) and flushes the
     /// line from every cache level.
     pub fn clflush(&mut self, cr3: PhysAddr, vaddr: VirtAddr) -> VirtualAccess {
-        let mut acc = self.do_access(cr3, vaddr, AccessKind::Read, 0, false);
+        let mut acc = self.do_access(cr3, vaddr, AccessKind::Read, 0);
         if let Some(paddr) = acc.paddr {
             self.mem.clflush_line(paddr);
             let flush_cost = Cycles::new(40);
@@ -340,6 +389,152 @@ impl Machine {
             self.clock += flush_cost;
         }
         acc
+    }
+
+    /// Reads the qword at `start` and at every following page below `end`,
+    /// and stops at the first page that faults or reads something other
+    /// than `expected`, returning that page's access; `None` when every
+    /// page read `expected`. The state it leaves, clock and counters
+    /// included, is exactly what [`Machine::read_u64`] of each page in
+    /// turn leaves.
+    ///
+    /// Inside the run, the per-page cost goes two ways:
+    ///
+    /// * A page no TLB held at the run's start misses every TLB and its
+    ///   lookup changes nothing but the counters, so it is walked without
+    ///   the probe and its refill waits ([`Mmu::translate_deferred`]). The
+    ///   refills are applied before a page some TLB held is read through
+    ///   the ordinary path, and when the run ends.
+    /// * Up to seven pages after a stepped (walked) page that share its
+    ///   L1PTE line make no walker call at all, while the L1 holds that
+    ///   line and the data line, the region's PDE-cache entry is present
+    ///   and the page's PTE is present and maps the same frame: each would
+    ///   hit the PDE cache and the L1 twice and read the same value. Their
+    ///   hits are counted and applied before the next stepped access.
+    ///
+    /// A walk to a 2 MiB leaf ends the run: its refill is applied at once,
+    /// and a new run starts at the next page.
+    pub fn read_run(
+        &mut self,
+        cr3: PhysAddr,
+        start: VirtAddr,
+        end: VirtAddr,
+        expected: u64,
+    ) -> Option<VirtualAccess> {
+        self.mem.set_batch_mode(false);
+        let mut held = core::mem::take(&mut self.held);
+        let pages = |from: VirtAddr| from.page_number()..end.as_u64().div_ceil(PAGE_SIZE);
+        self.mmu.tlbs().held_pages(pages(start), &mut held);
+        let mut next_held = 0;
+        let mut batch: Option<HitBatch> = None;
+        let mut va = start.as_u64();
+        let stop = loop {
+            if va >= end.as_u64() {
+                break None;
+            }
+            let vaddr = VirtAddr::new(va);
+            va += PAGE_SIZE;
+            while held
+                .get(next_held)
+                .is_some_and(|&h| h < vaddr.page_number())
+            {
+                next_held += 1;
+            }
+            let is_held = held.get(next_held) == Some(&vaddr.page_number());
+            if let Some(batch) = batch.as_mut().filter(|_| !is_held) {
+                if let Some(entry) = batch.serves(vaddr) {
+                    self.mmu.defer_refill(entry);
+                    self.clock += batch.latency;
+                    batch.pages += 1;
+                    continue;
+                }
+            }
+            if let Some(batch) = batch.take() {
+                self.apply_batch(batch);
+            }
+            let core = if is_held {
+                self.mmu.apply_refills();
+                self.access_core::<false>(cr3, vaddr)
+            } else {
+                self.access_core::<true>(cr3, vaddr)
+            };
+            let value = core
+                .paddr
+                .map_or(0, |p| self.mem.phys().read_u64(aligned(p)));
+            if core.fault.is_some() || value != expected {
+                break Some(core.into_access(vaddr, value));
+            }
+            let translation = core.translation;
+            if translation.page_size == PageSize::Huge2M {
+                if translation.tlb_hit.is_none() {
+                    // A new 2 MiB entry holds the rest of its region.
+                    self.mmu.apply_refills();
+                    self.mmu
+                        .tlbs()
+                        .held_pages(pages(VirtAddr::new(va)), &mut held);
+                    next_held = 0;
+                }
+            } else if !is_held {
+                batch = self.open_batch(vaddr, &core);
+            }
+        };
+        if let Some(batch) = batch {
+            self.apply_batch(batch);
+        }
+        self.mmu.apply_refills();
+        self.held = held;
+        stop
+    }
+
+    /// The batch that may follow `vaddr`, a page [`Machine::read_run`] just
+    /// walked to a 4 KiB leaf, if the L1 holds its PTE line and data line.
+    /// The walk left the region's PDE-cache entry present: it either hit
+    /// it or inserted it on the way down.
+    fn open_batch(&mut self, vaddr: VirtAddr, core: &CoreAccess) -> Option<HitBatch> {
+        let paddr = core.paddr?;
+        let pte_line = core.translation.l1pte?.cache_line_base();
+        let data_line = paddr.cache_line_base();
+        let in_l1 = |line| self.mem.caches().contains(line) == Some(MemoryLevel::L1);
+        if !(in_l1(pte_line) && in_l1(data_line)) {
+            return None;
+        }
+        debug_assert!(self.mmu.pde_cache().contains(vaddr));
+        let phys = self.mem.phys();
+        let ptes = core::array::from_fn(|i| phys.read_u64(pte_line + 8 * i as u64));
+        let mmu = self.mmu.config();
+        let l1 = u64::from(self.config.cache.l1d.latency);
+        let latency = u64::from(mmu.tlb_lookup_latency)
+            + u64::from(mmu.stlb_lookup_latency)
+            + l1
+            + u64::from(mmu.walk_step_latency)
+            + u64::from(self.config.access_overhead)
+            + l1;
+        Some(HitBatch {
+            stepped: vaddr,
+            ptes,
+            frame: PhysAddr::new(paddr.as_u64() & !(PAGE_SIZE - 1)),
+            lines: [pte_line, data_line],
+            latency: Cycles::new(latency),
+            pages: 0,
+        })
+    }
+
+    /// Applies a batch's counted hits: its TLB misses, one PDE-cache hit
+    /// and two L1 hits per page.
+    fn apply_batch(&mut self, batch: HitBatch) {
+        if batch.pages == 0 {
+            return;
+        }
+        self.mmu.count_walks(batch.pages);
+        self.mmu.pde_hit_run(batch.stepped, batch.pages);
+        self.mem.caches_mut().l1_hit_run(&batch.lines, batch.pages);
+        self.batched_pages += batch.pages;
+    }
+
+    /// Pages [`Machine::read_run`] has served without a walker call:
+    /// host-side telemetry, not simulated state.
+    pub fn batched_run_pages(&self) -> u64 {
+        self.batched_pages
     }
 
     // ------------------------------------------------------------------

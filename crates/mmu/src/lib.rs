@@ -42,7 +42,7 @@
 //! mem.0.insert(pt + 8, Pte::page(PhysAddr::new(0x5000), PteFlags::user_rw()).raw());
 //!
 //! let mut mmu = Mmu::new(MmuConfig::sandy_bridge(1));
-//! let res = mmu.translate(cr3, VirtAddr::new(0x1234), &mut mem);
+//! let res = mmu.translate_touch(cr3, VirtAddr::new(0x1234), &mut mem);
 //! assert_eq!(res.paddr, Some(PhysAddr::new(0x5234)));
 //! ```
 
@@ -58,5 +58,5 @@ mod translate;
 pub use config::{MmuConfig, PagingCacheConfig, TlbConfig, TlbIndexing};
 pub use paging_cache::{PagingStructureCache, PscLevel};
 pub use pte::{Pte, PteFlags};
-pub use tlb::{Tlb, TlbEntry, TlbFootprint, TlbHierarchy, TlbLevel, TlbPmc};
-pub use translate::{Mmu, PageFault, TouchTranslation, TranslationResult, WalkLoad, WalkLoads};
+pub use tlb::{Tlb, TlbEntry, TlbFootprint, TlbHierarchy, TlbLevel, TlbPmc, MAX_DEFERRED_REFILLS};
+pub use translate::{Mmu, PageFault, TouchTranslation};

@@ -111,6 +111,24 @@ impl PagingStructureCache {
         Some(payload.0)
     }
 
+    /// Records `hits` [`PagingStructureCache::lookup`]s of `vaddr`, whose
+    /// entry is present: the tick advances by `hits` and the entry takes
+    /// the last stamp.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no entry covers `vaddr`.
+    pub fn hit_run(&mut self, vaddr: VirtAddr, hits: u64) {
+        let tag = self.level.tag_of(vaddr);
+        let idx = self
+            .tags
+            .iter()
+            .position(|&t| t == tag)
+            .expect("a hit run's entry is present");
+        self.tick += hits;
+        self.payloads[idx].1 = self.tick;
+    }
+
     /// Probes for `vaddr` without updating LRU state.
     pub fn contains(&self, vaddr: VirtAddr) -> bool {
         let tag = self.level.tag_of(vaddr);
@@ -271,6 +289,21 @@ mod tests {
         assert_eq!(PscLevel::Pde.next_table_level(), 1);
         assert_eq!(PscLevel::Pdpte.next_table_level(), 2);
         assert_eq!(PscLevel::Pml4e.next_table_level(), 3);
+    }
+
+    #[test]
+    fn a_hit_run_matches_repeated_lookups() {
+        let mut looked_up = PagingStructureCache::new(PscLevel::Pde, 4);
+        for region in 1..=3 {
+            looked_up.insert(VirtAddr::new(region * TWO_MIB), PhysAddr::new(region << 12));
+        }
+        let mut batched = looked_up.clone();
+        let va = VirtAddr::new(2 * TWO_MIB + 0x5000);
+        for _ in 0..5 {
+            looked_up.lookup(va);
+        }
+        batched.hit_run(va, 5);
+        assert_eq!(batched, looked_up);
     }
 
     #[test]

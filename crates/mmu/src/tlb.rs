@@ -1,6 +1,7 @@
 //! Translation-lookaside buffers (L1 dTLB, L2 sTLB, huge-page dTLB).
 
 use core::fmt;
+use core::ops::Range;
 
 use serde::Serialize;
 
@@ -203,6 +204,39 @@ impl Tlb {
         }
     }
 
+    /// Applies `refills`, translations walked after lookups that missed
+    /// this TLB, in order: the end state of [`Tlb::insert_after_miss`] per
+    /// refill. Each set's placements are chosen in order from its
+    /// replacement state alone ([`SetStore::place_run`]), and only the
+    /// entries that survive the run are written. `scratch` holds no state
+    /// between calls.
+    fn refill_all(&mut self, refills: &[TlbEntry], scratch: &mut RefillScratch) {
+        let RefillScratch { empty, holds } = scratch;
+        let sets = self.config.sets as usize;
+        let ways = self.config.ways as usize;
+        empty.extend((0..sets).map(|set| self.store.empty_ways(set)));
+        let was_empty: u32 = empty.iter().map(|mask| mask.count_ones()).sum();
+        holds.resize(sets * ways, u32::MAX);
+        let indexing = self.config.indexing;
+        let set_of = |entry: &TlbEntry| indexing.set_index(entry.vpn, sets as u32) as usize;
+        self.store
+            .place_run(refills.iter().map(set_of), empty, |index, set, way| {
+                holds[set * ways + way as usize] = index as u32;
+            });
+        for (slot, &index) in holds.iter().enumerate() {
+            if index != u32::MAX {
+                let entry = refills[index as usize];
+                self.store
+                    .set_tag(slot / ways, (slot % ways) as u32, entry.vpn);
+                self.entries[slot] = entry;
+            }
+        }
+        let still_empty: u32 = empty.iter().map(|mask| mask.count_ones()).sum();
+        self.len += (was_empty - still_empty) as usize;
+        empty.clear();
+        holds.clear();
+    }
+
     /// Removes the translation for `vpn` (models `invlpg`). Returns whether
     /// an entry was removed.
     pub fn invalidate(&mut self, vpn: u64) -> bool {
@@ -262,6 +296,19 @@ pub struct TlbFootprint {
     l2s: Vec<u32>,
 }
 
+/// The most refills [`TlbHierarchy::defer_refill`] holds before it applies
+/// them.
+pub const MAX_DEFERRED_REFILLS: usize = 1024;
+
+/// Reused buffers of [`Tlb::refill_all`]; empty between calls.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct RefillScratch {
+    /// Per set, the mask of its ways still empty.
+    empty: Vec<u32>,
+    /// Per way, the index of the refill it holds, or `u32::MAX`.
+    holds: Vec<u32>,
+}
+
 /// The full TLB hierarchy of one core: L1 dTLB (4 KiB), L1 dTLB (2 MiB) and a
 /// unified L2 sTLB for 4 KiB pages.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
@@ -270,6 +317,13 @@ pub struct TlbHierarchy {
     l1d_huge: Tlb,
     l2s: Tlb,
     pmc: TlbPmc,
+    /// 4 KiB refills deferred by [`TlbHierarchy::defer_refill`], in walk
+    /// order; empty outside a page run.
+    #[serde(skip)]
+    deferred: Vec<TlbEntry>,
+    /// Reused buffers of [`TlbHierarchy::apply_refills`].
+    #[serde(skip)]
+    scratch: RefillScratch,
 }
 
 impl TlbHierarchy {
@@ -280,6 +334,8 @@ impl TlbHierarchy {
             l1d_huge: Tlb::new(config.l1_dtlb_huge, config.seed ^ 0xB2),
             l2s: Tlb::new(config.l2_stlb, config.seed ^ 0xC3),
             pmc: TlbPmc::default(),
+            deferred: Vec::new(),
+            scratch: RefillScratch::default(),
         }
     }
 
@@ -354,6 +410,63 @@ impl TlbHierarchy {
                 self.l1d_huge.insert_after_miss(entry);
             }
         }
+    }
+
+    /// Records `pages` lookups known to miss every level: the counters move
+    /// as [`TlbHierarchy::lookup`]'s would, and nothing else does.
+    pub fn count_walks(&mut self, pages: u64) {
+        self.pmc.lookups += pages;
+        self.pmc.l1_misses += pages;
+        self.pmc.walks += pages;
+    }
+
+    /// Defers the refill [`TlbHierarchy::insert`] would make of a 4 KiB
+    /// translation walked after [`TlbHierarchy::count_walks`]: the L1 dTLB
+    /// and sTLB refills wait for [`TlbHierarchy::apply_refills`], which
+    /// runs on its own once [`MAX_DEFERRED_REFILLS`] are waiting. Exact as
+    /// long as no lookup of a page the refills may evict runs in between.
+    pub fn defer_refill(&mut self, entry: TlbEntry) {
+        debug_assert_eq!(entry.page_size, PageSize::Base4K);
+        self.deferred.push(entry);
+        if self.deferred.len() == MAX_DEFERRED_REFILLS {
+            self.apply_refills();
+        }
+    }
+
+    /// Applies the deferred refills: the end state of
+    /// [`TlbHierarchy::insert`] of each, in order. Each set's placements are
+    /// chosen from its replacement state alone
+    /// ([`SetStore::place_run`]), and only the entries that survive are
+    /// written.
+    pub fn apply_refills(&mut self) {
+        if self.deferred.is_empty() {
+            return;
+        }
+        self.l1d.refill_all(&self.deferred, &mut self.scratch);
+        self.l2s.refill_all(&self.deferred, &mut self.scratch);
+        self.deferred.clear();
+    }
+
+    /// The 4 KiB page numbers in `pages` that some TLB holds a translation
+    /// for, sorted and each listed once, into `held` (a 2 MiB entry holds
+    /// all of its pages). Deferred refills are not held yet.
+    pub fn held_pages(&self, pages: Range<u64>, held: &mut Vec<u64>) {
+        const PAGES_PER_HUGE: u64 = HUGE_PAGE_SIZE / PAGE_SIZE;
+        held.clear();
+        held.extend(
+            self.l1d
+                .store
+                .tags()
+                .chain(self.l2s.store.tags())
+                .filter(|vpn| pages.contains(vpn)),
+        );
+        for huge in self.l1d_huge.store.tags() {
+            let first = (huge * PAGES_PER_HUGE).max(pages.start);
+            let last = ((huge + 1) * PAGES_PER_HUGE).min(pages.end);
+            held.extend(first..last);
+        }
+        held.sort_unstable();
+        held.dedup();
     }
 
     /// Invalidates any cached translation for the page containing `vaddr`
@@ -892,5 +1005,81 @@ mod tests {
                 l2s.assert_matches(&tlbs.l2s)?;
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Deferred refills of pages no TLB holds, applied set by set (and
+        // on their own whenever the buffer fills), leave the hierarchy
+        // exactly as looking each page up and inserting its walk at once.
+        #[test]
+        fn deferred_refills_match_inserting_at_once(
+            ways in prop::sample::select(vec![1u32, 2, 3, 4, 5, 8]),
+            policy in prop::sample::select(vec![
+                ReplacementPolicy::Lru,
+                ReplacementPolicy::Srrip,
+                ReplacementPolicy::Nru,
+                ReplacementPolicy::Random,
+                ReplacementPolicy::Bip,
+            ]),
+            seed in any::<u64>(),
+            warm in prop::collection::vec(0u64..4096, 0..200),
+            first in 0u64..4096,
+            pages in 0usize..2500,
+        ) {
+            let level = |sets| TlbConfig {
+                sets,
+                ways,
+                indexing: TlbIndexing::XorFold,
+                replacement: policy,
+            };
+            let config = MmuConfig {
+                l1_dtlb: level(4),
+                l2_stlb: level(16),
+                ..MmuConfig::sandy_bridge(seed)
+            };
+            let mut at_once = TlbHierarchy::new(&config);
+            for &vpn in &warm {
+                if at_once.lookup(VirtAddr::new(vpn * PAGE_SIZE)).is_none() {
+                    at_once.insert(entry(vpn));
+                }
+            }
+            let mut deferred = at_once.clone();
+            let mut held = Vec::new();
+            let run = first + 4096..first + 4096 + pages as u64;
+            deferred.held_pages(run.clone(), &mut held);
+            prop_assert!(held.is_empty(), "the run's pages are disjoint from the warm ones");
+            for vpn in run {
+                prop_assert!(at_once.lookup(VirtAddr::new(vpn * PAGE_SIZE)).is_none());
+                at_once.insert(entry(vpn));
+                deferred.count_walks(1);
+                deferred.defer_refill(entry(vpn));
+                prop_assert!(deferred.deferred.len() < MAX_DEFERRED_REFILLS);
+            }
+            deferred.apply_refills();
+            prop_assert_eq!(deferred, at_once);
+        }
+    }
+
+    #[test]
+    fn held_pages_lists_every_level_in_range() {
+        let mut h = TlbHierarchy::new(&MmuConfig::sandy_bridge(5));
+        for vpn in [3u64, 700, 9000] {
+            h.insert(entry(vpn));
+        }
+        let frame = PhysAddr::new(8 * HUGE_PAGE_SIZE);
+        h.insert(TlbEntry {
+            vpn: 2,
+            frame,
+            pte: Pte::page(frame, PteFlags::user_rw_huge()),
+            page_size: PageSize::Huge2M,
+        });
+        let mut held = Vec::new();
+        h.held_pages(0..1030, &mut held);
+        let huge: Vec<u64> = (1024..1030).collect();
+        assert_eq!(held, [vec![3, 700], huge].concat());
+        h.held_pages(9000..9001, &mut held);
+        assert_eq!(held, vec![9000]);
     }
 }

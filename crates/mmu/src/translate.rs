@@ -4,8 +4,8 @@
 use serde::Serialize;
 
 use pthammer_types::{
-    Cycles, LaneSink, LaneSource, MemAccessOutcome, MemoryLevel, PageSize, PhysAddr,
-    PhysicalMemoryAccess, VirtAddr, PTE_SIZE,
+    Cycles, LaneSink, LaneSource, MemoryLevel, PageSize, PhysAddr, PhysicalMemoryAccess, VirtAddr,
+    PTE_SIZE,
 };
 
 use crate::{
@@ -14,23 +14,6 @@ use crate::{
     pte::Pte,
     tlb::{TlbEntry, TlbFootprint, TlbHierarchy, TlbLevel},
 };
-
-/// One page-table-entry load issued by the hardware walker.
-///
-/// These are the *implicit accesses* PThammer turns into hammer blows: when
-/// the Level-1 PTE load is served by DRAM (`outcome.served_by == Dram`), the
-/// DRAM row holding the victim process's page table is activated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct WalkLoad {
-    /// Page-table level of the entry (4 = PML4E … 1 = PTE).
-    pub level: u8,
-    /// Physical address of the entry that was loaded.
-    pub entry_paddr: PhysAddr,
-    /// Memory-hierarchy outcome of the load.
-    pub outcome: MemAccessOutcome,
-    /// The entry value that was read.
-    pub value: Pte,
-}
 
 /// A translation fault (non-present entry encountered during the walk).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -41,51 +24,10 @@ pub struct PageFault {
     pub level: u8,
 }
 
-/// The page-table-entry loads of one walk, stored inline (a 4-level walk
-/// loads at most four entries) so the translation hot path never allocates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WalkLoads {
-    loads: [Option<WalkLoad>; 4],
-    len: u8,
-}
-
-impl WalkLoads {
-    /// Number of recorded loads.
-    pub fn len(&self) -> usize {
-        usize::from(self.len)
-    }
-
-    /// True when the walk performed no loads (TLB hit).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Iterates over the recorded loads in walk order.
-    pub fn iter(&self) -> impl Iterator<Item = &WalkLoad> {
-        self.loads[..usize::from(self.len)]
-            .iter()
-            .map(|slot| slot.as_ref().expect("recorded slot"))
-    }
-
-    #[inline]
-    fn push(&mut self, load: WalkLoad) {
-        self.loads[usize::from(self.len)] = Some(load);
-        self.len += 1;
-    }
-}
-
-impl core::ops::Index<usize> for WalkLoads {
-    type Output = WalkLoad;
-
-    fn index(&self, index: usize) -> &WalkLoad {
-        assert!(index < self.len(), "walk load index out of range");
-        self.loads[index].as_ref().expect("recorded slot")
-    }
-}
-
-/// The complete result of translating one virtual address.
+/// The result of translating one virtual address ([`Mmu::translate_touch`]
+/// and [`Mmu::translate_deferred`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TranslationResult {
+pub struct TouchTranslation {
     /// Translated physical address, or `None` if the walk faulted.
     pub paddr: Option<PhysAddr>,
     /// Fault information when `paddr` is `None`.
@@ -98,38 +40,12 @@ pub struct TranslationResult {
     pub tlb_hit: Option<TlbLevel>,
     /// Paging-structure cache that provided a partial translation, if any.
     pub psc_hit: Option<PscLevel>,
-    /// Page-table-entry loads performed by the walker (empty on a TLB hit).
-    pub walk_loads: WalkLoads,
-}
-
-/// The slim result of [`Mmu::translate_touch`]: what a batched touch needs
-/// and nothing more, so the hot path moves ~40 bytes instead of the full
-/// [`TranslationResult`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TouchTranslation {
-    /// Translated physical address, or `None` if the walk faulted.
-    pub paddr: Option<PhysAddr>,
-    /// Fault information when `paddr` is `None`.
-    pub fault: Option<PageFault>,
-    /// Total translation latency (TLB lookups + walk).
-    pub latency: Cycles,
     /// Whether the walk loaded the Level-1 PTE from DRAM (the implicit
     /// hammer blow).
     pub l1pte_from_dram: bool,
-}
-
-impl TranslationResult {
-    /// True when the walk loaded exactly one entry and it was the Level-1 PTE —
-    /// the efficient implicit-access path PThammer engineers (red arrows in
-    /// Figure 2).
-    pub fn is_l1pte_only_walk(&self) -> bool {
-        self.walk_loads.len() == 1 && self.walk_loads[0].level == 1
-    }
-
-    /// The Level-1 PTE load of this translation, if the walk reached level 1.
-    pub fn l1pte_load(&self) -> Option<&WalkLoad> {
-        self.walk_loads.iter().find(|l| l.level == 1)
-    }
+    /// Physical address of the Level-1 PTE the walk loaded, if it reached
+    /// level 1.
+    pub l1pte: Option<PhysAddr>,
 }
 
 /// The memory-management unit of one core.
@@ -228,65 +144,71 @@ impl Mmu {
         }
     }
 
-    /// Translates `vaddr` under the address space rooted at `cr3`, issuing
-    /// any required page-table loads through `mem`.
-    pub fn translate(
-        &mut self,
-        cr3: PhysAddr,
-        vaddr: VirtAddr,
-        mem: &mut impl PhysicalMemoryAccess,
-    ) -> TranslationResult {
-        let mut walk_loads = WalkLoads::default();
-        let core = self.translate_core(cr3, vaddr, mem, &mut |load| walk_loads.push(load));
-        TranslationResult {
-            paddr: core.paddr,
-            fault: core.fault,
-            page_size: core.page_size,
-            latency: core.latency,
-            tlb_hit: core.tlb_hit,
-            psc_hit: core.psc_hit,
-            walk_loads,
-        }
-    }
-
-    /// Slim translation for batched touches: performs exactly the same TLB,
-    /// paging-structure-cache and page-table-load sequence as
-    /// [`Mmu::translate`] — the simulated state transitions are identical —
-    /// but records no walk loads and returns only the [`TouchTranslation`]
-    /// the batch driver needs. This is the walker entry point of the
-    /// eviction-set hot path.
+    /// Translates `vaddr` under the address space rooted at `cr3`: the TLB
+    /// lookup, then on a miss the paging-structure caches and the page-table
+    /// walk, whose entry loads go through `mem`, and the TLB refill.
     pub fn translate_touch(
         &mut self,
         cr3: PhysAddr,
         vaddr: VirtAddr,
         mem: &mut impl PhysicalMemoryAccess,
     ) -> TouchTranslation {
-        let core = self.translate_core(cr3, vaddr, mem, &mut |_| {});
-        TouchTranslation {
-            paddr: core.paddr,
-            fault: core.fault,
-            latency: core.latency,
-            l1pte_from_dram: core.l1pte_from_dram,
-        }
+        self.translate_core::<false>(cr3, vaddr, mem)
     }
 
-    /// The shared translation engine behind [`Mmu::translate`] and
-    /// [`Mmu::translate_touch`]; `record` observes every page-table load.
-    #[inline]
-    fn translate_core(
+    /// [`Mmu::translate_touch`] of a page that no TLB holds, so its lookup
+    /// misses every level and changes nothing but the counters: the probe
+    /// is skipped and a 4 KiB refill is deferred to
+    /// [`Mmu::apply_refills`]. A 2 MiB refill is applied at once.
+    pub fn translate_deferred(
         &mut self,
         cr3: PhysAddr,
         vaddr: VirtAddr,
         mem: &mut impl PhysicalMemoryAccess,
-        record: &mut impl FnMut(WalkLoad),
-    ) -> CoreTranslation {
+    ) -> TouchTranslation {
+        self.translate_core::<true>(cr3, vaddr, mem)
+    }
+
+    /// Applies the TLB refills deferred since the last call, in order.
+    pub fn apply_refills(&mut self) {
+        self.tlbs.apply_refills();
+    }
+
+    /// Records `pages` walks whose TLB lookups missed every level and whose
+    /// 4 KiB refills the caller defers with [`Mmu::defer_refill`].
+    pub fn count_walks(&mut self, pages: u64) {
+        self.tlbs.count_walks(pages);
+    }
+
+    /// Defers the TLB refill of a 4 KiB translation walked without a probe.
+    pub fn defer_refill(&mut self, entry: TlbEntry) {
+        self.tlbs.defer_refill(entry);
+    }
+
+    /// Records `hits` PDE-cache hits on the entry covering `vaddr` (see
+    /// [`PagingStructureCache::hit_run`]).
+    pub fn pde_hit_run(&mut self, vaddr: VirtAddr, hits: u64) {
+        self.pde_cache.hit_run(vaddr, hits);
+    }
+
+    /// The shared translation engine. With `DEFER`, the TLB probe is
+    /// skipped (the caller knows it misses) and a 4 KiB refill is deferred.
+    #[inline(always)]
+    fn translate_core<const DEFER: bool>(
+        &mut self,
+        cr3: PhysAddr,
+        vaddr: VirtAddr,
+        mem: &mut impl PhysicalMemoryAccess,
+    ) -> TouchTranslation {
         let mut latency = Cycles::new(u64::from(self.config.tlb_lookup_latency));
 
-        if let Some((level, entry)) = self.tlbs.lookup(vaddr) {
+        if DEFER {
+            self.tlbs.count_walks(1);
+        } else if let Some((level, entry)) = self.tlbs.lookup(vaddr) {
             if level == TlbLevel::L2 {
                 latency += Cycles::new(u64::from(self.config.stlb_lookup_latency));
             }
-            return CoreTranslation {
+            return TouchTranslation {
                 paddr: Some(entry.translate(vaddr)),
                 fault: None,
                 page_size: entry.page_size,
@@ -294,6 +216,7 @@ impl Mmu {
                 tlb_hit: Some(level),
                 psc_hit: None,
                 l1pte_from_dram: false,
+                l1pte: None,
             };
         }
         // Both TLB levels were probed before declaring a walk.
@@ -311,21 +234,24 @@ impl Mmu {
         };
 
         let mut l1pte_from_dram = false;
+        let mut l1pte = None;
+        let fault = |level, latency, l1pte_from_dram, l1pte| TouchTranslation {
+            paddr: None,
+            fault: Some(PageFault { vaddr, level }),
+            page_size: PageSize::Base4K,
+            latency,
+            tlb_hit: None,
+            psc_hit,
+            l1pte_from_dram,
+            l1pte,
+        };
         loop {
             let entry_paddr = table_base + vaddr.pt_index(level) * PTE_SIZE;
             if !mem.is_installed(entry_paddr) {
                 // A table pointer past installed DRAM (e.g. a flipped frame
                 // bit in an upper-level entry) faults, as a leaf pointing
                 // there does on the data path.
-                return CoreTranslation {
-                    paddr: None,
-                    fault: Some(PageFault { vaddr, level }),
-                    page_size: PageSize::Base4K,
-                    latency,
-                    tlb_hit: None,
-                    psc_hit,
-                    l1pte_from_dram,
-                };
+                return fault(level, latency, l1pte_from_dram, l1pte);
             }
             let (raw, outcome) = mem.load_qword(entry_paddr);
             let value = Pte::from_raw(raw);
@@ -333,63 +259,40 @@ impl Mmu {
             latency += Cycles::new(u64::from(self.config.walk_step_latency));
             if level == 1 {
                 l1pte_from_dram = outcome.served_by == MemoryLevel::Dram;
+                l1pte = Some(entry_paddr);
             }
-            record(WalkLoad {
-                level,
-                entry_paddr,
-                outcome,
-                value,
-            });
 
             if !value.present() {
-                return CoreTranslation {
-                    paddr: None,
-                    fault: Some(PageFault { vaddr, level }),
-                    page_size: PageSize::Base4K,
-                    latency,
-                    tlb_hit: None,
-                    psc_hit,
-                    l1pte_from_dram,
-                };
+                return fault(level, latency, l1pte_from_dram, l1pte);
             }
 
-            if level == 2 && value.huge() {
+            let leaf = match level {
+                2 if value.huge() => Some(PageSize::Huge2M),
+                1 => Some(PageSize::Base4K),
+                _ => None,
+            };
+            if let Some(page_size) = leaf {
                 let frame = value.frame();
                 let entry = TlbEntry {
-                    vpn: vaddr.as_u64() / PageSize::Huge2M.bytes(),
+                    vpn: vaddr.as_u64() / page_size.bytes(),
                     frame,
                     pte: value,
-                    page_size: PageSize::Huge2M,
+                    page_size,
                 };
-                self.tlbs.insert(entry);
-                return CoreTranslation {
-                    paddr: Some(frame + vaddr.huge_page_offset()),
+                if DEFER && page_size == PageSize::Base4K {
+                    self.tlbs.defer_refill(entry);
+                } else {
+                    self.tlbs.insert(entry);
+                }
+                return TouchTranslation {
+                    paddr: Some(entry.translate(vaddr)),
                     fault: None,
-                    page_size: PageSize::Huge2M,
+                    page_size,
                     latency,
                     tlb_hit: None,
                     psc_hit,
                     l1pte_from_dram,
-                };
-            }
-
-            if level == 1 {
-                let frame = value.frame();
-                let entry = TlbEntry {
-                    vpn: vaddr.page_number(),
-                    frame,
-                    pte: value,
-                    page_size: PageSize::Base4K,
-                };
-                self.tlbs.insert(entry);
-                return CoreTranslation {
-                    paddr: Some(frame + vaddr.page_offset()),
-                    fault: None,
-                    page_size: PageSize::Base4K,
-                    latency,
-                    tlb_hit: None,
-                    psc_hit,
-                    l1pte_from_dram,
+                    l1pte,
                 };
             }
 
@@ -406,23 +309,11 @@ impl Mmu {
     }
 }
 
-/// Internal result of the shared translation engine.
-#[derive(Debug, Clone, Copy)]
-struct CoreTranslation {
-    paddr: Option<PhysAddr>,
-    fault: Option<PageFault>,
-    page_size: PageSize,
-    latency: Cycles,
-    tlb_hit: Option<TlbLevel>,
-    psc_hit: Option<PscLevel>,
-    l1pte_from_dram: bool,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pte::PteFlags;
-    use pthammer_types::{MemoryLevel, PAGE_SIZE};
+    use pthammer_types::{MemAccessOutcome, MemoryLevel, PAGE_SIZE};
     use std::collections::HashMap;
 
     /// Flat qword-addressed test memory with fixed latency.
@@ -497,21 +388,17 @@ mod tests {
         map_page(&mut mem, vaddr, 0x7_0000);
         let mut mmu = mmu();
 
-        let first = mmu.translate(PhysAddr::new(CR3), vaddr, &mut mem);
+        let first = mmu.translate_touch(PhysAddr::new(CR3), vaddr, &mut mem);
         // Page offset of 0x...1234 within its 4 KiB page is 0x234.
         assert_eq!(first.paddr, Some(PhysAddr::new(0x7_0234)));
         assert_eq!(first.tlb_hit, None);
         assert_eq!(first.psc_hit, None);
-        assert_eq!(first.walk_loads.len(), 4);
-        assert_eq!(
-            first.walk_loads.iter().map(|l| l.level).collect::<Vec<_>>(),
-            vec![4, 3, 2, 1]
-        );
+        assert_eq!(mem.loads.len(), 4, "PML4E, PDPTE, PDE and PTE");
 
-        let second = mmu.translate(PhysAddr::new(CR3), vaddr, &mut mem);
+        let second = mmu.translate_touch(PhysAddr::new(CR3), vaddr, &mut mem);
         assert_eq!(second.paddr, first.paddr);
         assert_eq!(second.tlb_hit, Some(TlbLevel::L1));
-        assert!(second.walk_loads.is_empty());
+        assert_eq!(mem.loads.len(), 4, "a TLB hit loads nothing");
         assert!(second.latency < first.latency);
     }
 
@@ -526,14 +413,15 @@ mod tests {
         let mut mmu = mmu();
 
         // First translation warms the paging-structure caches.
-        mmu.translate(PhysAddr::new(CR3), a, &mut mem);
+        mmu.translate_touch(PhysAddr::new(CR3), a, &mut mem);
+        mem.loads.clear();
         // Second translation of a *different page in the same PD entry* should
         // only load the Level-1 PTE — the PThammer fast path.
-        let res = mmu.translate(PhysAddr::new(CR3), b, &mut mem);
+        let res = mmu.translate_touch(PhysAddr::new(CR3), b, &mut mem);
         assert_eq!(res.paddr, Some(PhysAddr::new(0x8_0000)));
         assert_eq!(res.psc_hit, Some(PscLevel::Pde));
-        assert!(res.is_l1pte_only_walk(), "walk loads: {:?}", res.walk_loads);
-        assert_eq!(res.l1pte_load().unwrap().entry_paddr, PhysAddr::new(PT + 8));
+        assert_eq!(mem.loads, vec![PhysAddr::new(PT + 8)], "the L1PTE only");
+        assert_eq!(res.l1pte, Some(PhysAddr::new(PT + 8)));
     }
 
     #[test]
@@ -542,11 +430,12 @@ mod tests {
         let vaddr = VirtAddr::new(0x1234_5000);
         map_page(&mut mem, vaddr, 0x9_0000);
         let mut mmu = mmu();
-        mmu.translate(PhysAddr::new(CR3), vaddr, &mut mem);
+        mmu.translate_touch(PhysAddr::new(CR3), vaddr, &mut mem);
         mmu.invalidate_page(vaddr);
-        let res = mmu.translate(PhysAddr::new(CR3), vaddr, &mut mem);
+        mem.loads.clear();
+        let res = mmu.translate_touch(PhysAddr::new(CR3), vaddr, &mut mem);
         assert_eq!(res.tlb_hit, None);
-        assert!(!res.walk_loads.is_empty());
+        assert!(!mem.loads.is_empty());
     }
 
     #[test]
@@ -567,11 +456,11 @@ mod tests {
             Pte::table(PhysAddr::new(PT)).raw(),
         );
         let mut mmu = mmu();
-        let res = mmu.translate(PhysAddr::new(CR3), vaddr, &mut mem);
+        let res = mmu.translate_touch(PhysAddr::new(CR3), vaddr, &mut mem);
         assert_eq!(res.paddr, None);
         assert_eq!(res.fault, Some(PageFault { vaddr, level: 1 }));
         // The fault is not cached: translating again walks again.
-        let res2 = mmu.translate(PhysAddr::new(CR3), vaddr, &mut mem);
+        let res2 = mmu.translate_touch(PhysAddr::new(CR3), vaddr, &mut mem);
         assert!(res2.fault.is_some());
     }
 
@@ -593,12 +482,12 @@ mod tests {
             Pte::page(PhysAddr::new(huge_frame), PteFlags::user_rw_huge()).raw(),
         );
         let mut mmu = mmu();
-        let res = mmu.translate(PhysAddr::new(CR3), vaddr, &mut mem);
+        let res = mmu.translate_touch(PhysAddr::new(CR3), vaddr, &mut mem);
         assert_eq!(res.page_size, PageSize::Huge2M);
         assert_eq!(res.paddr, Some(PhysAddr::new(huge_frame + 0x12_3456)));
-        assert_eq!(res.walk_loads.len(), 3, "PML4E, PDPTE, PDE only");
+        assert_eq!(mem.loads.len(), 3, "PML4E, PDPTE, PDE only");
         // Subsequent access hits the huge-page TLB.
-        let res2 = mmu.translate(PhysAddr::new(CR3), vaddr, &mut mem);
+        let res2 = mmu.translate_touch(PhysAddr::new(CR3), vaddr, &mut mem);
         assert_eq!(res2.tlb_hit, Some(TlbLevel::L1));
         assert_eq!(res2.page_size, PageSize::Huge2M);
     }
@@ -610,7 +499,7 @@ mod tests {
         let vaddr = VirtAddr::new(0x1000);
         map_page(&mut mem, vaddr, 0x7_0000);
         let mut mmu = mmu();
-        let res = mmu.translate(PhysAddr::new(CR3), vaddr, &mut mem);
+        let res = mmu.translate_touch(PhysAddr::new(CR3), vaddr, &mut mem);
         // 4 loads at 100 cycles each plus overheads.
         assert!(res.latency.as_u64() >= 400);
     }
@@ -621,7 +510,7 @@ mod tests {
         let vaddr = VirtAddr::new(0x40_0000_1000);
         map_page(&mut mem, vaddr, 0x7_0000);
         let mut mmu = mmu();
-        mmu.translate(PhysAddr::new(CR3), vaddr, &mut mem);
+        mmu.translate_touch(PhysAddr::new(CR3), vaddr, &mut mem);
         assert_eq!(
             mem.loads,
             vec![
@@ -631,5 +520,28 @@ mod tests {
                 PhysAddr::new(PT + vaddr.pt_index(1) * 8),
             ]
         );
+    }
+
+    /// A deferred translation of a page no TLB holds walks exactly as a
+    /// probing one and, once its refill is applied, leaves the same MMU.
+    #[test]
+    fn deferred_translation_matches_probing_after_the_refill() {
+        let mut mem = FlatMem::new();
+        let vaddrs: Vec<VirtAddr> = (0..40u64)
+            .map(|i| VirtAddr::new(0x40_0000_0000 + i * 7 * PAGE_SIZE))
+            .collect();
+        for (i, &va) in vaddrs.iter().enumerate() {
+            map_page(&mut mem, va, 0x7_0000 + i as u64 * PAGE_SIZE);
+        }
+        let mut probing = mmu();
+        let mut deferring = mmu();
+        for &va in &vaddrs {
+            let want = probing.translate_touch(PhysAddr::new(CR3), va, &mut mem);
+            let got = deferring.translate_deferred(PhysAddr::new(CR3), va, &mut mem);
+            assert_eq!(got, want);
+        }
+        assert_ne!(deferring, probing, "the refills are still pending");
+        deferring.apply_refills();
+        assert_eq!(deferring, probing);
     }
 }
