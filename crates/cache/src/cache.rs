@@ -12,15 +12,6 @@ use pthammer_types::{LaneSink, LaneSource, PhysAddr};
 use crate::kernel::{Probe, SetStore, EMPTY_TAG};
 use crate::replacement::ReplacementPolicy;
 
-/// Result of an access to one cache structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheAccess {
-    /// Whether the line was present.
-    pub hit: bool,
-    /// The set that was probed.
-    pub set: u32,
-}
-
 /// A physically-indexed set-associative cache (or one LLC slice).
 ///
 /// Only presence is tracked; tags store the full cache-line address. Set
@@ -30,14 +21,14 @@ pub struct CacheAccess {
 /// # Examples
 ///
 /// ```
-/// use pthammer_cache::{ReplacementPolicy, SetAssociativeCache};
+/// use pthammer_cache::{Probe, ReplacementPolicy, SetAssociativeCache};
 /// use pthammer_types::PhysAddr;
 ///
-/// let mut cache = SetAssociativeCache::new(64, 8, ReplacementPolicy::Lru, 1);
+/// let mut cache = SetAssociativeCache::new(64, 8, ReplacementPolicy::Lru);
 /// let addr = PhysAddr::new(0x1000);
-/// assert!(!cache.access(addr).hit);
-/// cache.fill(addr);
-/// assert!(cache.access(addr).hit);
+/// let Probe::Miss(empty) = cache.access(addr) else { unreachable!() };
+/// cache.fill_absent_at(addr, empty);
+/// assert!(cache.access(addr).is_hit());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SetAssociativeCache {
@@ -55,7 +46,7 @@ impl SetAssociativeCache {
     ///
     /// Panics if `sets` is not a power of two, or `ways` is zero or above
     /// [`MAX_WAYS`](crate::MAX_WAYS).
-    pub fn new(sets: u32, ways: u32, replacement: ReplacementPolicy, seed: u64) -> Self {
+    pub fn new(sets: u32, ways: u32, replacement: ReplacementPolicy) -> Self {
         assert!(
             sets.is_power_of_two() && sets > 0,
             "sets must be a power of two"
@@ -63,7 +54,7 @@ impl SetAssociativeCache {
         Self {
             sets,
             set_mask: u64::from(sets) - 1,
-            store: SetStore::new(sets, ways, replacement, |s| seed ^ (u64::from(s) << 17) | 1),
+            store: SetStore::new(sets, ways, replacement),
         }
     }
 
@@ -95,44 +86,19 @@ impl SetAssociativeCache {
         self.store.find(set, Self::line_tag(paddr)).is_some()
     }
 
-    /// Looks up the line, updating replacement state on a hit.
+    /// Looks up the line, updating replacement state on a hit. A miss
+    /// reports the probed set's first empty way (if any), so a following
+    /// [`SetAssociativeCache::fill_absent_at`] of the same line skips
+    /// re-scanning the set.
     #[inline(always)]
-    pub fn access(&mut self, paddr: PhysAddr) -> CacheAccess {
-        let set = self.set_index(paddr);
-        let hit = self
-            .store
-            .lookup(set as usize, Self::line_tag(paddr))
-            .is_some();
-        CacheAccess { hit, set }
-    }
-
-    /// Looks up the line like [`SetAssociativeCache::access`]; on a miss,
-    /// additionally reports the first empty way of the probed set (if any),
-    /// so a subsequent [`SetAssociativeCache::fill_absent_at`] of the same
-    /// line can skip re-scanning the set.
-    #[inline(always)]
-    pub fn access_noting_empty(&mut self, paddr: PhysAddr) -> (CacheAccess, Option<u32>) {
-        let set = self.set_index(paddr);
-        match self.store.probe(set as usize, Self::line_tag(paddr)) {
-            Probe::Hit(_) => (CacheAccess { hit: true, set }, None),
-            Probe::Miss(empty) => (CacheAccess { hit: false, set }, empty),
-        }
-    }
-
-    /// Inserts the line, returning the physical line address it displaced (if
-    /// any). Filling an already-present line only refreshes its replacement
-    /// state.
-    pub fn fill(&mut self, paddr: PhysAddr) -> Option<PhysAddr> {
+    pub fn access(&mut self, paddr: PhysAddr) -> Probe {
         let set = self.set_index(paddr) as usize;
-        if self.store.lookup(set, Self::line_tag(paddr)).is_some() {
-            return None;
-        }
-        self.fill_absent(paddr)
+        self.store.probe(set, Self::line_tag(paddr))
     }
 
     /// Inserts a line that is known to be absent from this structure (e.g.
-    /// because a lookup just missed), skipping the presence scan of
-    /// [`SetAssociativeCache::fill`]. Returns the displaced line, if any.
+    /// because a lookup just missed) into the set's first empty way, else
+    /// the replacement policy's victim. Returns the displaced line, if any.
     ///
     /// Calling this for a line that *is* present would duplicate the line;
     /// debug builds assert against that.
@@ -143,9 +109,9 @@ impl SetAssociativeCache {
     }
 
     /// Inserts an absent line whose destination set was already scanned by
-    /// [`SetAssociativeCache::access_noting_empty`]: `empty_way` is that
-    /// probe's result, so no way scan runs at all. The set must not have
-    /// been touched in between.
+    /// [`SetAssociativeCache::access`]: `empty_way` is that probe's result,
+    /// so no way scan runs at all. The set must not have been touched in
+    /// between.
     #[inline(always)]
     pub fn fill_absent_at(&mut self, paddr: PhysAddr, empty_way: Option<u32>) -> Option<PhysAddr> {
         debug_assert_ne!(Self::line_tag(paddr), EMPTY_TAG, "unrepresentable tag");
@@ -220,6 +186,16 @@ mod tests {
     use crate::replacement::{reference, ReplacementState};
     use proptest::prelude::*;
 
+    /// Accesses the line and, on a miss, fills it as the hierarchy does:
+    /// at the probe's empty way, else over the policy's victim. Returns the
+    /// displaced line.
+    fn access_filling(cache: &mut SetAssociativeCache, paddr: PhysAddr) -> Option<PhysAddr> {
+        match cache.access(paddr) {
+            Probe::Hit(_) => None,
+            Probe::Miss(empty) => cache.fill_absent_at(paddr, empty),
+        }
+    }
+
     fn addr_in_set(cache: &SetAssociativeCache, set: u32, n: u64) -> PhysAddr {
         // Distinct lines that map to the same set: step by sets*64.
         PhysAddr::new(u64::from(set) * 64 + n * u64::from(cache.sets()) * 64)
@@ -227,33 +203,33 @@ mod tests {
 
     #[test]
     fn fill_then_hit() {
-        let mut c = SetAssociativeCache::new(16, 4, ReplacementPolicy::Lru, 1);
+        let mut c = SetAssociativeCache::new(16, 4, ReplacementPolicy::Lru);
         let a = PhysAddr::new(0x1040);
-        assert!(!c.access(a).hit);
-        assert_eq!(c.fill(a), None);
-        assert!(c.access(a).hit);
+        assert_eq!(c.access(a), Probe::Miss(Some(0)));
+        assert_eq!(c.fill_absent_at(a, Some(0)), None);
+        assert!(c.access(a).is_hit());
         assert!(c.contains(a));
     }
 
     #[test]
     fn same_line_bytes_share_entry() {
-        let mut c = SetAssociativeCache::new(16, 4, ReplacementPolicy::Lru, 1);
-        c.fill(PhysAddr::new(0x1000));
-        assert!(c.access(PhysAddr::new(0x103f)).hit);
-        assert!(!c.access(PhysAddr::new(0x1040)).hit);
+        let mut c = SetAssociativeCache::new(16, 4, ReplacementPolicy::Lru);
+        access_filling(&mut c, PhysAddr::new(0x1000));
+        assert!(c.access(PhysAddr::new(0x103f)).is_hit());
+        assert!(!c.access(PhysAddr::new(0x1040)).is_hit());
     }
 
     #[test]
     fn lru_eviction_of_oldest_line() {
-        let mut c = SetAssociativeCache::new(16, 2, ReplacementPolicy::Lru, 1);
+        let mut c = SetAssociativeCache::new(16, 2, ReplacementPolicy::Lru);
         let a = addr_in_set(&c, 3, 0);
         let b = addr_in_set(&c, 3, 1);
         let d = addr_in_set(&c, 3, 2);
-        c.fill(a);
-        c.fill(b);
+        access_filling(&mut c, a);
+        access_filling(&mut c, b);
         // Touch `a` so `b` is LRU.
         c.access(a);
-        let evicted = c.fill(d);
+        let evicted = access_filling(&mut c, d);
         assert_eq!(evicted, Some(b.cache_line_base()));
         assert!(c.contains(a));
         assert!(!c.contains(b));
@@ -261,36 +237,21 @@ mod tests {
     }
 
     #[test]
-    fn fill_existing_line_does_not_evict() {
-        let mut c = SetAssociativeCache::new(16, 2, ReplacementPolicy::Lru, 1);
+    fn accessing_a_held_line_does_not_evict() {
+        let mut c = SetAssociativeCache::new(16, 2, ReplacementPolicy::Lru);
         let a = addr_in_set(&c, 5, 0);
         let b = addr_in_set(&c, 5, 1);
-        c.fill(a);
-        c.fill(b);
-        assert_eq!(c.fill(a), None);
+        access_filling(&mut c, a);
+        access_filling(&mut c, b);
+        assert_eq!(access_filling(&mut c, a), None);
         assert_eq!(c.occupancy(5), 2);
     }
 
     #[test]
-    fn fill_absent_matches_fill_for_missing_lines() {
-        let mut via_fill = SetAssociativeCache::new(8, 2, ReplacementPolicy::Srrip, 5);
-        let mut via_absent = SetAssociativeCache::new(8, 2, ReplacementPolicy::Srrip, 5);
-        for n in 0..12u64 {
-            let a = addr_in_set(&via_fill, 2, n);
-            assert!(!via_fill.contains(a));
-            assert_eq!(via_fill.fill(a), via_absent.fill_absent(a));
-        }
-        for n in 0..12u64 {
-            let a = addr_in_set(&via_fill, 2, n);
-            assert_eq!(via_fill.contains(a), via_absent.contains(a));
-        }
-    }
-
-    #[test]
     fn invalidate_removes_line() {
-        let mut c = SetAssociativeCache::new(16, 4, ReplacementPolicy::Lru, 1);
+        let mut c = SetAssociativeCache::new(16, 4, ReplacementPolicy::Lru);
         let a = PhysAddr::new(0x2000);
-        c.fill(a);
+        access_filling(&mut c, a);
         assert!(c.invalidate(a));
         assert!(!c.contains(a));
         assert!(!c.invalidate(a));
@@ -298,9 +259,9 @@ mod tests {
 
     #[test]
     fn invalidate_all_empties_cache() {
-        let mut c = SetAssociativeCache::new(8, 2, ReplacementPolicy::Lru, 1);
+        let mut c = SetAssociativeCache::new(8, 2, ReplacementPolicy::Lru);
         for i in 0..16u64 {
-            c.fill(PhysAddr::new(i * 64));
+            access_filling(&mut c, PhysAddr::new(i * 64));
         }
         c.invalidate_all();
         for set in 0..8 {
@@ -310,21 +271,22 @@ mod tests {
 
     #[test]
     fn different_sets_do_not_interfere() {
-        let mut c = SetAssociativeCache::new(16, 1, ReplacementPolicy::Lru, 1);
+        let mut c = SetAssociativeCache::new(16, 1, ReplacementPolicy::Lru);
         let a = PhysAddr::new(0);
         let b = PhysAddr::new(64);
-        c.fill(a);
-        c.fill(b);
+        access_filling(&mut c, a);
+        access_filling(&mut c, b);
         assert!(c.contains(a));
         assert!(c.contains(b));
     }
 
     #[test]
     fn eviction_within_capacity_limits() {
-        let mut c = SetAssociativeCache::new(4, 3, ReplacementPolicy::Srrip, 9);
+        let mut c = SetAssociativeCache::new(4, 3, ReplacementPolicy::Srrip);
         // Fill 10 lines mapping to set 0; occupancy can never exceed 3.
         for n in 0..10 {
-            c.fill(addr_in_set(&c, 0, n));
+            let line = addr_in_set(&c, 0, n);
+            access_filling(&mut c, line);
             assert!(c.occupancy(0) <= 3);
         }
         assert_eq!(c.occupancy(0), 3);
@@ -333,7 +295,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_sets_rejected() {
-        let _ = SetAssociativeCache::new(12, 4, ReplacementPolicy::Lru, 1);
+        let _ = SetAssociativeCache::new(12, 4, ReplacementPolicy::Lru);
     }
 
     /// The per-way-loop cache the kernel replaced (merged tag + metadata
@@ -349,15 +311,13 @@ mod tests {
     }
 
     impl RefCache {
-        fn new(sets: u32, ways: u32, policy: ReplacementPolicy, seed: u64) -> Self {
+        fn new(sets: u32, ways: u32, policy: ReplacementPolicy) -> Self {
             Self {
                 set_mask: u64::from(sets) - 1,
                 ways: ways as usize,
                 policy,
                 slots: vec![(EMPTY_TAG, 0); sets as usize * ways as usize],
-                states: (0..sets)
-                    .map(|s| ReplacementState::new(seed ^ (u64::from(s) << 17) | 1))
-                    .collect(),
+                states: vec![ReplacementState::default(); sets as usize],
             }
         }
 
@@ -398,7 +358,7 @@ mod tests {
                 .is_some()
         }
 
-        fn access_noting_empty(&mut self, paddr: PhysAddr) -> (bool, Option<u32>) {
+        fn access(&mut self, paddr: PhysAddr) -> Probe {
             let set = self.set_of(paddr);
             let tag = paddr.cache_line_index();
             let mut empty = None;
@@ -407,23 +367,13 @@ mod tests {
                 if slot_tag == tag {
                     let policy = self.policy;
                     self.with_meta(set, |m, st| reference::on_hit(policy, m, st, way));
-                    return (true, None);
+                    return Probe::Hit(way as u32);
                 }
                 if empty.is_none() && slot_tag == EMPTY_TAG {
                     empty = Some(way as u32);
                 }
             }
-            (false, empty)
-        }
-
-        fn fill(&mut self, paddr: PhysAddr) -> Option<PhysAddr> {
-            let set = self.set_of(paddr);
-            if let Some(way) = self.position(set, paddr.cache_line_index()) {
-                let policy = self.policy;
-                self.with_meta(set, |m, st| reference::on_hit(policy, m, st, way));
-                return None;
-            }
-            self.fill_absent(paddr)
+            Probe::Miss(empty)
         }
 
         fn fill_absent(&mut self, paddr: PhysAddr) -> Option<PhysAddr> {
@@ -476,47 +426,36 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         // Twin caches — the kernel and the reference loops — driven by one
-        // random stream of access / probe+fill / fill / fill_absent /
-        // invalidate / invalidate_all report the same hits, empty ways and
-        // displaced lines, and hold the same tags, metadata words and
-        // per-set scalars after every step.
+        // random stream of access / access+fill / fill_absent / invalidate /
+        // invalidate_all report the same probes and displaced lines, and
+        // hold the same tags, metadata words and per-set scalars after
+        // every step.
         #[test]
         fn kernel_cache_matches_the_reference_loops(
             ways in prop::sample::select(reference::WAYS.to_vec()),
             policy in prop::sample::select(reference::POLICIES.to_vec()),
-            seed in any::<u64>(),
             ops in prop::collection::vec(any::<u64>(), 1..400),
         ) {
             const SETS: u32 = 4;
-            let mut cache = SetAssociativeCache::new(SETS, ways, policy, seed);
-            let mut twin = RefCache::new(SETS, ways, policy, seed);
+            let mut cache = SetAssociativeCache::new(SETS, ways, policy);
+            let mut twin = RefCache::new(SETS, ways, policy);
             // Enough distinct lines per set to overflow the widest set.
             let lines = u64::from(SETS) * (u64::from(ways) * 2 + 1);
             for (step, &op) in ops.iter().enumerate() {
                 let paddr = PhysAddr::new((op >> 8) % lines * 64);
                 match op & 7 {
-                    0 => {
+                    0..=3 => {
+                        // The hierarchy's miss path: probe, then fill at the
+                        // probe's empty-way hint (op 0 probes only).
                         let got = cache.access(paddr);
-                        let (hit, _) = twin.access_noting_empty(paddr);
-                        prop_assert_eq!(
-                            (step, got.hit, got.set as usize),
-                            (step, hit, twin.set_of(paddr))
-                        );
-                    }
-                    1 | 2 => {
-                        // The memory subsystem's miss path: probe, then fill
-                        // at the probe's empty-way hint.
-                        let (got, empty) = cache.access_noting_empty(paddr);
-                        let want = twin.access_noting_empty(paddr);
-                        prop_assert_eq!((step, got.hit, empty), (step, want.0, want.1));
-                        if !got.hit {
+                        prop_assert_eq!((step, got), (step, twin.access(paddr)));
+                        if let (Probe::Miss(empty), 1..=3) = (got, op & 7) {
                             prop_assert_eq!(
                                 (step, cache.fill_absent_at(paddr, empty)),
                                 (step, twin.fill_absent_at(paddr, empty))
                             );
                         }
                     }
-                    3 => prop_assert_eq!((step, cache.fill(paddr)), (step, twin.fill(paddr))),
                     4 if !twin.contains(paddr) => prop_assert_eq!(
                         (step, cache.fill_absent(paddr)),
                         (step, twin.fill_absent(paddr))

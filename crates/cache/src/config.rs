@@ -69,7 +69,8 @@ impl CacheLevelConfig {
     }
 }
 
-/// Configuration of the sliced last-level cache.
+/// Configuration of the sliced last-level cache. The LLC is inclusive of L1
+/// and L2, as on the paper's machines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LlcConfig {
     /// Number of slices (must be 1, 2 or 4 for the Intel-like hash).
@@ -82,8 +83,6 @@ pub struct LlcConfig {
     pub latency: u32,
     /// Replacement policy.
     pub replacement: ReplacementPolicy,
-    /// Whether the LLC is inclusive of L1/L2 (true on the paper's machines).
-    pub inclusive: bool,
 }
 
 impl LlcConfig {
@@ -95,7 +94,6 @@ impl LlcConfig {
             ways: 12,
             latency: 18,
             replacement: ReplacementPolicy::Srrip,
-            inclusive: true,
         }
     }
 
@@ -107,7 +105,6 @@ impl LlcConfig {
             ways: 16,
             latency: 22,
             replacement: ReplacementPolicy::Srrip,
-            inclusive: true,
         }
     }
 
@@ -119,7 +116,6 @@ impl LlcConfig {
             ways: 8,
             latency: 18,
             replacement: ReplacementPolicy::Srrip,
-            inclusive: true,
         }
     }
 
@@ -165,33 +161,29 @@ pub struct CacheHierarchyConfig {
     pub l2: CacheLevelConfig,
     /// Sliced last-level cache.
     pub llc: LlcConfig,
-    /// Seed for deterministic replacement randomness.
-    pub seed: u64,
 }
 
 impl CacheHierarchyConfig {
     /// Sandy Bridge-like hierarchy with a 3 MiB 12-way LLC (Lenovo machines).
-    pub const fn sandy_bridge_3mib(seed: u64) -> Self {
+    pub const fn sandy_bridge_3mib() -> Self {
         Self {
             l1d: CacheLevelConfig::l1d_32kib(),
             l2: CacheLevelConfig::l2_256kib(),
             llc: LlcConfig::lenovo_3mib_12way(),
-            seed,
         }
     }
 
     /// Sandy Bridge-like hierarchy with a 4 MiB 16-way LLC (Dell E6420).
-    pub const fn sandy_bridge_4mib(seed: u64) -> Self {
+    pub const fn sandy_bridge_4mib() -> Self {
         Self {
             l1d: CacheLevelConfig::l1d_32kib(),
             l2: CacheLevelConfig::l2_256kib(),
             llc: LlcConfig::dell_4mib_16way(),
-            seed,
         }
     }
 
     /// Small hierarchy for fast unit tests.
-    pub const fn test_small(seed: u64) -> Self {
+    pub const fn test_small() -> Self {
         Self {
             l1d: CacheLevelConfig {
                 sets: 16,
@@ -206,7 +198,6 @@ impl CacheHierarchyConfig {
                 replacement: ReplacementPolicy::Lru,
             },
             llc: LlcConfig::test_small(),
-            seed,
         }
     }
 
@@ -237,24 +228,20 @@ mod tests {
 
     #[test]
     fn presets_validate() {
-        assert!(CacheHierarchyConfig::sandy_bridge_3mib(1)
-            .validate()
-            .is_ok());
-        assert!(CacheHierarchyConfig::sandy_bridge_4mib(1)
-            .validate()
-            .is_ok());
-        assert!(CacheHierarchyConfig::test_small(1).validate().is_ok());
+        assert!(CacheHierarchyConfig::sandy_bridge_3mib().validate().is_ok());
+        assert!(CacheHierarchyConfig::sandy_bridge_4mib().validate().is_ok());
+        assert!(CacheHierarchyConfig::test_small().validate().is_ok());
     }
 
     #[test]
     fn validation_rejects_bad_fields() {
-        let mut cfg = CacheHierarchyConfig::test_small(1);
+        let mut cfg = CacheHierarchyConfig::test_small();
         cfg.l1d.sets = 3;
         assert!(cfg.validate().is_err());
-        let mut cfg = CacheHierarchyConfig::test_small(1);
+        let mut cfg = CacheHierarchyConfig::test_small();
         cfg.llc.slices = 3;
         assert!(cfg.validate().is_err());
-        let mut cfg = CacheHierarchyConfig::test_small(1);
+        let mut cfg = CacheHierarchyConfig::test_small();
         cfg.l2.ways = 0;
         assert!(cfg.validate().is_err());
     }

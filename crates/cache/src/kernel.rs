@@ -211,13 +211,21 @@ pub(crate) fn add_all(w: impl Width, words: &mut [u64], delta: u64) {
     }
 }
 
-/// Outcome of [`SetStore::probe`].
+/// Outcome of a tag probe that records a hit
+/// ([`SetAssociativeCache::access`](crate::SetAssociativeCache::access)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Probe {
+pub enum Probe {
     /// The tag is held in this way (its hit has been recorded).
     Hit(u32),
     /// The tag is absent; the set's first empty way, if any.
     Miss(Option<u32>),
+}
+
+impl Probe {
+    /// True for [`Probe::Hit`].
+    pub fn is_hit(self) -> bool {
+        matches!(self, Probe::Hit(_))
+    }
 }
 
 /// The tag and replacement store of one set-associative structure, and
@@ -232,32 +240,24 @@ pub struct SetStore {
     /// way) followed by its `ways` replacement-metadata words, so a set's
     /// probe, victim choice and update touch adjacent host cache lines.
     blocks: Vec<u64>,
-    /// Per-set replacement scalars (tick / clock hand / PRNG).
+    /// Per-set replacement scalars (tick / clock hand).
     states: Vec<ReplacementState>,
 }
 
 impl SetStore {
-    /// An empty store of `sets` sets of `ways` ways; set `s` seeds its
-    /// replacement PRNG with `set_seed(s)`.
+    /// An empty store of `sets` sets of `ways` ways.
     ///
     /// # Panics
     ///
     /// Panics if `ways` is zero or above [`MAX_WAYS`].
-    pub fn new(
-        sets: u32,
-        ways: u32,
-        policy: ReplacementPolicy,
-        set_seed: impl Fn(u32) -> u64,
-    ) -> Self {
+    pub fn new(sets: u32, ways: u32, policy: ReplacementPolicy) -> Self {
         let assoc = Assoc::new(ways);
         let block = [vec![EMPTY_TAG; ways as usize], vec![0; ways as usize]].concat();
         Self {
             assoc,
             policy,
             blocks: block.repeat(sets as usize),
-            states: (0..sets)
-                .map(|s| ReplacementState::new(set_seed(s)))
-                .collect(),
+            states: vec![ReplacementState::default(); sets as usize],
         }
     }
 
@@ -468,10 +468,10 @@ impl SetStore {
         (tags, meta, &self.states[set])
     }
 
-    /// Records `set` as [`LaneSink`]: its tags, clock hand and PRNG state as
-    /// discrete lanes, its tick as a counter lane, and its metadata words
-    /// as stamps of that tick under the stamp policies (LRU, BIP) or as
-    /// discrete lanes under the others (SRRIP RRPVs, NRU bits).
+    /// Records `set` as [`LaneSink`]: its tags and clock hand as discrete
+    /// lanes, its tick as a counter lane, and its metadata words as stamps
+    /// of that tick under LRU or as discrete lanes under the others (SRRIP
+    /// RRPVs, NRU bits).
     pub fn read_set(&self, set: usize, lanes: &mut impl LaneSink) {
         let (tags, meta, state) = self.set_state(set);
         tags.iter().for_each(|&tag| lanes.discrete(tag));
@@ -513,12 +513,11 @@ mod tests {
     fn seeded_store(
         ways: u32,
         policy: ReplacementPolicy,
-        seed: u64,
         prefill: &[u64],
         holes: &[u32],
         touches: &[u32],
     ) -> SetStore {
-        let mut store = SetStore::new(4, ways, policy, |s| seed ^ u64::from(s));
+        let mut store = SetStore::new(4, ways, policy);
         for &tag in prefill {
             if store.find(1, tag).is_none() {
                 let empty = store.first_empty(1);
@@ -549,13 +548,12 @@ mod tests {
         fn a_refill_run_matches_placing_one_at_a_time(
             ways in prop::sample::select(WAYS.to_vec()),
             policy in prop::sample::select(POLICIES.to_vec()),
-            seed in any::<u64>(),
             prefill in prop::collection::vec(0u64..64, 0..40),
             holes in prop::collection::vec(any::<u32>(), 0..4),
             touches in prop::collection::vec(any::<u32>(), 0..20),
             run in 0usize..80,
         ) {
-            let mut one_by_one = seeded_store(ways, policy, seed, &prefill, &holes, &touches);
+            let mut one_by_one = seeded_store(ways, policy, &prefill, &holes, &touches);
             let mut batched = one_by_one.clone();
             let tags: Vec<u64> = (0..run as u64).map(|i| 1000 + i).collect();
             for &tag in &tags {
@@ -585,13 +583,12 @@ mod tests {
         fn a_hit_batch_matches_touching_one_at_a_time(
             ways in prop::sample::select(WAYS.to_vec()),
             policy in prop::sample::select(POLICIES.to_vec()),
-            seed in any::<u64>(),
             prefill in prop::collection::vec(0u64..64, 1..40),
             touches in prop::collection::vec(any::<u32>(), 0..20),
             last in prop::collection::vec(any::<u32>(), 1..6),
             earlier in prop::collection::vec(any::<usize>(), 0..60),
         ) {
-            let mut one_by_one = seeded_store(ways, policy, seed, &prefill, &[], &touches);
+            let mut one_by_one = seeded_store(ways, policy, &prefill, &[], &touches);
             let mut batched = one_by_one.clone();
             let occupied = one_by_one.occupancy(1) as u32;
             let last: Vec<u32> = last.iter().map(|&way| way % occupied).collect();
@@ -610,7 +607,7 @@ mod tests {
 
     #[test]
     fn tags_lists_every_held_tag() {
-        let mut store = SetStore::new(2, 3, ReplacementPolicy::Lru, u64::from);
+        let mut store = SetStore::new(2, 3, ReplacementPolicy::Lru);
         for (set, tag) in [(0, 7), (1, 9), (0, 4)] {
             let empty = store.first_empty(set);
             store.place(set, tag, empty);

@@ -2,7 +2,7 @@
 //!
 //! Models the structures that PThammer's LLC eviction sets interact with: a
 //! small L1 data cache, a unified L2, and a physically-indexed, sliced,
-//! inclusive last-level cache (LLC) with configurable replacement policies and
+//! inclusive last-level cache (LLC) with per-level replacement policies and
 //! Intel-style complex slice addressing. Inclusive LLC evictions
 //! back-invalidate the inner levels, which is what makes eviction-based
 //! rowhammer possible on the modelled Sandy Bridge / Ivy Bridge machines.
@@ -16,10 +16,9 @@
 //! use pthammer_cache::{CacheHierarchy, CacheHierarchyConfig};
 //! use pthammer_types::PhysAddr;
 //!
-//! let mut caches = CacheHierarchy::new(CacheHierarchyConfig::sandy_bridge_3mib(1));
+//! let mut caches = CacheHierarchy::new(CacheHierarchyConfig::sandy_bridge_3mib());
 //! let a = PhysAddr::new(0x4_0000);
-//! assert!(caches.access(a).hit_level.is_none()); // cold miss
-//! caches.fill(a);
+//! assert!(caches.access(a).hit_level.is_none()); // cold miss, filled on the way
 //! assert!(caches.access(a).hit_level.is_some()); // now cached
 //! ```
 
@@ -34,10 +33,10 @@ mod pmc;
 mod replacement;
 mod slice;
 
-pub use cache::{CacheAccess, SetAssociativeCache};
+pub use cache::SetAssociativeCache;
 pub use config::{CacheHierarchyConfig, CacheLevelConfig, LlcConfig};
-pub use hierarchy::{CacheFootprint, CacheHierarchy, FillPlan, HierarchyAccess};
-pub use kernel::{Assoc, SetStore, EMPTY_TAG, MAX_WAYS};
+pub use hierarchy::{CacheFootprint, CacheHierarchy, HierarchyAccess};
+pub use kernel::{Assoc, Probe, SetStore, EMPTY_TAG, MAX_WAYS};
 pub use pmc::CachePmc;
-pub use replacement::{ReplacementPolicy, ReplacementState, SetMeta};
+pub use replacement::{ReplacementPolicy, ReplacementState};
 pub use slice::SliceHasher;

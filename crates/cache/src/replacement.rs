@@ -4,14 +4,13 @@
 //! eviction set exactly as large as the associativity does not evict reliably
 //! (Figure 4 of the paper) and why traversing a 13-line eviction set does not
 //! thrash itself completely. [`ReplacementPolicy::Srrip`] reproduces both
-//! effects and is the default for the LLC; the other policies are provided for
-//! ablation studies.
+//! effects and is the LLC policy of every machine; the L1 and L2 caches use
+//! [`ReplacementPolicy::Lru`] and the TLBs [`ReplacementPolicy::Nru`].
 //!
 //! The policy logic operates on the flat per-way metadata words of a
 //! [`SetStore`](crate::SetStore); its per-way scans (victim choice, SRRIP
 //! aging, NRU clearing) run through the set-operation kernel, instantiated
-//! for the set's [`Assoc`]. [`SetMeta`] remains available as the boxed
-//! per-set wrapper the original API exposed.
+//! for the set's [`Assoc`].
 
 use serde::Serialize;
 
@@ -30,35 +29,20 @@ pub enum ReplacementPolicy {
     Srrip,
     /// Not-recently-used with a rotating clock hand (typical TLB policy).
     Nru,
-    /// Uniformly random victim.
-    Random,
-    /// Bimodal insertion (LRU insertion most of the time), thrash-resistant.
-    Bip,
 }
 
 const SRRIP_MAX: u64 = 3;
 const SRRIP_INSERT: u64 = 2;
 
-/// The policy-independent per-set scalars: the LRU tick, the NRU clock hand
-/// and the deterministic PRNG state for Random / BIP decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+/// The policy-independent per-set scalars: the LRU tick and the NRU clock
+/// hand.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ReplacementState {
     tick: u64,
     hand: usize,
-    rng_state: u64,
 }
 
 impl ReplacementState {
-    /// Creates the per-set state from a seed (the low bit is forced so the
-    /// xorshift stream never starts at zero).
-    pub fn new(seed: u64) -> Self {
-        Self {
-            tick: 0,
-            hand: 0,
-            rng_state: seed | 1,
-        }
-    }
-
     /// The LRU tick.
     pub(crate) fn tick(&self) -> u64 {
         self.tick
@@ -69,35 +53,22 @@ impl ReplacementState {
         self.tick = tick;
     }
 
-    /// Records the clock hand and the PRNG state as discrete lanes.
+    /// Records the clock hand as a discrete lane.
     pub(crate) fn read_discrete(&self, lanes: &mut impl LaneSink) {
         lanes.discrete(self.hand as u64);
-        lanes.discrete(self.rng_state);
     }
 
-    /// Writes back the lanes of [`ReplacementState::read_discrete`].
+    /// Writes back the lane of [`ReplacementState::read_discrete`].
     pub(crate) fn write_discrete(&mut self, source: &mut LaneSource) {
         self.hand = usize::try_from(source.discrete()).expect("clock hand fits usize");
-        self.rng_state = source.discrete();
-    }
-
-    #[inline]
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64*
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 }
 
 impl ReplacementPolicy {
-    /// True when the policy's metadata words are tick stamps (LRU, BIP), which
+    /// True when the policy's metadata words are tick stamps (LRU), which
     /// grow with the tick; the other policies keep small per-way states.
     pub(crate) fn stamps(self) -> bool {
-        matches!(self, ReplacementPolicy::Lru | ReplacementPolicy::Bip)
+        self == ReplacementPolicy::Lru
     }
 
     /// Records a hit on the way whose metadata word is `meta`.
@@ -105,10 +76,9 @@ impl ReplacementPolicy {
     pub fn on_hit(self, meta: &mut u64, state: &mut ReplacementState) {
         state.tick += 1;
         match self {
-            ReplacementPolicy::Lru | ReplacementPolicy::Bip => *meta = state.tick,
+            ReplacementPolicy::Lru => *meta = state.tick,
             ReplacementPolicy::Srrip => *meta = 0,
             ReplacementPolicy::Nru => *meta = 1,
-            ReplacementPolicy::Random => {}
         }
     }
 
@@ -118,17 +88,8 @@ impl ReplacementPolicy {
         state.tick += 1;
         match self {
             ReplacementPolicy::Lru => *meta = state.tick,
-            ReplacementPolicy::Bip => {
-                // Mostly insert as LRU (old timestamp); occasionally as MRU.
-                if state.next_rand().is_multiple_of(32) {
-                    *meta = state.tick;
-                } else {
-                    *meta = state.tick.saturating_sub(1_000_000);
-                }
-            }
             ReplacementPolicy::Srrip => *meta = SRRIP_INSERT,
             ReplacementPolicy::Nru => *meta = 1,
-            ReplacementPolicy::Random => {}
         }
     }
 
@@ -156,7 +117,7 @@ impl ReplacementPolicy {
         state: &mut ReplacementState,
     ) -> usize {
         match self {
-            ReplacementPolicy::Lru | ReplacementPolicy::Bip => kernel::first_min(w, meta),
+            ReplacementPolicy::Lru => kernel::first_min(w, meta),
             ReplacementPolicy::Srrip => {
                 // Age everyone until someone reaches SRRIP_MAX, then pick the
                 // first such way. Equivalent single pass: every way ages by
@@ -188,7 +149,6 @@ impl ReplacementPolicy {
                 };
                 victim
             }
-            ReplacementPolicy::Random => (state.next_rand() % w.ways() as u64) as usize,
         }
     }
 
@@ -199,148 +159,77 @@ impl ReplacementPolicy {
     }
 }
 
-/// Per-set replacement metadata as a standalone object.
-///
-/// The flattened cache and TLB structures keep their metadata inline in their
-/// way arrays; `SetMeta` remains for callers that want one self-contained
-/// per-set object, delegating to the same policy engine.
-#[derive(Debug, Clone, Serialize)]
-pub struct SetMeta {
-    policy: ReplacementPolicy,
-    /// The kernel instance for the set's width.
-    assoc: Assoc,
-    /// Per-way age / RRPV / used-bit, meaning depends on the policy.
-    meta: Vec<u64>,
-    /// The per-set scalars (tick, clock hand, PRNG state).
-    state: ReplacementState,
-}
-
-impl SetMeta {
-    /// Creates replacement metadata for a set with `ways` ways.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ways` is zero or above [`MAX_WAYS`](crate::MAX_WAYS).
-    pub fn new(policy: ReplacementPolicy, ways: usize, seed: u64) -> Self {
-        Self {
-            policy,
-            assoc: Assoc::new(u32::try_from(ways).expect("way count fits u32")),
-            meta: vec![0; ways],
-            state: ReplacementState::new(seed),
-        }
-    }
-
-    /// Records a hit on `way`.
-    pub fn on_hit(&mut self, way: usize) {
-        self.policy.on_hit(&mut self.meta[way], &mut self.state);
-    }
-
-    /// Records a fill into `way`.
-    pub fn on_fill(&mut self, way: usize) {
-        self.policy.on_fill(&mut self.meta[way], &mut self.state);
-    }
-
-    /// Chooses a victim way among the occupied ways (callers fill invalid
-    /// ways first, so every way is occupied when this is called).
-    pub fn choose_victim(&mut self, ways: usize) -> usize {
-        debug_assert_eq!(ways, self.meta.len());
-        self.policy
-            .choose_victim(self.assoc, &mut self.meta, &mut self.state)
-    }
-
-    /// Clears metadata for `way` (used when a line is invalidated).
-    pub fn on_invalidate(&mut self, way: usize) {
-        self.policy.on_invalidate(&mut self.meta[way]);
-    }
-
-    /// The policy of this set.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A set of `ways` ways after a fill of each, as metadata words and
+    /// per-set scalars.
+    fn filled(policy: ReplacementPolicy, ways: usize) -> (Vec<u64>, ReplacementState) {
+        let (mut meta, mut state) = (vec![0; ways], ReplacementState::default());
+        for word in &mut meta {
+            policy.on_fill(word, &mut state);
+        }
+        (meta, state)
+    }
+
+    fn victim(policy: ReplacementPolicy, meta: &mut [u64], state: &mut ReplacementState) -> usize {
+        let assoc = Assoc::new(u32::try_from(meta.len()).expect("way count fits u32"));
+        policy.choose_victim(assoc, meta, state)
+    }
+
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut m = SetMeta::new(ReplacementPolicy::Lru, 4, 1);
-        for way in 0..4 {
-            m.on_fill(way);
-        }
-        m.on_hit(0);
-        m.on_hit(2);
-        m.on_hit(3);
-        assert_eq!(m.choose_victim(4), 1);
+        let policy = ReplacementPolicy::Lru;
+        let (mut m, mut st) = filled(policy, 4);
+        policy.on_hit(&mut m[0], &mut st);
+        policy.on_hit(&mut m[2], &mut st);
+        policy.on_hit(&mut m[3], &mut st);
+        assert_eq!(victim(policy, &mut m, &mut st), 1);
     }
 
     #[test]
     fn srrip_protects_recently_hit_lines() {
-        let mut m = SetMeta::new(ReplacementPolicy::Srrip, 4, 1);
-        for way in 0..4 {
-            m.on_fill(way);
-        }
+        let policy = ReplacementPolicy::Srrip;
+        let (mut m, mut st) = filled(policy, 4);
         // Way 2 was recently reused: RRPV 0; the rest stay at insert RRPV.
-        m.on_hit(2);
-        let victim = m.choose_victim(4);
+        policy.on_hit(&mut m[2], &mut st);
+        let victim = victim(policy, &mut m, &mut st);
         assert_ne!(victim, 2, "recently reused line should not be the victim");
     }
 
     #[test]
     fn srrip_ages_untouched_lines_out() {
-        let mut m = SetMeta::new(ReplacementPolicy::Srrip, 2, 1);
-        m.on_fill(0);
-        m.on_fill(1);
-        m.on_hit(0);
+        let policy = ReplacementPolicy::Srrip;
+        let (mut m, mut st) = filled(policy, 2);
+        policy.on_hit(&mut m[0], &mut st);
         // Line 1 was never reused after fill: it must be evicted before line 0.
-        assert_eq!(m.choose_victim(2), 1);
+        assert_eq!(victim(policy, &mut m, &mut st), 1);
     }
 
     #[test]
     fn nru_cycles_through_ways() {
-        let mut m = SetMeta::new(ReplacementPolicy::Nru, 4, 1);
-        for way in 0..4 {
-            m.on_fill(way);
-        }
+        let policy = ReplacementPolicy::Nru;
+        let (mut m, mut st) = filled(policy, 4);
         // All used bits set: policy clears them and picks from the hand.
-        let v1 = m.choose_victim(4);
-        m.on_fill(v1);
-        let v2 = m.choose_victim(4);
+        let v1 = victim(policy, &mut m, &mut st);
+        policy.on_fill(&mut m[v1], &mut st);
+        let v2 = victim(policy, &mut m, &mut st);
         assert_ne!(v1, v2, "clock hand should advance");
     }
 
     #[test]
-    fn random_is_deterministic_per_seed() {
-        let mut a = SetMeta::new(ReplacementPolicy::Random, 8, 42);
-        let mut b = SetMeta::new(ReplacementPolicy::Random, 8, 42);
-        let va: Vec<usize> = (0..32).map(|_| a.choose_victim(8)).collect();
-        let vb: Vec<usize> = (0..32).map(|_| b.choose_victim(8)).collect();
-        assert_eq!(va, vb);
-        assert!(va.iter().any(|&v| v != va[0]), "victims should vary");
-    }
-
-    #[test]
     fn victims_are_always_in_range() {
-        for policy in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Srrip,
-            ReplacementPolicy::Nru,
-            ReplacementPolicy::Random,
-            ReplacementPolicy::Bip,
-        ] {
-            let mut m = SetMeta::new(policy, 12, 7);
-            for way in 0..12 {
-                m.on_fill(way);
-            }
+        for policy in reference::POLICIES {
+            let (mut m, mut st) = filled(policy, 12);
             for i in 0..100 {
-                let v = m.choose_victim(12);
+                let v = victim(policy, &mut m, &mut st);
                 assert!(v < 12, "{policy:?} produced out-of-range victim");
                 if i % 3 == 0 {
-                    m.on_hit(v);
+                    policy.on_hit(&mut m[v], &mut st);
                 } else {
-                    m.on_fill(v);
+                    policy.on_fill(&mut m[v], &mut st);
                 }
             }
         }
@@ -361,13 +250,12 @@ mod tests {
         fn kernel_victims_match_the_reference_loops(
             ways in prop::sample::select(reference::WAYS.to_vec()),
             policy in prop::sample::select(reference::POLICIES.to_vec()),
-            seed in any::<u64>(),
             ops in prop::collection::vec(any::<u64>(), 1..300),
         ) {
             for assoc in [Assoc::new(ways), Assoc::dynamic(ways)] {
                 let n = ways as usize;
                 let (mut meta, mut expect) = (vec![0u64; n], vec![0u64; n]);
-                let mut state = ReplacementState::new(seed);
+                let mut state = ReplacementState::default();
                 let mut expect_state = state;
                 for (step, &op) in ops.iter().enumerate() {
                     let way = (op >> 2) as usize % n;
@@ -410,12 +298,10 @@ pub(crate) mod reference {
     pub(crate) const WAYS: [u32; 8] = [1, 2, 3, 4, 5, 8, 12, 16];
 
     /// Every policy.
-    pub(crate) const POLICIES: [ReplacementPolicy; 5] = [
+    pub(crate) const POLICIES: [ReplacementPolicy; 3] = [
         ReplacementPolicy::Lru,
         ReplacementPolicy::Srrip,
         ReplacementPolicy::Nru,
-        ReplacementPolicy::Random,
-        ReplacementPolicy::Bip,
     ];
 
     pub(crate) fn on_hit(
@@ -426,10 +312,9 @@ pub(crate) mod reference {
     ) {
         state.tick += 1;
         match policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::Bip => ways[way] = state.tick,
+            ReplacementPolicy::Lru => ways[way] = state.tick,
             ReplacementPolicy::Srrip => ways[way] = 0,
             ReplacementPolicy::Nru => ways[way] = 1,
-            ReplacementPolicy::Random => {}
         }
     }
 
@@ -442,16 +327,8 @@ pub(crate) mod reference {
         state.tick += 1;
         match policy {
             ReplacementPolicy::Lru => ways[way] = state.tick,
-            ReplacementPolicy::Bip => {
-                if state.next_rand().is_multiple_of(32) {
-                    ways[way] = state.tick;
-                } else {
-                    ways[way] = state.tick.saturating_sub(1_000_000);
-                }
-            }
             ReplacementPolicy::Srrip => ways[way] = SRRIP_INSERT,
             ReplacementPolicy::Nru => ways[way] = 1,
-            ReplacementPolicy::Random => {}
         }
     }
 
@@ -462,7 +339,7 @@ pub(crate) mod reference {
     ) -> usize {
         let count = ways.len();
         match policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::Bip => {
+            ReplacementPolicy::Lru => {
                 let mut victim = 0;
                 let mut best = u64::MAX;
                 for (i, &age) in ways.iter().enumerate() {
@@ -505,7 +382,6 @@ pub(crate) mod reference {
                 }
                 state.hand
             }
-            ReplacementPolicy::Random => (state.next_rand() % count as u64) as usize,
         }
     }
 }

@@ -1,29 +1,97 @@
-//! Property tests pinning the hot-path rewrite to the per-address semantics:
-//! the batched lookup, the plan-based fill and the hint-skipping fills must
-//! produce byte-identical hit/miss/eviction sequences to the per-address
-//! `access` path on randomized traces.
+//! Property tests pinning the hierarchy's single access path to a plain
+//! scanning model of it: [`CacheHierarchy::access`] (probe hints, fill on a
+//! full miss, stale-hint fallback) and the L1 hit run must produce the
+//! same hit/miss/eviction sequences as per-level caches driven one scan at
+//! a time, on randomized traces.
 
 use proptest::prelude::*;
 
 use pthammer_cache::{
-    CacheHierarchy, CacheHierarchyConfig, HierarchyAccess, LlcConfig, ReplacementPolicy,
-    SetAssociativeCache,
+    CacheHierarchy, CacheHierarchyConfig, CacheLevelConfig, LlcConfig, ReplacementPolicy,
+    SetAssociativeCache, SliceHasher,
 };
 use pthammer_types::{MemoryLevel, PhysAddr};
 
 /// A small hierarchy with heavy set contention so random traces exercise
-/// evictions, promotions and inclusive back-invalidation.
-fn contended_hierarchy(policy: ReplacementPolicy, seed: u64) -> CacheHierarchy {
-    let mut cfg = CacheHierarchyConfig::test_small(seed);
-    cfg.llc = LlcConfig {
-        slices: 2,
-        sets_per_slice: 16,
-        ways: 4,
-        latency: 18,
+/// evictions, promotions and inclusive back-invalidation, every level
+/// under `policy`.
+fn contended_config(policy: ReplacementPolicy) -> CacheHierarchyConfig {
+    let base = CacheHierarchyConfig::test_small();
+    let level = |level: CacheLevelConfig| CacheLevelConfig {
         replacement: policy,
-        inclusive: true,
+        ..level
     };
-    CacheHierarchy::new(cfg)
+    CacheHierarchyConfig {
+        l1d: level(base.l1d),
+        l2: level(base.l2),
+        llc: LlcConfig {
+            slices: 2,
+            sets_per_slice: 16,
+            ways: 4,
+            latency: 18,
+            replacement: policy,
+        },
+    }
+}
+
+/// The hierarchy as per-level caches, every fill scanning its set: probe
+/// each level, promote on an inner hit, and on a full miss fill the LLC,
+/// back-invalidate its victim, then fill L2 and L1D.
+struct Scanning {
+    l1d: SetAssociativeCache,
+    l2: SetAssociativeCache,
+    llc: Vec<SetAssociativeCache>,
+    hasher: SliceHasher,
+}
+
+impl Scanning {
+    fn new(config: &CacheHierarchyConfig) -> Self {
+        let level = |c: CacheLevelConfig| SetAssociativeCache::new(c.sets, c.ways, c.replacement);
+        let llc = config.llc;
+        Self {
+            l1d: level(config.l1d),
+            l2: level(config.l2),
+            llc: (0..llc.slices)
+                .map(|_| SetAssociativeCache::new(llc.sets_per_slice, llc.ways, llc.replacement))
+                .collect(),
+            hasher: SliceHasher::intel_like(llc.slices),
+        }
+    }
+
+    fn access(&mut self, paddr: PhysAddr) -> Option<MemoryLevel> {
+        if self.l1d.access(paddr).is_hit() {
+            return Some(MemoryLevel::L1);
+        }
+        if self.l2.access(paddr).is_hit() {
+            self.l1d.fill_absent(paddr);
+            return Some(MemoryLevel::L2);
+        }
+        let llc = &mut self.llc[self.hasher.slice_of(paddr) as usize];
+        if llc.access(paddr).is_hit() {
+            self.l2.fill_absent(paddr);
+            self.l1d.fill_absent(paddr);
+            return Some(MemoryLevel::Llc);
+        }
+        if let Some(victim) = llc.fill_absent(paddr) {
+            self.l1d.invalidate(victim);
+            self.l2.invalidate(victim);
+        }
+        self.l2.fill_absent(paddr);
+        self.l1d.fill_absent(paddr);
+        None
+    }
+
+    fn contains(&self, paddr: PhysAddr) -> Option<MemoryLevel> {
+        if self.l1d.contains(paddr) {
+            Some(MemoryLevel::L1)
+        } else if self.l2.contains(paddr) {
+            Some(MemoryLevel::L2)
+        } else if self.llc[self.hasher.slice_of(paddr) as usize].contains(paddr) {
+            Some(MemoryLevel::Llc)
+        } else {
+            None
+        }
+    }
 }
 
 /// Addresses drawn from a deliberately tiny pool of lines so sets overflow.
@@ -31,115 +99,52 @@ fn addr(raw: u64) -> PhysAddr {
     PhysAddr::new((raw % 256) * 64)
 }
 
-const POLICIES: [ReplacementPolicy; 5] = [
+const POLICIES: [ReplacementPolicy; 3] = [
     ReplacementPolicy::Lru,
     ReplacementPolicy::Srrip,
     ReplacementPolicy::Nru,
-    ReplacementPolicy::Random,
-    ReplacementPolicy::Bip,
 ];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // `access_batch` must produce exactly the per-address `access` sequence:
-    // same hit levels and latencies in order, same counter values, same
-    // final contents. Traces interleave batched lookup chunks with fills of
-    // the missed lines, mirroring how the memory subsystem drives the API.
+    // The hinted access path must be byte-identical to the scanning model
+    // — including the stale-hint case where inclusive back-invalidation
+    // frees a way in the set being filled: same serving levels and
+    // latencies in order, same counters, same final contents.
     #[test]
-    fn access_batch_matches_per_address_access(
-        raws in prop::collection::vec(any::<u64>(), 1..120),
-        policy in prop::sample::select(POLICIES.to_vec()),
-        seed in 0u64..64,
-    ) {
-        let addrs: Vec<PhysAddr> = raws.iter().map(|&r| addr(r)).collect();
-        let mut per_address = contended_hierarchy(policy, seed);
-        let mut batched = contended_hierarchy(policy, seed);
-
-        for chunk in addrs.chunks(7) {
-            let serial: Vec<HierarchyAccess> = chunk.iter().map(|&a| per_address.access(a)).collect();
-            let mut batch: Vec<HierarchyAccess> = Vec::new();
-            batched.access_batch(chunk, &mut batch);
-            prop_assert_eq!(&batch, &serial);
-            for &a in chunk {
-                prop_assert_eq!(per_address.contains(a), batched.contains(a));
-                if per_address.contains(a).is_none() {
-                    per_address.fill(a);
-                    batched.fill(a);
-                }
-            }
-        }
-        prop_assert_eq!(batched.pmc().l1_accesses, per_address.pmc().l1_accesses);
-        prop_assert_eq!(batched.pmc().l1_misses, per_address.pmc().l1_misses);
-        prop_assert_eq!(batched.pmc().llc_misses, per_address.pmc().llc_misses);
-        for r in 0..256u64 {
-            let a = addr(r);
-            prop_assert_eq!(batched.contains(a), per_address.contains(a));
-        }
-    }
-
-    // The scan-free plan path (`access_planning_fill` + `fill_with_plan`)
-    // must be byte-identical to `access` + `fill_after_miss` — including the
-    // stale-hint case where inclusive back-invalidation frees a way in the
-    // set being filled.
-    #[test]
-    fn plan_fill_matches_scanning_fill(
+    fn access_matches_the_scanning_hierarchy(
         raws in prop::collection::vec(any::<u64>(), 1..160),
         policy in prop::sample::select(POLICIES.to_vec()),
-        seed in 0u64..64,
     ) {
-        let mut scanning = contended_hierarchy(policy, seed);
-        let mut planned = contended_hierarchy(policy, seed);
-        for &r in &raws {
+        let config = contended_config(policy);
+        let mut hinted = CacheHierarchy::new(config);
+        let mut scanning = Scanning::new(&config);
+        let (mut l1_misses, mut l2_misses, mut llc_misses) = (0, 0, 0);
+        for (step, &r) in raws.iter().enumerate() {
             let a = addr(r);
-            let expect = scanning.access(a);
-            if expect.hit_level.is_none() {
-                scanning.fill_after_miss(a);
-            }
-            let (got, plan) = planned.access_planning_fill(a);
-            prop_assert_eq!(got, expect);
-            if got.hit_level.is_none() {
-                planned.fill_with_plan(a, plan);
-            }
-        }
-        prop_assert_eq!(scanning.pmc().l1_accesses, planned.pmc().l1_accesses);
-        prop_assert_eq!(scanning.pmc().l1_misses, planned.pmc().l1_misses);
-        prop_assert_eq!(scanning.pmc().l2_misses, planned.pmc().l2_misses);
-        prop_assert_eq!(scanning.pmc().llc_misses, planned.pmc().llc_misses);
-        for r in 0..256u64 {
-            let a = addr(r);
-            prop_assert_eq!(scanning.contains(a), planned.contains(a));
-        }
-    }
-
-    // `fill_absent` must match `fill` for lines that are not present, and
-    // single caches must agree with a straightforward model of occupancy.
-    #[test]
-    fn fill_absent_matches_fill_on_random_traces(
-        raws in prop::collection::vec(any::<u64>(), 1..100),
-        policy in prop::sample::select(POLICIES.to_vec()),
-        seed in 0u64..64,
-    ) {
-        let mut via_fill = SetAssociativeCache::new(8, 2, policy, seed | 1);
-        let mut via_absent = SetAssociativeCache::new(8, 2, policy, seed | 1);
-        for &r in &raws {
-            let a = addr(r);
-            // Keep the traces aligned: only drive fill_absent when the line
-            // is genuinely absent (its contract); otherwise access both.
-            if via_fill.contains(a) {
-                prop_assert_eq!(via_fill.access(a).hit, via_absent.access(a).hit);
-            } else {
-                prop_assert_eq!(via_fill.fill(a), via_absent.fill_absent(a));
+            let want = scanning.access(a);
+            let got = hinted.access(a);
+            prop_assert_eq!((step, got.hit_level), (step, want));
+            let latency = match want {
+                Some(MemoryLevel::L1) => config.l1d.latency,
+                Some(MemoryLevel::L2) => config.l1d.latency + config.l2.latency,
+                _ => config.l1d.latency + config.l2.latency + config.llc.latency,
+            };
+            prop_assert_eq!(got.latency.as_u64(), u64::from(latency));
+            l1_misses += u64::from(want != Some(MemoryLevel::L1));
+            l2_misses += u64::from(matches!(want, Some(MemoryLevel::Llc) | None));
+            llc_misses += u64::from(want.is_none());
+            for r in 0..256u64 {
+                prop_assert_eq!((step, hinted.contains(addr(r))), (step, scanning.contains(addr(r))));
             }
         }
-        for r in 0..256u64 {
-            let a = addr(r);
-            prop_assert_eq!(via_fill.contains(a), via_absent.contains(a));
-        }
-        for set in 0..8 {
-            prop_assert!(via_fill.occupancy(set) <= 2);
-            prop_assert_eq!(via_fill.occupancy(set), via_absent.occupancy(set));
-        }
+        let pmc = hinted.pmc();
+        prop_assert_eq!(pmc.l1_accesses, raws.len() as u64);
+        prop_assert_eq!(pmc.l1_misses, l1_misses);
+        prop_assert_eq!(pmc.l2_misses, l2_misses);
+        prop_assert_eq!(pmc.llc_accesses, l2_misses);
+        prop_assert_eq!(pmc.llc_misses, llc_misses);
     }
 
     // An L1 hit run (the page-run batch of a walker's PTE line and a data
@@ -152,14 +157,10 @@ proptest! {
         picks in prop::collection::vec(any::<u64>(), 1..4),
         rounds in 0u64..12,
         policy in prop::sample::select(POLICIES.to_vec()),
-        seed in 0u64..64,
     ) {
-        let mut per_access = contended_hierarchy(policy, seed);
+        let mut per_access = CacheHierarchy::new(contended_config(policy));
         for &r in &raws {
-            let a = addr(r);
-            if per_access.access(a).hit_level.is_none() {
-                per_access.fill(a);
-            }
+            per_access.access(addr(r));
         }
         let held: Vec<PhysAddr> = (0..256u64)
             .map(addr)

@@ -1,8 +1,8 @@
 //! Determinism contract of the cache substrate: slice hashing and
-//! replacement decisions must be pure functions of (configuration, seed,
-//! access sequence) — never of process randomness or scheduling.
+//! replacement decisions must be pure functions of (configuration, access
+//! sequence) — never of process randomness or scheduling.
 
-use pthammer_cache::{ReplacementPolicy, SetMeta, SliceHasher};
+use pthammer_cache::{Assoc, ReplacementPolicy, ReplacementState, SliceHasher};
 use pthammer_types::PhysAddr;
 
 #[test]
@@ -22,42 +22,34 @@ fn slice_hash_is_stable_across_instances() {
     }
 }
 
-/// Runs a fixed fill/hit/victim workload and records every victim choice.
-fn victim_sequence(policy: ReplacementPolicy, seed: u64) -> Vec<usize> {
-    let ways = 8;
-    let mut meta = SetMeta::new(policy, ways, seed);
+/// Runs a fixed fill/hit/victim workload on one set's metadata words and
+/// records every victim choice.
+fn victim_sequence(policy: ReplacementPolicy) -> Vec<usize> {
+    const WAYS: usize = 8;
+    let (mut meta, mut state) = ([0u64; WAYS], ReplacementState::default());
     let mut victims = Vec::new();
-    for i in 0..ways {
-        meta.on_fill(i);
+    for word in &mut meta {
+        policy.on_fill(word, &mut state);
     }
     for round in 0..200usize {
-        meta.on_hit(round % ways);
-        let victim = meta.choose_victim(ways);
+        policy.on_hit(&mut meta[round % WAYS], &mut state);
+        let victim = policy.choose_victim(Assoc::new(WAYS as u32), &mut meta, &mut state);
         victims.push(victim);
-        meta.on_fill(victim);
+        policy.on_fill(&mut meta[victim], &mut state);
     }
     victims
 }
 
 #[test]
-fn replacement_decisions_are_seed_deterministic() {
+fn replacement_decisions_are_deterministic() {
     for policy in [
         ReplacementPolicy::Lru,
         ReplacementPolicy::Srrip,
         ReplacementPolicy::Nru,
-        ReplacementPolicy::Random,
-        ReplacementPolicy::Bip,
     ] {
-        let a = victim_sequence(policy, 1234);
-        let b = victim_sequence(policy, 1234);
+        let a = victim_sequence(policy);
+        let b = victim_sequence(policy);
         assert_eq!(a, b, "{policy:?} victim sequence must be deterministic");
         assert!(a.iter().all(|&v| v < 8));
     }
-}
-
-#[test]
-fn random_policy_streams_depend_on_the_seed() {
-    let a = victim_sequence(ReplacementPolicy::Random, 1);
-    let b = victim_sequence(ReplacementPolicy::Random, 2);
-    assert_ne!(a, b, "different seeds should give different random victims");
 }

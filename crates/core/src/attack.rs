@@ -175,9 +175,8 @@ mod tests {
                 ways: 8,
                 latency: 18,
                 replacement: ReplacementPolicy::Srrip,
-                inclusive: true,
             },
-            ..CacheHierarchyConfig::test_small(seed)
+            ..CacheHierarchyConfig::test_small()
         };
         cfg
     }

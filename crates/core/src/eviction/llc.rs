@@ -527,9 +527,8 @@ mod tests {
                 ways: 8,
                 latency: 18,
                 replacement: ReplacementPolicy::Srrip,
-                inclusive: true,
             },
-            ..CacheHierarchyConfig::test_small(9)
+            ..CacheHierarchyConfig::test_small()
         };
         let kernel_config = if superpages {
             KernelConfig::with_superpages()

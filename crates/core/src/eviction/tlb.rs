@@ -17,17 +17,14 @@ use crate::config::AttackConfig;
 use crate::error::AttackError;
 
 /// Attacker-side knowledge of the TLB set mappings (public microarchitectural
-/// information reverse engineered by Gras et al.).
+/// information reverse engineered by Gras et al.): both levels index sets
+/// linearly, `page number mod sets`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TlbMapping {
     /// Number of L1 dTLB sets.
     pub l1_sets: u32,
     /// Number of L2 sTLB sets.
     pub l2_sets: u32,
-    /// L1 dTLB indexing function.
-    pub l1_indexing: pthammer_mmu::TlbIndexing,
-    /// L2 sTLB indexing function.
-    pub l2_indexing: pthammer_mmu::TlbIndexing,
 }
 
 impl TlbMapping {
@@ -38,21 +35,17 @@ impl TlbMapping {
         Self {
             l1_sets: mmu.l1_dtlb.sets,
             l2_sets: mmu.l2_stlb.sets,
-            l1_indexing: mmu.l1_dtlb.indexing,
-            l2_indexing: mmu.l2_stlb.indexing,
         }
     }
 
     /// L1 dTLB set of a virtual address.
     pub fn l1_set(&self, vaddr: VirtAddr) -> u32 {
-        self.l1_indexing
-            .set_index(vaddr.page_number(), self.l1_sets)
+        (vaddr.page_number() % u64::from(self.l1_sets)) as u32
     }
 
     /// L2 sTLB set of a virtual address.
     pub fn l2_set(&self, vaddr: VirtAddr) -> u32 {
-        self.l2_indexing
-            .set_index(vaddr.page_number(), self.l2_sets)
+        (vaddr.page_number() % u64::from(self.l2_sets)) as u32
     }
 }
 

@@ -606,9 +606,8 @@ pub(crate) mod tests {
                 ways: 8,
                 latency: 18,
                 replacement: ReplacementPolicy::Srrip,
-                inclusive: true,
             },
-            ..CacheHierarchyConfig::test_small(seed)
+            ..CacheHierarchyConfig::test_small()
         };
         let mut sys = System::undefended(cfg);
         let pid = sys.spawn_process(1000).unwrap();

@@ -42,8 +42,8 @@ impl MachineConfig {
         Self {
             name: "Lenovo T420".to_string(),
             clock_hz: 2.6e9,
-            cache: CacheHierarchyConfig::sandy_bridge_3mib(seed ^ 0x1420),
-            mmu: MmuConfig::sandy_bridge(seed ^ 0x2420),
+            cache: CacheHierarchyConfig::sandy_bridge_3mib(),
+            mmu: MmuConfig::sandy_bridge(),
             dram: DramConfig {
                 timings: DramTimings::ddr3_default(),
                 ..DramConfig::ddr3_8gib(flip_profile, seed ^ 0x3420)
@@ -73,8 +73,8 @@ impl MachineConfig {
         Self {
             name: "Dell E6420".to_string(),
             clock_hz: 2.8e9,
-            cache: CacheHierarchyConfig::sandy_bridge_4mib(seed ^ 0x6420),
-            mmu: MmuConfig::sandy_bridge(seed ^ 0x7420),
+            cache: CacheHierarchyConfig::sandy_bridge_4mib(),
+            mmu: MmuConfig::sandy_bridge(),
             dram: DramConfig {
                 timings: DramTimings::ddr3_slow(),
                 ..DramConfig::ddr3_8gib(flip_profile, seed ^ 0x8420)
@@ -99,8 +99,8 @@ impl MachineConfig {
         Self {
             name: "Test Small".to_string(),
             clock_hz: 2.6e9,
-            cache: CacheHierarchyConfig::sandy_bridge_3mib(seed ^ 0x51),
-            mmu: MmuConfig::sandy_bridge(seed ^ 0x52),
+            cache: CacheHierarchyConfig::sandy_bridge_3mib(),
+            mmu: MmuConfig::sandy_bridge(),
             dram: DramConfig {
                 geometry: DramGeometry::small_1gib(),
                 timings: DramTimings::fast_test(),
@@ -126,9 +126,8 @@ impl MachineConfig {
                 ways: 8,
                 latency: 18,
                 replacement: ReplacementPolicy::Srrip,
-                inclusive: true,
             },
-            ..CacheHierarchyConfig::test_small(seed)
+            ..CacheHierarchyConfig::test_small()
         };
         cfg
     }

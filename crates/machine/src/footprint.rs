@@ -17,11 +17,11 @@
 //! any of its banks rolls into the next refresh window, and no weak cell in
 //! a page-table entry the walks read may reach its flip threshold.
 
-use pthammer_types::{PhysAddr, VirtAddr, PTE_SIZE};
+use pthammer_types::PhysAddr;
 
 use pthammer_cache::CacheFootprint;
 use pthammer_dram::{DramModule, RowBufferOutcome};
-use pthammer_mmu::{Pte, TlbFootprint};
+use pthammer_mmu::TlbFootprint;
 
 use crate::machine::Machine;
 
@@ -68,41 +68,6 @@ impl Footprint {
                 .iter()
                 .all(|&(entry, value)| machine.phys_read_u64(entry) == value)
     }
-}
-
-/// Follows `vaddr`'s page walk from `cr3` in software, appending every
-/// entry it reads to `entries`. Returns the translated address, or `None`
-/// when the walk faults or leaves installed DRAM.
-pub(crate) fn walk(
-    machine: &Machine,
-    cr3: PhysAddr,
-    vaddr: VirtAddr,
-    entries: &mut Vec<(PhysAddr, u64)>,
-) -> Option<PhysAddr> {
-    let capacity = machine.config().dram.geometry.capacity_bytes();
-    let mut table = cr3;
-    for level in (1..=4u8).rev() {
-        let entry_paddr = table + vaddr.pt_index(level) * PTE_SIZE;
-        if entry_paddr.as_u64() + PTE_SIZE > capacity {
-            return None;
-        }
-        let raw = machine.phys_read_u64(entry_paddr);
-        entries.push((entry_paddr, raw));
-        let entry = Pte::from_raw(raw);
-        if !entry.present() {
-            return None;
-        }
-        let paddr = match level {
-            2 if entry.huge() => entry.frame() + vaddr.huge_page_offset(),
-            1 => entry.frame() + vaddr.page_offset(),
-            _ => {
-                table = entry.frame();
-                continue;
-            }
-        };
-        return (paddr.as_u64() + 8 <= capacity).then_some(paddr);
-    }
-    unreachable!("the walk ends at level 1")
 }
 
 /// The limits fast rounds replaying recorded rounds must stay within.

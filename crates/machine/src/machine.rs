@@ -11,8 +11,9 @@ use pthammer_types::{
 };
 
 use crate::config::MachineConfig;
-use crate::footprint::{self, DramRecord, FastRoundGuard, Footprint};
+use crate::footprint::{DramRecord, FastRoundGuard, Footprint};
 use crate::memory::MemorySubsystem;
+use crate::oracle;
 use crate::phys_mem::{AppliedFlip, PhysicalMemory};
 
 /// The outcome of one user-level virtual memory access.
@@ -317,12 +318,6 @@ impl Machine {
         self.do_access(cr3, vaddr, AccessKind::Write, value)
     }
 
-    /// Touches `vaddr` (read, value ignored). Equivalent to the paper's
-    /// `access target_addr` step.
-    pub fn touch(&mut self, cr3: PhysAddr, vaddr: VirtAddr) -> VirtualAccess {
-        self.read_u64(cr3, vaddr)
-    }
-
     /// Accesses a sequence of addresses back-to-back as an out-of-order core
     /// would: independent DRAM misses overlap, so each DRAM-served access is
     /// charged the configured overlap latency instead of the full latency.
@@ -333,7 +328,7 @@ impl Machine {
     /// the translation walker and the cache hierarchy directly, without
     /// constructing a [`VirtualAccess`] per address and without reading the
     /// (ignored) data values. The modelled state transitions are identical
-    /// to calling [`Machine::touch`] per address in batch mode.
+    /// to calling [`Machine::read_u64`] per address in batch mode.
     pub fn access_batch(&mut self, cr3: PhysAddr, vaddrs: &[VirtAddr]) -> (Cycles, Vec<PageFault>) {
         self.access_batch_passes(cr3, vaddrs, 1)
     }
@@ -364,7 +359,7 @@ impl Machine {
 
     /// A timed touch without reading the (ignored) data value or building a
     /// [`VirtualAccess`]: identical simulated state transitions and latency
-    /// accounting to [`Machine::touch`] (serial mode — *not* the overlapped
+    /// accounting to [`Machine::read_u64`] (serial mode — *not* the overlapped
     /// batch charging). This is what the hammer loop uses for its two target
     /// accesses per iteration.
     pub fn touch_lean(&mut self, cr3: PhysAddr, vaddr: VirtAddr) -> TouchAccess {
@@ -547,12 +542,16 @@ impl Machine {
     /// entries the walks read, and the DRAM banks and rows of those lines.
     /// Reads the page tables without timing side effects.
     pub fn footprint(&self, cr3: PhysAddr, vaddrs: &[VirtAddr]) -> Footprint {
+        let capacity = self.config().dram.geometry.capacity_bytes();
         let mut walk_entries = Vec::new();
         let mut lines = Vec::new();
         let mut complete = true;
         for &vaddr in vaddrs {
-            match footprint::walk(self, cr3, vaddr, &mut walk_entries) {
-                Some(paddr) => lines.push(paddr),
+            let walk = oracle::software_walk_reading(self, cr3, vaddr, |entry, raw| {
+                walk_entries.push((entry, raw));
+            });
+            match walk.filter(|walk| walk.paddr.as_u64() + 8 <= capacity) {
+                Some(walk) => lines.push(walk.paddr),
                 None => complete = false,
             }
         }

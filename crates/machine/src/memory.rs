@@ -11,9 +11,10 @@ use crate::phys_mem::{AppliedFlip, PhysicalMemory};
 
 /// Caches, DRAM and physical contents glued together.
 ///
-/// Every line access consults the cache hierarchy; on a miss it accesses the
-/// DRAM model (which may emit rowhammer flips — these are applied to the
-/// physical contents immediately) and fills the caches. The subsystem
+/// Every line access consults the cache hierarchy, which fills a line that
+/// missed every level; such a miss then accesses the DRAM model (which may
+/// emit rowhammer flips — these are applied to the physical contents
+/// immediately). The subsystem
 /// implements [`PhysicalMemoryAccess`], so the MMU's page-table walker issues
 /// its implicit PTE loads through exactly the same path as ordinary data.
 #[derive(Debug, Clone, Serialize)]
@@ -102,7 +103,7 @@ impl MemorySubsystem {
     /// overlap cost.
     #[inline]
     pub fn access_line(&mut self, paddr: PhysAddr) -> MemAccessOutcome {
-        let (lookup, fill_plan) = self.caches.access_planning_fill(paddr);
+        let lookup = self.caches.access(paddr);
         if let Some(level) = lookup.hit_level {
             let latency = if self.batch_mode {
                 Cycles::new(lookup.latency.as_u64().div_ceil(3))
@@ -116,11 +117,10 @@ impl MemorySubsystem {
                 row_buffer_hit: false,
             };
         }
+        // The lookup above missed every level and already filled the line:
+        // the DRAM access never touches cache state, so filling first is
+        // exact.
         let dram_access = self.dram_access(paddr, self.now);
-        // The lookup above just missed every level and captured where the
-        // fill should land, so no way re-scan runs here. (The DRAM access in
-        // between never touches the caches, keeping the plan valid.)
-        self.caches.fill_with_plan(paddr, fill_plan);
         let dram_latency = if self.batch_mode {
             self.dram_overlap_latency
         } else {
@@ -221,7 +221,7 @@ mod tests {
     use pthammer_dram::{DramConfig, FlipModelProfile};
 
     fn subsystem() -> MemorySubsystem {
-        let caches = CacheHierarchy::new(CacheHierarchyConfig::test_small(1));
+        let caches = CacheHierarchy::new(CacheHierarchyConfig::test_small());
         let dram = DramModule::new(DramConfig::test_small(FlipModelProfile::invulnerable(), 1));
         let phys = PhysicalMemory::new(32 << 20);
         MemorySubsystem::new(caches, dram, phys, 60)
@@ -281,7 +281,7 @@ mod tests {
     #[test]
     fn flips_are_applied_to_physical_memory() {
         // Use a vulnerable profile and hammer two rows adjacent to a weak row.
-        let caches = CacheHierarchy::new(CacheHierarchyConfig::test_small(1));
+        let caches = CacheHierarchy::new(CacheHierarchyConfig::test_small());
         let dram = DramModule::new(DramConfig::test_small(FlipModelProfile::ci(), 5));
         let geometry = dram.config().geometry;
         let model = dram.flip_model().clone();

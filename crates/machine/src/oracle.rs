@@ -33,6 +33,17 @@ pub struct SoftwareWalk {
 /// Returns `None` if any level is non-present or its table lies past
 /// installed DRAM.
 pub fn software_walk(machine: &Machine, cr3: PhysAddr, vaddr: VirtAddr) -> Option<SoftwareWalk> {
+    software_walk_reading(machine, cr3, vaddr, |_, _| {})
+}
+
+/// [`software_walk`], passing the address and raw value of every entry it
+/// reads to `read`, in walk order (a non-present entry included).
+pub(crate) fn software_walk_reading(
+    machine: &Machine,
+    cr3: PhysAddr,
+    vaddr: VirtAddr,
+    mut read: impl FnMut(PhysAddr, u64),
+) -> Option<SoftwareWalk> {
     let capacity = machine.config().dram.geometry.capacity_bytes();
     let mut table = cr3;
     for level in (1..=4u8).rev() {
@@ -40,7 +51,9 @@ pub fn software_walk(machine: &Machine, cr3: PhysAddr, vaddr: VirtAddr) -> Optio
         if entry_paddr.as_u64() + PTE_SIZE > capacity {
             return None;
         }
-        let entry = Pte::from_raw(machine.phys_read_u64(entry_paddr));
+        let raw = machine.phys_read_u64(entry_paddr);
+        read(entry_paddr, raw);
+        let entry = Pte::from_raw(raw);
         if !entry.present() {
             return None;
         }

@@ -4,53 +4,21 @@ use serde::Serialize;
 
 use pthammer_cache::{ReplacementPolicy, MAX_WAYS};
 
-/// How virtual page numbers map to TLB sets.
-///
-/// Gras et al. (USENIX Security 2018) reverse engineered these functions; the
-/// attack relies on them to construct congruent page sets. Both TLB levels of
-/// the modelled Sandy Bridge / Ivy Bridge machines use a linear index (newer
-/// parts XOR-fold the sTLB index; [`TlbIndexing::XorFold`] is provided for
-/// that ablation). Because an eviction set must displace the target from both
-/// levels, its minimal size exceeds a single level's associativity
-/// (Figure 3 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
-pub enum TlbIndexing {
-    /// `set = vpn mod sets`.
-    Linear,
-    /// `set = (vpn XOR (vpn >> log2(sets))) mod sets`.
-    XorFold,
-}
-
-impl TlbIndexing {
-    /// Computes the set index for a virtual page number.
-    #[inline]
-    pub fn set_index(self, vpn: u64, sets: u32) -> u32 {
-        let sets64 = u64::from(sets);
-        let folded = match self {
-            TlbIndexing::Linear => vpn,
-            TlbIndexing::XorFold => vpn ^ (vpn >> sets.trailing_zeros()),
-        };
-        // TLB set counts are powers of two in practice; masking avoids a
-        // hardware division on the per-access hot path.
-        if sets.is_power_of_two() {
-            (folded & (sets64 - 1)) as u32
-        } else {
-            (folded % sets64) as u32
-        }
-    }
-}
-
 /// Configuration of one TLB level.
+///
+/// A virtual page number maps to set `vpn mod sets`, the linear index Gras
+/// et al. (USENIX Security 2018) reverse engineered for both TLB levels of
+/// the modelled Sandy Bridge / Ivy Bridge machines. The attack relies on it
+/// to construct congruent page sets; because an eviction set must displace
+/// the target from both levels, its minimal size exceeds a single level's
+/// associativity (Figure 3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TlbConfig {
-    /// Number of sets.
+    /// Number of sets (a power of two).
     pub sets: u32,
     /// Associativity.
     pub ways: u32,
-    /// Set-index function.
-    pub indexing: TlbIndexing,
-    /// Replacement policy. The presets use LRU; NRU and Random are available
-    /// for the replacement-policy ablation study.
+    /// Replacement policy. The presets use NRU.
     pub replacement: ReplacementPolicy,
 }
 
@@ -60,7 +28,6 @@ impl TlbConfig {
         Self {
             sets: 16,
             ways: 4,
-            indexing: TlbIndexing::Linear,
             replacement: ReplacementPolicy::Nru,
         }
     }
@@ -70,7 +37,6 @@ impl TlbConfig {
         Self {
             sets: 128,
             ways: 4,
-            indexing: TlbIndexing::Linear,
             replacement: ReplacementPolicy::Nru,
         }
     }
@@ -80,7 +46,6 @@ impl TlbConfig {
         Self {
             sets: 8,
             ways: 4,
-            indexing: TlbIndexing::Linear,
             replacement: ReplacementPolicy::Nru,
         }
     }
@@ -155,13 +120,11 @@ pub struct MmuConfig {
     /// Fixed per-level overhead of the hardware walker, on top of the memory
     /// accesses it performs.
     pub walk_step_latency: u32,
-    /// Seed for deterministic replacement randomness.
-    pub seed: u64,
 }
 
 impl MmuConfig {
     /// Sandy Bridge / Ivy Bridge-like MMU (Table I machines).
-    pub const fn sandy_bridge(seed: u64) -> Self {
+    pub const fn sandy_bridge() -> Self {
         Self {
             l1_dtlb: TlbConfig::l1_dtlb_64(),
             l2_stlb: TlbConfig::l2_stlb_512(),
@@ -170,7 +133,6 @@ impl MmuConfig {
             tlb_lookup_latency: 1,
             stlb_lookup_latency: 6,
             walk_step_latency: 2,
-            seed,
         }
     }
 
@@ -204,15 +166,15 @@ mod tests {
 
     #[test]
     fn presets_validate() {
-        assert!(MmuConfig::sandy_bridge(1).validate().is_ok());
+        assert!(MmuConfig::sandy_bridge().validate().is_ok());
     }
 
     #[test]
     fn validation_rejects_bad_values() {
-        let mut cfg = MmuConfig::sandy_bridge(1);
+        let mut cfg = MmuConfig::sandy_bridge();
         cfg.l1_dtlb.sets = 3;
         assert!(cfg.validate().is_err());
-        let mut cfg = MmuConfig::sandy_bridge(1);
+        let mut cfg = MmuConfig::sandy_bridge();
         cfg.paging_caches.pde_entries = 0;
         assert!(cfg.validate().is_err());
     }
@@ -225,35 +187,5 @@ mod tests {
         cfg.ways = MAX_WAYS + 1;
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("at most 32"), "{err}");
-    }
-
-    #[test]
-    fn linear_indexing_is_modulo() {
-        assert_eq!(TlbIndexing::Linear.set_index(0, 16), 0);
-        assert_eq!(TlbIndexing::Linear.set_index(17, 16), 1);
-        assert_eq!(TlbIndexing::Linear.set_index(255, 16), 15);
-    }
-
-    #[test]
-    fn xor_fold_differs_from_linear() {
-        // Two VPNs congruent mod 128 need not be congruent under the XOR fold.
-        let a = 0u64;
-        let b = 128u64;
-        assert_eq!(
-            TlbIndexing::Linear.set_index(a, 128),
-            TlbIndexing::Linear.set_index(b, 128)
-        );
-        assert_ne!(
-            TlbIndexing::XorFold.set_index(a, 128),
-            TlbIndexing::XorFold.set_index(b, 128)
-        );
-    }
-
-    #[test]
-    fn set_indices_in_range() {
-        for vpn in 0..10_000u64 {
-            assert!(TlbIndexing::Linear.set_index(vpn, 16) < 16);
-            assert!(TlbIndexing::XorFold.set_index(vpn, 128) < 128);
-        }
     }
 }

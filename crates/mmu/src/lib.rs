@@ -41,7 +41,7 @@
 //! mem.0.insert(pd, Pte::table(PhysAddr::new(pt)).raw());
 //! mem.0.insert(pt + 8, Pte::page(PhysAddr::new(0x5000), PteFlags::user_rw()).raw());
 //!
-//! let mut mmu = Mmu::new(MmuConfig::sandy_bridge(1));
+//! let mut mmu = Mmu::new(MmuConfig::sandy_bridge());
 //! let res = mmu.translate_touch(cr3, VirtAddr::new(0x1234), &mut mem);
 //! assert_eq!(res.paddr, Some(PhysAddr::new(0x5234)));
 //! ```
@@ -55,7 +55,7 @@ mod pte;
 mod tlb;
 mod translate;
 
-pub use config::{MmuConfig, PagingCacheConfig, TlbConfig, TlbIndexing};
+pub use config::{MmuConfig, PagingCacheConfig, TlbConfig};
 pub use paging_cache::{PagingStructureCache, PscLevel};
 pub use pte::{Pte, PteFlags};
 pub use tlb::{Tlb, TlbEntry, TlbFootprint, TlbHierarchy, TlbLevel, TlbPmc, MAX_DEFERRED_REFILLS};

@@ -116,13 +116,11 @@ impl Tlb {
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
-    pub fn new(config: TlbConfig, seed: u64) -> Self {
+    pub fn new(config: TlbConfig) -> Self {
         config.validate().expect("invalid TLB configuration");
         Self {
             config,
-            store: SetStore::new(config.sets, config.ways, config.replacement, |s| {
-                seed ^ (u64::from(s) << 13) | 1
-            }),
+            store: SetStore::new(config.sets, config.ways, config.replacement),
             entries: vec![Self::NO_ENTRY; config.entries() as usize],
             len: 0,
         }
@@ -143,11 +141,12 @@ impl Tlb {
         self.len == 0
     }
 
-    /// Set index of a virtual page number (the reverse-engineered mapping the
-    /// attack relies on to build congruent page sets).
+    /// Set index of a virtual page number: `vpn mod sets`, the
+    /// reverse-engineered mapping the attack relies on to build congruent
+    /// page sets (`sets` is a power of two).
     #[inline]
     pub fn set_index(&self, vpn: u64) -> u32 {
-        self.config.indexing.set_index(vpn, self.config.sets)
+        (vpn & u64::from(self.config.sets - 1)) as u32
     }
 
     /// Index of `way` of `set` in `entries`.
@@ -217,8 +216,8 @@ impl Tlb {
         empty.extend((0..sets).map(|set| self.store.empty_ways(set)));
         let was_empty: u32 = empty.iter().map(|mask| mask.count_ones()).sum();
         holds.resize(sets * ways, u32::MAX);
-        let indexing = self.config.indexing;
-        let set_of = |entry: &TlbEntry| indexing.set_index(entry.vpn, sets as u32) as usize;
+        let mask = sets as u64 - 1;
+        let set_of = |entry: &TlbEntry| (entry.vpn & mask) as usize;
         self.store
             .place_run(refills.iter().map(set_of), empty, |index, set, way| {
                 holds[set * ways + way as usize] = index as u32;
@@ -330,9 +329,9 @@ impl TlbHierarchy {
     /// Builds the hierarchy from the MMU configuration.
     pub fn new(config: &MmuConfig) -> Self {
         Self {
-            l1d: Tlb::new(config.l1_dtlb, config.seed ^ 0xA1),
-            l1d_huge: Tlb::new(config.l1_dtlb_huge, config.seed ^ 0xB2),
-            l2s: Tlb::new(config.l2_stlb, config.seed ^ 0xC3),
+            l1d: Tlb::new(config.l1_dtlb),
+            l1d_huge: Tlb::new(config.l1_dtlb_huge),
+            l2s: Tlb::new(config.l2_stlb),
             pmc: TlbPmc::default(),
             deferred: Vec::new(),
             scratch: RefillScratch::default(),
@@ -554,10 +553,16 @@ impl TlbHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TlbIndexing;
     use crate::pte::PteFlags;
     use proptest::prelude::*;
     use pthammer_cache::{Assoc, ReplacementPolicy, ReplacementState};
+
+    /// Every replacement policy.
+    const POLICIES: [ReplacementPolicy; 3] = [
+        ReplacementPolicy::Lru,
+        ReplacementPolicy::Srrip,
+        ReplacementPolicy::Nru,
+    ];
 
     fn entry(vpn: u64) -> TlbEntry {
         let frame = PhysAddr::new((vpn % 1024) * PAGE_SIZE + 0x10_0000);
@@ -571,7 +576,7 @@ mod tests {
 
     #[test]
     fn insert_then_lookup() {
-        let mut tlb = Tlb::new(TlbConfig::l1_dtlb_64(), 1);
+        let mut tlb = Tlb::new(TlbConfig::l1_dtlb_64());
         tlb.insert(entry(0x42));
         assert!(tlb.contains(0x42));
         assert_eq!(tlb.lookup(0x42).unwrap().vpn, 0x42);
@@ -579,8 +584,16 @@ mod tests {
     }
 
     #[test]
+    fn set_index_is_the_page_number_mod_sets() {
+        let tlb = Tlb::new(TlbConfig::l1_dtlb_64());
+        assert_eq!(tlb.set_index(0), 0);
+        assert_eq!(tlb.set_index(17), 1);
+        assert_eq!(tlb.set_index(255), 15);
+    }
+
+    #[test]
     fn insert_same_vpn_updates_in_place() {
-        let mut tlb = Tlb::new(TlbConfig::l1_dtlb_64(), 1);
+        let mut tlb = Tlb::new(TlbConfig::l1_dtlb_64());
         tlb.insert(entry(7));
         let mut e2 = entry(7);
         e2.frame = PhysAddr::new(0x9_0000);
@@ -591,8 +604,8 @@ mod tests {
 
     #[test]
     fn eviction_when_set_full() {
-        let cfg = TlbConfig::l1_dtlb_64(); // 16 sets, 4 ways, linear
-        let mut tlb = Tlb::new(cfg, 1);
+        let cfg = TlbConfig::l1_dtlb_64(); // 16 sets, 4 ways
+        let mut tlb = Tlb::new(cfg);
         // 6 VPNs congruent to set 3.
         let vpns: Vec<u64> = (0..6).map(|i| 3 + i * 16).collect();
         let mut evicted = 0;
@@ -607,7 +620,7 @@ mod tests {
 
     #[test]
     fn invalidate_and_flush() {
-        let mut tlb = Tlb::new(TlbConfig::l2_stlb_512(), 1);
+        let mut tlb = Tlb::new(TlbConfig::l2_stlb_512());
         tlb.insert(entry(100));
         tlb.insert(entry(200));
         assert!(tlb.invalidate(100));
@@ -638,7 +651,7 @@ mod tests {
 
     #[test]
     fn hierarchy_l1_miss_falls_back_to_l2() {
-        let cfg = MmuConfig::sandy_bridge(5);
+        let cfg = MmuConfig::sandy_bridge();
         let mut h = TlbHierarchy::new(&cfg);
         let e = entry(0x1000);
         h.insert(e);
@@ -658,7 +671,7 @@ mod tests {
 
     #[test]
     fn hierarchy_counts_walks() {
-        let cfg = MmuConfig::sandy_bridge(5);
+        let cfg = MmuConfig::sandy_bridge();
         let mut h = TlbHierarchy::new(&cfg);
         assert!(h.lookup(VirtAddr::new(0xdead_b000)).is_none());
         assert_eq!(h.pmc().lookups, 1);
@@ -670,7 +683,7 @@ mod tests {
 
     #[test]
     fn hierarchy_huge_entries_use_huge_tlb() {
-        let cfg = MmuConfig::sandy_bridge(5);
+        let cfg = MmuConfig::sandy_bridge();
         let mut h = TlbHierarchy::new(&cfg);
         let frame = PhysAddr::new(8 * HUGE_PAGE_SIZE);
         h.insert(TlbEntry {
@@ -689,7 +702,7 @@ mod tests {
 
     #[test]
     fn hierarchy_invalidate_removes_everywhere() {
-        let cfg = MmuConfig::sandy_bridge(5);
+        let cfg = MmuConfig::sandy_bridge();
         let mut h = TlbHierarchy::new(&cfg);
         let e = entry(77);
         h.insert(e);
@@ -723,16 +736,12 @@ mod tests {
         // eviction set exactly as large as the associativity does not always
         // evict, a somewhat larger one does. We measure eviction probability
         // of a target VPN after sequentially inserting k congruent VPNs into
-        // an NRU-managed TLB (available for the replacement ablation).
+        // the presets' NRU-managed TLB.
         let evict_rate = |k: u64| -> f64 {
             let mut evictions = 0;
             let trials = 200;
             for trial in 0..trials {
-                let cfg = TlbConfig {
-                    replacement: pthammer_cache::ReplacementPolicy::Nru,
-                    ..TlbConfig::l1_dtlb_64()
-                };
-                let mut tlb = Tlb::new(cfg, trial);
+                let mut tlb = Tlb::new(TlbConfig::l1_dtlb_64());
                 let target = 5u64;
                 tlb.insert(entry(target));
                 // Pre-populate the set with unrelated entries to vary state.
@@ -770,18 +779,16 @@ mod tests {
     }
 
     impl RefTlb {
-        fn new(config: TlbConfig, seed: u64) -> Self {
+        fn new(config: TlbConfig) -> Self {
             Self {
                 config,
                 slots: vec![(None, 0); config.entries() as usize],
-                states: (0..config.sets)
-                    .map(|s| ReplacementState::new(seed ^ (u64::from(s) << 13) | 1))
-                    .collect(),
+                states: vec![ReplacementState::default(); config.sets as usize],
             }
         }
 
         fn span(&self, vpn: u64) -> (usize, core::ops::Range<usize>) {
-            let set = self.config.indexing.set_index(vpn, self.config.sets) as usize;
+            let set = (vpn % u64::from(self.config.sets)) as usize;
             let ways = self.config.ways as usize;
             (set, set * ways..(set + 1) * ways)
         }
@@ -910,33 +917,24 @@ mod tests {
         #[test]
         fn kernel_tlbs_match_the_reference_loops(
             ways in prop::sample::select(vec![1u32, 2, 3, 4, 5, 8, 12, 16]),
-            policy in prop::sample::select(vec![
-                ReplacementPolicy::Lru,
-                ReplacementPolicy::Srrip,
-                ReplacementPolicy::Nru,
-                ReplacementPolicy::Random,
-                ReplacementPolicy::Bip,
-            ]),
-            xor_fold in any::<bool>(),
-            seed in any::<u64>(),
+            policy in prop::sample::select(POLICIES.to_vec()),
             ops in prop::collection::vec(any::<u64>(), 1..300),
         ) {
             let level = |sets| TlbConfig {
                 sets,
                 ways,
-                indexing: if xor_fold { TlbIndexing::XorFold } else { TlbIndexing::Linear },
                 replacement: policy,
             };
             let config = MmuConfig {
                 l1_dtlb: level(4),
                 l2_stlb: level(8),
                 l1_dtlb_huge: level(2),
-                ..MmuConfig::sandy_bridge(seed)
+                ..MmuConfig::sandy_bridge()
             };
             let mut tlbs = TlbHierarchy::new(&config);
-            let mut l1d = RefTlb::new(config.l1_dtlb, config.seed ^ 0xA1);
-            let mut l1d_huge = RefTlb::new(config.l1_dtlb_huge, config.seed ^ 0xB2);
-            let mut l2s = RefTlb::new(config.l2_stlb, config.seed ^ 0xC3);
+            let mut l1d = RefTlb::new(config.l1_dtlb);
+            let mut l1d_huge = RefTlb::new(config.l1_dtlb_huge);
+            let mut l2s = RefTlb::new(config.l2_stlb);
             // Enough 4 KiB pages and 2 MiB regions to overflow every level.
             let span = u64::from(ways) * 2 + 3;
             for (step, &op) in ops.iter().enumerate() {
@@ -1016,14 +1014,7 @@ mod tests {
         #[test]
         fn deferred_refills_match_inserting_at_once(
             ways in prop::sample::select(vec![1u32, 2, 3, 4, 5, 8]),
-            policy in prop::sample::select(vec![
-                ReplacementPolicy::Lru,
-                ReplacementPolicy::Srrip,
-                ReplacementPolicy::Nru,
-                ReplacementPolicy::Random,
-                ReplacementPolicy::Bip,
-            ]),
-            seed in any::<u64>(),
+            policy in prop::sample::select(POLICIES.to_vec()),
             warm in prop::collection::vec(0u64..4096, 0..200),
             first in 0u64..4096,
             pages in 0usize..2500,
@@ -1031,13 +1022,12 @@ mod tests {
             let level = |sets| TlbConfig {
                 sets,
                 ways,
-                indexing: TlbIndexing::XorFold,
                 replacement: policy,
             };
             let config = MmuConfig {
                 l1_dtlb: level(4),
                 l2_stlb: level(16),
-                ..MmuConfig::sandy_bridge(seed)
+                ..MmuConfig::sandy_bridge()
             };
             let mut at_once = TlbHierarchy::new(&config);
             for &vpn in &warm {
@@ -1064,7 +1054,7 @@ mod tests {
 
     #[test]
     fn held_pages_lists_every_level_in_range() {
-        let mut h = TlbHierarchy::new(&MmuConfig::sandy_bridge(5));
+        let mut h = TlbHierarchy::new(&MmuConfig::sandy_bridge());
         for vpn in [3u64, 700, 9000] {
             h.insert(entry(vpn));
         }

@@ -378,7 +378,7 @@ mod tests {
     }
 
     fn mmu() -> Mmu {
-        Mmu::new(MmuConfig::sandy_bridge(3))
+        Mmu::new(MmuConfig::sandy_bridge())
     }
 
     #[test]

@@ -285,9 +285,8 @@ mod tests {
                 ways: 8,
                 latency: 18,
                 replacement: ReplacementPolicy::Srrip,
-                inclusive: true,
             },
-            ..CacheHierarchyConfig::test_small(seed)
+            ..CacheHierarchyConfig::test_small()
         };
         let mut sys = System::undefended(cfg);
         let pid = sys.spawn_process(1000).unwrap();
