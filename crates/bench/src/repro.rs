@@ -1,0 +1,577 @@
+//! The twelve paper artifacts behind one `repro <artifact>` command.
+//!
+//! [`Artifact`] names each table, figure and section result of the paper's
+//! evaluation; [`render`] runs its [`scenarios`] function and prints it
+//! through one fixed-width table path. The machine list and the scale are
+//! arguments, so a test renders the same bytes the binary prints whatever
+//! the `PTHAMMER_*` environment says.
+
+use std::fmt::Display;
+use std::io::{self, Write};
+use std::str::FromStr;
+
+use pthammer::HammerMode;
+use pthammer_harness::{run_cell, CellCoord};
+use pthammer_perf::HammerAccounting;
+
+use crate::{scenarios, DefenseChoice, ExperimentScale, MachineChoice};
+
+/// The seed every artifact runs at.
+const SEED: u64 = 42;
+
+/// One reproducible artifact of the paper's evaluation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Artifact {
+    /// Table I: system configurations.
+    Table1,
+    /// Figure 3: TLB miss rate vs. eviction-set size.
+    Fig3,
+    /// Figure 4: LLC miss rate vs. eviction-set size.
+    Fig4,
+    /// Figure 5: time to first flip vs. cycles per iteration.
+    Fig5,
+    /// Figure 6: cycles per double-sided implicit hammer iteration.
+    Fig6,
+    /// Table II: end-to-end attack stage timings.
+    Table2,
+    /// Section IV-C: Algorithm 2 false positives.
+    SelectionAccuracy,
+    /// Section IV-D: row-buffer-conflict pair verification.
+    PairSelection,
+    /// Section IV-F: privilege escalation end to end.
+    Escalation,
+    /// Section IV-G: the software-only defense sweep.
+    Defenses,
+    /// Section V: ANVIL detection of explicit vs. implicit hammering.
+    Anvil,
+    /// Flips with and without Target Row Refresh.
+    AblationTrr,
+}
+
+/// Every artifact with its command-line name, in `repro all` order.
+const NAMES: [(Artifact, &str); 12] = [
+    (Artifact::Table1, "table1"),
+    (Artifact::Fig3, "fig3"),
+    (Artifact::Fig4, "fig4"),
+    (Artifact::Fig5, "fig5"),
+    (Artifact::Fig6, "fig6"),
+    (Artifact::Table2, "table2"),
+    (Artifact::SelectionAccuracy, "selection-accuracy"),
+    (Artifact::PairSelection, "pair-selection"),
+    (Artifact::Escalation, "escalation"),
+    (Artifact::Defenses, "defenses"),
+    (Artifact::Anvil, "anvil"),
+    (Artifact::AblationTrr, "ablation-trr"),
+];
+
+impl Artifact {
+    /// Every artifact, in the order `repro all` prints them.
+    pub fn all() -> [Artifact; 12] {
+        NAMES.map(|(artifact, _)| artifact)
+    }
+
+    /// The command-line name (`repro <name>`), also the golden file stem.
+    pub fn name(self) -> &'static str {
+        let (_, name) = NAMES.iter().find(|(a, _)| *a == self).expect("listed");
+        name
+    }
+
+    /// The shape the paper reports, printed under the artifact's output.
+    /// EXPERIMENTS.md lists where the scaled run does not show it.
+    pub fn expected_shape(self) -> Option<&'static str> {
+        Some(match self {
+            Artifact::Fig5 => {
+                "Expected shape: time to the first flip grows with the per-iteration cost,\n\
+                 and beyond the cutoff no flip is observed within the budget (paper: ~1500-1600\n\
+                 cycles on real DDR3; this model's cutoff is calibrated near ~3000 cycles)."
+            }
+            Artifact::Fig6 => {
+                "Expected shape: all samples sit well below the Figure 5 no-flip cutoff, and\n\
+                 the Dell E6420 (16-way LLC, slower DRAM) costs more per iteration than the Lenovos."
+            }
+            Artifact::Table2 => {
+                "Expected shape: LLC pool preparation is far cheaper with superpages than with\n\
+                 regular pages; TLB selection is negligible; a first flip appears within the run.\n\
+                 Iteration counts and cycles/iteration come from the pthammer-perf accounting\n\
+                 (the same source perf_report gates on)."
+            }
+            Artifact::Defenses => {
+                "Expected shape: the undefended baseline, CATT, RIP-RH and CTA fall to the attack\n\
+                 (CTA via credential corruption rather than page-table takeover); ZebRAM does not."
+            }
+            Artifact::AblationTrr => {
+                "Expected shape: TRR suppresses (or strongly reduces) flips from simple \
+                 double-sided hammering."
+            }
+            _ => return None,
+        })
+    }
+}
+
+impl FromStr for Artifact {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let found = NAMES.iter().find(|(_, name)| *name == s);
+        found
+            .map(|&(artifact, _)| artifact)
+            .ok_or_else(|| format!("unknown artifact `{s}`"))
+    }
+}
+
+/// The options an artifact can take besides the scale and the machines.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Flags {
+    /// `table2 --mode <name>`: the hammer strategy the attack runs.
+    pub mode: HammerMode,
+    /// `table1 --measured`: also time the hammer loop per machine and mode.
+    pub measured: bool,
+    /// `defenses` with `PTHAMMER_CAMPAIGN_JSON=1`: print the campaign JSON.
+    pub campaign_json: bool,
+}
+
+/// Parses `repro`'s arguments, program name excluded: one artifact name or
+/// `all`, then the flags that artifact takes.
+pub fn parse_args(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(Vec<Artifact>, Flags), String> {
+    let mut args = args.into_iter();
+    let target = args.next().ok_or("no artifact given")?;
+    let artifacts = match target.as_str() {
+        "all" => Artifact::all().to_vec(),
+        name => vec![name.parse()?],
+    };
+    let mut flags = Flags::default();
+    while let Some(arg) = args.next() {
+        let owner = match arg.as_str() {
+            "--measured" => {
+                flags.measured = true;
+                Artifact::Table1
+            }
+            "--mode" => {
+                flags.mode = args.next().ok_or("--mode requires a value")?.parse()?;
+                Artifact::Table2
+            }
+            _ => return Err(format!("unknown argument `{arg}`")),
+        };
+        if artifacts != [owner] {
+            return Err(format!("{arg} applies only to `repro {}`", owner.name()));
+        }
+    }
+    Ok((artifacts, flags))
+}
+
+/// The usage text, which lists every artifact.
+pub fn usage() -> String {
+    let names: Vec<_> = NAMES.iter().map(|(_, name)| *name).collect();
+    let flags = "[--measured (table1) | --mode <hammer mode> (table2)]";
+    format!("usage: repro <{}|all> {flags}", names.join("|"))
+}
+
+/// Runs `artifact` at `scale` on `machines` (artifacts that attack one
+/// machine take the first) and prints it to `out`.
+pub fn render(
+    artifact: Artifact,
+    scale: ExperimentScale,
+    machines: &[MachineChoice],
+    flags: &Flags,
+    out: &mut impl Write,
+) -> io::Result<()> {
+    let first = || *machines.first().expect("at least one machine");
+    // Table I is configuration data unless measured, and the defense sweep
+    // keeps stdout for its JSON form.
+    if !matches!(artifact, Artifact::Table1 | Artifact::Defenses) {
+        writeln!(out, "scale: {}", scale.describe())?;
+    }
+    match artifact {
+        Artifact::Table1 => {
+            let table = Table::start(
+                out,
+                "Table I: System Configurations",
+                &[
+                    ("Machine", 14),
+                    ("TLB", 24),
+                    ("LLC", 16),
+                    ("DRAM", 14),
+                    ("Clock", 10),
+                ],
+            )?;
+            for [machine, tlb, llc, dram, clock] in scenarios::table1_rows() {
+                table.row(out, &[&machine, &tlb, &llc, &dram, &clock])?;
+            }
+            if flags.measured {
+                writeln!(out, "\nscale: {}", scale.describe())?;
+                let per_machine = machines
+                    .iter()
+                    .map(|&m| (m.name(), m, HammerMode::default()));
+                let title = "Measured: double-sided implicit hammer (pthammer-perf accounting)";
+                measured_table(out, title, "Machine", per_machine, scale)?;
+                let per_mode = HammerMode::all().into_iter();
+                let per_mode = per_mode.map(|mode| (mode.name(), MachineChoice::TestSmall, mode));
+                let title = "Measured: per-strategy hammer loop on TestSmall";
+                measured_table(out, title, "Mode", per_mode, scale)?;
+            }
+        }
+        Artifact::Fig3 | Artifact::Fig4 => {
+            let (title, unit) = if artifact == Artifact::Fig3 {
+                ("Figure 3: TLB miss rate vs. eviction-set size", "Pages")
+            } else {
+                ("Figure 4: LLC miss rate vs. eviction-set size", "Lines")
+            };
+            let table = Table::start(out, title, &[("Machine", 14), (unit, 10), ("MissRate", 12)])?;
+            for &machine in machines {
+                let sweep = if artifact == Artifact::Fig3 {
+                    scenarios::fig3_tlb_sweep(machine, scale, SEED)
+                } else {
+                    scenarios::fig4_llc_sweep(machine, scale, SEED)
+                };
+                for (size, rate) in sweep {
+                    let rate = format!("{:.1}", rate * 100.0);
+                    table.row(out, &[&machine.name(), &size, &rate])?;
+                }
+            }
+        }
+        Artifact::Fig5 => {
+            let paddings: &[u64] = if scale.full {
+                &[0, 200, 400, 800, 1200, 1600, 2400, 3200, 4800]
+            } else {
+                &[0, 500, 1500, 4000, 12_000, 40_000]
+            };
+            let table = Table::start(
+                out,
+                "Figure 5: time to first flip vs. cycles per hammering iteration",
+                &[
+                    ("Machine", 14),
+                    ("Padding", 12),
+                    ("Cycles/iter", 16),
+                    ("TimeToFlip (s)", 20),
+                ],
+            )?;
+            for &machine in machines {
+                for p in scenarios::fig5_padding_sweep(machine, scale, paddings, SEED) {
+                    let to_flip = or_dash(p.seconds_to_first_flip.map(|s| format!("{s:.2}")));
+                    table.row(
+                        out,
+                        &[
+                            &machine.name(),
+                            &p.padding_cycles,
+                            &p.cycles_per_iteration,
+                            &to_flip,
+                        ],
+                    )?;
+                }
+            }
+        }
+        Artifact::Fig6 => {
+            let table = Table::start(
+                out,
+                "Figure 6: cycles per double-sided implicit hammer iteration (50 samples)",
+                &[
+                    ("Machine", 14),
+                    ("Setting", 12),
+                    ("Min", 10),
+                    ("Median", 10),
+                    ("P90", 10),
+                    ("Max", 10),
+                ],
+            )?;
+            for &machine in machines {
+                for superpages in [false, true] {
+                    let mut samples =
+                        scenarios::fig6_hammer_samples(machine, superpages, scale, SEED);
+                    samples.sort_unstable();
+                    let pct = |q: f64| samples[(q * (samples.len() - 1) as f64) as usize];
+                    let setting = if superpages { "superpage" } else { "regular" };
+                    table.row(
+                        out,
+                        &[
+                            &machine.name(),
+                            &setting,
+                            &pct(0.0),
+                            &pct(0.5),
+                            &pct(0.9),
+                            &pct(1.0),
+                        ],
+                    )?;
+                }
+            }
+        }
+        Artifact::Table2 => {
+            writeln!(out, "hammer mode: {}", flags.mode)?;
+            let table = Table::start(
+                out,
+                "Table II: PThammer stage timings (simulated time)",
+                &[
+                    ("Machine", 14),
+                    ("Setting", 10),
+                    ("Mode", 22),
+                    ("TLBprep(ms)", 12),
+                    ("LLCprep(s)", 12),
+                    ("TLBsel(us)", 12),
+                    ("LLCsel(ms)", 12),
+                    ("Hammer(ms)", 12),
+                    ("Iters", 10),
+                    ("Cyc/iter", 12),
+                    ("ToFlip(min)", 14),
+                    ("Escalated", 10),
+                ],
+            )?;
+            for &machine in machines {
+                for superpages in [true, false] {
+                    let o = scenarios::table2_run(machine, superpages, scale, flags.mode, SEED);
+                    // Iterations and cycles per iteration go through the
+                    // accounting `perf_report` gates on.
+                    let hammer = HammerAccounting::new(
+                        o.hammer_iterations,
+                        o.hammer_cycles_total,
+                        o.clock_hz,
+                    );
+                    let t = &o.timings;
+                    let time = |cycles: u64, unit: f64| {
+                        format!("{:.2}", cycles as f64 / o.clock_hz * unit)
+                    };
+                    let to_flip = or_dash(o.minutes_to_first_flip().map(|m| format!("{m:.3}")));
+                    table.row(
+                        out,
+                        &[
+                            &o.machine,
+                            &o.page_setting.name(),
+                            &o.hammer_mode.name(),
+                            &time(t.tlb_pool_prep_cycles, 1e3),
+                            &time(t.llc_pool_prep_cycles, 1.0),
+                            &time(t.tlb_selection_cycles, 1e6),
+                            &time(t.llc_selection_cycles, 1e3),
+                            &time(t.hammer_cycles_per_attempt, 1e3),
+                            &hammer.iterations,
+                            &hammer.cycles_per_iteration(),
+                            &to_flip,
+                            &o.escalated,
+                        ],
+                    )?;
+                }
+            }
+        }
+        Artifact::SelectionAccuracy => {
+            for &machine in machines {
+                let samples = if scale.full { 32 } else { 8 };
+                let fp = scenarios::selection_accuracy(machine, scale, samples, SEED);
+                writeln!(
+                    out,
+                    "{}: Algorithm 2 false-positive rate = {:.1}% over {} selections (paper: <= 6%)",
+                    machine.name(),
+                    fp * 100.0,
+                    samples * 2
+                )?;
+            }
+        }
+        Artifact::PairSelection => {
+            for &machine in machines {
+                let pairs = if scale.full { 64 } else { 16 };
+                let acc = scenarios::pair_selection_accuracy(machine, scale, pairs, SEED);
+                writeln!(
+                    out,
+                    "{}: flagged {:.0}% of candidates; of those {:.1}% same bank (paper >95%), \
+                     {:.1}% exactly two rows apart (paper ~90%)",
+                    machine.name(),
+                    acc.flagged_fraction * 100.0,
+                    acc.same_bank_fraction * 100.0,
+                    acc.two_rows_apart_fraction * 100.0
+                )?;
+            }
+        }
+        Artifact::Escalation => {
+            for &machine in machines {
+                let coord = CellCoord::new(machine, DefenseChoice::None, scale.profile_choice(), 0);
+                let cell = run_cell(&coord, &scale.campaign_config(SEED));
+                let route = cell
+                    .route
+                    .or(cell.error.map(|e| format!("attack aborted: {e}")));
+                writeln!(
+                    out,
+                    "{} (undefended): escalated={} after {} attempts, {} flips ({} exploitable), \
+                     route {route:?}",
+                    machine.name(),
+                    cell.escalated,
+                    cell.attempts,
+                    cell.flips_observed,
+                    cell.exploitable_flips,
+                )?;
+            }
+        }
+        Artifact::Defenses => {
+            eprintln!("scale: {}", scale.describe());
+            let report = scenarios::defense_campaign(first(), scale, 1, SEED);
+            if flags.campaign_json {
+                return write!(out, "{}", report.to_canonical_json());
+            }
+            let table = Table::start(
+                out,
+                "Section IV-G: software-only defenses vs. PThammer",
+                &[
+                    ("Defense", 12),
+                    ("Escalated", 10),
+                    ("Flips", 8),
+                    ("Exploitable", 12),
+                    ("Attempts", 10),
+                    ("Route", 34),
+                ],
+            )?;
+            for cell in report.cells {
+                table.row(
+                    out,
+                    &[
+                        &cell.coord.defense.name(),
+                        &cell.escalated,
+                        &cell.flips_observed,
+                        &cell.exploitable_flips,
+                        &cell.attempts,
+                        &or_dash(cell.route.or(cell.error)),
+                    ],
+                )?;
+            }
+            let table = Table::start(
+                out,
+                "Per-defense escalation rates",
+                &[
+                    ("Defense", 12),
+                    ("Escalation rate", 18),
+                    ("Delta vs undefended", 22),
+                ],
+            )?;
+            for summary in &report.summaries {
+                let rate = format!("{:.2}", summary.escalation_rate);
+                let delta = summary.escalation_rate_delta_vs_undefended;
+                let delta = or_dash(delta.map(|d| format!("{d:+.2}")));
+                table.row(out, &[&summary.group.defense.name(), &rate, &delta])?;
+            }
+        }
+        Artifact::Anvil => {
+            let eval = scenarios::anvil_eval(first(), scale, SEED);
+            writeln!(
+                out,
+                "ANVIL (explicit loads only)  vs clflush double-sided hammer : detected = {} \
+                 (rate {:.0}/Mcycle)\n\
+                 ANVIL (explicit loads only)  vs PThammer                    : detected = {}\n\
+                 ANVIL (+implicit attribution) vs PThammer                   : detected = {} \
+                 (implicit rate {:.0}/Mcycle)",
+                eval.explicit_detected,
+                eval.explicit_rate,
+                eval.implicit_detected_naive,
+                eval.implicit_detected_extended,
+                eval.implicit_rate
+            )?;
+        }
+        Artifact::AblationTrr => {
+            let machine = first();
+            let (without, with_trr) = scenarios::ablation_trr(machine, scale, SEED);
+            let name = machine.name();
+            writeln!(
+                out,
+                "{name}: flips without TRR = {without}, flips with TRR = {with_trr}"
+            )?;
+        }
+    }
+    if let Some(shape) = artifact.expected_shape() {
+        // A shape under a table is set off from it by a blank line; the
+        // ablation's follows its one result line directly.
+        if artifact != Artifact::AblationTrr {
+            writeln!(out)?;
+        }
+        writeln!(out, "{shape}")?;
+    }
+    Ok(())
+}
+
+/// Prints one `table1 --measured` table: the hammer microbenchmark of each
+/// `(label, machine, mode)` row.
+fn measured_table<'a>(
+    out: &mut impl Write,
+    title: &str,
+    label_column: &str,
+    rows: impl Iterator<Item = (&'a str, MachineChoice, HammerMode)>,
+    scale: ExperimentScale,
+) -> io::Result<()> {
+    let table = Table::start(
+        out,
+        title,
+        &[
+            (label_column, 24),
+            ("Iters", 10),
+            ("Cyc/iter", 12),
+            ("DRAMrate", 12),
+            ("SimIters/s", 14),
+            ("HostIt/s", 12),
+        ],
+    )?;
+    for (label, machine, mode) in rows {
+        let bench = scenarios::hammer_microbench(machine, scale, mode, 300, SEED);
+        let acc = bench.accounting;
+        table.row(
+            out,
+            &[
+                &label,
+                &acc.iterations,
+                &acc.cycles_per_iteration(),
+                &format!("{:.3}", bench.implicit_dram_rate),
+                &format!("{:.0}", acc.sim_iterations_per_second()),
+                &format!("{:.0}", acc.host_iterations_per_second(bench.wall_ns)),
+            ],
+        )?;
+    }
+    Ok(())
+}
+
+/// The value, or `-` when there is none.
+fn or_dash(value: Option<String>) -> String {
+    value.unwrap_or_else(|| "-".to_string())
+}
+
+/// A fixed-width text table: every cell is left-aligned in its column's
+/// width and followed by one space.
+struct Table {
+    widths: Vec<usize>,
+}
+
+impl Table {
+    /// Prints the title, the column names and a rule under them.
+    fn start(out: &mut impl Write, title: &str, columns: &[(&str, usize)]) -> io::Result<Table> {
+        let table = Table {
+            widths: columns.iter().map(|&(_, width)| width).collect(),
+        };
+        let names: Vec<&dyn Display> = columns.iter().map(|(name, _)| name as _).collect();
+        let head = table.line(&names);
+        writeln!(out, "\n=== {title} ===\n{head}\n{}", "-".repeat(head.len()))?;
+        Ok(table)
+    }
+
+    /// Prints one row.
+    fn row(&self, out: &mut impl Write, cells: &[&dyn Display]) -> io::Result<()> {
+        writeln!(out, "{}", self.line(cells))
+    }
+
+    fn line(&self, cells: &[&dyn Display]) -> String {
+        let cells = self.widths.iter().zip(cells);
+        cells
+            .map(|(width, cell)| format!("{:<width$} ", cell.to_string()))
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn artifact_names_round_trip_and_flags_reach_their_artifact() {
+        for artifact in Artifact::all() {
+            assert_eq!(artifact.name().parse(), Ok(artifact));
+        }
+        let parse = |line: &str| parse_args(line.split_whitespace().map(String::from));
+        assert_eq!(parse("fig3"), Ok((vec![Artifact::Fig3], Flags::default())));
+        assert_eq!(parse("all").unwrap().0, Artifact::all());
+        let (_, flags) = parse("table2 --mode implicit-one-location").unwrap();
+        assert_eq!(flags.mode, HammerMode::ImplicitOneLocation);
+        assert!(parse("table1 --measured").unwrap().1.measured);
+        assert!(parse("table2 --mode").is_err() && parse("table2 --mode x").is_err());
+    }
+}

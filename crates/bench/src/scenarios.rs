@@ -13,8 +13,7 @@ use pthammer::{
 use pthammer_defenses::{AnvilDetector, AnvilMode};
 use pthammer_dram::{FlipModelProfile, TrrConfig};
 use pthammer_harness::{
-    run_campaign, run_cell, CampaignConfig, CampaignReport, CellCoord, ProfileChoice,
-    ScenarioMatrix,
+    run_campaign, CampaignConfig, CampaignReport, ProfileChoice, ScenarioMatrix,
 };
 use pthammer_kernel::{DefaultPolicy, KernelConfig, Pid, PlacementPolicy, System};
 use pthammer_mmu::Pte;
@@ -317,8 +316,8 @@ pub fn fig6_hammer_samples(
 ///
 /// Every number is routed through `pthammer-perf`: iteration counts and
 /// per-iteration costs come from [`HammerAccounting`], hardware events from
-/// [`MachineCounters`] deltas. The repro binaries and `perf_report` consume
-/// this struct instead of re-deriving timings ad hoc.
+/// [`MachineCounters`] deltas. `repro table1 --measured` and `perf_report`
+/// consume this struct instead of re-deriving timings ad hoc.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HammerMicrobench {
     /// Iteration count and simulated cycle cost of the measured loop.
@@ -479,58 +478,15 @@ pub fn detect_scan_microbench(
 // Table II: end-to-end attack timings
 // ---------------------------------------------------------------------------
 
-/// One row of Table II.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table2Row {
-    /// Machine name.
-    pub machine: String,
-    /// "regular" or "superpage".
-    pub setting: String,
-    /// The hammer strategy the attack ran.
-    pub hammer_mode: HammerMode,
-    /// TLB pool preparation (milliseconds, simulated).
-    pub tlb_prep_ms: f64,
-    /// LLC pool preparation (seconds, simulated).
-    pub llc_prep_s: f64,
-    /// TLB set selection (microseconds, simulated).
-    pub tlb_select_us: f64,
-    /// LLC set selection per pair (milliseconds, simulated).
-    pub llc_select_ms: f64,
-    /// Hammer time per attempt (milliseconds, simulated).
-    pub hammer_ms: f64,
-    /// Double-sided hammer iterations actually performed (measured by the
-    /// hammer loop, reported through [`HammerAccounting`]).
-    pub hammer_iterations: u64,
-    /// Simulated cycles per hammer iteration (reported through
-    /// [`HammerAccounting`]; compare against Figure 5's flip thresholds).
-    pub cycles_per_iteration: u64,
-    /// Check time per attempt (milliseconds, simulated).
-    pub check_ms: f64,
-    /// Simulated minutes until the first bit flip (None if none observed).
-    pub time_to_flip_min: Option<f64>,
-    /// Whether privilege escalation succeeded.
-    pub escalated: bool,
-}
-
-/// Runs the full attack on one machine/setting and extracts the Table II row.
+/// Runs the full attack on one machine/setting with the hammer strategy
+/// `mode` (Table II's stage timings and time to the first flip).
 pub fn table2_run(
-    machine: MachineChoice,
-    superpages: bool,
-    scale: ExperimentScale,
-    seed: u64,
-) -> Table2Row {
-    table2_run_mode(machine, superpages, scale, HammerMode::default(), seed)
-}
-
-/// [`table2_run`] with an explicit hammer strategy (the `repro_table2
-/// --mode` path).
-pub fn table2_run_mode(
     machine: MachineChoice,
     superpages: bool,
     scale: ExperimentScale,
     mode: HammerMode,
     seed: u64,
-) -> Table2Row {
+) -> AttackOutcome {
     let mut sys = boot(
         machine,
         scale,
@@ -538,45 +494,13 @@ pub fn table2_run_mode(
         Box::new(DefaultPolicy::new()),
         seed,
     );
-    let clock_hz = sys.machine().clock_hz();
     let pid = sys.spawn_process(1000).expect("spawn");
     let mut config = scale.attack_config(seed, superpages);
     config.hammer_mode = mode;
     let attack = PtHammer::new(config).expect("config");
-    let outcome = attack
+    attack
         .run_with(&mut sys, pid, RunOptions::new())
-        .expect("attack run");
-    table2_row_from_outcome(&outcome, clock_hz)
-}
-
-/// Converts an [`AttackOutcome`] to a Table II row.
-///
-/// Iteration counts and per-iteration costs go through
-/// [`HammerAccounting`] — the same accounting `perf_report` and the campaign
-/// harness use — so Table II can never disagree with the perf trajectory
-/// about how many iterations ran.
-pub fn table2_row_from_outcome(outcome: &AttackOutcome, clock_hz: f64) -> Table2Row {
-    let s = |c: u64| c as f64 / clock_hz;
-    let hammer = HammerAccounting::new(
-        outcome.hammer_iterations,
-        outcome.hammer_cycles_total,
-        clock_hz,
-    );
-    Table2Row {
-        machine: outcome.machine.clone(),
-        setting: outcome.page_setting.name().to_string(),
-        hammer_mode: outcome.hammer_mode,
-        tlb_prep_ms: s(outcome.timings.tlb_pool_prep_cycles) * 1e3,
-        llc_prep_s: s(outcome.timings.llc_pool_prep_cycles),
-        tlb_select_us: s(outcome.timings.tlb_selection_cycles) * 1e6,
-        llc_select_ms: s(outcome.timings.llc_selection_cycles) * 1e3,
-        hammer_ms: s(outcome.timings.hammer_cycles_per_attempt) * 1e3,
-        hammer_iterations: hammer.iterations,
-        cycles_per_iteration: hammer.cycles_per_iteration(),
-        check_ms: s(outcome.timings.check_cycles_per_attempt) * 1e3,
-        time_to_flip_min: outcome.minutes_to_first_flip(),
-        escalated: outcome.escalated,
-    }
+        .expect("attack run")
 }
 
 // ---------------------------------------------------------------------------
@@ -698,47 +622,6 @@ pub fn pair_selection_accuracy(
 // ---------------------------------------------------------------------------
 // Section IV-G: software-only defenses
 // ---------------------------------------------------------------------------
-
-/// Result of attacking one defense configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DefenseResult {
-    /// Defense name.
-    pub defense: String,
-    /// Whether privilege escalation succeeded.
-    pub escalated: bool,
-    /// Bit flips observed.
-    pub flips_observed: usize,
-    /// Exploitable flips observed.
-    pub exploitable_flips: usize,
-    /// Attempts performed.
-    pub attempts: usize,
-    /// Escalation route, if any.
-    pub route: Option<String>,
-}
-
-/// Runs the attack against one defense (Section IV-G), driving a single
-/// campaign-harness cell. The CTA cell sprays credentials by spawning many
-/// sibling processes, as in the paper's bypass; ZebRAM attempts are bounded.
-pub fn defense_eval(
-    machine: MachineChoice,
-    defense: DefenseChoice,
-    scale: ExperimentScale,
-    seed: u64,
-) -> DefenseResult {
-    let config = scale.campaign_config(seed);
-    let coord = CellCoord::new(machine, defense, scale.profile_choice(), 0);
-    let cell = run_cell(&coord, &config);
-    DefenseResult {
-        defense: cell.coord.defense.name().to_string(),
-        escalated: cell.escalated,
-        flips_observed: cell.flips_observed,
-        exploitable_flips: cell.exploitable_flips,
-        attempts: cell.attempts,
-        route: cell
-            .route
-            .or(cell.error.map(|e| format!("attack aborted: {e}"))),
-    }
-}
 
 /// Runs the full Section IV-G defense sweep (every [`DefenseChoice`]) as one
 /// parallel campaign on the chosen machine and returns the aggregated
@@ -876,15 +759,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table1_has_three_machines_with_paper_parameters() {
-        let rows = table1_rows();
-        assert_eq!(rows.len(), 3);
-        assert!(rows[0][2].contains("12-way, 3 MiB"));
-        assert!(rows[2][2].contains("16-way, 4 MiB"));
-        assert!(rows.iter().all(|r| r[3].contains("8 GiB")));
-    }
-
-    #[test]
     fn scale_from_env_defaults_to_scaled() {
         let scale = ExperimentScale::scaled();
         assert!(!scale.full);
@@ -939,43 +813,5 @@ mod tests {
                 implicit_rate: 604.7819504036466,
             }
         );
-    }
-
-    #[test]
-    fn table2_row_conversion_uses_clock() {
-        let outcome = AttackOutcome {
-            machine: "M".into(),
-            clock_hz: 1e9,
-            page_setting: pthammer::PageSetting::Regular,
-            defense: pthammer_kernel::DefenseKind::Undefended,
-            hammer_mode: HammerMode::ImplicitDoubleSided,
-            escalated: true,
-            victim_outcome: None,
-            attempts: 1,
-            hammer_iterations: 1_000,
-            hammer_cycles_total: 500_000_000,
-            flips_observed: 1,
-            exploitable_flips: 1,
-            uid_before: 1000,
-            uid_after: 0,
-            timings: pthammer::StageTimings {
-                tlb_pool_prep_cycles: 1_000_000,
-                llc_pool_prep_cycles: 2_000_000_000,
-                hammer_cycles_per_attempt: 500_000_000,
-                check_cycles_per_attempt: 250_000_000,
-                time_to_first_flip_cycles: Some(60_000_000_000),
-                ..Default::default()
-            },
-            hammer_cycle_samples: vec![],
-            implicit_dram_rate: 1.0,
-        };
-        let row = table2_row_from_outcome(&outcome, 1e9);
-        assert!((row.tlb_prep_ms - 1.0).abs() < 1e-9);
-        assert!((row.llc_prep_s - 2.0).abs() < 1e-9);
-        assert!((row.hammer_ms - 500.0).abs() < 1e-9);
-        assert_eq!(row.hammer_iterations, 1_000);
-        assert_eq!(row.cycles_per_iteration, 500_000_000 / 1_000);
-        assert!((row.time_to_flip_min.unwrap() - 1.0).abs() < 1e-9);
-        assert!(row.escalated);
     }
 }

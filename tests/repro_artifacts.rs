@@ -1,0 +1,44 @@
+//! Byte-for-byte goldens of the twelve paper artifacts.
+//!
+//! Each golden `tests/golden/repro/<artifact>.txt` is what `repro <artifact>`
+//! prints at the default scale on the default machine (the Lenovo T420),
+//! rendered here in process. The slow artifacts are ignored in a debug
+//! `cargo test`; CI runs them in release:
+//!
+//! ```text
+//! cargo test --release --test repro_artifacts -- --include-ignored
+//! ```
+//!
+//! After an intentional output change, refresh with `PTHAMMER_UPDATE_GOLDEN=1`
+//! and the same command, commit the goldens and explain the drift.
+
+mod common;
+
+use pthammer_bench::repro::Artifact::{self, Defenses, Escalation, Fig5, Fig6, Table2};
+use pthammer_bench::repro::{render, Flags};
+use pthammer_bench::{ExperimentScale, MachineChoice};
+
+/// The artifacts that take ~35 s together in debug.
+const SLOW: [Artifact; 5] = [Fig5, Fig6, Table2, Escalation, Defenses];
+
+fn matches_golden(artifact: Artifact) {
+    let mut out = Vec::new();
+    let (scale, machines) = (ExperimentScale::scaled(), [MachineChoice::LenovoT420]);
+    render(artifact, scale, &machines, &Flags::default(), &mut out).expect("render to memory");
+    let text = String::from_utf8(out).expect("utf-8 output");
+    common::compare_with_golden(&format!("repro/{}.txt", artifact.name()), &text);
+}
+
+#[test]
+fn fast_artifacts_match_their_goldens() {
+    Artifact::all()
+        .into_iter()
+        .filter(|a| !SLOW.contains(a))
+        .for_each(matches_golden);
+}
+
+#[test]
+#[ignore = "slow in debug; CI runs it in release"]
+fn slow_artifacts_match_their_goldens() {
+    SLOW.into_iter().for_each(matches_golden);
+}
