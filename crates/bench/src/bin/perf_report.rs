@@ -3,8 +3,9 @@
 //! Runs a pinned workload set — the TestSmall hammer microbenchmark under
 //! every hammer strategy, one Table I attack cell, the 30-cell golden
 //! campaign matrix, the kernel allocator's work under every placement
-//! defense and Detect's scan — and records every deterministic simulator counter plus host
-//! wall time per workload.
+//! defense, Detect's scan and the LLC eviction pool of a 12-way and a 16-way
+//! Table I machine — and records every deterministic simulator counter plus
+//! host wall time per workload.
 //!
 //! Modes:
 //!
@@ -28,20 +29,20 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pthammer::eviction::TlbEvictionPool;
+use pthammer::eviction::{LlcEvictionPool, TlbEvictionPool};
 use pthammer::{HammerMode, PtHammer};
 use pthammer_bench::scenarios::{detect_scan_microbench, hammer_microbench};
 use pthammer_bench::{ExperimentScale, MachineChoice};
 use pthammer_dram::FlipModelProfile;
 use pthammer_harness::{
-    run_campaign_instrumented, run_campaign_resumable_instrumented, run_cell_instrumented,
-    store_manifest, CampaignConfig, CellCoord, CellPerf, CellStore, DefenseChoice, ProfileChoice,
-    ScenarioMatrix,
+    cell_seed, run_campaign_instrumented, run_campaign_resumable_instrumented,
+    run_cell_instrumented, store_manifest, CampaignConfig, CellCoord, CellPerf, CellStore,
+    DefenseChoice, ProfileChoice, ScenarioMatrix,
 };
 use pthammer_kernel::KernelConfig;
 use pthammer_machine::MachineConfig;
 use pthammer_patterns::{synthesize, synthesize_with_telemetry, SynthesisConfig};
-use pthammer_perf::{PerfReport, Stopwatch, WorkloadPerf};
+use pthammer_perf::{MachineCounters, PerfReport, Stopwatch, WorkloadPerf};
 
 /// Base seed of every pinned workload; the campaign seed matches the golden
 /// snapshot so this report and `tests/golden/campaign_ci_matrix.json` pin the
@@ -250,6 +251,37 @@ fn table1_cell_workload() -> WorkloadPerf {
     WorkloadPerf::new("table1_cell_lenovo_t420", cell_counters(&perf), wall_ns)
 }
 
+/// Workload: Algorithm 2's LLC eviction pool alone, built by timing on
+/// regular pages in a freshly booted, undefended Table I system with the
+/// `table1_cell` attack configuration. One workload per LLC width: 12 ways
+/// on the T420, 16 on the Dell.
+fn llc_pool_workload(name: &str, machine: MachineChoice) -> WorkloadPerf {
+    let coord = CellCoord::new(machine, DefenseChoice::None, ProfileChoice::Fast, 0);
+    let config = CampaignConfig::ci(GOLDEN_BASE_SEED);
+    let seed = cell_seed(config.base_seed, &coord);
+    let machine_cfg = machine.config(coord.profile.profile(), seed);
+    let mut sys = coord
+        .defense
+        .build_system(machine_cfg, KernelConfig::default_config());
+    let pid = sys.spawn_process(1000).expect("spawn the attacker");
+    let attack = config.attack_config(seed, coord.defense, coord.hammer_mode);
+    let lines = PtHammer::llc_eviction_lines(&sys);
+    let watch = Stopwatch::start();
+    let pool = LlcEvictionPool::build(&mut sys, pid, &attack, lines).expect("LLC eviction pool");
+    let wall_ns = watch.elapsed_ns();
+    let mut counters = MachineCounters::capture(sys.machine()).named();
+    counters.insert("sim_cycles".to_string(), sys.rdtsc());
+    counters.insert("pool_groups".to_string(), pool.groups().len() as u64);
+    counters.insert("pool_prep_cycles".to_string(), pool.prep_cycles());
+    println!(
+        "{name}: {} groups of {lines}-line sets, {} accesses, {:.1} host ns/access",
+        pool.groups().len(),
+        counters["accesses"],
+        wall_ns as f64 / counters["accesses"].max(1) as f64,
+    );
+    WorkloadPerf::new(name, counters, wall_ns)
+}
+
 /// Workload 3: the full 30-cell golden campaign matrix (the same matrix,
 /// seed and scale the golden snapshot pins), aggregated over all cells.
 fn campaign_workload() -> WorkloadPerf {
@@ -391,6 +423,13 @@ fn workload_registry() -> Vec<WorkloadEntry> {
         entry("kernel_alloc_test_small", kernel_alloc_workload),
         entry("detect_scan_test_small", detect_scan_workload),
     ]);
+    registry.extend(
+        [
+            ("llc_pool_lenovo_t420", MachineChoice::LenovoT420),
+            ("llc_pool_dell_e6420", MachineChoice::DellE6420),
+        ]
+        .map(|(name, machine)| entry(name, move || llc_pool_workload(name, machine))),
+    );
     registry
 }
 

@@ -13,10 +13,10 @@ use crate::{
 /// part of the hierarchy an access stream over those lines can change.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheFootprint {
+    /// Store sets (see [`SetAssociativeCache::store_set`]) per level.
     l1: Vec<u32>,
     l2: Vec<u32>,
-    /// `(slice, set)` pairs.
-    llc: Vec<(u32, u32)>,
+    llc: Vec<u32>,
 }
 
 /// Result of a lookup through the hierarchy.
@@ -34,17 +34,17 @@ pub struct HierarchyAccess {
 /// The simulated L1D / L2 / LLC hierarchy.
 ///
 /// The LLC is physically indexed and split into slices selected by an
-/// Intel-like XOR hash. It is inclusive, as on Sandy/Ivy Bridge: evicting a
-/// line from the LLC back-invalidates it from L1 and L2 — the property that
-/// lets an unprivileged attacker evict *kernel* page-table entries from the
-/// whole hierarchy by contention on the LLC only.
+/// Intel-like XOR hash; the slices share one set store. It is inclusive, as
+/// on Sandy/Ivy Bridge: evicting a line from the LLC back-invalidates it
+/// from L1 and L2 — the property that lets an unprivileged attacker evict
+/// *kernel* page-table entries from the whole hierarchy by contention on the
+/// LLC only.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CacheHierarchy {
     config: CacheHierarchyConfig,
     l1d: SetAssociativeCache,
     l2: SetAssociativeCache,
-    llc: Vec<SetAssociativeCache>,
-    hasher: SliceHasher,
+    llc: SetAssociativeCache,
     pmc: CachePmc,
 }
 
@@ -61,22 +61,17 @@ impl CacheHierarchy {
         let l1d =
             SetAssociativeCache::new(config.l1d.sets, config.l1d.ways, config.l1d.replacement);
         let l2 = SetAssociativeCache::new(config.l2.sets, config.l2.ways, config.l2.replacement);
-        let llc = (0..config.llc.slices)
-            .map(|_| {
-                SetAssociativeCache::new(
-                    config.llc.sets_per_slice,
-                    config.llc.ways,
-                    config.llc.replacement,
-                )
-            })
-            .collect();
-        let hasher = SliceHasher::intel_like(config.llc.slices);
+        let llc = SetAssociativeCache::sliced(
+            SliceHasher::intel_like(config.llc.slices),
+            config.llc.sets_per_slice,
+            config.llc.ways,
+            config.llc.replacement,
+        );
         Self {
             config,
             l1d,
             l2,
             llc,
-            hasher,
             pmc: CachePmc::default(),
         }
     }
@@ -100,9 +95,7 @@ impl CacheHierarchy {
     /// used by the evaluation oracle to verify eviction-set selection
     /// (Section IV-C of the paper).
     pub fn llc_slice_and_set(&self, paddr: PhysAddr) -> (u32, u32) {
-        let slice = self.hasher.slice_of(paddr);
-        let set = self.llc[slice as usize].set_index(paddr);
-        (slice, set)
+        self.llc.slice_and_set(paddr)
     }
 
     /// Looks the line up in L1D → L2 → LLC, updating replacement state and
@@ -136,8 +129,7 @@ impl CacheHierarchy {
 
         latency += u64::from(self.config.llc.latency);
         self.pmc.llc_accesses += 1;
-        let slice = self.hasher.slice_of(paddr) as usize;
-        let Probe::Miss(llc_empty) = self.llc[slice].access(paddr) else {
+        let Probe::Miss(llc_empty) = self.llc.access(paddr) else {
             self.l2.fill_absent_at(paddr, l2_empty);
             self.l1d.fill_absent_at(paddr, l1_empty);
             return HierarchyAccess {
@@ -153,7 +145,7 @@ impl CacheHierarchy {
         // lands in the first empty way.
         let mut l1_stale = false;
         let mut l2_stale = false;
-        if let Some(victim) = self.llc[slice].fill_absent_at(paddr, llc_empty) {
+        if let Some(victim) = self.llc.fill_absent_at(paddr, llc_empty) {
             l1_stale = self.l1d.invalidate(victim)
                 && self.l1d.set_index(victim) == self.l1d.set_index(paddr);
             l2_stale =
@@ -183,8 +175,7 @@ impl CacheHierarchy {
         if self.l2.contains(paddr) {
             return Some(MemoryLevel::L2);
         }
-        let slice = self.hasher.slice_of(paddr) as usize;
-        if self.llc[slice].contains(paddr) {
+        if self.llc.contains(paddr) {
             return Some(MemoryLevel::Llc);
         }
         None
@@ -203,33 +194,28 @@ impl CacheHierarchy {
     pub fn clflush(&mut self, paddr: PhysAddr) {
         self.l1d.invalidate(paddr);
         self.l2.invalidate(paddr);
-        let slice = self.hasher.slice_of(paddr) as usize;
-        self.llc[slice].invalidate(paddr);
+        self.llc.invalidate(paddr);
     }
 
     /// Invalidates every line of every level.
     pub fn flush_all(&mut self) {
         self.l1d.invalidate_all();
         self.l2.invalidate_all();
-        for slice in &mut self.llc {
-            slice.invalidate_all();
-        }
+        self.llc.invalidate_all();
     }
 
     /// The sets `lines` map to at every level, each listed once.
     pub fn footprint(&self, lines: impl IntoIterator<Item = PhysAddr>) -> CacheFootprint {
         let mut fp = CacheFootprint::default();
         for line in lines {
-            fp.l1.push(self.l1d.set_index(line));
-            fp.l2.push(self.l2.set_index(line));
-            fp.llc.push(self.llc_slice_and_set(line));
+            fp.l1.push(self.l1d.store_set(line));
+            fp.l2.push(self.l2.store_set(line));
+            fp.llc.push(self.llc.store_set(line));
         }
-        for sets in [&mut fp.l1, &mut fp.l2] {
+        for sets in [&mut fp.l1, &mut fp.l2, &mut fp.llc] {
             sets.sort_unstable();
             sets.dedup();
         }
-        fp.llc.sort_unstable();
-        fp.llc.dedup();
         fp
     }
 
@@ -238,9 +224,7 @@ impl CacheHierarchy {
     pub fn read_footprint(&self, fp: &CacheFootprint, lanes: &mut impl LaneSink) {
         fp.l1.iter().for_each(|&set| self.l1d.read_set(set, lanes));
         fp.l2.iter().for_each(|&set| self.l2.read_set(set, lanes));
-        for &(slice, set) in &fp.llc {
-            self.llc[slice as usize].read_set(set, lanes);
-        }
+        fp.llc.iter().for_each(|&set| self.llc.read_set(set, lanes));
         self.pmc.read_lanes(lanes);
     }
 
@@ -250,9 +234,9 @@ impl CacheHierarchy {
             .iter()
             .for_each(|&set| self.l1d.write_set(set, source));
         fp.l2.iter().for_each(|&set| self.l2.write_set(set, source));
-        for &(slice, set) in &fp.llc {
-            self.llc[slice as usize].write_set(set, source);
-        }
+        fp.llc
+            .iter()
+            .for_each(|&set| self.llc.write_set(set, source));
         self.pmc.write_lanes(source);
     }
 

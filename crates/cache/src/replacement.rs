@@ -7,16 +7,17 @@
 //! effects and is the LLC policy of every machine; the L1 and L2 caches use
 //! [`ReplacementPolicy::Lru`] and the TLBs [`ReplacementPolicy::Nru`].
 //!
-//! The policy logic operates on the flat per-way metadata words of a
-//! [`SetStore`](crate::SetStore); its per-way scans (victim choice, SRRIP
-//! aging, NRU clearing) run through the set-operation kernel, instantiated
-//! for the set's [`Assoc`].
+//! The methods here state each policy over one metadata word per way.
+//! A [`SetStore`](crate::SetStore) keeps the same state packed (one word of
+//! SRRIP RRPVs or NRU used bits per set; LRU stamps as they are), and
+//! [`ReplacementPolicy::choose_victim`] runs the store's set-operation
+//! kernel on the packed form, instantiated for the set's [`Assoc`].
 
 use serde::Serialize;
 
 use pthammer_types::{LaneSink, LaneSource};
 
-use crate::kernel::{self, with_width, Assoc, Width};
+use crate::kernel::{with_width, Assoc, PackedState};
 
 /// Replacement policy of a set-associative structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Default)]
@@ -31,8 +32,10 @@ pub enum ReplacementPolicy {
     Nru,
 }
 
-const SRRIP_MAX: u64 = 3;
-const SRRIP_INSERT: u64 = 2;
+/// SRRIP's largest RRPV, reached by aging.
+pub(crate) const SRRIP_MAX: u64 = 3;
+/// SRRIP's RRPV of a filled way.
+pub(crate) const SRRIP_INSERT: u64 = 2;
 
 /// The policy-independent per-set scalars: the LRU tick and the NRU clock
 /// hand.
@@ -43,6 +46,16 @@ pub struct ReplacementState {
 }
 
 impl ReplacementState {
+    /// The scalars `tick` and `hand`.
+    pub(crate) fn new(tick: u64, hand: usize) -> Self {
+        Self { tick, hand }
+    }
+
+    /// The NRU clock hand.
+    pub(crate) fn hand(&self) -> usize {
+        self.hand
+    }
+
     /// The LRU tick.
     pub(crate) fn tick(&self) -> u64 {
         self.tick
@@ -96,8 +109,9 @@ impl ReplacementPolicy {
     /// Chooses a victim way among the occupied ways of a set whose metadata
     /// words are `meta` (callers fill invalid ways first, so every way is
     /// occupied when this is called). `assoc` is the kernel instance for
-    /// `meta.len()` ways.
-    #[inline]
+    /// `meta.len()` ways: the words are packed as a
+    /// [`SetStore`](crate::SetStore) keeps them, the kernel chooses, and
+    /// the aged words are unpacked back into `meta`.
     pub fn choose_victim(
         self,
         assoc: Assoc,
@@ -105,51 +119,15 @@ impl ReplacementPolicy {
         state: &mut ReplacementState,
     ) -> usize {
         debug_assert_eq!(meta.len(), assoc.ways() as usize);
-        with_width!(assoc, |w| self.victim(w, meta, state))
-    }
-
-    /// [`ReplacementPolicy::choose_victim`] for one kernel width.
-    #[inline(always)]
-    pub(crate) fn victim(
-        self,
-        w: impl Width,
-        meta: &mut [u64],
-        state: &mut ReplacementState,
-    ) -> usize {
-        match self {
-            ReplacementPolicy::Lru => kernel::first_min(w, meta),
-            ReplacementPolicy::Srrip => {
-                // Age everyone until someone reaches SRRIP_MAX, then pick the
-                // first such way. Equivalent single pass: every way ages by
-                // the same deficit (SRRIP_MAX minus the current maximum RRPV,
-                // when positive), which preserves relative order, and the
-                // victim is the first way holding the maximum.
-                let (victim, max) = kernel::first_max(w, meta);
-                if max < SRRIP_MAX {
-                    kernel::add_all(w, meta, SRRIP_MAX - max);
-                }
-                victim
-            }
-            ReplacementPolicy::Nru => {
-                // Rotating clock: the first way at or after the hand with its
-                // used bit clear; when every used bit is set, clear them all
-                // and take the way under the hand.
-                let mut clear = kernel::eq_mask(w, meta, 0);
-                if clear == 0 {
-                    kernel::fill_all(w, meta, 0);
-                    clear = w.full();
-                }
-                let from_hand = clear & (u32::MAX << state.hand);
-                let victim =
-                    if from_hand != 0 { from_hand } else { clear }.trailing_zeros() as usize;
-                state.hand = if victim + 1 == w.ways() {
-                    0
-                } else {
-                    victim + 1
-                };
-                victim
+        let mut packed = PackedState::pack(self, meta, state);
+        let victim = with_width!(assoc, |w| packed.victim(self, w, meta));
+        if !self.stamps() {
+            for (way, word) in meta.iter_mut().enumerate() {
+                *word = packed.word(self, way);
             }
         }
+        *state = packed.scalars();
+        victim
     }
 
     /// Clears the metadata word of an invalidated way.
@@ -241,7 +219,9 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 64 } else { 256 }
+        ))]
 
         // Every kernel instance (unrolled and run-time width) makes the
         // reference loop's victim choices and leaves the same metadata

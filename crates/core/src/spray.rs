@@ -1,12 +1,15 @@
 //! Page-table spraying (Section III-B, "Finding Exploitable Target Addresses").
 //!
 //! The attacker cannot choose where the kernel puts Level-1 page tables, so it
-//! makes them ubiquitous instead: it maps a single user page at a huge number
+//! makes many of them instead: it maps a single user page at a huge number
 //! of virtual addresses. The user data costs one frame; the page tables
 //! needed to describe all those mappings cost one frame per 2 MiB of virtual
-//! address space, so a multi-gigabyte spray turns a significant fraction of
-//! DRAM into Level-1 page tables — and a random bit flip has a non-negligible
-//! chance of landing in (and redirecting) one of their entries.
+//! address space ([`SprayRegion::l1pt_count`]). That is a small share of
+//! DRAM: the paper's 4 GiB spray ([`AttackConfig::paper`]) makes 2048
+//! Level-1 page tables (8 MiB, 0.1% of an 8 GiB machine), and
+//! [`AttackConfig::quick_test`]'s 768 MiB makes 384 (1.5 MiB). Every entry
+//! of those tables maps the one user page, so a flip that redirects any of
+//! them shows up as a sprayed address that stops reading [`SPRAY_PATTERN`].
 
 use serde::Serialize;
 
@@ -178,6 +181,27 @@ mod tests {
             consecutive * 10 >= total * 8,
             "only {consecutive}/{total} consecutive L1PT frames"
         );
+    }
+
+    #[test]
+    fn the_documented_spray_sizes_hold() {
+        let tables = |config: AttackConfig| {
+            SprayRegion {
+                base: VirtAddr::new(0x4000_0000),
+                len: config.spray_bytes,
+                pattern: SPRAY_PATTERN,
+                user_page: VirtAddr::new(0x1000),
+            }
+            .l1pt_count()
+        };
+        let paper = tables(AttackConfig::paper(1, false));
+        assert_eq!(paper, 2048);
+        assert_eq!(paper * PAGE_SIZE, 8 << 20);
+        // 8 MiB of an 8 GiB machine: 0.1%.
+        assert_eq!((8u64 << 30) / (paper * PAGE_SIZE), 1024);
+        let quick = tables(AttackConfig::quick_test(1, false));
+        assert_eq!(quick, 384);
+        assert_eq!(quick * PAGE_SIZE, 3 << 19);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 
 use serde::Serialize;
 
-use pthammer_cache::CacheHierarchyConfig;
+use pthammer_cache::{CacheHierarchyConfig, EMPTY_TAG};
 use pthammer_dram::{DramConfig, DramGeometry, DramTimings, FlipModelProfile};
 use pthammer_mmu::MmuConfig;
+use pthammer_types::CACHE_LINE_SIZE;
 
 /// Complete configuration of a simulated machine.
 ///
@@ -180,6 +181,13 @@ impl MachineConfig {
         self.cache.validate()?;
         self.mmu.validate()?;
         self.dram.validate()?;
+        // The caches keep a line's index as a `u32` tag below `EMPTY_TAG`.
+        let lines = self.dram.geometry.capacity_bytes() / CACHE_LINE_SIZE;
+        if lines >= u64::from(EMPTY_TAG) {
+            return Err(format!(
+                "{lines} cache lines of DRAM exceed the caches' u32 line tags"
+            ));
+        }
         Ok(())
     }
 }
@@ -207,6 +215,17 @@ mod tests {
         let m = MachineConfig::test_small(FlipModelProfile::ci(), 7);
         assert!(m.validate().is_ok());
         assert_eq!(m.dram.geometry.capacity_bytes(), 1 << 30);
+    }
+
+    #[test]
+    fn validation_rejects_dram_beyond_the_cache_tags() {
+        let mut m = MachineConfig::lenovo_t420(FlipModelProfile::ci(), 7);
+        // 8 GiB × 32 = 256 GiB: 2^32 lines, one past the last u32 tag.
+        m.dram.geometry.rows_per_bank *= 32;
+        let err = m.validate().unwrap_err();
+        assert!(err.contains("u32 line tags"), "{err}");
+        m.dram.geometry.rows_per_bank /= 2;
+        assert!(m.validate().is_ok());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use core::ops::Range;
 
 use serde::Serialize;
 
-use pthammer_cache::{SetStore, EMPTY_TAG};
+use pthammer_cache::SetStore;
 use pthammer_types::{
     LaneSink, LaneSource, PageSize, PhysAddr, VirtAddr, HUGE_PAGE_SIZE, PAGE_SIZE,
 };
@@ -105,7 +105,7 @@ pub struct Tlb {
 impl Tlb {
     /// Placeholder in the entry slot of an empty way.
     const NO_ENTRY: TlbEntry = TlbEntry {
-        vpn: EMPTY_TAG,
+        vpn: u64::MAX,
         frame: PhysAddr::new(0),
         pte: Pte::empty(),
         page_size: PageSize::Base4K,
@@ -120,7 +120,7 @@ impl Tlb {
         config.validate().expect("invalid TLB configuration");
         Self {
             config,
-            store: SetStore::new(config.sets, config.ways, config.replacement),
+            store: SetStore::low_bits_indexed(config.sets, config.ways, config.replacement),
             entries: vec![Self::NO_ENTRY; config.entries() as usize],
             len: 0,
         }
@@ -871,13 +871,13 @@ mod tests {
                 let got: Vec<Option<TlbEntry>> = tags
                     .iter()
                     .enumerate()
-                    .map(|(way, &tag)| (tag != EMPTY_TAG).then(|| tlb.entries[set * ways + way]))
+                    .map(|(way, &tag)| (tag != u64::MAX).then(|| tlb.entries[set * ways + way]))
                     .collect();
                 let want_entries: Vec<Option<TlbEntry>> = want.iter().map(|s| s.0).collect();
                 let want_meta: Vec<u64> = want.iter().map(|s| s.1).collect();
                 prop_assert_eq!(got, want_entries);
-                prop_assert_eq!(meta, &want_meta[..]);
-                prop_assert_eq!(state, &self.states[set]);
+                prop_assert_eq!(meta, want_meta);
+                prop_assert_eq!(state, self.states[set]);
                 let occupied = want.iter().filter(|s| s.0.is_some()).count();
                 prop_assert_eq!(tlb.occupancy(set as u32), occupied);
                 len += occupied;
@@ -907,7 +907,9 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 96 } else { 384 }
+        ))]
 
         // A TLB hierarchy and a twin of reference-loop TLBs, driven by one
         // random stream of lookups (with a 4 KiB or 2 MiB walk refill after
@@ -1006,7 +1008,9 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 64 } else { 256 }
+        ))]
 
         // Deferred refills of pages no TLB holds, applied set by set (and
         // on their own whenever the buffer fills), leave the hierarchy

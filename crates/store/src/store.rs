@@ -446,6 +446,47 @@ mod tests {
     }
 
     #[test]
+    fn mutated_manifests_are_refused_with_an_error() {
+        let canonical = manifest().canonical_json();
+        let fields: Vec<&str> = canonical
+            .trim_start_matches('{')
+            .trim_end_matches('}')
+            .split(',')
+            .collect();
+        assert!(fields.len() > 1, "{canonical}");
+        let reordered = format!(
+            "{{{}}}",
+            fields.iter().rev().copied().collect::<Vec<_>>().join(",")
+        );
+        let truncated = &canonical.as_bytes()[..canonical.len() / 2];
+        let mut not_utf8 = canonical.as_bytes().to_vec();
+        not_utf8[canonical.len() / 2] = 0xff;
+        for (tag, bytes) in [
+            ("truncated", truncated),
+            ("not-utf8", &not_utf8[..]),
+            ("reordered", reordered.as_bytes()),
+        ] {
+            let root = temp_root(tag);
+            fs::create_dir_all(&root).unwrap();
+            fs::write(root.join("manifest.json"), bytes).unwrap();
+            match CellStore::open(&root, &manifest()) {
+                Err(StoreError::Io { source, .. }) => {
+                    assert_eq!(tag, "not-utf8");
+                    assert_eq!(source.kind(), io::ErrorKind::InvalidData);
+                }
+                Err(StoreError::ManifestMismatch { found, .. }) => {
+                    assert_ne!(tag, "not-utf8");
+                    assert_eq!(found.as_bytes(), bytes);
+                }
+                Ok(_) => panic!("a {tag} manifest opened the store"),
+            }
+            // The refused manifest is left as it was found.
+            assert_eq!(fs::read(root.join("manifest.json")).unwrap(), bytes);
+            CellStore::wipe(&root).unwrap();
+        }
+    }
+
+    #[test]
     fn corruption_is_detected_not_trusted() {
         let root = temp_root("corrupt");
         let store = CellStore::open(&root, &manifest()).unwrap();
