@@ -1,9 +1,10 @@
 //! Reproduction harness for every table and figure of the PThammer paper.
 //!
-//! The experiment logic lives in [`scenarios`]. [`repro`] names the twelve
-//! paper artifacts and prints each one; the `repro <artifact>` binary only
-//! parses its arguments and calls it. `repro_campaign`, `repro_trr`,
-//! `repro_victims` and `perf_report` are binaries of their own.
+//! The experiment logic lives in [`scenarios`]. [`repro`] names the paper's
+//! twelve artifacts, the TRR-era contrast and the Section V victim sweep,
+//! and prints each one; the `repro <artifact>` binary only parses its
+//! arguments and calls it. `repro_campaign` and `perf_report` are binaries
+//! of their own.
 //!
 //! Scale knobs: by default the scenarios run in a *scaled* mode (the Table I
 //! machine models with the `fast` weak-cell profile and a reduced spray) so a

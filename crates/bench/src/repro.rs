@@ -1,10 +1,11 @@
-//! The twelve paper artifacts behind one `repro <artifact>` command.
+//! The paper's artifacts behind one `repro <artifact>` command.
 //!
 //! [`Artifact`] names each table, figure and section result of the paper's
-//! evaluation; [`render`] runs its [`scenarios`] function and prints it
-//! through one fixed-width table path. The machine list and the scale are
-//! arguments, so a test renders the same bytes the binary prints whatever
-//! the `PTHAMMER_*` environment says.
+//! evaluation, plus the TRR-era contrast and the Section V victim sweep;
+//! [`render`] runs its [`scenarios`] function and prints it through one
+//! fixed-width table path. The machine list and the scale are arguments, so
+//! a test renders the same bytes the binary prints whatever the
+//! `PTHAMMER_*` environment says.
 
 use std::fmt::Display;
 use std::io::{self, Write};
@@ -16,7 +17,7 @@ use pthammer_perf::HammerAccounting;
 
 use crate::{scenarios, DefenseChoice, ExperimentScale, MachineChoice};
 
-/// The seed every artifact runs at.
+/// The seed every artifact but the two sweeps runs at.
 const SEED: u64 = 42;
 
 /// One reproducible artifact of the paper's evaluation.
@@ -46,10 +47,15 @@ pub enum Artifact {
     Anvil,
     /// Flips with and without Target Row Refresh.
     AblationTrr,
+    /// TRR-era contrast: stock double-sided against a synthesized
+    /// many-sided pattern, without and with TRR.
+    Trr,
+    /// Section V: every shipped victim, undefended and under CTA.
+    Victims,
 }
 
 /// Every artifact with its command-line name, in `repro all` order.
-const NAMES: [(Artifact, &str); 12] = [
+const NAMES: [(Artifact, &str); 14] = [
     (Artifact::Table1, "table1"),
     (Artifact::Fig3, "fig3"),
     (Artifact::Fig4, "fig4"),
@@ -62,11 +68,13 @@ const NAMES: [(Artifact, &str); 12] = [
     (Artifact::Defenses, "defenses"),
     (Artifact::Anvil, "anvil"),
     (Artifact::AblationTrr, "ablation-trr"),
+    (Artifact::Trr, "trr"),
+    (Artifact::Victims, "victims"),
 ];
 
 impl Artifact {
     /// Every artifact, in the order `repro all` prints them.
-    pub fn all() -> [Artifact; 12] {
+    pub fn all() -> [Artifact; 14] {
         NAMES.map(|(artifact, _)| artifact)
     }
 
@@ -74,6 +82,16 @@ impl Artifact {
     pub fn name(self) -> &'static str {
         let (_, name) = NAMES.iter().find(|(a, _)| *a == self).expect("listed");
         name
+    }
+
+    /// The seed the artifact runs at. The two sweeps keep the seeds their
+    /// goldens were pinned at.
+    pub fn seed(self) -> u64 {
+        match self {
+            Artifact::Trr => 0x5452_5265_7263,
+            Artifact::Victims => 0x5669_6354_694d,
+            _ => SEED,
+        }
     }
 
     /// The shape the paper reports, printed under the artifact's output.
@@ -178,9 +196,14 @@ pub fn render(
     out: &mut impl Write,
 ) -> io::Result<()> {
     let first = || *machines.first().expect("at least one machine");
-    // Table I is configuration data unless measured, and the defense sweep
-    // keeps stdout for its JSON form.
-    if !matches!(artifact, Artifact::Table1 | Artifact::Defenses) {
+    // Table I is configuration data unless measured, the defense sweep keeps
+    // stdout for its JSON form, and the two sweeps run CI cells on TestSmall
+    // whatever the scale.
+    let unscaled = matches!(
+        artifact,
+        Artifact::Table1 | Artifact::Defenses | Artifact::Trr | Artifact::Victims
+    );
+    if !unscaled {
         writeln!(out, "scale: {}", scale.describe())?;
     }
     match artifact {
@@ -468,6 +491,66 @@ pub fn render(
             writeln!(
                 out,
                 "{name}: flips without TRR = {without}, flips with TRR = {with_trr}"
+            )?;
+        }
+        Artifact::Trr => {
+            let c = scenarios::trr_contrast(artifact.seed());
+            writeln!(
+                out,
+                "synthesizer preview on {}: {} (peak victim disturbance {}, sampler capacity {})",
+                c.trr_machine,
+                c.preview.best,
+                c.preview.score.peak_victim_disturbance,
+                c.sampler_capacity
+            )?;
+            writeln!(out, "rep 0 (base seed {:#x}):", artifact.seed())?;
+            for (label, cell) in [
+                ("DDR3-era, double-sided:", &c.ddr3_double_sided),
+                ("TRR, double-sided:", &c.trr_double_sided),
+                ("TRR, synthesized n-sided:", &c.trr_synthesized),
+            ] {
+                writeln!(
+                    out,
+                    "  {label:<28} flips={:<3} exploitable={:<2} attempts={:<2} trr_refreshes={}",
+                    cell.flips_observed, cell.exploitable_flips, cell.attempts, cell.trr_refreshes
+                )?;
+            }
+            writeln!(
+                out,
+                "Expected shape: double-sided dies under TRR (got {} flips), \
+                 the synthesized pattern still flips (got {}).",
+                c.trr_double_sided.flips_observed, c.trr_synthesized.flips_observed
+            )?;
+        }
+        Artifact::Victims => {
+            let sweep = scenarios::victim_sweep(artifact.seed());
+            writeln!(
+                out,
+                "key-recovery template: {} targets on {}",
+                sweep.template_targets, sweep.machine
+            )?;
+            writeln!(out, "rep 0 (base seed {:#x}):", artifact.seed())?;
+            for row in &sweep.rows {
+                let victim = row.victim.name();
+                for (defense, cell) in [("undefended", &row.undefended), ("cta-defended", &row.cta)]
+                {
+                    let label = format!("{defense}, {victim}:");
+                    let time = or_dash(cell.time_to_exploit().map(|t| t.to_string()));
+                    writeln!(
+                        out,
+                        "  {label:<34} flips={:<3} exploit_succeeded={:<5} time_to_exploit={time:<7} \
+                         route={:?}",
+                        cell.flips_observed,
+                        cell.exploit_succeeded(),
+                        cell.route
+                    )?;
+                }
+            }
+            writeln!(
+                out,
+                "Expected shape: the undefended machine yields exploits (got {} victim \
+                 successes); CTA blocks the implicit-touch chain.",
+                sweep.undefended_successes
             )?;
         }
     }

@@ -1,5 +1,6 @@
 //! Experiment implementations for every table and figure of the paper.
 
+use pthammer::victim::KeyRecovery;
 use pthammer::{
     detect::scan_for_corrupted_mappings,
     eviction::{calibrate_llc_eviction, calibrate_tlb_eviction},
@@ -13,10 +14,12 @@ use pthammer::{
 use pthammer_defenses::{AnvilDetector, AnvilMode};
 use pthammer_dram::{FlipModelProfile, TrrConfig};
 use pthammer_harness::{
-    run_campaign, CampaignConfig, CampaignReport, ProfileChoice, ScenarioMatrix,
+    run_campaign, run_cell, CampaignConfig, CampaignReport, CellCoord, CellReport, ProfileChoice,
+    ScenarioMatrix, VictimChoice,
 };
 use pthammer_kernel::{DefaultPolicy, KernelConfig, Pid, PlacementPolicy, System};
 use pthammer_mmu::Pte;
+use pthammer_patterns::{synthesize, PatternChoice, SynthesisResult};
 use pthammer_perf::{HammerAccounting, MachineCounters, Stopwatch};
 use pthammer_types::{PhysAddr, HUGE_PAGE_SIZE, PAGE_SIZE};
 use rand::rngs::StdRng;
@@ -752,6 +755,105 @@ pub fn ablation_trr(machine: MachineChoice, scale: ExperimentScale, seed: u64) -
     let without = run(TrrConfig::disabled());
     let with_trr = run(TrrConfig::enabled(1_000, 16));
     (without, with_trr)
+}
+
+// ---------------------------------------------------------------------------
+// TRR-era contrast and the Section V victim sweep (TestSmall CI cells)
+// ---------------------------------------------------------------------------
+
+/// The TRR-era contrast: the paper's stock implicit double-sided attack
+/// without and with an in-DRAM TRR sampler, and a synthesized many-sided
+/// pattern on the TRR machine.
+#[derive(Debug)]
+pub struct TrrContrast {
+    /// The TRR machine the synthesizer preview searched.
+    pub trr_machine: String,
+    /// Its TRR sampler's capacity.
+    pub sampler_capacity: usize,
+    /// What the synthesizer finds there at the base seed (each cell
+    /// re-derives its pattern from its own seed).
+    pub preview: SynthesisResult,
+    /// Stock double-sided on the DDR3-era machine (no TRR).
+    pub ddr3_double_sided: CellReport,
+    /// Stock double-sided on the TRR machine.
+    pub trr_double_sided: CellReport,
+    /// The synthesized pattern on the TRR machine.
+    pub trr_synthesized: CellReport,
+}
+
+/// Runs the TRR-era contrast at `base_seed` on `TestSmall` and
+/// `TestSmallTrr`.
+pub fn trr_contrast(base_seed: u64) -> TrrContrast {
+    let config = CampaignConfig::trr_ci(base_seed);
+    let machine = MachineChoice::TestSmallTrr.config(ProfileChoice::Ci.profile(), base_seed);
+    let cell = |machine, pattern| {
+        let coord = CellCoord::new(machine, DefenseChoice::None, ProfileChoice::Ci, 0);
+        run_cell(&CellCoord { pattern, ..coord }, &config)
+    };
+    TrrContrast {
+        preview: synthesize(&config.synthesis_config(&machine), base_seed),
+        sampler_capacity: machine.dram.trr.sampler_capacity,
+        trr_machine: machine.name,
+        ddr3_double_sided: cell(MachineChoice::TestSmall, None),
+        trr_double_sided: cell(MachineChoice::TestSmallTrr, None),
+        trr_synthesized: cell(
+            MachineChoice::TestSmallTrr,
+            Some(PatternChoice::Synthesized),
+        ),
+    }
+}
+
+/// One victim of the Section V sweep, attacked without and with CTA.
+#[derive(Debug)]
+pub struct VictimRow {
+    /// The victim.
+    pub victim: VictimChoice,
+    /// Its cell on the undefended machine.
+    pub undefended: CellReport,
+    /// Its cell on the CTA-defended machine.
+    pub cta: CellReport,
+}
+
+/// The Section V victim sweep: every shipped victim against an undefended
+/// and a CTA-defended `TestSmall`.
+#[derive(Debug)]
+pub struct VictimSweep {
+    /// The machine the sweep runs on.
+    pub machine: String,
+    /// Weak cells the key-recovery victim templates on it.
+    pub template_targets: usize,
+    /// One row per victim, in [`VictimChoice::all`] order.
+    pub rows: Vec<VictimRow>,
+    /// Undefended cells whose exploit succeeded.
+    pub undefended_successes: usize,
+}
+
+/// Runs the victim sweep at `base_seed`.
+pub fn victim_sweep(base_seed: u64) -> VictimSweep {
+    let config = CampaignConfig::ci(base_seed);
+    let machine = MachineChoice::TestSmall.config(ProfileChoice::Ci.profile(), base_seed);
+    let cell = |defense, victim| {
+        let coord = CellCoord::new(MachineChoice::TestSmall, defense, ProfileChoice::Ci, 0);
+        let victim = Some(victim);
+        run_cell(&CellCoord { victim, ..coord }, &config)
+    };
+    let rows: Vec<VictimRow> = VictimChoice::all()
+        .into_iter()
+        .map(|victim| VictimRow {
+            victim,
+            undefended: cell(DefenseChoice::None, victim),
+            cta: cell(DefenseChoice::Cta, victim),
+        })
+        .collect();
+    VictimSweep {
+        template_targets: KeyRecovery::template_profile(&machine).targets.len(),
+        machine: machine.name,
+        undefended_successes: rows
+            .iter()
+            .filter(|row| row.undefended.exploit_succeeded())
+            .count(),
+        rows,
+    }
 }
 
 #[cfg(test)]

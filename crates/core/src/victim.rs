@@ -7,8 +7,8 @@
 //! 1. **profile** — once per run, before hammering: the victim templates the
 //!    machine for the flips it can use and returns a [`FlipProfile`]. The
 //!    profile is a pure function of the machine configuration (never of
-//!    simulated memory state), so it can be persisted and cache-shared
-//!    across campaign cells.
+//!    simulated memory state), so equal machine configurations template
+//!    identical profiles.
 //! 2. **evaluate** — per flip finding, side-effect free: the victim decides
 //!    whether the finding is usable against its profile, returning a
 //!    [`VictimVerdict`]. Rejected findings are never attacked.
@@ -34,13 +34,13 @@
 //!   `profile` templates the module's weak cells for flips landing in the
 //!   low-order bits of 16-bit error-matrix limbs, `evaluate` accepts flips
 //!   matching that template, and `attack` models the decryption-failure
-//!   oracle queries that leak secret-key rows. Its [`FlipProfile`] is the
-//!   persisted, store-cacheable artifact.
+//!   oracle queries that leak secret-key rows. Its [`FlipProfile`] lists the
+//!   templated weak cells.
 
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_dram::FlipModel;
 use pthammer_kernel::{Pid, System};
@@ -55,7 +55,7 @@ use crate::exploit::{
 use crate::spray::{SprayRegion, SPRAY_PATTERN};
 
 /// One templated weak cell a victim can use, in DRAM coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlipTarget {
     /// Flattened bank unit the cell lives in.
     pub bank_unit: u32,
@@ -67,13 +67,12 @@ pub struct FlipTarget {
     pub bit: u8,
 }
 
-/// The persisted artifact of a victim's `profile` stage.
+/// The result of a victim's `profile` stage.
 ///
 /// A flip profile is a pure function of the machine *configuration* (name,
 /// DRAM seed, weak-cell model) — never of simulated memory state — so equal
-/// coordinates always produce an identical profile and the canonical JSON
-/// form can be cached content-addressed in the campaign store.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// coordinates always produce an identical profile.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlipProfile {
     /// Name of the victim that produced the profile.
     pub victim: String,
@@ -404,13 +403,11 @@ const MAX_TEMPLATE_TARGETS: usize = 4096;
 /// limb biases the decryption-failure rate, and each biased coefficient
 /// leaks one 16-bit row of the secret. `profile` templates the DRAM module's
 /// weak cells for exactly those positions (a pure function of the machine
-/// configuration, so the profile is store-cacheable); `evaluate` accepts
-/// flips whose bit position matches the template; `attack` issues the
-/// failure-oracle queries and accumulates recovered key bits across
-/// findings until the secret is recovered.
+/// configuration); `evaluate` accepts flips whose bit position matches the
+/// template; `attack` issues the failure-oracle queries and accumulates
+/// recovered key bits across findings until the secret is recovered.
 #[derive(Debug, Clone)]
 pub struct KeyRecovery {
-    preset_profile: Option<FlipProfile>,
     recovered_bits: u64,
     required_bits: u64,
 }
@@ -422,26 +419,15 @@ impl KeyRecovery {
     /// Creates the victim with the default recovery threshold.
     pub fn new() -> Self {
         Self {
-            preset_profile: None,
             recovered_bits: 0,
             required_bits: DEFAULT_REQUIRED_KEY_BITS,
-        }
-    }
-
-    /// Creates the victim with a precomputed (e.g. cache-loaded) profile;
-    /// `profile` then returns it instead of re-templating the module.
-    pub fn with_profile(profile: FlipProfile) -> Self {
-        Self {
-            preset_profile: Some(profile),
-            ..Self::new()
         }
     }
 
     /// Templates the flip profile for `config`.
     ///
     /// Pure function of the machine configuration (the weak-cell model is
-    /// seeded by `config.dram.flip_seed`), requiring no booted [`System`] —
-    /// which is what makes the profile persistable and cacheable.
+    /// seeded by `config.dram.flip_seed`), requiring no booted [`System`].
     pub fn template_profile(config: &MachineConfig) -> FlipProfile {
         let model = FlipModel::new(
             config.dram.flip_profile,
@@ -503,10 +489,7 @@ impl Victim for KeyRecovery {
     }
 
     fn profile(&mut self, sys: &System, _pid: Pid) -> Result<FlipProfile, AttackError> {
-        match &self.preset_profile {
-            Some(profile) => Ok(profile.clone()),
-            None => Ok(Self::template_profile(sys.machine().config())),
-        }
+        Ok(Self::template_profile(sys.machine().config()))
     }
 
     fn evaluate(&self, profile: &FlipProfile, finding: &FlipFinding) -> VictimVerdict {
@@ -743,7 +726,7 @@ mod tests {
     }
 
     #[test]
-    fn key_recovery_profile_is_deterministic_and_cacheable() {
+    fn key_recovery_profile_is_deterministic_per_dram_seed() {
         let config = MachineConfig::test_small(FlipModelProfile::ci(), 23);
         let a = KeyRecovery::template_profile(&config);
         let b = KeyRecovery::template_profile(&config);
@@ -752,10 +735,6 @@ mod tests {
         let other =
             KeyRecovery::template_profile(&MachineConfig::test_small(FlipModelProfile::ci(), 24));
         assert_ne!(a, other, "profile must depend on the DRAM seed");
-        // A preset profile short-circuits re-templating.
-        let mut preset = KeyRecovery::with_profile(a.clone());
-        let (sys, pid, _spray, _tlb) = sprayed_system();
-        assert_eq!(preset.profile(&sys, pid).unwrap(), a);
     }
 
     #[test]

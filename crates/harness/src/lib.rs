@@ -58,7 +58,6 @@ mod matrix;
 mod report;
 pub mod resume;
 mod seeding;
-mod victim_cache;
 
 pub use campaign::{
     run_campaign, run_campaign_instrumented, run_cell, run_cell_instrumented, CampaignConfig,
@@ -71,13 +70,9 @@ pub use resume::{
     run_campaign_shard, store_manifest, MergeStats, ResumeStats,
 };
 pub use seeding::{cell_seed, CELL_SEED_SCHEMA_VERSION};
-pub use victim_cache::{KeyRecoveryProfile, VICTIM_PROFILE_SCHEMA_VERSION};
 
 pub use pthammer::{HammerMode, VictimChoice};
 pub use pthammer_defenses::DefenseChoice;
 pub use pthammer_kernel::DefenseKind;
 pub use pthammer_machine::MachineChoice;
-pub use pthammer_store::{
-    ArtifactCache, ArtifactSource, CellKey, CellLookup, CellStore, ShardSpec, StoreError,
-    StoreManifest,
-};
+pub use pthammer_store::{CellKey, CellLookup, CellStore, ShardSpec, StoreError, StoreManifest};

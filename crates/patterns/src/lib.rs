@@ -17,11 +17,6 @@
 //! * [`PatternHammer`] — a [`pthammer::HammerStrategy`] executing a pattern
 //!   through the attack pipeline with the same `RoundOp`/event-bus
 //!   telemetry as the built-in modes.
-//! * [`Synthesis`] — synthesis as a `pthammer-store` artifact, so an
-//!   `ArtifactCache<Synthesis>` caches results content-addressed for tools
-//!   that re-search the same machine (e.g. `repro_trr --synth-cache`);
-//!   store-backed campaigns already cache whole pattern cells, so resumed
-//!   campaigns never re-search either way.
 //! * [`PatternChoice`] — the campaign-harness axis value naming how a cell
 //!   obtains its pattern.
 
@@ -31,12 +26,10 @@
 use std::fmt;
 use std::str::FromStr;
 
-pub mod cache;
 pub mod pattern;
 pub mod strategy;
 pub mod synth;
 
-pub use cache::{Synthesis, SYNTH_SCHEMA_VERSION};
 pub use pattern::{HammerPattern, MAX_OFFSET, MAX_SCHEDULE, MAX_SIDES};
 pub use strategy::PatternHammer;
 pub use synth::{

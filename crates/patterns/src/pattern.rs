@@ -19,9 +19,6 @@
 
 use std::fmt;
 
-use serde::de::{self, Deserialize, Value};
-use serde::Serialize;
-
 use pthammer::{RoundOp, Target};
 
 /// Largest aggressor set a pattern may use. Bounded by how many pair
@@ -45,7 +42,7 @@ pub const MAX_OFFSET: i32 = 7;
 /// assert!(ds.validate().is_ok());
 /// assert_eq!(ds.round_ops().len(), 6, "two touches, each with two evictions");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct HammerPattern {
     /// Aggressor positions in pair strides relative to the base low target.
     /// `offsets[0]` must be 0 (the base low) and `offsets[1]` must be 1 (the
@@ -226,20 +223,6 @@ impl fmt::Display for HammerPattern {
     }
 }
 
-// Not derived: a pattern read back from disk must pass the same
-// invariants as one built in code, so decoding re-validates.
-impl Deserialize for HammerPattern {
-    fn deserialize(value: &Value) -> Result<Self, de::Error> {
-        let value = de::object(value, "HammerPattern")?;
-        let pattern = Self {
-            offsets: de::field(value, "offsets")?,
-            schedule: de::field(value, "schedule")?,
-        };
-        pattern.validate().map_err(de::Error::custom)?;
-        Ok(pattern)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,33 +291,12 @@ mod tests {
     }
 
     #[test]
-    fn canonical_name_and_json_round_trip() {
+    fn canonical_name_is_compact() {
         let p = HammerPattern {
             offsets: vec![0, 1, -1, -2],
             schedule: vec![2, 0, 3, 1],
         };
         assert_eq!(p.canonical_name(), "4s[0,1,-1,-2]@[2,0,3,1]");
         assert_eq!(p.to_string(), p.canonical_name());
-        let json = serde_json::to_string(&p).unwrap();
-        assert_eq!(json, r#"{"offsets":[0,1,-1,-2],"schedule":[2,0,3,1]}"#);
-        let decoded = decode(&json).unwrap();
-        assert_eq!(decoded, p);
-        assert_eq!(serde_json::to_string(&decoded).unwrap(), json);
-    }
-
-    fn decode(json: &str) -> Result<HammerPattern, String> {
-        serde_json::from_str(json)
-            .and_then(serde_json::from_value)
-            .map_err(|e| e.to_string())
-    }
-
-    #[test]
-    fn decoding_rejects_invalid_patterns() {
-        let err = decode(r#"{"offsets":[0,1,1],"schedule":[0,1,2]}"#).unwrap_err();
-        assert!(err.contains("duplicate"), "{err}");
-        assert!(decode(r#"{"offsets":[0,1]}"#).is_err());
-        // Out-of-range numbers are rejected, never truncated into range.
-        assert!(decode(r#"{"offsets":[0,1,4294967298],"schedule":[0,1,2]}"#).is_err());
-        assert!(decode(r#"{"offsets":[0,1],"schedule":[0,257]}"#).is_err());
     }
 }

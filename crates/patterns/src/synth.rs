@@ -13,8 +13,7 @@
 //!
 //! Everything is a pure function of the [`SynthesisConfig`] and the seed:
 //! same inputs, same best pattern, bit for bit — which is what lets campaign
-//! cells synthesize on the fly at any thread count and lets the
-//! content-addressed cache ([`crate::Synthesis`]) resume searches
+//! cells synthesize on the fly at any thread count and still report
 //! byte-identically.
 //!
 //! # Incremental scoring
@@ -40,7 +39,6 @@ use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use pthammer_dram::{
     Bank, BankCheckpoint, DramTimings, FlipModel, FlipModelProfile, RowBufferPolicy, TrrConfig,
@@ -72,8 +70,8 @@ const EVAL_BACKGROUND_ROWS: u32 = 12;
 /// evict-evict-touch trio of the real hammer loop).
 const EVAL_CYCLES_PER_ACCESS: u64 = 300;
 
-/// Everything a synthesis run depends on. All fields enter the cache
-/// fingerprint; two configs with equal [`canonical_string`]s
+/// Everything a synthesis run depends on. All fields enter the
+/// [`canonical_string`]; two configs with equal canonical strings
 /// (plus equal seeds) produce bit-identical results.
 ///
 /// [`canonical_string`]: SynthesisConfig::canonical_string
@@ -147,9 +145,9 @@ impl SynthesisConfig {
         Ok(())
     }
 
-    /// Canonical, versioned textual form of every field — the input to the
-    /// cache fingerprint. Field order is fixed; extending the struct must
-    /// extend this string (changing every fingerprint, which is the point).
+    /// Canonical textual form of every field, the key a
+    /// [`SchedulePrefixTrace`] checks on resume. Field order is fixed;
+    /// extending the struct must extend this string.
     pub fn canonical_string(&self) -> String {
         format!(
             "trr={},{},{}|t={},{},{},{}|minflip={}|budget={}|bg={}|strides={}|gen={}|pop={}|elite={}",
@@ -172,7 +170,7 @@ impl SynthesisConfig {
 }
 
 /// Deterministic score of one candidate pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PatternScore {
     /// Peak disturbance the detectable victim row (between the base pair)
     /// accumulated during evaluation — the quantity TRR exists to suppress.
@@ -616,7 +614,7 @@ pub fn evaluate_incremental(
 }
 
 /// Result of one synthesis run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SynthesisResult {
     /// The best pattern found.
     pub best: HammerPattern,
@@ -896,20 +894,6 @@ mod tests {
         // population, at most one evaluation per candidate ever considered.
         assert!(a.evaluations >= config.population);
         assert!(a.evaluations <= config.population * config.generations);
-    }
-
-    #[test]
-    fn synthesis_result_json_round_trips() {
-        let result = synthesize(&trr_config(), 7);
-        let json = serde_json::to_string(&result).unwrap();
-        let decode = |text: &str| {
-            serde_json::from_str(text).and_then(serde_json::from_value::<SynthesisResult>)
-        };
-        let decoded = decode(&json).unwrap();
-        assert_eq!(decoded, result);
-        assert_eq!(serde_json::to_string(&decoded).unwrap(), json);
-        assert!(decode("][").is_err());
-        assert!(decode("{}").is_err());
     }
 
     #[test]

@@ -29,21 +29,17 @@
 //! This crate is deliberately coordinate-agnostic: it stores `(key, JSON)`
 //! pairs, and [`CellStore::lookup`] decodes a verified body into any
 //! `Deserialize` type. The harness owns the canonical coordinate string and
-//! the report type. [`ArtifactCache`] puts the same machinery behind one
-//! typed get-or-compute call for deterministic artifacts (synthesized
-//! patterns, victim flip profiles).
+//! the report type.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod artifact;
 mod hash;
 mod key;
 mod manifest;
 mod shard;
 mod store;
 
-pub use artifact::{Artifact, ArtifactCache, ArtifactSource};
 pub use hash::fnv1a_128;
 pub use key::CellKey;
 pub use manifest::{StoreManifest, STORE_SCHEMA_VERSION};

@@ -1,4 +1,5 @@
-//! Byte-for-byte goldens of the twelve paper artifacts.
+//! Byte-for-byte goldens of the paper artifacts, and the shape of the two
+//! sweeps.
 //!
 //! Each golden `tests/golden/repro/<artifact>.txt` is what `repro <artifact>`
 //! prints at the default scale on the default machine (the Lenovo T420),
@@ -16,7 +17,7 @@ mod common;
 
 use pthammer_bench::repro::Artifact::{self, Defenses, Escalation, Fig5, Fig6, Table2};
 use pthammer_bench::repro::{render, Flags};
-use pthammer_bench::{ExperimentScale, MachineChoice};
+use pthammer_bench::{scenarios, ExperimentScale, MachineChoice};
 
 /// The artifacts that take ~35 s together in debug.
 const SLOW: [Artifact; 5] = [Fig5, Fig6, Table2, Escalation, Defenses];
@@ -41,4 +42,21 @@ fn fast_artifacts_match_their_goldens() {
 #[ignore = "slow in debug; CI runs it in release"]
 fn slow_artifacts_match_their_goldens() {
     SLOW.into_iter().for_each(matches_golden);
+}
+
+/// TRR stops stock double-sided hammering on the TRR machine, and the
+/// synthesized many-sided pattern still flips there.
+#[test]
+fn trr_contrast_has_its_shape() {
+    let contrast = scenarios::trr_contrast(Artifact::Trr.seed());
+    assert_eq!(contrast.trr_double_sided.flips_observed, 0);
+    assert!(contrast.trr_synthesized.flips_observed > 0);
+}
+
+/// At least one victim is exploited on the undefended machine.
+#[test]
+fn victim_sweep_has_its_shape() {
+    let sweep = scenarios::victim_sweep(Artifact::Victims.seed());
+    assert_eq!(sweep.rows.len(), 3, "one row per shipped victim");
+    assert!(sweep.undefended_successes >= 1);
 }
