@@ -35,9 +35,9 @@ use pthammer_bench::scenarios::{detect_scan_microbench, hammer_microbench};
 use pthammer_bench::{ExperimentScale, MachineChoice};
 use pthammer_dram::FlipModelProfile;
 use pthammer_harness::{
-    cell_seed, run_campaign_instrumented, run_campaign_resumable_instrumented,
-    run_cell_instrumented, store_manifest, CampaignConfig, CellCoord, CellPerf, CellStore,
-    DefenseChoice, ProfileChoice, ScenarioMatrix,
+    cell_seed, run_campaign_instrumented, run_campaign_resumable_instrumented, run_cell_inspected,
+    store_manifest, CampaignConfig, CellCoord, CellPerf, CellStore, DefenseChoice, ProfileChoice,
+    ScenarioMatrix,
 };
 use pthammer_kernel::KernelConfig;
 use pthammer_machine::MachineConfig;
@@ -50,6 +50,9 @@ use pthammer_perf::{MachineCounters, PerfReport, Stopwatch, WorkloadPerf};
 const GOLDEN_BASE_SEED: u64 = 0x7453_4861_4d21;
 const MICROBENCH_SEED: u64 = 42;
 const MICROBENCH_ROUNDS: u64 = 600;
+/// Counter of the DRAM row state a workload allocated: the sum over banks
+/// of the most 64-row disturbance chunks each bank held at once.
+const DRAM_ROW_CHUNKS_PEAK: &str = "dram_row_chunks_peak";
 
 fn baseline_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -237,7 +240,9 @@ fn table1_cell_workload() -> WorkloadPerf {
     );
     let config = CampaignConfig::ci(GOLDEN_BASE_SEED);
     let watch = Stopwatch::start();
-    let (report, perf) = run_cell_instrumented(&coord, &config);
+    let (report, perf, row_chunks_peak) = run_cell_inspected(&coord, &config, |sys| {
+        sys.machine().dram().row_chunks_peak()
+    });
     let wall_ns = watch.elapsed_ns();
     assert!(
         report.error.is_none(),
@@ -245,10 +250,13 @@ fn table1_cell_workload() -> WorkloadPerf {
         report.error
     );
     println!(
-        "table1_cell_lenovo_t420: {} attempts, {} hammer iterations, {} flips",
+        "table1_cell_lenovo_t420: {} attempts, {} hammer iterations, {} flips, \
+         {row_chunks_peak} peak DRAM row chunks",
         report.attempts, perf.hammer_iterations, report.flips_observed
     );
-    WorkloadPerf::new("table1_cell_lenovo_t420", cell_counters(&perf), wall_ns)
+    let mut counters = cell_counters(&perf);
+    counters.insert(DRAM_ROW_CHUNKS_PEAK.to_string(), row_chunks_peak);
+    WorkloadPerf::new("table1_cell_lenovo_t420", counters, wall_ns)
 }
 
 /// Workload: Algorithm 2's LLC eviction pool alone, built by timing on
@@ -273,11 +281,17 @@ fn llc_pool_workload(name: &str, machine: MachineChoice) -> WorkloadPerf {
     counters.insert("sim_cycles".to_string(), sys.rdtsc());
     counters.insert("pool_groups".to_string(), pool.groups().len() as u64);
     counters.insert("pool_prep_cycles".to_string(), pool.prep_cycles());
+    counters.insert(
+        DRAM_ROW_CHUNKS_PEAK.to_string(),
+        sys.machine().dram().row_chunks_peak(),
+    );
     println!(
-        "{name}: {} groups of {lines}-line sets, {} accesses, {:.1} host ns/access",
+        "{name}: {} groups of {lines}-line sets, {} accesses, {:.1} host ns/access, \
+         {} peak DRAM row chunks",
         pool.groups().len(),
         counters["accesses"],
         wall_ns as f64 / counters["accesses"].max(1) as f64,
+        counters[DRAM_ROW_CHUNKS_PEAK],
     );
     WorkloadPerf::new(name, counters, wall_ns)
 }

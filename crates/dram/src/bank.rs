@@ -1,4 +1,4 @@
-//! Per-bank DRAM state: row buffer, activation bookkeeping and disturbance
+//! Per-bank DRAM state: row buffer, TRR sampler and disturbance
 //! accumulation within refresh windows.
 
 use serde::Serialize;
@@ -7,7 +7,7 @@ use pthammer_types::{Cycles, DetHashSet};
 
 use crate::{
     row_buffer::{RowBuffer, RowBufferOutcome, RowBufferPolicy},
-    rows::RowStateSoA,
+    rows::RowDisturbance,
     timing::DramTimings,
     trr::{TrrConfig, TrrSampler},
     vulnerability::{FlipModel, WeakCell},
@@ -29,22 +29,22 @@ pub struct BankAccessResult {
 
 /// State of one (channel, rank, bank) unit.
 ///
-/// A bank tracks, per refresh window, how many times each row was activated
-/// and how much *disturbance* (adjacent-row activations) each potential victim
-/// row has accumulated. When a weak cell's threshold is crossed, the bank
-/// reports a flip.
+/// A bank tracks, per refresh window, how much *disturbance* (adjacent-row
+/// activations) each potential victim row has accumulated. When a weak
+/// cell's threshold is crossed, the bank reports a flip. Activations are
+/// counted per module ([`crate::DramStats::activations`]) and, for the rows
+/// it tracks, by the TRR sampler.
 #[derive(Debug, Clone, Serialize)]
 pub struct Bank {
     unit_id: u32,
     rows: u32,
     row_buffer: RowBuffer,
     window_start: Cycles,
-    /// Per-row window bookkeeping (activation counts, last-activation
-    /// times, disturbance) in structure-of-arrays layout. Two to three
-    /// row-state probes run per activation on the hammer loop's hot path,
-    /// so each counter kind is a flat dense `u32` array (index = row)
-    /// rather than a map or an array of structs.
-    row_state: RowStateSoA,
+    /// Per-row disturbance this window, kept in fixed-size row chunks that
+    /// exist only for the slots the window disturbed. Two row-state probes
+    /// run per activation on the hammer loop's hot path: a chunk-index load
+    /// and a counter in a chunk, no hashing.
+    row_state: RowDisturbance,
     /// Weak cells that already fired this window (avoid duplicate events).
     /// Only consulted once a victim crosses the profile's minimum threshold,
     /// so a (fast-hashed) set is fine here.
@@ -54,15 +54,17 @@ pub struct Bank {
 }
 
 /// A restorable snapshot of a bank's hammer-relevant state: row buffer,
-/// refresh-window bookkeeping, the structure-of-arrays row counters, the
-/// emitted-flip set and the TRR sampler. Taken at schedule boundaries by the
-/// pattern synthesizer's incremental scorer, so a mutated schedule can
-/// resume evaluation from a shared prefix instead of replaying it.
+/// refresh-window bookkeeping, the per-row disturbance (only its allocated
+/// chunks are copied), the emitted-flip set and the TRR sampler. Taken at
+/// schedule boundaries by the pattern synthesizer's incremental scorer, so
+/// a mutated schedule can resume evaluation from a shared prefix instead of
+/// replaying it. Equality compares per-row disturbance values, not how
+/// their chunks are laid out.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BankCheckpoint {
     row_buffer: RowBuffer,
     window_start: Cycles,
-    row_state: RowStateSoA,
+    row_state: RowDisturbance,
     emitted: DetHashSet<(u32, u32)>,
     trr_sampler: TrrSampler,
 }
@@ -75,7 +77,7 @@ impl Bank {
             rows,
             row_buffer: RowBuffer::new(),
             window_start: Cycles::ZERO,
-            row_state: RowStateSoA::new(rows),
+            row_state: RowDisturbance::new(rows),
             emitted: DetHashSet::default(),
             trr_sampler: TrrSampler::default(),
         }
@@ -91,9 +93,10 @@ impl Bank {
         self.row_state.disturbance_of(row)
     }
 
-    /// Current activation count of `row` in this refresh window.
-    pub fn activations_of(&self, row: u32) -> u32 {
-        self.row_state.activations_of(row)
+    /// The most disturbance chunks this bank has held at once: its
+    /// row-state memory high-water mark, in chunks of 64 rows.
+    pub fn row_chunks_peak(&self) -> u32 {
+        self.row_state.peak_chunks()
     }
 
     /// Start of the current refresh window: the bank rolls into the next
@@ -155,7 +158,7 @@ impl Bank {
     pub fn restore(&mut self, checkpoint: &BankCheckpoint) {
         self.row_buffer = checkpoint.row_buffer.clone();
         self.window_start = checkpoint.window_start;
-        self.row_state = checkpoint.row_state.clone();
+        self.row_state.restore_from(&checkpoint.row_state);
         self.emitted = checkpoint.emitted.clone();
         self.trr_sampler = checkpoint.trr_sampler.clone();
     }
@@ -196,8 +199,6 @@ impl Bank {
         let mut trr_fired = false;
 
         if outcome.activated() {
-            self.row_state.record_activation(row);
-
             if let Some(aggressor) = self.trr_sampler.record(row, trr) {
                 trr_fired = true;
                 // Targeted refresh of the aggressor's neighbours clears their
@@ -368,8 +369,21 @@ mod tests {
             &trr,
         );
         assert!(res.window_rolled);
+        assert!(res.outcome.activated());
         assert_eq!(bank.disturbance_of(11), 0);
-        assert_eq!(bank.activations_of(10), 0);
+        assert_eq!(bank.disturbance_of(501), 1);
+        // Row 10's first activation of the new window counts from zero.
+        let res = bank.access(
+            10,
+            Cycles::new(t.refresh_window + 20_000),
+            &t,
+            RowBufferPolicy::OpenPage,
+            &model,
+            &trr,
+        );
+        assert!(!res.window_rolled);
+        assert!(res.outcome.activated());
+        assert_eq!(bank.disturbance_of(11), 1);
     }
 
     #[test]
@@ -378,7 +392,7 @@ mod tests {
         let mut bank = Bank::new(0, 1024);
         let trr = TrrConfig::disabled();
         let t = timings();
-        bank.access(
+        let first = bank.access(
             7,
             Cycles::new(0),
             &t,
@@ -386,7 +400,7 @@ mod tests {
             &model,
             &trr,
         );
-        let before = bank.activations_of(7);
+        assert!(first.outcome.activated());
         // Repeated access to the same open row: row-buffer hits, no new activations.
         for i in 1..100u64 {
             let res = bank.access(
@@ -398,8 +412,11 @@ mod tests {
                 &trr,
             );
             assert_eq!(res.outcome, RowBufferOutcome::Hit);
+            assert!(!res.outcome.activated());
         }
-        assert_eq!(bank.activations_of(7), before);
+        // Only the first access disturbed the neighbours.
+        assert_eq!(bank.disturbance_of(6), 1);
+        assert_eq!(bank.disturbance_of(8), 1);
     }
 
     #[test]

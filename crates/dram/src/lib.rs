@@ -47,7 +47,7 @@ pub use flip_event::FlipEvent;
 pub use geometry::DramGeometry;
 pub use module::{DramAccessOutcome, DramModule};
 pub use row_buffer::{RowBuffer, RowBufferOutcome, RowBufferPolicy};
-pub use rows::RowStateSoA;
+pub use rows::RowDisturbance;
 pub use stats::DramStats;
 pub use timing::DramTimings;
 pub use trr::TrrConfig;

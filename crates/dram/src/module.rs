@@ -175,6 +175,16 @@ impl DramModule {
         }
     }
 
+    /// The sum over banks of the most disturbance chunks each bank has held
+    /// at once ([`Bank::row_chunks_peak`]): how much row state the run made
+    /// the module allocate.
+    pub fn row_chunks_peak(&self) -> u64 {
+        self.banks
+            .iter()
+            .map(|bank| u64::from(bank.row_chunks_peak()))
+            .sum()
+    }
+
     /// Every bank, indexed by flat (channel, rank, bank) unit.
     pub fn banks(&self) -> &[Bank] {
         &self.banks
@@ -245,6 +255,18 @@ mod tests {
         assert_eq!(stats.row_misses, 1);
         assert_eq!(stats.row_conflicts, 1);
         assert_eq!(stats.activations, 2);
+        // Rows 0 and 4 disturb rows 1, 3 and 5: one chunk of one bank.
+        assert_eq!(dram.row_chunks_peak(), 1);
+    }
+
+    #[test]
+    fn row_buffer_hits_do_not_count_activations() {
+        let mut dram = module();
+        for i in 0..100u64 {
+            dram.access(PhysAddr::new(0x40), Cycles::new(i * 10));
+        }
+        assert_eq!(dram.stats().activations, 1);
+        assert_eq!(dram.stats().row_hits, 99);
     }
 
     #[test]
@@ -328,5 +350,6 @@ mod tests {
         let dram = DramModule::new(DramConfig::ddr3_8gib(FlipModelProfile::paper(), 1));
         assert_eq!(dram.config().geometry.capacity_bytes(), 8 << 30);
         assert_eq!(dram.config().geometry.total_banks() as usize, 32usize);
+        assert_eq!(dram.row_chunks_peak(), 0);
     }
 }

@@ -2,7 +2,7 @@
 
 use pthammer::{pairs::pair_stride, AttackConfig, EventSink, HammerMode, PtHammer, RunOptions};
 use pthammer_defenses::DefenseChoice;
-use pthammer_kernel::KernelConfig;
+use pthammer_kernel::{KernelConfig, System};
 use pthammer_machine::MachineConfig;
 use pthammer_patterns::{PatternHammer, SynthesisConfig};
 use pthammer_perf::{HammerEventTally, MachineCounters};
@@ -222,6 +222,19 @@ pub fn run_cell(coord: &CellCoord, config: &CampaignConfig) -> CellReport {
 /// subscribed to the attack pipeline's event bus (subscribers only observe)
 /// plus counters the simulated machine maintains anyway.
 pub fn run_cell_instrumented(coord: &CellCoord, config: &CampaignConfig) -> (CellReport, CellPerf) {
+    let (report, perf, ()) = run_cell_inspected(coord, config, |_| ());
+    (report, perf)
+}
+
+/// Like [`run_cell_instrumented`], additionally handing the cell's system,
+/// as the attack left it, to `inspect` and returning what it returns: for
+/// host-side measurements of a cell (such as how much DRAM row state it
+/// allocated) that belong in no report.
+pub fn run_cell_inspected<T>(
+    coord: &CellCoord,
+    config: &CampaignConfig,
+    inspect: impl FnOnce(&System) -> T,
+) -> (CellReport, CellPerf, T) {
     let seed = cell_seed(config.base_seed, coord);
     let mut report = CellReport {
         coord: *coord,
@@ -314,7 +327,8 @@ pub fn run_cell_instrumented(coord: &CellCoord, config: &CampaignConfig) -> (Cel
     // TRR-era machines report how often the sampler fired against the cell
     // (0 — and no JSON key — on the paper's TRR-free DDR3 machines).
     report.trr_refreshes = perf.counters.dram.trr_refreshes;
-    (report, perf)
+    let inspected = inspect(&sys);
+    (report, perf, inspected)
 }
 
 /// Runs every cell of `matrix` on a worker pool and aggregates the results.

@@ -60,8 +60,8 @@ pub mod resume;
 mod seeding;
 
 pub use campaign::{
-    run_campaign, run_campaign_instrumented, run_cell, run_cell_instrumented, CampaignConfig,
-    CellPerf,
+    run_campaign, run_campaign_instrumented, run_cell, run_cell_inspected, run_cell_instrumented,
+    CampaignConfig, CellPerf,
 };
 pub use matrix::{CellCoord, ProfileChoice, ScenarioMatrix, SummaryGroup};
 pub use report::{CampaignReport, CellReport, DefenseSummary, ExploitOutcome, ExploitSummary};

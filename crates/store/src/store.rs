@@ -118,10 +118,11 @@ impl CellStore {
     ///
     /// Stale staging files under `<root>/tmp` — left by invocations that
     /// were killed mid-write — are deleted on open, so kill/resume cycles
-    /// never accumulate orphans. A store therefore supports **one writing
-    /// invocation at a time** (the resume workflow is inherently
-    /// sequential, and shards write disjoint stores); concurrent readers
-    /// are always fine.
+    /// never accumulate orphans. A staging file whose writer is still
+    /// running (its name carries the writer's pid, checked under `/proc` on
+    /// Linux) is kept, so a second process opening the store cannot pull a
+    /// put out from under the first; where liveness cannot be checked, every
+    /// pid-named staging file is kept. Concurrent readers are always fine.
     ///
     /// # Errors
     ///
@@ -141,9 +142,11 @@ impl CellStore {
         let tmp_dir = root.join("tmp");
         if let Ok(entries) = fs::read_dir(&tmp_dir) {
             for entry in entries.flatten() {
-                // Best-effort: a leftover temp file is garbage by
-                // definition (a completed write renames it away).
-                let _ = fs::remove_file(entry.path());
+                // Best-effort: a leftover temp file of a dead writer is
+                // garbage by definition (a completed write renames it away).
+                if !staged_by_running_writer(&entry.file_name().to_string_lossy()) {
+                    let _ = fs::remove_file(entry.path());
+                }
             }
         }
         match fs::read(&manifest_path) {
@@ -326,6 +329,29 @@ fn decode_cell_file(text: &str, expect_key: &CellKey) -> Option<String> {
         && header.bytes == body.len()
         && header.content_fnv == format!("{:032x}", fnv1a_128(body.as_bytes()));
     valid.then(|| body.to_string())
+}
+
+/// Whether the staging file `name` (`<target>.<pid>.<seq>.tmp`, see
+/// [`write_atomic`]) may belong to a put still in flight: its writer's pid
+/// names a running process. Names of any other shape belong to no writer.
+fn staged_by_running_writer(name: &str) -> bool {
+    name.strip_suffix(".tmp")
+        .and_then(|stem| stem.rsplit('.').nth(1))
+        .and_then(|pid| pid.parse::<u32>().ok())
+        .is_some_and(process_may_be_running)
+}
+
+/// Whether process `pid` is running.
+#[cfg(target_os = "linux")]
+fn process_may_be_running(pid: u32) -> bool {
+    Path::new("/proc").join(pid.to_string()).exists()
+}
+
+/// Whether process `pid` may be running: without `/proc` this cannot be
+/// told, so every pid counts as running.
+#[cfg(not(target_os = "linux"))]
+fn process_may_be_running(_pid: u32) -> bool {
+    true
 }
 
 /// Writes `bytes` to `path` atomically: temp file in `<store root>/tmp` (or
@@ -543,12 +569,18 @@ mod tests {
             let store = CellStore::open(&root, &manifest()).unwrap();
             store.put(&key, "{}").unwrap();
         }
-        // Simulate a writer killed mid-write: a half-written staging file.
-        fs::write(root.join("tmp").join("orphan.9999.7.tmp"), "half-writ").unwrap();
+        // Simulate a writer killed mid-write: a half-written staging file
+        // named for a pid no process can have (Linux pids stay below 2^22).
+        fs::write(
+            root.join("tmp").join("orphan.4294967295.7.tmp"),
+            "half-writ",
+        )
+        .unwrap();
+        fs::write(root.join("tmp").join("not-a-staging-name"), "junk").unwrap();
         let store = CellStore::open(&root, &manifest()).unwrap();
         assert_eq!(
             fs::read_dir(root.join("tmp")).unwrap().count(),
-            0,
+            usize::from(!cfg!(target_os = "linux")),
             "stale temp files must be cleared on open"
         );
         // Published entries and fresh writes are unaffected.
@@ -556,6 +588,55 @@ mod tests {
         store.put(&key, "{\"v\":2}").unwrap();
         assert_eq!(store.get(&key), CellLookup::Hit("{\"v\":2}".to_string()));
         CellStore::wipe(&root).unwrap();
+    }
+
+    #[test]
+    fn open_keeps_a_running_writers_staged_put() {
+        let root = temp_root("livetmp");
+        let key = CellKey::from_canonical("cell-l");
+        let store = CellStore::open(&root, &manifest()).unwrap();
+        // A put staged by a running process (this one) and not yet renamed,
+        // next to one staged by a dead writer.
+        let live =
+            root.join("tmp")
+                .join(format!("{}.json.{}.3.tmp", key.hex(), std::process::id()));
+        let dead = root
+            .join("tmp")
+            .join(format!("{}.json.4294967295.3.tmp", key.hex()));
+        fs::write(&live, "staged").unwrap();
+        fs::write(&dead, "staged").unwrap();
+        // A second invocation opens the same store meanwhile.
+        let second = CellStore::open(&root, &manifest()).unwrap();
+        assert!(
+            fs::read_to_string(&live).is_ok(),
+            "a running writer's put must survive"
+        );
+        // Without `/proc` a pid cannot be told dead, so the file stays.
+        assert_eq!(
+            dead.exists(),
+            !cfg!(target_os = "linux"),
+            "a dead writer's put must be removed"
+        );
+        fs::remove_file(&live).unwrap();
+        store.put(&key, "{}").unwrap();
+        assert_eq!(second.get(&key), CellLookup::Hit("{}".to_string()));
+        CellStore::wipe(&root).unwrap();
+    }
+
+    #[test]
+    fn staging_names_parse_their_writers_pid() {
+        let own = std::process::id();
+        assert!(staged_by_running_writer(&format!("abc.json.{own}.0.tmp")));
+        assert!(staged_by_running_writer(&format!(
+            "manifest.json.{own}.12.tmp"
+        )));
+        assert_eq!(
+            staged_by_running_writer("abc.json.4294967295.0.tmp"),
+            !cfg!(target_os = "linux")
+        );
+        assert!(!staged_by_running_writer(&format!("abc.json.{own}.0")));
+        assert!(!staged_by_running_writer("abc.json.pid.0.tmp"));
+        assert!(!staged_by_running_writer("orphan"));
     }
 
     #[test]
