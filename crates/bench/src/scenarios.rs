@@ -4,7 +4,7 @@ use pthammer::victim::KeyRecovery;
 use pthammer::{
     detect::scan_for_corrupted_mappings,
     eviction::{calibrate_llc_eviction, calibrate_tlb_eviction},
-    hammer::{ArmedPair, ExplicitHammer, ExplicitHammerConfig, ExplicitMode},
+    hammer::{strategy::ExplicitDoubleSided, ArmedPair, HammerStats, RoundOp},
     pairs::{candidate_pairs, conflict_threshold, pair_stride},
     pipeline::prepare_attack,
     spray::spray_page_tables,
@@ -17,13 +17,16 @@ use pthammer_harness::{
     run_campaign, run_cell, CampaignConfig, CampaignReport, CellCoord, CellReport, ProfileChoice,
     ScenarioMatrix, VictimChoice,
 };
-use pthammer_kernel::{DefaultPolicy, KernelConfig, Pid, PlacementPolicy, System};
+use pthammer_kernel::{
+    DefaultPolicy, KernelConfig, MmapOptions, Pid, PlacementPolicy, System, VmaBacking,
+};
 use pthammer_mmu::Pte;
 use pthammer_patterns::{synthesize, PatternChoice, SynthesisResult};
 use pthammer_perf::{HammerAccounting, MachineCounters, Stopwatch};
-use pthammer_types::{PhysAddr, HUGE_PAGE_SIZE, PAGE_SIZE};
+use pthammer_types::{PhysAddr, VirtAddr, HUGE_PAGE_SIZE, PAGE_SIZE};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 pub use pthammer_defenses::DefenseChoice;
 pub use pthammer_machine::MachineChoice;
@@ -185,51 +188,139 @@ pub struct Fig5Point {
     pub seconds_to_first_flip: Option<f64>,
 }
 
+/// An attacker-owned buffer filled with ones, so true-cell (1→0) flips show
+/// as changed lines: what the explicit `clflush` hammer of Section II-B
+/// hammers in Figure 5, the ANVIL contrast and the TRR ablation.
+struct OnesBuffer {
+    base: VirtAddr,
+    len: u64,
+    row_span: u64,
+}
+
+impl OnesBuffer {
+    /// Maps and populates a `len`-byte buffer.
+    fn map(sys: &mut System, pid: Pid, len: u64) -> Self {
+        let options = MmapOptions {
+            populate: true,
+            backing: VmaBacking::Anonymous {
+                fill_pattern: u64::MAX,
+            },
+            ..MmapOptions::default()
+        };
+        Self {
+            base: sys.mmap(pid, len, options).expect("map the hammer buffer"),
+            len,
+            row_span: sys.machine().config().dram.geometry.row_span_bytes(),
+        }
+    }
+
+    /// Rows of the buffer.
+    fn rows(&self) -> u64 {
+        self.len / self.row_span
+    }
+
+    /// The aggressors one row below and one row above `victim_row`, each
+    /// `offset` bytes into its row.
+    fn pair(&self, victim_row: u64, offset: u64) -> HammerPair {
+        let low = self.base + (victim_row - 1) * self.row_span + offset;
+        HammerPair {
+            low,
+            high: low + 2 * self.row_span,
+        }
+    }
+
+    /// Hammers `pair` explicitly for `rounds` rounds, each padded by
+    /// `padding` cycles of computation.
+    fn hammer(
+        &self,
+        sys: &mut System,
+        pid: Pid,
+        pair: HammerPair,
+        padding: u64,
+        rounds: u64,
+    ) -> HammerStats {
+        let mut ops = ExplicitDoubleSided.round_ops().to_vec();
+        if padding > 0 {
+            ops.push(RoundOp::Compute(padding));
+        }
+        let armed = ArmedPair::explicit(pair);
+        CompiledTrace::compile(&armed, &ops, sys, pid)
+            .and_then(|mut trace| trace.hammer(&armed, &ops, sys, pid, rounds, |_| {}))
+            .expect("explicit hammer")
+    }
+
+    /// The lines of `rows` (clipped to the buffer) that no longer hold
+    /// ones, reading one word per line in address order as they are pulled.
+    fn changed_lines<'a>(
+        &'a self,
+        sys: &'a mut System,
+        pid: Pid,
+        rows: Range<u64>,
+    ) -> impl Iterator<Item = VirtAddr> + 'a {
+        let end = (rows.end * self.row_span).min(self.len);
+        (rows.start * self.row_span..end)
+            .step_by(64)
+            .map(move |offset| self.base + offset)
+            .filter(move |&line| sys.read_u64(pid, line).expect("scan").value != u64::MAX)
+    }
+}
+
 /// Runs the explicit double-sided hammer with increasing NOP padding and
 /// records the simulated time to the first flip (Figure 5).
+///
+/// Each padding measures one round on the pair around row 1 after a
+/// warm-up round, then hammers seeded random targets in turn until a row
+/// next to an aggressor shows a changed line or the cycle budget is spent.
 pub fn fig5_padding_sweep(
     machine: MachineChoice,
     scale: ExperimentScale,
     paddings: &[u64],
     seed: u64,
 ) -> Vec<Fig5Point> {
+    let (len, rounds_per_target, budget) = if scale.full {
+        (256 << 20, 200_000, 2_600_000_000_000)
+    } else {
+        (64 << 20, 1_500, 400_000_000)
+    };
     paddings
         .iter()
         .map(|&padding| {
             let mut sys = boot(machine, scale, false, Box::new(DefaultPolicy::new()), seed);
             let clock_hz = sys.machine().clock_hz();
             let pid = sys.spawn_process(1000).expect("spawn");
-            let buffer = if scale.full { 256 << 20 } else { 64 << 20 };
-            let hammer = ExplicitHammer::setup(&mut sys, pid, buffer, u64::MAX).expect("setup");
-            // Measure the per-iteration cost once.
-            let aggressors = vec![
-                hammer.buffer(),
-                hammer.buffer() + 2 * sys.machine().config().dram.geometry.row_span_bytes(),
-            ];
-            hammer
-                .hammer_iteration(&mut sys, pid, &aggressors, padding)
-                .expect("warmup");
-            let cycles_per_iteration = hammer
-                .hammer_iteration(&mut sys, pid, &aggressors, padding)
-                .expect("measure");
-            let config = ExplicitHammerConfig {
-                mode: ExplicitMode::ClflushDoubleSided,
-                nop_padding_cycles: padding,
-                rounds_per_target: if scale.full { 200_000 } else { 1_500 },
-                max_total_cycles: if scale.full {
-                    2_600_000_000_000
-                } else {
-                    400_000_000
-                },
-                seed,
+            let buffer = OnesBuffer::map(&mut sys, pid, len);
+            buffer.hammer(&mut sys, pid, buffer.pair(1, 0), padding, 1);
+            let cycles_per_iteration = buffer
+                .hammer(&mut sys, pid, buffer.pair(1, 0), padding, 1)
+                .total_cycles;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let start = sys.rdtsc();
+            let flip_cycles = loop {
+                let victim_row = rng.gen_range(1..buffer.rows().saturating_sub(1).max(2));
+                let offset = rng.gen_range(0..buffer.row_span / PAGE_SIZE) * PAGE_SIZE;
+                let pair = buffer.pair(victim_row, offset);
+                buffer.hammer(&mut sys, pid, pair, padding, rounds_per_target);
+                // Scan only the rows next to each aggressor, low first.
+                let mut neighbours = [pair.low, pair.high].into_iter().flat_map(|aggressor| {
+                    let row = (aggressor - buffer.base) / buffer.row_span;
+                    [row.checked_sub(1), Some(row + 1)].into_iter().flatten()
+                });
+                if neighbours.any(|row| {
+                    buffer
+                        .changed_lines(&mut sys, pid, row..row + 1)
+                        .next()
+                        .is_some()
+                }) {
+                    break Some(sys.rdtsc() - start);
+                }
+                if sys.rdtsc() - start > budget {
+                    break None;
+                }
             };
-            let result = hammer
-                .run_until_first_flip(&mut sys, pid, &config)
-                .expect("hammer run");
             Fig5Point {
                 padding_cycles: padding,
                 cycles_per_iteration,
-                seconds_to_first_flip: result.map(|f| f.cycles_until_flip as f64 / clock_hz),
+                seconds_to_first_flip: flip_cycles.map(|cycles| cycles as f64 / clock_hz),
             }
         })
         .collect()
@@ -675,18 +766,10 @@ pub fn anvil_eval(machine: MachineChoice, scale: ExperimentScale, seed: u64) -> 
     let explicit_rates = {
         let mut sys = boot(machine, scale, false, Box::new(DefaultPolicy::new()), seed);
         let pid = sys.spawn_process(1000).expect("spawn");
-        let hammer = ExplicitHammer::setup(&mut sys, pid, 16 << 20, u64::MAX).expect("setup");
-        let aggressors = vec![
-            hammer.buffer(),
-            hammer.buffer() + 2 * sys.machine().config().dram.geometry.row_span_bytes(),
-        ];
+        let buffer = OnesBuffer::map(&mut sys, pid, 16 << 20);
         let start_cycles = sys.rdtsc();
         let start = sys.machine().dram_stats().accesses;
-        for _ in 0..2_000 {
-            hammer
-                .hammer_iteration(&mut sys, pid, &aggressors, 0)
-                .expect("iteration");
-        }
+        buffer.hammer(&mut sys, pid, buffer.pair(1, 0), 0, 2_000);
         let window = sys.rdtsc() - start_cycles;
         let dram_accesses = sys.machine().dram_stats().accesses - start;
         // All of an explicit hammer's DRAM traffic comes from its own loads.
@@ -742,15 +825,12 @@ pub fn ablation_trr(machine: MachineChoice, scale: ExperimentScale, seed: u64) -
             Box::new(DefaultPolicy::new()),
         );
         let pid = sys.spawn_process(1000).expect("spawn");
-        let hammer = ExplicitHammer::setup(&mut sys, pid, 32 << 20, u64::MAX).expect("setup");
-        let row_span = sys.machine().config().dram.geometry.row_span_bytes();
-        let aggressors = vec![hammer.buffer(), hammer.buffer() + 2 * row_span];
-        for _ in 0..(if scale.full { 150_000 } else { 4_000 }) {
-            hammer
-                .hammer_iteration(&mut sys, pid, &aggressors, 0)
-                .expect("iteration");
-        }
-        hammer.scan_for_flips(&mut sys, pid).expect("scan").len()
+        let buffer = OnesBuffer::map(&mut sys, pid, 32 << 20);
+        let rounds = if scale.full { 150_000 } else { 4_000 };
+        buffer.hammer(&mut sys, pid, buffer.pair(1, 0), 0, rounds);
+        buffer
+            .changed_lines(&mut sys, pid, 0..buffer.rows())
+            .count()
     };
     let without = run(TrrConfig::disabled());
     let with_trr = run(TrrConfig::enabled(1_000, 16));

@@ -144,6 +144,9 @@ pub enum RoundOp {
     AccessData(Target),
     /// `clflush` the target's own cache line (explicit hammering).
     Clflush(Target),
+    /// Burn this many cycles without touching memory (the NOP padding of
+    /// the Figure 5 sweep).
+    Compute(u64),
 }
 
 /// Per-pair eviction state built by [`HammerStrategy::arm`].
@@ -210,6 +213,16 @@ pub struct RoundOutcome {
 }
 
 impl ArmedPair {
+    /// Arms `pair` for explicit hammering: no eviction state, so only
+    /// [`RoundOp::AccessData`], [`RoundOp::Clflush`] and [`RoundOp::Compute`]
+    /// resolve against it.
+    pub fn explicit(pair: HammerPair) -> Self {
+        Self {
+            pair,
+            state: ArmedState::Explicit,
+        }
+    }
+
     /// Arms an n-sided aggressor set for pattern hammering: `aggressors[i]`
     /// is addressed by [`Target::Aggressor`]`(i)` and hammered with
     /// `sets[i]`. Aggressor 0 must be `pair.low` and aggressor 1 `pair.high`
@@ -471,10 +484,7 @@ impl HammerStrategy for ExplicitDoubleSided {
         // No eviction sets and no same-bank gate: the attacker flushes its
         // own lines, which is all an explicit hammer can do.
         Ok(ArmResult {
-            armed: Some(ArmedPair {
-                pair,
-                state: ArmedState::Explicit,
-            }),
+            armed: Some(ArmedPair::explicit(pair)),
             tlb_selection_cycles: 0,
             llc_selection_cycles: 0,
             verification: None,

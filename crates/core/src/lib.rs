@@ -24,8 +24,9 @@
 //! * [`spray`] — page-table spraying.
 //! * [`pairs`] — double-sided pair selection and row-buffer-conflict
 //!   verification.
-//! * [`hammer`] — the implicit-hammer primitive, explicit baselines, and the
-//!   pluggable [`HammerStrategy`] layer selected by [`HammerMode`].
+//! * [`hammer`] — the implicit-hammer primitive and the pluggable
+//!   [`HammerStrategy`] layer selected by [`HammerMode`], the explicit
+//!   `clflush` baseline among its strategies.
 //! * [`trace`] — [`CompiledTrace`], the one executor every hammer loop runs
 //!   through.
 //! * [`detect`] / [`exploit`] — finding corrupted mappings and the
@@ -91,10 +92,7 @@ pub use eviction::{
     LlcCalibration, LlcEvictionPool, SelectedEvictionSet, TlbCalibration, TlbEvictionPool,
     TlbEvictionSet, TlbMapping, LLC_EVICTION_PASSES,
 };
-pub use hammer::{
-    ExplicitHammer, ExplicitHammerConfig, ExplicitMode, HammerMode, HammerStats, HammerStrategy,
-    ImplicitHammer, RoundOp, Target,
-};
+pub use hammer::{HammerMode, HammerStats, HammerStrategy, ImplicitHammer, RoundOp, Target};
 pub use pairs::{HammerPair, PairVerification};
 pub use pipeline::{AttackCtx, AttackPipeline};
 pub use report::{AttackOutcome, PageSetting, StageTimings};

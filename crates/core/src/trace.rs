@@ -9,7 +9,11 @@
 //! ([`System::access_batch_passes`] / [`System::touch`]) with no per-round
 //! matching, re-lookup, or allocation. [`CompiledTrace::hammer`] is the one
 //! round loop every caller shares: the hammer phase (including its Figure 6
-//! samples), the figure and ANVIL scenarios and the microbenchmarks.
+//! samples), the figure and ANVIL scenarios and the microbenchmarks. The
+//! explicit `clflush` baseline of Figure 5, the ANVIL contrast and the TRR
+//! ablation is a strategy schedule like any other: an
+//! [`ArmedPair::explicit`] pair hammered with the explicit double-sided ops,
+//! padded by a [`RoundOp::Compute`] step.
 //!
 //! # Lifecycle: compile → step → fast rounds → step
 //!
@@ -114,6 +118,8 @@ enum TraceStep {
     Access { addr: VirtAddr },
     /// A `clflush` of the target's line (explicit hammering).
     Clflush { addr: VirtAddr },
+    /// Computation that touches no memory (padding).
+    Compute { cycles: u64 },
 }
 
 /// A strategy's per-round schedule with every target resolved to flat,
@@ -184,6 +190,7 @@ impl CompiledTrace {
                 RoundOp::Clflush(t) => TraceStep::Clflush {
                     addr: armed.addr(*t)?,
                 },
+                RoundOp::Compute(cycles) => TraceStep::Compute { cycles: *cycles },
             });
         }
         let mut trace = Self {
@@ -203,7 +210,7 @@ impl CompiledTrace {
         let cr3 = sys.process(pid).ok_or(KernelError::NoSuchProcess(pid))?.cr3;
         let mut vaddrs = self.addrs.clone();
         vaddrs.extend(self.steps.iter().filter_map(|step| match *step {
-            TraceStep::Batch { .. } => None,
+            TraceStep::Batch { .. } | TraceStep::Compute { .. } => None,
             TraceStep::Touch { addr, .. }
             | TraceStep::Access { addr }
             | TraceStep::Clflush { addr } => Some(addr),
@@ -260,6 +267,7 @@ impl CompiledTrace {
                 TraceStep::Clflush { addr } => {
                     sys.clflush(pid, *addr)?;
                 }
+                TraceStep::Compute { cycles } => sys.advance_cycles(*cycles),
             }
         }
         Ok(RoundOutcome {
@@ -813,6 +821,7 @@ impl ArmedPair {
                 RoundOp::Clflush(t) => {
                     sys.clflush(pid, self.addr(*t)?)?;
                 }
+                RoundOp::Compute(cycles) => sys.advance_cycles(*cycles),
             }
         }
         Ok(RoundOutcome {
@@ -829,11 +838,46 @@ mod tests {
     use super::*;
     use crate::config::AttackConfig;
     use crate::hammer::strategy::tests::{armed_for, tiny_config, tiny_system};
-    use crate::hammer::strategy::HammerMode;
+    use crate::hammer::strategy::{ExplicitDoubleSided, HammerMode, HammerStrategy};
+    use crate::pairs::HammerPair;
     use proptest::prelude::*;
     use pthammer_dram::FlipModelProfile;
-    use pthammer_kernel::{DefaultPolicy, KernelConfig};
+    use pthammer_kernel::{DefaultPolicy, KernelConfig, MmapOptions, VmaBacking};
     use pthammer_machine::MachineConfig;
+    use pthammer_types::PAGE_SIZE;
+
+    /// Maps a populated `len`-byte buffer of ones for `pid` and arms the
+    /// first explicit pair in it whose two pages sit two rows apart in one
+    /// DRAM bank, so the row between them is hammered double-sided.
+    pub(super) fn explicit_buffer_pair(sys: &mut System, pid: Pid, len: u64) -> ArmedPair {
+        let options = MmapOptions {
+            populate: true,
+            backing: VmaBacking::Anonymous {
+                fill_pattern: u64::MAX,
+            },
+            ..MmapOptions::default()
+        };
+        let base = sys.mmap(pid, len, options).expect("map");
+        let row_span = sys.machine().config().dram.geometry.row_span_bytes();
+        let dram = sys.machine().dram();
+        let locate = |vaddr| {
+            let location = dram.locate(sys.oracle_translate(pid, vaddr).expect("populated"));
+            (dram.bank_unit(&location), location.row)
+        };
+        let pair = (0..(len - 2 * row_span) / PAGE_SIZE)
+            .map(|page| base + page * PAGE_SIZE)
+            .map(|low| HammerPair {
+                low,
+                high: low + 2 * row_span,
+            })
+            .find(|pair| {
+                let ((low_bank, low_row), (high_bank, high_row)) =
+                    (locate(pair.low), locate(pair.high));
+                low_bank == high_bank && low_row + 2 == high_row
+            })
+            .expect("a same-bank pair two rows apart");
+        ArmedPair::explicit(pair)
+    }
 
     /// Compiles `ops` for `armed` and hammers `rounds` iterations through
     /// the shared round loop, collecting every iteration's cycle cost.
@@ -907,6 +951,26 @@ mod tests {
         );
     }
 
+    /// A `Compute` step costs its cycles on top of a warm explicit round.
+    #[test]
+    fn iteration_cost_grows_with_padding() {
+        let (mut sys, pid) = tiny_system(33);
+        let armed = explicit_buffer_pair(&mut sys, pid, 1 << 20);
+        let plain = ExplicitDoubleSided.round_ops().to_vec();
+        let mut padded = plain.clone();
+        padded.push(RoundOp::Compute(1_000));
+        // Warm up translations and caches first so the comparison measures
+        // the steady-state round rather than cold misses.
+        let (_, warm) = hammer(&armed, &plain, &mut sys, pid, 2);
+        let (_, padded) = hammer(&armed, &padded, &mut sys, pid, 1);
+        assert!(
+            padded[0] >= warm[1] + 1_000,
+            "plain {}, padded {}",
+            warm[1],
+            padded[0]
+        );
+    }
+
     /// Boots a TestSmall system, prepares the attack and arms the first
     /// armable candidate pair for `mode`. Fully deterministic in `(mode,
     /// seed)`, so calling it twice yields two systems in bit-identical
@@ -968,12 +1032,13 @@ mod tests {
             prop_assert_eq!(counters(&interpreted), counters(&compiled));
 
             let strategy = mode.strategy();
-            let vocabulary = strategy.round_ops();
+            let mut vocabulary = strategy.round_ops().to_vec();
             // The strategy's own schedule first, then randomized
-            // rearrangements (with repetition) of its op vocabulary — every
-            // op stays valid for the armed state while order and intensity
-            // vary freely.
-            let mut runs: Vec<Vec<RoundOp>> = vec![vocabulary.to_vec()];
+            // rearrangements (with repetition) of its op vocabulary plus a
+            // padding step — every op stays valid for the armed state while
+            // order and intensity vary freely.
+            let mut runs: Vec<Vec<RoundOp>> = vec![vocabulary.clone()];
+            vocabulary.push(RoundOp::Compute(700));
             runs.extend(schedules.iter().map(|indices| {
                 indices.iter().map(|&i| vocabulary[i % vocabulary.len()]).collect()
             }));
@@ -1005,7 +1070,7 @@ mod fast_forward_tests {
     use super::*;
     use crate::config::AttackConfig;
     use crate::hammer::strategy::tests::armed_for;
-    use crate::hammer::strategy::{HammerMode, HammerStrategy};
+    use crate::hammer::strategy::{ExplicitDoubleSided, HammerMode, HammerStrategy};
     use proptest::prelude::*;
     use pthammer_dram::FlipModelProfile;
     use pthammer_kernel::{DefaultPolicy, KernelConfig, MmapOptions};
@@ -1049,7 +1114,7 @@ mod fast_forward_tests {
     struct Twin {
         sys: System,
         pid: Pid,
-        strategy: Box<dyn HammerStrategy>,
+        ops: Vec<RoundOp>,
         armed: ArmedPair,
         trace: CompiledTrace,
     }
@@ -1058,21 +1123,15 @@ mod fast_forward_tests {
         fn new(board: Board, mode: HammerMode, seed: u64) -> Self {
             let (mut sys, pid) = boot(board, seed);
             let (strategy, armed) = armed_for(mode, &mut sys, pid, &attack_config(seed));
-            Self::armed(sys, pid, strategy, armed)
+            Self::armed(sys, pid, strategy.round_ops().to_vec(), armed)
         }
 
-        fn armed(
-            sys: System,
-            pid: Pid,
-            strategy: Box<dyn HammerStrategy>,
-            armed: ArmedPair,
-        ) -> Self {
-            let trace =
-                CompiledTrace::compile(&armed, strategy.round_ops(), &sys, pid).expect("compile");
+        fn armed(sys: System, pid: Pid, ops: Vec<RoundOp>, armed: ArmedPair) -> Self {
+            let trace = CompiledTrace::compile(&armed, &ops, &sys, pid).expect("compile");
             Self {
                 sys,
                 pid,
-                strategy,
+                ops,
                 armed,
                 trace,
             }
@@ -1087,8 +1146,7 @@ mod fast_forward_tests {
             fast: bool,
         ) -> Result<(HammerStats, Vec<(RoundOutcome, bool)>), AttackError> {
             let mut outcomes = Vec::new();
-            let ops = self.strategy.round_ops();
-            let (armed, sys, pid) = (&self.armed, &mut self.sys, self.pid);
+            let (armed, ops, sys, pid) = (&self.armed, &self.ops, &mut self.sys, self.pid);
             let stats = if fast {
                 self.trace
                     .hammer_observed(armed, ops, sys, pid, rounds, |round, fast| {
@@ -1247,6 +1305,33 @@ mod fast_forward_tests {
                 );
             }
         }
+    }
+
+    /// The Figure 5 round — an explicit pair on a buffer of ones, padded by
+    /// `Compute` — fast-forwards exactly: fast rounds skip the padding with
+    /// the rest of the non-DRAM work, across refresh rollovers and the
+    /// victim row's flips.
+    #[test]
+    fn padded_explicit_rounds_fast_forward_exactly() {
+        let twin = || {
+            let (mut sys, pid) = boot(Board::CiSmall, 7);
+            let armed = super::tests::explicit_buffer_pair(&mut sys, pid, 1 << 20);
+            let mut ops = ExplicitDoubleSided.round_ops().to_vec();
+            ops.push(RoundOp::Compute(1_000));
+            Twin::armed(sys, pid, ops, armed)
+        };
+        let mut twins = Twins {
+            fast: twin(),
+            stepped: twin(),
+        };
+        twins.assert_same_state();
+        let before = twins.fast.dram();
+        let stats = twins.hammer(3_000);
+        let after = twins.fast.dram();
+        assert!(after.refresh_windows > before.refresh_windows);
+        assert!(after.flips > before.flips, "no flip applied");
+        assert!(stats.fast_forwarded_rounds > 0, "{stats:?}");
+        assert!(stats.min_round_cycles > 1_000, "{stats:?}");
     }
 
     /// The budget runs out while the loop is fast-forwarding: the fast twin
@@ -1427,7 +1512,7 @@ mod fast_forward_tests {
             .armed
             .expect("single-sided arming accepts every pair");
         Some((
-            Twin::armed(sys, pid, Box::new(ImplicitSingleSided), armed),
+            Twin::armed(sys, pid, ImplicitSingleSided.round_ops().to_vec(), armed),
             entry,
         ))
     }

@@ -15,12 +15,14 @@
 
 mod common;
 
-use pthammer_bench::repro::Artifact::{self, Defenses, Escalation, Fig5, Fig6, Table2};
+use pthammer_bench::repro::Artifact::{self, Defenses, Escalation, Fig6, Table2};
 use pthammer_bench::repro::{render, Flags};
 use pthammer_bench::{scenarios, ExperimentScale, MachineChoice};
 
-/// The artifacts that take ~35 s together in debug.
-const SLOW: [Artifact; 5] = [Fig5, Fig6, Table2, Escalation, Defenses];
+/// The artifacts that take ~35 s together in debug. Figure 5 is not among
+/// them: its explicit hammer fast-forwards, so the debug tier (overflow
+/// checks on) runs the padded fast path on every change.
+const SLOW: [Artifact; 4] = [Fig6, Table2, Escalation, Defenses];
 
 fn matches_golden(artifact: Artifact) {
     let mut out = Vec::new();
