@@ -19,9 +19,10 @@
 //!   against this.
 //! * `perf_report --only <name>` (repeatable) — restrict the run to the
 //!   named workloads. With `--check` the subset is compared against the
-//!   matching baseline entries; without it the results are printed but the
-//!   baseline is left untouched (a subset can never refresh it). Unknown
-//!   names fail fast, listing the known workloads.
+//!   matching baseline entries. With `--update` the named workloads' entries
+//!   of the baseline are replaced and every other byte of it is left as it
+//!   is. With neither, the results are printed and the baseline is left
+//!   untouched. Unknown names fail fast, listing the known workloads.
 //!
 //! See `PERF.md` for the schema and the refresh workflow.
 
@@ -581,15 +582,58 @@ fn main() -> ExitCode {
         std::fs::write(&path, report.to_canonical_json()).expect("write BENCH_perf.json");
         println!("wrote {}", path.display());
         ExitCode::SUCCESS
+    } else if args.iter().any(|a| a == "--update") {
+        let spliced = std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))
+            .and_then(|committed| splice_into(&report, &committed));
+        match spliced {
+            Ok(text) => {
+                std::fs::write(&path, text).expect("write BENCH_perf.json");
+                println!(
+                    "replaced {} of {} workloads in {}",
+                    selected.len(),
+                    registry.len(),
+                    path.display()
+                );
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("{e}");
+                ExitCode::FAILURE
+            }
+        }
     } else {
         println!(
             "subset run ({} of {} workloads): BENCH_perf.json left untouched; \
-             a full `--update` run refreshes the baseline",
+             `--update` replaces these workloads' entries",
             selected.len(),
             registry.len(),
         );
         ExitCode::SUCCESS
     }
+}
+
+/// The committed baseline with the entries of `report`'s workloads replaced
+/// and every other byte kept. The baseline must be canonical (as a full
+/// `--update` writes it), so that re-emitting it moves only those entries.
+fn splice_into(report: &PerfReport, committed: &str) -> Result<String, String> {
+    check_baseline_names(committed)?;
+    let mut baseline = parse_baseline(committed)?;
+    if baseline.to_canonical_json() != committed {
+        return Err(
+            "BENCH_perf.json is not canonical; a full `--update` run rewrites it".to_string(),
+        );
+    }
+    for workload in &report.workloads {
+        if let Some(entry) = baseline
+            .workloads
+            .iter_mut()
+            .find(|w| w.name == workload.name)
+        {
+            *entry = workload.clone();
+        }
+    }
+    Ok(baseline.to_canonical_json())
 }
 
 /// Compares a subset report's counters against the matching workloads of the
@@ -629,4 +673,42 @@ fn check_subset_against(report: &PerfReport, committed: &str) -> Result<(), Stri
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn baseline(wall_ns: u64) -> PerfReport {
+        PerfReport::new(
+            workload_names()
+                .iter()
+                .map(|name| WorkloadPerf::new(name, BTreeMap::from([("walks".into(), 7)]), wall_ns))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn a_subset_update_replaces_only_its_entries() {
+        let committed = baseline(1).to_canonical_json();
+        let name = &workload_names()[1];
+        let fresh = PerfReport::new(vec![WorkloadPerf::new(
+            name,
+            BTreeMap::from([("walks".into(), 7)]),
+            2,
+        )]);
+        let spliced = splice_into(&fresh, &committed).unwrap();
+        let changed: Vec<(&str, &str)> = committed
+            .lines()
+            .zip(spliced.lines())
+            .filter(|(a, b)| a != b)
+            .collect();
+        assert_eq!(committed.lines().count(), spliced.lines().count());
+        assert_eq!(changed, [("      \"wall_ns\": 1", "      \"wall_ns\": 2")]);
+        let position = spliced.find("\"wall_ns\": 2").unwrap();
+        assert!(spliced[..position].contains(name.as_str()));
+        assert!(!spliced[..position].contains(workload_names()[2].as_str()));
+        // A hand-edited (non-canonical) baseline is refused, not rewritten.
+        assert!(splice_into(&fresh, &committed.replace("\n  ", "\n ")).is_err());
+    }
 }

@@ -972,8 +972,8 @@ mod tests {
     }
 
     /// Figure 6 and the ANVIL window on TestSmall, pinned to the values the
-    /// historical `ImplicitHammer` loop produced: moving them onto strategy
-    /// arming and the compiled-trace round loop must not change a sample.
+    /// paper's implicit loop has always produced: a change to strategy
+    /// arming or the compiled-trace round loop must not move a sample.
     #[test]
     fn fig6_and_anvil_outputs_are_pinned() {
         assert_eq!(

@@ -15,7 +15,7 @@
 //! byte-identical to a run with many.
 
 use crate::detect::FlipFinding;
-use crate::hammer::implicit::HammerStats;
+use crate::hammer::HammerStats;
 use crate::pairs::{HammerPair, PairVerification};
 use crate::report::StageTimings;
 use crate::victim::VictimOutcome;

@@ -1,13 +1,17 @@
-//! Hammering primitives: the implicit (PThammer) primitive and the
-//! pluggable strategy layer the attack pipeline selects between. The
-//! explicit `clflush` baseline it is compared against (Section II-B) is the
+//! Hammering: the pluggable strategy layer the attack pipeline selects
+//! between. Every implicit (PThammer) strategy arms its aggressors through
+//! [`strategy::arm_implicit`]: one Algorithm 1 TLB eviction set and one
+//! Algorithm 2 LLC eviction set per aggressor, kept as an
+//! [`ArmedAggressor`] list on the [`ArmedPair`]. The explicit `clflush`
+//! baseline it is compared against (Section II-B) is the
 //! [`ExplicitDoubleSided`](strategy::ExplicitDoubleSided) schedule on an
 //! [`ArmedPair::explicit`] pair, padded by [`RoundOp::Compute`] for Figure 5.
+//! [`crate::trace::CompiledTrace`] runs every schedule and accumulates its
+//! [`HammerStats`].
 
-pub mod implicit;
 pub mod strategy;
 
-pub use implicit::{HammerStats, ImplicitHammer};
+pub use crate::trace::HammerStats;
 pub use strategy::{
-    ArmResult, ArmedPair, HammerMode, HammerStrategy, RoundOp, RoundOutcome, Target,
+    ArmResult, ArmedAggressor, ArmedPair, HammerMode, HammerStrategy, RoundOp, RoundOutcome, Target,
 };

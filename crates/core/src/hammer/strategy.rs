@@ -7,7 +7,8 @@
 //! [`HammerStrategy`] decides, per candidate pair, how eviction state is
 //! built ([`HammerStrategy::arm`]), whether the pair is accepted, and which
 //! exact per-iteration touch pattern ([`HammerStrategy::round_ops`]) the
-//! hammer phase executes.
+//! hammer phase executes. Every implicit strategy arms through
+//! [`arm_implicit`], which gives each aggressor an [`ArmedAggressor`].
 //!
 //! Four strategies are provided, selected by [`HammerMode`]:
 //!
@@ -34,7 +35,6 @@ use crate::config::AttackConfig;
 use crate::error::AttackError;
 use crate::eviction::llc::SelectedEvictionSet;
 use crate::eviction::tlb::TlbEvictionSet;
-use crate::hammer::implicit::ImplicitHammer;
 use crate::pairs::{verify_same_bank, HammerPair, PairVerification};
 use crate::pipeline::PreparedAttack;
 
@@ -154,43 +154,35 @@ pub enum RoundOp {
 pub struct ArmedPair {
     /// The pair being hammered.
     pub pair: HammerPair,
-    /// Strategy-specific eviction state.
-    state: ArmedState,
+    /// The armed aggressors in [`Target`] index order: none for explicit
+    /// hammering, `[low]` for one-location, `[low, high]` for the double-
+    /// and single-sided strategies and one per aggressor for patterns.
+    aggressors: Vec<ArmedAggressor>,
 }
 
-/// What an armed pair carries, by strategy family.
+/// One implicit aggressor as the paper arms it (Sections III-B and III-C):
+/// the Algorithm 1 TLB eviction set of its page and the Algorithm 2 LLC
+/// eviction set of its Level-1 PTE.
 #[derive(Debug, Clone, PartialEq)]
-enum ArmedState {
-    /// Both targets fully armed (double-/single-sided implicit hammering).
-    Implicit(ImplicitHammer),
-    /// Only the low target armed (one-location hammering).
-    ImplicitLow {
-        /// TLB eviction set for the low target.
-        tlb: TlbEvictionSet,
-        /// LLC eviction set for the low target's L1PTE.
-        llc: SelectedEvictionSet,
-    },
-    /// No eviction state (explicit hammering).
-    Explicit,
-    /// An n-sided aggressor set, each aggressor fully armed (pattern
-    /// hammering). Aggressor 0 is the base pair's low target, aggressor 1
-    /// its high target.
-    Multi {
-        /// Virtual address of every aggressor, in pattern index order.
-        aggressors: Vec<VirtAddr>,
-        /// Per-aggressor `(TLB set, LLC set)` eviction state, parallel to
-        /// `aggressors`.
-        sets: Vec<(TlbEvictionSet, SelectedEvictionSet)>,
-    },
+pub struct ArmedAggressor {
+    /// The address whose touch makes the page walk load the L1PTE.
+    pub va: VirtAddr,
+    /// TLB eviction set for `va` (Algorithm 1).
+    pub tlb: TlbEvictionSet,
+    /// LLC eviction set for `va`'s L1PTE (Algorithm 2).
+    pub llc: SelectedEvictionSet,
 }
 
-/// Result of arming one candidate pair.
-#[derive(Debug, Clone, PartialEq)]
+/// Result of arming one candidate pair. The default is a candidate rejected
+/// before any selection ran.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ArmResult {
     /// The armed pair, or `None` when the strategy rejected the candidate
     /// (e.g. the same-bank verification failed).
     pub armed: Option<ArmedPair>,
-    /// Simulated cycles spent drawing TLB eviction sets.
+    /// Simulated cycles spent drawing TLB eviction sets. Reads 0 in this
+    /// model: a draw is pool-local and makes no simulated access, which is
+    /// why Table II's `TLBsel(us)` column is 0.00.
     pub tlb_selection_cycles: u64,
     /// Simulated cycles spent on LLC eviction-set selection (Algorithm 2).
     pub llc_selection_cycles: u64,
@@ -219,117 +211,109 @@ impl ArmedPair {
     pub fn explicit(pair: HammerPair) -> Self {
         Self {
             pair,
-            state: ArmedState::Explicit,
+            aggressors: Vec::new(),
         }
     }
 
-    /// Arms an n-sided aggressor set for pattern hammering: `aggressors[i]`
-    /// is addressed by [`Target::Aggressor`]`(i)` and hammered with
-    /// `sets[i]`. Aggressor 0 must be `pair.low` and aggressor 1 `pair.high`
-    /// (the timing-verified base pair the detection phase scans around).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `aggressors` and `sets` differ in length, fewer than two
-    /// aggressors are supplied, or the first two aggressors are not the base
-    /// pair.
-    pub fn multi(
-        pair: HammerPair,
-        aggressors: Vec<VirtAddr>,
-        sets: Vec<(TlbEvictionSet, SelectedEvictionSet)>,
-    ) -> Self {
-        assert_eq!(
-            aggressors.len(),
-            sets.len(),
-            "one eviction-set pair per aggressor"
-        );
-        assert!(aggressors.len() >= 2, "a pattern needs the base pair");
-        assert_eq!(aggressors[0], pair.low, "aggressor 0 is the base low");
-        assert_eq!(aggressors[1], pair.high, "aggressor 1 is the base high");
-        Self {
-            pair,
-            state: ArmedState::Multi { aggressors, sets },
-        }
+    /// The armed aggressor `target` names: entry 0 for [`Target::Low`], 1
+    /// for [`Target::High`] and `i` for [`Target::Aggressor`]`(i)`. The
+    /// trace compiler ([`crate::trace::CompiledTrace`]) hoists this lookup
+    /// out of the per-round loop.
+    pub(crate) fn aggressor(&self, target: Target) -> Result<&ArmedAggressor, AttackError> {
+        let index = match target {
+            Target::Low => 0,
+            Target::High => 1,
+            Target::Aggressor(i) => usize::from(i),
+        };
+        self.aggressors.get(index).ok_or_else(|| {
+            AttackError::EvictionSetUnavailable(format!(
+                "{target:?} is not armed: the strategy armed {} aggressors",
+                self.aggressors.len()
+            ))
+        })
     }
 
-    fn low_sets(&self) -> Result<(&TlbEvictionSet, &SelectedEvictionSet), AttackError> {
-        match &self.state {
-            ArmedState::Implicit(h) => Ok((&h.tlb_low, &h.llc_low)),
-            ArmedState::ImplicitLow { tlb, llc } => Ok((tlb, llc)),
-            ArmedState::Multi { sets, .. } => Ok((&sets[0].0, &sets[0].1)),
-            ArmedState::Explicit => Err(AttackError::EvictionSetUnavailable(
-                "explicit strategy has no eviction sets".to_string(),
-            )),
-        }
-    }
-
-    fn high_sets(&self) -> Result<(&TlbEvictionSet, &SelectedEvictionSet), AttackError> {
-        match &self.state {
-            ArmedState::Implicit(h) => Ok((&h.tlb_high, &h.llc_high)),
-            ArmedState::Multi { sets, .. } => Ok((&sets[1].0, &sets[1].1)),
-            ArmedState::ImplicitLow { .. } | ArmedState::Explicit => {
-                Err(AttackError::EvictionSetUnavailable(
-                    "strategy did not arm the high target".to_string(),
-                ))
-            }
-        }
-    }
-
-    fn aggressor_sets(
-        &self,
-        index: u8,
-    ) -> Result<(&TlbEvictionSet, &SelectedEvictionSet), AttackError> {
-        match &self.state {
-            ArmedState::Multi { sets, .. } => sets
-                .get(usize::from(index))
-                .map(|(tlb, llc)| (tlb, llc))
-                .ok_or_else(|| {
-                    AttackError::EvictionSetUnavailable(format!(
-                        "pattern armed {} aggressors, op addresses index {index}",
-                        sets.len()
-                    ))
-                }),
-            _ => Err(AttackError::EvictionSetUnavailable(
-                "strategy did not arm an aggressor set".to_string(),
-            )),
-        }
-    }
-
-    /// The armed `(TLB, LLC)` eviction sets for `target` — the resolution
-    /// the trace compiler ([`crate::trace::CompiledTrace`]) hoists out of
-    /// the per-round loop.
-    pub(crate) fn sets_for(
-        &self,
-        target: Target,
-    ) -> Result<(&TlbEvictionSet, &SelectedEvictionSet), AttackError> {
-        match target {
-            Target::Low => self.low_sets(),
-            Target::High => self.high_sets(),
-            Target::Aggressor(i) => self.aggressor_sets(i),
-        }
-    }
-
-    /// The virtual address `target` resolves to, likewise hoisted to
-    /// compile time by the trace compiler.
-    pub(crate) fn addr(&self, target: Target) -> Result<VirtAddr, AttackError> {
+    /// The address a data access or `clflush` of `target` goes to: the pair
+    /// members for [`Target::Low`] and [`Target::High`], which explicit
+    /// pairs hammer without arming them.
+    pub(crate) fn data_addr(&self, target: Target) -> Result<VirtAddr, AttackError> {
         match target {
             Target::Low => Ok(self.pair.low),
             Target::High => Ok(self.pair.high),
-            Target::Aggressor(i) => match &self.state {
-                ArmedState::Multi { aggressors, .. } => {
-                    aggressors.get(usize::from(i)).copied().ok_or_else(|| {
-                        AttackError::EvictionSetUnavailable(format!(
-                            "pattern armed {} aggressors, op addresses index {i}",
-                            aggressors.len()
-                        ))
-                    })
-                }
-                _ => Err(AttackError::EvictionSetUnavailable(
-                    "strategy did not arm an aggressor set".to_string(),
-                )),
-            },
+            Target::Aggressor(_) => self.aggressor(target).map(|a| a.va),
         }
     }
+}
+
+/// Arms `aggressors` for implicit hammering; every implicit strategy arms
+/// through this. Aggressor 0 must be `pair.low` and aggressor 1, if given,
+/// `pair.high`.
+///
+/// It draws every aggressor's TLB eviction set first (pool-local, no
+/// simulated access), so an empty draw fails before any simulated work.
+/// Then it runs Algorithm 2 for each aggressor's L1PTE in index order. With
+/// a `conflict_threshold`, every aggressor after the first is probed
+/// against aggressor 0 for a row-buffer conflict (same bank) as soon as it
+/// is armed. The first failed probe rejects the candidate and is reported;
+/// otherwise the base pair's probe is.
+///
+/// # Panics
+///
+/// Panics if the first aggressors are not the pair's targets.
+pub fn arm_implicit(
+    sys: &mut System,
+    pid: Pid,
+    pair: HammerPair,
+    aggressors: &[VirtAddr],
+    prepared: &PreparedAttack,
+    config: &AttackConfig,
+    conflict_threshold: Option<u64>,
+) -> Result<ArmResult, AttackError> {
+    assert!(
+        aggressors.first() == Some(&pair.low) && aggressors.get(1).is_none_or(|&v| v == pair.high),
+        "aggressors 0 and 1 are the pair's low and high targets"
+    );
+    let start = sys.rdtsc();
+    let tlb_sets: Vec<TlbEvictionSet> = aggressors
+        .iter()
+        .map(|&va| prepared.tlb_pool.minimal_eviction_set_for(va))
+        .collect();
+    let mut result = ArmResult {
+        tlb_selection_cycles: sys.rdtsc() - start,
+        ..ArmResult::default()
+    };
+    if tlb_sets.iter().any(TlbEvictionSet::is_empty) {
+        return Err(AttackError::EvictionSetUnavailable(
+            "TLB eviction pool has no pages for an aggressor's sets".to_string(),
+        ));
+    }
+    let mut armed = Vec::with_capacity(aggressors.len());
+    for (&va, tlb) in aggressors.iter().zip(tlb_sets) {
+        let llc =
+            prepared
+                .llc_pool
+                .select_for_l1pte(sys, pid, va, &tlb, config.llc_profile_trials)?;
+        result.llc_selection_cycles += llc.selection_cycles;
+        armed.push(ArmedAggressor { va, tlb, llc });
+        if let (Some(threshold), [base, .., newest]) = (conflict_threshold, armed.as_slice()) {
+            let (low, high) = if base.va <= newest.va {
+                (base, newest)
+            } else {
+                (newest, base)
+            };
+            let probe = verify_same_bank(sys, pid, low, high, threshold)?;
+            if !probe.same_bank {
+                result.verification = Some(probe);
+                return Ok(result);
+            }
+            result.verification.get_or_insert(probe);
+        }
+    }
+    result.armed = Some(ArmedPair {
+        pair,
+        aggressors: armed,
+    });
+    Ok(result)
 }
 
 /// A hammer strategy: how one candidate pair is armed, gated and hammered.
@@ -371,20 +355,6 @@ pub trait HammerStrategy: fmt::Debug + Send {
     ) -> Result<ArmResult, AttackError>;
 }
 
-/// Times the (pool-local, side-effect-free) TLB eviction-set draws for both
-/// targets, mirroring the historical driver's selection bookkeeping.
-fn timed_tlb_draw(
-    sys: &System,
-    prepared: &PreparedAttack,
-    pair: HammerPair,
-    both: bool,
-) -> (u64, TlbEvictionSet, Option<TlbEvictionSet>) {
-    let start = sys.rdtsc();
-    let low = prepared.tlb_pool.minimal_eviction_set_for(pair.low);
-    let high = both.then(|| prepared.tlb_pool.minimal_eviction_set_for(pair.high));
-    (sys.rdtsc() - start, low, high)
-}
-
 /// The paper's implicit double-sided strategy (the default mode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ImplicitDoubleSided;
@@ -418,37 +388,15 @@ impl HammerStrategy for ImplicitDoubleSided {
         config: &AttackConfig,
         conflict_threshold: u64,
     ) -> Result<ArmResult, AttackError> {
-        let (tlb_selection_cycles, _, _) = timed_tlb_draw(sys, prepared, pair, true);
-        let hammer = ImplicitHammer::prepare(
+        arm_implicit(
             sys,
             pid,
             pair,
-            &prepared.tlb_pool,
-            &prepared.llc_pool,
-            config.llc_profile_trials,
-        )?;
-        let llc_selection_cycles = hammer.selection_cycles();
-        let verification = verify_same_bank(
-            sys,
-            pid,
-            pair,
-            &hammer.tlb_low,
-            &hammer.tlb_high,
-            &hammer.llc_low,
-            &hammer.llc_high,
-            conflict_threshold,
-            5,
-        )?;
-        let armed = verification.same_bank.then_some(ArmedPair {
-            pair,
-            state: ArmedState::Implicit(hammer),
-        });
-        Ok(ArmResult {
-            armed,
-            tlb_selection_cycles,
-            llc_selection_cycles,
-            verification: Some(verification),
-        })
+            &[pair.low, pair.high],
+            prepared,
+            config,
+            Some(conflict_threshold),
+        )
     }
 }
 
@@ -485,9 +433,7 @@ impl HammerStrategy for ExplicitDoubleSided {
         // own lines, which is all an explicit hammer can do.
         Ok(ArmResult {
             armed: Some(ArmedPair::explicit(pair)),
-            tlb_selection_cycles: 0,
-            llc_selection_cycles: 0,
-            verification: None,
+            ..ArmResult::default()
         })
     }
 }
@@ -516,25 +462,15 @@ impl HammerStrategy for ImplicitSingleSided {
         config: &AttackConfig,
         _conflict_threshold: u64,
     ) -> Result<ArmResult, AttackError> {
-        let (tlb_selection_cycles, _, _) = timed_tlb_draw(sys, prepared, pair, true);
-        let hammer = ImplicitHammer::prepare(
+        arm_implicit(
             sys,
             pid,
             pair,
-            &prepared.tlb_pool,
-            &prepared.llc_pool,
-            config.llc_profile_trials,
-        )?;
-        let llc_selection_cycles = hammer.selection_cycles();
-        Ok(ArmResult {
-            armed: Some(ArmedPair {
-                pair,
-                state: ArmedState::Implicit(hammer),
-            }),
-            tlb_selection_cycles,
-            llc_selection_cycles,
-            verification: None,
-        })
+            &[pair.low, pair.high],
+            prepared,
+            config,
+            None,
+        )
     }
 }
 
@@ -568,29 +504,7 @@ impl HammerStrategy for ImplicitOneLocation {
         config: &AttackConfig,
         _conflict_threshold: u64,
     ) -> Result<ArmResult, AttackError> {
-        let (tlb_selection_cycles, tlb_low, _) = timed_tlb_draw(sys, prepared, pair, false);
-        if tlb_low.is_empty() {
-            return Err(AttackError::EvictionSetUnavailable(
-                "TLB eviction pool has no pages for the target's sets".to_string(),
-            ));
-        }
-        let llc = prepared.llc_pool.select_for_l1pte(
-            sys,
-            pid,
-            pair.low,
-            &tlb_low,
-            config.llc_profile_trials,
-        )?;
-        let llc_selection_cycles = llc.selection_cycles;
-        Ok(ArmResult {
-            armed: Some(ArmedPair {
-                pair,
-                state: ArmedState::ImplicitLow { tlb: tlb_low, llc },
-            }),
-            tlb_selection_cycles,
-            llc_selection_cycles,
-            verification: None,
-        })
+        arm_implicit(sys, pid, pair, &[pair.low], prepared, config, None)
     }
 }
 
@@ -728,11 +642,24 @@ pub(crate) mod tests {
             .unwrap();
         assert!(round.low_dram, "the single implicit load must reach DRAM");
         assert!(!round.high_dram, "the high target is never touched");
-        // The armed pair has no high-target sets: compiling the double-sided
-        // pattern against it is a usage error, not silent misbehavior.
-        assert!(
-            CompiledTrace::compile(&armed, ImplicitDoubleSided.round_ops(), &sys, pid).is_err()
-        );
+        // Addressing a target the strategy never armed is a usage error, not
+        // silent misbehavior: the double-sided pattern's high target, any
+        // eviction op on an explicit pair, and the aggressor one past the
+        // armed count.
+        let explicit = ArmedPair::explicit(armed.pair);
+        for (pair, ops) in [
+            (&armed, ImplicitDoubleSided.round_ops()),
+            (&explicit, &[RoundOp::EvictTlb(Target::Low)][..]),
+            (&armed, &[RoundOp::EvictLlc(Target::Aggressor(1))][..]),
+        ] {
+            assert!(
+                matches!(
+                    CompiledTrace::compile(pair, ops, &sys, pid),
+                    Err(AttackError::EvictionSetUnavailable(_))
+                ),
+                "{ops:?}"
+            );
+        }
     }
 
     #[test]

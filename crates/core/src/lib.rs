@@ -24,11 +24,12 @@
 //! * [`spray`] — page-table spraying.
 //! * [`pairs`] — double-sided pair selection and row-buffer-conflict
 //!   verification.
-//! * [`hammer`] — the implicit-hammer primitive and the pluggable
-//!   [`HammerStrategy`] layer selected by [`HammerMode`], the explicit
-//!   `clflush` baseline among its strategies.
+//! * [`hammer`] — the pluggable [`HammerStrategy`] layer selected by
+//!   [`HammerMode`], the explicit `clflush` baseline among its strategies.
+//!   Every implicit strategy arms its aggressors through one helper into
+//!   one per-aggressor eviction-set list.
 //! * [`trace`] — [`CompiledTrace`], the one executor every hammer loop runs
-//!   through.
+//!   through, and the [`HammerStats`] it accumulates.
 //! * [`detect`] / [`exploit`] — finding corrupted mappings and the
 //!   exploitation primitives behind the victims.
 //! * [`victim`] — the victim & exploitation layer: the [`Victim`] trait's
@@ -92,7 +93,7 @@ pub use eviction::{
     LlcCalibration, LlcEvictionPool, SelectedEvictionSet, TlbCalibration, TlbEvictionPool,
     TlbEvictionSet, TlbMapping, LLC_EVICTION_PASSES,
 };
-pub use hammer::{HammerMode, HammerStats, HammerStrategy, ImplicitHammer, RoundOp, Target};
+pub use hammer::{HammerMode, HammerStats, HammerStrategy, RoundOp, Target};
 pub use pairs::{HammerPair, PairVerification};
 pub use pipeline::{AttackCtx, AttackPipeline};
 pub use report::{AttackOutcome, PageSetting, StageTimings};

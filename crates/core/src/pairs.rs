@@ -19,8 +19,7 @@ use pthammer_kernel::{Pid, System};
 use pthammer_types::{VirtAddr, HUGE_PAGE_SIZE, PAGE_SIZE, PTES_PER_TABLE};
 
 use crate::error::AttackError;
-use crate::eviction::llc::SelectedEvictionSet;
-use crate::eviction::tlb::TlbEvictionSet;
+use crate::hammer::strategy::ArmedAggressor;
 use crate::spray::SprayRegion;
 
 /// A candidate double-sided hammer pair.
@@ -98,36 +97,37 @@ pub struct PairVerification {
     pub same_bank: bool,
 }
 
-/// Probes a pair by flushing both targets' TLB entries and L1PTE cache lines
-/// and then accessing the two targets back to back; if their L1PTEs share a
-/// bank, the second access pays a row-buffer conflict and is slower than the
-/// `conflict_threshold`.
-#[allow(clippy::too_many_arguments)]
+/// Probe rounds of one same-bank verification; the median decides.
+const VERIFY_ROUNDS: usize = 5;
+
+/// Probes two armed aggressors (`low` below `high`) by flushing both
+/// targets' TLB entries and L1PTE cache lines and then accessing the two
+/// targets back to back; if their L1PTEs share a bank, the second access
+/// pays a row-buffer conflict and is slower than the `conflict_threshold`.
 pub fn verify_same_bank(
     sys: &mut System,
     pid: Pid,
-    pair: HammerPair,
-    tlb_low: &TlbEvictionSet,
-    tlb_high: &TlbEvictionSet,
-    llc_low: &SelectedEvictionSet,
-    llc_high: &SelectedEvictionSet,
+    low: &ArmedAggressor,
+    high: &ArmedAggressor,
     conflict_threshold: u64,
-    rounds: usize,
 ) -> Result<PairVerification, AttackError> {
-    let mut latencies = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        llc_low.evict(sys, pid)?;
-        llc_high.evict(sys, pid)?;
-        tlb_low.evict(sys, pid)?;
-        tlb_high.evict(sys, pid)?;
-        sys.access(pid, pair.low)?;
-        let high = sys.access(pid, pair.high)?;
-        latencies.push(high.latency.as_u64());
+    let mut latencies = Vec::with_capacity(VERIFY_ROUNDS);
+    for _ in 0..VERIFY_ROUNDS {
+        low.llc.evict(sys, pid)?;
+        high.llc.evict(sys, pid)?;
+        low.tlb.evict(sys, pid)?;
+        high.tlb.evict(sys, pid)?;
+        sys.access(pid, low.va)?;
+        let second = sys.access(pid, high.va)?;
+        latencies.push(second.latency.as_u64());
     }
     latencies.sort_unstable();
     let median_high_latency = latencies[latencies.len() / 2];
     Ok(PairVerification {
-        pair,
+        pair: HammerPair {
+            low: low.va,
+            high: high.va,
+        },
         median_high_latency,
         same_bank: median_high_latency >= conflict_threshold,
     })

@@ -90,11 +90,80 @@ use pthammer_dram::RowBufferPolicy;
 use pthammer_kernel::{KernelError, Pid, System};
 use pthammer_machine::{DramRecord, Footprint, Machine};
 use pthammer_types::{DetHasher, Lanes, LanesDiff, VirtAddr};
+use serde::Serialize;
 
 use crate::error::AttackError;
 use crate::eviction::llc::LLC_EVICTION_PASSES;
-use crate::hammer::implicit::HammerStats;
 use crate::hammer::strategy::{ArmedPair, RoundOp, RoundOutcome, Target};
+
+/// Statistics of a hammering run, accumulated by [`CompiledTrace::hammer`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct HammerStats {
+    /// Iterations performed.
+    pub rounds: u64,
+    /// Total simulated cycles spent hammering.
+    pub total_cycles: u64,
+    /// Fastest single iteration.
+    pub min_round_cycles: u64,
+    /// Slowest single iteration.
+    pub max_round_cycles: u64,
+    /// Iterations in which the low target's L1PTE was served from DRAM
+    /// (instrumentation only; the real attacker cannot observe this).
+    pub low_dram_hits: u64,
+    /// Iterations in which the high target's L1PTE was served from DRAM.
+    pub high_dram_hits: u64,
+    /// DRAM-served implicit touches of indexed pattern aggressors
+    /// (always 0 for the pair-addressed strategies).
+    pub aggressor_dram_hits: u64,
+    /// Host telemetry: iterations run as fast rounds, which replay only a
+    /// steady round's DRAM accesses. Simulated work is the same either way;
+    /// never serialized.
+    #[serde(skip)]
+    pub fast_forwarded_rounds: u64,
+    /// Host telemetry: runs of fast rounds entered. Never serialized.
+    #[serde(skip)]
+    pub fast_forward_entries: u64,
+}
+
+impl HammerStats {
+    /// Folds one iteration's outcome into the totals.
+    pub(crate) fn record(&mut self, round: RoundOutcome) {
+        self.rounds += 1;
+        self.total_cycles += round.cycles;
+        self.min_round_cycles = self.min_round_cycles.min(round.cycles);
+        self.max_round_cycles = self.max_round_cycles.max(round.cycles);
+        self.low_dram_hits += u64::from(round.low_dram);
+        self.high_dram_hits += u64::from(round.high_dram);
+        self.aggressor_dram_hits += round.aggressor_dram_hits;
+    }
+
+    /// Average cycles per iteration.
+    pub fn avg_round_cycles(&self) -> f64 {
+        if self.rounds == 0 {
+            0.0
+        } else {
+            self.total_cycles as f64 / self.rounds as f64
+        }
+    }
+
+    /// Fraction of iterations that actually activated the low aggressor row.
+    pub fn low_dram_rate(&self) -> f64 {
+        if self.rounds == 0 {
+            0.0
+        } else {
+            self.low_dram_hits as f64 / self.rounds as f64
+        }
+    }
+
+    /// Fraction of iterations that actually activated the high aggressor row.
+    pub fn high_dram_rate(&self) -> f64 {
+        if self.rounds == 0 {
+            0.0
+        } else {
+            self.high_dram_hits as f64 / self.rounds as f64
+        }
+    }
+}
 
 /// Which pair member an implicit touch reports its DRAM outcome as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,16 +237,14 @@ impl CompiledTrace {
         };
         for op in ops {
             steps.push(match op {
-                RoundOp::EvictTlb(t) => {
-                    let (tlb, _) = armed.sets_for(*t)?;
-                    run(&mut addrs, tlb.addresses(), 1)
-                }
-                RoundOp::EvictLlc(t) => {
-                    let (_, llc) = armed.sets_for(*t)?;
-                    run(&mut addrs, &llc.lines, LLC_EVICTION_PASSES)
-                }
+                RoundOp::EvictTlb(t) => run(&mut addrs, armed.aggressor(*t)?.tlb.addresses(), 1),
+                RoundOp::EvictLlc(t) => run(
+                    &mut addrs,
+                    &armed.aggressor(*t)?.llc.lines,
+                    LLC_EVICTION_PASSES,
+                ),
                 RoundOp::TouchImplicit(t) => TraceStep::Touch {
-                    addr: armed.addr(*t)?,
+                    addr: armed.aggressor(*t)?.va,
                     kind: match t {
                         Target::Low => TouchKind::Low,
                         Target::High => TouchKind::High,
@@ -185,10 +252,10 @@ impl CompiledTrace {
                     },
                 },
                 RoundOp::AccessData(t) => TraceStep::Access {
-                    addr: armed.addr(*t)?,
+                    addr: armed.data_addr(*t)?,
                 },
                 RoundOp::Clflush(t) => TraceStep::Clflush {
-                    addr: armed.addr(*t)?,
+                    addr: armed.data_addr(*t)?,
                 },
                 RoundOp::Compute(cycles) => TraceStep::Compute { cycles: *cycles },
             });
@@ -797,16 +864,10 @@ impl ArmedPair {
         let mut aggressor_dram_hits = 0u64;
         for op in ops {
             match op {
-                RoundOp::EvictTlb(t) => {
-                    let (tlb, _) = self.sets_for(*t)?;
-                    tlb.evict(sys, pid)?;
-                }
-                RoundOp::EvictLlc(t) => {
-                    let (_, llc) = self.sets_for(*t)?;
-                    llc.evict(sys, pid)?;
-                }
+                RoundOp::EvictTlb(t) => self.aggressor(*t)?.tlb.evict(sys, pid)?,
+                RoundOp::EvictLlc(t) => self.aggressor(*t)?.llc.evict(sys, pid)?,
                 RoundOp::TouchImplicit(t) => {
-                    let acc = sys.touch(pid, self.addr(*t)?)?;
+                    let acc = sys.touch(pid, self.aggressor(*t)?.va)?;
                     match t {
                         Target::Low => low_dram = acc.l1pte_from_dram,
                         Target::High => high_dram = acc.l1pte_from_dram,
@@ -816,10 +877,10 @@ impl ArmedPair {
                     }
                 }
                 RoundOp::AccessData(t) => {
-                    sys.access(pid, self.addr(*t)?)?;
+                    sys.access(pid, self.data_addr(*t)?)?;
                 }
                 RoundOp::Clflush(t) => {
-                    sys.clflush(pid, self.addr(*t)?)?;
+                    sys.clflush(pid, self.data_addr(*t)?)?;
                 }
                 RoundOp::Compute(cycles) => sys.advance_cycles(*cycles),
             }

@@ -357,17 +357,7 @@ pub fn run_campaign_instrumented(
     matrix
         .validate()
         .unwrap_or_else(|e| panic!("invalid scenario matrix: {e}"));
-    let cells = matrix.cells();
-    let pool = ThreadPoolBuilder::new()
-        .num_threads(config.threads)
-        .build()
-        .expect("worker pool");
-    let results: Vec<(CellReport, CellPerf)> = pool.install(|| {
-        cells
-            .into_par_iter()
-            .map(|coord| run_cell_instrumented(&coord, config))
-            .collect()
-    });
+    let results = run_cells_parallel(&matrix.cells(), config, |_, row, perf| (row, perf));
     let mut rows = Vec::with_capacity(results.len());
     let mut perf = CellPerf::default();
     for (row, cell_perf) in results {
@@ -375,6 +365,30 @@ pub fn run_campaign_instrumented(
         perf.absorb(&cell_perf);
     }
     (assemble_report(matrix, config, rows), perf)
+}
+
+/// Runs [`run_cell_instrumented`] for every cell on a `config.threads`
+/// worker pool, the only one a campaign builds. `finish` sees each cell's
+/// results on the worker that computed it; its outputs come back in `cells`
+/// order, whatever the thread count.
+pub(crate) fn run_cells_parallel<R: Send>(
+    cells: &[CellCoord],
+    config: &CampaignConfig,
+    finish: impl Fn(&CellCoord, CellReport, CellPerf) -> R + Sync,
+) -> Vec<R> {
+    let pool = ThreadPoolBuilder::new()
+        .num_threads(config.threads)
+        .build()
+        .expect("worker pool");
+    pool.install(|| {
+        cells
+            .par_iter()
+            .map(|coord| {
+                let (report, perf) = run_cell_instrumented(coord, config);
+                finish(coord, report, perf)
+            })
+            .collect()
+    })
 }
 
 /// Assembles the canonical [`CampaignReport`] from per-cell rows (already in

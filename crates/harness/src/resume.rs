@@ -25,15 +25,13 @@
 //! count, which cannot affect results). Anything that could change a cell's
 //! bytes therefore either changes its key or refuses the store.
 
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
 use serde::Serialize;
 
 use pthammer_store::{
     fnv1a_128, CellKey, CellLookup, CellStore, ShardSpec, StoreManifest, STORE_SCHEMA_VERSION,
 };
 
-use crate::campaign::{assemble_report, run_cell_instrumented, CampaignConfig, CellPerf};
+use crate::campaign::{assemble_report, run_cells_parallel, CampaignConfig, CellPerf};
 use crate::matrix::{CellCoord, ScenarioMatrix};
 use crate::report::{CampaignReport, CellReport};
 use crate::seeding::CELL_SEED_SCHEMA_VERSION;
@@ -176,30 +174,20 @@ fn run_store_backed(
     // Phase 2 (parallel): compute the missing cells, write each through
     // atomically as it completes — a kill from here on loses at most the
     // in-flight cells.
-    let to_compute: Vec<(usize, CellCoord)> = sources
+    let (indices, to_compute): (Vec<usize>, Vec<CellCoord>) = sources
         .iter()
         .enumerate()
         .filter(|(_, s)| matches!(s, CellSource::Compute))
         .map(|(i, _)| (i, cells[i]))
-        .collect();
-    let pool = ThreadPoolBuilder::new()
-        .num_threads(config.threads)
-        .build()
-        .expect("worker pool");
-    let computed: Vec<(usize, CellReport, CellPerf, Result<(), String>)> = pool.install(|| {
-        to_compute
-            .into_par_iter()
-            .map(|(i, coord)| {
-                let (report, perf) = run_cell_instrumented(&coord, config);
-                let put = store
-                    .put(
-                        &cell_store_key(&coord),
-                        &serde_json::to_string(&report).unwrap(),
-                    )
-                    .map_err(|e| e.to_string());
-                (i, report, perf, put)
-            })
-            .collect()
+        .unzip();
+    let computed = run_cells_parallel(&to_compute, config, |coord, report, perf| {
+        let put = store
+            .put(
+                &cell_store_key(coord),
+                &serde_json::to_string(&report).unwrap(),
+            )
+            .map_err(|e| e.to_string());
+        (report, perf, put)
     });
 
     // Phase 3: assemble rows in canonical order, aggregate perf over the
@@ -212,7 +200,7 @@ fn run_store_backed(
         })
         .collect();
     let mut perf = CellPerf::default();
-    for (i, report, cell_perf, put) in computed {
+    for (i, (report, cell_perf, put)) in indices.into_iter().zip(computed) {
         put.map_err(|e| format!("failed to persist cell {i}: {e}"))?;
         perf.absorb(&cell_perf);
         rows[i] = Some(report);

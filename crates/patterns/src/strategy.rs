@@ -6,16 +6,17 @@
 //! many-sided pattern runs on the same phase pipeline, through the same
 //! implicit (PTE-walk) touch path, and emits the same
 //! [`RoundOp`]/event-bus telemetry as the four built-in
-//! modes. Arming mirrors the paper's double-sided methodology: the base pair
-//! is timing-verified for a row-buffer conflict (same bank), then the
-//! pattern's further aggressors are materialized at multiples of the pair
-//! stride — which moves a target's Level-1 PTE two DRAM rows within the same
-//! bank — and each receives its own TLB eviction set and Algorithm 2 LLC
-//! eviction set.
+//! modes. Arming goes through the same helper as the built-in implicit
+//! strategies ([`arm_implicit`]) and mirrors the paper's double-sided
+//! methodology: the pattern's aggressors are materialized at multiples of
+//! the pair stride — which moves a target's Level-1 PTE two DRAM rows
+//! within the same bank — each receives its own TLB eviction set and
+//! Algorithm 2 LLC eviction set, and the base pair and then every further
+//! aggressor are timing-verified for a row-buffer conflict (same bank).
 
-use pthammer::pairs::verify_same_bank;
+use pthammer::hammer::strategy::{arm_implicit, ArmResult};
 use pthammer::pipeline::PreparedAttack;
-use pthammer::{AttackConfig, AttackError, HammerMode, HammerStrategy, ImplicitHammer, RoundOp};
+use pthammer::{AttackConfig, AttackError, HammerMode, HammerPair, HammerStrategy, RoundOp};
 use pthammer_kernel::{Pid, System};
 use pthammer_types::VirtAddr;
 
@@ -113,27 +114,20 @@ impl HammerStrategy for PatternHammer {
         &self,
         sys: &mut System,
         pid: Pid,
-        pair: pthammer::HammerPair,
+        pair: HammerPair,
         prepared: &PreparedAttack,
         config: &AttackConfig,
         conflict_threshold: u64,
-    ) -> Result<pthammer::hammer::strategy::ArmResult, AttackError> {
-        use pthammer::hammer::strategy::{ArmResult, ArmedPair};
-
+    ) -> Result<ArmResult, AttackError> {
         let stride = pair.high - pair.low;
 
         // Re-base the candidate so the whole aggressor window fits the
         // sprayed region; candidates are rejected only when the spray is too
         // small for the pattern at any position.
         let Some(low) = self.fit_low(pair.low, stride, &prepared.spray) else {
-            return Ok(ArmResult {
-                armed: None,
-                tlb_selection_cycles: 0,
-                llc_selection_cycles: 0,
-                verification: None,
-            });
+            return Ok(ArmResult::default());
         };
-        let pair = pthammer::HammerPair {
+        let pair = HammerPair {
             low,
             high: low + stride,
         };
@@ -143,124 +137,29 @@ impl HammerStrategy for PatternHammer {
         for &offset in &self.pattern.offsets {
             match Self::aggressor_va(pair.low, stride, offset) {
                 Some(va) if prepared.spray.contains(va) => aggressors.push(va),
-                _ => {
-                    return Ok(ArmResult {
-                        armed: None,
-                        tlb_selection_cycles: 0,
-                        llc_selection_cycles: 0,
-                        verification: None,
-                    })
-                }
+                _ => return Ok(ArmResult::default()),
             }
         }
 
-        // Draw the extra aggressors' TLB eviction sets (timed, like the
-        // built-in strategies' selection bookkeeping); the base pair's sets
-        // come from `ImplicitHammer::prepare` below. `extra_tlb_sets[i]`
-        // belongs to `aggressors[i + 2]`.
-        let tlb_start = sys.rdtsc();
-        let extra_tlb_sets: Vec<_> = aggressors[2..]
-            .iter()
-            .map(|&va| prepared.tlb_pool.minimal_eviction_set_for(va))
-            .collect();
-        let tlb_selection_cycles = sys.rdtsc() - tlb_start;
-        if extra_tlb_sets.iter().any(|s| s.is_empty()) {
-            return Err(AttackError::EvictionSetUnavailable(
-                "TLB eviction pool has no pages for an aggressor's sets".to_string(),
-            ));
-        }
-
-        // The base pair is armed and gated exactly like the paper's
-        // double-sided strategy: Algorithm 2 LLC selection plus the timed
-        // row-buffer-conflict verification.
-        let base = ImplicitHammer::prepare(
+        // Each aggressor gets its own TLB and Algorithm 2 LLC eviction set.
+        // The base pair is gated like the paper's double-sided strategy, and
+        // every further aggressor by the same row-buffer-conflict probe
+        // against the base low target. Stride arithmetic makes an
+        // aggressor's L1PTE *likely* to share the bank, but the kernel's own
+        // mid-spray page-table allocations can shift part of the window into
+        // another bank — and a split aggressor set hands the TRR sampler two
+        // small row groups it can track. Timing verification (all the
+        // attacker can measure) rejects such windows; the pipeline then
+        // tries the next candidate.
+        arm_implicit(
             sys,
             pid,
             pair,
-            &prepared.tlb_pool,
-            &prepared.llc_pool,
-            config.llc_profile_trials,
-        )?;
-        let mut llc_selection_cycles = base.selection_cycles();
-        let verification = verify_same_bank(
-            sys,
-            pid,
-            pair,
-            &base.tlb_low,
-            &base.tlb_high,
-            &base.llc_low,
-            &base.llc_high,
-            conflict_threshold,
-            5,
-        )?;
-        if !verification.same_bank {
-            return Ok(ArmResult {
-                armed: None,
-                tlb_selection_cycles,
-                llc_selection_cycles,
-                verification: Some(verification),
-            });
-        }
-
-        // Arm the remaining aggressors: per-aggressor Algorithm 2 selection
-        // plus the same row-buffer-conflict probe the base pair passed, run
-        // against the base target. Stride arithmetic makes an aggressor's
-        // L1PTE *likely* to share the bank, but the kernel's own mid-spray
-        // page-table allocations can shift part of the window into another
-        // bank — and a split aggressor set hands the TRR sampler two small
-        // row groups it can track. Timing verification (all the attacker can
-        // measure) rejects such windows; the pipeline then tries the next
-        // candidate.
-        let mut sets = vec![
-            (base.tlb_low.clone(), base.llc_low.clone()),
-            (base.tlb_high.clone(), base.llc_high.clone()),
-        ];
-        for (extra, &va) in aggressors.iter().skip(2).enumerate() {
-            let tlb = &extra_tlb_sets[extra];
-            let llc =
-                prepared
-                    .llc_pool
-                    .select_for_l1pte(sys, pid, va, tlb, config.llc_profile_trials)?;
-            llc_selection_cycles += llc.selection_cycles;
-            let probe = pthammer::HammerPair {
-                low: pair.low.min(va),
-                high: pair.low.max(va),
-            };
-            let (tlb_a, llc_a, tlb_b, llc_b) = if probe.low == pair.low {
-                (&base.tlb_low, &base.llc_low, tlb, &llc)
-            } else {
-                (tlb, &llc, &base.tlb_low, &base.llc_low)
-            };
-            let aggressor_verification = verify_same_bank(
-                sys,
-                pid,
-                probe,
-                tlb_a,
-                tlb_b,
-                llc_a,
-                llc_b,
-                conflict_threshold,
-                5,
-            )?;
-            if !aggressor_verification.same_bank {
-                // Report the probe that actually failed, so event-bus
-                // consumers see why the candidate was rejected.
-                return Ok(ArmResult {
-                    armed: None,
-                    tlb_selection_cycles,
-                    llc_selection_cycles,
-                    verification: Some(aggressor_verification),
-                });
-            }
-            sets.push((tlb.clone(), llc));
-        }
-
-        Ok(ArmResult {
-            armed: Some(ArmedPair::multi(pair, aggressors, sets)),
-            tlb_selection_cycles,
-            llc_selection_cycles,
-            verification: Some(verification),
-        })
+            &aggressors,
+            prepared,
+            config,
+            Some(conflict_threshold),
+        )
     }
 }
 
