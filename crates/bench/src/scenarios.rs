@@ -941,6 +941,40 @@ mod tests {
     use super::*;
 
     #[test]
+    fn experiment_scales_keep_their_attack_configs() {
+        let scaled = AttackConfig {
+            seed: 9,
+            hammer_mode: HammerMode::default(),
+            superpages: true,
+            spray_bytes: 1 << 30,
+            eviction_buffer_factor: 2.0,
+            tlb_profile_trials: 20,
+            llc_profile_trials: 6,
+            hammer_rounds_per_attempt: 2_500,
+            max_attempts: 12,
+            max_flips: 16,
+            pair_candidates_per_round: 4,
+            tlb_trim_tolerance: 0.05,
+        };
+        assert_eq!(ExperimentScale::scaled().attack_config(9, true), scaled);
+        let full = AttackConfig {
+            seed: 9,
+            hammer_mode: HammerMode::default(),
+            superpages: true,
+            spray_bytes: 4 << 30,
+            eviction_buffer_factor: 2.0,
+            tlb_profile_trials: 50,
+            llc_profile_trials: 16,
+            hammer_rounds_per_attempt: 120_000,
+            max_attempts: 512,
+            max_flips: 32,
+            pair_candidates_per_round: 8,
+            tlb_trim_tolerance: 0.05,
+        };
+        assert_eq!(ExperimentScale { full: true }.attack_config(9, true), full);
+    }
+
+    #[test]
     fn scale_from_env_defaults_to_scaled() {
         let scale = ExperimentScale::scaled();
         assert!(!scale.full);

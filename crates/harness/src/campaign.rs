@@ -429,6 +429,83 @@ mod tests {
     }
 
     #[test]
+    fn campaign_presets_keep_their_attack_configs() {
+        #[allow(clippy::too_many_arguments)]
+        fn literal(
+            spray_bytes: u64,
+            hammer_rounds_per_attempt: u64,
+            max_attempts: usize,
+            llc_profile_trials: usize,
+            tlb_profile_trials: usize,
+            max_flips: usize,
+            pair_candidates_per_round: usize,
+        ) -> AttackConfig {
+            AttackConfig {
+                seed: 9,
+                hammer_mode: HammerMode::default(),
+                superpages: false,
+                spray_bytes,
+                eviction_buffer_factor: 2.0,
+                tlb_profile_trials,
+                llc_profile_trials,
+                hammer_rounds_per_attempt,
+                max_attempts,
+                max_flips,
+                pair_candidates_per_round,
+                tlb_trim_tolerance: 0.05,
+            }
+        }
+        type Preset = fn(u64) -> CampaignConfig;
+        // (preset, its undefended cell config, the ZebRAM attempt cap)
+        let presets: [(&str, Preset, AttackConfig, usize); 4] = [
+            (
+                "ci",
+                CampaignConfig::ci,
+                literal(640 << 20, 1_200, 4, 6, 20, 16, 4),
+                3,
+            ),
+            (
+                "trr_ci",
+                CampaignConfig::trr_ci,
+                literal(1 << 30, 1_200, 10, 6, 20, 16, 4),
+                3,
+            ),
+            (
+                "scaled",
+                CampaignConfig::scaled,
+                literal(1 << 30, 2_500, 12, 6, 20, 16, 4),
+                6,
+            ),
+            (
+                "full",
+                CampaignConfig::full,
+                literal(4 << 30, 120_000, 512, 16, 50, 32, 8),
+                6,
+            ),
+        ];
+        for (name, preset, undefended, zebram_attempts) in presets {
+            let config = preset(7);
+            for (defense, max_attempts) in [
+                (DefenseChoice::None, undefended.max_attempts),
+                (DefenseChoice::Zebram, zebram_attempts),
+            ] {
+                for hammer_mode in [HammerMode::default(), HammerMode::ImplicitOneLocation] {
+                    let expected = AttackConfig {
+                        hammer_mode,
+                        max_attempts,
+                        ..undefended.clone()
+                    };
+                    assert_eq!(
+                        config.attack_config(9, defense, hammer_mode),
+                        expected,
+                        "{name} / {defense:?} / {hammer_mode:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn attack_config_threads_the_hammer_mode_through() {
         let config = CampaignConfig::ci(1);
         let cfg = config.attack_config(9, DefenseChoice::None, HammerMode::ImplicitOneLocation);
