@@ -77,12 +77,14 @@ impl ExperimentScale {
         }
     }
 
-    /// The attack configuration for this scale, derived from the campaign
-    /// preset so bench scenarios and campaigns share one set of knobs.
+    /// The attack configuration for this scale: the campaign preset's
+    /// attack, so bench scenarios and campaigns share one set of knobs.
     pub fn attack_config(&self, seed: u64, superpages: bool) -> AttackConfig {
-        let mut campaign = self.campaign_config(seed);
-        campaign.superpages = superpages;
-        campaign.attack_config(seed, DefenseChoice::None, HammerMode::default())
+        AttackConfig {
+            seed,
+            superpages,
+            ..self.campaign_config(seed).attack
+        }
     }
 
     /// Human-readable description of the scale.
@@ -947,14 +949,12 @@ mod tests {
             hammer_mode: HammerMode::default(),
             superpages: true,
             spray_bytes: 1 << 30,
-            eviction_buffer_factor: 2.0,
             tlb_profile_trials: 20,
             llc_profile_trials: 6,
             hammer_rounds_per_attempt: 2_500,
             max_attempts: 12,
             max_flips: 16,
             pair_candidates_per_round: 4,
-            tlb_trim_tolerance: 0.05,
         };
         assert_eq!(ExperimentScale::scaled().attack_config(9, true), scaled);
         let full = AttackConfig {
@@ -962,14 +962,12 @@ mod tests {
             hammer_mode: HammerMode::default(),
             superpages: true,
             spray_bytes: 4 << 30,
-            eviction_buffer_factor: 2.0,
             tlb_profile_trials: 50,
             llc_profile_trials: 16,
             hammer_rounds_per_attempt: 120_000,
             max_attempts: 512,
             max_flips: 32,
             pair_candidates_per_round: 8,
-            tlb_trim_tolerance: 0.05,
         };
         assert_eq!(ExperimentScale { full: true }.attack_config(9, true), full);
     }

@@ -147,7 +147,7 @@ impl PtHammer {
             .strategy
             .unwrap_or_else(|| self.config.hammer_mode.strategy());
         let victim = options.victim.unwrap_or_else(|| Box::new(PteTakeover));
-        let mut pipeline = AttackPipeline::with_parts(&self.config, strategy, victim);
+        let mut pipeline = AttackPipeline::new(&self.config, strategy, victim);
         for sink in options.sinks {
             pipeline.subscribe(sink);
         }

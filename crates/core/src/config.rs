@@ -4,11 +4,19 @@ use serde::Serialize;
 
 use crate::hammer::strategy::HammerMode;
 
-/// Tunable parameters of a PThammer run.
+/// Tunable parameters of a PThammer run: the attack's scale (spray size,
+/// hammer rounds, profiling trials, attempt and flip budgets) plus its seed,
+/// hammer mode and page setting.
 ///
-/// The defaults follow the paper's setup scaled to the simulated machines;
-/// [`AttackConfig::quick_test`] shrinks everything so integration tests and
-/// examples finish in seconds of host time.
+/// [`AttackConfig::paper`] follows the paper's setup scaled to the simulated
+/// machines; [`AttackConfig::quick_test`] shrinks everything so integration
+/// tests and examples finish in seconds of host time. A campaign carries one
+/// of these as the template every cell runs (`CampaignConfig::attack` in
+/// `pthammer-harness`). What no preset varies is a constant next to its
+/// reader: the LLC eviction buffer's size (twice the LLC, in
+/// [`LlcEvictionPool::build`](crate::eviction::LlcEvictionPool::build)) and
+/// Algorithm 1's trim tolerance (in
+/// [`calibrate_tlb_eviction`](crate::eviction::calibrate_tlb_eviction)).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AttackConfig {
     /// Seed for the attacker's own pseudo-random choices.
@@ -22,8 +30,6 @@ pub struct AttackConfig {
     /// Virtual-address span of the page-table spray in bytes. Every 2 MiB of
     /// span creates one Level-1 page table.
     pub spray_bytes: u64,
-    /// Size of the LLC eviction buffer as a multiple of the LLC capacity.
-    pub eviction_buffer_factor: f64,
     /// Trials per measurement when profiling TLB eviction sets (Algorithm 1).
     pub tlb_profile_trials: usize,
     /// Trials per measurement when profiling LLC eviction sets (Algorithm 2).
@@ -37,9 +43,6 @@ pub struct AttackConfig {
     pub max_flips: usize,
     /// Number of candidate pairs to verify per attempt batch.
     pub pair_candidates_per_round: usize,
-    /// Fraction by which a trimmed TLB eviction set's miss rate may drop
-    /// below the initial threshold before trimming stops (Algorithm 1).
-    pub tlb_trim_tolerance: f64,
 }
 
 impl AttackConfig {
@@ -51,14 +54,12 @@ impl AttackConfig {
             hammer_mode: HammerMode::default(),
             superpages,
             spray_bytes: 4 << 30,
-            eviction_buffer_factor: 2.0,
             tlb_profile_trials: 50,
             llc_profile_trials: 16,
             hammer_rounds_per_attempt: 120_000,
             max_attempts: 512,
             max_flips: 32,
             pair_candidates_per_round: 8,
-            tlb_trim_tolerance: 0.05,
         }
     }
 
@@ -71,14 +72,12 @@ impl AttackConfig {
             hammer_mode: HammerMode::default(),
             superpages,
             spray_bytes: 768 << 20,
-            eviction_buffer_factor: 2.0,
             tlb_profile_trials: 20,
             llc_profile_trials: 8,
             hammer_rounds_per_attempt: 3_000,
             max_attempts: 24,
             max_flips: 16,
             pair_candidates_per_round: 4,
-            tlb_trim_tolerance: 0.05,
         }
     }
 
@@ -93,9 +92,6 @@ impl AttackConfig {
                 "spray_bytes must cover at least 512 MiB of VA (one hammer pair stride needs 256 MiB), got {}",
                 self.spray_bytes
             ));
-        }
-        if self.eviction_buffer_factor < 1.0 {
-            return Err("eviction_buffer_factor must be at least 1.0".to_string());
         }
         if self.tlb_profile_trials == 0 || self.llc_profile_trials == 0 {
             return Err("profiling trial counts must be non-zero".to_string());
@@ -142,10 +138,6 @@ mod tests {
     fn validation_rejects_bad_values() {
         let mut cfg = AttackConfig::quick_test(1, false);
         cfg.spray_bytes = 1 << 20;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = AttackConfig::quick_test(1, false);
-        cfg.eviction_buffer_factor = 0.5;
         assert!(cfg.validate().is_err());
 
         let mut cfg = AttackConfig::quick_test(1, false);

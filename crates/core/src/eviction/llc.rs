@@ -64,6 +64,11 @@ impl SelectedEvictionSet {
 /// re-referenced victim out of a 12/16-way set.
 pub const LLC_EVICTION_PASSES: usize = 3;
 
+/// Size of the LLC eviction buffer as a multiple of the LLC capacity: twice
+/// the capacity leaves every (set, slice) enough congruent pages to fill
+/// its ways even though the pages' physical placement is not controlled.
+const LLC_EVICTION_BUFFER_FACTOR: u64 = 2;
+
 /// Traverses an LLC eviction set with the access pattern the attack uses:
 /// [`LLC_EVICTION_PASSES`] sequential passes, to age a recently
 /// re-referenced victim (here: the L1PTE, which every hammer iteration
@@ -202,7 +207,7 @@ impl LlcEvictionPool {
         minimal_lines: usize,
     ) -> Result<Self, AttackError> {
         let llc = sys.machine().config().cache.llc;
-        let buffer_bytes = ((llc.capacity_bytes() as f64) * config.eviction_buffer_factor) as u64;
+        let buffer_bytes = llc.capacity_bytes() * LLC_EVICTION_BUFFER_FACTOR;
         let buffer_pages = buffer_bytes / PAGE_SIZE;
         // Page classes distinguished by physical bits 12.. above the page
         // offset within the set index.

@@ -222,6 +222,11 @@ pub fn profile_tlb_set(
     Ok(misses as f64 / trials as f64)
 }
 
+/// Fraction by which a trimmed TLB eviction set's miss rate may drop below
+/// the initial set's before Algorithm 1 stops trimming: it absorbs the
+/// profiling noise of a finite trial count.
+const TLB_TRIM_TOLERANCE: f64 = 0.05;
+
 /// Runs Algorithm 1: finds the minimal TLB eviction-set size and records the
 /// miss-rate curve reproduced in Figure 3 of the paper.
 pub fn calibrate_tlb_eviction(
@@ -288,7 +293,7 @@ pub fn calibrate_tlb_eviction(
         }
         let removed = current.remove(0);
         let rate = profile_tlb_set(sys, pid, target, &current, config.tlb_profile_trials)?;
-        if rate + config.tlb_trim_tolerance < threshold {
+        if rate + TLB_TRIM_TOLERANCE < threshold {
             current.insert(0, removed);
             break;
         }

@@ -135,25 +135,12 @@ impl std::fmt::Debug for AttackPipeline<'_, '_> {
 }
 
 impl<'a, 'b> AttackPipeline<'a, 'b> {
-    /// Creates the pipeline for `config`, instantiating the strategy from
-    /// `config.hammer_mode` and the default [`PteTakeover`] victim.
-    pub fn new(config: &'a AttackConfig) -> Self {
-        Self::with_strategy(config, config.hammer_mode.strategy())
-    }
-
-    /// Creates the pipeline with an explicitly injected strategy instead of
-    /// one derived from `config.hammer_mode` — the hook through which
-    /// externally defined strategies (e.g. `pthammer-patterns`' synthesized
-    /// many-sided patterns) execute on the same phase pipeline, touch path
-    /// and event bus as the built-in modes.
-    pub fn with_strategy(config: &'a AttackConfig, strategy: Box<dyn HammerStrategy>) -> Self {
-        Self::with_parts(config, strategy, Box::new(PteTakeover))
-    }
-
-    /// Creates the pipeline with both the strategy and the victim injected —
-    /// the hook through which the `Exploit` phase is re-targeted at a
-    /// different [`Victim`] (the campaign's `victims` axis).
-    pub fn with_parts(
+    /// Creates the pipeline with its strategy and victim injected: the hooks
+    /// through which externally defined strategies (e.g.
+    /// `pthammer-patterns`' synthesized many-sided patterns) and other
+    /// [`Victim`]s (the campaign's `victims` axis) run on the same phase
+    /// pipeline, touch path and event bus as the built-in modes.
+    pub fn new(
         config: &'a AttackConfig,
         strategy: Box<dyn HammerStrategy>,
         victim: Box<dyn Victim>,

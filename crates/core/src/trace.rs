@@ -86,7 +86,6 @@ use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
-use pthammer_dram::RowBufferPolicy;
 use pthammer_kernel::{KernelError, Pid, System};
 use pthammer_machine::{DramRecord, Footprint, Machine};
 use pthammer_types::{DetHasher, Lanes, LanesDiff, VirtAddr};
@@ -390,9 +389,6 @@ impl CompiledTrace {
             min_round_cycles: u64::MAX,
             ..HammerStats::default()
         };
-        // Replayed DRAM accesses only reproduce their row-buffer outcomes
-        // when those depend on the access order alone, not on idle time.
-        let detect = sys.machine().config().dram.row_buffer_policy == RowBufferPolicy::OpenPage;
         let mut steady = std::mem::take(&mut self.steady).resumed(sys.machine(), &self.footprint);
         while stats.rounds < rounds {
             if self.is_stale(sys) {
@@ -425,10 +421,8 @@ impl CompiledTrace {
             let round = round?;
             stats.record(round);
             on_round(round, false);
-            if detect {
-                let rolled = sys.machine().dram_stats().refresh_windows != windows;
-                steady.observe(dram, round, rolled, sys.machine(), &self.footprint);
-            }
+            let rolled = sys.machine().dram_stats().refresh_windows != windows;
+            steady.observe(dram, round, rolled, sys.machine(), &self.footprint);
         }
         if stats.rounds == 0 {
             stats.min_round_cycles = 0;

@@ -54,35 +54,21 @@ impl fmt::Display for DramAddress {
     }
 }
 
-/// The kind of physical-address-to-DRAM mapping in use.
-///
-/// * [`MappingKind::Sequential`] lays fields out as
-///   `| row | rank | bank | channel | column |` (low to high bits: column,
-///   channel, bank, rank, row). Two addresses that differ by exactly two row
-///   spans land in the same bank two rows apart — the property the paper's
-///   256 MiB-stride pair selection exploits.
-/// * [`MappingKind::XorBank`] additionally XORs the bank field with the low
-///   row bits, mimicking the DRAMA-style bank hash of real memory
-///   controllers. Used for ablation: it lowers the success rate of naive
-///   stride-based pair selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
-pub enum MappingKind {
-    /// Plain bit-field decomposition.
-    #[default]
-    Sequential,
-    /// Bank bits XOR-ed with the low row bits (DRAMA-style).
-    XorBank,
-}
-
 /// Translates physical addresses to DRAM locations and back.
+///
+/// The mapping is a plain bit-field split, laid out as
+/// `| row | rank | bank | channel | column |` (low to high bits: column,
+/// channel, bank, rank, row). Two addresses that differ by exactly two row
+/// spans land in the same bank two rows apart — the property the paper's
+/// 256 MiB-stride pair selection exploits.
 ///
 /// # Examples
 ///
 /// ```
-/// use pthammer_dram::{AddressMapping, DramGeometry, MappingKind};
+/// use pthammer_dram::{AddressMapping, DramGeometry};
 /// use pthammer_types::PhysAddr;
 ///
-/// let mapping = AddressMapping::new(DramGeometry::ddr3_8gib(), MappingKind::Sequential);
+/// let mapping = AddressMapping::new(DramGeometry::ddr3_8gib());
 /// let pa = PhysAddr::new(0x1234_5678);
 /// let loc = mapping.to_dram(pa);
 /// assert_eq!(mapping.to_phys(loc), pa);
@@ -90,7 +76,6 @@ pub enum MappingKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct AddressMapping {
     geometry: DramGeometry,
-    kind: MappingKind,
 }
 
 impl AddressMapping {
@@ -99,21 +84,16 @@ impl AddressMapping {
     /// # Panics
     ///
     /// Panics if the geometry is invalid (non-power-of-two fields).
-    pub fn new(geometry: DramGeometry, kind: MappingKind) -> Self {
+    pub fn new(geometry: DramGeometry) -> Self {
         geometry
             .validate()
             .expect("address mapping requires a valid geometry");
-        Self { geometry, kind }
+        Self { geometry }
     }
 
     /// The geometry this mapping was built for.
     pub fn geometry(&self) -> &DramGeometry {
         &self.geometry
-    }
-
-    /// The mapping kind.
-    pub fn kind(&self) -> MappingKind {
-        self.kind
     }
 
     /// Decodes a physical address into its DRAM location.
@@ -129,16 +109,11 @@ impl AddressMapping {
         addr >>= g.column_bits();
         let channel = (addr & mask(g.channel_bits())) as u32;
         addr >>= g.channel_bits();
-        let bank_field = (addr & mask(g.bank_bits())) as u32;
+        let bank = (addr & mask(g.bank_bits())) as u32;
         addr >>= g.bank_bits();
         let rank = (addr & mask(g.rank_bits())) as u32;
         addr >>= g.rank_bits();
         let row = (addr & mask(g.row_bits())) as u32;
-
-        let bank = match self.kind {
-            MappingKind::Sequential => bank_field,
-            MappingKind::XorBank => bank_field ^ (row & mask(g.bank_bits()) as u32),
-        };
 
         DramAddress {
             channel,
@@ -153,14 +128,9 @@ impl AddressMapping {
     /// [`AddressMapping::to_dram`]).
     pub fn to_phys(&self, addr: DramAddress) -> PhysAddr {
         let g = &self.geometry;
-        let bank_field = match self.kind {
-            MappingKind::Sequential => addr.bank,
-            MappingKind::XorBank => addr.bank ^ (addr.row & mask(g.bank_bits()) as u32),
-        };
-
         let mut raw = addr.row as u64 & mask(g.row_bits());
         raw = (raw << g.rank_bits()) | (addr.rank as u64 & mask(g.rank_bits()));
-        raw = (raw << g.bank_bits()) | (bank_field as u64 & mask(g.bank_bits()));
+        raw = (raw << g.bank_bits()) | (addr.bank as u64 & mask(g.bank_bits()));
         raw = (raw << g.channel_bits()) | (addr.channel as u64 & mask(g.channel_bits()));
         raw = (raw << g.column_bits()) | (addr.col as u64 & mask(g.column_bits()));
         PhysAddr::new(raw)
@@ -194,10 +164,9 @@ mod tests {
 
     fn mappings() -> Vec<AddressMapping> {
         vec![
-            AddressMapping::new(DramGeometry::ddr3_8gib(), MappingKind::Sequential),
-            AddressMapping::new(DramGeometry::ddr3_8gib(), MappingKind::XorBank),
-            AddressMapping::new(DramGeometry::tiny_32mib(), MappingKind::Sequential),
-            AddressMapping::new(DramGeometry::small_1gib(), MappingKind::XorBank),
+            AddressMapping::new(DramGeometry::ddr3_8gib()),
+            AddressMapping::new(DramGeometry::tiny_32mib()),
+            AddressMapping::new(DramGeometry::small_1gib()),
         ]
     }
 
@@ -207,14 +176,14 @@ mod tests {
             for raw in [0u64, 64, 4096, 0x1234_5678, 0x7fff_ffc0] {
                 let raw = raw % m.geometry().capacity_bytes();
                 let pa = PhysAddr::new(raw);
-                assert_eq!(m.to_phys(m.to_dram(pa)), pa, "mapping {:?}", m.kind());
+                assert_eq!(m.to_phys(m.to_dram(pa)), pa, "mapping {:?}", m.geometry());
             }
         }
     }
 
     #[test]
-    fn consecutive_row_spans_differ_only_in_row_sequential() {
-        let m = AddressMapping::new(DramGeometry::ddr3_8gib(), MappingKind::Sequential);
+    fn consecutive_row_spans_differ_only_in_row() {
+        let m = AddressMapping::new(DramGeometry::ddr3_8gib());
         let span = m.geometry().row_span_bytes();
         let a = m.to_dram(PhysAddr::new(0x100));
         let b = m.to_dram(PhysAddr::new(0x100 + 2 * span));
@@ -225,20 +194,9 @@ mod tests {
     }
 
     #[test]
-    fn xor_mapping_changes_bank_across_rows() {
-        let m = AddressMapping::new(DramGeometry::ddr3_8gib(), MappingKind::XorBank);
-        let span = m.geometry().row_span_bytes();
-        let a = m.to_dram(PhysAddr::new(0x100));
-        let b = m.to_dram(PhysAddr::new(0x100 + span));
-        // Moving one row span flips the lowest row bit, which the XOR folds into the bank.
-        assert_ne!(a.bank, b.bank);
-        assert_eq!(b.row, a.row + 1);
-    }
-
-    #[test]
     fn bank_unit_is_dense_and_unique() {
         let g = DramGeometry::ddr3_8gib();
-        let m = AddressMapping::new(g, MappingKind::Sequential);
+        let m = AddressMapping::new(g);
         let mut seen = std::collections::HashSet::new();
         // Walk one byte in each bank unit of row 0.
         for chunk in 0..g.total_banks() {
@@ -252,7 +210,7 @@ mod tests {
 
     #[test]
     fn row_index_matches_row_span_division() {
-        let m = AddressMapping::new(DramGeometry::ddr3_8gib(), MappingKind::Sequential);
+        let m = AddressMapping::new(DramGeometry::ddr3_8gib());
         let span = m.geometry().row_span_bytes();
         for raw in [0, span - 1, span, 5 * span + 123] {
             assert_eq!(m.row_index(PhysAddr::new(raw)) as u64, raw / span);
@@ -272,20 +230,13 @@ mod tests {
     fn invalid_geometry_panics() {
         let mut g = DramGeometry::ddr3_8gib();
         g.channels = 3;
-        let _ = AddressMapping::new(g, MappingKind::Sequential);
+        let _ = AddressMapping::new(g);
     }
 
     proptest! {
         #[test]
         fn prop_roundtrip_sequential(raw in 0u64..(8u64 << 30)) {
-            let m = AddressMapping::new(DramGeometry::ddr3_8gib(), MappingKind::Sequential);
-            let pa = PhysAddr::new(raw);
-            prop_assert_eq!(m.to_phys(m.to_dram(pa)), pa);
-        }
-
-        #[test]
-        fn prop_roundtrip_xor(raw in 0u64..(8u64 << 30)) {
-            let m = AddressMapping::new(DramGeometry::ddr3_8gib(), MappingKind::XorBank);
+            let m = AddressMapping::new(DramGeometry::ddr3_8gib());
             let pa = PhysAddr::new(raw);
             prop_assert_eq!(m.to_phys(m.to_dram(pa)), pa);
         }
@@ -293,7 +244,7 @@ mod tests {
         #[test]
         fn prop_fields_in_range(raw in 0u64..(8u64 << 30)) {
             let g = DramGeometry::ddr3_8gib();
-            let m = AddressMapping::new(g, MappingKind::XorBank);
+            let m = AddressMapping::new(g);
             let d = m.to_dram(PhysAddr::new(raw));
             prop_assert!(d.channel < g.channels);
             prop_assert!(d.rank < g.ranks_per_channel);

@@ -6,7 +6,7 @@ use serde::Serialize;
 use pthammer_types::{Cycles, DetHashSet};
 
 use crate::{
-    row_buffer::{RowBuffer, RowBufferOutcome, RowBufferPolicy},
+    row_buffer::{RowBuffer, RowBufferOutcome},
     rows::RowDisturbance,
     timing::DramTimings,
     trr::{TrrConfig, TrrSampler},
@@ -134,8 +134,8 @@ impl Bank {
     /// The TRR sampler's tracked `(row, activation count)` entries in
     /// recency order (front = coldest). Read-only introspection for the
     /// synthesizer's incremental scorer, which keys its round-boundary
-    /// checkpoints on `(open_row, sampler state)` — under the open-page
-    /// policy these two fully determine a bank's future activation and
+    /// checkpoints on `(open_row, sampler state)`: with an open-page row
+    /// buffer these two fully determine a bank's future activation and
     /// targeted-refresh behaviour within a refresh window.
     pub fn trr_tracked(&self) -> &[(u32, u32)] {
         self.trr_sampler.tracked()
@@ -183,18 +183,16 @@ impl Bank {
 
     /// Performs an access to `row` at time `now`.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     pub fn access(
         &mut self,
         row: u32,
         now: Cycles,
         timings: &DramTimings,
-        policy: RowBufferPolicy,
         flip_model: &FlipModel,
         trr: &TrrConfig,
     ) -> BankAccessResult {
         let window_rolled = self.roll_window(now, timings) > 0;
-        let outcome = self.row_buffer.access(row, now, policy);
+        let outcome = self.row_buffer.access(row);
         let mut flips = Vec::new();
         let mut trr_fired = false;
 
@@ -290,14 +288,7 @@ mod tests {
         let mut now = Cycles::ZERO;
         for _ in 0..1000 {
             for row in [aggr_low, aggr_high] {
-                let res = bank.access(
-                    row,
-                    now,
-                    &timings(),
-                    RowBufferPolicy::OpenPage,
-                    &model,
-                    &trr,
-                );
+                let res = bank.access(row, now, &timings(), &model, &trr);
                 flips.extend(res.flips);
                 now += Cycles::new(300);
             }
@@ -327,14 +318,7 @@ mod tests {
         let mut flips = 0;
         // Fewer activations than any threshold: no flips possible.
         for _ in 0..(min_threshold / 2) {
-            let res = bank.access(
-                aggr_low,
-                now,
-                &timings(),
-                RowBufferPolicy::OpenPage,
-                &model,
-                &trr,
-            );
+            let res = bank.access(aggr_low, now, &timings(), &model, &trr);
             flips += res.flips.len();
             now += Cycles::new(10);
         }
@@ -349,14 +333,7 @@ mod tests {
         let trr = TrrConfig::disabled();
         let t = timings();
         for i in 0..50u64 {
-            bank.access(
-                10,
-                Cycles::new(i * 100),
-                &t,
-                RowBufferPolicy::OpenPage,
-                &model,
-                &trr,
-            );
+            bank.access(10, Cycles::new(i * 100), &t, &model, &trr);
         }
         assert!(bank.disturbance_of(11) > 0);
         // Jump past the refresh window.
@@ -364,7 +341,6 @@ mod tests {
             500,
             Cycles::new(t.refresh_window + 10_000),
             &t,
-            RowBufferPolicy::OpenPage,
             &model,
             &trr,
         );
@@ -373,14 +349,7 @@ mod tests {
         assert_eq!(bank.disturbance_of(11), 0);
         assert_eq!(bank.disturbance_of(501), 1);
         // Row 10's first activation of the new window counts from zero.
-        let res = bank.access(
-            10,
-            Cycles::new(t.refresh_window + 20_000),
-            &t,
-            RowBufferPolicy::OpenPage,
-            &model,
-            &trr,
-        );
+        let res = bank.access(10, Cycles::new(t.refresh_window + 20_000), &t, &model, &trr);
         assert!(!res.window_rolled);
         assert!(res.outcome.activated());
         assert_eq!(bank.disturbance_of(11), 1);
@@ -392,25 +361,11 @@ mod tests {
         let mut bank = Bank::new(0, 1024);
         let trr = TrrConfig::disabled();
         let t = timings();
-        let first = bank.access(
-            7,
-            Cycles::new(0),
-            &t,
-            RowBufferPolicy::OpenPage,
-            &model,
-            &trr,
-        );
+        let first = bank.access(7, Cycles::new(0), &t, &model, &trr);
         assert!(first.outcome.activated());
         // Repeated access to the same open row: row-buffer hits, no new activations.
         for i in 1..100u64 {
-            let res = bank.access(
-                7,
-                Cycles::new(i * 10),
-                &t,
-                RowBufferPolicy::OpenPage,
-                &model,
-                &trr,
-            );
+            let res = bank.access(7, Cycles::new(i * 10), &t, &model, &trr);
             assert_eq!(res.outcome, RowBufferOutcome::Hit);
             assert!(!res.outcome.activated());
         }
@@ -433,7 +388,7 @@ mod tests {
         let mut now = Cycles::ZERO;
         for _ in 0..1500 {
             for row in [aggr_low, aggr_high] {
-                let res = bank.access(row, now, &t, RowBufferPolicy::OpenPage, &model, &trr);
+                let res = bank.access(row, now, &t, &model, &trr);
                 flips += res.flips.iter().filter(|(r, _, _)| *r == victim).count();
                 now += Cycles::new(300);
             }
@@ -453,7 +408,7 @@ mod tests {
         let mut now = Cycles::ZERO;
         for _ in 0..1200 {
             for row in [aggr_low, aggr_high] {
-                let res = bank.access(row, now, &t, RowBufferPolicy::OpenPage, &model, &trr);
+                let res = bank.access(row, now, &t, &model, &trr);
                 victim_flips += res.flips.iter().filter(|(r, _, _)| *r == victim).count();
                 now += Cycles::new(100);
             }

@@ -3,8 +3,7 @@
 use serde::Serialize;
 
 use crate::{
-    address::MappingKind, geometry::DramGeometry, row_buffer::RowBufferPolicy, timing::DramTimings,
-    trr::TrrConfig, vulnerability::FlipModelProfile,
+    geometry::DramGeometry, timing::DramTimings, trr::TrrConfig, vulnerability::FlipModelProfile,
 };
 
 /// Complete configuration of a simulated DRAM module.
@@ -20,12 +19,8 @@ use crate::{
 pub struct DramConfig {
     /// Physical organisation.
     pub geometry: DramGeometry,
-    /// Physical-address mapping kind.
-    pub mapping: MappingKind,
     /// Timing parameters in CPU cycles.
     pub timings: DramTimings,
-    /// Row-buffer management policy.
-    pub row_buffer_policy: RowBufferPolicy,
     /// Weak-cell population profile.
     pub flip_profile: FlipModelProfile,
     /// Seed for the deterministic weak-cell map.
@@ -39,9 +34,7 @@ impl DramConfig {
     pub fn ddr3_8gib(flip_profile: FlipModelProfile, flip_seed: u64) -> Self {
         Self {
             geometry: DramGeometry::ddr3_8gib(),
-            mapping: MappingKind::Sequential,
             timings: DramTimings::ddr3_default(),
-            row_buffer_policy: RowBufferPolicy::OpenPage,
             flip_profile,
             flip_seed,
             trr: TrrConfig::disabled(),
@@ -52,9 +45,7 @@ impl DramConfig {
     pub fn test_small(flip_profile: FlipModelProfile, flip_seed: u64) -> Self {
         Self {
             geometry: DramGeometry::tiny_32mib(),
-            mapping: MappingKind::Sequential,
             timings: DramTimings::fast_test(),
-            row_buffer_policy: RowBufferPolicy::OpenPage,
             flip_profile,
             flip_seed,
             trr: TrrConfig::disabled(),

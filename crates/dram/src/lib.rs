@@ -1,9 +1,8 @@
 //! Simulated DRAM substrate for the PThammer reproduction.
 //!
 //! The PThammer paper hammers physical DDR3 DIMMs; this crate provides the
-//! software stand-in: DRAM geometry, physical-address-to-DRAM-location
-//! mapping (both a simple sequential mapping and a DRAMA-style XOR bank
-//! function), per-bank row buffers with open-page timing, refresh windows, a
+//! software stand-in: DRAM geometry, a bit-field physical-address-to-DRAM
+//! mapping, per-bank row buffers with open-page timing, refresh windows, a
 //! deterministic weak-cell model that emits rowhammer bit flips when adjacent
 //! rows are activated often enough within a refresh window, and an optional
 //! Target Row Refresh (TRR) mitigation.
@@ -40,13 +39,13 @@ mod timing;
 mod trr;
 mod vulnerability;
 
-pub use address::{AddressMapping, DramAddress, MappingKind};
+pub use address::{AddressMapping, DramAddress};
 pub use bank::{Bank, BankCheckpoint};
 pub use config::DramConfig;
 pub use flip_event::FlipEvent;
 pub use geometry::DramGeometry;
 pub use module::{DramAccessOutcome, DramModule};
-pub use row_buffer::{RowBuffer, RowBufferOutcome, RowBufferPolicy};
+pub use row_buffer::{RowBuffer, RowBufferOutcome};
 pub use rows::RowDisturbance;
 pub use stats::DramStats;
 pub use timing::DramTimings;

@@ -59,7 +59,7 @@ impl DramModule {
     /// Panics if the configuration is invalid.
     pub fn new(config: DramConfig) -> Self {
         config.validate().expect("invalid DRAM configuration");
-        let mapping = AddressMapping::new(config.geometry, config.mapping);
+        let mapping = AddressMapping::new(config.geometry);
         let flip_model = FlipModel::new(
             config.flip_profile,
             config.flip_seed,
@@ -120,7 +120,6 @@ impl DramModule {
             location.row,
             now,
             &self.config.timings,
-            self.config.row_buffer_policy,
             &self.flip_model,
             &self.config.trr,
         );

@@ -25,31 +25,17 @@ pub struct CampaignConfig {
     pub threads: usize,
     /// Run the attack in the superpage setting.
     pub superpages: bool,
-    /// Virtual-address span of the page-table spray per cell.
-    pub spray_bytes: u64,
-    /// Double-sided hammer iterations per attempt.
-    pub hammer_rounds_per_attempt: u64,
-    /// Maximum hammer attempts per cell.
-    pub max_attempts: usize,
-    /// Profiling trials for LLC eviction-set selection.
-    pub llc_profile_trials: usize,
-    /// Candidate pairs verified per attempt batch.
-    pub pair_candidates_per_round: usize,
-    /// Profiling trials for TLB eviction-set selection.
-    pub tlb_profile_trials: usize,
-    /// Maximum observed flips before a cell gives up on escalation.
-    pub max_flips: usize,
-    /// LLC eviction buffer size as a multiple of LLC capacity.
-    pub eviction_buffer_factor: f64,
+    /// The attack every cell runs: spray size, hammer rounds, profiling
+    /// trials and attempt budget. A cell replaces the template's `seed`,
+    /// `hammer_mode` and `superpages` with its own (see
+    /// [`attack_config`](Self::attack_config)).
+    pub attack: AttackConfig,
     /// `struct cred` spray (sibling processes) for CTA cells, matching the
     /// paper's Section IV-G bypass.
     pub cta_cred_spray: usize,
     /// Attempt cap against ZebRAM (bounded wasted effort; the paper expects
     /// ZebRAM to stop the attack).
     pub zebram_attempt_cap: usize,
-    /// Tolerated TLB eviction-set miss-rate drop while trimming
-    /// (Algorithm 1).
-    pub tlb_trim_tolerance: f64,
 }
 
 impl CampaignConfig {
@@ -60,17 +46,15 @@ impl CampaignConfig {
             base_seed,
             threads: 0,
             superpages: false,
-            spray_bytes: 640 << 20,
-            hammer_rounds_per_attempt: 1_200,
-            max_attempts: 4,
-            llc_profile_trials: 6,
-            pair_candidates_per_round: 4,
-            tlb_profile_trials: 20,
-            max_flips: 16,
-            eviction_buffer_factor: 2.0,
+            attack: AttackConfig {
+                spray_bytes: 640 << 20,
+                hammer_rounds_per_attempt: 1_200,
+                max_attempts: 4,
+                llc_profile_trials: 6,
+                ..AttackConfig::quick_test(0, false)
+            },
             cta_cred_spray: 256,
             zebram_attempt_cap: 3,
-            tlb_trim_tolerance: 0.05,
         }
     }
 
@@ -84,10 +68,14 @@ impl CampaignConfig {
     /// banks, so pattern cells need several candidates to land a clean,
     /// fully verified window over a weak victim.
     pub fn trr_ci(base_seed: u64) -> Self {
+        let ci = Self::ci(base_seed);
         Self {
-            spray_bytes: 1 << 30,
-            max_attempts: 10,
-            ..Self::ci(base_seed)
+            attack: AttackConfig {
+                spray_bytes: 1 << 30,
+                max_attempts: 10,
+                ..ci.attack
+            },
+            ..ci
         }
     }
 
@@ -98,41 +86,29 @@ impl CampaignConfig {
             base_seed,
             threads: 0,
             superpages: false,
-            spray_bytes: 1 << 30,
-            hammer_rounds_per_attempt: 2_500,
-            max_attempts: 12,
-            llc_profile_trials: 6,
-            pair_candidates_per_round: 4,
-            tlb_profile_trials: 20,
-            max_flips: 16,
-            eviction_buffer_factor: 2.0,
+            attack: AttackConfig {
+                spray_bytes: 1 << 30,
+                hammer_rounds_per_attempt: 2_500,
+                max_attempts: 12,
+                llc_profile_trials: 6,
+                ..AttackConfig::quick_test(0, false)
+            },
             cta_cred_spray: 2_000,
             zebram_attempt_cap: 6,
-            tlb_trim_tolerance: 0.05,
         }
     }
 
     /// Full paper-calibrated configuration (substantial host runtime):
-    /// derived field-for-field from [`AttackConfig::paper`] — the single
-    /// source of the paper-scale knobs — plus the paper's 32 000-process
-    /// cred spray for CTA.
+    /// [`AttackConfig::paper`] plus the paper's 32 000-process cred spray
+    /// for CTA.
     pub fn full(base_seed: u64) -> Self {
-        let paper = AttackConfig::paper(0, false);
         Self {
             base_seed,
             threads: 0,
             superpages: false,
-            spray_bytes: paper.spray_bytes,
-            hammer_rounds_per_attempt: paper.hammer_rounds_per_attempt,
-            max_attempts: paper.max_attempts,
-            llc_profile_trials: paper.llc_profile_trials,
-            pair_candidates_per_round: paper.pair_candidates_per_round,
-            tlb_profile_trials: paper.tlb_profile_trials,
-            max_flips: paper.max_flips,
-            eviction_buffer_factor: paper.eviction_buffer_factor,
+            attack: AttackConfig::paper(0, false),
             cta_cred_spray: 32_000,
             zebram_attempt_cap: 6,
-            tlb_trim_tolerance: paper.tlb_trim_tolerance,
         }
     }
 
@@ -143,14 +119,16 @@ impl CampaignConfig {
     pub fn synthesis_config(&self, machine: &MachineConfig) -> SynthesisConfig {
         let stride = pair_stride(machine.dram.geometry.row_span_bytes());
         SynthesisConfig {
-            spray_strides: u32::try_from(self.spray_bytes / stride)
+            spray_strides: u32::try_from(self.attack.spray_bytes / stride)
                 .unwrap_or(u32::MAX)
                 .max(1),
             ..SynthesisConfig::for_machine(machine)
         }
     }
 
-    /// The attack configuration for one cell.
+    /// The attack configuration for one cell: the [`attack`](Self::attack)
+    /// template with the cell's seed and hammer mode, the campaign's page
+    /// setting, and the attempt budget capped against ZebRAM.
     pub fn attack_config(
         &self,
         seed: u64,
@@ -158,22 +136,16 @@ impl CampaignConfig {
         hammer_mode: HammerMode,
     ) -> AttackConfig {
         let max_attempts = if defense == DefenseChoice::Zebram {
-            self.max_attempts.min(self.zebram_attempt_cap)
+            self.attack.max_attempts.min(self.zebram_attempt_cap)
         } else {
-            self.max_attempts
+            self.attack.max_attempts
         };
         AttackConfig {
+            seed,
             hammer_mode,
-            spray_bytes: self.spray_bytes,
-            hammer_rounds_per_attempt: self.hammer_rounds_per_attempt,
+            superpages: self.superpages,
             max_attempts,
-            llc_profile_trials: self.llc_profile_trials,
-            pair_candidates_per_round: self.pair_candidates_per_round,
-            tlb_profile_trials: self.tlb_profile_trials,
-            max_flips: self.max_flips,
-            eviction_buffer_factor: self.eviction_buffer_factor,
-            tlb_trim_tolerance: self.tlb_trim_tolerance,
-            ..AttackConfig::quick_test(seed, self.superpages)
+            ..self.attack.clone()
         }
     }
 }
@@ -423,14 +395,13 @@ mod tests {
         let zebram = config.attack_config(9, DefenseChoice::Zebram, HammerMode::default());
         let none = config.attack_config(9, DefenseChoice::None, HammerMode::default());
         assert!(zebram.max_attempts <= config.zebram_attempt_cap);
-        assert_eq!(none.max_attempts, config.max_attempts);
+        assert_eq!(none.max_attempts, config.attack.max_attempts);
         assert!(zebram.validate().is_ok());
         assert!(none.validate().is_ok());
     }
 
     #[test]
     fn campaign_presets_keep_their_attack_configs() {
-        #[allow(clippy::too_many_arguments)]
         fn literal(
             spray_bytes: u64,
             hammer_rounds_per_attempt: u64,
@@ -445,14 +416,12 @@ mod tests {
                 hammer_mode: HammerMode::default(),
                 superpages: false,
                 spray_bytes,
-                eviction_buffer_factor: 2.0,
                 tlb_profile_trials,
                 llc_profile_trials,
                 hammer_rounds_per_attempt,
                 max_attempts,
                 max_flips,
                 pair_candidates_per_round,
-                tlb_trim_tolerance: 0.05,
             }
         }
         type Preset = fn(u64) -> CampaignConfig;
@@ -548,7 +517,7 @@ mod tests {
             2,
         );
         let mut config = CampaignConfig::ci(77);
-        config.max_attempts = 2;
+        config.attack.max_attempts = 2;
         config.threads = 2;
         let two = run_campaign(&matrix, &config).to_canonical_json();
         config.threads = 8;

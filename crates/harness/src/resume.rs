@@ -377,7 +377,7 @@ mod tests {
 
     fn small_config() -> CampaignConfig {
         let mut config = CampaignConfig::ci(2026);
-        config.max_attempts = 2;
+        config.attack.max_attempts = 2;
         config.threads = 2;
         config
     }
@@ -389,7 +389,7 @@ mod tests {
         other_threads.threads = 8;
         assert_eq!(store_manifest(&config), store_manifest(&other_threads));
         let mut other_scale = config.clone();
-        other_scale.hammer_rounds_per_attempt += 1;
+        other_scale.attack.hammer_rounds_per_attempt += 1;
         assert_ne!(store_manifest(&config), store_manifest(&other_scale));
         let mut other_seed = config.clone();
         other_seed.base_seed += 1;

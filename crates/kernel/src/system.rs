@@ -23,17 +23,19 @@ use crate::{
     vma::{Vma, VmaBacking},
 };
 
+/// Cycles charged for handling one demand-paging fault.
+const FAULT_LATENCY: u64 = 1_500;
+/// Low frames reserved for the kernel image and static data (at most half
+/// of physical memory on small machines).
+const RESERVED_KERNEL_FRAMES: u64 = 2_048;
+/// Base virtual address for `mmap` allocations.
+const MMAP_BASE: u64 = 0x2000_0000;
+
 /// Kernel tuning parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelConfig {
-    /// Cycles charged for handling one demand-paging fault.
-    pub fault_latency: u64,
-    /// Low frames reserved for the kernel image and static data.
-    pub reserved_kernel_frames: u64,
     /// Whether 2 MiB superpage mappings are available to user processes.
     pub superpages_enabled: bool,
-    /// Base virtual address for `mmap` allocations.
-    pub mmap_base: u64,
 }
 
 impl KernelConfig {
@@ -41,10 +43,7 @@ impl KernelConfig {
     /// "regular page" setting).
     pub fn default_config() -> Self {
         Self {
-            fault_latency: 1_500,
-            reserved_kernel_frames: 2_048,
             superpages_enabled: false,
-            mmap_base: 0x2000_0000,
         }
     }
 
@@ -52,7 +51,6 @@ impl KernelConfig {
     pub fn with_superpages() -> Self {
         Self {
             superpages_enabled: true,
-            ..Self::default_config()
         }
     }
 }
@@ -129,7 +127,7 @@ impl System {
     ) -> Self {
         let machine = Machine::new(machine_config);
         let total_frames = machine.config().dram.geometry.capacity_bytes() / PAGE_SIZE;
-        let reserved = kernel_config.reserved_kernel_frames.min(total_frames / 2);
+        let reserved = RESERVED_KERNEL_FRAMES.min(total_frames / 2);
         let buddy = BuddyAllocator::new(reserved, total_frames);
         Self {
             machine,
@@ -246,7 +244,7 @@ impl System {
             cr3: PhysAddr::from_frame(pml4_frame, 0),
             cred_paddr,
             vmas: Vec::new(),
-            next_mmap: self.config.mmap_base,
+            next_mmap: MMAP_BASE,
             l1pt_frames: Vec::new(),
         };
         self.processes.insert(pid, process);
@@ -597,8 +595,7 @@ impl System {
 
     fn handle_fault(&mut self, pid: Pid, vaddr: VirtAddr) -> Result<(), KernelError> {
         self.stats.faults_handled += 1;
-        self.machine
-            .advance_clock(Cycles::new(self.config.fault_latency));
+        self.machine.advance_clock(Cycles::new(FAULT_LATENCY));
         // Demand paging only installs mappings for pages that have never been
         // populated. A page whose leaf entry exists but is corrupted (e.g. a
         // rowhammer flip cleared the present bit or pointed the frame outside

@@ -40,9 +40,7 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pthammer_dram::{
-    Bank, BankCheckpoint, DramTimings, FlipModel, FlipModelProfile, RowBufferPolicy, TrrConfig,
-};
+use pthammer_dram::{Bank, BankCheckpoint, DramTimings, FlipModel, FlipModelProfile, TrrConfig};
 use pthammer_machine::MachineConfig;
 use pthammer_types::Cycles;
 
@@ -224,14 +222,7 @@ pub fn evaluate(pattern: &HammerPattern, config: &SynthesisConfig) -> PatternSco
     let mut trr_fired = 0u32;
     let mut background_cursor = 0u32;
     let access = |bank: &mut Bank, row: u32, now: &mut Cycles| {
-        let result = bank.access(
-            row,
-            *now,
-            &config.timings,
-            RowBufferPolicy::OpenPage,
-            &flip_model,
-            &config.trr,
-        );
+        let result = bank.access(row, *now, &config.timings, &flip_model, &config.trr);
         *now += Cycles::new(EVAL_CYCLES_PER_ACCESS);
         u32::from(result.trr_fired)
     };
@@ -362,14 +353,7 @@ fn eval_step(
     rec: &mut RoundRecord,
     trr_fired: &mut u32,
 ) {
-    let result = bank.access(
-        row,
-        *now,
-        &config.timings,
-        RowBufferPolicy::OpenPage,
-        flip_model,
-        &config.trr,
-    );
+    let result = bank.access(row, *now, &config.timings, flip_model, &config.trr);
     *now += Cycles::new(EVAL_CYCLES_PER_ACCESS);
     if result.trr_fired {
         rec.trr += 1;

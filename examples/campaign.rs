@@ -24,8 +24,8 @@ fn main() {
     let mut config = CampaignConfig::ci(42);
     // A little more hammering budget than the CI preset so the undefended
     // baseline usually escalates within the sweep.
-    config.max_attempts = 8;
-    config.hammer_rounds_per_attempt = 2_000;
+    config.attack.max_attempts = 8;
+    config.attack.hammer_rounds_per_attempt = 2_000;
     println!(
         "running a {}-cell defense-sweep campaign ({} worker threads)...",
         matrix.len(),

@@ -24,7 +24,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         spray_bytes: 1 << 30,
         hammer_rounds_per_attempt: 2_500,
         max_attempts: 12,
-        eviction_buffer_factor: 1.25,
         ..AttackConfig::quick_test(42, false)
     };
     let attack = PtHammer::new(config)?;

@@ -24,12 +24,13 @@ fn mode_matrix() -> ScenarioMatrix {
 }
 
 fn mode_config(threads: usize) -> CampaignConfig {
-    CampaignConfig {
+    let mut config = CampaignConfig {
         threads,
-        hammer_rounds_per_attempt: 600,
-        max_attempts: 2,
         ..CampaignConfig::ci(BASE_SEED)
-    }
+    };
+    config.attack.hammer_rounds_per_attempt = 600;
+    config.attack.max_attempts = 2;
+    config
 }
 
 fn run(threads: usize) -> CampaignReport {

@@ -228,7 +228,7 @@ fn resumable_golden_corrupt_cell_is_recomputed() {
 fn incompatible_campaign_refuses_the_store() {
     let (_, root) = temp_store("manifest");
     let mut retuned = golden_config();
-    retuned.hammer_rounds_per_attempt += 1;
+    retuned.attack.hammer_rounds_per_attempt += 1;
     match CellStore::open(&root, &store_manifest(&retuned)) {
         Err(StoreError::ManifestMismatch { .. }) => {}
         other => panic!("expected ManifestMismatch, got {other:?}"),
@@ -249,7 +249,7 @@ fn sharded_execution_is_disjoint_and_merges_identically() {
         1,
     );
     let mut config = CampaignConfig::ci(99);
-    config.max_attempts = 2;
+    config.attack.max_attempts = 2;
     config.threads = 2;
     let manifest = store_manifest(&config);
     let mut stores = Vec::new();
