@@ -10,8 +10,12 @@ use pthammer_harness::{
     run_campaign, CampaignConfig, CampaignReport, DefenseChoice, HammerMode as AxisMode,
     MachineChoice, ProfileChoice, ScenarioMatrix,
 };
+use pthammer_store::fnv1a_128;
 
 const BASE_SEED: u64 = 0x4d4f_4445_5353; // "MODESS"
+
+/// `fnv1a_128` digest of the canonical JSON of the mode campaign's report.
+const MODE_REPORT_DIGEST: u128 = 0x9ceb_9255_1d9e_fec7_706c_16f7_d752_9329;
 
 fn mode_matrix() -> ScenarioMatrix {
     ScenarioMatrix::new(
@@ -57,6 +61,13 @@ fn mode_campaign_is_deterministic_across_thread_counts() {
     // The non-default axis is serialized explicitly.
     assert!(two.contains("\"hammer_modes\""));
     assert!(two.contains("\"hammer_mode\": \"implicit-one-location\""));
+    // Every mode's cells, byte for byte: the golden matrices pin only the
+    // default mode.
+    assert_eq!(
+        fnv1a_128(two.as_bytes()),
+        MODE_REPORT_DIGEST,
+        "the 32-cell hammer-mode report changed"
+    );
 }
 
 #[test]
