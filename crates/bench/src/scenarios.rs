@@ -4,7 +4,7 @@ use pthammer::victim::KeyRecovery;
 use pthammer::{
     detect::scan_for_corrupted_mappings,
     eviction::{calibrate_llc_eviction, calibrate_tlb_eviction},
-    hammer::{strategy::ExplicitDoubleSided, ArmedPair, HammerStats, RoundOp},
+    hammer::{ArmedPair, HammerStats, RoundOp},
     pairs::{candidate_pairs, conflict_threshold, pair_stride},
     pipeline::prepare_attack,
     spray::spray_page_tables,
@@ -241,7 +241,7 @@ impl OnesBuffer {
         padding: u64,
         rounds: u64,
     ) -> HammerStats {
-        let mut ops = ExplicitDoubleSided.round_ops().to_vec();
+        let mut ops = HammerMode::ExplicitDoubleSided.round_ops().to_vec();
         if padding > 0 {
             ops.push(RoundOp::Compute(padding));
         }
@@ -333,16 +333,16 @@ pub fn fig5_padding_sweep(
 // ---------------------------------------------------------------------------
 
 /// Boots `machine` (undefended), prepares the attack and arms the first
-/// candidate pair `mode`'s strategy accepts — the setup the hammer
+/// candidate pair `mode` accepts — the setup the hammer
 /// microbenchmark, Figure 6 and the ANVIL window share. Returns the system,
-/// the attacker's pid, the strategy and its armed pair.
+/// the attacker's pid and the armed pair.
 fn arm_first_pair(
     machine: MachineChoice,
     scale: ExperimentScale,
     superpages: bool,
     mode: HammerMode,
     seed: u64,
-) -> (System, Pid, Box<dyn HammerStrategy>, ArmedPair) {
+) -> (System, Pid, ArmedPair) {
     let mut sys = boot(
         machine,
         scale,
@@ -356,15 +356,14 @@ fn arm_first_pair(
     let prepared = prepare_attack(&mut sys, pid, &config).expect("prepare");
     let row_span = sys.machine().config().dram.geometry.row_span_bytes();
     let threshold = conflict_threshold(&sys);
-    let strategy = mode.strategy();
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..16 {
         for pair in candidate_pairs(&prepared.spray, row_span, 4, &mut rng) {
-            let arm = strategy
+            let arm = mode
                 .arm(&mut sys, pid, pair, &prepared, &config, threshold)
                 .expect("arm");
             if let Some(armed) = arm.armed {
-                return (sys, pid, strategy, armed);
+                return (sys, pid, armed);
             }
         }
     }
@@ -383,14 +382,9 @@ pub fn fig6_hammer_samples(
     scale: ExperimentScale,
     seed: u64,
 ) -> Vec<u64> {
-    let (mut sys, pid, strategy, armed) = arm_first_pair(
-        machine,
-        scale,
-        superpages,
-        HammerMode::ImplicitSingleSided,
-        seed,
-    );
-    let ops = strategy.round_ops();
+    let mode = HammerMode::ImplicitSingleSided;
+    let (mut sys, pid, armed) = arm_first_pair(machine, scale, superpages, mode, seed);
+    let ops = mode.round_ops();
     let mut trace = CompiledTrace::compile(&armed, ops, &sys, pid).expect("compile");
     trace
         .hammer(&armed, ops, &mut sys, pid, 10, |_| {})
@@ -447,9 +441,9 @@ pub fn hammer_microbench(
     seed: u64,
 ) -> HammerMicrobench {
     let superpages = machine != MachineChoice::TestSmall;
-    let (mut sys, pid, strategy, armed) = arm_first_pair(machine, scale, superpages, mode, seed);
+    let (mut sys, pid, armed) = arm_first_pair(machine, scale, superpages, mode, seed);
     let clock_hz = sys.machine().clock_hz();
-    let ops = strategy.round_ops();
+    let ops = mode.round_ops();
     let mut trace = CompiledTrace::compile(&armed, ops, &sys, pid).expect("compile");
     trace
         .hammer(&armed, ops, &mut sys, pid, 10, |_| {})
@@ -462,7 +456,7 @@ pub fn hammer_microbench(
         .expect("hammer");
     let wall_ns = watch.elapsed_ns();
     let counters = MachineCounters::capture(sys.machine()).since(&before);
-    let implicit_touches = strategy.implicit_touches_per_round() * rounds;
+    let implicit_touches = mode.implicit_touches_per_round() * rounds;
     let dram_hits = stats.low_dram_hits + stats.high_dram_hits + stats.aggressor_dram_hits;
     HammerMicrobench {
         accounting: HammerAccounting::new(stats.rounds, stats.total_cycles, clock_hz),
@@ -682,13 +676,12 @@ pub fn pair_selection_accuracy(
     let mut rng = StdRng::seed_from_u64(seed ^ 0xD);
     let pairs = candidate_pairs(&prepared.spray, row_span, pair_count, &mut rng);
     let threshold = conflict_threshold(&sys);
-    let strategy = HammerMode::ImplicitDoubleSided.strategy();
 
     let mut flagged = 0usize;
     let mut same_bank = 0usize;
     let mut two_rows = 0usize;
     for &pair in &pairs {
-        let verification = strategy
+        let verification = HammerMode::ImplicitDoubleSided
             .arm(&mut sys, pid, pair, &prepared, &config, threshold)
             .expect("arm")
             .verification
@@ -781,9 +774,9 @@ pub fn anvil_eval(machine: MachineChoice, scale: ExperimentScale, seed: u64) -> 
     // argument is independent of the page size and the eviction pools are
     // built much faster).
     let implicit_rates = {
-        let (mut sys, pid, strategy, armed) =
-            arm_first_pair(machine, scale, true, HammerMode::ImplicitSingleSided, seed);
-        let ops = strategy.round_ops();
+        let mode = HammerMode::ImplicitSingleSided;
+        let (mut sys, pid, armed) = arm_first_pair(machine, scale, true, mode, seed);
+        let ops = mode.round_ops();
         let mut trace = CompiledTrace::compile(&armed, ops, &sys, pid).expect("compile");
         let start_cycles = sys.rdtsc();
         let start = sys.machine().dram_stats().accesses;

@@ -17,7 +17,7 @@ use crate::config::AttackConfig;
 use crate::error::AttackError;
 use crate::events::EventSink;
 use crate::hammer::strategy::HammerStrategy;
-use crate::pipeline::{self, AttackPipeline};
+use crate::pipeline::AttackPipeline;
 use crate::report::AttackOutcome;
 use crate::victim::{PteTakeover, Victim};
 
@@ -117,18 +117,14 @@ impl PtHammer {
     /// Number of pages in the TLB eviction sets the attack uses: the paper's
     /// 12 on the Table I machines (`L1 ways + 2 × L2 ways`).
     pub fn tlb_eviction_pages(sys: &System) -> usize {
-        pipeline::tlb_eviction_pages(sys)
+        let mmu = &sys.machine().config().mmu;
+        (mmu.l1_dtlb.ways + 2 * mmu.l2_stlb.ways) as usize
     }
 
     /// Number of lines in the LLC eviction sets: one more than the LLC
     /// associativity (13 on the Lenovo machines, 17 on the Dell).
     pub fn llc_eviction_lines(sys: &System) -> usize {
-        pipeline::llc_eviction_lines(sys)
-    }
-
-    /// Runs the one-off preparation: TLB pool, LLC pool and the spray.
-    pub fn prepare(&self, sys: &mut System, pid: Pid) -> Result<PreparedAttack, AttackError> {
-        pipeline::prepare_attack(sys, pid, &self.config)
+        sys.machine().config().cache.llc.ways as usize + 1
     }
 
     /// Runs the full attack with everything [`RunOptions`] injects: event
@@ -145,7 +141,7 @@ impl PtHammer {
     ) -> Result<AttackOutcome, AttackError> {
         let strategy = options
             .strategy
-            .unwrap_or_else(|| self.config.hammer_mode.strategy());
+            .unwrap_or_else(|| Box::new(self.config.hammer_mode));
         let victim = options.victim.unwrap_or_else(|| Box::new(PteTakeover));
         let mut pipeline = AttackPipeline::new(&self.config, strategy, victim);
         for sink in options.sinks {
@@ -160,26 +156,9 @@ mod tests {
     use super::*;
     use crate::events::{AttackEvent, AttackPhase};
     use crate::hammer::strategy::HammerMode;
-    use pthammer_cache::{CacheHierarchyConfig, LlcConfig, ReplacementPolicy};
     use pthammer_dram::FlipModelProfile;
     use pthammer_kernel::DefenseKind;
     use pthammer_machine::MachineConfig;
-
-    /// A vulnerable machine small enough for an end-to-end attack in a test.
-    pub(crate) fn vulnerable_test_machine(seed: u64) -> MachineConfig {
-        let mut cfg = MachineConfig::test_small(FlipModelProfile::ci(), seed);
-        cfg.cache = CacheHierarchyConfig {
-            llc: LlcConfig {
-                slices: 2,
-                sets_per_slice: 256,
-                ways: 8,
-                latency: 18,
-                replacement: ReplacementPolicy::Srrip,
-            },
-            ..CacheHierarchyConfig::test_small()
-        };
-        cfg
-    }
 
     #[test]
     fn invalid_config_is_rejected() {
@@ -193,14 +172,14 @@ mod tests {
 
     #[test]
     fn eviction_set_sizes_follow_the_machine() {
-        let sys = System::undefended(vulnerable_test_machine(3));
+        let sys = System::undefended(MachineConfig::ci_small(FlipModelProfile::ci(), 3));
         assert_eq!(PtHammer::tlb_eviction_pages(&sys), 12);
         assert_eq!(PtHammer::llc_eviction_lines(&sys), 9);
     }
 
     #[test]
     fn end_to_end_attack_escalates_on_vulnerable_machine() {
-        let mut sys = System::undefended(vulnerable_test_machine(7));
+        let mut sys = System::undefended(MachineConfig::ci_small(FlipModelProfile::ci(), 7));
         let pid = sys.spawn_process(1000).unwrap();
         let config = AttackConfig {
             spray_bytes: 640 << 20,
@@ -268,11 +247,11 @@ mod tests {
         };
         let attack = PtHammer::new(config).unwrap();
 
-        let mut sys = System::undefended(vulnerable_test_machine(11));
+        let mut sys = System::undefended(MachineConfig::ci_small(FlipModelProfile::ci(), 11));
         let pid = sys.spawn_process(1000).unwrap();
         let plain = attack.run_with(&mut sys, pid, RunOptions::new()).unwrap();
 
-        let mut sys = System::undefended(vulnerable_test_machine(11));
+        let mut sys = System::undefended(MachineConfig::ci_small(FlipModelProfile::ci(), 11));
         let pid = sys.spawn_process(1000).unwrap();
         let mut protocol = Protocol::default();
         let observed = attack

@@ -3,12 +3,13 @@
 //! The phase pipeline ([`crate::pipeline`]) does not keep ad-hoc timing
 //! locals; it *announces* what happens — phases entered and exited, attempts
 //! started, pairs verified, flips observed, escalation — as [`AttackEvent`]s
-//! on a lightweight [`EventBus`]. Everything that used to be hand-rolled
-//! `StageTimings` bookkeeping is now a subscriber: the built-in
-//! [`PipelineAccounting`] sink derives the stage timings and headline counts
-//! of [`AttackOutcome`](crate::AttackOutcome), and external subscribers (the
-//! campaign harness's instrumented runners, the `pthammer-perf` accounting)
-//! observe the same stream instead of re-deriving counts from outcomes.
+//! on a crate-private event bus. The stage timings and headline counts of
+//! [`AttackOutcome`](crate::AttackOutcome) are derived by a built-in
+//! accounting subscriber, and the [`EventSink`]s a run is given through
+//! [`RunOptions::observed_by`](crate::RunOptions::observed_by) (the campaign
+//! harness's instrumented runners, the `pthammer-perf` accounting, the
+//! examples) observe the same stream instead of re-deriving counts from
+//! outcomes.
 //!
 //! Events are emitted *after* the simulated work they describe, so sinks can
 //! never perturb the simulation: a run with zero subscribers is
@@ -160,8 +161,7 @@ pub trait EventSink {
 /// A minimal synchronous event bus: subscribers in registration order, no
 /// buffering, no filtering. Emission is infallible — sinks observe, they do
 /// not steer.
-#[derive(Default)]
-pub struct EventBus<'a> {
+pub(crate) struct EventBus<'a> {
     sinks: Vec<&'a mut dyn EventSink>,
 }
 
@@ -176,24 +176,11 @@ impl<'a> EventBus<'a> {
         self.sinks.push(sink);
     }
 
-    /// Number of registered subscribers.
-    pub fn subscriber_count(&self) -> usize {
-        self.sinks.len()
-    }
-
     /// Delivers one event to every subscriber, in registration order.
     pub fn emit(&mut self, event: &AttackEvent) {
         for sink in &mut self.sinks {
             sink.on_event(event);
         }
-    }
-}
-
-impl std::fmt::Debug for EventBus<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventBus")
-            .field("subscribers", &self.sinks.len())
-            .finish()
     }
 }
 
@@ -206,7 +193,7 @@ impl std::fmt::Debug for EventBus<'_> {
 /// arithmetic (integer-divided per-attempt averages, first-flip timestamps,
 /// DRAM-rate ratios), so the default attack remains byte-identical.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineAccounting {
+pub(crate) struct PipelineAccounting {
     /// `rdtsc` at the start of the attack; first-flip / escalation times are
     /// relative to it.
     attack_start: u64,
@@ -378,7 +365,6 @@ mod tests {
         let mut bus = EventBus::new();
         bus.subscribe(&mut a);
         bus.subscribe(&mut b);
-        assert_eq!(bus.subscriber_count(), 2);
         bus.emit(&AttackEvent::PhaseEntered {
             phase: AttackPhase::Prepare,
             at_cycles: 1,

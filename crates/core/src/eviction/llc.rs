@@ -517,24 +517,13 @@ pub fn calibrate_llc_eviction(
 mod tests {
     use super::*;
     use crate::eviction::tlb::TlbEvictionPool;
-    use pthammer_cache::{CacheHierarchyConfig, LlcConfig, ReplacementPolicy};
     use pthammer_dram::FlipModelProfile;
     use pthammer_kernel::KernelConfig;
     use pthammer_machine::MachineConfig;
 
-    /// A machine with a deliberately tiny LLC so pool construction is fast.
+    /// The CI-scale machine, whose tiny LLC keeps pool construction fast.
     fn tiny_llc_machine(superpages: bool) -> (System, Pid) {
-        let mut cfg = MachineConfig::test_small(FlipModelProfile::invulnerable(), 9);
-        cfg.cache = CacheHierarchyConfig {
-            llc: LlcConfig {
-                slices: 2,
-                sets_per_slice: 256,
-                ways: 8,
-                latency: 18,
-                replacement: ReplacementPolicy::Srrip,
-            },
-            ..CacheHierarchyConfig::test_small()
-        };
+        let cfg = MachineConfig::ci_small(FlipModelProfile::invulnerable(), 9);
         let kernel_config = if superpages {
             KernelConfig::with_superpages()
         } else {

@@ -10,11 +10,12 @@
 //! hammer phase executes. Every implicit strategy arms through
 //! [`arm_implicit`], which gives each aggressor an [`ArmedAggressor`].
 //!
-//! Four strategies are provided, selected by [`HammerMode`]:
+//! [`HammerMode`] is the built-in strategy; its implementation is one table
+//! row per mode:
 //!
 //! * [`HammerMode::ImplicitDoubleSided`] — the paper's attack: same-bank
 //!   verified pairs, both targets' TLB entries and L1PTE lines evicted, both
-//!   targets touched. Byte-identical to the pre-pipeline driver.
+//!   targets touched.
 //! * [`HammerMode::ExplicitDoubleSided`] — the conventional baseline: the
 //!   attacker accesses and `clflush`es the pair targets itself. Its DRAM
 //!   traffic lands in the attacker's own (aliased) data frame, never in the
@@ -24,6 +25,9 @@
 //!   independent single-sided aggressors.
 //! * [`HammerMode::ImplicitOneLocation`] — a single implicit aggressor: only
 //!   the low target is armed and touched each iteration.
+//!
+//! The only other implementor is the synthesized many-sided pattern of
+//! crate `pthammer-patterns`.
 
 use std::fmt;
 use std::str::FromStr;
@@ -80,16 +84,6 @@ impl HammerMode {
     /// snapshot pins byte-for-byte.
     pub fn is_default(&self) -> bool {
         *self == HammerMode::ImplicitDoubleSided
-    }
-
-    /// Instantiates the strategy implementing this mode.
-    pub fn strategy(&self) -> Box<dyn HammerStrategy> {
-        match self {
-            HammerMode::ImplicitDoubleSided => Box::new(ImplicitDoubleSided),
-            HammerMode::ExplicitDoubleSided => Box::new(ExplicitDoubleSided),
-            HammerMode::ImplicitSingleSided => Box::new(ImplicitSingleSided),
-            HammerMode::ImplicitOneLocation => Box::new(ImplicitOneLocation),
-        }
     }
 }
 
@@ -355,12 +349,8 @@ pub trait HammerStrategy: fmt::Debug + Send {
     ) -> Result<ArmResult, AttackError>;
 }
 
-/// The paper's implicit double-sided strategy (the default mode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ImplicitDoubleSided;
-
-/// Per-round pattern of the implicit double-sided strategy: evict both
-/// targets' TLB entries, then both L1PTE lines, then touch both targets.
+/// Per-round pattern of the implicit double- and single-sided modes: evict
+/// both targets' TLB entries, then both L1PTE lines, then touch both targets.
 const IMPLICIT_DOUBLE_SIDED_OPS: [RoundOp; 6] = [
     RoundOp::EvictTlb(Target::Low),
     RoundOp::EvictTlb(Target::High),
@@ -370,13 +360,35 @@ const IMPLICIT_DOUBLE_SIDED_OPS: [RoundOp; 6] = [
     RoundOp::TouchImplicit(Target::High),
 ];
 
-impl HammerStrategy for ImplicitDoubleSided {
+/// Per-round pattern of the explicit `clflush` baseline.
+const EXPLICIT_DOUBLE_SIDED_OPS: [RoundOp; 4] = [
+    RoundOp::AccessData(Target::Low),
+    RoundOp::AccessData(Target::High),
+    RoundOp::Clflush(Target::Low),
+    RoundOp::Clflush(Target::High),
+];
+
+/// Per-round pattern of one-location hammering: the low target alone.
+const IMPLICIT_ONE_LOCATION_OPS: [RoundOp; 3] = [
+    RoundOp::EvictTlb(Target::Low),
+    RoundOp::EvictLlc(Target::Low),
+    RoundOp::TouchImplicit(Target::Low),
+];
+
+/// The built-in strategies: one row of the mode table each.
+impl HammerStrategy for HammerMode {
     fn mode(&self) -> HammerMode {
-        HammerMode::ImplicitDoubleSided
+        *self
     }
 
     fn round_ops(&self) -> &[RoundOp] {
-        &IMPLICIT_DOUBLE_SIDED_OPS
+        match self {
+            HammerMode::ImplicitDoubleSided | HammerMode::ImplicitSingleSided => {
+                &IMPLICIT_DOUBLE_SIDED_OPS
+            }
+            HammerMode::ExplicitDoubleSided => &EXPLICIT_DOUBLE_SIDED_OPS,
+            HammerMode::ImplicitOneLocation => &IMPLICIT_ONE_LOCATION_OPS,
+        }
     }
 
     fn arm(
@@ -388,123 +400,21 @@ impl HammerStrategy for ImplicitDoubleSided {
         config: &AttackConfig,
         conflict_threshold: u64,
     ) -> Result<ArmResult, AttackError> {
-        arm_implicit(
-            sys,
-            pid,
-            pair,
-            &[pair.low, pair.high],
-            prepared,
-            config,
-            Some(conflict_threshold),
-        )
-    }
-}
-
-/// The explicit `clflush`-based double-sided baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ExplicitDoubleSided;
-
-const EXPLICIT_DOUBLE_SIDED_OPS: [RoundOp; 4] = [
-    RoundOp::AccessData(Target::Low),
-    RoundOp::AccessData(Target::High),
-    RoundOp::Clflush(Target::Low),
-    RoundOp::Clflush(Target::High),
-];
-
-impl HammerStrategy for ExplicitDoubleSided {
-    fn mode(&self) -> HammerMode {
-        HammerMode::ExplicitDoubleSided
-    }
-
-    fn round_ops(&self) -> &[RoundOp] {
-        &EXPLICIT_DOUBLE_SIDED_OPS
-    }
-
-    fn arm(
-        &self,
-        _sys: &mut System,
-        _pid: Pid,
-        pair: HammerPair,
-        _prepared: &PreparedAttack,
-        _config: &AttackConfig,
-        _conflict_threshold: u64,
-    ) -> Result<ArmResult, AttackError> {
-        // No eviction sets and no same-bank gate: the attacker flushes its
-        // own lines, which is all an explicit hammer can do.
-        Ok(ArmResult {
-            armed: Some(ArmedPair::explicit(pair)),
-            ..ArmResult::default()
-        })
-    }
-}
-
-/// Implicit single-sided hammering: every candidate pair is armed like the
-/// double-sided strategy but hammered without same-bank verification — the
-/// two targets act as independent aggressors (Seaborn-style random pairs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ImplicitSingleSided;
-
-impl HammerStrategy for ImplicitSingleSided {
-    fn mode(&self) -> HammerMode {
-        HammerMode::ImplicitSingleSided
-    }
-
-    fn round_ops(&self) -> &[RoundOp] {
-        &IMPLICIT_DOUBLE_SIDED_OPS
-    }
-
-    fn arm(
-        &self,
-        sys: &mut System,
-        pid: Pid,
-        pair: HammerPair,
-        prepared: &PreparedAttack,
-        config: &AttackConfig,
-        _conflict_threshold: u64,
-    ) -> Result<ArmResult, AttackError> {
-        arm_implicit(
-            sys,
-            pid,
-            pair,
-            &[pair.low, pair.high],
-            prepared,
-            config,
-            None,
-        )
-    }
-}
-
-/// Implicit one-location hammering: a single aggressor, armed and touched
-/// alone. Defeats defenses that assume double-sided aggressor pairs
-/// ("Another Flip in the Wall").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ImplicitOneLocation;
-
-const IMPLICIT_ONE_LOCATION_OPS: [RoundOp; 3] = [
-    RoundOp::EvictTlb(Target::Low),
-    RoundOp::EvictLlc(Target::Low),
-    RoundOp::TouchImplicit(Target::Low),
-];
-
-impl HammerStrategy for ImplicitOneLocation {
-    fn mode(&self) -> HammerMode {
-        HammerMode::ImplicitOneLocation
-    }
-
-    fn round_ops(&self) -> &[RoundOp] {
-        &IMPLICIT_ONE_LOCATION_OPS
-    }
-
-    fn arm(
-        &self,
-        sys: &mut System,
-        pid: Pid,
-        pair: HammerPair,
-        prepared: &PreparedAttack,
-        config: &AttackConfig,
-        _conflict_threshold: u64,
-    ) -> Result<ArmResult, AttackError> {
-        arm_implicit(sys, pid, pair, &[pair.low], prepared, config, None)
+        let both = [pair.low, pair.high];
+        let (aggressors, gate) = match self {
+            HammerMode::ImplicitDoubleSided => (&both[..], Some(conflict_threshold)),
+            HammerMode::ImplicitSingleSided => (&both[..], None),
+            HammerMode::ImplicitOneLocation => (&both[..1], None),
+            // No eviction sets and no same-bank gate: the attacker flushes
+            // its own lines, which is all an explicit hammer can do.
+            HammerMode::ExplicitDoubleSided => {
+                return Ok(ArmResult {
+                    armed: Some(ArmedPair::explicit(pair)),
+                    ..ArmResult::default()
+                })
+            }
+        };
+        arm_implicit(sys, pid, pair, aggressors, prepared, config, gate)
     }
 }
 
@@ -513,26 +423,15 @@ pub(crate) mod tests {
     use super::*;
     use crate::pipeline::prepare_attack;
     use crate::trace::CompiledTrace;
-    use pthammer_cache::{CacheHierarchyConfig, LlcConfig, ReplacementPolicy};
     use pthammer_dram::FlipModelProfile;
     use pthammer_machine::MachineConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Small machine with a small LLC so pool construction stays fast, but a
-    /// realistic TLB and DRAM mapping.
+    /// The CI-scale machine on invulnerable DRAM: a small LLC so pool
+    /// construction stays fast, but a realistic TLB and DRAM mapping.
     pub(crate) fn tiny_system(seed: u64) -> (System, Pid) {
-        let mut cfg = MachineConfig::test_small(FlipModelProfile::invulnerable(), seed);
-        cfg.cache = CacheHierarchyConfig {
-            llc: LlcConfig {
-                slices: 2,
-                sets_per_slice: 256,
-                ways: 8,
-                latency: 18,
-                replacement: ReplacementPolicy::Srrip,
-            },
-            ..CacheHierarchyConfig::test_small()
-        };
+        let cfg = MachineConfig::ci_small(FlipModelProfile::invulnerable(), seed);
         let mut sys = System::undefended(cfg);
         let pid = sys.spawn_process(1000).unwrap();
         (sys, pid)
@@ -546,27 +445,25 @@ pub(crate) mod tests {
         }
     }
 
-    /// Prepares the attack and arms the first candidate pair `mode`'s
-    /// strategy accepts, drawing candidates from an RNG seeded with
-    /// `config.seed`.
+    /// Prepares the attack and arms the first candidate pair `mode`
+    /// accepts, drawing candidates from an RNG seeded with `config.seed`.
     pub(crate) fn armed_for(
         mode: HammerMode,
         sys: &mut System,
         pid: Pid,
         config: &AttackConfig,
-    ) -> (Box<dyn HammerStrategy>, ArmedPair) {
+    ) -> ArmedPair {
         let prepared = prepare_attack(sys, pid, config).unwrap();
         let row_span = sys.machine().config().dram.geometry.row_span_bytes();
         let threshold = crate::pairs::conflict_threshold(sys);
-        let strategy = mode.strategy();
         let mut rng = StdRng::seed_from_u64(config.seed);
         for _ in 0..16 {
             for pair in candidate_pairs(&prepared.spray, row_span, 4, &mut rng) {
-                let arm = strategy
+                let arm = mode
                     .arm(sys, pid, pair, &prepared, config, threshold)
                     .unwrap();
                 if let Some(armed) = arm.armed {
-                    return (strategy, armed);
+                    return armed;
                 }
             }
         }
@@ -581,7 +478,7 @@ pub(crate) mod tests {
         for mode in HammerMode::all() {
             assert_eq!(mode.name().parse::<HammerMode>().unwrap(), mode);
             assert_eq!(mode.to_string(), mode.name());
-            assert_eq!(mode.strategy().mode(), mode);
+            assert_eq!(mode.mode(), mode);
         }
         assert!(HammerMode::default().is_default());
         assert!(!HammerMode::ImplicitOneLocation.is_default());
@@ -594,6 +491,7 @@ pub(crate) mod tests {
     /// it.
     #[test]
     fn round_op_patterns_are_exact() {
+        use HammerMode::*;
         use RoundOp::*;
         use Target::*;
         assert_eq!(
@@ -635,8 +533,9 @@ pub(crate) mod tests {
     fn one_location_strategy_touches_only_the_low_target() {
         let config = tiny_config(31);
         let (mut sys, pid) = tiny_system(31);
-        let (strategy, armed) = armed_for(HammerMode::ImplicitOneLocation, &mut sys, pid, &config);
-        let round = CompiledTrace::compile(&armed, strategy.round_ops(), &sys, pid)
+        let mode = HammerMode::ImplicitOneLocation;
+        let armed = armed_for(mode, &mut sys, pid, &config);
+        let round = CompiledTrace::compile(&armed, mode.round_ops(), &sys, pid)
             .unwrap()
             .replay(&mut sys, pid)
             .unwrap();
@@ -648,7 +547,7 @@ pub(crate) mod tests {
         // armed count.
         let explicit = ArmedPair::explicit(armed.pair);
         for (pair, ops) in [
-            (&armed, ImplicitDoubleSided.round_ops()),
+            (&armed, HammerMode::ImplicitDoubleSided.round_ops()),
             (&explicit, &[RoundOp::EvictTlb(Target::Low)][..]),
             (&armed, &[RoundOp::EvictLlc(Target::Aggressor(1))][..]),
         ] {
@@ -666,8 +565,9 @@ pub(crate) mod tests {
     fn explicit_strategy_performs_no_implicit_loads() {
         let config = tiny_config(37);
         let (mut sys, pid) = tiny_system(37);
-        let (strategy, armed) = armed_for(HammerMode::ExplicitDoubleSided, &mut sys, pid, &config);
-        let trace = CompiledTrace::compile(&armed, strategy.round_ops(), &sys, pid).unwrap();
+        let mode = HammerMode::ExplicitDoubleSided;
+        let armed = armed_for(mode, &mut sys, pid, &config);
+        let trace = CompiledTrace::compile(&armed, mode.round_ops(), &sys, pid).unwrap();
         let walks_before = sys.machine().tlb_pmc().walks;
         // Warm the pair's translations once, then measure steady state.
         trace.replay(&mut sys, pid).unwrap();
@@ -695,12 +595,12 @@ pub(crate) mod tests {
         let mut ds_accepted = 0;
         let mut ss_accepted = 0;
         for pair in pairs {
-            let ds = ImplicitDoubleSided
+            let ds = HammerMode::ImplicitDoubleSided
                 .arm(&mut sys, pid, pair, &prepared, &config, threshold)
                 .unwrap();
             assert!(ds.verification.is_some());
             ds_accepted += usize::from(ds.armed.is_some());
-            let ss = ImplicitSingleSided
+            let ss = HammerMode::ImplicitSingleSided
                 .arm(&mut sys, pid, pair, &prepared, &config, threshold)
                 .unwrap();
             assert!(ss.verification.is_none());

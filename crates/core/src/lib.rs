@@ -24,10 +24,10 @@
 //! * [`spray`] — page-table spraying.
 //! * [`pairs`] — double-sided pair selection and row-buffer-conflict
 //!   verification.
-//! * [`hammer`] — the pluggable [`HammerStrategy`] layer selected by
-//!   [`HammerMode`], the explicit `clflush` baseline among its strategies.
-//!   Every implicit strategy arms its aggressors through one helper into
-//!   one per-aggressor eviction-set list.
+//! * [`hammer`] — the pluggable [`HammerStrategy`] layer. [`HammerMode`] is
+//!   the built-in strategy, one table row per mode, the explicit `clflush`
+//!   baseline among them. Every implicit mode arms its aggressors through
+//!   one helper into one per-aggressor eviction-set list.
 //! * [`trace`] — [`CompiledTrace`], the one executor every hammer loop runs
 //!   through, and the [`HammerStats`] it accumulates.
 //! * [`detect`] / [`exploit`] — finding corrupted mappings and the
@@ -37,11 +37,13 @@
 //!   ([`victim::PteTakeover`], [`victim::CredCorruption`],
 //!   [`victim::KeyRecovery`]), selectable by [`VictimChoice`].
 //! * [`pipeline`] — the staged `Prepare → PairSelect → Hammer → Detect →
-//!   Exploit` pipeline over a shared [`pipeline::AttackCtx`].
-//! * [`events`] — the typed event bus the pipeline narrates itself on; all
-//!   timing accounting is an event subscriber.
-//! * [`attack`] — the [`PtHammer::run_with`] entry point (with its
-//!   [`RunOptions`] builder) driving the pipeline.
+//!   Exploit` pipeline (crate-private) and its public one-off preparation,
+//!   [`pipeline::prepare_attack`].
+//! * [`events`] — the typed events the pipeline narrates itself on; all
+//!   timing accounting is an event subscriber, and so is every
+//!   [`EventSink`] a run is given.
+//! * [`attack`] — [`PtHammer::run_with`], the one driver of the pipeline,
+//!   with its [`RunOptions`] builder.
 //!
 //! ## Example
 //!
@@ -88,14 +90,13 @@ pub use attack::{PreparedAttack, PtHammer, RunOptions};
 pub use config::AttackConfig;
 pub use detect::{CapturedPageKind, FlipFinding};
 pub use error::AttackError;
-pub use events::{AttackEvent, AttackPhase, EventBus, EventSink, PipelineAccounting};
+pub use events::{AttackEvent, AttackPhase, EventSink};
 pub use eviction::{
     LlcCalibration, LlcEvictionPool, SelectedEvictionSet, TlbCalibration, TlbEvictionPool,
     TlbEvictionSet, TlbMapping, LLC_EVICTION_PASSES,
 };
 pub use hammer::{HammerMode, HammerStats, HammerStrategy, RoundOp, Target};
 pub use pairs::{HammerPair, PairVerification};
-pub use pipeline::{AttackCtx, AttackPipeline};
 pub use report::{AttackOutcome, PageSetting, StageTimings};
 pub use spray::{SprayRegion, SPRAY_PATTERN};
 pub use trace::CompiledTrace;

@@ -1,24 +1,23 @@
 //! The attack's phase pipeline.
 //!
-//! [`AttackPipeline`] replaces the old monolithic `PtHammer::run` loop with
-//! an explicit `Prepare → PairSelect → Hammer → Detect → Exploit` pipeline
-//! over a shared [`AttackCtx`]: the per-attempt state, the attacker's RNG
-//! and all timing accounting live here instead of in ad-hoc locals. Each
-//! phase announces itself on the typed event bus ([`crate::events`]); the
-//! built-in [`PipelineAccounting`] subscriber derives the stage timings and
-//! headline counts, and external subscribers (the campaign harness, the
-//! perf accounting) observe the same stream.
+//! [`PtHammer::run_with`](crate::PtHammer::run_with) drives the attack as
+//! one crate-private pipeline, `Prepare → PairSelect → Hammer → Detect →
+//! Exploit`, over a shared context that holds the per-attempt state, the
+//! attacker's RNG and all timing accounting. Each phase announces itself on
+//! the typed event stream ([`crate::events`]); a built-in accounting
+//! subscriber derives the stage timings and headline counts, and the
+//! [`EventSink`]s a run is given (the campaign harness, the perf
+//! accounting, the examples) observe the same stream.
 //!
-//! For the paper's default mode
-//! ([`HammerMode::ImplicitDoubleSided`](crate::HammerMode)) the pipeline
-//! performs exactly the simulated-operation sequence of the historical
-//! driver, so the golden campaign snapshot remains byte-identical.
+//! [`prepare_attack`] is public so that the benchmark harness can time and
+//! reuse the one-off preparation on its own.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pthammer_kernel::{Pid, System};
 
+use crate::attack::PtHammer;
 use crate::config::AttackConfig;
 use crate::detect::scan_for_corrupted_mappings;
 use crate::error::AttackError;
@@ -44,27 +43,14 @@ pub struct PreparedAttack {
     pub spray: crate::spray::SprayRegion,
 }
 
-/// Number of pages in the TLB eviction sets the attack uses: the paper's
-/// 12 on the Table I machines (`L1 ways + 2 × L2 ways`).
-pub fn tlb_eviction_pages(sys: &System) -> usize {
-    let mmu = &sys.machine().config().mmu;
-    (mmu.l1_dtlb.ways + 2 * mmu.l2_stlb.ways) as usize
-}
-
-/// Number of lines in the LLC eviction sets: one more than the LLC
-/// associativity (13 on the Lenovo machines, 17 on the Dell).
-pub fn llc_eviction_lines(sys: &System) -> usize {
-    sys.machine().config().cache.llc.ways as usize + 1
-}
-
 /// Runs the one-off preparation: TLB pool, LLC pool and the spray.
 pub fn prepare_attack(
     sys: &mut System,
     pid: Pid,
     config: &AttackConfig,
 ) -> Result<PreparedAttack, AttackError> {
-    let tlb_pool = TlbEvictionPool::build(sys, pid, config, tlb_eviction_pages(sys))?;
-    let llc_pool = LlcEvictionPool::build(sys, pid, config, llc_eviction_lines(sys))?;
+    let tlb_pool = TlbEvictionPool::build(sys, pid, config, PtHammer::tlb_eviction_pages(sys))?;
+    let llc_pool = LlcEvictionPool::build(sys, pid, config, PtHammer::llc_eviction_lines(sys))?;
     let spray = spray_page_tables(sys, pid, config)?;
     Ok(PreparedAttack {
         tlb_pool,
@@ -73,38 +59,34 @@ pub fn prepare_attack(
     })
 }
 
-/// The shared, typed context every pipeline phase operates on.
-///
-/// Everything the old driver kept in loop-local variables lives here: the
+/// The shared, typed context every pipeline phase operates on: the
 /// attacker's RNG stream, machine-derived constants, the accounting
 /// subscriber and the attempt-spanning result state. What `Prepare` builds
 /// (the pools, the spray and the victim's flip profile) is returned by that
 /// phase and borrowed by the attempt loop instead.
 #[derive(Debug)]
-pub struct AttackCtx {
+pub(crate) struct AttackCtx {
     /// The process running the attack.
-    pub pid: Pid,
-    /// `rdtsc` at the start of the attack.
-    pub attack_start: u64,
+    pid: Pid,
     /// Attacker uid before the attack.
-    pub uid_before: u32,
+    uid_before: u32,
     /// DRAM row span of the machine under attack (bytes).
-    pub row_span: u64,
+    row_span: u64,
     /// Row-buffer-conflict latency threshold for pair verification.
-    pub conflict_threshold: u64,
+    conflict_threshold: u64,
     /// The attacker's pseudo-random stream (pair selection).
-    pub rng: StdRng,
+    rng: StdRng,
     /// Event-derived timing and count accounting.
-    pub accounting: PipelineAccounting,
+    accounting: PipelineAccounting,
     /// Per-iteration cycle samples (the Figure 6 measurement).
-    pub hammer_cycle_samples: Vec<u64>,
+    hammer_cycle_samples: Vec<u64>,
     /// The victim the `Exploit` phase dispatches through (`profile →
     /// evaluate → attack`); [`PteTakeover`] unless one was injected.
-    pub victim: Box<dyn Victim>,
+    victim: Box<dyn Victim>,
     /// The successful victim outcome, once the `Exploit` phase produced one.
-    pub victory: Option<VictimOutcome>,
+    victory: Option<VictimOutcome>,
     /// Effective uid of the escalated process (== `uid_before` until then).
-    pub escalated_uid: u32,
+    escalated_uid: u32,
 }
 
 /// What the driver does after a phase group completes.
@@ -117,21 +99,11 @@ enum Flow {
 
 /// The staged attack pipeline: a hammer strategy plus an event bus, driven
 /// over an [`AttackCtx`].
-pub struct AttackPipeline<'a, 'b> {
+pub(crate) struct AttackPipeline<'a, 'b> {
     config: &'a AttackConfig,
     strategy: Box<dyn HammerStrategy>,
     victim: Box<dyn Victim>,
     bus: EventBus<'b>,
-}
-
-impl std::fmt::Debug for AttackPipeline<'_, '_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AttackPipeline")
-            .field("strategy", &self.strategy)
-            .field("victim", &self.victim)
-            .field("bus", &self.bus)
-            .finish_non_exhaustive()
-    }
 }
 
 impl<'a, 'b> AttackPipeline<'a, 'b> {
@@ -195,7 +167,6 @@ impl<'a, 'b> AttackPipeline<'a, 'b> {
 
         let mut ctx = AttackCtx {
             pid,
-            attack_start,
             uid_before,
             row_span: sys.machine().config().dram.geometry.row_span_bytes(),
             conflict_threshold: conflict_threshold(sys),

@@ -893,7 +893,7 @@ mod tests {
     use super::*;
     use crate::config::AttackConfig;
     use crate::hammer::strategy::tests::{armed_for, tiny_config, tiny_system};
-    use crate::hammer::strategy::{ExplicitDoubleSided, HammerMode, HammerStrategy};
+    use crate::hammer::strategy::{HammerMode, HammerStrategy};
     use crate::pairs::HammerPair;
     use proptest::prelude::*;
     use pthammer_dram::FlipModelProfile;
@@ -957,13 +957,9 @@ mod tests {
     fn compiled_rounds_reach_dram_for_both_l1ptes() {
         let (mut sys, pid) = tiny_system(21);
         // Single-sided arming takes the first candidate pair unverified.
-        let (strategy, armed) = armed_for(
-            HammerMode::ImplicitSingleSided,
-            &mut sys,
-            pid,
-            &tiny_config(3),
-        );
-        let (stats, samples) = hammer(&armed, strategy.round_ops(), &mut sys, pid, 40);
+        let mode = HammerMode::ImplicitSingleSided;
+        let armed = armed_for(mode, &mut sys, pid, &tiny_config(3));
+        let (stats, samples) = hammer(&armed, mode.round_ops(), &mut sys, pid, 40);
         assert_eq!(stats.rounds, 40);
         assert_eq!(samples.len(), 40);
         assert_eq!(stats.total_cycles, samples.iter().sum::<u64>());
@@ -988,15 +984,11 @@ mod tests {
     #[test]
     fn round_cycles_have_low_variance_after_warmup() {
         let (mut sys, pid) = tiny_system(21);
-        let (strategy, armed) = armed_for(
-            HammerMode::ImplicitSingleSided,
-            &mut sys,
-            pid,
-            &tiny_config(5),
-        );
+        let mode = HammerMode::ImplicitSingleSided;
+        let armed = armed_for(mode, &mut sys, pid, &tiny_config(5));
         // Warm up, then sample (mirrors the 50-round measurement of Fig. 6).
-        hammer(&armed, strategy.round_ops(), &mut sys, pid, 10);
-        let (_, samples) = hammer(&armed, strategy.round_ops(), &mut sys, pid, 50);
+        hammer(&armed, mode.round_ops(), &mut sys, pid, 10);
+        let (_, samples) = hammer(&armed, mode.round_ops(), &mut sys, pid, 50);
         assert_eq!(samples.len(), 50);
         let min = *samples.iter().min().unwrap();
         let max = *samples.iter().max().unwrap();
@@ -1011,7 +1003,7 @@ mod tests {
     fn iteration_cost_grows_with_padding() {
         let (mut sys, pid) = tiny_system(33);
         let armed = explicit_buffer_pair(&mut sys, pid, 1 << 20);
-        let plain = ExplicitDoubleSided.round_ops().to_vec();
+        let plain = HammerMode::ExplicitDoubleSided.round_ops().to_vec();
         let mut padded = plain.clone();
         padded.push(RoundOp::Compute(1_000));
         // Warm up translations and caches first so the comparison measures
@@ -1042,7 +1034,7 @@ mod tests {
             llc_profile_trials: 6,
             ..AttackConfig::quick_test(seed, false)
         };
-        let (_, armed) = armed_for(mode, &mut sys, pid, &config);
+        let armed = armed_for(mode, &mut sys, pid, &config);
         (sys, pid, armed)
     }
 
@@ -1086,8 +1078,7 @@ mod tests {
             prop_assert_eq!(pid_i, pid_c);
             prop_assert_eq!(counters(&interpreted), counters(&compiled));
 
-            let strategy = mode.strategy();
-            let mut vocabulary = strategy.round_ops().to_vec();
+            let mut vocabulary = mode.round_ops().to_vec();
             // The strategy's own schedule first, then randomized
             // rearrangements (with repetition) of its op vocabulary plus a
             // padding step — every op stays valid for the armed state while
@@ -1125,7 +1116,7 @@ mod fast_forward_tests {
     use super::*;
     use crate::config::AttackConfig;
     use crate::hammer::strategy::tests::armed_for;
-    use crate::hammer::strategy::{ExplicitDoubleSided, HammerMode, HammerStrategy};
+    use crate::hammer::strategy::{HammerMode, HammerStrategy};
     use proptest::prelude::*;
     use pthammer_dram::FlipModelProfile;
     use pthammer_kernel::{DefaultPolicy, KernelConfig, MmapOptions};
@@ -1177,8 +1168,8 @@ mod fast_forward_tests {
     impl Twin {
         fn new(board: Board, mode: HammerMode, seed: u64) -> Self {
             let (mut sys, pid) = boot(board, seed);
-            let (strategy, armed) = armed_for(mode, &mut sys, pid, &attack_config(seed));
-            Self::armed(sys, pid, strategy.round_ops().to_vec(), armed)
+            let armed = armed_for(mode, &mut sys, pid, &attack_config(seed));
+            Self::armed(sys, pid, mode.round_ops().to_vec(), armed)
         }
 
         fn armed(sys: System, pid: Pid, ops: Vec<RoundOp>, armed: ArmedPair) -> Self {
@@ -1371,7 +1362,7 @@ mod fast_forward_tests {
         let twin = || {
             let (mut sys, pid) = boot(Board::CiSmall, 7);
             let armed = super::tests::explicit_buffer_pair(&mut sys, pid, 1 << 20);
-            let mut ops = ExplicitDoubleSided.round_ops().to_vec();
+            let mut ops = HammerMode::ExplicitDoubleSided.round_ops().to_vec();
             ops.push(RoundOp::Compute(1_000));
             Twin::armed(sys, pid, ops, armed)
         };
@@ -1514,7 +1505,6 @@ mod fast_forward_tests {
     /// every round, choosing the low target so its own Level-1 PTE holds a
     /// weak cell. Returns the armed twin and that PTE's address.
     fn read_entry_at_risk(board: Board, seed: u64) -> Option<(Twin, pthammer_types::PhysAddr)> {
-        use crate::hammer::strategy::ImplicitSingleSided;
         use crate::pairs::{conflict_threshold, pair_stride, HammerPair};
         use pthammer_types::{CellOrientation, PhysAddr, HUGE_PAGE_SIZE, PAGE_SIZE};
 
@@ -1561,13 +1551,14 @@ mod fast_forward_tests {
             high: low + half_stride,
         };
         let threshold = conflict_threshold(&sys);
-        let armed = ImplicitSingleSided
+        let mode = HammerMode::ImplicitSingleSided;
+        let armed = mode
             .arm(&mut sys, pid, pair, &prepared, &config, threshold)
             .expect("arm")
             .armed
             .expect("single-sided arming accepts every pair");
         Some((
-            Twin::armed(sys, pid, ImplicitSingleSided.round_ops().to_vec(), armed),
+            Twin::armed(sys, pid, mode.round_ops().to_vec(), armed),
             entry,
         ))
     }

@@ -33,11 +33,6 @@ impl DramAddress {
             + self.bank
     }
 
-    /// Returns the same location but in a different row of the same bank.
-    pub fn with_row(self, row: u32) -> Self {
-        Self { row, ..self }
-    }
-
     /// Returns true if `other` refers to the same (channel, rank, bank).
     pub fn same_bank(&self, other: &DramAddress) -> bool {
         self.channel == other.channel && self.rank == other.rank && self.bank == other.bank

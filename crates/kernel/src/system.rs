@@ -778,11 +778,6 @@ impl System {
         self.machine.advance_clock(Cycles::new(cycles));
     }
 
-    /// Simulated seconds elapsed since boot.
-    pub fn seconds_since_boot(&self) -> f64 {
-        Cycles::new(self.machine.rdtsc()).as_seconds(self.machine.clock_hz())
-    }
-
     // ------------------------------------------------------------------
     // Evaluation oracle (the paper's "kernel module", not used to attack).
     // ------------------------------------------------------------------

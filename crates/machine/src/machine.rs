@@ -200,11 +200,6 @@ impl Machine {
         self.clock += cycles;
     }
 
-    /// Converts a number of simulated cycles to seconds on this machine.
-    pub fn cycles_to_seconds(&self, cycles: Cycles) -> f64 {
-        cycles.as_seconds(self.config.clock_hz)
-    }
-
     // ------------------------------------------------------------------
     // Privileged (kernel substrate) operations — no timing side effects.
     // ------------------------------------------------------------------
@@ -727,11 +722,6 @@ impl Machine {
     /// its own address space).
     pub fn applied_flips(&self) -> &[AppliedFlip] {
         self.mem.applied_flips()
-    }
-
-    /// Direct access to the memory subsystem for the kernel substrate.
-    pub fn memory_mut(&mut self) -> &mut MemorySubsystem {
-        &mut self.mem
     }
 }
 

@@ -169,24 +169,13 @@ mod tests {
     use pthammer::pairs::{candidate_pairs, conflict_threshold};
     use pthammer::pipeline::prepare_attack;
     use pthammer::{CompiledTrace, Target};
-    use pthammer_cache::{CacheHierarchyConfig, LlcConfig, ReplacementPolicy};
     use pthammer_dram::FlipModelProfile;
     use pthammer_machine::MachineConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn tiny_system(seed: u64) -> (System, Pid) {
-        let mut cfg = MachineConfig::test_small(FlipModelProfile::invulnerable(), seed);
-        cfg.cache = CacheHierarchyConfig {
-            llc: LlcConfig {
-                slices: 2,
-                sets_per_slice: 256,
-                ways: 8,
-                latency: 18,
-                replacement: ReplacementPolicy::Srrip,
-            },
-            ..CacheHierarchyConfig::test_small()
-        };
+        let cfg = MachineConfig::ci_small(FlipModelProfile::invulnerable(), seed);
         let mut sys = System::undefended(cfg);
         let pid = sys.spawn_process(1000).unwrap();
         (sys, pid)
